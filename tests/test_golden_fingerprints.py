@@ -1,0 +1,104 @@
+"""Cross-commit fingerprint gate.
+
+Every other bit-identity gate in tier-1 compares two modes of the
+*same* commit (pipelined vs legacy wire, streamed vs materialised,
+serial vs parallel, sharded vs serial), so a change that shifts both
+sides the same way passes them all.  This one compares against
+``golden_fingerprints.json``, recorded before the refactor that added
+it touched any source: a cell's per-flow ``repr(fct)`` hash and its
+event count must match what an earlier commit produced.
+
+A deliberate behaviour change re-records the file in the same commit
+and says why::
+
+    PYTHONPATH=src python tests/test_golden_fingerprints.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.cli import SCHEME_FACTORIES
+from repro.experiments.runner import run
+from repro.experiments.scenarios import (
+    all_to_all_scenario,
+    incast_scenario,
+    lossless_scenario,
+    sim_fabric,
+    star_fabric,
+)
+from repro.sim.hybrid import HybridConfig
+from repro.units import gbps
+from repro.workloads.distributions import WEB_SEARCH
+from test_wire_equivalence import _flap_scenario
+
+GOLDEN = Path(__file__).with_name("golden_fingerprints.json")
+
+SMALL_LEAF_SPINE = sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4)
+
+
+def _star_incast(name, **overrides):
+    return incast_scenario(name, WEB_SEARCH, n_senders=6, load=0.6,
+                           n_flows=60, size_cap=200_000, seed=7,
+                           fabric=star_fabric(8), **overrides)
+
+
+def _leaf_spine(name, **overrides):
+    return all_to_all_scenario(name, WEB_SEARCH, load=0.5, n_flows=60,
+                               size_cap=200_000, seed=11,
+                               fabric=SMALL_LEAF_SPINE, **overrides)
+
+
+# name -> (scheme key, scenario factory)
+CELLS = {
+    # the three test_wire_equivalence scenarios
+    "wire-incast": ("dctcp", lambda: incast_scenario(
+        "equiv-incast", WEB_SEARCH, n_senders=8, load=0.6,
+        n_flows=16, size_cap=200_000, seed=7)),
+    "wire-flap": ("dctcp", _flap_scenario),
+    "wire-spray": ("ndp", lambda: all_to_all_scenario(
+        "equiv-spray", WEB_SEARCH, n_flows=12,
+        fabric=SMALL_LEAF_SPINE, seed=11, event_budget=2_000_000)),
+    "streamed": ("ppt", lambda: _leaf_spine("golden-stream", stream=True)),
+    "pfc": ("dcqcn", lambda: lossless_scenario(
+        "golden-pfc", n_flows=24, size_cap=200_000)),
+    # 13 flows go abstract, 10 of them are demoted back to packets
+    "hybrid": ("dctcp", lambda: all_to_all_scenario(
+        "golden-hybrid", WEB_SEARCH, load=0.25, n_flows=60,
+        size_cap=4_000_000, seed=5, fabric=star_fabric(6, rate=gbps(1)),
+        hybrid=HybridConfig(size_threshold=200_000))),
+}
+for _scheme in ("dctcp", "ppt", "homa", "ndp"):
+    CELLS[f"{_scheme}-star-incast"] = (
+        _scheme, lambda s=_scheme: _star_incast(f"golden-incast-{s}"))
+    CELLS[f"{_scheme}-leaf-spine"] = (
+        _scheme, lambda s=_scheme: _leaf_spine(f"golden-ls-{s}"))
+
+
+def measure(cell: str) -> dict:
+    scheme, scenario_factory = CELLS[cell]
+    result = run(SCHEME_FACTORIES[scheme](), scenario_factory())
+    digest = hashlib.sha256()
+    for flow in sorted(result.flows, key=lambda f: f.flow_id):
+        digest.update(f"{flow.flow_id}:{flow.fct!r};".encode())
+    return {"fct_sha256": digest.hexdigest(),
+            "completed": result.completed,
+            "wall_events": result.wall_events}
+
+
+def test_golden_file_covers_every_cell():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(CELLS)
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_matches_golden(cell):
+    assert measure(cell) == json.loads(GOLDEN.read_text())[cell]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(
+        {cell: measure(cell) for cell in sorted(CELLS)},
+        indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(CELLS)} cells -> {GOLDEN}")
