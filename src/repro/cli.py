@@ -22,7 +22,7 @@ Examples
     python -m repro run --schemes ppt dctcp --workload web-search --load 0.5
     python -m repro run --schemes ppt dctcp homa swift --jobs 4
     python -m repro run --schemes ppt dctcp \
-        --fault flap:leaf0->spine0:0.005:0.002:0.004:3 --health
+        --fault "flap:leaf0->spine0:0.005:0.002:0.004:3" --health
     python -m repro run --schemes ppt --stream --flows 20000 \
         --tenant-mix web-search:3,memcached-w1:1 --load-shape diurnal
     python -m repro figure fig12 --workload data-mining
@@ -40,8 +40,8 @@ from .core.ppt_hpcc import PptHpcc
 from .core.ppt_swift import PptSwift
 from .experiments import figures, tables
 from .faults import FaultPlan
-from .experiments.distributed import ShardError, run_sharded
-from .experiments.parallel import GridTask, GridTaskError, RunSummary, run_grid
+from .experiments.distributed import run_sharded
+from .experiments.parallel import GridTask, RunSummary, run_grid
 from .experiments.runner import format_table, run
 from .experiments.scenarios import (
     HOMA_RTT_BYTES_SIM,
@@ -50,6 +50,7 @@ from .experiments.scenarios import (
     incast_scenario,
     soak_scenario,
 )
+from .experiments.workers import WorkerError
 from .resilience import CheckpointError, supervise_grid
 from .sim.hybrid import HybridConfig
 from .sim.routing import DEFAULT_FLOWLET_GAP, LB_MODES
@@ -245,7 +246,7 @@ def _cmd_run(args) -> int:
         return 2
     if args.shards is not None:
         # one run split across processes composes with neither the
-        # scheme-level pool nor the serial-only machinery
+        # scheme-level grid nor the serial-only machinery
         if args.shards < 1:
             print("error: --shards must be >= 1", file=sys.stderr)
             return 2
@@ -380,16 +381,10 @@ def _cmd_run(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except GridTaskError as exc:
-        # a worker died with full context attached; strict-validate
-        # failures keep their dedicated exit code across the fork
-        if "InvariantViolation" in exc.cause:
-            print(f"invariant violation: {exc}", file=sys.stderr)
-            return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShardError as exc:
-        # a shard worker died; same exit-code contract as GridTaskError
+    except WorkerError as exc:
+        # a grid or shard worker died with full context attached;
+        # strict-validate failures keep their dedicated exit code
+        # across the fork
         if "InvariantViolation" in exc.cause:
             print(f"invariant violation: {exc}", file=sys.stderr)
             return 3

@@ -3,12 +3,13 @@
 :func:`run_sharded` is the space-parallel sibling of
 :func:`repro.experiments.parallel.run_grid`: it plans the partition
 (:func:`repro.sim.shard.plan_shards`), wires a full mesh of
-``multiprocessing`` pipes between the shards plus one result pipe each,
-forks one :class:`~repro.sim.shard.ShardWorker` per shard (the
-scheme/scenario are inherited by reference through a module-level spec,
-exactly like the grid's fork table — nothing unpicklable ever crosses a
-pipe going in), and merges the returned
-:class:`~repro.sim.shard.ShardSummary` objects into the same
+``multiprocessing`` pipes between the shards (the data plane, which
+stays here), and hands one :class:`~repro.sim.shard.ShardWorker` closure
+per shard to :func:`repro.experiments.workers.run_forked` — the same
+primitive the grids use, with every shard in flight at once, one
+deadline and fail-fast, so a dead shard takes its peers down instead of
+leaving them blocked on a mesh pipe.  The returned
+:class:`~repro.sim.shard.ShardSummary` objects are merged into the same
 :class:`~repro.experiments.parallel.RunSummary` shape every sweep
 consumer already reads.
 
@@ -30,39 +31,36 @@ misleading scaling numbers).
 from __future__ import annotations
 
 import multiprocessing
-import time
-import traceback
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _conn_wait
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..metrics.fct import FctStats
 from ..obs.telemetry import TelemetrySummary
-from ..sim.shard import ShardPlan, ShardSummary, ShardWorker, plan_shards
+from ..sim.shard import (
+    ShardPlan,
+    ShardSummary,
+    ShardWorker,
+    check_shardable,
+    plan_shards,
+)
 from ..transport.base import Flow, Scheme
 from ..validate import ValidationReport
 from ..validate.report import Violation
-from .parallel import RunSummary, _fork_available
+from . import workers
+from .parallel import RunSummary
 from .runner import RunHealth, Scenario
+from .workers import WorkerError
 
 
-class ShardError(RuntimeError):
-    """A shard worker failed; carries the worker-side traceback.
-
-    Same contract as :class:`~repro.experiments.parallel.GridTaskError`:
-    pickles via :meth:`__reduce__` and names the failing shard, so the
-    parent's stack trace points at the right process.
-    """
+class ShardError(WorkerError):
+    """A shard worker failed; names the shard on top of
+    :class:`~repro.experiments.workers.WorkerError`'s ``cause`` and
+    ``worker_traceback``.  Pickles via :meth:`__reduce__`."""
 
     def __init__(self, shard_id: int, cause: str,
                  worker_traceback: str) -> None:
         self.shard_id = shard_id
-        self.cause = cause
-        self.worker_traceback = worker_traceback
-        message = f"shard {shard_id} failed: {cause}"
-        if worker_traceback:
-            message += f"\n--- worker traceback ---\n{worker_traceback}"
-        super().__init__(message)
+        super().__init__(f"shard {shard_id} failed", cause, worker_traceback)
 
     def __reduce__(self):
         return (type(self), (self.shard_id, self.cause,
@@ -89,55 +87,6 @@ class DistributedResult:
     conservation_ok: bool
 
 
-# Spec inherited by forked shard workers (scheme/scenario close over
-# unpicklable builders); only the shard index crosses the pipe going in.
-# Never mutated while workers are alive.
-_SHARD_SPEC: Optional[tuple] = None
-
-
-def _shard_entry(shard_id: int) -> None:
-    plan, scheme, scenario, mesh, result_conns, observe, validate = \
-        _SHARD_SPEC
-    conn = result_conns[shard_id]
-    try:
-        conns = {}
-        for (i, j), (end_i, end_j) in mesh.items():
-            if shard_id == i:
-                conns[j] = end_i
-            elif shard_id == j:
-                conns[i] = end_j
-        worker = ShardWorker(shard_id, plan, scheme, scenario, conns,
-                             observe=observe, validate=validate)
-        conn.send(("ok", worker.run()))
-    except BaseException as exc:  # noqa: BLE001 - must cross the pipe
-        try:
-            conn.send(("error", repr(exc), traceback.format_exc()))
-        except Exception:
-            pass
-    finally:
-        conn.close()
-
-
-def _check_scenario(scheme: Scheme, scenario: Scenario, topo) -> None:
-    """Reject feature combinations the shard protocol cannot carry.
-
-    Runs in the parent, on the reference build, so a bad combination
-    fails with one clear error instead of n worker tracebacks.
-    """
-    if scenario.faults is not None:
-        raise ValueError(
-            "sharded runs do not support fault plans (cross-shard fault "
-            "windows have no deterministic-merge semantics yet)")
-    if scenario.hybrid is not None and scenario.hybrid.enabled:
-        raise ValueError(
-            "sharded runs do not support the hybrid fast path "
-            "(abstract flows have no boundary-crossing packets)")
-    if topo.network.pfc_controllers:
-        raise ValueError(
-            "sharded runs do not support PFC (pause frames cross shard "
-            "boundaries outside the data-packet protocol)")
-
-
 def run_sharded(
     scheme: Scheme,
     scenario: Scenario,
@@ -161,7 +110,7 @@ def run_sharded(
     # merge, and an early home for the unsupported-combo checks.
     ref = scenario.build_topology()
     scheme.configure_network(ref.network)
-    _check_scenario(scheme, scenario, ref)
+    check_shardable(scenario, ref.network)
     plan = plan_shards(ref, n_shards)
     flow_source = scenario.build_flows(ref)
     flows = (flow_source if isinstance(flow_source, list)
@@ -172,7 +121,7 @@ def run_sharded(
                              observe=observe, validate=validate)
         shard_summaries = [worker.run()]
     else:
-        if not _fork_available():
+        if not workers.fork_available():
             raise RuntimeError(
                 "sharded execution requires the 'fork' start method; "
                 f"this platform offers "
@@ -189,64 +138,38 @@ def _run_forked(plan: ShardPlan, scheme: Scheme, scenario: Scenario,
                 observe: bool, validate: object,
                 timeout: float) -> List[ShardSummary]:
     n_shards = plan.n_shards
-    ctx = multiprocessing.get_context("fork")
-    # Full mesh of duplex window pipes, keyed (i, j) with i < j, plus a
-    # one-way result pipe per shard — all created before the forks so
-    # every child inherits every end it needs.
+    # Full mesh of duplex window pipes, keyed (i, j) with i < j, created
+    # before the forks so every child inherits every end it needs.
     mesh: Dict[Tuple[int, int], tuple] = {}
     for i in range(n_shards):
         for j in range(i + 1, n_shards):
-            mesh[(i, j)] = ctx.Pipe(True)
-    result_pipes = [ctx.Pipe(False) for _ in range(n_shards)]
+            mesh[(i, j)] = multiprocessing.Pipe(True)
 
-    global _SHARD_SPEC
-    previous = _SHARD_SPEC
-    _SHARD_SPEC = (plan, scheme, scenario, mesh,
-                   [send for _recv, send in result_pipes],
-                   observe, validate)
-    procs = []
-    summaries: List[Optional[ShardSummary]] = [None] * n_shards
+    def shard_fn(shard_id: int):
+        def run_shard() -> ShardSummary:
+            conns = {}
+            for (i, j), (end_i, end_j) in mesh.items():
+                if shard_id == i:
+                    conns[j] = end_i
+                elif shard_id == j:
+                    conns[i] = end_j
+            return ShardWorker(shard_id, plan, scheme, scenario, conns,
+                               observe=observe, validate=validate).run()
+        return run_shard
+
     try:
-        for i in range(n_shards):
-            proc = ctx.Process(target=_shard_entry, args=(i,), daemon=True)
-            proc.start()
-            procs.append(proc)
-        pending = {result_pipes[i][0]: i for i in range(n_shards)}
-        deadline = time.monotonic() + timeout
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                stuck = sorted(pending.values())
-                raise ShardError(
-                    stuck[0],
-                    f"no result after {timeout:.0f}s "
-                    f"(shards still pending: {stuck})", "")
-            for conn in _conn_wait(list(pending), timeout=remaining):
-                shard_id = pending.pop(conn)
-                try:
-                    message = conn.recv()
-                except EOFError:
-                    raise ShardError(
-                        shard_id, "worker died without reporting "
-                        "(killed or crashed hard)", "") from None
-                if message[0] == "error":
-                    raise ShardError(shard_id, message[1], message[2])
-                summaries[shard_id] = message[1]
-        for proc in procs:
-            proc.join(timeout=30.0)
+        outcomes = workers.run_forked(
+            [shard_fn(i) for i in range(n_shards)], slots=n_shards,
+            timeout=timeout, fail_fast=True)
     finally:
-        _SHARD_SPEC = previous
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
         for ends in mesh.values():
             for end in ends:
                 end.close()
-        for ends in result_pipes:
-            for end in ends:
-                end.close()
-    return summaries  # type: ignore[return-value]
+    for shard_id, outcome in enumerate(outcomes):
+        if outcome is not None and not outcome.ok:
+            raise ShardError(shard_id, outcome.cause,
+                             outcome.worker_traceback)
+    return [outcome.value for outcome in outcomes]
 
 
 def _merge(scheme: Scheme, scenario: Scenario, plan: ShardPlan,

@@ -4,9 +4,9 @@ Every sweep and multi-seed benchmark in this repo is embarrassingly
 parallel — each (scheme, variant, seed) cell builds its own topology,
 its own simulator and its own seeded RNGs, so cells share *nothing*.
 This module exploits that: :func:`run_grid` executes a list of
-:class:`GridTask` cells either serially or on a ``fork``-based process
-pool, and returns one slim, picklable :class:`RunSummary` per cell in
-the exact order the tasks were given.
+:class:`GridTask` cells either serially or in forked worker processes,
+and returns one slim, picklable :class:`RunSummary` per cell in the
+exact order the tasks were given.
 
 Determinism contract
 --------------------
@@ -14,19 +14,21 @@ Determinism contract
 Parallel output is **bit-identical** to serial output:
 
 * each worker executes the same ``run(scheme_factory(), scenario)`` call
-  the serial path would, on a freshly built scenario, so the packet-level
+  the serial path would, on a freshly built scenario and in a process
+  forked from the pristine parent for that one cell, so the packet-level
   behaviour of a cell cannot depend on its neighbours;
-* results are collected with ``Pool.map``, which preserves submission
-  order — the merged list is in deterministic grid order no matter which
-  worker finished first.
+* :func:`~repro.experiments.workers.run_forked` returns outcomes by
+  task index — the merged list is in deterministic grid order no matter
+  which worker finished first.
 
-Workers are created with the ``fork`` start method so tasks (which close
-over scheme factories, scenario builders and fault plans — none of them
-picklable in general) are inherited by reference through a module-level
-table instead of being pickled.  Only the integer task index crosses the
-pipe going in, and only the :class:`RunSummary` crosses coming back.  On
-platforms without ``fork`` the grid silently degrades to serial
-execution, which is always correct.
+Spawning, collecting and crash detection live in
+:mod:`repro.experiments.workers`; this module only sets the policy (no
+retries, no timeout, the first failed cell aborts the grid as a
+:class:`GridTaskError`).  Tasks close over scheme factories, scenario
+builders and fault plans — none of them picklable in general — and reach
+the worker through the fork; only the :class:`RunSummary` crosses a pipe.
+On platforms without ``fork`` the grid degrades to serial execution,
+which is always correct.
 
 :class:`RunSummary` vs :class:`~repro.experiments.runner.RunResult`:
 the full result drags the live :class:`~repro.sim.network.Network`,
@@ -40,7 +42,6 @@ health, completion counts and the event total.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -49,7 +50,9 @@ from ..metrics.fct import FctStats
 from ..obs.telemetry import TelemetrySummary
 from ..transport.base import Scheme
 from ..validate import ValidationReport
+from . import workers
 from .runner import RunHealth, RunResult, Scenario, run
+from .workers import WorkerError
 
 
 @dataclass
@@ -130,7 +133,7 @@ class GridTask:
     # Run the cell with the repro.validate auditor: False (off), True
     # (audit mode) or "strict".  The picklable ValidationReport comes
     # back on the summary; in strict mode a broken law raises
-    # InvariantViolation inside the worker and surfaces through the pool.
+    # InvariantViolation inside the worker and surfaces as GridTaskError.
     validate: object = False
 
     def execute(self) -> RunSummary:
@@ -143,17 +146,14 @@ class GridTask:
         return summary
 
 
-class GridTaskError(RuntimeError):
-    """A worker raised while executing a grid cell.
+class GridTaskError(WorkerError):
+    """A worker failed while executing a grid cell.
 
-    ``Pool.map`` re-raises worker exceptions in the parent with the
-    worker's traceback discarded and no hint of *which* cell died —
-    useless for a 200-cell sweep.  This wrapper crosses the fork
-    boundary intact (it pickles via :meth:`__reduce__`) and carries the
-    failing cell's identity (``label``, ``scheme``, ``params``) plus
-    the worker-side traceback text, so the parent's stack trace names
-    the exact (scheme, seed, params) cell and shows where in the worker
-    it blew up.
+    Carries the failing cell's identity (``label``, ``scheme``,
+    ``params``) on top of :class:`~repro.experiments.workers.WorkerError`'s
+    ``cause`` and ``worker_traceback``, so the parent's stack trace names
+    the exact (scheme, seed, params) cell of a 200-cell sweep and shows
+    where in the worker it blew up.  Pickles via :meth:`__reduce__`.
     """
 
     def __init__(self, label: str, scheme: str, params: Dict[str, object],
@@ -161,52 +161,13 @@ class GridTaskError(RuntimeError):
         self.label = label
         self.scheme = scheme
         self.params = params
-        self.cause = cause
-        self.worker_traceback = worker_traceback
         super().__init__(
             f"grid cell {label or scheme!r} (scheme={scheme!r}, "
-            f"params={params!r}) failed in worker: {cause}\n"
-            f"--- worker traceback ---\n{worker_traceback}")
+            f"params={params!r}) failed in worker", cause, worker_traceback)
 
     def __reduce__(self):
         return (type(self), (self.label, self.scheme, self.params,
                              self.cause, self.worker_traceback))
-
-
-# Task table inherited by forked workers; indexed by the integers that
-# actually cross the pipe.  Never mutated while a pool is alive.
-_FORK_TASKS: Optional[Sequence[GridTask]] = None
-
-
-def _run_nth_task(index: int) -> RunSummary:
-    task = _FORK_TASKS[index]
-    try:
-        return task.execute()
-    except Exception as exc:
-        import traceback as _tb
-        scheme = task.scheme_key or getattr(
-            task.scheme_factory, "__name__", "<factory>")
-        raise GridTaskError(
-            task.label, scheme, dict(task.params),
-            repr(exc), _tb.format_exc()) from exc
-
-
-def default_jobs() -> int:
-    """A sane worker count: the cores this process may actually use.
-
-    ``sched_getaffinity`` respects cgroup/CPU-set limits (container
-    quotas, ``taskset``), where ``cpu_count`` reports the whole machine
-    and would oversubscribe a pinned process.  Falls back to
-    ``cpu_count`` on platforms without affinity support (macOS).
-    """
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):
-        return max(1, os.cpu_count() or 1)
-
-
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 # run_grid warns at most once per process about a no-fork degrade; the
@@ -236,15 +197,14 @@ def run_grid(
     """Execute every task; return summaries in task order.
 
     ``jobs`` — worker processes.  ``None``, ``0`` or ``1`` runs serially
-    in-process; ``-1`` means :func:`default_jobs`.  ``progress`` is
+    in-process; ``-1`` means
+    :func:`~repro.experiments.workers.default_jobs`.  ``progress`` is
     called with each task's label as its result is merged (serial: as it
     runs), so output ordering is identical on both paths.
     """
     tasks = list(tasks)
-    if jobs is not None and jobs < 0:
-        jobs = default_jobs()
-    n_workers = min(jobs or 1, len(tasks))
-    if n_workers <= 1 or not _fork_available():
+    n_workers = workers.worker_count(jobs, len(tasks))
+    if n_workers <= 1 or not workers.fork_available():
         if n_workers > 1:
             _warn_no_fork()
         summaries = []
@@ -254,20 +214,18 @@ def run_grid(
             summaries.append(task.execute())
         return summaries
 
-    global _FORK_TASKS
-    previous = _FORK_TASKS
-    _FORK_TASKS = tasks
-    try:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=n_workers) as pool:
-            summaries = pool.map(_run_nth_task, range(len(tasks)),
-                                 chunksize=1)
-    finally:
-        _FORK_TASKS = previous
+    outcomes = workers.run_forked([task.execute for task in tasks],
+                                  slots=n_workers, fail_fast=True)
+    for task, outcome in zip(tasks, outcomes):
+        if outcome is not None and not outcome.ok:
+            scheme = task.scheme_key or getattr(
+                task.scheme_factory, "__name__", "<factory>")
+            raise GridTaskError(task.label, scheme, dict(task.params),
+                                outcome.cause, outcome.worker_traceback)
     if progress is not None:
         for task in tasks:
             progress(task.label)
-    return summaries
+    return [outcome.value for outcome in outcomes]
 
 
 def scheme_grid(

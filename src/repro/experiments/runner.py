@@ -255,7 +255,7 @@ def _observed_start(scheme: Scheme, flow: Flow, ctx: TransportContext,
 
 class _FlowStarts:
     """Adapts a :class:`~repro.workloads.FlowStream` into the
-    ``(time, fn, args)`` entries a lazy chain consumes.
+    ``(time, fn, args)`` entries an event chain pulls.
 
     Every pulled flow is appended to ``sink`` — the run's shared
     ``flows`` list — so results, telemetry and the stall watchdog see
@@ -414,29 +414,23 @@ def run(
     if instruments is not None:
         ctx.extra["instruments"] = instruments(topo)
 
-    # One chain entry per flow start instead of one heap event each:
-    # seqs are claimed in the same order the schedule_at loop used to,
-    # so firing order is bit-identical while the heap holds a single
-    # entry for the whole start schedule.  A FlowStream goes through
-    # the lazy variant — same (time, seq) keys (the seq block is
-    # reserved up front for bounded streams), but flows are pulled one
-    # look-ahead at a time, so the start schedule never materializes.
-    if stream is not None:
-        if telemetry is None:
-            start_fn, extra = scheme.start_flow, (ctx,)
-        else:
-            start_fn = functools.partial(_observed_start, scheme)
-            extra = (ctx, telemetry)
-        topo.sim.schedule_lazy_chain(
-            _FlowStarts(stream, flows, start_fn, extra), count=total_flows)
-    elif telemetry is None:
-        topo.sim.schedule_chain(
-            (flow.start_time, scheme.start_flow, (flow, ctx))
-            for flow in flows)
+    # One chain for the whole start schedule instead of one heap event
+    # per flow: the chain reserves its seq block here, where a loop of
+    # schedule_at calls would have claimed the same seqs, so firing
+    # order is unchanged while the heap holds a single entry.  A
+    # FlowStream is pulled one look-ahead flow at a time under the same
+    # (time, seq) keys, so the start schedule never materializes.
+    if telemetry is None:
+        start_fn, extra = scheme.start_flow, (ctx,)
     else:
-        topo.sim.schedule_chain(
-            (flow.start_time, _observed_start, (scheme, flow, ctx, telemetry))
-            for flow in flows)
+        start_fn = functools.partial(_observed_start, scheme)
+        extra = (ctx, telemetry)
+    if stream is not None:
+        starts = _FlowStarts(stream, flows, start_fn, extra)
+    else:
+        starts = [(flow.start_time, start_fn, (flow,) + extra)
+                  for flow in flows]
+    topo.sim.schedule_chain(starts, count=total_flows)
 
     state = RunState(
         scheme_name=scheme.name,

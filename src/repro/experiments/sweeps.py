@@ -15,8 +15,9 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..metrics.fct import FctStats
+from ..resilience.supervisor import supervise_grid
 from ..transport.base import Scheme
-from .parallel import run_grid, scheme_grid
+from .parallel import GridTask, RunSummary, run_grid, scheme_grid
 from .runner import Scenario
 
 
@@ -41,6 +42,22 @@ class SweepPoint:
             "completed": f"{self.completed}/{self.n_flows}",
         })
         return row
+
+
+def _points(tasks: Sequence[GridTask],
+            summaries: Sequence[Optional[RunSummary]]) -> List[SweepPoint]:
+    """One point per cell that produced a summary, in grid order."""
+    return [
+        SweepPoint(
+            scheme=summary.scheme,
+            variant=dict(task.params),
+            stats=summary.stats,
+            completed=summary.completed,
+            n_flows=summary.n_flows,
+        )
+        for task, summary in zip(tasks, summaries)
+        if summary is not None
+    ]
 
 
 def sweep(
@@ -70,17 +87,7 @@ def sweep(
     bit-identical either way.
     """
     tasks = scheme_grid(scheme_factories, scenario_factory, variants)
-    summaries = run_grid(tasks, jobs=jobs, progress=progress)
-    return [
-        SweepPoint(
-            scheme=summary.scheme,
-            variant=dict(task.params),
-            stats=summary.stats,
-            completed=summary.completed,
-            n_flows=summary.n_flows,
-        )
-        for task, summary in zip(tasks, summaries)
-    ]
+    return _points(tasks, run_grid(tasks, jobs=jobs, progress=progress))
 
 
 def supervised_sweep(
@@ -105,23 +112,10 @@ def supervised_sweep(
     points a disturbed sweep produces are bit-identical to an
     undisturbed sweep's — see ``docs/robustness.md``.
     """
-    from ..resilience import supervise_grid
-
     tasks = scheme_grid(scheme_factories, scenario_factory, variants)
     outcome = supervise_grid(tasks, jobs=jobs, task_timeout=task_timeout,
                              retries=retries, progress=progress)
-    points = [
-        SweepPoint(
-            scheme=summary.scheme,
-            variant=dict(task.params),
-            stats=summary.stats,
-            completed=summary.completed,
-            n_flows=summary.n_flows,
-        )
-        for task, summary in zip(tasks, outcome.summaries)
-        if summary is not None
-    ]
-    return points, outcome.failed
+    return _points(tasks, outcome.summaries), outcome.failed
 
 
 def load_sweep_variants(loads: Iterable[float]) -> List[Dict[str, object]]:

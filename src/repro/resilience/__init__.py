@@ -10,10 +10,6 @@ Two layers (see ``docs/robustness.md``):
   wall-clock timeouts, crash/hang detection, retry with exponential
   backoff and quarantine of repeatedly-failing cells into structured
   :class:`FailedTask` records, with deterministic partial merges.
-
-Supervisor names are imported lazily (PEP 562) because the supervisor
-pulls in :mod:`repro.experiments.parallel`, which itself imports the
-runner — which imports this package for the checkpoint types.
 """
 
 from .checkpoint import (
@@ -25,12 +21,11 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-
-_SUPERVISOR_NAMES = (
-    "FailedTask",
-    "SupervisedResult",
-    "backoff_delay",
-    "supervise_grid",
+from .supervisor import (
+    FailedTask,
+    SupervisedResult,
+    backoff_delay,
+    supervise_grid,
 )
 
 __all__ = [
@@ -41,13 +36,8 @@ __all__ = [
     "inspect_checkpoint",
     "load_checkpoint",
     "save_checkpoint",
-    *_SUPERVISOR_NAMES,
+    "FailedTask",
+    "SupervisedResult",
+    "backoff_delay",
+    "supervise_grid",
 ]
-
-
-def __getattr__(name: str):
-    if name in _SUPERVISOR_NAMES:
-        from . import supervisor
-
-        return getattr(supervisor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -60,7 +60,10 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # v3: RunState grew ``hybrid`` (the flow-level fast path's controller —
 # abstract-flow set, rate assignments and the armed epoch event — so a
 # mid-epoch resume is bit-identical)
-CHECKPOINT_VERSION = 3
+# v4: one ``EventChain`` class — the armed flow-start chain in the sim
+# graph changed shape (a v3 snapshot pickled ``LazyEventChain`` or the
+# list-indexing ``EventChain``, neither of which this build can load)
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):

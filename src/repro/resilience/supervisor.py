@@ -1,11 +1,11 @@
 """Supervised grid execution: timeouts, retry with backoff, quarantine.
 
-:func:`repro.experiments.parallel.run_grid` assumes every worker
-finishes; one hung or SIGKILLed process loses the whole sweep.  This
-module runs the same :class:`~repro.experiments.parallel.GridTask`
-cells under a **supervisor** that owns one process per in-flight cell
-(no shared pool — a dead worker cannot poison its neighbours) and
-provides:
+:func:`repro.experiments.parallel.run_grid` aborts on the first failed
+cell.  :func:`supervise_grid` runs the same
+:class:`~repro.experiments.parallel.GridTask` cells through the same
+primitive, :func:`repro.experiments.workers.run_forked` — one forked
+process per attempt, so a dead worker cannot poison its neighbours —
+with the policy turned the other way:
 
 * a per-cell **wall-clock timeout** — a hung worker is killed and the
   cell retried;
@@ -28,27 +28,23 @@ changes *when* a summary arrives, never *what* it contains.  That is
 what lets the chaos benchmark assert a SIGKILLed sweep merges
 bit-identically to an undisturbed one.
 
-Workers are forked, exactly like ``run_grid``: only the task index
-crosses the pipe inbound and only the summary (or a structured error
-payload) crosses outbound.  On platforms without ``fork`` the grid
-degrades to in-process execution with retry-on-exception semantics
-(timeout and crash recovery need real processes and are disabled).
+On platforms without ``fork`` the grid degrades to in-process execution
+with retry-on-exception semantics (timeout and crash recovery need real
+processes and are disabled).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from ..experiments.parallel import GridTask, RunSummary, default_jobs
+from ..experiments import workers
+from ..experiments.workers import Outcome, backoff_delay
 
-# Supervisor poll cadence.  Coarse enough to stay invisible in profiles,
-# fine enough that a finished worker never idles long.
-POLL_INTERVAL = 0.02
+if TYPE_CHECKING:  # the grid types sit above this module (runner cycle)
+    from ..experiments.parallel import GridTask, RunSummary
 
 
 @dataclass
@@ -105,75 +101,6 @@ class SupervisedResult:
         return [s for s in self.summaries if s is not None]
 
 
-# Task table inherited by forked workers (same pattern as
-# parallel._FORK_TASKS); indexed by the integers that cross the pipe.
-_SUPERVISED_TASKS: Optional[Sequence[GridTask]] = None
-
-
-def _supervised_entry(index: int, conn) -> None:
-    """Worker side: run one cell, report ``("ok", summary)`` or a
-    structured ``("error", context, traceback)`` tuple.  A worker that
-    dies before sending anything (SIGKILL, segfault) is detected by the
-    supervisor through process exit instead."""
-    try:
-        summary = _SUPERVISED_TASKS[index].execute()
-        payload = ("ok", summary)
-    except BaseException as exc:  # noqa: BLE001 - the whole point
-        task = _SUPERVISED_TASKS[index]
-        context = {
-            "label": task.label,
-            "scheme": task.scheme_key or type(exc).__name__,
-            "params": dict(task.params),
-            "exception": repr(exc),
-        }
-        payload = ("error", context, traceback.format_exc())
-    try:
-        conn.send(payload)
-    except Exception:
-        # an unpicklable summary/exception must still fail loudly: the
-        # supervisor sees the nonzero exit and books a crash
-        os._exit(70)
-    finally:
-        conn.close()
-
-
-class _Attempt:
-    """One in-flight worker process for one cell."""
-
-    __slots__ = ("index", "number", "process", "conn", "started")
-
-    def __init__(self, index: int, number: int, ctx) -> None:
-        self.index = index
-        self.number = number
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        self.conn = parent_conn
-        self.process = ctx.Process(
-            target=_supervised_entry, args=(index, child_conn), daemon=True)
-        self.started = time.monotonic()
-        self.process.start()
-        child_conn.close()  # the child owns its end now
-
-    def elapsed(self) -> float:
-        return time.monotonic() - self.started
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
-        self.conn.close()
-
-    def reap(self) -> None:
-        self.process.join()
-        self.conn.close()
-
-
-def backoff_delay(failures: int, base: float, cap: float) -> float:
-    """Exponential backoff after ``failures`` failed attempts."""
-    if failures <= 0:
-        return 0.0
-    return min(cap, base * (2.0 ** (failures - 1)))
-
-
 def supervise_grid(
     tasks: Sequence[GridTask],
     *,
@@ -199,146 +126,56 @@ def supervise_grid(
     recovery — which require a killable process — are unavailable.
     """
     tasks = list(tasks)
-    result = SupervisedResult(summaries=[None] * len(tasks))
-    if not tasks:
-        return result
-    if jobs is not None and jobs < 0:
-        jobs = default_jobs()
-    n_workers = min(jobs or 1, len(tasks))
-
-    if n_workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        _supervise_serial(tasks, result, retries, backoff_base, backoff_max)
+    n_workers = workers.worker_count(jobs, len(tasks))
+    if n_workers <= 1 or not workers.fork_available():
+        outcomes = [_attempt_in_process(task, retries, backoff_base,
+                                        backoff_max) for task in tasks]
     else:
-        _supervise_forked(tasks, result, n_workers, task_timeout, retries,
-                          backoff_base, backoff_max)
+        outcomes = workers.run_forked(
+            [task.execute for task in tasks], slots=n_workers,
+            timeout=task_timeout, retries=retries,
+            backoff_base=backoff_base, backoff_max=backoff_max)
 
-    result.failed.sort(key=lambda f: f.index)
+    result = SupervisedResult(
+        summaries=[outcome.value for outcome in outcomes],
+        attempts_total=sum(outcome.attempts for outcome in outcomes))
+    for index, (task, outcome) in enumerate(zip(tasks, outcomes)):
+        if not outcome.ok:
+            result.failed.append(FailedTask(
+                index=index, label=task.label, scheme=task.scheme_key,
+                params=dict(task.params), attempts=outcome.attempts,
+                reason=outcome.reason, detail=_detail(task, outcome),
+                exitcode=outcome.exitcode, elapsed=outcome.elapsed))
     if progress is not None:
         for task in tasks:
             progress(task.label)
     return result
 
 
-def _supervise_serial(tasks, result, retries, backoff_base, backoff_max) -> None:
-    for index, task in enumerate(tasks):
-        failures = 0
-        started = time.monotonic()
-        while True:
-            result.attempts_total += 1
-            try:
-                result.summaries[index] = task.execute()
-                break
-            except Exception:  # noqa: BLE001 - quarantine, don't abort
-                failures += 1
-                if failures > retries:
-                    result.failed.append(FailedTask(
-                        index=index, label=task.label,
-                        scheme=task.scheme_key, params=dict(task.params),
-                        attempts=failures, reason="exception",
-                        detail=traceback.format_exc(),
-                        elapsed=time.monotonic() - started))
-                    break
-                time.sleep(backoff_delay(failures, backoff_base, backoff_max))
+def _detail(task: "GridTask", outcome: Outcome) -> str:
+    if outcome.reason == "exception":
+        return (f"task {task.label or task.scheme_key} params={task.params} "
+                f"raised {outcome.cause}\n{outcome.worker_traceback}")
+    if outcome.reason == "timeout":
+        return f"attempt exceeded task_timeout: {outcome.cause}"
+    return outcome.cause
 
 
-def _supervise_forked(tasks, result, n_workers, task_timeout, retries,
-                      backoff_base, backoff_max) -> None:
-    global _SUPERVISED_TASKS
-    previous = _SUPERVISED_TASKS
-    _SUPERVISED_TASKS = tasks
-    ctx = multiprocessing.get_context("fork")
-    failures: Dict[int, int] = {i: 0 for i in range(len(tasks))}
-    last_error: Dict[int, tuple] = {}   # index -> (reason, detail, exitcode)
-    spent: Dict[int, float] = {i: 0.0 for i in range(len(tasks))}
-    ready: List[int] = list(range(len(tasks)))     # FIFO launch queue
-    not_before: Dict[int, float] = {}              # backoff gate
-    in_flight: Dict[int, _Attempt] = {}
-    try:
-        while ready or in_flight:
-            now = time.monotonic()
-            # launch every eligible cell into a free worker slot
-            launchable = [i for i in ready if not_before.get(i, 0.0) <= now]
-            while launchable and len(in_flight) < n_workers:
-                index = launchable.pop(0)
-                ready.remove(index)
-                result.attempts_total += 1
-                in_flight[index] = _Attempt(
-                    index, failures[index] + 1, ctx)
-
-            if not in_flight:
-                # everything ready is gated behind backoff: sleep it off
-                wake = min(not_before[i] for i in ready)
-                time.sleep(max(0.0, wake - time.monotonic()) or POLL_INTERVAL)
-                continue
-
-            time.sleep(POLL_INTERVAL)
-            for index, attempt in list(in_flight.items()):
-                outcome = _poll_attempt(attempt, task_timeout)
-                if outcome is None:
-                    continue
-                del in_flight[index]
-                spent[index] += attempt.elapsed()
-                kind = outcome[0]
-                if kind == "ok":
-                    result.summaries[index] = outcome[1]
-                    continue
-                # failed attempt: retry under budget, else quarantine
-                failures[index] += 1
-                last_error[index] = outcome
-                if failures[index] > retries:
-                    reason, detail, exitcode = last_error[index]
-                    task = tasks[index]
-                    result.failed.append(FailedTask(
-                        index=index, label=task.label,
-                        scheme=task.scheme_key, params=dict(task.params),
-                        attempts=failures[index], reason=reason,
-                        detail=detail, exitcode=exitcode,
-                        elapsed=spent[index]))
-                else:
-                    ready.append(index)
-                    not_before[index] = time.monotonic() + backoff_delay(
-                        failures[index], backoff_base, backoff_max)
-    finally:
-        for attempt in in_flight.values():
-            attempt.kill()
-        _SUPERVISED_TASKS = previous
-
-
-def _poll_attempt(attempt: _Attempt, task_timeout: Optional[float]):
-    """Check one in-flight worker.  Returns ``None`` (still running),
-    ``("ok", summary)``, or ``(reason, detail, exitcode)``."""
-    try:
-        if attempt.conn.poll():
-            payload = attempt.conn.recv()
-            attempt.reap()
-            if payload[0] == "ok":
-                return ("ok", payload[1])
-            _kind, context, worker_tb = payload
-            detail = (f"task {context['label'] or context['scheme']} "
-                      f"params={context['params']} raised "
-                      f"{context['exception']}\n{worker_tb}")
-            return ("exception", detail, attempt.process.exitcode)
-    except (EOFError, OSError):
-        # pipe died with the worker mid-send
-        attempt.reap()
-        return ("crashed",
-                f"worker pipe closed without a result "
-                f"(exit {attempt.process.exitcode})",
-                attempt.process.exitcode)
-
-    if not attempt.process.is_alive():
-        exitcode = attempt.process.exitcode
-        attempt.reap()
-        return ("crashed",
-                f"worker exited without reporting a result "
-                f"(exit {exitcode}; SIGKILL/OOM leaves -9)",
-                exitcode)
-
-    if task_timeout is not None and attempt.elapsed() > task_timeout:
-        elapsed = attempt.elapsed()
-        attempt.kill()
-        return ("timeout",
-                f"attempt exceeded task_timeout ({elapsed:.2f}s > "
-                f"{task_timeout:.2f}s); worker killed",
-                attempt.process.exitcode)
-    return None
+def _attempt_in_process(task: "GridTask", retries: int, backoff_base: float,
+                        backoff_max: float) -> Outcome:
+    """The no-fork stand-in for one index of ``run_forked``: same retry
+    budget and backoff, but only exceptions can be survived."""
+    failures = 0
+    started = time.monotonic()
+    while True:
+        try:
+            return Outcome(True, value=task.execute(), attempts=failures + 1,
+                           elapsed=time.monotonic() - started)
+        except Exception as exc:  # noqa: BLE001 - quarantine, don't abort
+            failures += 1
+            if failures > retries:
+                return Outcome(
+                    False, reason="exception", cause=repr(exc),
+                    worker_traceback=traceback.format_exc(),
+                    attempts=failures, elapsed=time.monotonic() - started)
+            time.sleep(backoff_delay(failures, backoff_base, backoff_max))

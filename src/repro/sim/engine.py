@@ -13,24 +13,24 @@ Three hot-path mechanisms keep per-packet overhead down (see
 ``docs/architecture.md`` §"The hot path"):
 
 * an **event free-list** — every ``schedule`` draws from a pool of dead
-  Event objects; events scheduled through
-  :meth:`Simulator.schedule_recycled` / :meth:`Simulator.schedule_reserved`
-  are returned to the pool after firing, cutting allocation churn on the
-  packet path.  Returning is opt-in because a recycled object may be
-  handed out again: only call sites that provably drop their reference
-  before the event fires (the port serializer, the wire head arrival)
-  may use it.
+  Event objects; events inserted through
+  :meth:`Simulator.schedule_reserved` (and the port serializer's inlined
+  copy of it) are returned to the pool after firing, cutting allocation
+  churn on the packet path.  Returning is opt-in because a recycled
+  object may be handed out again: only call sites that provably drop
+  their reference before the event fires (the port serializer, the wire
+  head arrival, the chain) may use it.
 * **reserved sequence numbers** — :meth:`Simulator.reserve_seq` hands out
-  a tie-break seq *now* for an event inserted *later* via
-  :meth:`Simulator.schedule_reserved`.  The pipelined wire uses this to
-  keep exactly one heap entry per link while firing arrivals with the
+  a tie-break seq (or a block of them) *now* for events inserted *later*
+  via :meth:`Simulator.schedule_reserved`.  The pipelined wire uses this
+  to keep exactly one heap entry per link while firing arrivals with the
   exact ``(time, seq)`` keys the legacy one-event-per-packet model would
   have used — which is what makes the wire model bit-identical.
 * an **event chain** (:class:`EventChain`) — a batch of pre-declared
-  future events (the runner's flow-start schedule) reserves all its seqs
-  up front but keeps only its earliest entry resident in the heap; each
-  firing arms the next.  Same determinism argument as the wire, applied
-  to the control plane.
+  future events (the runner's flow-start schedule, materialised or
+  streamed) reserves its seqs up front but keeps only its earliest
+  entry resident in the heap; each firing arms the next.  Same
+  determinism argument as the wire, applied to the control plane.
 """
 
 from __future__ import annotations
@@ -184,62 +184,22 @@ class Simulator:
             self.peak_pending = len(heap)
         return event
 
-    def schedule_recycled(self, delay: float, fn: Callable[..., Any],
-                          *args: Any) -> Event:
-        """Like :meth:`schedule`, but the event returns to the free-list
-        after firing.  The caller MUST NOT keep a reference past the
-        callback (the object may be handed out again by a later
-        ``schedule``); cancelled events are never recycled."""
-        # full copy of schedule() — this runs once per transmitted
-        # packet, so it does not pay a delegation frame
-        if delay < 0:
-            if delay < self.NEGATIVE_DELAY_TOLERANCE:
-                raise ValueError(f"cannot schedule into the past (delay={delay})")
-            delay = 0.0
-        time = self.now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, fn, args, self)
-        event.recycle = True
-        self._seq += 1
-        self._live += 1
-        heap = self._heap
-        heapq.heappush(heap, (time, self._seq, event))
-        if len(heap) > self.peak_pending:
-            self.peak_pending = len(heap)
-        return event
-
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulated time ``time``."""
         return self.schedule(time - self.now, fn, *args)
 
-    def reserve_seq(self) -> int:
-        """Claim the next insertion-order seq without scheduling yet.
+    def reserve_seq(self, n: int = 1) -> int:
+        """Claim the next ``n`` insertion-order seqs without scheduling
+        yet; returns the first.
 
         Pair with :meth:`schedule_reserved`.  The pipelined wire reserves
         a seq the moment a packet finishes serializing (exactly when the
         legacy model would have scheduled its arrival), then inserts the
         head event later — so same-instant tie-breaking is unchanged.
-        """
-        self._seq += 1
-        return self._seq
-
-    def reserve_seq_block(self, n: int) -> int:
-        """Claim ``n`` consecutive seqs at once; returns the first.
-
-        The streaming flow scheduler (:class:`LazyEventChain` with a
-        declared ``count``) reserves its whole seq block up front —
-        exactly the counter values a materialized :class:`EventChain`
-        over the same entries would have claimed — then consumes them
-        one by one as the stream is pulled.  That is what makes a
-        streamed run bit-identical to a materialized one: same-instant
-        tie-breaking cannot tell the two apart.
+        An :class:`EventChain` with a known length reserves its whole
+        block up front and hands the seqs out as its entries are pulled,
+        so a streamed flow schedule and a materialised one use the same
+        ``(time, seq)`` keys.
         """
         if n < 0:
             raise ValueError(f"cannot reserve {n} seqs")
@@ -274,29 +234,26 @@ class Simulator:
             self.peak_pending = len(heap)
         return event
 
-    def schedule_chain(self, entries: Iterable[Tuple]) -> "EventChain":
+    def schedule_chain(self, entries: Iterable[Tuple],
+                       count: Optional[int] = None) -> "EventChain":
         """Declare a batch of future events held as ONE heap entry.
 
-        ``entries`` yields ``(absolute_time, fn, args)`` tuples; each
-        claims a seq in iteration order — exactly what a loop of
-        ``schedule_at`` calls would have consumed — so scheduling a
-        chain is bit-identical to scheduling the events individually.
-        """
-        return EventChain(self, entries)
+        ``entries`` yields ``(absolute_time, fn, args)`` tuples.  A list
+        or tuple is a materialised batch: it may come in any order (it
+        is stably sorted by time) and its length is the ``count``.  Any
+        other iterable is pulled lazily, one look-ahead entry at a time,
+        and must already be in non-decreasing time order; ``count``,
+        when given, must be the exact number of entries it will yield.
 
-    def schedule_lazy_chain(self, entries: Iterable[Tuple],
-                            count: Optional[int] = None) -> "LazyEventChain":
-        """Like :meth:`schedule_chain`, but ``entries`` is pulled lazily.
-
-        Entries must arrive in non-decreasing time order (the
-        materialized chain sorts; a lazy one cannot).  ``count``, when
-        given, must be the exact number of entries the source will
-        yield: the chain pre-reserves that many seqs so firing order is
-        bit-identical to the materialized chain over the same entries.
-        ``count=None`` claims seqs lazily — for unbounded sources,
-        where no materialized counterpart exists to be identical to.
+        With a count the chain reserves that many consecutive seqs up
+        front, so every entry fires exactly where a loop of
+        ``schedule_at`` calls made now (in time order) would have put
+        it, and a lazily pulled source is bit-identical to the same
+        entries materialised.  ``count=None`` claims seqs as entries
+        are pulled — for unbounded sources, where no materialised
+        counterpart exists to be identical to.
         """
-        return LazyEventChain(self, entries, count)
+        return EventChain(self, entries, count)
 
     # -- execution ------------------------------------------------------
 
@@ -425,33 +382,13 @@ class Simulator:
         self._live -= executed
         return executed
 
-    def step(self) -> bool:
-        """Execute exactly one pending event.  Returns False if none remain."""
-        heap = self._heap
-        while heap:
-            time, _seq, event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            event.cancelled = True
-            self._live -= 1
-            self.now = time
-            event.fn(*event.args)
-            self._events_run += 1
-            if event.recycle:
-                event.fn = None
-                event.args = None
-                if len(self._free) < FREE_LIST_MAX:
-                    self._free.append(event)
-            return True
-        return False
-
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None when the heap is empty.
 
         Pure read: unlike the historical implementation this never pops
         lazily-cancelled entries, so callers polling between slices (the
         runner watchdog) observe engine state without mutating it.  Use
-        :meth:`compact` when you actually want corpses swept.
+        :meth:`sweep` when you actually want corpses dropped.
         """
         heap = self._heap
         if heap:
@@ -467,34 +404,6 @@ class Simulator:
             if not event.cancelled and (best is None or time < best):
                 best = time
         return best
-
-    def peek_horizon(self, lookahead: float) -> Optional[float]:
-        """Earliest time any *new* cross-boundary effect of the next
-        event could land: ``peek_time() + lookahead``, or None when the
-        heap is dead.
-
-        This is the conservative window bound a sharded run
-        (:mod:`repro.sim.shard`) may safely advance to on its own: every
-        export produced by events at ``t >= peek_time()`` arrives at a
-        peer no earlier than ``t + lookahead``.  Pure read, like
-        :meth:`peek_time`.
-        """
-        next_time = self.peek_time()
-        if next_time is None:
-            return None
-        return next_time + lookahead
-
-    def compact(self) -> int:
-        """Explicitly pop cancelled entries off the heap head; returns
-        how many corpses were removed.  Never required for correctness —
-        the run loop skips corpses lazily — but callers that just
-        cancelled a large batch can reclaim the memory eagerly."""
-        heap = self._heap
-        removed = 0
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            removed += 1
-        return removed
 
     def sweep(self) -> int:
         """Drop every cancelled entry (not just head corpses) and
@@ -516,27 +425,6 @@ class Simulator:
             heapq.heapify(live)
             self._heap = live
         return removed
-
-    def audit_heap(self) -> tuple:
-        """``(live_count, min_live_time)`` without touching engine state.
-
-        ``live_count`` reads the incremental counter (O(1));
-        ``min_live_time`` is the head entry when it is live (the common
-        case) and falls back to a scan only when the head is a corpse.
-        ``min_live_time`` is None when no live event is pending.
-        """
-        heap = self._heap
-        if heap and not heap[0][2].cancelled:
-            return self._live, heap[0][0]
-        if self._live == 0:
-            return 0, None
-        min_time: Optional[float] = None
-        for time, _seq, event in heap:
-            if event.cancelled:
-                continue
-            if min_time is None or time < min_time:
-                min_time = time
-        return self._live, min_time
 
     @property
     def pending(self) -> int:
@@ -565,111 +453,50 @@ class Simulator:
 class EventChain:
     """A batch of pre-declared events held as one resident heap entry.
 
-    The reserve-then-arm trick of the pipelined wire, generalised: every
-    entry claims its tie-break seq at declaration time (in iteration
-    order, exactly as individual ``schedule_at`` calls would), the
-    entries are sorted by ``(time, seq)`` — the heap's own order — and
-    only the earliest is scheduled; each firing arms its successor.  A
-    run that pre-declares N flow starts therefore keeps 1 heap entry
-    for them instead of N, with bit-identical firing order.
+    The reserve-then-arm trick of the pipelined wire, generalised: the
+    chain holds ONE look-ahead entry (armed in the heap) plus the
+    un-consumed source iterator, and each firing arms its successor.  A
+    run that pre-declares N flow starts therefore keeps 1 heap entry for
+    them instead of N, and a source that is pulled lazily (a
+    multi-million-flow :class:`~repro.workloads.FlowStream`) never
+    materialises its schedule at all.  See
+    :meth:`Simulator.schedule_chain` for the ordering contract.
+
+    The source must be picklable if the run is to be checkpointed: the
+    chain sits in the simulator's object graph (via its armed head
+    event), so a snapshot carries the iterator — and its RNG/cursor
+    state — along, and a resumed run continues exactly where it stopped.
 
     Entries cannot be cancelled individually (nothing in the repo needs
     to); drop the chain wholesale with :meth:`cancel`.
     """
 
-    __slots__ = ("sim", "_entries", "_next", "head_event")
-
-    def __init__(self, sim: Simulator, entries: Iterable[Tuple]) -> None:
-        self.sim = sim
-        tolerance = sim.NEGATIVE_DELAY_TOLERANCE
-        resolved = []
-        for time, fn, args in entries:
-            delay = time - sim.now
-            if delay < 0:
-                if delay < tolerance:
-                    raise ValueError(
-                        f"cannot schedule into the past (delay={delay})")
-                delay = 0.0
-            sim._seq += 1
-            resolved.append((sim.now + delay, sim._seq, fn, args))
-        resolved.sort(key=lambda entry: (entry[0], entry[1]))
-        self._entries = resolved
-        self._next = 0
-        self.head_event: Optional[Event] = None
-        if resolved:
-            time, seq, _fn, _args = resolved[0]
-            self.head_event = sim.schedule_reserved(time, seq, self._fire)
-
-    def _fire(self) -> None:
-        # arm the successor BEFORE the callback so a non-empty chain
-        # always has its head in the heap, exactly like the wire
-        entries = self._entries
-        index = self._next
-        _time, _seq, fn, args = entries[index]
-        index += 1
-        self._next = index
-        if index < len(entries):
-            time, seq, _fn, _args = entries[index]
-            self.head_event = self.sim.schedule_reserved(time, seq, self._fire)
-        else:
-            self.head_event = None
-            self._entries = []  # drop callback/arg refs once exhausted
-            self._next = 0      # keep __len__ at 0 for the empty list
-        fn(*args)
-
-    def cancel(self) -> None:
-        """Stop the chain: no remaining entry will fire."""
-        if self.head_event is not None:
-            self.head_event.cancel()
-            self.head_event = None
-        self._entries = []
-        self._next = 0
-
-    def __len__(self) -> int:
-        """Entries still to fire."""
-        return len(self._entries) - self._next
-
-
-class LazyEventChain:
-    """An :class:`EventChain` whose entries are pulled on demand.
-
-    The chain holds ONE look-ahead entry (armed in the heap) plus the
-    un-consumed source iterator — constant memory no matter how many
-    entries the source will ever yield.  This is what lets the runner
-    drive a multi-million-flow :class:`~repro.workloads.FlowStream`
-    without materializing the start schedule.
-
-    Determinism: with a declared ``count`` the chain reserves its whole
-    seq block at construction (see :meth:`Simulator.reserve_seq_block`),
-    so every entry fires with the exact ``(time, seq)`` key the
-    materialized chain would have used.  Without a count, seqs are
-    claimed at arm time — still deterministic run to run, but only
-    comparable to another lazy run.
-
-    The source must be picklable if the run is to be checkpointed: the
-    chain sits in the simulator's object graph (via its armed head
-    event), so a snapshot carries the iterator — and its RNG/cursor
-    state — along, and a resumed run continues the stream exactly where
-    it stopped.
-    """
-
     __slots__ = ("sim", "_entries", "_next_seq", "_seqs_left", "_current",
-                 "_last_time", "head_event")
+                 "head_event")
 
     def __init__(self, sim: Simulator, entries: Iterable[Tuple],
                  count: Optional[int] = None) -> None:
         self.sim = sim
+        if isinstance(entries, (list, tuple)):
+            entries = sorted(entries, key=lambda entry: self._clamp(entry[0]))
+            count = len(entries)
         self._entries = iter(entries)
-        if count is not None:
-            self._next_seq = sim.reserve_seq_block(count)
-            self._seqs_left = count
-        else:
-            self._next_seq = None
-            self._seqs_left = None
+        self._next_seq = None if count is None else sim.reserve_seq(count)
+        self._seqs_left = count
         self._current: Optional[Tuple] = None
-        self._last_time: Optional[float] = None
         self.head_event: Optional[Event] = None
         self._arm()
+
+    def _clamp(self, time: float) -> float:
+        """``time``, or "now" when it is floating-point residue behind
+        the clock — the same tolerance :meth:`Simulator.schedule` has."""
+        sim = self.sim
+        delay = time - sim.now
+        if delay >= 0:
+            return time
+        if delay < sim.NEGATIVE_DELAY_TOLERANCE:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        return sim.now
 
     def _arm(self) -> None:
         source = self._entries
@@ -677,7 +504,7 @@ class LazyEventChain:
         if entry is None:
             if self._seqs_left:
                 raise ValueError(
-                    f"lazy chain source ended {self._seqs_left} entries "
+                    f"chain source ended {self._seqs_left} entries "
                     f"short of its declared count")
             self._current = None
             self._entries = None
@@ -685,33 +512,24 @@ class LazyEventChain:
             return
         time, fn, args = entry
         sim = self.sim
-        delay = time - sim.now
-        if delay < 0:
-            if delay < sim.NEGATIVE_DELAY_TOLERANCE:
-                raise ValueError(
-                    f"cannot schedule into the past (delay={delay})")
-            time = sim.now
-        if self._last_time is not None and time < self._last_time:
+        # the predecessor is firing right now, so an out-of-order source
+        # shows up here as an entry behind the clock
+        time = self._clamp(time)
+        if self._seqs_left is None:
+            seq = sim.reserve_seq()
+        elif self._seqs_left == 0:
             raise ValueError(
-                f"lazy chain entries must be non-decreasing in time "
-                f"({time} < {self._last_time})")
-        self._last_time = time
-        if self._seqs_left is not None:
-            if self._seqs_left == 0:
-                raise ValueError(
-                    "lazy chain source yielded more entries than its "
-                    "declared count")
+                "chain source yielded more entries than its declared count")
+        else:
             seq = self._next_seq
             self._next_seq += 1
             self._seqs_left -= 1
-        else:
-            seq = sim.reserve_seq()
         self._current = (fn, args)
         self.head_event = sim.schedule_reserved(time, seq, self._fire)
 
     def _fire(self) -> None:
-        # arm the successor BEFORE the callback, exactly like EventChain:
-        # a non-exhausted chain always has its head in the heap
+        # arm the successor BEFORE the callback so a non-exhausted chain
+        # always has its head in the heap, exactly like the wire
         fn, args = self._current
         self._arm()
         fn(*args)
@@ -725,11 +543,6 @@ class LazyEventChain:
         self._current = None
         self._entries = None
         self._seqs_left = 0 if self._seqs_left is not None else None
-
-    @property
-    def exhausted(self) -> bool:
-        """True once the source has been fully consumed and fired."""
-        return self.head_event is None
 
 
 class RearmableEvent:

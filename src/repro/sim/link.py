@@ -118,26 +118,6 @@ class Wire:
         self._deliver_cb = self._deliver
         self._recv_cb = None  # rebound lazily on first delivery
 
-    def push(self, pkt: Packet) -> None:
-        """Put a freshly serialized packet onto the wire.
-
-        Called at serialization-completion time; the seq reserved here is
-        exactly the one the legacy model's ``schedule`` would have
-        consumed, so heap tie-breaking is unchanged.
-        """
-        sim = self.sim
-        arrival = sim.now + self.port.prop_delay
-        sim._seq += 1  # reserve_seq(), sans the call frame — hot path
-        seq = sim._seq
-        if self.pipelined:
-            self.pending.append((arrival, seq, pkt, None))
-            if self.head_event is None:
-                self.head_event = sim.schedule_reserved(
-                    arrival, seq, self._deliver)
-        else:
-            event = sim.schedule_reserved(arrival, seq, self._deliver_legacy)
-            self.pending.append((arrival, seq, pkt, event))
-
     def _deliver(self) -> None:
         """Head arrival: hand the packet to the peer, re-arm for the next.
 
@@ -403,7 +383,8 @@ class Port:
         return True
 
     def _start_next(self) -> None:
-        # PriorityMux.dequeue + Simulator.schedule_recycled, inlined:
+        # PriorityMux.dequeue + a free-list-recycled Simulator.schedule,
+        # inlined:
         # this is the single hottest function after the run loop (once
         # per serialized packet), and at that rate the two call frames
         # and re-checked branches are measurable.  The mux ledger
@@ -475,9 +456,11 @@ class Port:
             self._start_next()  # lost on the wire (link down, ...)
             return
         if self.peer is not None:
-            # Wire.push, inlined (once per transmitted packet): reserve
-            # the arrival's tie-break seq now, append to the in-flight
-            # deque, arm the head event only when the wire was idle.
+            # Put the packet onto the wire (inlined: once per transmitted
+            # packet): reserve the arrival's tie-break seq now — exactly
+            # the one the legacy model's ``schedule`` would consume —
+            # append to the in-flight deque, and arm the head event only
+            # when the wire was idle.
             wire = self.wire
             sim = self.sim
             arrival = sim.now + self.prop_delay

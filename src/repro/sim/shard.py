@@ -337,6 +337,30 @@ def plan_shards(topo: Topology, n_shards: int) -> ShardPlan:
     return plan
 
 
+def check_shardable(scenario, net: Network) -> None:
+    """The one declared list of what a sharded run refuses.
+
+    ``net`` is the scenario's fabric after ``scheme.configure_network``.
+    :func:`~repro.experiments.distributed.run_sharded` calls this on its
+    reference build before any fork, so a bad combination fails with one
+    clear error instead of n worker tracebacks; :class:`ShardWorker`
+    calls it again on its own build, so a worker driven directly cannot
+    produce a silently wrong answer either.
+    """
+    if scenario.faults is not None:
+        raise ValueError(
+            "sharded runs do not support fault plans (cross-shard fault "
+            "windows have no deterministic-merge semantics yet)")
+    if scenario.hybrid is not None and scenario.hybrid.enabled:
+        raise ValueError(
+            "sharded runs do not support the hybrid fast path "
+            "(abstract flows have no boundary-crossing packets)")
+    if net.pfc_controllers:
+        raise ValueError(
+            "sharded runs do not support PFC (pause frames cross shard "
+            "boundaries outside the data-packet protocol)")
+
+
 @dataclass
 class ShardSummary:
     """Everything a finished shard sends back to the supervisor.
@@ -408,22 +432,11 @@ class ShardWorker:
 
         plan, me = self.plan, self.shard_id
         scenario, scheme = self.scenario, self.scheme
-        if scenario.faults is not None:
-            raise ValueError(
-                "sharded runs do not support fault plans (cross-shard "
-                "fault windows have no deterministic-merge semantics yet)")
-        if scenario.hybrid is not None and scenario.hybrid.enabled:
-            raise ValueError(
-                "sharded runs do not support the hybrid fast path "
-                "(abstract flows have no boundary-crossing packets)")
         topo = scenario.build_topology()
         self.topo = topo
         net, sim = topo.network, topo.sim
         scheme.configure_network(net)
-        if net.pfc_controllers:
-            raise ValueError(
-                "sharded runs do not support PFC (pause frames cross "
-                "shard boundaries outside the data-packet protocol)")
+        check_shardable(scenario, net)
 
         flow_source = scenario.build_flows(topo)
         flows = (flow_source if isinstance(flow_source, list)
@@ -486,14 +499,13 @@ class ShardWorker:
         # simulates the data path, the receiver's shard the completion;
         # pure-transit shards just forward imports.
         if telemetry is None:
-            sim.schedule_chain((f.start_time, scheme.start_flow, (f, ctx))
-                               for f in local_flows)
+            start_fn = scheme.start_flow
         else:
-            def _observed(flow, _scheme=scheme, _ctx=ctx, _tel=telemetry):
-                _tel.on_flow_start(flow)
-                _scheme.start_flow(flow, _ctx)
-            sim.schedule_chain((f.start_time, _observed, (f,))
-                               for f in local_flows)
+            def start_fn(flow, ctx):
+                telemetry.on_flow_start(flow)
+                scheme.start_flow(flow, ctx)
+        sim.schedule_chain([(f.start_time, start_fn, (f, ctx))
+                            for f in local_flows])
 
     # -- window loops -----------------------------------------------------
 
@@ -529,14 +541,14 @@ class ShardWorker:
             if len(ctx.completed) >= target:
                 self.outcome = "done"
                 break
-            horizon = sim.peek_horizon(self.plan.lookahead)
-            if horizon is None:
+            peek = sim.peek_time()
+            if peek is None:
                 self.outcome = "dead"
                 break
             if T >= max_time:
                 self.outcome = "horizon"
                 break
-            T = min(max(horizon, T + stride), max_time)
+            T = min(max(peek + self.plan.lookahead, T + stride), max_time)
 
     def _run_windows(self) -> None:
         """The conservative synchronization loop (module docstring).
@@ -655,7 +667,7 @@ class ShardWorker:
         sim = self.topo.sim
         ledger = self.ledger
         now = sim.now
-        first = sim.reserve_seq_block(len(entries))
+        first = sim.reserve_seq(len(entries))
         for offset, (arrival, k, _idx, entry) in enumerate(entries):
             _a, kind, ref, pkt = entry
             pair = ledger.imported_from[k]

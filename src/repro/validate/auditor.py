@@ -5,7 +5,7 @@ the drain-slice boundary in :func:`repro.experiments.runner.run` and a
 per-send-burst hook in :class:`~repro.transport.window.WindowSender` —
 and *only reads* simulator state.  It schedules no events, pops no heap
 entries (engine inspection goes through the non-destructive
-:meth:`~repro.sim.engine.Simulator.audit_heap`) and mutates nothing in
+:meth:`~repro.sim.engine.Simulator.peek_time`) and mutates nothing in
 the fabric, which is what makes a validated run bit-identical to a bare
 one.
 
@@ -246,11 +246,12 @@ class RunAuditor:
                     "clock went backwards across slices",
                     now=sim.now, previous=self._last_now)
         self._last_now = sim.now
-        live, min_live = sim.audit_heap()
+        min_live = sim.peek_time()
         self._check(min_live is None or min_live >= sim.now,
                     "engine-no-past-event", "engine",
                     "a live event is scheduled before the current clock",
-                    min_live_time=min_live, now=sim.now, live_pending=live)
+                    min_live_time=min_live, now=sim.now,
+                    live_pending=sim.live_pending)
         for port in self.network.ports:
             self._audit_mux(port)
             self._audit_port(port)

@@ -11,7 +11,7 @@ and demands two things of every cell:
    the auditor observes without perturbing.
 
 Exit status is non-zero if either property fails anywhere, which is how
-CI consumes this module.  Cells fan out over a worker pool
+CI consumes this module.  Cells fan out over forked workers
 (``--jobs``); each (scheme, topology) pair becomes two
 :class:`~repro.experiments.parallel.GridTask` cells so the bare/validated
 halves of a comparison run under identical conditions.
@@ -25,7 +25,8 @@ from typing import List, Optional
 
 from ..cli import SCHEME_FACTORIES
 from ..experiments.distributed import run_sharded
-from ..experiments.parallel import GridTask, _fork_available, run_grid
+from ..experiments.parallel import GridTask, run_grid
+from ..experiments.workers import fork_available
 from ..experiments.runner import format_table
 from ..experiments.scenarios import (
     SIM_PFC,
@@ -230,7 +231,7 @@ def run_matrix(schemes: Optional[List[str]] = None, *,
     # invariant violations.  Events-run is deliberately NOT compared —
     # the windowed drain legitimately executes a different number of
     # engine events than the serial slice loop.
-    n_shards = 2 if _fork_available() else 1
+    n_shards = 2 if fork_available() else 1
     for scheme in SHARD_CROSS_SCHEMES:
         serial = bare_by_label.get(f"{scheme}@shard-gate")
         if serial is None:

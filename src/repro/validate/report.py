@@ -6,7 +6,7 @@ the auditor wraps the first violation in an :class:`InvariantViolation`
 and raises it on the spot; in **audit** mode (the default) violations
 accumulate into a :class:`ValidationReport` that rides the
 :class:`~repro.experiments.runner.RunResult` (and, being plain data,
-crosses worker-pool pipes inside a
+crosses worker pipes inside a
 :class:`~repro.experiments.parallel.RunSummary`).
 """
 
@@ -58,7 +58,7 @@ class InvariantViolation(AssertionError):
     def __reduce__(self):
         # Default exception pickling would replay __init__ with the
         # formatted message instead of the Violation; strict-mode
-        # failures cross worker-pool pipes, so rebuild from the
+        # failures may cross worker pipes, so rebuild from the
         # structured record.
         return (InvariantViolation, (self.violation,))
 

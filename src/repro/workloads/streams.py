@@ -7,7 +7,7 @@ the streaming replacement: a **picklable iterator** yielding
 :class:`~repro.transport.base.Flow` objects in non-decreasing
 start-time order, holding O(1) state regardless of how many flows it
 will ever produce.  The runner pulls flows lazily (one look-ahead flow
-at a time — see ``Simulator.schedule_lazy_chain``), so a streamed run's
+at a time — see ``Simulator.schedule_chain``), so a streamed run's
 resident memory stays flat.
 
 The protocol's three contracts:

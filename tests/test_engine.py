@@ -125,14 +125,16 @@ def test_max_events_bound():
 
 
 def test_step_executes_one_event():
+    """Single-stepping is ``run(max_events=1)``."""
     sim = Simulator()
     fired = []
     sim.schedule(1e-6, fired.append, 1)
     sim.schedule(2e-6, fired.append, 2)
-    assert sim.step() is True
+    assert sim.run(max_events=1) == 1
     assert fired == [1]
-    assert sim.step() is True
-    assert sim.step() is False
+    assert sim.now == pytest.approx(1e-6)
+    assert sim.run(max_events=1) == 1
+    assert sim.run(max_events=1) == 0
 
 
 def test_peek_time_skips_cancelled():
@@ -238,7 +240,7 @@ def test_recycled_event_object_is_reused():
     by the next schedule call."""
     sim = Simulator()
     fired = []
-    first = sim.schedule_recycled(1e-3, fired.append, 1)
+    first = sim.schedule_reserved(1e-3, sim.reserve_seq(), fired.append, 1)
     sim.run()
     second = sim.schedule(1e-3, fired.append, 2)
     assert second is first
@@ -260,7 +262,7 @@ def test_cancelled_recycled_event_is_not_pooled():
     """Cancelled events never enter the pool: the canceller may still
     hold the reference."""
     sim = Simulator()
-    first = sim.schedule_recycled(1e-3, lambda: None)
+    first = sim.schedule_reserved(1e-3, sim.reserve_seq(), lambda: None)
     first.cancel()
     sim.run()
     second = sim.schedule(1e-3, lambda: None)
@@ -278,17 +280,15 @@ def test_cancel_after_fire_is_noop_for_live_counter():
     event.cancel()
     event.cancel()
     assert sim.live_pending == 1
-    live, min_live = sim.audit_heap()
-    assert live == 1
-    assert min_live == 2e-3
+    assert sim.peek_time() == 2e-3
 
 
-# -- pure peek / explicit compaction ---------------------------------------
+# -- pure peek / explicit sweep --------------------------------------------
 
 
 def test_peek_time_does_not_mutate_heap():
     """peek_time() is a pure read even when the head is a corpse;
-    compact() is the explicit way to drop cancelled heads."""
+    sweep() is the explicit way to drop cancelled entries."""
     sim = Simulator()
     head = sim.schedule(1e-3, lambda: None)
     sim.schedule(2e-3, lambda: None)
@@ -296,15 +296,15 @@ def test_peek_time_does_not_mutate_heap():
     entries_before = sim.pending
     assert sim.peek_time() == 2e-3
     assert sim.pending == entries_before        # nothing popped
-    assert sim.compact() == 1                   # explicit corpse removal
+    assert sim.sweep() == 1                     # explicit corpse removal
     assert sim.pending == entries_before - 1
     assert sim.peek_time() == 2e-3
 
 
-def test_compact_on_clean_heap_is_noop():
+def test_sweep_on_clean_heap_is_noop():
     sim = Simulator()
     sim.schedule(1e-3, lambda: None)
-    assert sim.compact() == 0
+    assert sim.sweep() == 0
     assert sim.pending == 1
 
 
@@ -342,13 +342,13 @@ def test_event_chain_is_one_heap_entry_and_fires_in_order():
         (2e-3, fired.append, ("b",)),
     ])
     assert sim.pending == 1                       # N entries, 1 in heap
-    assert len(chain) == 3
     sim.run(until=1.5e-3)
     assert fired == ["a"]
     assert sim.pending == 1                       # successor armed
     sim.run()
     assert fired == ["a", "b", "c"]
-    assert len(chain) == 0
+    assert chain.head_event is None               # exhausted
+    assert sim.pending == 0
 
 
 def test_event_chain_matches_individual_schedules():
@@ -381,3 +381,74 @@ def test_event_chain_cancel_stops_remaining():
     sim.run()
     assert fired == ["a"]
     assert sim.live_pending == 0
+
+
+def test_lazily_pulled_chain_fires_like_the_materialised_one():
+    """One chain class: a counted source pulled one entry at a time uses
+    the same (time, seq) keys as the same entries handed over as a list,
+    so same-instant competitors interleave identically."""
+    times = [1e-3, 1e-3, 2e-3, 3e-3]
+
+    def fire_order(lazy):
+        sim = Simulator()
+        fired = []
+        pulled = []
+
+        def source():
+            for i, t in enumerate(times):
+                pulled.append(i)
+                yield (t, fired.append, (f"chain{i}",))
+
+        sim.schedule_at(1e-3, fired.append, "before")
+        if lazy:
+            sim.schedule_chain(source(), count=len(times))
+            assert pulled == [0]                  # one look-ahead entry
+        else:
+            sim.schedule_chain(list(source()))
+        sim.schedule_at(2e-3, fired.append, "after")
+        assert sim.pending == 3
+        sim.run()
+        return fired
+
+    assert fire_order(True) == fire_order(False) == [
+        "before", "chain0", "chain1", "chain2", "after", "chain3"]
+
+
+def test_chain_rejects_a_past_entry_when_declared():
+    """Even one that sorts behind the head: the error belongs to the
+    schedule_chain call, not to some later firing."""
+    sim = Simulator()
+    sim.schedule(1e-3, lambda: None)
+    sim.run()
+    with pytest.raises(ValueError, match="into the past"):
+        sim.schedule_chain([(2e-3, print, ()), (0.5e-3, print, ())])
+    assert sim.pending == 0
+
+
+def test_lazily_pulled_chain_checks_order_and_count():
+    sim = Simulator()
+    sim.schedule_chain(iter([(2e-3, print, ()), (1e-3, print, ())]), count=2)
+    with pytest.raises(ValueError, match="into the past"):
+        sim.run()
+
+    sim = Simulator()
+    sim.schedule_chain(iter([(1e-3, int, ())]), count=2)
+    with pytest.raises(ValueError, match="short of its declared count"):
+        sim.run()
+
+    sim = Simulator()
+    sim.schedule_chain(iter([(1e-3, int, ()), (2e-3, int, ())]), count=1)
+    with pytest.raises(ValueError, match="more entries than"):
+        sim.run()
+
+
+def test_uncounted_chain_claims_seqs_as_it_goes():
+    """No count: an unbounded source, whose entries take their place in
+    line when pulled rather than when the chain was declared."""
+    sim = Simulator()
+    fired = []
+    sim.schedule_chain(iter([(1e-3, fired.append, ("a",)),
+                             (2e-3, fired.append, ("b",))]))
+    sim.schedule_at(2e-3, fired.append, "declared-later")
+    sim.run()
+    assert fired == ["a", "declared-later", "b"]

@@ -117,8 +117,7 @@ def test_wire_holds_inflight_with_single_head_event():
     sim.run(until=4 * ser + 1e-9)
     assert len(port.wire) == 4
     assert port.wire.head_event is not None
-    live, _ = sim.audit_heap()
-    assert live == 1                       # ONE head-arrival event only
+    assert sim.live_pending == 1           # ONE head-arrival event only
     sim.run()
     assert [p.seq for p in sink.received] == [0, 1, 2, 3]
     assert len(port.wire) == 0
@@ -164,8 +163,7 @@ def test_legacy_wire_mode_schedules_per_packet():
     ser = serialization_delay(1500, gbps(10))
     sim.run(until=3 * ser + 1e-9)
     assert len(port.wire) == 3
-    live, _ = sim.audit_heap()
-    assert live == 3                      # one arrival event per packet
+    assert sim.live_pending == 3          # one arrival event per packet
     sim.run()
     assert [p.seq for p in sink.received] == [0, 1, 2]
 

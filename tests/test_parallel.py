@@ -12,13 +12,13 @@ from repro.core.ppt import Ppt
 from repro.experiments.parallel import (
     GridTask,
     RunSummary,
-    default_jobs,
     run_grid,
     scheme_grid,
 )
 from repro.experiments.runner import run
 from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
 from repro.experiments.sweeps import load_sweep_variants, sweep
+from repro.experiments.workers import default_jobs
 from repro.transport.dctcp import Dctcp
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -132,7 +132,7 @@ def test_run_grid_warns_once_and_degrades_serially_without_fork(monkeypatch):
 
     import repro.experiments.parallel as par
 
-    monkeypatch.setattr(par, "_fork_available", lambda: False)
+    monkeypatch.setattr(par.workers, "fork_available", lambda: False)
     monkeypatch.setattr(par, "_warned_no_fork", False)
     with pytest.warns(RuntimeWarning,
                       match=multiprocessing.get_start_method()):
@@ -150,7 +150,7 @@ def test_run_grid_jobs_one_never_warns(monkeypatch):
 
     import repro.experiments.parallel as par
 
-    monkeypatch.setattr(par, "_fork_available", lambda: False)
+    monkeypatch.setattr(par.workers, "fork_available", lambda: False)
     monkeypatch.setattr(par, "_warned_no_fork", False)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

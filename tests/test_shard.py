@@ -22,7 +22,7 @@ from repro.experiments.scenarios import (
 )
 from repro.faults import FaultPlan, LinkDown
 from repro.sim.hybrid import HybridConfig
-from repro.sim.shard import boundary_ports, plan_shards
+from repro.sim.shard import ShardWorker, boundary_ports, plan_shards
 from repro.sim.topology import leaf_spine, star
 from repro.transport.dctcp import Dctcp
 from repro.units import us
@@ -173,8 +173,26 @@ def test_pfc_scenario_rejected():
         run_sharded(Dctcp(), scenario, 2)
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(faults=FaultPlan([LinkDown("leaf0->spine0", 0.001, 0.002)])),
+    dict(hybrid=HybridConfig(size_threshold=100_000)),
+    dict(pfc=True, pfc_config=SIM_PFC),
+], ids=["faults", "hybrid", "pfc"])
+def test_supervisor_and_worker_refuse_with_the_same_words(overrides):
+    """The exclusions are declared once (``shard.check_shardable``): the
+    front door, before any fork, and a worker driven directly say the
+    identical thing."""
+    with pytest.raises(ValueError) as via_front_door:
+        run_sharded(Dctcp(), tiny_scenario(**overrides), 2)
+    scenario = tiny_scenario(**overrides)
+    plan = plan_shards(scenario.build_topology(), 2)
+    with pytest.raises(ValueError) as via_worker:
+        ShardWorker(0, plan, Dctcp(), scenario, {}).run()
+    assert str(via_worker.value) == str(via_front_door.value)
+
+
 def test_multi_shard_requires_fork(monkeypatch):
-    monkeypatch.setattr(distributed, "_fork_available", lambda: False)
+    monkeypatch.setattr(distributed.workers, "fork_available", lambda: False)
     with pytest.raises(RuntimeError, match="fork"):
         run_sharded(Dctcp(), tiny_scenario(), 2)
     # the in-process single-shard path keeps working without fork
