@@ -21,11 +21,13 @@ from pathlib import Path
 import pytest
 
 from repro.cli import SCHEME_FACTORIES
+from repro.experiments.distributed import run_sharded
 from repro.experiments.runner import run
 from repro.experiments.scenarios import (
     all_to_all_scenario,
     incast_scenario,
     lossless_scenario,
+    shard_gate_scenario,
     sim_fabric,
     star_fabric,
 )
@@ -70,35 +72,66 @@ CELLS = {
         size_cap=4_000_000, seed=5, fabric=star_fabric(6, rate=gbps(1)),
         hybrid=HybridConfig(size_threshold=200_000))),
 }
-for _scheme in ("dctcp", "ppt", "homa", "ndp"):
+for _scheme in sorted(SCHEME_FACTORIES):
     CELLS[f"{_scheme}-star-incast"] = (
         _scheme, lambda s=_scheme: _star_incast(f"golden-incast-{s}"))
+for _scheme in ("dctcp", "ppt", "homa", "ndp"):
     CELLS[f"{_scheme}-leaf-spine"] = (
         _scheme, lambda s=_scheme: _leaf_spine(f"golden-ls-{s}"))
 
+# name -> (scheme key, shard count): shard_gate_scenario() through
+# run_sharded.  Multi-shard event totals are not part of the contract
+# (the windowed drain runs a different number of engine events than the
+# serial slice loop), so only the 1-shard cells pin ``events_run``.
+SHARDED_CELLS = {
+    f"{_scheme}-sharded-{_n}": (_scheme, _n)
+    for _scheme in ("dctcp", "ppt") for _n in (1, 2, 4)}
+
+
+def _fct_sha256(flows) -> str:
+    digest = hashlib.sha256()
+    for flow in sorted(flows, key=lambda f: f.flow_id):
+        digest.update(f"{flow.flow_id}:{flow.fct!r};".encode())
+    return digest.hexdigest()
+
 
 def measure(cell: str) -> dict:
+    if cell in SHARDED_CELLS:
+        return _measure_sharded(*SHARDED_CELLS[cell])
     scheme, scenario_factory = CELLS[cell]
     result = run(SCHEME_FACTORIES[scheme](), scenario_factory())
-    digest = hashlib.sha256()
-    for flow in sorted(result.flows, key=lambda f: f.flow_id):
-        digest.update(f"{flow.flow_id}:{flow.fct!r};".encode())
-    return {"fct_sha256": digest.hexdigest(),
+    return {"fct_sha256": _fct_sha256(result.flows),
             "completed": result.completed,
             "wall_events": result.wall_events}
 
 
+def _measure_sharded(scheme: str, n_shards: int) -> dict:
+    result = run_sharded(SCHEME_FACTORIES[scheme](), shard_gate_scenario(),
+                         n_shards)
+    health = result.health
+    out = {"fct_sha256": _fct_sha256(result.flows),
+           "completed": health.completed,
+           "retransmits_total": health.retransmits_total,
+           "rtos_total": health.rtos_total}
+    if n_shards == 1:
+        out["events_run"] = health.events_run
+    return out
+
+
+ALL_CELLS = sorted([*CELLS, *SHARDED_CELLS])
+
+
 def test_golden_file_covers_every_cell():
-    assert sorted(json.loads(GOLDEN.read_text())) == sorted(CELLS)
+    assert sorted(json.loads(GOLDEN.read_text())) == ALL_CELLS
 
 
-@pytest.mark.parametrize("cell", sorted(CELLS))
+@pytest.mark.parametrize("cell", ALL_CELLS)
 def test_matches_golden(cell):
     assert measure(cell) == json.loads(GOLDEN.read_text())[cell]
 
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(
-        {cell: measure(cell) for cell in sorted(CELLS)},
+        {cell: measure(cell) for cell in ALL_CELLS},
         indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(CELLS)} cells -> {GOLDEN}")
+    print(f"recorded {len(ALL_CELLS)} cells -> {GOLDEN}")
