@@ -4,14 +4,19 @@
 :func:`repro.experiments.parallel.run_grid`: it plans the partition
 (:func:`repro.sim.shard.plan_shards`), wires a full mesh of
 ``multiprocessing`` pipes between the shards (the data plane, which
-stays here), and hands one :class:`~repro.sim.shard.ShardWorker` closure
-per shard to :func:`repro.experiments.workers.run_forked` — the same
-primitive the grids use, with every shard in flight at once, one
-deadline and fail-fast, so a dead shard takes its peers down instead of
-leaving them blocked on a mesh pipe.  The returned
-:class:`~repro.sim.shard.ShardSummary` objects are merged into the same
-:class:`~repro.experiments.parallel.RunSummary` shape every sweep
-consumer already reads.
+stays here), and hands one :class:`ShardWorker` closure per shard to
+:func:`repro.experiments.workers.run_forked` — the same primitive the
+grids use, with every shard in flight at once, one deadline and
+fail-fast, so a dead shard takes its peers down instead of leaving them
+blocked on a mesh pipe.  The returned :class:`ShardSummary` objects are
+merged into the same :class:`~repro.experiments.parallel.RunSummary`
+shape every sweep consumer already reads.
+
+A shard is a run with boundary stubs: :class:`ShardWorker` assembles,
+slices and harvests through the serial runner's own lifecycle steps
+(``runner._assemble`` / ``_slice`` / ``_harvest``) and adds only what is
+shard-specific — a :class:`~repro.sim.shard.ShardBoundary` on the
+assembled fabric and the window exchange between slices.
 
 The merge also closes the global conservation law the per-shard books
 cannot see: for every ordered shard pair (A, B), the packets/bytes A
@@ -32,21 +37,15 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..metrics.fct import FctStats
 from ..obs.telemetry import TelemetrySummary
-from ..sim.shard import (
-    ShardPlan,
-    ShardSummary,
-    ShardWorker,
-    check_shardable,
-    plan_shards,
-)
+from ..sim.shard import ShardBoundary, ShardPlan, check_shardable, plan_shards
 from ..transport.base import Flow, Scheme
 from ..validate import ValidationReport
 from ..validate.report import Violation
-from . import workers
+from . import runner, workers
 from .parallel import RunSummary
 from .runner import RunHealth, Scenario
 from .workers import WorkerError
@@ -65,6 +64,188 @@ class ShardError(WorkerError):
     def __reduce__(self):
         return (type(self), (self.shard_id, self.cause,
                              self.worker_traceback))
+
+
+@dataclass
+class ShardSummary:
+    """Everything a finished shard sends back to the supervisor.
+
+    Plain data only — this crosses a process boundary by pickle.
+    ``fcts`` holds finish times for flows whose *receiver* is local
+    (completion is receiver-side, so each flow appears in exactly one
+    shard's summary); ``health`` is the shard's own books — flows
+    started here, completions, engine counters, and retransmit counters
+    of local-host endpoints only, so the per-shard sums partition the
+    serial totals.
+    """
+
+    shard_id: int
+    outcome: str  # "done" | "budget" | "dead" | "horizon"
+    rounds: int
+    completed_target: int
+    fcts: Dict[int, float]
+    health: RunHealth
+    ledger: dict
+    telemetry: Optional[TelemetrySummary] = None
+    validation: Optional[ValidationReport] = None
+
+
+class ShardWorker:
+    """One shard's whole life: a run (the serial runner's assemble /
+    slice / harvest steps, told which hosts are local) plus boundary
+    stubs and the window exchange.
+
+    Constructed (in the child process) with the shard id, the plan, the
+    scheme/scenario and a ``{peer shard id: Connection}`` map; ``run()``
+    returns the picklable :class:`ShardSummary` the supervisor merges.
+    """
+
+    # A window exchange should take microseconds; a peer silent this
+    # long has died (the supervisor also watches the result pipes).
+    RECV_TIMEOUT = 300.0
+
+    def __init__(self, shard_id: int, plan: ShardPlan, scheme, scenario,
+                 conns: Dict[int, object], *,
+                 observe: bool = False, validate: object = False) -> None:
+        self.shard_id = shard_id
+        self.plan = plan
+        self.scheme = scheme
+        self.scenario = scenario
+        self.conns = conns
+        self.observe = observe
+        self.validate = validate
+        self.rounds = 0
+
+    def run(self) -> ShardSummary:
+        me = self.shard_id
+        local_hosts = frozenset(self.plan.hosts_of(me))
+        state = runner._assemble(self.scheme, self.scenario,
+                                 observe=self.observe,
+                                 validate=self.validate,
+                                 local_hosts=local_hosts)
+        net = state.topo.network
+        check_shardable(self.scenario, net)
+        # completion is detected at the receiver, so a flow is *this*
+        # shard's to finish exactly when its destination is local
+        target = sum(1 for f in state.flows if f.dst in local_hosts)
+        boundary = ShardBoundary(net, self.plan, me)
+        outcome = self._run_windows(state, boundary, target)
+        result = runner._harvest(state, RunHealth(n_flows=len(state.flows)),
+                                 local_hosts)
+        return ShardSummary(
+            shard_id=me,
+            outcome=outcome,
+            rounds=self.rounds,
+            completed_target=target,
+            fcts={f.flow_id: f.finish_time for f in state.flows
+                  if f.completed and f.dst in local_hosts},
+            health=result.health,
+            ledger=boundary.ledger.digest(),
+            telemetry=(result.telemetry.summary()
+                       if result.telemetry is not None else None),
+            validation=result.validation,
+        )
+
+    def _run_windows(self, state, boundary: ShardBoundary,
+                     target: int) -> str:
+        """The conservative synchronization loop (``repro.sim.shard``
+        module docstring); returns the stop outcome.
+
+        Exchange is pairwise over the full mesh in sorted-pair order
+        (the lower shard id of each pair sends first), which is
+        deadlock-free for blocking pipes; every termination predicate
+        is computed from exchanged values only, so all shards leave the
+        loop in the same round.  A worker with no peers runs the same
+        loop on its own values alone — which makes one shard the
+        bit-identity anchor against the serial drain.
+        """
+        me = self.shard_id
+        sim, ctx = state.sim, state.ctx
+        budget = state.event_budget
+        max_time = state.max_time
+        lookahead = self.plan.lookahead
+        conns = self.conns
+        peers = sorted(conns)
+        outboxes = boundary.outboxes
+        inf = float("inf")
+        T = 0.0
+        with runner._gc_held():
+            while True:
+                runner._slice(state, T)
+                self.rounds += 1
+
+                # own null-message signals — raw floats, so every shard
+                # folds the identical numbers into ``base``
+                peek = sim.peek_time()
+                min_arrival = inf
+                for batch in outboxes.values():
+                    for entry in batch:
+                        if entry[0] < min_arrival:
+                            min_arrival = entry[0]
+                my_arrival = min_arrival if min_arrival < inf else None
+                done_local = len(ctx.completed) >= target
+                my_events = sim.events_run
+
+                base = inf if peek is None else peek
+                if min_arrival < base:
+                    base = min_arrival
+                all_done = done_local
+                total_events = my_events
+                imports_round: List[Tuple[int, list]] = []
+                for k in peers:
+                    conn = conns[k]
+                    message = (outboxes[k], peek, my_arrival,
+                               done_local, my_events)
+                    if me < k:
+                        conn.send(message)
+                        outboxes[k].clear()
+                        theirs = self._recv(conn, k)
+                    else:
+                        theirs = self._recv(conn, k)
+                        conn.send(message)
+                        outboxes[k].clear()
+                    imports, peer_peek, peer_arrival, peer_done, \
+                        peer_events = theirs
+                    imports_round.append((k, imports))
+                    if peer_peek is not None and peer_peek < base:
+                        base = peer_peek
+                    if peer_arrival is not None and peer_arrival < base:
+                        base = peer_arrival
+                    all_done = all_done and peer_done
+                    total_events += peer_events
+
+                boundary.inject(imports_round)
+
+                # symmetric termination — exchanged data only, in the
+                # serial drain's order
+                if budget is not None and total_events >= budget:
+                    return "budget"
+                if all_done:
+                    return "done"
+                if base == inf:
+                    return "dead"
+                if T >= max_time:
+                    return "horizon"
+                T_next = base + lookahead
+                if not peers:
+                    # nobody to wait for: never advance by less than a
+                    # serial drain slice, or a lookahead of one
+                    # propagation delay (zero for a single shard) would
+                    # turn the run into step-by-step execution
+                    T_next = max(T_next, T + runner._slice_len(max_time))
+                T = min(T_next, max_time)
+
+    def _recv(self, conn, peer: int):
+        if not conn.poll(self.RECV_TIMEOUT):
+            raise RuntimeError(
+                f"shard {self.shard_id}: no window message from shard "
+                f"{peer} after {self.RECV_TIMEOUT:.0f}s (peer crashed?)")
+        try:
+            return conn.recv()
+        except EOFError:
+            raise RuntimeError(
+                f"shard {self.shard_id}: pipe to shard {peer} closed "
+                f"mid-run") from None
 
 
 @dataclass
@@ -182,20 +363,18 @@ def _merge(scheme: Scheme, scenario: Scenario, plan: ShardPlan,
     stats = FctStats.from_flows(flows)
 
     health = RunHealth(n_flows=len(flows))
-    # completion is receiver-side, so each flow is counted by exactly
-    # one shard and the sum is the global completion count
-    health.completed = sum(s.completed for s in shard_summaries)
-    health.events_run = sum(s.events_run for s in shard_summaries)
-    health.sim_time = max((s.sim_time for s in shard_summaries),
-                          default=0.0)
-    health.peak_pending = max((s.peak_pending for s in shard_summaries),
-                              default=0)
-    health.live_pending = sum(s.live_pending for s in shard_summaries)
-    health.retransmits_total = sum(s.retransmits_total
-                                   for s in shard_summaries)
-    health.rtos_total = sum(s.rtos_total for s in shard_summaries)
     for shard in shard_summaries:
-        for flow_id, rtx in shard.retransmits_by_flow.items():
+        part = shard.health
+        # completion is receiver-side, so each flow is counted by
+        # exactly one shard and the sum is the global completion count
+        health.completed += part.completed
+        health.events_run += part.events_run
+        health.sim_time = max(health.sim_time, part.sim_time)
+        health.peak_pending = max(health.peak_pending, part.peak_pending)
+        health.live_pending += part.live_pending
+        health.retransmits_total += part.retransmits_total
+        health.rtos_total += part.rtos_total
+        for flow_id, rtx in part.retransmits_by_flow.items():
             health.retransmits_by_flow[flow_id] = (
                 health.retransmits_by_flow.get(flow_id, 0) + rtx)
     health.event_budget_exceeded = any(s.outcome == "budget"

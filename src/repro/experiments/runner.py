@@ -25,11 +25,14 @@ is what makes the two-pass *hypothetical DCTCP* construction
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    AbstractSet, Callable, Dict, Iterator, List, Optional, Tuple, Union,
+)
 
 from ..core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
 from ..faults.plan import ActiveFaults, FaultPlan
@@ -48,6 +51,10 @@ from ..sim.topology import Topology
 from ..transport.base import Flow, Scheme, TransportConfig, TransportContext
 from ..validate import RunAuditor, ValidationReport
 from ..workloads.streams import FlowStream
+
+
+# the stall watchdog's window, in drain slices
+STALL_SLICES = 40
 
 
 @dataclass
@@ -73,10 +80,8 @@ class Scenario:
     max_time: float = 10.0  # simulated-seconds safety stop
     faults: Optional[FaultPlan] = None
     event_budget: Optional[int] = None  # max simulator events per run
-    stall_slices: int = 40  # watchdog window, in drain slices
-    # hybrid flow-level fast path (repro.sim.hybrid); None — or a config
-    # with enabled=False — takes the identical code path as before the
-    # feature existed (bit-identity gated by the validate matrix)
+    # hybrid flow-level fast path (repro.sim.hybrid); None takes the
+    # identical code path as before the feature existed
     hybrid: Optional[HybridConfig] = None
 
     def describe(self) -> str:
@@ -201,10 +206,20 @@ def _progress_signature(ctx: TransportContext, network: Network) -> tuple:
     return (len(ctx.completed), delivered, endpoints)
 
 
-def _collect_flow_counters(network: Network, health: RunHealth) -> None:
-    """Harvest retransmit/RTO counters from live transport endpoints."""
+def _endpoint_counters(network: Network,
+                       local_hosts: Optional[AbstractSet[int]] = None,
+                       ) -> Dict[int, List[int]]:
+    """The one walk over live transport endpoints: per flow,
+    ``[retransmits, rtos, pkts_transmitted]`` summed over the flow's
+    endpoints that keep such counters.  ``local_hosts`` restricts the
+    walk to a shard's own hosts — replica senders on remote-host
+    replicas churn futile RTOs serial never sees, so the per-shard
+    walks partition the serial totals exactly."""
+    per_flow: Dict[int, List[int]] = {}
     seen = set()
     for host in network.hosts.values():
+        if local_hosts is not None and host.host_id not in local_hosts:
+            continue
         for flow_id, endpoint in host.endpoints.items():
             if id(endpoint) in seen:
                 continue
@@ -212,10 +227,13 @@ def _collect_flow_counters(network: Network, health: RunHealth) -> None:
             rtx = getattr(endpoint, "pkts_retransmitted", None)
             if rtx is None:
                 continue
-            health.retransmits_by_flow[flow_id] = (
-                health.retransmits_by_flow.get(flow_id, 0) + rtx)
-            health.retransmits_total += rtx
-            health.rtos_total += getattr(endpoint, "rtos_fired", 0)
+            counters = per_flow.get(flow_id)
+            if counters is None:
+                counters = per_flow[flow_id] = [0, 0, 0]
+            counters[0] += rtx
+            counters[1] += getattr(endpoint, "rtos_fired", 0)
+            counters[2] += getattr(endpoint, "pkts_transmitted", 0)
+    return per_flow
 
 
 def _resolve_observe(observe: Union[None, bool, Telemetry]) -> Optional[Telemetry]:
@@ -247,9 +265,12 @@ def _resolve_validate(
         f"validate must be bool, 'strict' or RunAuditor, got {validate!r}")
 
 
-def _observed_start(scheme: Scheme, flow: Flow, ctx: TransportContext,
+def _observed_start(scheme: Scheme, local_hosts: Optional[AbstractSet[int]],
+                    flow: Flow, ctx: TransportContext,
                     telemetry: Telemetry) -> None:
-    telemetry.on_flow_start(flow)
+    # a flow started in two shards is traced by the one owning its source
+    if local_hosts is None or flow.src in local_hosts:
+        telemetry.on_flow_start(flow)
     scheme.start_flow(flow, ctx)
 
 
@@ -371,14 +392,38 @@ def run(
     if scheme is None or scenario is None:
         raise TypeError("run() needs scheme and scenario unless resume= "
                         "restores them from a checkpoint")
+    state = _assemble(scheme, scenario, instruments=instruments,
+                      observe=observe, validate=validate)
+    return _finish_run(state, checkpoint_every, checkpoint_path)
+
+
+def _assemble(
+    scheme: Scheme,
+    scenario: Scenario,
+    *,
+    instruments: Optional[Callable[[Topology], object]] = None,
+    observe: Union[None, bool, Telemetry] = None,
+    validate: Union[None, bool, str, RunAuditor] = None,
+    local_hosts: Optional[AbstractSet[int]] = None,
+) -> RunState:
+    """Lifecycle step 1: build everything a run is before its first
+    event — fabric, faults, flow source, telemetry, transport context,
+    auditor, the start chain — and return it as a :class:`RunState`.
+
+    ``local_hosts`` is a shard's view (``None``: the whole fabric is
+    mine): only flows with an endpoint on a local host are started —
+    the sender's shard simulates the data path, the receiver's the
+    completion — and ``FLOW_START`` is traced by the shard owning the
+    source, so per-shard telemetry sums to the serial run's.
+    """
     telemetry = _resolve_observe(observe)
     auditor = _resolve_validate(validate)
     hybrid_ctl: Optional[HybridController] = None
-    if scenario.hybrid is not None and scenario.hybrid.enabled:
+    if scenario.hybrid is not None:
         # wrap the scheme: large flows are intercepted at start_flow and
         # advanced analytically; everything else passes straight through
-        # to the packet model.  hybrid=None (or enabled=False) skips the
-        # wrapper entirely, keeping the bare path bit-identical.
+        # to the packet model.  hybrid=None skips the wrapper entirely,
+        # keeping the bare path bit-identical.
         hybrid_ctl = HybridController(scheme, scenario.hybrid)
         scheme = hybrid_ctl
     topo = scenario.build_topology()
@@ -394,6 +439,11 @@ def run(
                 injector.transition_hook = chain(
                     injector.transition_hook, hybrid_ctl.on_fault_transition)
     flow_source = scenario.build_flows(topo)
+    if local_hosts is not None:
+        if isinstance(flow_source, FlowStream):
+            flow_source = flow_source.materialize()
+        flow_source = [f for f in flow_source
+                       if f.src in local_hosts or f.dst in local_hosts]
     if isinstance(flow_source, FlowStream):
         stream, flows = flow_source, []
         total_flows = stream.n_flows
@@ -423,7 +473,7 @@ def run(
     if telemetry is None:
         start_fn, extra = scheme.start_flow, (ctx,)
     else:
-        start_fn = functools.partial(_observed_start, scheme)
+        start_fn = functools.partial(_observed_start, scheme, local_hosts)
         extra = (ctx, telemetry)
     if stream is not None:
         starts = _FlowStarts(stream, flows, start_fn, extra)
@@ -432,18 +482,16 @@ def run(
                   for flow in flows]
     topo.sim.schedule_chain(starts, count=total_flows)
 
-    state = RunState(
+    return RunState(
         scheme_name=scheme.name,
         scenario_name=scenario.name,
         topo=topo, ctx=ctx, flows=flows, faults=faults,
         telemetry=telemetry, auditor=auditor, hybrid=hybrid_ctl,
         max_time=scenario.max_time,
-        stall_slices=scenario.stall_slices,
         event_budget=scenario.event_budget,
         max_rto=getattr(scenario.config, "max_rto", 0.25),
         total_flows=total_flows,
     )
-    return _finish_run(state, checkpoint_every, checkpoint_path)
 
 
 def _finish_run(state: RunState, checkpoint_every: Optional[float],
@@ -452,13 +500,32 @@ def _finish_run(state: RunState, checkpoint_every: Optional[float],
     the result.  Shared by the fresh and resumed paths — which is
     exactly why a resumed run cannot diverge from a straight-through
     one after the restore point."""
+    health = _drain(state, checkpoint_every, checkpoint_path)
+    return _harvest(state, health)
+
+
+def _harvest(state: RunState, health: RunHealth,
+             local_hosts: Optional[AbstractSet[int]] = None) -> RunResult:
+    """Lifecycle step 3: read a drained run's books into ``health``
+    (engine counters, the endpoint walk), stop instruments, finalize
+    telemetry and auditor, build the :class:`RunResult`.  A shard
+    passes its ``local_hosts`` so replica endpoints stay uncounted."""
     topo, ctx, flows = state.topo, state.ctx, state.flows
     telemetry, auditor = state.telemetry, state.auditor
-    health = _drain(state, checkpoint_every, checkpoint_path)
-    _collect_flow_counters(topo.network, health)
+    sim = topo.sim
+    health.completed = len(ctx.completed)
+    health.events_run = sim.events_run
+    health.sim_time = sim.now
+    health.live_pending = sim.live_pending
+    health.peak_pending = sim.peak_pending
+    counters = _endpoint_counters(topo.network, local_hosts)
+    for flow_id, (rtx, rtos, _tx) in counters.items():
+        health.retransmits_by_flow[flow_id] = rtx
+        health.retransmits_total += rtx
+        health.rtos_total += rtos
     _stop_instruments(ctx.extra.get("instruments"))
     if telemetry is not None:
-        telemetry.finalize(topo.network, flows)
+        telemetry.finalize(topo.network, flows, counters)
     validation = auditor.finalize(flows) if auditor is not None else None
 
     stats = FctStats.from_flows(flows)
@@ -469,11 +536,69 @@ def _finish_run(state: RunState, checkpoint_every: Optional[float],
         stats=stats,
         topology=topo,
         ctx=ctx,
-        wall_events=topo.sim.events_run,
+        wall_events=sim.events_run,
         health=health,
         telemetry=telemetry,
         validation=validation,
     )
+
+
+def _slice_len(max_time: float) -> float:
+    """Drain in slices so a run can stop as soon as everything
+    completes (RTO timers would otherwise keep the heap warm until
+    ``max_time``)."""
+    return max(max_time / 200.0, 1e-4)
+
+
+@contextlib.contextmanager
+def _gc_held() -> Iterator[None]:
+    """Hold GC off across a whole drain, not per slice: the nested
+    ``Simulator.run()`` guard sees GC already disabled and leaves it
+    alone, so the gen-0 pool isn't collected at every slice boundary.
+    The hot path creates no reference cycles, so deferring collection
+    to the end of the drain is safe."""
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _slice(state: RunState, until: float) -> Optional[str]:
+    """Lifecycle step 2, one slice of it: run the simulator to
+    ``until`` inside the event budget, then do what every slice ends
+    with — profile sample, sweep, auditor pass — and say whether the run
+    can go on: ``"budget"`` (event budget spent), ``"dead"`` (event
+    heap exhausted: nothing can ever happen again, so idling through
+    empty slices until ``max_time`` is pointless) or ``None``."""
+    sim, telemetry = state.sim, state.telemetry
+    budget = state.event_budget
+    max_events = None
+    if budget is not None:
+        max_events = budget - sim.events_run
+        if max_events <= 0:
+            return "budget"
+    if telemetry is None:
+        sim.run(until=until, max_events=max_events)
+    else:
+        wall_start = _time.perf_counter()
+        executed = sim.run(until=until, max_events=max_events)
+        telemetry.record_slice(until, executed,
+                               _time.perf_counter() - wall_start)
+    # drop lazily-cancelled timers wholesale so a run's peak heap size
+    # reflects live work, not RTO corpses (pop order depends only on
+    # the (time, seq) keys, so this cannot change behaviour)
+    sim.sweep()
+    if state.auditor is not None:
+        state.auditor.on_slice()
+    if budget is not None and sim.events_run >= budget:
+        return "budget"
+    if sim.peek_time() is None:
+        return "dead"
+    return None
 
 
 def _drain(state: RunState, checkpoint_every: Optional[float] = None,
@@ -489,7 +614,6 @@ def _drain(state: RunState, checkpoint_every: Optional[float] = None,
     """
     sim, ctx, flows = state.sim, state.ctx, state.flows
     faults, network = state.faults, state.topo.network
-    telemetry, auditor = state.telemetry, state.auditor
     # total_flows is the run's target: len(flows) for a materialized
     # list, the stream's declared total for a streamed run (where
     # ``flows`` only holds what has been pulled so far), or None for an
@@ -504,65 +628,29 @@ def _drain(state: RunState, checkpoint_every: Optional[float] = None,
     if faults is not None:
         health.fault_windows = faults.describe_windows()
 
-    # Drain in slices so we can stop as soon as everything completes
-    # (RTO timers would otherwise keep the heap warm until max_time).
-    slice_len = max(state.max_time / 200.0, 1e-4)
+    slice_len = _slice_len(state.max_time)
     max_rto = state.max_rto
     # The watchdog never cries stall before the transport had a chance
-    # to recover: at least `stall_slices` quiet slices AND a few backed-
+    # to recover: at least STALL_SLICES quiet slices AND a few backed-
     # off RTOs' worth of quiet time.
-    stall_window = max(state.stall_slices * slice_len, 4.0 * max_rto)
+    stall_window = max(STALL_SLICES * slice_len, 4.0 * max_rto)
     grace = 2.0 * max_rto
     checkpointing = (checkpoint_every is not None
                      and checkpoint_path is not None)
 
     heap_empty = False
     watchdog_tripped = False
-    # Hold GC off across the whole drain, not per slice: the nested
-    # Simulator.run() guard sees GC already disabled and leaves it
-    # alone, so the gen-0 pool isn't collected at every slice boundary.
-    # The hot path creates no reference cycles, so deferring collection
-    # to the end of the drain is safe.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
+    with _gc_held():
         while len(ctx.completed) < target and state.t < state.max_time:
             # clamp the final slice: ``t`` stepping past ``max_time``
             # would let the run simulate (and bill) up to one slice
             # beyond the scenario's stated horizon
             state.t = min(state.t + slice_len, state.max_time)
             t = state.t
-            max_events = None
-            if state.event_budget is not None:
-                remaining = state.event_budget - sim.events_run
-                if remaining <= 0:
-                    health.event_budget_exceeded = True
-                    break
-                max_events = remaining
-            if telemetry is None:
-                sim.run(until=t, max_events=max_events)
-            else:
-                wall_start = _time.perf_counter()
-                executed = sim.run(until=t, max_events=max_events)
-                telemetry.record_slice(t, executed,
-                                       _time.perf_counter() - wall_start)
-            # drop lazily-cancelled timers wholesale so a run's peak
-            # heap size reflects live work, not RTO corpses (pop order
-            # depends only on the (time, seq) keys, so this cannot
-            # change behaviour)
-            sim.sweep()
-            if auditor is not None:
-                auditor.on_slice()
-            if (state.event_budget is not None
-                    and sim.events_run >= state.event_budget):
-                health.event_budget_exceeded = True
-                break
-            if sim.peek_time() is None:
-                # Event heap exhausted: nothing can ever happen again,
-                # so idling through empty slices until max_time is
-                # pointless.
-                heap_empty = True
+            stop = _slice(state, t)
+            if stop is not None:
+                health.event_budget_exceeded = stop == "budget"
+                heap_empty = stop == "dead"
                 break
             signature = _progress_signature(ctx, network)
             if signature != state.last_signature:
@@ -583,28 +671,19 @@ def _drain(state: RunState, checkpoint_every: Optional[float] = None,
                 state.last_checkpoint_t = t
                 state.checkpoints_taken += 1
                 save_checkpoint(state, checkpoint_path)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
-    health.completed = len(ctx.completed)
-    health.events_run = sim.events_run
-    health.sim_time = sim.now
-    health.live_pending = sim.live_pending
-    health.peak_pending = sim.peak_pending
     if state.total_flows is None:
         # unbounded stream: report against what actually entered the run
         health.n_flows = len(flows)
 
-    if health.completed < health.n_flows \
-            and not health.event_budget_exceeded:
+    incomplete = health.n_flows - len(ctx.completed)
+    if incomplete > 0 and not health.event_budget_exceeded:
         quiet_for = state.t - state.last_progress_t
         if heap_empty:
             health.stalled = True
             health.stall_time = sim.now
             health.stall_reason = (
-                f"event heap empty with "
-                f"{health.n_flows - health.completed} flow(s) incomplete")
+                f"event heap empty with {incomplete} flow(s) incomplete")
         elif watchdog_tripped or (
                 quiet_for >= stall_window
                 and any(f.start_time <= sim.now and not f.completed
@@ -626,7 +705,7 @@ def _drain(state: RunState, checkpoint_every: Optional[float] = None,
             else:
                 health.stall_reason = (
                     f"no progress for {quiet_for:.6g}s; no faults active; "
-                    f"{health.live_pending} live event(s) pending")
+                    f"{sim.live_pending} live event(s) pending")
         else:
             health.stall_reason = "max_time reached while still progressing"
 

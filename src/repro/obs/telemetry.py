@@ -334,8 +334,14 @@ class Telemetry:
 
     # -- harvest -----------------------------------------------------------
 
-    def finalize(self, network, flows) -> None:
-        """Snapshot per-port and per-flow counters at drain end."""
+    def finalize(self, network, flows, endpoint_counters) -> None:
+        """Snapshot per-port and per-flow counters at drain end.
+
+        ``endpoint_counters`` maps flow id to ``[retransmits, rtos,
+        pkts_transmitted]`` — the runner's one walk over the transport
+        endpoints (local hosts only in a sharded run), so this rollup
+        and ``RunHealth`` cannot disagree.
+        """
         self.port_counters = {
             port.name: {name: getattr(port.mux.stats, name)
                         for name in _QUEUE_COUNTER_FIELDS}
@@ -354,28 +360,16 @@ class Telemetry:
             if getattr(switch, "lb", None) is not None)
         per_flow: Dict[int, Dict[str, object]] = {}
         for flow in flows:
+            rtx, rtos, transmitted = endpoint_counters.get(
+                flow.flow_id, (0, 0, 0))
             per_flow[flow.flow_id] = {
                 "completed": flow.completed,
                 "fct": flow.fct,
                 "size": flow.size,
-                "retransmits": 0,
-                "rtos": 0,
-                "pkts_transmitted": 0,
+                "retransmits": rtx,
+                "rtos": rtos,
+                "pkts_transmitted": transmitted,
             }
-        seen = set()
-        for host in network.hosts.values():
-            for flow_id, endpoint in host.endpoints.items():
-                if id(endpoint) in seen or flow_id not in per_flow:
-                    continue
-                seen.add(id(endpoint))
-                rtx = getattr(endpoint, "pkts_retransmitted", None)
-                if rtx is None:
-                    continue
-                counters = per_flow[flow_id]
-                counters["retransmits"] += rtx
-                counters["rtos"] += getattr(endpoint, "rtos_fired", 0)
-                counters["pkts_transmitted"] += getattr(
-                    endpoint, "pkts_transmitted", 0)
         self.flow_counters = per_flow
 
     # -- reading -----------------------------------------------------------

@@ -20,8 +20,8 @@ Three deliberate exclusions keep snapshots both lean and loadable:
   behaviour — see :meth:`~repro.sim.engine.Simulator.__getstate__`);
 * the :class:`~repro.experiments.runner.Scenario` **builders** are NOT
   stored (they are arbitrary closures); a checkpoint instead records
-  the scalar drain limits it needs (``max_time``, ``stall_slices``,
-  ``event_budget``, ``max_rto``) plus the scheme/scenario names for
+  the scalar drain limits it needs (``max_time``, ``event_budget``,
+  ``max_rto``) plus the scheme/scenario names for
   compatibility checks at resume time;
 * bound-callback caches (``Port._tx_cb``, ``Wire._deliver_cb``) are
   rebuilt on restore.
@@ -63,7 +63,9 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # v4: one ``EventChain`` class — the armed flow-start chain in the sim
 # graph changed shape (a v3 snapshot pickled ``LazyEventChain`` or the
 # list-indexing ``EventChain``, neither of which this build can load)
-CHECKPOINT_VERSION = 4
+# v5: ``RunState.stall_slices`` is gone (a runner constant), and the
+# observed start chain's ``functools.partial`` carries one more argument
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(RuntimeError):
@@ -105,7 +107,6 @@ class RunState:
 
     # drain limits copied off the Scenario (builders are not picklable)
     max_time: float = 10.0
-    stall_slices: int = 40
     event_budget: Optional[int] = None
     max_rto: float = 0.25
 

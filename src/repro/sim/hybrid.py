@@ -30,8 +30,8 @@ motivates at datacenter scale, done here exactly:
   statistics see one flow with the true completion time.
 
 The pure packet model stays the equivalence oracle: with the controller
-absent (or ``enabled=False``) the run is bit-identical to the plain
-tree, and hybrid runs must match packet-mode FCT distributions within
+absent (``hybrid=None``) the run is bit-identical to the plain tree,
+and hybrid runs must match packet-mode FCT distributions within
 the gated tolerance (``repro.validate.equivalence``).  See
 ``docs/hybrid.md`` for the accuracy envelope — in particular when *not*
 to trust hybrid numbers.
@@ -56,14 +56,9 @@ _DONE_BYTES = 0.5
 
 @dataclass
 class HybridConfig:
-    """Knobs for the hybrid fast path.
+    """Knobs for the hybrid fast path (``Scenario.hybrid=None`` is
+    "off": no controller is built at all)."""
 
-    ``enabled=False`` builds no controller at all — the run takes the
-    identical code path (and is bit-identical to) a run that never
-    mentioned hybrid mode.
-    """
-
-    enabled: bool = True
     # admission: flows at least this big are abstract candidates ...
     size_threshold: int = 1_000_000
     # ... provided the unloaded transfer would outlive this ("age"

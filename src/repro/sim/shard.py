@@ -42,14 +42,18 @@ Termination is symmetric: every stop decision ("done", "budget",
 "dead", "horizon") is a function of the exchanged data only, so all
 shards break out of the window loop in the same round and nobody blocks
 on a pipe that will never be written.
+
+This module holds the simulator-level pieces — the plan, the ledger,
+the boundary stubs and import injection (:class:`ShardBoundary`).  The
+window loop itself, and the run it is wrapped around, live in
+:class:`repro.experiments.distributed.ShardWorker`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from ..transport.base import TransportContext
 from .host import Host
 from .link import Port
 from .network import Network
@@ -93,7 +97,7 @@ class ShardLedger:
         self.imported_from: Dict[int, List[int]] = {}
 
     def digest(self) -> dict:
-        """Plain-dict snapshot for pickling into a :class:`ShardSummary`."""
+        """Plain-dict snapshot that crosses the result pipe by pickle."""
         return {
             "exported_pkts": self.exported_pkts,
             "exported_bytes": self.exported_bytes,
@@ -343,15 +347,15 @@ def check_shardable(scenario, net: Network) -> None:
     ``net`` is the scenario's fabric after ``scheme.configure_network``.
     :func:`~repro.experiments.distributed.run_sharded` calls this on its
     reference build before any fork, so a bad combination fails with one
-    clear error instead of n worker tracebacks; :class:`ShardWorker`
-    calls it again on its own build, so a worker driven directly cannot
+    clear error instead of n worker tracebacks; every shard worker calls
+    it again on its own build, so a worker driven directly cannot
     produce a silently wrong answer either.
     """
     if scenario.faults is not None:
         raise ValueError(
             "sharded runs do not support fault plans (cross-shard fault "
             "windows have no deterministic-merge semantics yet)")
-    if scenario.hybrid is not None and scenario.hybrid.enabled:
+    if scenario.hybrid is not None:
         raise ValueError(
             "sharded runs do not support the hybrid fast path "
             "(abstract flows have no boundary-crossing packets)")
@@ -361,122 +365,28 @@ def check_shardable(scenario, net: Network) -> None:
             "boundaries outside the data-packet protocol)")
 
 
-@dataclass
-class ShardSummary:
-    """Everything a finished shard sends back to the supervisor.
+class ShardBoundary:
+    """One shard's edge of an assembled fabric: what leaves, what enters.
 
-    Plain data only — this crosses a process boundary by pickle.
-    ``fcts`` holds finish times for flows whose *receiver* is local
-    (completion is receiver-side, so each flow appears in exactly one
-    shard's summary); retransmit counters likewise cover local-host
-    endpoints only, so the per-shard sums partition the serial totals.
+    Construction neutralizes everything shard ``shard_id`` does not own
+    on ``net`` (a full copy of the topology): its cross-shard ports
+    divert finished transmissions into the per-peer ``outboxes``,
+    replica hosts get an :class:`InertPort` uplink, control packets go
+    through a :class:`_ControlRouter`, and the :class:`ShardLedger`
+    that keeps the books lands on ``net.shard_ledger`` for the auditor.
+    :meth:`inject` is the way in: a round's imports become local events.
     """
 
-    shard_id: int
-    outcome: str  # "done" | "budget" | "dead" | "horizon"
-    rounds: int
-    n_local_flows: int
-    completed: int
-    completed_target: int
-    fcts: Dict[int, float]
-    events_run: int
-    sim_time: float
-    peak_pending: int
-    live_pending: int
-    retransmits_total: int
-    rtos_total: int
-    retransmits_by_flow: Dict[int, int]
-    ledger: dict
-    telemetry: Optional[object] = None   # TelemetrySummary when observed
-    validation: Optional[object] = None  # ValidationReport when validated
-
-
-class ShardWorker:
-    """One shard's whole life: build, neutralize, synchronize, harvest.
-
-    Constructed (in the child process) with the shard id, the plan, the
-    scheme/scenario and a ``{peer shard id: Connection}`` map; ``run()``
-    returns the picklable :class:`ShardSummary` the supervisor merges.
-    """
-
-    # A window exchange should take microseconds; a peer silent this
-    # long has died (the supervisor also watches the result pipes).
-    RECV_TIMEOUT = 300.0
-
-    def __init__(self, shard_id: int, plan: ShardPlan, scheme, scenario,
-                 conns: Dict[int, object], *,
-                 observe: bool = False, validate: bool = False) -> None:
-        self.shard_id = shard_id
-        self.plan = plan
-        self.scheme = scheme
-        self.scenario = scenario
-        self.conns = conns
-        self.observe = observe
-        self.validate = validate
-        self.rounds = 0
-        self.outcome = "horizon"
-
-    # -- lifecycle --------------------------------------------------------
-
-    def run(self) -> ShardSummary:
-        self._setup()
-        if self.conns:
-            self._run_windows()
-        else:
-            self._run_solo()
-        return self._harvest()
-
-    def _setup(self) -> None:
-        from ..obs.telemetry import Telemetry
-        from ..validate import RunAuditor
-
-        plan, me = self.plan, self.shard_id
-        scenario, scheme = self.scenario, self.scheme
-        topo = scenario.build_topology()
-        self.topo = topo
-        net, sim = topo.network, topo.sim
-        scheme.configure_network(net)
-        check_shardable(scenario, net)
-
-        flow_source = scenario.build_flows(topo)
-        flows = (flow_source if isinstance(flow_source, list)
-                 else flow_source.materialize())
-        self.flows = flows
-        shard_of_host = plan.shard_of_host
-        local_flows = [f for f in flows
-                       if shard_of_host[f.src] == me
-                       or shard_of_host[f.dst] == me]
-        self.local_flows = local_flows
-        # completion is detected at the receiver, so a flow is *this*
-        # shard's to finish exactly when its destination is local
-        self.completed_target = sum(
-            1 for f in local_flows if shard_of_host[f.dst] == me)
-
-        telemetry = Telemetry() if self.observe else None
-        on_complete = None
-        if telemetry is not None:
-            telemetry.attach(sim, net, None)
-            on_complete = telemetry.on_flow_complete
-        ctx = TransportContext(sim, net, scenario.config,
-                               on_complete=on_complete)
-        ctx.telemetry = telemetry
-        self.ctx = ctx
-        self.telemetry = telemetry
-        auditor = None
-        if self.validate:
-            auditor = RunAuditor(strict=(self.validate == "strict"))
-        if auditor is not None:
-            auditor.attach(sim, net, ctx)
-        self.auditor = auditor
-
+    def __init__(self, net: Network, plan: ShardPlan, shard_id: int) -> None:
         ledger = ShardLedger()
-        for k in range(plan.n_shards):
-            if k != me:
-                ledger.exported_to[k] = [0, 0]
-                ledger.imported_from[k] = [0, 0]
+        peers = [k for k in range(plan.n_shards) if k != shard_id]
+        for k in peers:
+            ledger.exported_to[k] = [0, 0]
+            ledger.imported_from[k] = [0, 0]
         net.shard_ledger = ledger
         self.ledger = ledger
-        self.outboxes: Dict[int, list] = {k: [] for k in sorted(self.conns)}
+        self.outboxes: Dict[int, list] = {k: [] for k in peers}
+        self._sim = net.sim
         self._ports = net.ports
         self._hosts = net.hosts
 
@@ -484,171 +394,21 @@ class ShardWorker:
         # BEFORE replica uplinks are swapped out.
         port_index = {id(p): i for i, p in enumerate(net.ports)}
         for port, owner, peer_shard in boundary_ports(net, plan):
-            if owner != me:
+            if owner != shard_id:
                 continue  # simulated (for real) by its own shard
             port._tx_cb = _BoundaryEgress(port, port_index[id(port)],
                                           peer_shard, ledger,
                                           self.outboxes[peer_shard])
+        shard_of_host = plan.shard_of_host
         for host in net.hosts.values():
-            if shard_of_host[host.host_id] != me:
+            if shard_of_host[host.host_id] != shard_id:
                 host.uplink = InertPort(ledger, host.uplink)
-        net.send_control = _ControlRouter(net, me, shard_of_host, ledger,
-                                          self.outboxes)
+        net.send_control = _ControlRouter(net, shard_id, shard_of_host,
+                                          ledger, self.outboxes)
 
-        # Start only flows with a local endpoint: the sender's shard
-        # simulates the data path, the receiver's shard the completion;
-        # pure-transit shards just forward imports.
-        if telemetry is None:
-            start_fn = scheme.start_flow
-        else:
-            def start_fn(flow, ctx):
-                telemetry.on_flow_start(flow)
-                scheme.start_flow(flow, ctx)
-        sim.schedule_chain([(f.start_time, start_fn, (f, ctx))
-                            for f in local_flows])
-
-    # -- window loops -----------------------------------------------------
-
-    def _run_solo(self) -> None:
-        """Single-shard run: no peers, so the shard may advance to its
-        own horizon (``peek + L``) each window — but never by less than
-        a serial drain slice, or an L of one propagation delay would
-        turn the run into step-by-step execution."""
-        scenario = self.scenario
-        sim = self.topo.sim
-        ctx, auditor = self.ctx, self.auditor
-        budget = scenario.event_budget
-        max_time = scenario.max_time
-        target = self.completed_target
-        stride = max(self.plan.lookahead, max_time / 200.0, 1e-4)
-        T = 0.0
-        while True:
-            max_events = None
-            if budget is not None:
-                remaining = budget - sim.events_run
-                if remaining <= 0:
-                    self.outcome = "budget"
-                    break
-                max_events = remaining
-            sim.run(until=T, max_events=max_events)
-            self.rounds += 1
-            sim.sweep()
-            if auditor is not None:
-                auditor.on_slice()
-            if budget is not None and sim.events_run >= budget:
-                self.outcome = "budget"
-                break
-            if len(ctx.completed) >= target:
-                self.outcome = "done"
-                break
-            peek = sim.peek_time()
-            if peek is None:
-                self.outcome = "dead"
-                break
-            if T >= max_time:
-                self.outcome = "horizon"
-                break
-            T = min(max(peek + self.plan.lookahead, T + stride), max_time)
-
-    def _run_windows(self) -> None:
-        """The conservative synchronization loop (module docstring).
-
-        Exchange is pairwise over the full mesh in sorted-pair order
-        (the lower shard id of each pair sends first), which is
-        deadlock-free for blocking pipes; every termination predicate
-        is computed from exchanged values only, so all shards leave the
-        loop in the same round.
-        """
-        plan, me = self.plan, self.shard_id
-        sim = self.topo.sim
-        scenario = self.scenario
-        ctx, auditor = self.ctx, self.auditor
-        budget = scenario.event_budget
-        max_time = scenario.max_time
-        lookahead = plan.lookahead
-        conns = self.conns
-        peers = sorted(conns)
-        outboxes = self.outboxes
-        inf = float("inf")
-        T = 0.0
-        while True:
-            sim.run(until=T)
-            self.rounds += 1
-            sim.sweep()
-            if auditor is not None:
-                auditor.on_slice()
-
-            # own null-message signals — raw floats, so every shard
-            # folds the identical numbers into ``base``
-            peek = sim.peek_time()
-            min_arrival = inf
-            for batch in outboxes.values():
-                for entry in batch:
-                    if entry[0] < min_arrival:
-                        min_arrival = entry[0]
-            my_arrival = min_arrival if min_arrival < inf else None
-            done_local = len(ctx.completed) >= self.completed_target
-            my_events = sim.events_run
-
-            base = inf if peek is None else peek
-            if min_arrival < base:
-                base = min_arrival
-            all_done = done_local
-            total_events = my_events
-            imports_round: List[Tuple[int, list]] = []
-            for k in peers:
-                conn = conns[k]
-                message = (outboxes[k], peek, my_arrival,
-                           done_local, my_events)
-                if me < k:
-                    conn.send(message)
-                    outboxes[k].clear()
-                    theirs = self._recv(conn, k)
-                else:
-                    theirs = self._recv(conn, k)
-                    conn.send(message)
-                    outboxes[k].clear()
-                imports, peer_peek, peer_arrival, peer_done, \
-                    peer_events = theirs
-                imports_round.append((k, imports))
-                if peer_peek is not None and peer_peek < base:
-                    base = peer_peek
-                if peer_arrival is not None and peer_arrival < base:
-                    base = peer_arrival
-                all_done = all_done and peer_done
-                total_events += peer_events
-
-            self._inject(imports_round)
-
-            # symmetric termination — exchanged data only
-            if all_done:
-                self.outcome = "done"
-                break
-            if budget is not None and total_events >= budget:
-                self.outcome = "budget"
-                break
-            if base == inf:
-                self.outcome = "dead"
-                break
-            if T >= max_time:
-                self.outcome = "horizon"
-                break
-            T = min(base + lookahead, max_time)
-
-    def _recv(self, conn, peer: int):
-        if not conn.poll(self.RECV_TIMEOUT):
-            raise RuntimeError(
-                f"shard {self.shard_id}: no window message from shard "
-                f"{peer} after {self.RECV_TIMEOUT:.0f}s (peer crashed?)")
-        try:
-            return conn.recv()
-        except EOFError:
-            raise RuntimeError(
-                f"shard {self.shard_id}: pipe to shard {peer} closed "
-                f"mid-run") from None
-
-    def _inject(self, imports_round: List[Tuple[int, list]]) -> None:
-        """Schedule this round's imports deterministically.
+    def inject(self, imports_round: List[Tuple[int, list]]) -> None:
+        """Schedule one round's imports — ``(source shard, its outbox
+        for us)`` pairs — deterministically.
 
         Entries are ordered by ``(arrival, source shard, batch index)``
         and given a contiguous reserved seq block, so the heap's
@@ -664,7 +424,7 @@ class ShardWorker:
         if not entries:
             return
         entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        sim = self.topo.sim
+        sim = self._sim
         ledger = self.ledger
         now = sim.now
         first = sim.reserve_seq(len(entries))
@@ -692,59 +452,3 @@ class ShardWorker:
 
     def _deliver_control(self, pkt) -> None:
         self._hosts[pkt.dst].receive_control(pkt)
-
-    # -- harvest ----------------------------------------------------------
-
-    def _harvest(self) -> ShardSummary:
-        plan, me = self.plan, self.shard_id
-        net = self.topo.network
-        sim = self.topo.sim
-        shard_of_host = plan.shard_of_host
-        fcts = {f.flow_id: f.finish_time for f in self.local_flows
-                if shard_of_host[f.dst] == me and f.finish_time is not None}
-        # Retransmit harvest over LOCAL hosts only: replica senders (on
-        # remote host replicas) churn futile RTOs that serial never
-        # sees, so per-shard sums over real endpoints partition the
-        # serial totals exactly.
-        rtx_by_flow: Dict[int, int] = {}
-        rtx_total = 0
-        rtos = 0
-        seen = set()
-        for host in net.hosts.values():
-            if shard_of_host[host.host_id] != me:
-                continue
-            for flow_id, endpoint in host.endpoints.items():
-                if id(endpoint) in seen:
-                    continue
-                seen.add(id(endpoint))
-                rtx = getattr(endpoint, "pkts_retransmitted", None)
-                if rtx is None:
-                    continue
-                rtx_by_flow[flow_id] = rtx_by_flow.get(flow_id, 0) + rtx
-                rtx_total += rtx
-                rtos += getattr(endpoint, "rtos_fired", 0)
-        telemetry_summary = None
-        if self.telemetry is not None:
-            self.telemetry.finalize(net, self.local_flows)
-            telemetry_summary = self.telemetry.summary()
-        validation = (self.auditor.finalize(self.local_flows)
-                      if self.auditor is not None else None)
-        return ShardSummary(
-            shard_id=me,
-            outcome=self.outcome,
-            rounds=self.rounds,
-            n_local_flows=len(self.local_flows),
-            completed=len(self.ctx.completed),
-            completed_target=self.completed_target,
-            fcts=fcts,
-            events_run=sim.events_run,
-            sim_time=sim.now,
-            peak_pending=sim.peak_pending,
-            live_pending=sim.live_pending,
-            retransmits_total=rtx_total,
-            rtos_total=rtos,
-            retransmits_by_flow=rtx_by_flow,
-            ledger=self.ledger.digest(),
-            telemetry=telemetry_summary,
-            validation=validation,
-        )

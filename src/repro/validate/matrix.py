@@ -84,17 +84,6 @@ def _leaf_spine_conga_scenario(*, n_flows: int) -> object:
         event_budget=DEFAULT_EVENT_BUDGET, lb="conga")
 
 
-def _leaf_spine_hybrid_off_scenario(*, n_flows: int) -> object:
-    # deliberately identical to _leaf_spine_scenario (same fabric, same
-    # seed): a disabled HybridConfig must be bit-identical to never
-    # mentioning hybrid at all — run_matrix cross-checks the two cells
-    return all_to_all_scenario(
-        "validate-leaf-spine", WEB_SEARCH, n_flows=n_flows,
-        fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4), seed=103,
-        event_budget=DEFAULT_EVENT_BUDGET,
-        hybrid=HybridConfig(enabled=False))
-
-
 def _shard_gate_scenario(*, n_flows: int) -> object:
     # n_flows deliberately ignored: the gate's parameters are pinned to
     # the collision-audited configuration (see shard_gate_scenario) —
@@ -125,8 +114,6 @@ FEATURE_CELLS = {
     "leaf-spine-pfc": (_leaf_spine_pfc_scenario, ("dcqcn", "hpcc")),
     "leaf-spine-flowlet": (_leaf_spine_flowlet_scenario, ("dctcp", "ppt")),
     "leaf-spine-conga": (_leaf_spine_conga_scenario, ("dctcp", "ppt")),
-    "leaf-spine-hybrid-off": (_leaf_spine_hybrid_off_scenario,
-                              ("dctcp", "ppt")),
     "leaf-spine-hybrid": (_leaf_spine_hybrid_scenario, ("dctcp", "ppt")),
     "shard-gate": (_shard_gate_scenario, ("dctcp", "ppt")),
 }
@@ -201,29 +188,8 @@ def run_matrix(schemes: Optional[List[str]] = None, *,
                 print(f"  {tasks[i].label}: {violation.describe()}",
                       file=sys.stderr)
 
-    # cross-cell law: a scenario carrying HybridConfig(enabled=False)
-    # must be bit-identical to one that never mentioned hybrid — the
-    # feature's whole off-switch contract, checked bare-half to
-    # bare-half since the two cells share fabric, seed and flow count
     bare_by_label = {tasks[i].label: summaries[i]
                      for i in range(0, len(tasks), 2)}
-    for scheme in FEATURE_CELLS["leaf-spine-hybrid-off"][1]:
-        plain = bare_by_label.get(f"{scheme}@leaf-spine")
-        off = bare_by_label.get(f"{scheme}@leaf-spine-hybrid-off")
-        if plain is None or off is None:
-            continue
-        identical = (plain.stats == off.stats
-                     and plain.wall_events == off.wall_events
-                     and plain.completed == off.completed)
-        if not identical:
-            failures += 1
-        rows.append({
-            "cell": f"{scheme}@hybrid-off==plain",
-            "flows": f"{off.completed}/{off.n_flows}",
-            "events": off.wall_events,
-            "checks": 0,
-            "result": "ok" if identical else "NOT bit-identical to plain",
-        })
 
     # cross-cell law: a space-sharded run must merge to the serial
     # oracle's FCT statistics bit-for-bit on the collision-audited gate

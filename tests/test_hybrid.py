@@ -167,15 +167,6 @@ def fct_fingerprint(result):
 # -- off-switch bit-identity ----------------------------------------------
 
 
-def test_hybrid_disabled_is_bit_identical():
-    plain = run(Dctcp(), mixed_scenario("leaf-spine", None))
-    off = run(Dctcp(), mixed_scenario("leaf-spine",
-                                      HybridConfig(enabled=False)))
-    assert fct_fingerprint(off) == fct_fingerprint(plain)
-    assert off.wall_events == plain.wall_events
-    assert off.ctx.extra.get("hybrid") is None
-
-
 def test_hybrid_all_refused_is_bit_identical():
     """A threshold above every flow size admits nothing to the abstract
     set; the controller must then be pure bookkeeping — same events,

@@ -12,7 +12,11 @@ import pickle
 import pytest
 
 import repro.experiments.distributed as distributed
-from repro.experiments.distributed import ShardError, run_sharded
+from repro.experiments.distributed import (
+    ShardError,
+    ShardWorker,
+    run_sharded,
+)
 from repro.experiments.runner import run
 from repro.experiments.scenarios import (
     SIM_PFC,
@@ -22,7 +26,7 @@ from repro.experiments.scenarios import (
 )
 from repro.faults import FaultPlan, LinkDown
 from repro.sim.hybrid import HybridConfig
-from repro.sim.shard import ShardWorker, boundary_ports, plan_shards
+from repro.sim.shard import boundary_ports, plan_shards
 from repro.sim.topology import leaf_spine, star
 from repro.transport.dctcp import Dctcp
 from repro.units import us
@@ -148,6 +152,24 @@ def test_per_shard_telemetry_combines():
     parts = [s.telemetry for s in result.shards]
     assert all(p is not None for p in parts)
     assert telemetry.flows_completed == sum(p.flows_completed for p in parts)
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 4])
+def test_sharded_telemetry_totals_equal_serial(n_shards):
+    """Each shard counts endpoints on its own hosts only and traces
+    FLOW_START only for flows whose source it owns, so the combined
+    summary is the serial one — replica senders and twice-started
+    cross-shard flows used to inflate it."""
+    serial = run(Dctcp(), shard_gate_scenario(),
+                 observe=True).telemetry.summary()
+    sharded = run_sharded(Dctcp(), shard_gate_scenario(), n_shards,
+                          observe=True).summary.telemetry
+    for name in ("retransmits", "rtos", "flows_started", "flows_completed",
+                 "drops", "marks"):
+        assert getattr(sharded, name) == getattr(serial, name), name
+    # the window loop records its wall-clock profile like the serial drain
+    assert sharded.slices > 0
+    assert sharded.wall_seconds > 0
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,11 @@ from typing import List, Optional
 
 import pytest
 
-from repro.experiments.distributed import ShardError, run_sharded
+from repro.experiments.distributed import ShardError, ShardWorker, run_sharded
 from repro.experiments.parallel import GridTaskError, run_grid
 from repro.experiments.scenarios import shard_gate_scenario
 from repro.experiments.workers import fork_available, run_forked
 from repro.resilience import supervise_grid
-from repro.sim.shard import ShardWorker
 from repro.transport.dctcp import Dctcp
 
 pytestmark = pytest.mark.skipif(not fork_available(),
