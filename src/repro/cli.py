@@ -228,6 +228,41 @@ def _cmd_resume(args) -> int:
     return 1 if broken else 0
 
 
+def _fans_out(args) -> bool:
+    return args.jobs not in (None, 0, 1)
+
+
+#: Every flag combination ``run`` refuses, as ``(predicate over the
+#: parsed args, message)`` rows checked in order: the first hit prints
+#: ``error: <message>`` and exits 2.  (What a *scenario* may not carry
+#: into a sharded run — faults, PFC, hybrid — is declared by
+#: ``repro.sim.shard.check_shardable``.)
+RUN_EXCLUSIONS = (
+    # the full event trace never crosses the worker pipe (only the
+    # TelemetrySummary digest does), so exporting requires the
+    # in-process serial path
+    (lambda a: a.trace_out and _fans_out(a),
+     "--trace-out requires --jobs 1"),
+    # one run split across processes composes with neither the
+    # scheme-level grid nor the serial-only machinery
+    (lambda a: a.shards is not None and a.shards < 1,
+     "--shards must be >= 1"),
+    (lambda a: a.shards is not None and _fans_out(a),
+     "--shards supplies its own parallelism; use --jobs 1"),
+    (lambda a: a.shards is not None and (a.trace_out or a.checkpoint),
+     "--shards is incompatible with --trace-out and checkpoint/resume "
+     "(both need the serial runner)"),
+    (lambda a: a.shards is not None and (a.task_timeout is not None
+                                         or a.retries is not None),
+     "--shards does not run under grid supervision"),
+    # one checkpoint file describes one run
+    (lambda a: a.checkpoint and (_fans_out(a) or len(a.schemes) != 1),
+     "--checkpoint requires --jobs 1 and a single scheme"),
+    (lambda a: a.checkpoint and a.checkpoint_every is None,
+     "--checkpoint needs --checkpoint-every SIM_SECONDS"),
+)
+
+
 def _cmd_run(args) -> int:
     cdf = WORKLOADS[args.workload]
     if args.resume:
@@ -238,41 +273,10 @@ def _cmd_run(args) -> int:
         validate = "strict"
     elif args.validate:
         validate = True
-    if args.trace_out and args.jobs not in (None, 0, 1):
-        # the full event trace never crosses the worker pipe (only the
-        # TelemetrySummary digest does), so exporting requires the
-        # in-process serial path
-        print("error: --trace-out requires --jobs 1", file=sys.stderr)
-        return 2
-    if args.shards is not None:
-        # one run split across processes composes with neither the
-        # scheme-level grid nor the serial-only machinery
-        if args.shards < 1:
-            print("error: --shards must be >= 1", file=sys.stderr)
+    for excluded, message in RUN_EXCLUSIONS:
+        if excluded(args):
+            print(f"error: {message}", file=sys.stderr)
             return 2
-        if args.jobs not in (None, 0, 1):
-            print("error: --shards supplies its own parallelism; "
-                  "use --jobs 1", file=sys.stderr)
-            return 2
-        if args.trace_out or args.checkpoint or args.resume:
-            print("error: --shards is incompatible with --trace-out and "
-                  "checkpoint/resume (both need the serial runner)",
-                  file=sys.stderr)
-            return 2
-        if args.task_timeout is not None or args.retries is not None:
-            print("error: --shards does not run under grid supervision",
-                  file=sys.stderr)
-            return 2
-    if args.checkpoint and (args.jobs not in (None, 0, 1)
-                            or len(args.schemes) != 1):
-        # one checkpoint file describes one run
-        print("error: --checkpoint requires --jobs 1 and a single scheme",
-              file=sys.stderr)
-        return 2
-    if args.checkpoint and args.checkpoint_every is None:
-        print("error: --checkpoint needs --checkpoint-every SIM_SECONDS",
-              file=sys.stderr)
-        return 2
     faults = None
     if args.fault:
         try:
@@ -507,9 +511,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "processes (leaf-spine fabrics only; one pod "
                             "group per shard, conservative-lookahead "
                             "synchronization, deterministic merge — see "
-                            "docs/sharding.md); incompatible with --jobs>1, "
-                            "--trace-out, checkpoints, faults, --pfc and "
-                            "--hybrid")
+                            "docs/sharding.md).  Refused combinations: "
+                            + "; ".join(message
+                                        for _, message in RUN_EXCLUSIONS
+                                        if "--shards" in message)
+                            + "; and scenarios with faults, --pfc or "
+                              "--hybrid")
     run_p.add_argument("--health", action="store_true",
                        help="include run-health columns in the output table")
     run_p.add_argument("--trace", action="store_true",

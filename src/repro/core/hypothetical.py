@@ -51,15 +51,13 @@ class MwRecordingDctcp(Scheme):
     """Pass one: default DCTCP, recording each flow's maximum window."""
 
     name = "dctcp-recording"
+    receiver_cls = WindowReceiver
 
     def __init__(self) -> None:
         self.mw_table: Dict[int, float] = {}
 
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        sender = _RecordingSender(flow, ctx, self.mw_table)
-        receiver = WindowReceiver(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()
+    def make_sender(self, flow: Flow, ctx: TransportContext):
+        return _RecordingSender(flow, ctx, self.mw_table)
 
 
 class _HypotheticalSender(DctcpSender):
@@ -157,6 +155,7 @@ class HypotheticalDctcp(Scheme):
     """Pass two: fill each flow's window gap to ``fill_factor * MW``."""
 
     name = "hypothetical-dctcp"
+    receiver_cls = WindowReceiver
 
     def __init__(self, mw_table: Dict[int, float], fill_factor: float = 1.0):
         self.mw_table = mw_table
@@ -164,9 +163,6 @@ class HypotheticalDctcp(Scheme):
         if fill_factor != 1.0:
             self.name = f"hypothetical-dctcp-{int(fill_factor * 100)}"
 
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
+    def make_sender(self, flow: Flow, ctx: TransportContext):
         mw = self.mw_table.get(flow.flow_id, float(ctx.config.init_cwnd))
-        sender = _HypotheticalSender(flow, ctx, mw, self.fill_factor)
-        receiver = WindowReceiver(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()
+        return _HypotheticalSender(flow, ctx, mw, self.fill_factor)

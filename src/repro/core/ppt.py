@@ -27,79 +27,29 @@ Ablation flags reproduce the §6.3.1 variants:
 
 from __future__ import annotations
 
-from ..sim.packet import ACK, DATA, Packet, make_ack
+from ..sim.packet import DATA, Packet, make_ack
 from ..transport.base import Flow, Scheme, TransportContext
 from ..transport.dctcp import DctcpSender
 from ..transport.window import WindowReceiver, _DeliveredAll
-from .identification import identify_large
-from .lcp import LcpController
-from .tagging import MirrorTagger
+from .graft import PptGraft
 
 
-class PptSender(DctcpSender):
-    """HCP (DCTCP) sender with the LCP controller and mirror tagging."""
+class PptSender(PptGraft, DctcpSender):
+    """HCP (DCTCP) sender carrying the graft; its trigger is DCTCP's
+    per-window alpha update (case 2) plus the flow-start loop (case 1)."""
 
     def __init__(self, flow: Flow, ctx: TransportContext, scheme: "Ppt") -> None:
-        super().__init__(flow, ctx)
-        self.scheme = scheme
-        cfg = ctx.config
-        self.identified_large = bool(
-            scheme.identification
-            and identify_large(flow.first_syscall_bytes or 0,
-                               cfg.identification_threshold)
-        )
-        self.tagger = MirrorTagger(self.identified_large,
-                                   cfg.demotion_thresholds)
-        self.lcp = LcpController(
-            self,
-            ecn=scheme.lcp_ecn,
-            ewd=scheme.ewd,
-            scheduling=scheme.scheduling,
-            delay_large_first_loop=scheme.identification,
-        )
+        super().__init__(flow, ctx, scheme)
         self.on_window_update = self._window_update_hook
 
     def _window_update_hook(self, _sender) -> None:
         if self.scheme.lcp_enabled:
             self.lcp.on_window_update()
 
-    # -- scheme hooks --------------------------------------------------------
-
-    def priority_for(self, seq: int) -> int:
-        if not self.scheme.scheduling:
-            return 0
-        bytes_sent = seq * self.cfg.payload_per_packet()
-        return self.tagger.hcp_priority(bytes_sent)
-
-    # NOTE: the HCP loop does *not* skip packets the LCP loop has in
-    # flight (default ``claimed_elsewhere`` = False).  Exactly like the
-    # kernel prototype, the head keeps transmitting in order and only
-    # advances past bytes the receiver has already acknowledged via
-    # LP-ACKs (§5.2's snd_nxt tweak, realised through the shared
-    # ``delivered`` set).  The occasional duplicate costs only spare
-    # low-priority bandwidth; gating completion on a queued P4-P7 packet
-    # would cost latency.
-
-    # -- lifecycle --------------------------------------------------------------
-
     def start(self) -> None:
         super().start()
         if self.scheme.lcp_enabled:
             self.lcp.on_flow_start()
-
-    def stop(self) -> None:
-        super().stop()
-        self.lcp.shutdown()
-
-    # -- packet dispatch ----------------------------------------------------------
-
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.kind != ACK or self.finished:
-            return
-        if pkt.lcp:
-            self.lcp.on_lp_ack(pkt)
-        else:
-            self.handle_ack(pkt)
 
 
 class PptReceiver(WindowReceiver):
@@ -188,10 +138,24 @@ class PptReceiver(WindowReceiver):
             self._send_lp_ack(self._lp_last_pkt)
 
 
-class Ppt(Scheme):
+class PptFamily(Scheme):
+    """What the scheme of every PPT variant shares: its sender takes the
+    scheme (and reads the ablation flags off it — all on unless a
+    subclass says otherwise) and its receiver speaks the 2:1 LP-ACK
+    rule."""
+
+    lcp_enabled = lcp_ecn = ewd = scheduling = identification = True
+    receiver_cls = PptReceiver
+
+    def make_sender(self, flow: Flow, ctx: TransportContext):
+        return self.sender_cls(flow, ctx, self)
+
+
+class Ppt(PptFamily):
     """The pragmatic transport.  See module docstring for the flags."""
 
     name = "ppt"
+    sender_cls = PptSender
 
     def __init__(
         self,
@@ -220,9 +184,3 @@ class Ppt(Scheme):
             suffix.append("noident")
         if suffix:
             self.name = "ppt-" + "-".join(suffix)
-
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        sender = PptSender(flow, ctx, self)
-        receiver = PptReceiver(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()

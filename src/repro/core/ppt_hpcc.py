@@ -24,16 +24,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim.packet import ACK, Packet
-from ..transport.base import Flow, Scheme, TransportContext
+from ..transport.base import Flow, TransportContext
 from ..transport.hpcc import HpccSender
-from .identification import identify_large
-from .lcp import LcpController
-from .ppt import PptReceiver
-from .tagging import MirrorTagger
+from .graft import PptGraft
+from .ppt import PptFamily
 
 
-class PptHpccSender(HpccSender):
+class PptHpccSender(PptGraft, HpccSender):
     """HPCC sender carrying PPT's LCP loop and scheduler."""
 
     # The LCP trigger threshold on the smoothed INT utilisation: below
@@ -42,39 +39,13 @@ class PptHpccSender(HpccSender):
 
     def __init__(self, flow: Flow, ctx: TransportContext,
                  scheme: "PptHpcc") -> None:
-        super().__init__(flow, ctx)
-        self.scheme = scheme
-        cfg = ctx.config
-        self.identified_large = identify_large(
-            flow.first_syscall_bytes or 0, cfg.identification_threshold)
-        self.tagger = MirrorTagger(self.identified_large,
-                                   cfg.demotion_thresholds)
-        self.lcp = LcpController(self, ecn=True, ewd=True, scheduling=True)
+        super().__init__(flow, ctx, scheme)
         self._last_u: Optional[float] = None
-        self._check_event = None
-
-    # LcpController interface shims (it was written against DctcpSender)
-    startup_done = True
-
-    @property
-    def wmax(self) -> float:
-        return self.max_cwnd_seen
-
-    def priority_for(self, seq: int) -> int:
-        bytes_sent = seq * self.cfg.payload_per_packet()
-        return self.tagger.hcp_priority(bytes_sent)
 
     def start(self) -> None:
         super().start()
         self._check_event = self.sim.schedule(self.base_rtt,
                                               self._spare_check)
-
-    def stop(self) -> None:
-        super().stop()
-        self.lcp.shutdown()
-        if self._check_event is not None:
-            self._check_event.cancel()
-            self._check_event = None
 
     def _utilisation(self, records):
         u = super()._utilisation(records)
@@ -85,32 +56,14 @@ class PptHpccSender(HpccSender):
     def _spare_check(self) -> None:
         """Once per RTT: open the LCP loop while INT says the path has
         spare capacity (in-flight below BDP)."""
-        self._check_event = None
-        if self.finished:
-            return
-        if (not self.lcp.active and self._last_u is not None
-                and self._last_u < self.SPARE_UTILISATION):
-            gap = self.ctx.bdp_packets(self.flow) - self.cwnd
-            self.lcp.open_loop(gap)
-        self._check_event = self.sim.schedule(
-            max(self.srtt, self.base_rtt), self._spare_check)
-
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.kind != ACK or self.finished:
-            return
-        if pkt.lcp:
-            self.lcp.on_lp_ack(pkt)
-        else:
-            self.handle_ack(pkt)
+        self._per_rtt_check(
+            self._last_u is not None
+            and self._last_u < self.SPARE_UTILISATION,
+            self._spare_check)
 
 
-class PptHpcc(Scheme):
+class PptHpcc(PptFamily):
     """Extension: PPT's dual loop + scheduling grafted onto HPCC."""
 
     name = "ppt-hpcc"
-
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        sender = PptHpccSender(flow, ctx, self)
-        receiver = PptReceiver(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()
+    sender_cls = PptHpccSender

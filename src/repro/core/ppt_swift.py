@@ -8,90 +8,33 @@ below the target delay and closes it when it does not receive ACKs for
 two consecutive RTTs.  Moreover, this variant uses the same flow
 scheduling method as PPT."
 
-Implementation: a :class:`~repro.transport.swift.SwiftSender` carrying an
-:class:`~repro.core.lcp.LcpController`.  The case-1/case-2 alpha triggers
+Implementation: a :class:`~repro.transport.swift.SwiftSender` carrying
+:class:`~repro.core.graft.PptGraft`.  The case-1/case-2 alpha triggers
 are replaced by a per-RTT check of ``srtt < target_delay``; the loop's
 initial window fills the gap from the current window to the path BDP.
 """
 
 from __future__ import annotations
 
-from ..sim.packet import ACK, Packet
-from ..transport.base import Flow, Scheme, TransportContext
 from ..transport.swift import SwiftSender
-from .identification import identify_large
-from .lcp import LcpController
-from .ppt import PptReceiver
-from .tagging import MirrorTagger
+from .graft import PptGraft
+from .ppt import PptFamily
 
 
-class PptSwiftSender(SwiftSender):
+class PptSwiftSender(PptGraft, SwiftSender):
     """Swift sender + LCP loop + mirror-symmetric scheduling."""
-
-    def __init__(self, flow: Flow, ctx: TransportContext,
-                 scheme: "PptSwift") -> None:
-        super().__init__(flow, ctx)
-        self.scheme = scheme
-        cfg = ctx.config
-        self.identified_large = identify_large(
-            flow.first_syscall_bytes or 0, cfg.identification_threshold)
-        self.tagger = MirrorTagger(self.identified_large,
-                                   cfg.demotion_thresholds)
-        self.lcp = LcpController(self, ecn=True, ewd=True, scheduling=True)
-        self._check_event = None
-
-    # LcpController consumes these DCTCP-ish attributes; provide them.
-    startup_done = True
-
-    @property
-    def wmax(self) -> float:
-        return self.max_cwnd_seen
-
-    def priority_for(self, seq: int) -> int:
-        bytes_sent = seq * self.cfg.payload_per_packet()
-        return self.tagger.hcp_priority(bytes_sent)
-
-    # Like PptSender, the primary loop does not skip LCP-in-flight
-    # packets: completion must never be gated on a queued P4-P7 copy.
 
     def start(self) -> None:
         super().start()
         self._check_event = self.sim.schedule(self.base_rtt, self._delay_check)
 
-    def stop(self) -> None:
-        super().stop()
-        self.lcp.shutdown()
-        if self._check_event is not None:
-            self._check_event.cancel()
-            self._check_event = None
-
     def _delay_check(self) -> None:
         """Once per RTT: open an LCP loop while delay is under target."""
-        self._check_event = None
-        if self.finished:
-            return
-        if not self.lcp.active and self.below_target:
-            gap = self.ctx.bdp_packets(self.flow) - self.cwnd
-            self.lcp.open_loop(gap)
-        self._check_event = self.sim.schedule(
-            max(self.srtt, self.base_rtt), self._delay_check)
-
-    def on_packet(self, pkt: Packet) -> None:
-        if pkt.kind != ACK or self.finished:
-            return
-        if pkt.lcp:
-            self.lcp.on_lp_ack(pkt)
-        else:
-            self.handle_ack(pkt)
+        self._per_rtt_check(self.below_target, self._delay_check)
 
 
-class PptSwift(Scheme):
+class PptSwift(PptFamily):
     """PPT's dual loop + scheduling grafted onto the Swift-like transport."""
 
     name = "ppt-swift"
-
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        sender = PptSwiftSender(flow, ctx, self)
-        receiver = PptReceiver(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()
+    sender_cls = PptSwiftSender

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.network import Network
-from .base import Flow, TransportContext
 from .homa import Homa, HomaSender
 
 
@@ -62,6 +61,7 @@ class AeolusSender(HomaSender):
 
 class Aeolus(Homa):
     name = "aeolus"
+    sender_cls = AeolusSender
     grant_resend = True
 
     def __init__(self, rtt_bytes: Optional[int] = None, overcommit: int = 2,
@@ -78,12 +78,3 @@ class Aeolus(Homa):
                 # a quarter of its buffer
                 threshold = port.mux.buffer_bytes // 4
             port.mux.selective_drop_threshold = threshold
-
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        manager = self._manager(flow.dst, ctx)
-        manager.add_message(flow)
-        sender = AeolusSender(flow, ctx, self)
-        from .homa import _ReceiverEndpoint
-        receiver = _ReceiverEndpoint(manager)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()

@@ -116,6 +116,16 @@ class TransportContext:
         # unvalidated run; same read-once contract as ``telemetry``.
         self.auditor = None
 
+    def host_manager(self, key: str, host_id: int, manager_cls, *args):
+        """Per-host singleton of a receiver-driven scheme: the
+        ``manager_cls(host_id, ctx, *args)`` kept under
+        ``extra[key][host_id]``, built on first use."""
+        managers = self.extra.setdefault(key, {})
+        manager = managers.get(host_id)
+        if manager is None:
+            manager = managers[host_id] = manager_cls(host_id, self, *args)
+        return manager
+
     def on_complete(self, flow: Flow) -> None:
         flow.finish_time = self.sim.now
         self.completed.append(flow)
@@ -133,13 +143,32 @@ class TransportContext:
 
 
 class Scheme:
-    """Base class for transport scheme factories."""
+    """Base class for transport scheme factories.
+
+    A sender/receiver-pair scheme only names its endpoint classes; one
+    whose sender takes more than ``(flow, ctx)`` overrides
+    :meth:`make_sender`; one that is not a plain pair (per-host
+    receiver managers) overrides :meth:`start_flow` itself.
+    """
 
     name: str = "base"
+    sender_cls: Optional[type] = None
+    receiver_cls: Optional[type] = None
+
+    def make_sender(self, flow: Flow, ctx: TransportContext):
+        """Construction hook of the default :meth:`start_flow`."""
+        if self.sender_cls is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} names no sender_cls and overrides "
+                f"neither make_sender nor start_flow")
+        return self.sender_cls(flow, ctx)
 
     def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
         """Create endpoints, register them with the fabric, start sending."""
-        raise NotImplementedError
+        sender = self.make_sender(flow, ctx)
+        receiver = self.receiver_cls(flow, ctx)
+        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
+        sender.start()
 
     def configure_network(self, network: Network) -> None:
         """Hook for schemes needing fabric features (spray, trim, ...)."""

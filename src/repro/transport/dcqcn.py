@@ -79,8 +79,5 @@ class DcqcnSender(WindowSender):
 class Dcqcn(Scheme):
     name = "dcqcn"
 
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        sender = DcqcnSender(flow, ctx)
-        receiver = WindowReceiver(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()
+    sender_cls = DcqcnSender
+    receiver_cls = WindowReceiver

@@ -206,17 +206,9 @@ class ExpressPassSender:
 class ExpressPass(Scheme):
     name = "expresspass"
 
-    def _manager(self, host_id: int,
-                 ctx: TransportContext) -> ExpressPassReceiverHost:
-        managers = ctx.extra.setdefault("xpass_rx", {})
-        manager = managers.get(host_id)
-        if manager is None:
-            manager = ExpressPassReceiverHost(host_id, ctx)
-            managers[host_id] = manager
-        return manager
-
     def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        manager = self._manager(flow.dst, ctx)
+        manager = ctx.host_manager("xpass_rx", flow.dst,
+                                   ExpressPassReceiverHost)
         sender = ExpressPassSender(flow, ctx)
         receiver = _ReceiverEndpoint(manager)
         ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)

@@ -113,8 +113,5 @@ class HalfbackSender(WindowSender):
 class Halfback(Scheme):
     name = "halfback"
 
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        sender = HalfbackSender(flow, ctx)
-        receiver = WindowReceiver(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()
+    sender_cls = HalfbackSender
+    receiver_cls = WindowReceiver

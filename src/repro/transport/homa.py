@@ -311,6 +311,7 @@ class Homa(Scheme):
     """
 
     name = "homa"
+    sender_cls = HomaSender
 
     # Aeolus overrides this: holes are re-requested through grants.
     # Plain Homa relies on the sender timeout alone (see _regrant).
@@ -337,18 +338,11 @@ class Homa(Scheme):
             return max(1, self.rtt_bytes // ctx.config.mss)
         return ctx.bdp_packets(flow)
 
-    def _manager(self, host_id: int, ctx: TransportContext) -> HomaReceiverHost:
-        managers = ctx.extra.setdefault(f"{self.name}_rx", {})
-        manager = managers.get(host_id)
-        if manager is None:
-            manager = HomaReceiverHost(host_id, ctx, self)
-            managers[host_id] = manager
-        return manager
-
     def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        manager = self._manager(flow.dst, ctx)
+        manager = ctx.host_manager(f"{self.name}_rx", flow.dst,
+                                   HomaReceiverHost, self)
         manager.add_message(flow)
-        sender = HomaSender(flow, ctx, self)
+        sender = self.sender_cls(flow, ctx, self)
         receiver = _ReceiverEndpoint(manager, self.gro_delay)
         ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
         sender.start()

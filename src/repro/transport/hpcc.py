@@ -111,9 +111,3 @@ class Hpcc(Scheme):
 
     sender_cls = HpccSender
     receiver_cls = WindowReceiver
-
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        sender = self.sender_cls(flow, ctx)
-        receiver = self.receiver_cls(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()

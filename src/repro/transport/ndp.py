@@ -276,16 +276,8 @@ class Ndp(Scheme):
             # full port buffer, modelling NDP's separate header queue
             port.mux.trim_threshold_bytes = NDP_QUEUE_PACKETS * 1500
 
-    def _manager(self, host_id: int, ctx: TransportContext) -> NdpReceiverHost:
-        managers = ctx.extra.setdefault("ndp_rx", {})
-        manager = managers.get(host_id)
-        if manager is None:
-            manager = NdpReceiverHost(host_id, ctx)
-            managers[host_id] = manager
-        return manager
-
     def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        manager = self._manager(flow.dst, ctx)
+        manager = ctx.host_manager("ndp_rx", flow.dst, NdpReceiverHost)
         manager.add_flow(flow, self.rtt_packets(flow, ctx))
         sender = NdpSender(flow, ctx, self)
         receiver = _NdpReceiverEndpoint(manager)

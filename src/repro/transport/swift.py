@@ -74,9 +74,3 @@ class Swift(Scheme):
 
     sender_cls = SwiftSender
     receiver_cls = WindowReceiver
-
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        sender = self.sender_cls(flow, ctx)
-        receiver = self.receiver_cls(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()

@@ -10,7 +10,7 @@ flows and ignores the queue-buildup spare bandwidth entirely.
 
 from __future__ import annotations
 
-from .base import Flow, Scheme, TransportContext
+from .base import Scheme
 from .window import WindowReceiver, WindowSender
 
 
@@ -25,8 +25,5 @@ class Tcp10Sender(WindowSender):
 class Tcp10(Scheme):
     name = "tcp10"
 
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        sender = Tcp10Sender(flow, ctx)
-        receiver = WindowReceiver(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()
+    sender_cls = Tcp10Sender
+    receiver_cls = WindowReceiver

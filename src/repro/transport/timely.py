@@ -71,8 +71,5 @@ class TimelySender(WindowSender):
 class Timely(Scheme):
     name = "timely"
 
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
-        sender = TimelySender(flow, ctx)
-        receiver = WindowReceiver(flow, ctx)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()
+    sender_cls = TimelySender
+    receiver_cls = WindowReceiver

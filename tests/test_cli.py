@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.cli import FIGURES, SCHEME_FACTORIES, build_parser, main
+from repro.cli import (
+    FIGURES,
+    RUN_EXCLUSIONS,
+    SCHEME_FACTORIES,
+    build_parser,
+    main,
+)
 
 
 def test_list_schemes(capsys):
@@ -68,3 +74,47 @@ def test_parser_rejects_unknown_figure():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["figure", "fig99"])
+
+
+# one argv per row of cli.RUN_EXCLUSIONS, keyed by the row's message —
+# a row added without a case here fails the coverage test below
+EXCLUDED_ARGV = {
+    "--trace-out requires --jobs 1":
+        ["--trace-out", "t.jsonl", "--jobs", "2"],
+    "--shards must be >= 1":
+        ["--shards", "0"],
+    "--shards supplies its own parallelism; use --jobs 1":
+        ["--shards", "2", "--jobs", "2"],
+    "--shards is incompatible with --trace-out and checkpoint/resume "
+    "(both need the serial runner)":
+        ["--shards", "2", "--checkpoint", "c.ckpt"],
+    "--shards does not run under grid supervision":
+        ["--shards", "2", "--retries", "1"],
+    "--checkpoint requires --jobs 1 and a single scheme":
+        ["--checkpoint", "c.ckpt", "--schemes", "dctcp", "ppt"],
+    "--checkpoint needs --checkpoint-every SIM_SECONDS":
+        ["--checkpoint", "c.ckpt"],
+}
+
+
+def test_every_exclusion_row_has_a_case():
+    assert [message for _, message in RUN_EXCLUSIONS] == list(EXCLUDED_ARGV)
+
+
+@pytest.mark.parametrize("message", list(EXCLUDED_ARGV))
+def test_run_exclusion_row(message, capsys):
+    """Each row is reachable, is the *first* row its argv trips, and
+    exits 2 with exactly its message."""
+    argv = ["run", "--schemes", "dctcp", "--flows", "8"] \
+        + EXCLUDED_ARGV[message]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_shards_help_is_generated_from_the_table(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for _, message in RUN_EXCLUSIONS:
+        if "--shards" in message:
+            assert message in help_text
