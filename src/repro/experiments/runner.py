@@ -387,14 +387,17 @@ def run(
             # certify the restored engine before trusting it with the
             # rest of the run
             state.auditor.on_restore()
-        return _finish_run(state, checkpoint_every, checkpoint_path)
-
-    if scheme is None or scenario is None:
+    elif scheme is None or scenario is None:
         raise TypeError("run() needs scheme and scenario unless resume= "
                         "restores them from a checkpoint")
-    state = _assemble(scheme, scenario, instruments=instruments,
-                      observe=observe, validate=validate)
-    return _finish_run(state, checkpoint_every, checkpoint_path)
+    else:
+        state = _assemble(scheme, scenario, instruments=instruments,
+                          observe=observe, validate=validate)
+    # drain and harvest are shared by the fresh and resumed paths —
+    # which is exactly why a resumed run cannot diverge from a
+    # straight-through one after the restore point
+    health = _drain(state, checkpoint_every, checkpoint_path)
+    return _harvest(state, health)
 
 
 def _assemble(
@@ -492,16 +495,6 @@ def _assemble(
         max_rto=getattr(scenario.config, "max_rto", 0.25),
         total_flows=total_flows,
     )
-
-
-def _finish_run(state: RunState, checkpoint_every: Optional[float],
-                checkpoint_path) -> RunResult:
-    """Drain (or keep draining) a run described by ``state`` and build
-    the result.  Shared by the fresh and resumed paths — which is
-    exactly why a resumed run cannot diverge from a straight-through
-    one after the restore point."""
-    health = _drain(state, checkpoint_every, checkpoint_path)
-    return _harvest(state, health)
 
 
 def _harvest(state: RunState, health: RunHealth,
