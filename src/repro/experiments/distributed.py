@@ -12,12 +12,6 @@ blocked on a mesh pipe.  The returned :class:`ShardSummary` objects are
 merged into the same :class:`~repro.experiments.parallel.RunSummary`
 shape every sweep consumer already reads.
 
-A shard is a run with boundary stubs: :class:`ShardWorker` assembles,
-slices and harvests through the serial runner's own lifecycle steps
-(``runner._assemble`` / ``_slice`` / ``_harvest``) and adds only what is
-shard-specific — a :class:`~repro.sim.shard.ShardBoundary` on the
-assembled fabric and the window exchange between slices.
-
 The merge also closes the global conservation law the per-shard books
 cannot see: for every ordered shard pair (A, B), the packets/bytes A
 ledgered into its outbox for B must equal what B ledgered out of its
@@ -91,9 +85,11 @@ class ShardSummary:
 
 
 class ShardWorker:
-    """One shard's whole life: a run (the serial runner's assemble /
-    slice / harvest steps, told which hosts are local) plus boundary
-    stubs and the window exchange.
+    """One shard's whole life.  A shard is a run with boundary stubs:
+    it assembles, slices and harvests through the serial runner's own
+    steps (``runner._assemble`` / ``_slice`` / ``_harvest``, told which
+    hosts are local) and adds a :class:`~repro.sim.shard.ShardBoundary`
+    on the assembled fabric and the window exchange between slices.
 
     Constructed (in the child process) with the shard id, the plan, the
     scheme/scenario and a ``{peer shard id: Connection}`` map; ``run()``

@@ -206,16 +206,23 @@ def _progress_signature(ctx: TransportContext, network: Network) -> tuple:
     return (len(ctx.completed), delivered, endpoints)
 
 
-def _endpoint_counters(network: Network,
-                       local_hosts: Optional[AbstractSet[int]] = None,
-                       ) -> Dict[int, List[int]]:
-    """The one walk over live transport endpoints: per flow,
-    ``[retransmits, rtos, pkts_transmitted]`` summed over the flow's
-    endpoints that keep such counters.  ``local_hosts`` restricts the
-    walk to a shard's own hosts — replica senders on remote-host
+def _endpoint_counters(
+        network: Network, local_hosts: Optional[AbstractSet[int]] = None,
+) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
+    """The one walk over live transport endpoints: three flow-id keyed
+    dicts — retransmits, RTOs, packets transmitted — summed over each
+    flow's endpoints that keep such counters.  ``local_hosts`` restricts
+    the walk to a shard's own hosts — replica senders on remote-host
     replicas churn futile RTOs serial never sees, so the per-shard
-    walks partition the serial totals exactly."""
-    per_flow: Dict[int, List[int]] = {}
+    walks partition the serial totals exactly.
+
+    Ints in flat dicts, not a record per flow: the drain has just
+    re-enabled GC with the whole run graph still in the young
+    generation, and a burst of tracked containers here buys a
+    generation-1 pass over all of it inside ``run()``."""
+    rtx_by_flow: Dict[int, int] = {}
+    rtos_by_flow: Dict[int, int] = {}
+    tx_by_flow: Dict[int, int] = {}
     seen = set()
     for host in network.hosts.values():
         if local_hosts is not None and host.host_id not in local_hosts:
@@ -227,13 +234,12 @@ def _endpoint_counters(network: Network,
             rtx = getattr(endpoint, "pkts_retransmitted", None)
             if rtx is None:
                 continue
-            counters = per_flow.get(flow_id)
-            if counters is None:
-                counters = per_flow[flow_id] = [0, 0, 0]
-            counters[0] += rtx
-            counters[1] += getattr(endpoint, "rtos_fired", 0)
-            counters[2] += getattr(endpoint, "pkts_transmitted", 0)
-    return per_flow
+            rtx_by_flow[flow_id] = rtx_by_flow.get(flow_id, 0) + rtx
+            rtos_by_flow[flow_id] = (rtos_by_flow.get(flow_id, 0)
+                                     + getattr(endpoint, "rtos_fired", 0))
+            tx_by_flow[flow_id] = (tx_by_flow.get(flow_id, 0)
+                                   + getattr(endpoint, "pkts_transmitted", 0))
+    return rtx_by_flow, rtos_by_flow, tx_by_flow
 
 
 def _resolve_observe(observe: Union[None, bool, Telemetry]) -> Optional[Telemetry]:
@@ -512,10 +518,9 @@ def _harvest(state: RunState, health: RunHealth,
     health.live_pending = sim.live_pending
     health.peak_pending = sim.peak_pending
     counters = _endpoint_counters(topo.network, local_hosts)
-    for flow_id, (rtx, rtos, _tx) in counters.items():
-        health.retransmits_by_flow[flow_id] = rtx
-        health.retransmits_total += rtx
-        health.rtos_total += rtos
+    health.retransmits_by_flow, rtos_by_flow, _tx = counters
+    health.retransmits_total = sum(health.retransmits_by_flow.values())
+    health.rtos_total = sum(rtos_by_flow.values())
     _stop_instruments(ctx.extra.get("instruments"))
     if telemetry is not None:
         telemetry.finalize(topo.network, flows, counters)

@@ -337,10 +337,10 @@ class Telemetry:
     def finalize(self, network, flows, endpoint_counters) -> None:
         """Snapshot per-port and per-flow counters at drain end.
 
-        ``endpoint_counters`` maps flow id to ``[retransmits, rtos,
-        pkts_transmitted]`` — the runner's one walk over the transport
-        endpoints (local hosts only in a sharded run), so this rollup
-        and ``RunHealth`` cannot disagree.
+        ``endpoint_counters`` is three flow-id keyed dicts —
+        retransmits, RTOs, packets transmitted: the runner's one walk
+        over the transport endpoints (local hosts only in a sharded
+        run), so this rollup and ``RunHealth`` cannot disagree.
         """
         self.port_counters = {
             port.name: {name: getattr(port.mux.stats, name)
@@ -358,17 +358,17 @@ class Telemetry:
         self.flowlet_repins = sum(
             switch.lb.repins for switch in getattr(network, "switches", [])
             if getattr(switch, "lb", None) is not None)
+        rtx_by_flow, rtos_by_flow, tx_by_flow = endpoint_counters
         per_flow: Dict[int, Dict[str, object]] = {}
         for flow in flows:
-            rtx, rtos, transmitted = endpoint_counters.get(
-                flow.flow_id, (0, 0, 0))
-            per_flow[flow.flow_id] = {
+            flow_id = flow.flow_id
+            per_flow[flow_id] = {
                 "completed": flow.completed,
                 "fct": flow.fct,
                 "size": flow.size,
-                "retransmits": rtx,
-                "rtos": rtos,
-                "pkts_transmitted": transmitted,
+                "retransmits": rtx_by_flow.get(flow_id, 0),
+                "rtos": rtos_by_flow.get(flow_id, 0),
+                "pkts_transmitted": tx_by_flow.get(flow_id, 0),
             }
         self.flow_counters = per_flow
 

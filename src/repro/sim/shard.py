@@ -260,11 +260,6 @@ class ShardPlan:
     def hosts_of(self, shard: int) -> List[int]:
         return sorted(h for h, s in self.shard_of_host.items() if s == shard)
 
-    def describe(self) -> str:
-        sizes = [len(self.hosts_of(s)) for s in range(self.n_shards)]
-        return (f"{self.n_shards} shard(s), hosts per shard {sizes}, "
-                f"lookahead {self.lookahead:.3g}s")
-
 
 def _device_shard(device, plan: ShardPlan) -> int:
     if isinstance(device, Host):
