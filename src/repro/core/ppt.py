@@ -144,7 +144,7 @@ class PptFamily(Scheme):
     subclass says otherwise) and its receiver speaks the 2:1 LP-ACK
     rule."""
 
-    lcp_enabled = lcp_ecn = ewd = scheduling = identification = True
+    lcp_ecn = ewd = scheduling = identification = True
     receiver_cls = PptReceiver
 
     def make_sender(self, flow: Flow, ctx: TransportContext):
