@@ -23,6 +23,7 @@ import pytest
 from repro.cli import SCHEME_FACTORIES
 from repro.experiments.distributed import run_sharded
 from repro.experiments.runner import run
+from repro.faults import FaultPlan, PacketLoss
 from repro.experiments.scenarios import (
     all_to_all_scenario,
     incast_scenario,
@@ -75,9 +76,21 @@ CELLS = {
 for _scheme in sorted(SCHEME_FACTORIES):
     CELLS[f"{_scheme}-star-incast"] = (
         _scheme, lambda s=_scheme: _star_incast(f"golden-incast-{s}"))
-for _scheme in ("dctcp", "ppt", "homa", "ndp"):
+for _scheme in ("dctcp", "ppt", "homa", "ndp", "aeolus", "expresspass"):
     CELLS[f"{_scheme}-leaf-spine"] = (
         _scheme, lambda s=_scheme: _leaf_spine(f"golden-ls-{s}"))
+
+# The receiver-driven recovery paths (sender timeout, grant resend, pull
+# RTX, re-credit): the star incast with 2 % loss on the bottleneck
+# downlink.  ExpressPass's retransmit flag is a known-wrong counter at
+# the recording commit, so its cell pins FCTs and events only.
+LOSS_CELLS = ("homa", "aeolus", "ndp", "expresspass")
+COUNTS_RETRANSMITS = {"homa-loss", "aeolus-loss", "ndp-loss"}
+for _scheme in LOSS_CELLS:
+    CELLS[f"{_scheme}-loss"] = (
+        _scheme, lambda s=_scheme: _star_incast(
+            f"golden-loss-{s}",
+            faults=FaultPlan([PacketLoss("sw0->host0", 0.02)], seed=3)))
 
 # name -> (scheme key, shard count): shard_gate_scenario() through
 # run_sharded.  Multi-shard event totals are not part of the contract
@@ -100,9 +113,12 @@ def measure(cell: str) -> dict:
         return _measure_sharded(*SHARDED_CELLS[cell])
     scheme, scenario_factory = CELLS[cell]
     result = run(SCHEME_FACTORIES[scheme](), scenario_factory())
-    return {"fct_sha256": _fct_sha256(result.flows),
-            "completed": result.completed,
-            "wall_events": result.wall_events}
+    out = {"fct_sha256": _fct_sha256(result.flows),
+           "completed": result.completed,
+           "wall_events": result.wall_events}
+    if cell in COUNTS_RETRANSMITS:
+        out["retransmits_total"] = result.health.retransmits_total
+    return out
 
 
 def _measure_sharded(scheme: str, n_shards: int) -> dict:
@@ -128,6 +144,12 @@ def test_golden_file_covers_every_cell():
 @pytest.mark.parametrize("cell", ALL_CELLS)
 def test_matches_golden(cell):
     assert measure(cell) == json.loads(GOLDEN.read_text())[cell]
+
+
+@pytest.mark.parametrize("cell", sorted(COUNTS_RETRANSMITS))
+def test_loss_cells_exercise_recovery(cell):
+    golden = json.loads(GOLDEN.read_text())[cell]
+    assert golden["completed"] == 60 and golden["retransmits_total"] > 0
 
 
 if __name__ == "__main__":
