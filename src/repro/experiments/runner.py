@@ -178,10 +178,11 @@ class RunResult:
 
 def _progress_signature(ctx: TransportContext, network: Network) -> tuple:
     """Snapshot of forward progress: completions, every endpoint's
-    delivered-packet count (senders and receivers both keep ``delivered``
-    sets; receiver-driven schemes' per-message state counts through the
-    same attribute) and the number of registered endpoints (so a newly
-    started flow counts as progress).  If this is unchanged across the
+    delivered-packet count (window senders and receivers both keep a
+    ``delivered`` set; a receiver-driven scheme's ``MessageEndpoint``
+    exposes its message's; endpoints without one, such as the
+    receiver-driven senders, count nothing) and the number of registered
+    endpoints (so a newly started flow counts as progress).  If this is unchanged across the
     watchdog window, nothing useful is happening — retransmit storms and
     idling RTO timers keep the heap warm but do not move it."""
     delivered = 0

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim.network import Network
+from ..sim.packet import CONTROL, HEADER_BYTES, Packet
 from .homa import Homa, HomaSender
 
 
@@ -31,13 +32,12 @@ class AeolusSender(HomaSender):
     timeout — Aeolus's cheap first-RTT loss recovery.
     """
 
-    def _transmit(self, seq, priority, unscheduled=False, retransmit=False):
+    def send_data(self, seq, priority, retransmit=False, unscheduled=False):
         # Aeolus de-prioritises pre-credit packets: they ride the lowest
         # priority and carry the droppable flag.
         if unscheduled:
             priority = 7
-        super()._transmit(seq, priority, unscheduled=unscheduled,
-                          retransmit=retransmit)
+        super().send_data(seq, priority, retransmit, unscheduled)
 
     MAX_PROBES = 8
 
@@ -50,7 +50,6 @@ class AeolusSender(HomaSender):
     def _send_probe(self) -> None:
         if self.finished or self._probes_sent >= self.MAX_PROBES:
             return
-        from ..sim.packet import CONTROL, HEADER_BYTES, Packet
         probe = Packet(self.flow.flow_id, self.flow.src, self.flow.dst,
                        self.next_seq, HEADER_BYTES, kind=CONTROL, priority=0)
         self.ctx.network.send_control(probe)

@@ -6,6 +6,12 @@ living at the flow's source host and a receiver endpoint at the
 destination host.  Endpoints expose a single ``on_packet`` entry point;
 everything else (timers, pacing) is scheduled against the simulator.
 
+Two families, two cores: sender-driven window transports subclass
+:class:`~.window.WindowSender`; receiver-driven message transports
+(Homa, Aeolus, NDP, ExpressPass) are policies over the message core at
+the bottom of this module — :class:`MessageState`,
+:class:`MessageEndpoint`, :class:`ReceiverHost`, :class:`MessageSender`.
+
 Flow completion is detected at the *receiver* (all unique payload packets
 delivered) and reported through ``TransportContext.on_complete`` — the
 quantity every FCT figure in the paper measures.
@@ -14,12 +20,14 @@ quantity every FCT figure in the paper measures.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Set
 
-from ..sim.engine import Simulator
+from ..sim.engine import Event, Simulator
 from ..sim.network import Network
-from ..sim.packet import HEADER_BYTES, Packet
+from ..sim.packet import ACK, DATA, HEADER_BYTES, Packet
+from ..units import serialization_delay
 
 
 @dataclass
@@ -147,8 +155,9 @@ class Scheme:
 
     A sender/receiver-pair scheme only names its endpoint classes; one
     whose sender takes more than ``(flow, ctx)`` overrides
-    :meth:`make_sender`; one that is not a plain pair (per-host
-    receiver managers) overrides :meth:`start_flow` itself.
+    :meth:`make_sender`; one whose receiver is not built from
+    ``(flow, ctx)`` alone (the per-host managers of the receiver-driven
+    family) overrides :meth:`make_receiver`.
     """
 
     name: str = "base"
@@ -163,10 +172,14 @@ class Scheme:
                 f"neither make_sender nor start_flow")
         return self.sender_cls(flow, ctx)
 
+    def make_receiver(self, flow: Flow, ctx: TransportContext):
+        """Construction hook of the default :meth:`start_flow`."""
+        return self.receiver_cls(flow, ctx)
+
     def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
         """Create endpoints, register them with the fabric, start sending."""
         sender = self.make_sender(flow, ctx)
-        receiver = self.receiver_cls(flow, ctx)
+        receiver = self.make_receiver(flow, ctx)
         ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
         sender.start()
 
@@ -175,3 +188,243 @@ class Scheme:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Scheme {self.name}>"
+
+
+class RttBytesScheme(Scheme):
+    """Scheme half of the transports sized by ``rtt_bytes`` (Homa, Aeolus,
+    NDP): the unsolicited first window, and senders built with the
+    scheme as third argument."""
+
+    rtt_bytes: Optional[int] = None   # None derives the path BDP per flow
+
+    def rtt_packets(self, flow: Flow, ctx: TransportContext) -> int:
+        if self.rtt_bytes is not None:
+            return max(1, self.rtt_bytes // ctx.config.mss)
+        return ctx.bdp_packets(flow)
+
+    def make_sender(self, flow: Flow, ctx: TransportContext):
+        return self.sender_cls(flow, ctx, self)
+
+
+# ---------------------------------------------------------------------------
+# The message core of the receiver-driven family (Homa, Aeolus, NDP,
+# ExpressPass): what every such transport does, written once.  A transport
+# subclasses ReceiverHost and MessageSender and keeps only its policy.
+# ---------------------------------------------------------------------------
+
+
+class MessageState:
+    """Receiver-side state of one inbound message."""
+
+    __slots__ = ("flow", "n_packets", "delivered", "cum", "done",
+                 "progress_mark")
+
+    def __init__(self, flow: Flow, n_packets: int) -> None:
+        self.flow = flow
+        self.n_packets = n_packets
+        self.delivered: Set[int] = set()
+        self.cum = 0              # every seq below this is delivered
+        self.done = False
+        self.progress_mark = 0    # len(delivered) at the last stall check
+
+    def deliver(self, seq: int) -> None:
+        """Record data packet ``seq``; a duplicate changes nothing."""
+        delivered = self.delivered
+        if seq not in delivered:
+            delivered.add(seq)
+            cum = self.cum
+            while cum in delivered:
+                cum += 1
+            self.cum = cum
+
+
+class MessageEndpoint:
+    """The per-flow receiver a receiver-driven scheme registers with the
+    destination host: it hands packets to the per-host
+    :class:`ReceiverHost` and exposes the message's ``delivered`` set, so
+    the run-health watchdog counts in-message progress exactly as it
+    does for window endpoints."""
+
+    __slots__ = ("manager", "delivered")
+
+    def __init__(self, manager: "ReceiverHost", state: MessageState) -> None:
+        self.manager = manager
+        self.delivered = state.delivered
+
+    def on_packet(self, pkt: Packet) -> None:
+        if pkt.kind == DATA:
+            self.manager.on_data(pkt)
+        else:
+            self.manager.on_control(pkt)
+
+
+class ReceiverHost:
+    """Per-host receiver of a receiver-driven transport, shared by all
+    inbound messages (``ctx.host_manager`` keeps the singleton).
+
+    Owns the message table, delivery bookkeeping, completion with its
+    final ACK, a control pacer clocked at the host's link rate and a
+    per-message stall timer.  Policy hooks: :meth:`on_delivery`,
+    :meth:`on_control`, :meth:`on_stall`, :meth:`next_entry` /
+    :meth:`release` for the pacer, and :meth:`send_final`.
+    """
+
+    state_cls = MessageState
+    # the pacer releases one control packet per MSS serialisation time
+    # at this fraction of the host's link rate
+    pacer_rate_fraction = 1.0
+
+    def __init__(self, host_id: int, ctx: TransportContext) -> None:
+        self.host_id = host_id
+        self.ctx = ctx
+        self.messages: Dict[int, MessageState] = {}
+        self.control_queue: Deque = deque()   # entries awaiting a pacer slot
+        self._pacer_armed = False
+        self._next_free = 0.0
+        rate = ctx.network.hosts[host_id].uplink.rate_bps
+        self._pacer_interval = serialization_delay(
+            ctx.config.mss, rate * self.pacer_rate_fraction)
+
+    def add_message(self, flow: Flow) -> MessageState:
+        state = self.state_cls(flow, flow.n_packets(self.ctx.config.mss))
+        self.messages[flow.flow_id] = state
+        return state
+
+    # -- arrivals ---------------------------------------------------------
+
+    def on_data(self, pkt: Packet) -> None:
+        state = self.messages.get(pkt.flow_id)
+        if state is None or state.done:
+            return
+        old_cum = state.cum
+        state.deliver(pkt.seq)
+        if len(state.delivered) >= state.n_packets:
+            self.complete(state)
+        else:
+            self.on_delivery(state, state.cum > old_cum)
+
+    def on_delivery(self, state: MessageState, cum_advanced: bool) -> None:
+        """A data packet (new or duplicate) of an incomplete message."""
+
+    def on_control(self, pkt: Packet) -> None:
+        """A non-data packet addressed to this host's receiver."""
+
+    def complete(self, state: MessageState) -> None:
+        state.done = True
+        self.send_final(state)
+        self.ctx.on_complete(state.flow)
+
+    def send_final(self, state: MessageState) -> None:
+        """Tell the sender the whole message arrived (it stops its timer)."""
+        flow = state.flow
+        ack = Packet(flow.flow_id, self.host_id, flow.src, state.n_packets,
+                     HEADER_BYTES, kind=ACK, priority=0)
+        ack.ack_seq = state.n_packets
+        self.ctx.network.send_control(ack)
+
+    # -- control pacer ----------------------------------------------------
+
+    def arm_pacer(self) -> None:
+        if self._pacer_armed or not self.control_queue:
+            return
+        self._pacer_armed = True
+        delay = max(0.0, self._next_free - self.ctx.sim.now)
+        self.ctx.sim.schedule(delay, self._release)
+
+    def _release(self) -> None:
+        self._pacer_armed = False
+        entry = self.next_entry()
+        if entry is None:
+            return
+        self._next_free = self.ctx.sim.now + self._pacer_interval
+        self.release(entry)
+        self.arm_pacer()
+
+    def next_entry(self):
+        """Take the entry that owns this pacer slot off ``control_queue``;
+        None when nothing is left to send (the slot stays free)."""
+        return self.control_queue.popleft() if self.control_queue else None
+
+    def release(self, entry) -> None:
+        """Send the control packet ``entry`` stands for (or nothing: the
+        slot is spent either way)."""
+        raise NotImplementedError
+
+    # -- per-message stall timer ------------------------------------------
+
+    def arm_stall_timer(self, state: MessageState) -> None:
+        self.ctx.sim.schedule(self.ctx.config.min_rto, self._stall_check,
+                              state)
+
+    def _stall_check(self, state: MessageState) -> None:
+        if state.done:
+            return
+        delivered = len(state.delivered)
+        if delivered <= state.progress_mark:
+            self.on_stall(state)
+        state.progress_mark = delivered
+        self.arm_stall_timer(state)
+
+    def on_stall(self, state: MessageState) -> None:
+        """No new packet of ``state`` arrived for a full ``min_rto``."""
+
+
+class MessageSender:
+    """Sender half of a receiver-driven transport: flow bookkeeping, the
+    data-packet builder, and a fixed-``min_rto`` timer that calls
+    :meth:`on_timeout`.  Subclasses add ``start`` and ``on_packet``."""
+
+    def __init__(self, flow: Flow, ctx: TransportContext) -> None:
+        self.flow = flow
+        self.ctx = ctx
+        self.sim = ctx.sim
+        self.cfg = ctx.config
+        self.host = ctx.network.hosts[flow.src]
+        self.n_packets = flow.n_packets(self.cfg.mss)
+        self.next_seq = 0         # first seq never sent
+        self.acked_cum = 0
+        self.finished = False
+        self.pkts_transmitted = 0
+        self.pkts_retransmitted = 0
+        self._rto_event: Optional[Event] = None
+        if flow.first_syscall_bytes is None:
+            flow.first_syscall_bytes = min(flow.size, self.cfg.send_buffer_bytes)
+
+    def send_data(self, seq: int, priority: int, retransmit: bool = False,
+                  unscheduled: bool = False) -> None:
+        remaining = self.flow.size - seq * self.cfg.payload_per_packet()
+        size = min(self.cfg.mss, max(1, remaining) + HEADER_BYTES)
+        pkt = Packet(self.flow.flow_id, self.flow.src, self.flow.dst, seq,
+                     size, kind=DATA, priority=priority, ecn_capable=False)
+        pkt.unscheduled = unscheduled
+        pkt.retransmit = retransmit
+        pkt.sent_at = self.sim.now
+        self.pkts_transmitted += 1
+        if retransmit:
+            self.pkts_retransmitted += 1
+        self.host.send(pkt)
+
+    def stop(self) -> None:
+        self.finished = True
+        if self._rto_event is not None:
+            self._rto_event.cancel()
+            self._rto_event = None
+
+    def arm_timer(self) -> None:
+        """(Re)start the timeout: ``min_rto`` from now, no backoff."""
+        if self._rto_event is not None:
+            self._rto_event.cancel()
+        if self.finished:
+            return
+        self._rto_event = self.sim.schedule(self.cfg.min_rto, self._on_timer)
+
+    def _on_timer(self) -> None:
+        if self.finished:
+            return
+        self.host.ops_sent += 1
+        self.on_timeout()
+        self._rto_event = None
+        self.arm_timer()
+
+    def on_timeout(self) -> None:
+        """Nothing from the receiver for ``min_rto``: resend something."""

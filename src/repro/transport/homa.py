@@ -22,11 +22,13 @@ PPT removes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
-from ..sim.engine import Event
-from ..sim.packet import ACK, CONTROL, DATA, GRANT, HEADER_BYTES, Packet
-from .base import Flow, Scheme, TransportContext
+from ..sim.packet import DATA, GRANT, HEADER_BYTES, Packet
+from .base import (
+    Flow, MessageEndpoint, MessageSender, MessageState, ReceiverHost,
+    RttBytesScheme, TransportContext,
+)
 
 
 def unscheduled_priority(size: int) -> int:
@@ -44,19 +46,14 @@ def unscheduled_priority(size: int) -> int:
     return 3
 
 
-class _MsgState:
-    """Receiver-side state for one inbound message."""
+class _MsgState(MessageState):
+    """A message plus its grant bookkeeping."""
 
-    __slots__ = ("flow", "n_packets", "delivered", "cum", "granted",
-                 "done", "sender_host", "last_missing_request")
+    __slots__ = ("granted", "last_missing_request")
 
     def __init__(self, flow: Flow, n_packets: int) -> None:
-        self.flow = flow
-        self.n_packets = n_packets
-        self.delivered: Set[int] = set()
-        self.cum = 0
+        super().__init__(flow, n_packets)
         self.granted = 0          # packets authorised so far
-        self.done = False
         self.last_missing_request: Dict[int, float] = {}
 
     @property
@@ -64,49 +61,46 @@ class _MsgState:
         return self.n_packets - len(self.delivered)
 
 
-class HomaReceiverHost:
-    """Per-host grant scheduler: SRPT with overcommitment."""
+class HomaReceiverHost(ReceiverHost):
+    """Per-host grant scheduler: SRPT with overcommitment.
+
+    No receiver stall timer: loss recovery is the sender's timeout
+    (paper §6.2), plus grant re-requests under Aeolus.
+    """
+
+    state_cls = _MsgState
 
     def __init__(self, host_id: int, ctx: TransportContext, scheme: "Homa") -> None:
-        self.host_id = host_id
-        self.ctx = ctx
+        super().__init__(host_id, ctx)
         self.scheme = scheme
-        self.messages: Dict[int, _MsgState] = {}
 
-    def add_message(self, flow: Flow) -> None:
-        n = flow.n_packets(self.ctx.config.mss)
-        state = _MsgState(flow, n)
-        state.granted = min(n, self.scheme.rtt_packets(flow, self.ctx))
-        self.messages[flow.flow_id] = state
+    def add_message(self, flow: Flow) -> _MsgState:
+        state = super().add_message(flow)
+        state.granted = min(state.n_packets,
+                            self.scheme.rtt_packets(flow, self.ctx))
+        return state
 
-    def on_data(self, pkt: Packet) -> None:
-        state = self.messages.get(pkt.flow_id)
-        if state is None or state.done:
-            return
-        old_cum = state.cum
-        if pkt.seq not in state.delivered:
-            state.delivered.add(pkt.seq)
-            while state.cum in state.delivered:
-                state.cum += 1
-        if len(state.delivered) >= state.n_packets:
-            state.done = True
-            self._send_grant(state, final=True)
-            self.ctx.on_complete(state.flow)
-            del self.messages[pkt.flow_id]
-            self._regrant()
-            return
-        self._regrant(trigger=pkt.flow_id)
-        if state.cum > old_cum:
+    def on_delivery(self, state: _MsgState, cum_advanced: bool) -> None:
+        self._regrant()
+        if cum_advanced:
             # pure acknowledgement so the sender's timeout recovery makes
             # forward progress (loss *detection* remains timeout-based)
             self._send_grant(state)
+
+    def complete(self, state: _MsgState) -> None:
+        super().complete(state)
+        del self.messages[state.flow.flow_id]
+        self._regrant()
+
+    def send_final(self, state: _MsgState) -> None:
+        self._send_grant(state, final=True)
 
     def _ranked(self) -> List[_MsgState]:
         """Active messages by SRPT order (fewest remaining bytes first)."""
         return sorted(self.messages.values(),
                       key=lambda m: (m.remaining, m.flow.flow_id))
 
-    def _regrant(self, trigger: Optional[int] = None) -> None:
+    def _regrant(self) -> None:
         ranked = self._ranked()
         overcommit = self.scheme.overcommit
         for rank, state in enumerate(ranked[:overcommit]):
@@ -119,8 +113,9 @@ class HomaReceiverHost:
                 state.granted = max(state.granted, target)
                 self._send_grant(state, rank=rank, missing=missing)
 
-    def on_probe(self, pkt: Packet) -> None:
-        """Aeolus first-RTT probe: the sender asks which unscheduled
+    def on_control(self, pkt: Packet) -> None:
+        """Aeolus first-RTT probe (the only control packet a Homa
+        receiver is sent): the sender asks which unscheduled
         packets survived; holes are re-requested in the scheduled phase."""
         state = self.messages.get(pkt.flow_id)
         if state is None or state.done:
@@ -171,87 +166,41 @@ class HomaReceiverHost:
         self.ctx.network.send_control(grant)
 
 
-class _ReceiverEndpoint:
-    """Per-flow shim dispatching to the per-host manager.
-
-    ``gro_delay`` models Homa-Linux's GRO batching (appendix C / the
-    §6.1.1 remark): the kernel stack aggregates messages before handing
-    them up, adding a fixed receive-side latency that hurts small
-    messages most.  Zero for the idealised simulation scenarios; set on
-    the testbed-shaped scenarios.
+class _GroEndpoint(MessageEndpoint):
+    """Receiver endpoint behind Homa-Linux's GRO batching (appendix C /
+    the §6.1.1 remark): the kernel stack aggregates messages before
+    handing them up, adding a fixed receive-side latency that hurts
+    small messages most.  Only the testbed-shaped scenarios set
+    ``gro_delay``; the idealised ones use the plain endpoint.
     """
 
-    __slots__ = ("manager", "gro_delay")
-
-    def __init__(self, manager: HomaReceiverHost,
-                 gro_delay: float = 0.0) -> None:
-        self.manager = manager
-        self.gro_delay = gro_delay
+    __slots__ = ()
 
     def on_packet(self, pkt: Packet) -> None:
+        manager = self.manager
         if pkt.kind == DATA:
-            if self.gro_delay > 0.0:
-                self.manager.ctx.sim.schedule(self.gro_delay,
-                                              self.manager.on_data, pkt)
-            else:
-                self.manager.on_data(pkt)
-        elif pkt.kind == CONTROL:
-            self.manager.on_probe(pkt)
+            manager.ctx.sim.schedule(manager.scheme.gro_delay,
+                                     manager.on_data, pkt)
+        else:
+            manager.on_control(pkt)
 
 
-class HomaSender:
+class HomaSender(MessageSender):
     """Message sender: unscheduled blast, then grant-clocked."""
 
     def __init__(self, flow: Flow, ctx: TransportContext, scheme: "Homa") -> None:
-        self.flow = flow
-        self.ctx = ctx
+        super().__init__(flow, ctx)
         self.scheme = scheme
-        self.sim = ctx.sim
-        self.host = ctx.network.hosts[flow.src]
-        self.cfg = ctx.config
-        self.n_packets = flow.n_packets(self.cfg.mss)
         self.granted = min(self.n_packets, scheme.rtt_packets(flow, ctx))
-        self.next_seq = 0
-        self.sent: Set[int] = set()
-        self.acked_cum = 0
         self.scheduled_priority = 4
-        self.finished = False
-        self.pkts_transmitted = 0
-        self.pkts_retransmitted = 0
-        self._rto_event: Optional[Event] = None
-        if flow.first_syscall_bytes is None:
-            flow.first_syscall_bytes = min(flow.size, self.cfg.send_buffer_bytes)
 
     def start(self) -> None:
         # unscheduled blast at line rate (NIC serialises back-to-back)
         priority = unscheduled_priority(self.flow.size)
         while self.next_seq < self.granted:
-            self._transmit(self.next_seq, priority, unscheduled=True)
+            self.send_data(self.next_seq, priority, unscheduled=True)
             self.next_seq += 1
-        self._arm_rto()
-
-    def stop(self) -> None:
-        self.finished = True
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-            self._rto_event = None
-
-    def _transmit(self, seq: int, priority: int, unscheduled: bool = False,
-                  retransmit: bool = False) -> None:
-        payload = self.cfg.payload_per_packet()
-        remaining = self.flow.size - seq * payload
-        size = min(self.cfg.mss, max(1, remaining) + HEADER_BYTES)
-        pkt = Packet(self.flow.flow_id, self.flow.src, self.flow.dst, seq,
-                     size, kind=DATA, priority=priority,
-                     ecn_capable=False)
-        pkt.unscheduled = unscheduled
-        pkt.retransmit = retransmit
-        pkt.sent_at = self.sim.now
-        self.sent.add(seq)
-        self.pkts_transmitted += 1
-        if retransmit:
-            self.pkts_retransmitted += 1
-        self.host.send(pkt)
+        self.arm_timer()
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind != GRANT or self.finished:
@@ -264,39 +213,24 @@ class HomaSender:
             self.stop()
             return
         for seq in missing:
-            self._transmit(seq, priority, retransmit=True)
+            self.send_data(seq, priority, retransmit=True)
         if granted > self.granted:
             self.granted = min(granted, self.n_packets)
         while self.next_seq < self.granted:
-            self._transmit(self.next_seq, priority)
+            self.send_data(self.next_seq, priority)
             self.next_seq += 1
-        self._arm_rto()
+        self.arm_timer()
 
-    # timeout-based loss recovery (see module docstring)
-    def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        if self.finished:
-            return
-        self._rto_event = self.sim.schedule(self.cfg.min_rto, self._on_rto)
-
-    def _on_rto(self) -> None:
-        if self.finished:
-            return
-        self.host.ops_sent += 1
-        # resend a window of un-acked sent packets
+    def on_timeout(self) -> None:
+        # timeout-based loss recovery (see module docstring): resend a
+        # window of un-acked sent packets
         window = self.scheme.rtt_packets(self.flow, self.ctx)
-        resent = 0
-        for seq in range(self.acked_cum, self.next_seq):
-            if resent >= window:
-                break
-            self._transmit(seq, self.scheduled_priority, retransmit=True)
-            resent += 1
-        self._rto_event = None
-        self._arm_rto()
+        for seq in range(self.acked_cum,
+                         min(self.next_seq, self.acked_cum + window)):
+            self.send_data(seq, self.scheduled_priority, retransmit=True)
 
 
-class Homa(Scheme):
+class Homa(RttBytesScheme):
     """Homa scheme factory.
 
     Parameters
@@ -333,16 +267,9 @@ class Homa(Scheme):
                 alpha = max(port.mux.dt_alphas)
                 port.mux.dt_alphas = [alpha] * len(port.mux.dt_alphas)
 
-    def rtt_packets(self, flow: Flow, ctx: TransportContext) -> int:
-        if self.rtt_bytes is not None:
-            return max(1, self.rtt_bytes // ctx.config.mss)
-        return ctx.bdp_packets(flow)
-
-    def start_flow(self, flow: Flow, ctx: TransportContext) -> None:
+    def make_receiver(self, flow: Flow, ctx: TransportContext):
         manager = ctx.host_manager(f"{self.name}_rx", flow.dst,
                                    HomaReceiverHost, self)
-        manager.add_message(flow)
-        sender = self.sender_cls(flow, ctx, self)
-        receiver = _ReceiverEndpoint(manager, self.gro_delay)
-        ctx.network.attach(flow.flow_id, flow.src, flow.dst, sender, receiver)
-        sender.start()
+        state = manager.add_message(flow)
+        endpoint_cls = _GroEndpoint if self.gro_delay > 0.0 else MessageEndpoint
+        return endpoint_cls(manager, state)

@@ -23,15 +23,15 @@ def test_credit_interval_matches_link_rate():
     manager, ctx, topo = make_manager()
     rate = topo.network.hosts[3].uplink.rate_bps
     expected = ctx.config.mss * 8.0 / (rate * CREDIT_RATE_FRACTION)
-    assert manager._interval == pytest.approx(expected)
+    assert manager._pacer_interval == pytest.approx(expected)
 
 
 def test_credits_paced_not_burst():
     manager, ctx, topo = make_manager()
     sent = []
     ctx.network.send_control = sent.append
-    manager.open_message(Flow(0, 0, 3, 150_000, 0.0))
-    topo.sim.run(until=manager._interval * 4.5)
+    manager.open_message(manager.add_message(Flow(0, 0, 3, 150_000, 0.0)))
+    topo.sim.run(until=manager._pacer_interval * 4.5)
     # ~one credit per interval, plus the t=0 credit
     assert 4 <= len(sent) <= 6
     assert all(c.kind == CONTROL for c in sent)
@@ -41,9 +41,9 @@ def test_round_robin_across_messages():
     manager, ctx, topo = make_manager()
     sent = []
     ctx.network.send_control = sent.append
-    manager.open_message(Flow(0, 0, 3, 150_000, 0.0))
-    manager.open_message(Flow(1, 1, 3, 150_000, 0.0))
-    topo.sim.run(until=manager._interval * 8.5)
+    manager.open_message(manager.add_message(Flow(0, 0, 3, 150_000, 0.0)))
+    manager.open_message(manager.add_message(Flow(1, 1, 3, 150_000, 0.0)))
+    topo.sim.run(until=manager._pacer_interval * 8.5)
     ids = [c.flow_id for c in sent]
     # alternates between the two messages
     assert ids.count(0) >= 3 and ids.count(1) >= 3
@@ -54,8 +54,9 @@ def test_crediting_stops_when_fully_credited():
     manager, ctx, topo = make_manager()
     sent = []
     ctx.network.send_control = sent.append
-    manager.open_message(Flow(0, 0, 3, 3000, 0.0))  # 3 packets
-    topo.sim.run(until=manager._interval * 20)
+    flow = Flow(0, 0, 3, 3000, 0.0)  # 3 packets
+    manager.open_message(manager.add_message(flow))
+    topo.sim.run(until=manager._pacer_interval * 20)
     credits = [c for c in sent if c.kind == CONTROL]
     assert len(credits) == 3  # exactly n, never more
 
@@ -65,7 +66,7 @@ def test_completion_emits_final_ack():
     sent = []
     ctx.network.send_control = sent.append
     flow = Flow(0, 0, 3, 2000, 0.0)
-    manager.open_message(flow)
+    manager.open_message(manager.add_message(flow))
     manager.on_data(Packet(0, 0, 3, 0, 1500))
     manager.on_data(Packet(0, 0, 3, 1, 1500))
     assert flow.completed
@@ -76,22 +77,22 @@ def test_completion_emits_final_ack():
 def test_rtx_check_targets_holes():
     manager, ctx, topo = make_manager()
     flow = Flow(0, 0, 3, 10_000, 0.0)  # 7 packets
-    manager.open_message(flow)
-    state = manager.flows[0]
-    state["credited"] = state["n"]
-    state["delivered"].update({0, 1, 3, 5})
-    state["progress_mark"] = 4  # no progress since last check
-    manager._rtx_check(0)
-    assert list(state["recredit"]) == [2, 4, 6]
+    manager.open_message(manager.add_message(flow))
+    state = manager.messages[0]
+    state.credited = state.n_packets
+    state.delivered.update({0, 1, 3, 5})
+    state.progress_mark = 4  # no progress since last check
+    manager._stall_check(state)
+    assert list(state.recredit) == [2, 4, 6]
 
 
 def test_rtx_check_waits_while_progress():
     manager, ctx, topo = make_manager()
     flow = Flow(0, 0, 3, 10_000, 0.0)
-    manager.open_message(flow)
-    state = manager.flows[0]
-    state["credited"] = state["n"]
-    state["delivered"].update({0, 1})
-    state["progress_mark"] = 0  # progress happened: 2 > 0
-    manager._rtx_check(0)
-    assert not state["recredit"]
+    manager.open_message(manager.add_message(flow))
+    state = manager.messages[0]
+    state.credited = state.n_packets
+    state.delivered.update({0, 1})
+    state.progress_mark = 0  # progress happened: 2 > 0
+    manager._stall_check(state)
+    assert not state.recredit

@@ -65,6 +65,30 @@ def test_expresspass_recovers_lost_data():
     assert all(f.completed for f in flows)
 
 
+def test_expresspass_counts_every_resend_as_retransmission():
+    """On the golden loss cell every transmission beyond the packets the
+    messages need is a re-credited hole, and is counted as one (the
+    sender used to compare against the cumulative ACK, which a hole is
+    never below, and reported 0)."""
+    from repro.experiments.runner import run
+    from repro.experiments.scenarios import incast_scenario, star_fabric
+    from repro.faults import FaultPlan, PacketLoss
+    from repro.workloads.distributions import WEB_SEARCH
+    scenario = incast_scenario(
+        "xpass-loss", WEB_SEARCH, n_senders=6, load=0.6, n_flows=60,
+        size_cap=200_000, seed=7, fabric=star_fabric(8),
+        faults=FaultPlan([PacketLoss("sw0->host0", 0.02)], seed=3))
+    result = run(ExpressPass(), scenario)
+    assert result.completed == 60
+    senders = [endpoint
+               for host in result.topology.network.hosts.values()
+               for endpoint in host.endpoints.values()
+               if isinstance(endpoint, ExpressPassSender)]
+    transmitted = sum(s.pkts_transmitted for s in senders)
+    needed = sum(f.n_packets(scenario.config.mss) for f in result.flows)
+    assert result.health.retransmits_total == transmitted - needed > 0
+
+
 # -- TIMELY -------------------------------------------------------------------
 
 

@@ -103,7 +103,7 @@ def test_probe_grants_all_holes():
     sent = []
     ctx.network.send_control = sent.append
     probe = Packet(0, 0, 3, 10, 64)
-    manager.on_probe(probe)
+    manager.on_control(probe)
     (grant,) = sent
     _granted, missing, _prio, final = grant.meta
     assert 0 in missing and 2 in missing

@@ -27,30 +27,30 @@ def header_pkt(flow_id, seq):
 def test_pull_budget_excludes_first_window():
     manager, ctx, topo = make_manager()
     flow = Flow(0, 0, 3, 150_000, 0.0)   # 105 packets
-    manager.add_flow(flow, first_window=30)
-    assert manager.flows[0]["pull_budget"] == 75
+    manager.add_message(flow, first_window=30)
+    assert manager.messages[0].pull_budget == 75
 
 
 def test_sub_window_flow_needs_no_pulls():
     manager, ctx, topo = make_manager()
     flow = Flow(0, 0, 3, 10_000, 0.0)
-    manager.add_flow(flow, first_window=30)
-    assert manager.flows[0]["pull_budget"] == 0
+    manager.add_message(flow, first_window=30)
+    assert manager.messages[0].pull_budget == 0
     sent = []
     ctx.network.send_control = sent.append
-    manager.on_packet(data_pkt(0, 0))
-    topo.sim.run(until=manager._pull_interval * 3)
+    manager.on_data(data_pkt(0, 0))
+    topo.sim.run(until=manager._pacer_interval * 3)
     assert not [p for p in sent if p.kind == PULL]
 
 
 def test_data_arrival_earns_one_pull():
     manager, ctx, topo = make_manager()
     flow = Flow(0, 0, 3, 150_000, 0.0)
-    manager.add_flow(flow, first_window=30)
+    manager.add_message(flow, first_window=30)
     sent = []
     ctx.network.send_control = sent.append
-    manager.on_packet(data_pkt(0, 0))
-    topo.sim.run(until=manager._pull_interval * 2)
+    manager.on_data(data_pkt(0, 0))
+    topo.sim.run(until=manager._pacer_interval * 2)
     pulls = [p for p in sent if p.kind == PULL]
     assert len(pulls) == 1
     assert pulls[0].meta is None  # plain (non-rtx) pull
@@ -59,11 +59,11 @@ def test_data_arrival_earns_one_pull():
 def test_trimmed_header_earns_targeted_pull():
     manager, ctx, topo = make_manager()
     flow = Flow(0, 0, 3, 150_000, 0.0)
-    manager.add_flow(flow, first_window=30)
+    manager.add_message(flow, first_window=30)
     sent = []
     ctx.network.send_control = sent.append
-    manager.on_packet(header_pkt(0, 17))
-    topo.sim.run(until=manager._pull_interval * 2)
+    manager.on_control(header_pkt(0, 17))
+    topo.sim.run(until=manager._pacer_interval * 2)
     pulls = [p for p in sent if p.kind == PULL]
     assert len(pulls) == 1
     assert pulls[0].meta == 17  # retransmission request for that seq
@@ -72,12 +72,12 @@ def test_trimmed_header_earns_targeted_pull():
 def test_pulls_paced_at_link_interval():
     manager, ctx, topo = make_manager()
     flow = Flow(0, 0, 3, 300_000, 0.0)
-    manager.add_flow(flow, first_window=10)
+    manager.add_message(flow, first_window=10)
     sent = []
     ctx.network.send_control = sent.append
     for seq in range(10):
-        manager.on_packet(data_pkt(0, seq))  # burst of arrivals
-    topo.sim.run(until=manager._pull_interval * 5.5)
+        manager.on_data(data_pkt(0, seq))  # burst of arrivals
+    topo.sim.run(until=manager._pacer_interval * 5.5)
     pulls = [p for p in sent if p.kind == PULL]
     # paced: ~one per interval, not a burst of ten
     assert 5 <= len(pulls) <= 7
@@ -86,12 +86,12 @@ def test_pulls_paced_at_link_interval():
 def test_completion_sends_final_ack_once():
     manager, ctx, topo = make_manager()
     flow = Flow(0, 0, 3, 2000, 0.0)  # 2 packets
-    manager.add_flow(flow, first_window=30)
+    manager.add_message(flow, first_window=30)
     sent = []
     ctx.network.send_control = sent.append
-    manager.on_packet(data_pkt(0, 0))
-    manager.on_packet(data_pkt(0, 1))
-    manager.on_packet(data_pkt(0, 1))  # duplicate after completion
+    manager.on_data(data_pkt(0, 0))
+    manager.on_data(data_pkt(0, 1))
+    manager.on_data(data_pkt(0, 1))  # duplicate after completion
     assert flow.completed
     finals = [p for p in sent if p.kind != PULL]
     assert len(finals) == 1
@@ -101,13 +101,13 @@ def test_completion_sends_final_ack_once():
 def test_rtx_check_repulls_only_when_stalled():
     manager, ctx, topo = make_manager()
     flow = Flow(0, 0, 3, 30_000, 0.0)  # 21 packets
-    manager.add_flow(flow, first_window=30)
-    state = manager.flows[0]
-    state["delivered"].update(range(10))
-    state["progress_mark"] = 10  # no progress since the last check
+    manager.add_message(flow, first_window=30)
+    state = manager.messages[0]
+    state.delivered.update(range(10))
+    state.progress_mark = 10  # no progress since the last check
     sent = []
     ctx.network.send_control = sent.append
-    manager._rtx_check(0)
-    topo.sim.run(until=manager._pull_interval * 30)
+    manager._stall_check(state)
+    topo.sim.run(until=manager._pacer_interval * 30)
     rtx_pulls = [p for p in sent if p.kind == PULL and p.meta is not None]
     assert {p.meta for p in rtx_pulls} == set(range(10, 21))

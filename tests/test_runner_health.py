@@ -5,9 +5,18 @@ import pytest
 from conftest import quick_qcfg
 from repro.faults import FaultPlan, LinkDown, PacketLoss
 from repro.sim.topology import dumbbell
+from repro.transport.aeolus import Aeolus
 from repro.transport.base import Flow, TransportConfig
 from repro.transport.dctcp import Dctcp
+from repro.transport.expresspass import ExpressPass
+from repro.transport.homa import Homa
+from repro.transport.ndp import Ndp
 from repro.experiments.runner import RunHealth, Scenario, run
+from repro.experiments.scenarios import (
+    HOMA_RTT_BYTES_SIM,
+    sim_config,
+    star_fabric,
+)
 from repro.units import gbps, us
 
 
@@ -175,3 +184,32 @@ def test_drain_clamp_preserves_full_run():
     result = run(Dctcp(), make_scenario())
     assert result.health.ok
     assert result.health.sim_time <= 2.0
+
+
+def _long_message_scenario():
+    """One healthy 60 MB message on a 100 Mbps star: ~5 s of simulated
+    time, several stall windows long, with nothing else completing."""
+    return Scenario("long-message", star_fabric(3, rate=gbps(0.1)),
+                    lambda topo: [Flow(0, 0, 1, 60_000_000, 0.0)],
+                    config=sim_config(min_rto=0.05), max_time=10.0)
+
+
+@pytest.fixture(scope="module")
+def long_message_dctcp_fct():
+    return run(Dctcp(), _long_message_scenario()).flows[0].fct
+
+
+@pytest.mark.parametrize("scheme", [
+    Homa(rtt_bytes=HOMA_RTT_BYTES_SIM), Aeolus(rtt_bytes=HOMA_RTT_BYTES_SIM),
+    Ndp(rtt_bytes=HOMA_RTT_BYTES_SIM), ExpressPass()],
+    ids=lambda scheme: scheme.name)
+def test_watchdog_sees_receiver_driven_progress(scheme,
+                                                long_message_dctcp_fct):
+    """In-message progress of a receiver-driven transport counts as
+    progress: the watchdog used to see none of it and killed this run
+    at 2.05 s as stalled."""
+    result = run(scheme, _long_message_scenario())
+    assert result.health.ok
+    assert not result.health.stalled
+    assert result.flows[0].fct == pytest.approx(long_message_dctcp_fct,
+                                                rel=0.10)
