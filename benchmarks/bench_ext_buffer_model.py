@@ -20,7 +20,6 @@ from conftest import run_figure
 from repro.core.ppt import Ppt
 from repro.experiments.runner import run
 from repro.experiments.scenarios import all_to_all_scenario, sim_fabric, sim_qcfg
-from repro.sim.trace import DropTracer
 from repro.transport.dctcp import Dctcp
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -38,13 +37,7 @@ def _run_models():
         scenario = all_to_all_scenario(f"bufmodel-{model}", WEB_SEARCH,
                                        load=0.5, n_flows=150, fabric=fabric)
         for scheme in (Dctcp(), Ppt()):
-            tracer_holder = {}
-
-            def instruments(topo):
-                tracer_holder["t"] = DropTracer.attach(topo.network)
-                return None
-
-            result = run(scheme, scenario, instruments=instruments)
+            result = run(scheme, scenario)
             stats = result.stats
             rows.append({
                 "buffer_model": model,
@@ -52,7 +45,7 @@ def _run_models():
                 "overall_avg_ms": stats.overall_avg * 1e3,
                 "small_avg_ms": stats.small_avg * 1e3,
                 "small_p99_ms": stats.small_p99 * 1e3,
-                "drops": len(tracer_holder["t"]),
+                "drops": result.topology.network.total_drops(),
                 "completed": result.completed,
             })
     return {"rows": rows}

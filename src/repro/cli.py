@@ -299,7 +299,7 @@ def _cmd_run(args) -> int:
                      tenants=tenants, arrivals=args.arrivals)
     # PFC + load-balancer features; all-defaults leaves the fabric
     # builder untouched so existing invocations stay bit-identical
-    features = dict(lb=args.lb, lb_gap=args.lb_gap, pfc=args.pfc,
+    features = dict(lb=args.lb, lb_gap=args.lb_gap,
                     pfc_config=SIM_PFC if args.pfc else None)
     hybrid = None
     if args.hybrid:

@@ -12,7 +12,7 @@ All drivers accept scale overrides; defaults are the scaled scenarios of
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
 from ..core.identification import (
@@ -42,7 +42,7 @@ from ..workloads.distributions import (
     YOUTUBE_HTTP,
     sample_sizes,
 )
-from .runner import RunResult, Scenario, run
+from .runner import run
 from .scenarios import (
     HOMA_OVERCOMMIT,
     HOMA_RTT_BYTES_SIM,
@@ -101,14 +101,6 @@ def testbed_schemes() -> List:
         Dctcp(),
         Ppt(),
     ]
-
-
-def run_schemes(schemes: Iterable, scenario: Scenario,
-                **extra) -> Dict[str, RunResult]:
-    results = {}
-    for scheme in schemes:
-        results[scheme.name] = run(scheme, scenario)
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -84,9 +84,6 @@ class Scenario:
     # identical code path as before the feature existed
     hybrid: Optional[HybridConfig] = None
 
-    def describe(self) -> str:
-        return self.name
-
 
 @dataclass
 class RunHealth:

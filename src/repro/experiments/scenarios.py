@@ -7,7 +7,10 @@ link-speed ratio, oversubscription, buffer/ECN settings and workloads,
 with fewer hosts and a few hundred flows, and heavy-tailed size
 distributions capped so a run finishes in seconds.  Every builder takes
 overrides, so the full-size configuration is one call away (see
-``examples/full_scale.py``).
+``examples/full_scale.py``).  Beyond its own parameters each
+``*_scenario`` builder accepts, as ``**shared``, the keywords
+:func:`_traffic_scenario` declares once: faults, event budget,
+streaming / tenant / arrival switches, load balancer, PFC and hybrid.
 
 The arrival *load* is always preserved — capping sizes feeds the capped
 mean back into the Poisson arrival rate (see
@@ -16,7 +19,7 @@ mean back into the Poisson arrival rate (see
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..faults.plan import FaultPlan, LinkDown, PacketLoss, PfcStorm, RateDegrade
 from ..sim.hybrid import HybridConfig
@@ -62,21 +65,21 @@ def _with_features(
     *,
     lb: str = "ecmp",
     lb_gap: Optional[float] = None,
-    pfc: bool = False,
     pfc_config: Optional[PfcConfig] = None,
 ) -> Callable[[], Topology]:
-    """Wrap a fabric builder with PFC / load-balancer configuration.
+    """Wrap a fabric builder with PFC / load-balancer configuration
+    (a ``pfc_config`` switches PFC on).
 
     With everything at defaults the original closure is returned
     untouched, so scenarios without these features stay bit-identical
     object-for-object.
     """
-    if lb == "ecmp" and not pfc and pfc_config is None:
+    if lb == "ecmp" and pfc_config is None:
         return fabric
 
     def build() -> Topology:
         topo = fabric()
-        if pfc or pfc_config is not None:
+        if pfc_config is not None:
             topo.enable_pfc(pfc_config)
         if lb != "ecmp":
             topo.set_load_balancer(lb, lb_gap)
@@ -184,34 +187,14 @@ def dumbbell_scenario(
     size_cap: Optional[int] = DEFAULT_SIZE_CAP,
     seed: int = 13,
     max_time: float = 10.0,
-    event_budget: Optional[int] = None,
-    stream: bool = False,
-    load_shape: Optional[LoadShape] = None,
-    tenants: Optional[Sequence[TenantClass]] = None,
-    arrivals: str = "open",
-    closed_users: int = 8,
-    lb: str = "ecmp",
-    lb_gap: Optional[float] = None,
-    pfc: bool = False,
-    pfc_config: Optional[PfcConfig] = None,
-    hybrid: Optional[HybridConfig] = None,
+    **shared,
 ) -> Scenario:
     """Poisson traffic host0 -> host1 across the dumbbell bottleneck."""
-    fabric = _with_features(dumbbell_fabric(bottleneck_rate=bottleneck_rate),
-                            lb=lb, lb_gap=lb_gap, pfc=pfc,
-                            pfc_config=pfc_config)
-
-    def build_flows(topo: Topology) -> FlowSource:
-        return _flow_source(
-            incast([0], 1), cdf,
-            load=load, link_rate=topo.edge_rate, n_flows=n_flows,
-            n_senders=1, seed=seed, size_cap=size_cap,
-            stream=stream, load_shape=load_shape, tenants=tenants,
-            arrivals=arrivals, closed_users=closed_users)
-
-    return Scenario(name, fabric, build_flows,
-                    config=config or sim_config(), max_time=max_time,
-                    event_budget=event_budget, hybrid=hybrid)
+    return _traffic_scenario(
+        name, dumbbell_fabric(bottleneck_rate=bottleneck_rate),
+        lambda topo: (incast([0], 1), 1, n_flows), cdf,
+        load=load, seed=seed, size_cap=size_cap,
+        config=config or sim_config(), max_time=max_time, **shared)
 
 
 def micro_fabric(rate: float = gbps(40),
@@ -228,29 +211,43 @@ def micro_fabric(rate: float = gbps(40),
 
 
 # ---------------------------------------------------------------------------
-# flow sources: one materialized/streaming switch for every builder
+# the tail every traffic scenario shares
 # ---------------------------------------------------------------------------
 
 
-def _flow_source(
-    pattern: PairSampler,
+def _traffic_scenario(
+    name: str,
+    fabric: Callable[[], Topology],
+    traffic: Callable[[Topology], Tuple[PairSampler, int, int]],
     cdf: EmpiricalCdf,
     *,
     load: float,
-    link_rate: float,
-    n_flows: int,
-    n_senders: int,
     seed: int,
     size_cap: Optional[int],
-    stream: bool,
-    load_shape: Optional[LoadShape],
-    tenants: Optional[Sequence[TenantClass]],
-    arrivals: str,
-    closed_users: int,
-):
-    """Build a scenario's flow source.
+    config: TransportConfig,
+    max_time: float,
+    faults: Optional[FaultPlan] = None,
+    event_budget: Optional[int] = None,
+    stream: bool = False,
+    load_shape: Optional[LoadShape] = None,
+    tenants: Optional[Sequence[TenantClass]] = None,
+    arrivals: str = "open",
+    closed_users: int = 8,
+    lb: str = "ecmp",
+    lb_gap: Optional[float] = None,
+    pfc_config: Optional[PfcConfig] = None,
+    hybrid: Optional[HybridConfig] = None,
+) -> Scenario:
+    """Poisson traffic on a fabric: the one place that owns the keywords
+    every public builder below accepts through ``**shared`` — ``faults``,
+    ``event_budget``, the flow-source switches (``stream``,
+    ``load_shape``, ``tenants``, ``arrivals``, ``closed_users``) and the
+    fabric features (``lb``, ``lb_gap``, ``pfc_config``, ``hybrid``).
 
-    ``stream=True`` returns a constant-memory
+    ``traffic(topo)`` is what a builder varies: the pair pattern, the
+    number of senders the load is defined against, and the flow count.
+
+    ``stream=True`` makes the flow source a constant-memory
     :class:`~repro.workloads.FlowStream` the runner pulls lazily —
     bit-identical to the materialized list for the same seed.  The
     richer generator features (tenant mixes, load shapes, closed-loop
@@ -261,16 +258,23 @@ def _flow_source(
     gated against.
     """
     plain = (tenants is None and load_shape is None and arrivals == "open")
-    if not stream and plain:
-        return poisson_flows(pattern, cdf, load=load, link_rate=link_rate,
-                             n_flows=n_flows, n_senders=n_senders, seed=seed,
-                             size_cap=size_cap)
-    source = flow_stream(pattern, cdf, load=load, link_rate=link_rate,
-                         n_flows=n_flows, n_senders=n_senders, seed=seed,
-                         size_cap=size_cap, shape=load_shape,
-                         tenants=tenants, arrivals=arrivals,
-                         closed_users=closed_users)
-    return source if stream else source.materialize()
+
+    def build_flows(topo: Topology) -> FlowSource:
+        pattern, n_senders, n_flows = traffic(topo)
+        sizing = dict(load=load, link_rate=topo.edge_rate, n_flows=n_flows,
+                      n_senders=n_senders, seed=seed, size_cap=size_cap)
+        if not stream and plain:
+            return poisson_flows(pattern, cdf, **sizing)
+        source = flow_stream(pattern, cdf, **sizing, shape=load_shape,
+                             tenants=tenants, arrivals=arrivals,
+                             closed_users=closed_users)
+        return source if stream else source.materialize()
+
+    return Scenario(name,
+                    _with_features(fabric, lb=lb, lb_gap=lb_gap,
+                                   pfc_config=pfc_config),
+                    build_flows, config=config, max_time=max_time,
+                    faults=faults, event_budget=event_budget, hybrid=hybrid)
 
 
 # ---------------------------------------------------------------------------
@@ -312,34 +316,14 @@ def all_to_all_scenario(
     size_cap: Optional[int] = DEFAULT_SIZE_CAP,
     seed: int = 7,
     max_time: float = 10.0,
-    faults: Optional[FaultPlan] = None,
-    event_budget: Optional[int] = None,
-    stream: bool = False,
-    load_shape: Optional[LoadShape] = None,
-    tenants: Optional[Sequence[TenantClass]] = None,
-    arrivals: str = "open",
-    closed_users: int = 8,
-    lb: str = "ecmp",
-    lb_gap: Optional[float] = None,
-    pfc: bool = False,
-    pfc_config: Optional[PfcConfig] = None,
-    hybrid: Optional[HybridConfig] = None,
+    **shared,
 ) -> Scenario:
     """All-to-all Poisson traffic on a fabric (the §6.2 shape)."""
-    fabric = _with_features(fabric or sim_fabric(), lb=lb, lb_gap=lb_gap,
-                            pfc=pfc, pfc_config=pfc_config)
-
-    def build_flows(topo: Topology) -> FlowSource:
-        return _flow_source(
-            all_to_all(topo.host_ids()), cdf,
-            load=load, link_rate=topo.edge_rate, n_flows=n_flows,
-            n_senders=topo.n_hosts, seed=seed, size_cap=size_cap,
-            stream=stream, load_shape=load_shape, tenants=tenants,
-            arrivals=arrivals, closed_users=closed_users)
-
-    return Scenario(name, fabric, build_flows,
-                    config=config or sim_config(), max_time=max_time,
-                    faults=faults, event_budget=event_budget, hybrid=hybrid)
+    return _traffic_scenario(
+        name, fabric or sim_fabric(),
+        lambda topo: (all_to_all(topo.host_ids()), topo.n_hosts, n_flows),
+        cdf, load=load, seed=seed, size_cap=size_cap,
+        config=config or sim_config(), max_time=max_time, **shared)
 
 
 def incast_scenario(
@@ -355,35 +339,18 @@ def incast_scenario(
     seed: int = 11,
     max_time: float = 20.0,
     receiver: int = 0,
-    faults: Optional[FaultPlan] = None,
-    event_budget: Optional[int] = None,
-    stream: bool = False,
-    load_shape: Optional[LoadShape] = None,
-    tenants: Optional[Sequence[TenantClass]] = None,
-    arrivals: str = "open",
-    closed_users: int = 8,
-    lb: str = "ecmp",
-    lb_gap: Optional[float] = None,
-    pfc: bool = False,
-    pfc_config: Optional[PfcConfig] = None,
-    hybrid: Optional[HybridConfig] = None,
+    **shared,
 ) -> Scenario:
     """N-to-1 incast: the load is defined against the receiver downlink."""
-    fabric = _with_features(fabric or sim_fabric(), lb=lb, lb_gap=lb_gap,
-                            pfc=pfc, pfc_config=pfc_config)
 
-    def build_flows(topo: Topology) -> FlowSource:
+    def traffic(topo: Topology):
         senders = [h for h in topo.host_ids() if h != receiver][:n_senders]
-        return _flow_source(
-            incast(senders, receiver), cdf,
-            load=load, link_rate=topo.edge_rate, n_flows=n_flows,
-            n_senders=1, seed=seed, size_cap=size_cap,
-            stream=stream, load_shape=load_shape, tenants=tenants,
-            arrivals=arrivals, closed_users=closed_users)
+        return incast(senders, receiver), 1, n_flows
 
-    return Scenario(name, fabric, build_flows,
-                    config=config or sim_config(), max_time=max_time,
-                    faults=faults, event_budget=event_budget, hybrid=hybrid)
+    return _traffic_scenario(
+        name, fabric or sim_fabric(), traffic, cdf,
+        load=load, seed=seed, size_cap=size_cap,
+        config=config or sim_config(), max_time=max_time, **shared)
 
 
 def two_to_one_scenario(
@@ -399,25 +366,14 @@ def two_to_one_scenario(
     size_cap: Optional[int] = 3_000_000,
     seed: int = 3,
     max_time: float = 30.0,
-    stream: bool = False,
-    load_shape: Optional[LoadShape] = None,
-    tenants: Optional[Sequence[TenantClass]] = None,
-    arrivals: str = "open",
-    closed_users: int = 8,
+    **shared,
 ) -> Scenario:
     """The Fig 1/20/28/29 microbenchmark: two senders, one receiver."""
-    fabric = micro_fabric(rate, buffer_bytes, k_high, k_low)
-
-    def build_flows(topo: Topology) -> FlowSource:
-        return _flow_source(
-            incast([0, 1], 2), cdf,
-            load=load, link_rate=topo.edge_rate, n_flows=n_flows,
-            n_senders=1, seed=seed, size_cap=size_cap,
-            stream=stream, load_shape=load_shape, tenants=tenants,
-            arrivals=arrivals, closed_users=closed_users)
-
-    return Scenario(name, fabric, build_flows, config=sim_config(),
-                    max_time=max_time)
+    return _traffic_scenario(
+        name, micro_fabric(rate, buffer_bytes, k_high, k_low),
+        lambda topo: (incast([0, 1], 2), 1, n_flows), cdf,
+        load=load, seed=seed, size_cap=size_cap, config=sim_config(),
+        max_time=max_time, **shared)
 
 
 def testbed_scenario(
@@ -430,32 +386,20 @@ def testbed_scenario(
     size_cap: Optional[int] = DEFAULT_SIZE_CAP,
     seed: int = 5,
     max_time: float = 60.0,
-    stream: bool = False,
-    load_shape: Optional[LoadShape] = None,
-    tenants: Optional[Sequence[TenantClass]] = None,
-    arrivals: str = "open",
-    closed_users: int = 8,
+    **shared,
 ) -> Scenario:
     """The §6.1 testbed experiments: 15 hosts, 10G star, RTOmin 10ms."""
-    fabric = testbed_fabric()
 
-    def build_flows(topo: Topology) -> FlowSource:
+    def traffic(topo: Topology):
         hosts = topo.host_ids()
         if pattern == "incast":
-            pair = incast(hosts[1:], hosts[0])
-            n_senders = 1
-        else:
-            pair = all_to_all(hosts)
-            n_senders = topo.n_hosts
-        return _flow_source(pair, cdf, load=load, link_rate=topo.edge_rate,
-                            n_flows=n_flows, n_senders=n_senders, seed=seed,
-                            size_cap=size_cap,
-                            stream=stream, load_shape=load_shape,
-                            tenants=tenants, arrivals=arrivals,
-                            closed_users=closed_users)
+            return incast(hosts[1:], hosts[0]), 1, n_flows
+        return all_to_all(hosts), topo.n_hosts, n_flows
 
-    return Scenario(name, fabric, build_flows, config=testbed_config(),
-                    max_time=max_time)
+    return _traffic_scenario(
+        name, testbed_fabric(), traffic, cdf,
+        load=load, seed=seed, size_cap=size_cap, config=testbed_config(),
+        max_time=max_time, **shared)
 
 
 # ---------------------------------------------------------------------------
@@ -542,17 +486,7 @@ def soak_scenario(
     fault_seed: int = 17,
     faults: Optional[FaultPlan] = None,
     config: Optional[TransportConfig] = None,
-    event_budget: Optional[int] = None,
-    stream: bool = False,
-    load_shape: Optional[LoadShape] = None,
-    tenants: Optional[Sequence[TenantClass]] = None,
-    arrivals: str = "open",
-    closed_users: int = 8,
-    lb: str = "ecmp",
-    lb_gap: Optional[float] = None,
-    pfc: bool = False,
-    pfc_config: Optional[PfcConfig] = None,
-    hybrid: Optional[HybridConfig] = None,
+    **shared,
 ) -> Scenario:
     """Hours of simulated time on a slow star, faults firing throughout.
 
@@ -568,26 +502,18 @@ def soak_scenario(
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
-    fabric = _with_features(star_fabric(n_hosts, rate=rate),
-                            lb=lb, lb_gap=lb_gap, pfc=pfc,
-                            pfc_config=pfc_config)
     if faults is None and fault_period is not None:
         faults = soak_fault_plan(horizon, period=fault_period,
                                  seed=fault_seed)
 
-    def build_flows(topo: Topology) -> FlowSource:
+    def traffic(topo: Topology):
         hosts = topo.host_ids()
         mean_size = cdf.mean(size_cap)
         # arrival rate the generator will use (flows/sec); size it so
         # arrivals span ~90% of the horizon
         arrival_rate = load * len(hosts) * topo.edge_rate / (8.0 * mean_size)
         n_flows = max(2, int(arrival_rate * horizon * 0.9))
-        return _flow_source(
-            all_to_all(hosts), cdf,
-            load=load, link_rate=topo.edge_rate, n_flows=n_flows,
-            n_senders=len(hosts), seed=seed, size_cap=size_cap,
-            stream=stream, load_shape=load_shape, tenants=tenants,
-            arrivals=arrivals, closed_users=closed_users)
+        return all_to_all(hosts), len(hosts), n_flows
 
     # The default 1ms RTO assumes a 40G fabric; at soak rates a single
     # 1500B serialization takes longer than that, so every un-ACKed
@@ -598,9 +524,10 @@ def soak_scenario(
     # The stall watchdog window scales with the slice length
     # (horizon/200), so sparse soak traffic with multi-second arrival
     # gaps is already tolerated; faults get their usual grace on top.
-    return Scenario(name, fabric, build_flows,
-                    config=config, max_time=horizon,
-                    faults=faults, event_budget=event_budget, hybrid=hybrid)
+    return _traffic_scenario(
+        name, star_fabric(n_hosts, rate=rate), traffic, cdf,
+        load=load, seed=seed, size_cap=size_cap, config=config,
+        max_time=horizon, faults=faults, **shared)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +574,8 @@ def lossless_scenario(
     return incast_scenario(
         name, cdf, n_senders=n_senders, load=load, n_flows=n_flows,
         fabric=lossless_fabric(), seed=seed, max_time=max_time,
-        lb=lb, lb_gap=lb_gap, pfc=True,
-        pfc_config=pfc_config or SIM_PFC, faults=faults, **overrides)
+        lb=lb, lb_gap=lb_gap, pfc_config=pfc_config or SIM_PFC,
+        faults=faults, **overrides)
 
 
 def pfc_storm_scenario(

@@ -4,7 +4,7 @@ Every per-event hook site in the simulator (queue drops, ECN marks,
 trims, fault transitions, ...) is a single attribute that is ``None``
 when nobody is listening — the hot path pays one ``None``-check and
 nothing else.  When more than one consumer wants the same hook (say a
-:class:`~repro.sim.trace.DropTracer` *and* a
+benchmark's own counting callable *and* a
 :class:`~repro.obs.telemetry.Telemetry`), :func:`chain` composes them so
 attaching one never silently disables the other.  Callbacks run in
 attach order.

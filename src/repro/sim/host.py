@@ -93,7 +93,8 @@ class Host:
             # ever sees it — recovery is the sender's problem
             self.corrupt_discards += 1
             return
-        # _dispatch, inlined: this runs once per delivered data packet
+        # no endpoint: the flow is already torn down and the late packet
+        # is silently discarded, exactly like a closed socket
         endpoint = self.endpoints.get(pkt.flow_id)
         if endpoint is not None:
             endpoint.on_packet(pkt)
@@ -109,21 +110,13 @@ class Host:
         Corruption cannot happen here — injectors sit on ports.
         """
         self.ops_received += 1
-        # _dispatch, inlined: this runs once per delivered control packet
+        # the same dispatch as receive(), written out: no shared helper
+        # frame on a path that runs once per delivered packet
         endpoint = self.endpoints.get(pkt.flow_id)
         if endpoint is not None:
             endpoint.on_packet(pkt)
         elif self.default_endpoint is not None:
             self.default_endpoint.on_packet(pkt)
-
-    def _dispatch(self, pkt: Packet) -> None:
-        endpoint = self.endpoints.get(pkt.flow_id)
-        if endpoint is not None:
-            endpoint.on_packet(pkt)
-        elif self.default_endpoint is not None:
-            self.default_endpoint.on_packet(pkt)
-        # else: flow already torn down; late packet is silently discarded,
-        # exactly like a closed socket.
 
     @property
     def datapath_ops(self) -> int:

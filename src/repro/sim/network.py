@@ -520,15 +520,6 @@ class Network:
     def total_marked(self) -> int:
         return sum(port.mux.stats.marked for port in self.ports)
 
-    def total_in_flight(self) -> int:
-        """Packets currently propagating on any wire in the fabric.
-
-        Reads the wire deques directly (the authoritative in-flight
-        record under the pipelined wire model); the invariant auditor
-        holds this equal to the transmitted-minus-arrived residual.
-        """
-        return sum(len(port.wire) for port in self.ports)
-
 
 class LinkLedger:
     """Per-port capacity ledger shared between the hybrid fast path's

@@ -293,21 +293,6 @@ class WindowSender:
         """One past the highest packet index currently in the send buffer."""
         return min(self.n_packets, self.cum + self.buffer_packets)
 
-    def _next_new_seq(self) -> Optional[int]:
-        end = self.buffer_end()
-        ptr = self.send_ptr
-        delivered = self.delivered
-        outstanding = self.outstanding
-        # ``_has_claims`` short-circuits the hook call when no subclass
-        # overrides claimed_elsewhere — one bool load instead of a frame
-        # per probed seq on the default path.
-        claims = self._has_claims
-        while ptr < end and (ptr in delivered or ptr in outstanding or
-                             (claims and self.claimed_elsewhere(ptr))):
-            ptr += 1
-        self.send_ptr = ptr
-        return ptr if ptr < end else None
-
     def claimed_elsewhere(self, seq: int) -> bool:
         """Hook: True when another loop (LCP) already has ``seq`` in flight."""
         return False
@@ -319,11 +304,14 @@ class WindowSender:
         pre_burst = len(outstanding) if audit is not None else 0
         # cwnd/finished cannot change inside the loop (transmit() never
         # runs congestion hooks; delivery is asynchronous), so they are
-        # hoisted out of the loop condition, and _next_new_seq is
-        # inlined — one probe loop instead of a frame per window slot
+        # hoisted out of the loop condition, and the next-new-seq probe
+        # is inline — one loop instead of a frame per window slot
         cwnd = self.cwnd
         if not self.finished:
             delivered = self.delivered
+            # ``_has_claims`` short-circuits the hook call when no
+            # subclass overrides claimed_elsewhere — one bool load
+            # instead of a frame per probed seq on the default path
             claims = self._has_claims
             while len(outstanding) < cwnd:
                 end = self.buffer_end()

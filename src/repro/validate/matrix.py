@@ -67,7 +67,7 @@ def _leaf_spine_pfc_scenario(*, n_flows: int) -> object:
     return all_to_all_scenario(
         "validate-leaf-spine-pfc", WEB_SEARCH, n_flows=n_flows,
         fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4), seed=104,
-        event_budget=DEFAULT_EVENT_BUDGET, pfc=True, pfc_config=SIM_PFC)
+        event_budget=DEFAULT_EVENT_BUDGET, pfc_config=SIM_PFC)
 
 
 def _leaf_spine_flowlet_scenario(*, n_flows: int) -> object:

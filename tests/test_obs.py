@@ -1,10 +1,11 @@
 """Tests for the unified run telemetry subsystem (repro.obs)."""
 
 import pickle
+from collections import Counter
 
 import pytest
 
-from conftest import quick_qcfg
+from conftest import make_ctx, quick_qcfg
 from repro.experiments.parallel import GridTask, run_grid
 from repro.experiments.runner import run
 from repro.experiments.scenarios import incast_scenario
@@ -22,8 +23,8 @@ from repro.obs import (
     chain,
     load_jsonl,
 )
-from repro.sim.topology import dumbbell
-from repro.sim.trace import DropTracer
+from repro.sim.network import QueueConfig
+from repro.sim.topology import dumbbell, star
 from repro.transport.base import Flow, TransportConfig
 from repro.transport.dctcp import Dctcp
 from repro.units import gbps, us
@@ -211,27 +212,56 @@ def test_flow_lifecycle_traced_in_order():
     assert times == sorted(times)  # trace is in simulated-time order
 
 
-# -- coexistence with the legacy tracers -----------------------------------
+# -- per-event drop visibility on a hand-built topology --------------------
+
+
+def lossy_star_run(before_attach=None):
+    """Two DCTCP flows into one 15 KB-buffer port, telemetry attached by
+    hand; ``before_attach(network)`` installs an earlier hook consumer."""
+    topo = star(3, rate=gbps(40), prop_delay=us(4),
+                qcfg=QueueConfig(buffer_bytes=15_000))
+    if before_attach is not None:
+        before_attach(topo.network)
+    telem = Telemetry().attach(topo.sim, topo.network)
+    ctx = make_ctx(topo)
+    for flow in (Flow(0, 0, 2, 200_000, 0.0), Flow(1, 1, 2, 200_000, 0.0)):
+        Dctcp().start_flow(flow, ctx)
+    topo.sim.run(until=2.0)
+    return topo.network, telem
+
+
+def test_drop_events_record_every_drop():
+    network, telem = lossy_star_run()
+    drops = list(telem.iter_events(DROP))
+    assert len(drops) == network.total_drops() > 0
+    assert drops[0].port
+    assert drops[0].flow_id in (0, 1)
+
+
+def test_drop_events_by_port_priority_and_flow():
+    network, telem = lossy_star_run()
+    drops = list(telem.iter_events(DROP))
+    assert sum(Counter(e.priority for e in drops).values()) == len(drops)
+    by_port = Counter(e.port for e in drops)
+    assert sum(by_port.values()) == len(drops)
+    assert set(by_port) <= {port.name for port in network.ports}
+    per_flow = Counter(e.flow_id for e in drops)
+    assert per_flow[0] + per_flow[1] == len(drops)
 
 
 def test_drop_tracer_and_telemetry_chain():
-    scenario = incast()
-    topo = scenario.build_topology()
-    tracer = DropTracer.attach(topo.network)  # legacy hook consumer first
-    telem = Telemetry().attach(topo.sim, topo.network)
+    """A hand-rolled drop tracer (a plain callable on every drop hook)
+    installed first keeps seeing drops once telemetry attaches."""
+    seen = []
 
-    flows = scenario.build_flows(topo)
-    scheme = Dctcp()
-    scheme.configure_network(topo.network)
-    from repro.transport.base import TransportContext
-    ctx = TransportContext(topo.sim, topo.network, scenario.config)
-    for flow in flows:
-        topo.sim.schedule_at(flow.start_time, lambda f=flow:
-                             scheme.start_flow(f, ctx))
-    topo.sim.run(until=scenario.max_time)
+    def count_drops(network):
+        for port in network.ports:
+            port.mux.add_drop_hook(seen.append)
+
+    network, telem = lossy_star_run(before_attach=count_drops)
     # chaining: both consumers saw every drop the counters saw
-    assert len(tracer) == topo.network.total_drops() > 0
-    assert telem.counts.get(DROP, 0) == topo.network.total_drops()
+    assert len(seen) == network.total_drops() > 0
+    assert telem.counts.get(DROP, 0) == network.total_drops()
 
 
 # -- JSONL persistence -----------------------------------------------------

@@ -190,7 +190,7 @@ def test_hybrid_scenario_rejected():
 
 
 def test_pfc_scenario_rejected():
-    scenario = tiny_scenario(pfc=True, pfc_config=SIM_PFC)
+    scenario = tiny_scenario(pfc_config=SIM_PFC)
     with pytest.raises(ValueError, match="PFC"):
         run_sharded(Dctcp(), scenario, 2)
 
@@ -198,7 +198,7 @@ def test_pfc_scenario_rejected():
 @pytest.mark.parametrize("overrides", [
     dict(faults=FaultPlan([LinkDown("leaf0->spine0", 0.001, 0.002)])),
     dict(hybrid=HybridConfig(size_threshold=100_000)),
-    dict(pfc=True, pfc_config=SIM_PFC),
+    dict(pfc_config=SIM_PFC),
 ], ids=["faults", "hybrid", "pfc"])
 def test_supervisor_and_worker_refuse_with_the_same_words(overrides):
     """The exclusions are declared once (``shard.check_shardable``): the
