@@ -557,10 +557,7 @@ def lossless_scenario(
     n_flows: int = 120,
     seed: int = 11,
     max_time: float = 20.0,
-    lb: str = "ecmp",
-    lb_gap: Optional[float] = None,
     pfc_config: Optional[PfcConfig] = None,
-    faults: Optional[FaultPlan] = None,
     **overrides,
 ) -> Scenario:
     """RoCEv2-style incast on a PFC-enabled leaf-spine.
@@ -574,8 +571,7 @@ def lossless_scenario(
     return incast_scenario(
         name, cdf, n_senders=n_senders, load=load, n_flows=n_flows,
         fabric=lossless_fabric(), seed=seed, max_time=max_time,
-        lb=lb, lb_gap=lb_gap, pfc_config=pfc_config or SIM_PFC,
-        faults=faults, **overrides)
+        pfc_config=pfc_config or SIM_PFC, **overrides)
 
 
 def pfc_storm_scenario(

@@ -35,6 +35,8 @@ CREDIT_RATE_FRACTION = 0.95
 
 
 class _CreditState(MessageState):
+    """A message plus its credit accounting."""
+
     __slots__ = ("credited", "recredit")
 
     def __init__(self, flow: Flow, n_packets: int) -> None:

@@ -39,6 +39,8 @@ NDP_QUEUE_PACKETS = 8
 
 
 class _PullState(MessageState):
+    """A message plus its pull accounting."""
+
     __slots__ = ("pull_budget", "pulls_issued")
 
     def __init__(self, flow: Flow, n_packets: int) -> None:

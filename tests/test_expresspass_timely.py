@@ -71,13 +71,8 @@ def test_expresspass_counts_every_resend_as_retransmission():
     sender used to compare against the cumulative ACK, which a hole is
     never below, and reported 0)."""
     from repro.experiments.runner import run
-    from repro.experiments.scenarios import incast_scenario, star_fabric
-    from repro.faults import FaultPlan, PacketLoss
-    from repro.workloads.distributions import WEB_SEARCH
-    scenario = incast_scenario(
-        "xpass-loss", WEB_SEARCH, n_senders=6, load=0.6, n_flows=60,
-        size_cap=200_000, seed=7, fabric=star_fabric(8),
-        faults=FaultPlan([PacketLoss("sw0->host0", 0.02)], seed=3))
+    from test_golden_fingerprints import CELLS
+    scenario = CELLS["expresspass-loss"][1]()
     result = run(ExpressPass(), scenario)
     assert result.completed == 60
     senders = [endpoint
