@@ -566,7 +566,7 @@ def _gc_held() -> Iterator[None]:
 def _slice(state: RunState, until: float) -> Optional[str]:
     """Lifecycle step 2, one slice of it: run the simulator to
     ``until`` inside the event budget, then do what every slice ends
-    with — profile sample, sweep, auditor pass — and say whether the run
+    with — profile sample, auditor pass — and say whether the run
     can go on: ``"budget"`` (event budget spent), ``"dead"`` (event
     heap exhausted: nothing can ever happen again, so idling through
     empty slices until ``max_time`` is pointless) or ``None``."""
@@ -584,10 +584,6 @@ def _slice(state: RunState, until: float) -> Optional[str]:
         executed = sim.run(until=until, max_events=max_events)
         telemetry.record_slice(until, executed,
                                _time.perf_counter() - wall_start)
-    # drop lazily-cancelled timers wholesale so a run's peak heap size
-    # reflects live work, not RTO corpses (pop order depends only on
-    # the (time, seq) keys, so this cannot change behaviour)
-    sim.sweep()
     if state.auditor is not None:
         state.auditor.on_slice()
     if budget is not None and sim.events_run >= budget:

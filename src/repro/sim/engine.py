@@ -7,7 +7,10 @@ every simulation bit-for-bit reproducible.
 
 Events are cancellable: :meth:`Event.cancel` marks the entry dead and the
 run loop skips it (lazy deletion), which is the standard way to get O(log n)
-cancellation out of ``heapq``.
+cancellation out of ``heapq``.  Dead entries are bounded: the simulator
+counts them, and ``cancel`` compacts the heap in place as soon as they
+outnumber the live ones (:data:`COMPACT_FLOOR`), so every push and pop
+sifts through the live working set, not through timer corpses.
 
 Three hot-path mechanisms keep per-packet overhead down (see
 ``docs/architecture.md`` §"The hot path"):
@@ -44,6 +47,11 @@ from typing import Any, Callable, Iterable, Optional, Tuple
 # pool only needs to cover the handful of port/wire events live at once.
 FREE_LIST_MAX = 1024
 
+# Cancelled entries the heap may carry before ``cancel`` starts comparing
+# them with the live ones: below this a compaction costs more than the
+# shallower sifts give back.
+COMPACT_FLOOR = 64
+
 _INF = float("inf")
 _NO_BUDGET = sys.maxsize
 
@@ -78,6 +86,9 @@ class Event:
         sim = self._sim
         if sim is not None:
             sim._live -= 1
+            sim._dead = dead = sim._dead + 1
+            if dead > COMPACT_FLOOR and dead * 2 > len(sim._heap):
+                sim.sweep()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "dead" if self.cancelled else "pending"
@@ -98,7 +109,7 @@ class Simulator:
     """
 
     __slots__ = ("now", "_heap", "_seq", "_events_run", "_running",
-                 "_live", "_free", "peak_pending")
+                 "_live", "_dead", "_free", "peak_pending")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -112,6 +123,11 @@ class Simulator:
         # counter may read high *during* a callback; every exact
         # consumer (watchdog, auditor) reads between runs.
         self._live: int = 0
+        # cancelled entries still resident in the heap (cancel: +1, a
+        # run loop popping a corpse: -1, sweep: 0).  Exact at all times,
+        # unlike ``_live`` — which is why the compaction trigger in
+        # ``Event.cancel`` compares it with ``len(_heap)``.
+        self._dead: int = 0
         # dead-Event pool (see module docstring)
         self._free: list = []
         # high-water mark of raw heap entries, updated on every push
@@ -148,6 +164,9 @@ class Simulator:
         self._seq = state["_seq"]
         self._events_run = state["_events_run"]
         self._live = state["_live"]
+        # recounted, not stored: snapshots written before the counter
+        # existed load unchanged
+        self._dead = sum(1 for entry in self._heap if entry[2].cancelled)
         self.peak_pending = state["peak_pending"]
         self._running = False
         self._free = []
@@ -294,6 +313,10 @@ class Simulator:
             if next_time is None or next_time > until:
                 self.now = until
         self._events_run += executed
+        # fires shrink the live set without passing through cancel():
+        # re-check its bound, so it also holds between runs
+        if self._dead > COMPACT_FLOOR and self._dead * 2 > len(self._heap):
+            self.sweep()
         return executed
 
     def _run_unbounded(self) -> int:
@@ -305,6 +328,7 @@ class Simulator:
         while heap:
             time, _seq, event = pop(heap)
             if event.cancelled:
+                self._dead -= 1
                 continue
             event.cancelled = True  # fired; late cancel() is now a no-op
             self.now = time
@@ -332,6 +356,7 @@ class Simulator:
             entry = pop(heap)
             event = entry[2]
             if event.cancelled:
+                self._dead -= 1
                 continue
             time = entry[0]
             if time > until:
@@ -365,6 +390,7 @@ class Simulator:
             entry = pop(heap)
             event = entry[2]
             if event.cancelled:
+                self._dead -= 1
                 continue
             time = entry[0]
             if time > until_f:
@@ -411,19 +437,18 @@ class Simulator:
 
         Determinism-safe: entries are totally ordered by their unique
         ``(time, seq)`` keys, so any valid heap over the same live
-        entries pops in exactly the same order.  Must not be called
-        from inside a running callback (the run loops hold the heap
-        list as a local); the experiment runner sweeps between drain
-        slices so long-dead timers stop inflating ``pending``.
+        entries pops in exactly the same order.  The list is rebuilt in
+        place, so the run loops and the inlined push sites, which hold
+        it as a local, keep seeing the one heap: ``Event.cancel`` calls
+        this from inside callbacks whenever dead entries outnumber live
+        ones.
         """
-        heap = self._heap
-        if len(heap) == self._live:
-            return 0
-        live = [entry for entry in heap if not entry[2].cancelled]
-        removed = len(heap) - len(live)
+        removed = self._dead
         if removed:
-            heapq.heapify(live)
-            self._heap = live
+            heap = self._heap
+            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heapq.heapify(heap)
+            self._dead = 0
         return removed
 
     @property
@@ -552,9 +577,8 @@ class RearmableEvent:
     irregular instants recomputed every time the flow set or the fabric
     changes.  Holding one of these per controller instead of scheduling
     ad-hoc events keeps the bookkeeping simple: at most ONE live entry
-    exists at a time; re-arming lazily cancels the resident entry (a
-    corpse the heap sweeps later, exactly like timer churn) and
-    schedules a replacement.  The events are plain non-recycled
+    exists at a time; re-arming cancels the resident entry (a corpse
+    the engine bounds like any other) and schedules a replacement.  The events are plain non-recycled
     ``schedule_at`` entries — the holder keeps a reference across
     firings, so they must never enter the free list — which lets epoch
     events coexist with the recycled wire/timer events and the

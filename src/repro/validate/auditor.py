@@ -617,16 +617,22 @@ class RunAuditor:
                     exported_bytes=exported_bytes,
                     injected_bytes=injected_bytes)
 
-    def _audit_live_counter(self) -> None:
-        """The engine's incremental live-event counter must agree with a
-        full heap scan.  O(heap), so only run once per audit (finalize),
-        not per slice — the per-slice checks read the counter itself."""
+    def _audit_engine_counters(self) -> None:
+        """The engine's incremental live- and dead-entry counters must
+        agree with a full heap scan.  O(heap), so only run once per
+        audit (finalize), not per slice — the per-slice checks read the
+        counters themselves."""
         sim = self.sim
         scanned = sum(1 for _t, _s, event in sim._heap if not event.cancelled)
         self._check(sim.live_pending == scanned,
                     "engine-live-counter", "engine",
                     "incremental live-event counter disagrees with heap scan",
                     live_pending=sim.live_pending, scanned=scanned)
+        dead = len(sim._heap) - scanned
+        self._check(sim._dead == dead,
+                    "engine-dead-counter", "engine",
+                    "incremental dead-entry counter disagrees with heap scan",
+                    dead=sim._dead, scanned=dead)
 
     def finalize(self, flows=None) -> ValidationReport:
         """Drain-end harvest: one last slice check, then the transport
@@ -635,7 +641,7 @@ class RunAuditor:
             return self.report
         self._finalized = True
         self.on_slice()
-        self._audit_live_counter()
+        self._audit_engine_counters()
         for sender in self._endpoints(WindowSender):
             self._audit_sender(sender)
         for receiver in self._endpoints(WindowReceiver):

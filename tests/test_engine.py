@@ -1,10 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
+from repro.sim import engine
+from repro.sim.engine import COMPACT_FLOOR, Simulator
 
 
 def test_schedule_and_run_in_order():
@@ -306,6 +309,161 @@ def test_sweep_on_clean_heap_is_noop():
     sim.schedule(1e-3, lambda: None)
     assert sim.sweep() == 0
     assert sim.pending == 1
+
+
+# -- dead entries are bounded ----------------------------------------------
+
+
+def _dead_in_heap(sim):
+    return sum(1 for entry in sim._heap if entry[2].cancelled)
+
+
+def test_cancel_compacts_once_dead_outnumber_live():
+    """cancel() drops the corpses as soon as they outnumber the live
+    entries past the floor — and not a cancel earlier."""
+    sim = Simulator()
+    fired = []
+    timers = [sim.schedule(1.0 + i, fired.append, i)
+              for i in range(COMPACT_FLOOR + 1)]
+    keep = [sim.schedule(0.5, fired.append, "kept")]
+    for timer in timers[:-1]:
+        timer.cancel()
+    # at the floor: every corpse is still resident
+    assert sim._dead == COMPACT_FLOOR
+    assert sim.pending == COMPACT_FLOOR + 2
+    timers[-1].cancel()
+    assert sim._dead == 0
+    assert sim.pending == sim.live_pending == len(keep)
+    seq_before = sim._seq
+    sim.run()
+    assert fired == ["kept"]
+    assert sim._seq == seq_before                 # compaction claims no seq
+
+
+def test_live_majority_defers_compaction():
+    """Past the floor, corpses stay while live entries outnumber them."""
+    sim = Simulator()
+    live = [sim.schedule(2.0, lambda: None) for _ in range(3 * COMPACT_FLOOR)]
+    dead = [sim.schedule(1.0, lambda: None) for _ in range(2 * COMPACT_FLOOR)]
+    for event in dead:
+        event.cancel()
+    assert sim._dead == len(dead)
+    assert sim.pending == len(live) + len(dead)
+    # the run loop pops the corpses (they sort first) and accounts them
+    sim.run(until=1.5)
+    assert sim._dead == 0
+    assert sim.pending == len(live)
+
+
+def test_dead_counter_ignores_late_and_double_cancel():
+    sim = Simulator()
+    fired = sim.schedule(1e-3, lambda: None)
+    pending = sim.schedule(2e-3, lambda: None)
+    sim.run(until=1.5e-3)
+    fired.cancel()                                # already went off
+    assert sim._dead == 0
+    pending.cancel()
+    pending.cancel()
+    assert sim._dead == 1 == _dead_in_heap(sim)
+
+
+def test_compaction_inside_a_callback_keeps_the_run_loop_on_one_heap():
+    """A callback that cancels enough timers to trigger compaction runs
+    while the loop holds the heap list as a local; events it schedules
+    afterwards, and the survivors, must still fire."""
+    sim = Simulator()
+    heap = sim._heap
+    fired = []
+    timers = [sim.schedule(5.0, fired.append, "timer")
+              for _ in range(2 * COMPACT_FLOOR)]
+
+    def purge():
+        for timer in timers:
+            timer.cancel()
+        sim.schedule(1.0, fired.append, "after-purge")
+
+    sim.schedule(1.0, purge)
+    sim.schedule(3.0, fired.append, "survivor")
+    sim.run()
+    assert fired == ["after-purge", "survivor"]
+    assert sim._heap is heap
+    assert sim.peak_pending == 2 * COMPACT_FLOOR + 2
+
+
+class _NeverCompacts(Simulator):
+    """The reference: corpses stay until a run loop pops them."""
+
+    def sweep(self) -> int:
+        return 0
+
+
+_OPS = st.one_of(
+    # schedule(delay); on firing optionally cancel handles[i] and
+    # optionally schedule a child
+    st.tuples(st.just("schedule"), st.floats(min_value=0.0, max_value=1.0),
+              st.one_of(st.none(), st.integers(min_value=0)),
+              st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0))),
+    st.tuples(st.just("cancel"), st.integers(min_value=0)),
+    st.tuples(st.just("run_until"), st.floats(min_value=0.0, max_value=0.5)),
+    st.tuples(st.just("run_events"), st.integers(min_value=1, max_value=5)),
+)
+
+
+def _replay(sim, ops, after_each=None):
+    """Apply ``ops`` to ``sim``; the log of ``(id, time)`` fires."""
+    handles, log = [], []
+
+    def fire(ident, cancel_idx, child_delay):
+        log.append((ident, sim.now))
+        if cancel_idx is not None:
+            handles[cancel_idx % len(handles)].cancel()
+        if child_delay is not None:
+            handles.append(sim.schedule(child_delay, fire,
+                                        (ident, "child"), None, None))
+
+    for number, op in enumerate(ops):
+        if op[0] == "schedule":
+            handles.append(sim.schedule(op[1], fire, number, op[2], op[3]))
+        elif op[0] == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+        elif op[0] == "run_until":
+            sim.run(until=sim.now + op[1])
+        else:
+            sim.run(max_events=op[1])
+        if after_each is not None:
+            after_each()
+    sim.run()
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OPS, max_size=120))
+# fires, not cancels, leave two corpses behind one live entry: the
+# bound has to be re-checked when a run ends, too
+@example([("schedule", 0.9, None, None), ("schedule", 0.9, None, None),
+          ("schedule", 0.6, None, None), ("schedule", 0.1, None, None),
+          ("schedule", 0.1, None, None), ("cancel", 0), ("cancel", 1),
+          ("run_until", 0.2)])
+def test_compaction_never_changes_what_fires_or_when(ops):
+    """Random interleavings of schedule / cancel (from outside and from
+    inside callbacks) / run fire exactly as on a simulator that never
+    compacts, and dead entries stay bounded by the live ones."""
+    floor = 1                     # tiny, so short programs compact often
+    sim = Simulator()
+
+    def bounded():
+        assert sim._dead == _dead_in_heap(sim)
+        assert sim.pending == sim.live_pending + sim._dead
+        assert sim._dead <= max(floor, sim.live_pending)
+
+    with mock.patch.object(engine, "COMPACT_FLOOR", floor):
+        log = _replay(sim, ops, bounded)
+        reference = _NeverCompacts()
+        assert log == _replay(reference, ops)
+    assert sim._seq == reference._seq
+    assert sim.events_run == reference.events_run
+    assert sim.pending == 0
 
 
 def test_peak_pending_high_water_mark():

@@ -149,9 +149,11 @@ def test_flush_wire_books_fault_losses():
     assert port.fault_wire_drops == 3
     assert port.fault_wire_drop_bytes == 3 * 1500
     assert len(port.wire) == 0
+    assert sim._dead == 1                 # the recycled head, as a corpse
     sim.run()
     assert sink.received == []            # nothing survives the flush
     assert sim.live_pending == 0          # head event cancelled
+    assert sim._dead == 0                 # ... and popped by the run loop
 
 
 def test_legacy_wire_mode_schedules_per_packet():

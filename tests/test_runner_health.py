@@ -14,10 +14,12 @@ from repro.transport.ndp import Ndp
 from repro.experiments.runner import RunHealth, Scenario, run
 from repro.experiments.scenarios import (
     HOMA_RTT_BYTES_SIM,
+    incast_scenario,
     sim_config,
     star_fabric,
 )
 from repro.units import gbps, us
+from repro.workloads.distributions import WEB_SEARCH
 
 
 def make_scenario(name="health", *, size=300_000, n_flows=1,
@@ -158,6 +160,17 @@ def test_live_pending_reported_on_stall():
     # and the fabric genuinely had no hooks attached
     assert all(p.fault_chain is None for p in plain.topology.network.ports)
     assert all(p.fault_chain is None for p in empty.topology.network.ports)
+
+
+def test_peak_pending_counts_live_work_not_cancelled_timers():
+    """A receiver-driven incast re-arms a sender timeout on every grant;
+    those used to pile up as cancelled heap entries (thousands here)
+    while some 30 events were live."""
+    result = run(Homa(rtt_bytes=HOMA_RTT_BYTES_SIM),
+                 incast_scenario("incast", WEB_SEARCH, n_senders=31,
+                                 load=0.6, n_flows=60))
+    assert result.health.ok
+    assert result.health.peak_pending < 200
 
 
 def test_health_defaults():

@@ -318,6 +318,21 @@ def test_cooked_live_counter_detected():
     assert "engine-live-counter" in report.counts
 
 
+def test_cooked_dead_counter_detected():
+    """So is the cancelled-but-resident counter the heap compaction
+    trigger reads."""
+
+    def cook_dead(topo):
+        topo.sim._dead += 1
+        return None
+
+    result = run(Dctcp(), small_scenario(n_flows=4), validate=True,
+                 instruments=cook_dead)
+    report = result.validation
+    assert not report.ok
+    assert "engine-dead-counter" in report.counts
+
+
 def test_report_combine_many_disjoint_and_overlapping_laws():
     a = ValidationReport()
     a.checks_run = 3
