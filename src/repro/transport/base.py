@@ -387,6 +387,7 @@ class MessageSender:
         self.pkts_transmitted = 0
         self.pkts_retransmitted = 0
         self._rto_event: Optional[Event] = None
+        self._rto_deadline = 0.0
         if flow.first_syscall_bytes is None:
             flow.first_syscall_bytes = min(flow.size, self.cfg.send_buffer_bytes)
 
@@ -411,19 +412,35 @@ class MessageSender:
             self._rto_event = None
 
     def arm_timer(self) -> None:
-        """(Re)start the timeout: ``min_rto`` from now, no backoff."""
-        if self._rto_event is not None:
-            self._rto_event.cancel()
+        """(Re)start the timeout: ``min_rto`` from now, no backoff.
+
+        Lazy deadline, as :meth:`WindowSender._arm_rto`: this runs on
+        every grant or pull, so it only stores the new deadline; the one
+        resident event re-checks it when it fires (:meth:`_on_timer`).
+        """
         if self.finished:
             return
-        self._rto_event = self.sim.schedule(self.cfg.min_rto, self._on_timer)
+        self._rto_deadline = self.sim.now + self.cfg.min_rto
+        if self._rto_event is None:
+            self._rto_event = self.sim.schedule(self.cfg.min_rto,
+                                                self._on_timer)
 
     def _on_timer(self) -> None:
+        self._rto_event = None
         if self.finished:
+            return
+        now = self.sim.now
+        if now < self._rto_deadline:
+            # re-armed since this event was scheduled: sleep until the
+            # current deadline.  It is at most twice ``now`` (one
+            # ``min_rto`` ahead, and ``now`` is at least one), so the
+            # difference is exact and the event lands on the deadline
+            # to the bit.
+            self._rto_event = self.sim.schedule(self._rto_deadline - now,
+                                                self._on_timer)
             return
         self.host.ops_sent += 1
         self.on_timeout()
-        self._rto_event = None
         self.arm_timer()
 
     def on_timeout(self) -> None:

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from conftest import make_ctx, make_star
 from repro.sim.packet import HEADER_BYTES
-from repro.transport.base import Flow, Scheme, TransportConfig, TransportContext
+from repro.transport.base import (
+    Flow,
+    MessageSender,
+    Scheme,
+    TransportConfig,
+    TransportContext,
+)
 
 
 def test_flow_fct_none_until_finished():
@@ -69,3 +75,63 @@ def test_scheme_base_is_abstract():
 def test_scheme_configure_network_default_noop():
     topo = make_star()
     Scheme().configure_network(topo.network)  # must not raise
+
+
+# -- the receiver-driven sender's timeout ----------------------------------
+
+
+class _TimedSender(MessageSender):
+    def __init__(self, flow, ctx):
+        super().__init__(flow, ctx)
+        self.timeouts = []
+
+    def on_timeout(self):
+        self.timeouts.append(self.sim.now)
+
+
+def _timed_sender(min_rto=1e-3):
+    topo = make_star()
+    ctx = make_ctx(topo, min_rto=min_rto)
+    return _TimedSender(Flow(0, 0, 1, 100_000, 0.0), ctx), topo.sim
+
+
+def test_sender_timeout_fires_min_rto_after_the_last_arm():
+    """Re-arming is a deadline store: the timeout still fires at exactly
+    last arm + min_rto (same float), and only a real timeout counts as
+    datapath work — the early wake-ups that find the deadline moved do
+    not."""
+    sender, sim = _timed_sender()
+    min_rto = sender.cfg.min_rto
+    sender.arm_timer()
+    last_arm = 0.0
+    for step in (0.3e-3, 0.41e-3, 0.77e-3, 0.123e-3):     # each < min_rto
+        sim.run(until=sim.now + step)
+        last_arm = sim.now
+        sender.arm_timer()
+        assert sim.live_pending == 1          # one resident event, ever
+        assert sim.pending == 1               # ... and no corpse beside it
+    sim.run(until=last_arm + min_rto - 1e-9)
+    assert sender.timeouts == []
+    assert sender.host.ops_sent == 0
+    sim.run(until=last_arm + min_rto)
+    assert sender.timeouts == [last_arm + min_rto]
+    assert sender.host.ops_sent == 1
+    # the timeout re-arms itself: no backoff, min_rto again
+    sim.run(until=last_arm + 2 * min_rto)
+    assert sender.timeouts == [last_arm + min_rto,
+                               last_arm + min_rto + min_rto]
+    assert sender.host.ops_sent == 2
+
+
+def test_stopped_sender_leaves_no_live_timer():
+    sender, sim = _timed_sender()
+    sender.arm_timer()
+    sim.run(until=0.4e-3)
+    sender.arm_timer()
+    sender.stop()
+    assert sim.live_pending == 0
+    sender.arm_timer()                        # a late grant: stays disarmed
+    assert sim.live_pending == 0
+    sim.run()
+    assert sender.timeouts == []
+    assert sender.host.ops_sent == 0

@@ -152,6 +152,28 @@ def test_loss_cells_exercise_recovery(cell):
     assert golden["completed"] == 60 and golden["retransmits_total"] > 0
 
 
+# The receiver-driven senders' timeout became a lazy deadline: a
+# re-armed timer no longer leaves a cancelled heap entry per grant or
+# pull, it wakes once, finds the deadline moved and sleeps again.  Those
+# wake-ups are engine events, so ``wall_events`` rose on the cells where
+# a timer outlives a re-arm — by exactly this much, and nothing else in
+# the file moved (FCT hashes, completions and retransmit counts
+# included).  A later deliberate re-record retires this check with it.
+LAZY_TIMEOUT_WAKEUPS = {"aeolus-leaf-spine": 1, "aeolus-star-incast": 9,
+                        "aeolus-loss": 9, "homa-loss": 64, "ndp-loss": 28}
+BEFORE_LAZY_TIMEOUT_SHA256 = (
+    "2e82c89abe404422bd84db694ef1323cb1505d5d8f90a93f29e32be78893771f")
+
+
+def test_lazy_timeout_moved_only_wall_events():
+    golden = json.loads(GOLDEN.read_text())
+    for cell, wakeups in LAZY_TIMEOUT_WAKEUPS.items():
+        golden[cell]["wall_events"] -= wakeups
+    before = json.dumps(golden, indent=1, sort_keys=True) + "\n"
+    assert (hashlib.sha256(before.encode()).hexdigest()
+            == BEFORE_LAZY_TIMEOUT_SHA256)
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(
         {cell: measure(cell) for cell in ALL_CELLS},

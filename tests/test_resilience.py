@@ -34,6 +34,7 @@ from repro.resilience import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.transport.base import MessageSender
 from repro.transport.dctcp import Dctcp
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -108,9 +109,10 @@ def test_resume_bit_identical_property(tmp_path_factory, scheme, fabric,
     assert resumed.health == straight.health
 
 
-def test_resume_from_every_checkpoint_is_identical(tmp_path):
-    """Every snapshot along one run — not just the last — resumes to the
-    same end state."""
+def _resume_from_every_checkpoint(tmp_path, factory):
+    """Run ``factory()`` on the lossy tiny fabric keeping every snapshot,
+    resume each one to the end and check it against the straight run;
+    returns the snapshot paths."""
     path = str(tmp_path / "run.ckpt")
     copies = []
 
@@ -118,28 +120,50 @@ def test_resume_from_every_checkpoint_is_identical(tmp_path):
 
     def hoarding_save(state, p):
         header = real_save(state, p)
-        copies.append((header["sim_time"],
-                       (tmp_path / f"copy{len(copies)}.ckpt")))
+        copies.append(tmp_path / f"copy{len(copies)}.ckpt")
         import shutil
-        shutil.copy(p, copies[-1][1])
+        shutil.copy(p, copies[-1])
         return header
 
     import repro.experiments.runner as runner_mod
-    straight = run(Dctcp(), scenario_for("tiny", "loss", 3))
+    straight = run(factory(), scenario_for("tiny", "loss", 3))
     old = runner_mod.save_checkpoint
     runner_mod.save_checkpoint = hoarding_save
     try:
-        checked = run(Dctcp(), scenario_for("tiny", "loss", 3),
+        checked = run(factory(), scenario_for("tiny", "loss", 3),
                       checkpoint_every=0.0, checkpoint_path=path)
     finally:
         runner_mod.save_checkpoint = old
     assert fct_fingerprint(checked) == fct_fingerprint(straight)
     assert copies, "run finished without writing any checkpoint"
 
-    for _sim_time, copy in copies:
+    for copy in copies:
         resumed = run(resume=str(copy))
         assert fct_fingerprint(resumed) == fct_fingerprint(straight)
         assert resumed.wall_events == straight.wall_events
+    return copies
+
+
+def test_resume_from_every_checkpoint_is_identical(tmp_path):
+    """Every snapshot along one run — not just the last — resumes to the
+    same end state."""
+    _resume_from_every_checkpoint(tmp_path, Dctcp)
+
+
+@pytest.mark.parametrize("scheme", ["homa", "ndp"])
+def test_resume_between_rearm_and_fire_of_a_sender_timeout(tmp_path, scheme):
+    """The receiver-driven senders' timeout is a deadline plus one
+    resident event that re-checks it: a snapshot taken after a re-arm
+    moved the deadline, before the event woke, must carry both."""
+    copies = _resume_from_every_checkpoint(tmp_path, SCHEME_FACTORIES[scheme])
+    rearmed = 0
+    for copy in copies:
+        for _time, _seq, event in load_checkpoint(str(copy)).sim._heap:
+            owner = getattr(event.fn, "__self__", None)
+            if (isinstance(owner, MessageSender) and not event.cancelled
+                    and owner._rto_deadline > event.time):
+                rearmed += 1
+    assert rearmed, "no snapshot caught a re-armed timeout in flight"
 
 
 def test_double_restart_kill_resume_kill_resume(tmp_path, monkeypatch):
