@@ -73,6 +73,8 @@ class LcpController:
 
         self._pace_events: list = []
         self._term_event: Optional[Event] = None
+        # every seq above this is delivered (see _pick_tail_seq)
+        self._tail_cursor = sender.n_packets - 1
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -193,8 +195,15 @@ class LcpController:
         HCP loop's pointer), which also closes the loop.
         """
         sender = self.sender
-        seq = sender.buffer_end() - 1
         delivered = sender.delivered
+        # ``delivered`` only grows, so the delivered tail is skipped once
+        # and for all: rescanning it on every opportunistic packet is
+        # quadratic in the tail of a starved multi-MB flow
+        cursor = self._tail_cursor
+        while cursor >= 0 and cursor in delivered:
+            cursor -= 1
+        self._tail_cursor = cursor
+        seq = min(sender.buffer_end() - 1, cursor)
         hcp_outstanding = sender.outstanding
         while seq >= 0:
             if seq <= sender.send_ptr:

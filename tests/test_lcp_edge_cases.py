@@ -108,3 +108,62 @@ def test_open_loop_rejects_nonpositive_window():
     assert not sender.lcp.open_loop(0)
     assert not sender.lcp.open_loop(-5)
     assert not sender.lcp.active
+
+
+class _ProbeCountingSet(set):
+    """``delivered`` with a counter on membership tests: one probe is
+    one step of the tail scan."""
+
+    probes = 0
+
+    def __contains__(self, seq):
+        self.probes += 1
+        return super().__contains__(seq)
+
+
+def _rescanning_tail_pick(lcp):
+    """``_pick_tail_seq`` as it was before the cursor: rescan the whole
+    delivered tail from the end of the buffer (the reference)."""
+    sender = lcp.sender
+    seq = sender.buffer_end() - 1
+    while seq >= 0:
+        if seq <= sender.send_ptr:
+            return None
+        if (not set.__contains__(sender.delivered, seq)
+                and seq not in sender.outstanding
+                and seq not in lcp.outstanding):
+            return seq
+        seq -= 1
+    return None
+
+
+def test_tail_pick_does_not_rescan_the_delivered_tail():
+    """One starved multi-MB flow whose tail LCP delivers packet by
+    packet: every pick used to walk the whole delivered tail again
+    (quadratic — seconds of wall time per flow); the scan now starts
+    below it, and picks exactly the seqs the rescan picked."""
+    sender, topo, ctx = make_sender(size=4_000_000)
+    lcp = sender.lcp
+    sender.delivered = delivered = _ProbeCountingSet()
+    sender.send_ptr = 10                  # HCP is starved near the head
+    sender.outstanding[11] = 0.0
+    in_flight_cap = 8
+    worst = picks = 0
+    while True:
+        expected = _rescanning_tail_pick(lcp)
+        delivered.probes = 0
+        seq = lcp._pick_tail_seq()
+        worst = max(worst, delivered.probes)
+        assert seq == expected
+        if seq is None:
+            break
+        picks += 1
+        lcp.outstanding[seq] = 0.0
+        if len(lcp.outstanding) > in_flight_cap:
+            # the oldest opportunistic packet is LP-ACKed
+            oldest = next(iter(lcp.outstanding))
+            del lcp.outstanding[oldest]
+            delivered.add(oldest)
+    # every seq above the HCP pointer except its one outstanding packet
+    assert picks == sender.n_packets - 12
+    assert worst <= 2 * in_flight_cap
