@@ -14,6 +14,11 @@ judged against (ROADMAP: "as fast as the hardware allows").  Probes:
 * ``leaf-spine`` — all-to-all over a 2x2 leaf-spine: multipath ECMP
   forwarding with two switch hops per path, the topology shape the
   validation matrix leans on;
+* ``homa-incast`` — a 31:1 Homa incast, the receiver-driven message
+  core (grants, per-priority mux, sender timeouts re-armed on every
+  grant).  Its ``peak_pending`` is the live working set: re-armed
+  timeouts leave no corpses in the heap (it ran to thousands before
+  the engine bounded them);
 * ``dctcp-incast-observed`` — the incast with repro.obs telemetry
   attached; comparing against ``dctcp-incast`` across commits bounds
   the observation overhead (regression budget: <3%);
@@ -50,6 +55,7 @@ from conftest import run_figure
 from repro.experiments.distributed import run_sharded
 from repro.experiments.runner import Scenario, run
 from repro.experiments.scenarios import (
+    HOMA_RTT_BYTES_SIM,
     all_to_all_scenario,
     incast_scenario,
     sim_config,
@@ -60,6 +66,7 @@ from repro.sim.engine import Simulator
 from repro.sim.hybrid import HybridConfig
 from repro.transport.base import Flow
 from repro.transport.dctcp import Dctcp
+from repro.transport.homa import Homa
 from repro.units import gbps, us
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -127,6 +134,25 @@ def _leaf_spine_row():
     elapsed = time.perf_counter() - t0
     assert result.completed == len(result.flows), "leaf-spine must complete"
     return {"bench": "leaf-spine", "events": result.wall_events,
+            "seconds": elapsed,
+            "events_per_sec": result.wall_events / elapsed,
+            "peak_pending": result.health.peak_pending}
+
+
+def _homa_incast_row():
+    best = None
+    for _ in range(INCAST_REPEATS):
+        scenario = incast_scenario(
+            "bench-core-homa-incast", WEB_SEARCH, n_senders=31, load=0.6,
+            n_flows=100, seed=11)
+        t0 = time.perf_counter()
+        result = run(Homa(rtt_bytes=HOMA_RTT_BYTES_SIM), scenario)
+        elapsed = time.perf_counter() - t0
+        assert result.completed == len(result.flows), "incast must complete"
+        if best is None or elapsed < best[0]:
+            best = (elapsed, result)
+    elapsed, result = best
+    return {"bench": "homa-incast", "events": result.wall_events,
             "seconds": elapsed,
             "events_per_sec": result.wall_events / elapsed,
             "peak_pending": result.health.peak_pending}
@@ -236,7 +262,8 @@ def _sharded_row():
 
 def _run_bench():
     rows = [_raw_heap_row(), _incast_row(), _leaf_spine_row(),
-            _observed_incast_row(), _hybrid_row(), _sharded_row()]
+            _homa_incast_row(), _observed_incast_row(), _hybrid_row(),
+            _sharded_row()]
     payload = {"bench": "core_engine", "rows": rows}
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -6,10 +6,11 @@ probe's metric falls below ``threshold`` times the baseline.  The
 default gates are ``dctcp-incast`` (the full-datapath number that
 bounds experiment wall time), ``leaf-spine`` (the multi-hop ECMP
 forwarding path, which exercises the switch selection code the
-load-balancer seam hangs off), and ``hybrid-soak`` (the flow-level
-fast path's simulated-flow-hours-per-wall-second on a heavy-traffic
-scenario — the ratchet that keeps the hybrid speedup honest), each at
-0.75x — a 25% allowance for runner noise (the checked-in baseline and
+load-balancer seam hangs off), ``homa-incast`` (the receiver-driven
+message core, which the window probes bypass), and ``hybrid-soak``
+(the flow-level fast path's simulated-flow-hours-per-wall-second on a
+heavy-traffic scenario — the ratchet that keeps the hybrid speedup
+honest), each at 0.75x — a 25% allowance for runner noise (the checked-in baseline and
 CI run on different hardware, so the gates catch structural
 regressions, not jitter).
 
@@ -33,6 +34,7 @@ import sys
 GATED_METRICS = {
     "dctcp-incast": "events_per_sec",
     "leaf-spine": "events_per_sec",
+    "homa-incast": "events_per_sec",
     "hybrid-soak": "flow_hours_per_sec",
     # aggregate events/sec of the 4-way space-sharded 1024-host run:
     # keeps the window protocol's synchronization overhead honest even
@@ -41,8 +43,8 @@ GATED_METRICS = {
     "sharded-leaf-spine": "events_per_sec",
 }
 DEFAULT_METRIC = "events_per_sec"
-DEFAULT_BENCHES = ("dctcp-incast", "leaf-spine", "hybrid-soak",
-                   "sharded-leaf-spine")
+DEFAULT_BENCHES = ("dctcp-incast", "leaf-spine", "homa-incast",
+                   "hybrid-soak", "sharded-leaf-spine")
 
 
 class RatchetError(RuntimeError):

@@ -49,6 +49,13 @@ class DctcpSender(WindowSender):
         # PPT hooks in
         self.on_window_update: Optional[Callable[["DctcpSender"], None]] = None
 
+    def stop(self) -> None:
+        super().stop()
+        # a finished flow closes no more windows; ``alpha_min`` falls
+        # back to ``alpha``.  The 16-slot deque is 740 bytes per retired
+        # flow on a streamed run.
+        self.alpha_history = ()
+
     # -- congestion control -------------------------------------------------
 
     def cc_on_ack(self, ce: bool, rtt: float) -> None:

@@ -32,6 +32,11 @@ from ..sim.packet import ACK, ACK_BYTES, DATA, Packet
 from .base import Flow, TransportConfig, TransportContext
 
 
+# what a finished sender's send-history sets are swapped for: one shared
+# object instead of two empty ``set()`` (216 bytes each) per retired flow
+_NO_SEQS: frozenset = frozenset()
+
+
 class _DeliveredAll(_AbstractSet):
     """Memory-flat stand-in for a *finished* flow's delivered-seq set.
 
@@ -167,6 +172,23 @@ class WindowReceiver:
 class WindowSender:
     """Window-based reliable sender with SACK, fast retransmit and RTO."""
 
+    # One sender per flow, and streamed runs retire tens of thousands:
+    # this many attributes defeat CPython's key-sharing dicts (1.5 KB of
+    # private dict per sender), slots do not.  ``__dict__`` stays so
+    # subclasses and test monkeypatches assign freely; it is only
+    # materialised when used.
+    __slots__ = (
+        "flow", "ctx", "cfg", "sim", "host", "n_packets", "base_rtt",
+        "cwnd", "ssthresh", "max_cwnd_seen",
+        "outstanding", "_ever_sent", "_rtx_seqs", "delivered", "cum",
+        "send_ptr", "dup_acks", "finished",
+        "srtt", "pkts_transmitted", "pkts_retransmitted", "acks_received",
+        "rtos_fired", "obs", "audit",
+        "_rto_event", "_rto_deadline", "_last_fast_rtx", "_no_hole_floor",
+        "rto_backoff_exp", "buffer_packets", "_payload", "_size_pad",
+        "_min_rto", "_rto_cap", "_rto_backoff", "_has_claims",
+        "_default_priority", "_default_ecn", "__dict__")
+
     def __init__(self, flow: Flow, ctx: TransportContext) -> None:
         self.flow = flow
         self.ctx = ctx
@@ -282,8 +304,8 @@ class WindowSender:
         self.outstanding.clear()
         # dead once ``finished`` is set: try_send/handle_ack/transmit all
         # short-circuit, so nothing consults send history or Karn marks
-        self._ever_sent = set()
-        self._rtx_seqs = set()
+        self._ever_sent = _NO_SEQS
+        self._rtx_seqs = _NO_SEQS
         self._no_hole_floor = None
         self._rto_event = None
 

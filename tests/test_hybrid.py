@@ -389,6 +389,7 @@ def test_ratchet_passes_against_itself(tmp_path):
     payload.write_text(json.dumps({"rows": [
         {"bench": "dctcp-incast", "events_per_sec": 1000.0},
         {"bench": "leaf-spine", "events_per_sec": 900.0},
+        {"bench": "homa-incast", "events_per_sec": 700.0},
         {"bench": "hybrid-soak", "events_per_sec": 10.0,
          "flow_hours_per_sec": 3.0},
         {"bench": "sharded-leaf-spine", "events_per_sec": 800.0},
