@@ -9,8 +9,8 @@ Events are cancellable: :meth:`Event.cancel` marks the entry dead and the
 run loop skips it (lazy deletion), which is the standard way to get O(log n)
 cancellation out of ``heapq``.  Dead entries are bounded: the simulator
 counts them, and ``cancel`` compacts the heap in place as soon as they
-outnumber the live ones (:data:`COMPACT_FLOOR`), so every push and pop
-sifts through the live working set, not through timer corpses.
+outnumber the live ones past :data:`COMPACT_FLOOR`, so every push and
+pop sifts through the live working set, not through timer corpses.
 
 Three hot-path mechanisms keep per-packet overhead down (see
 ``docs/architecture.md`` §"The hot path"):
@@ -578,7 +578,8 @@ class RearmableEvent:
     changes.  Holding one of these per controller instead of scheduling
     ad-hoc events keeps the bookkeeping simple: at most ONE live entry
     exists at a time; re-arming cancels the resident entry (a corpse
-    the engine bounds like any other) and schedules a replacement.  The events are plain non-recycled
+    the engine bounds like any other) and schedules a replacement.
+    The events are plain non-recycled
     ``schedule_at`` entries — the holder keeps a reference across
     firings, so they must never enter the free list — which lets epoch
     events coexist with the recycled wire/timer events and the

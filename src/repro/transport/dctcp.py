@@ -51,9 +51,9 @@ class DctcpSender(WindowSender):
 
     def stop(self) -> None:
         super().stop()
-        # a finished flow closes no more windows; ``alpha_min`` falls
-        # back to ``alpha``.  The 16-slot deque is 740 bytes per retired
-        # flow on a streamed run.
+        # a finished flow closes no more windows (``alpha_min`` falls
+        # back to ``alpha``), and the deque is ~750 bytes per retired
+        # flow on a streamed run
         self.alpha_history = ()
 
     # -- congestion control -------------------------------------------------

@@ -156,14 +156,15 @@ def test_resume_between_rearm_and_fire_of_a_sender_timeout(tmp_path, scheme):
     resident event that re-checks it: a snapshot taken after a re-arm
     moved the deadline, before the event woke, must carry both."""
     copies = _resume_from_every_checkpoint(tmp_path, SCHEME_FACTORIES[scheme])
-    rearmed = 0
-    for copy in copies:
-        for _time, _seq, event in load_checkpoint(str(copy)).sim._heap:
-            owner = getattr(event.fn, "__self__", None)
-            if (isinstance(owner, MessageSender) and not event.cancelled
-                    and owner._rto_deadline > event.time):
-                rearmed += 1
-    assert rearmed, "no snapshot caught a re-armed timeout in flight"
+
+    def rearmed(event):
+        owner = getattr(event.fn, "__self__", None)
+        return (isinstance(owner, MessageSender) and not event.cancelled
+                and owner._rto_deadline > event.time)
+
+    assert any(rearmed(event) for copy in copies
+               for _time, _seq, event in load_checkpoint(str(copy)).sim._heap
+               ), "no snapshot caught a re-armed timeout in flight"
 
 
 def test_double_restart_kill_resume_kill_resume(tmp_path, monkeypatch):
