@@ -63,10 +63,8 @@ class SamplerBase:
         popped), so "only sampler events remain" means the simulation
         proper can make no further progress.
         """
-        for _time, _seq, event in self.sim._heap:
-            if event.cancelled:
-                continue
-            owner = getattr(event.fn, "__self__", None)
+        for _time, fn, _args in self.sim.live_entries():
+            owner = getattr(fn, "__self__", None)
             if owner is None or not isinstance(owner, SamplerBase):
                 return False
         return True

@@ -13,11 +13,8 @@ makes a resumed run **bit-identical** to a straight-through one (gated
 by ``tests/test_resilience.py`` the same way
 ``Wire.PIPELINED_DEFAULT`` equivalence is gated).
 
-Three deliberate exclusions keep snapshots both lean and loadable:
+Two deliberate exclusions keep snapshots both lean and loadable:
 
-* the engine's event **free-list** is dropped (dead pooled objects;
-  whether an Event is recycled or freshly allocated cannot change
-  behaviour — see :meth:`~repro.sim.engine.Simulator.__getstate__`);
 * the :class:`~repro.experiments.runner.Scenario` **builders** are NOT
   stored (they are arbitrary closures); a checkpoint instead records
   the scalar drain limits it needs (``max_time``, ``event_budget``,
@@ -65,7 +62,10 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # list-indexing ``EventChain``, neither of which this build can load)
 # v5: ``RunState.stall_slices`` is gone (a runner constant), and the
 # observed start chain's ``functools.partial`` carries one more argument
-CHECKPOINT_VERSION = 5
+# v6: heap entries are ``(time, seq, fn, arg)`` — the packet path's pickle
+# as bound method + packet, no ``Event`` — ``Wire``/``ControlPipe`` lost
+# ``head_event`` and ``Simulator`` its stored ``_live``
+CHECKPOINT_VERSION = 6
 
 
 class CheckpointError(RuntimeError):

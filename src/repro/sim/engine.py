@@ -1,28 +1,27 @@
 """Discrete-event simulation engine.
 
-A deliberately small, fast core: a binary heap of ``(time, seq, Event)``
-entries.  ``seq`` is a monotonically increasing insertion counter so that
-events scheduled for the same instant fire in insertion order, which makes
-every simulation bit-for-bit reproducible.
+A deliberately small, fast core: a binary heap of ``(time, seq, fn,
+arg)`` entries.  ``seq`` is a monotonically increasing insertion counter
+so that events scheduled for the same instant fire in insertion order,
+which makes every simulation bit-for-bit reproducible.
 
-Events are cancellable: :meth:`Event.cancel` marks the entry dead and the
-run loop skips it (lazy deletion), which is the standard way to get O(log n)
-cancellation out of ``heapq``.  Dead entries are bounded: the simulator
-counts them, and ``cancel`` compacts the heap in place as soon as they
-outnumber the live ones past :data:`COMPACT_FLOOR`, so every push and
-pop sifts through the live working set, not through timer corpses.
+The heap entry is the work itself.  The packet path (port serializer,
+wire head arrival, control pipe) pushes **direct entries** — the run
+loop calls ``fn(arg)`` and nothing else is allocated
+(:meth:`Simulator.schedule_direct`).  ``fn is None`` marks the only
+other kind, a **cancellable handle**: ``arg`` is the :class:`Event`
+that :meth:`Simulator.schedule` returned, :meth:`Event.cancel` marks it
+dead and the run loop skips it (lazy deletion), which is the standard
+way to get O(log n) cancellation out of ``heapq``.  Dead entries are
+bounded: the simulator counts them, and ``cancel`` compacts the heap in
+place as soon as they outnumber the live ones past
+:data:`COMPACT_FLOOR`, so every push and pop sifts through the live
+working set, not through timer corpses.  Only this module knows the
+entry layout; everything else reads :meth:`Simulator.live_entries`.
 
-Three hot-path mechanisms keep per-packet overhead down (see
+Two more hot-path mechanisms keep per-packet overhead down (see
 ``docs/architecture.md`` §"The hot path"):
 
-* an **event free-list** — every ``schedule`` draws from a pool of dead
-  Event objects; events inserted through
-  :meth:`Simulator.schedule_reserved` (and the port serializer's inlined
-  copy of it) are returned to the pool after firing, cutting allocation
-  churn on the packet path.  Returning is opt-in because a recycled
-  object may be handed out again: only call sites that provably drop
-  their reference before the event fires (the port serializer, the wire
-  head arrival, the chain) may use it.
 * **reserved sequence numbers** — :meth:`Simulator.reserve_seq` hands out
   a tie-break seq (or a block of them) *now* for events inserted *later*
   via :meth:`Simulator.schedule_reserved`.  The pipelined wire uses this
@@ -41,11 +40,7 @@ from __future__ import annotations
 import gc
 import heapq
 import sys
-from typing import Any, Callable, Iterable, Optional, Tuple
-
-# Events returned to the free-list beyond this are dropped to the GC; the
-# pool only needs to cover the handful of port/wire events live at once.
-FREE_LIST_MAX = 1024
+from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 
 # Cancelled entries the heap may carry before ``cancel`` starts comparing
 # them with the live ones: below this a compaction costs more than the
@@ -57,24 +52,23 @@ _NO_BUDGET = sys.maxsize
 
 
 class Event:
-    """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
+    """A cancellable handle on a scheduled callback.  Returned by
+    :meth:`Simulator.schedule`; holding one is always safe.
 
     The run loop re-uses ``cancelled`` as the fired marker (set just
     before the callback runs), so :meth:`cancel` is a no-op on an event
     that already went off — callers may keep a handle and cancel it
-    late without corrupting the engine's live-event counter.
+    late without corrupting the engine's dead-entry counter.
     """
 
-    __slots__ = ("time", "fn", "args", "cancelled", "recycle", "_sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
-    def __init__(self, time: float, fn: Callable[..., Any], args: tuple,
-                 sim: "Optional[Simulator]" = None):
+    def __init__(self, time: float, fn: Optional[Callable[..., Any]],
+                 args: tuple, sim: "Simulator"):
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
-        # opt-in free-list return (see module docstring)
-        self.recycle = False
         self._sim = sim
 
     def cancel(self) -> None:
@@ -84,11 +78,9 @@ class Event:
             return
         self.cancelled = True
         sim = self._sim
-        if sim is not None:
-            sim._live -= 1
-            sim._dead = dead = sim._dead + 1
-            if dead > COMPACT_FLOOR and dead * 2 > len(sim._heap):
-                sim.sweep()
+        sim._dead = dead = sim._dead + 1
+        if dead > COMPACT_FLOOR and dead * 2 > len(sim._heap):
+            sim.sweep()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "dead" if self.cancelled else "pending"
@@ -109,7 +101,7 @@ class Simulator:
     """
 
     __slots__ = ("now", "_heap", "_seq", "_events_run", "_running",
-                 "_live", "_dead", "_free", "peak_pending")
+                 "_dead", "peak_pending")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -117,19 +109,11 @@ class Simulator:
         self._seq: int = 0
         self._events_run: int = 0
         self._running: bool = False
-        # live (uncancelled, unfired) events — maintained incrementally
-        # (schedule: +1, cancel/fire: -1) so diagnostics never scan.
-        # The run loops settle their fires in one batch at exit, so the
-        # counter may read high *during* a callback; every exact
-        # consumer (watchdog, auditor) reads between runs.
-        self._live: int = 0
-        # cancelled entries still resident in the heap (cancel: +1, a
-        # run loop popping a corpse: -1, sweep: 0).  Exact at all times,
-        # unlike ``_live`` — which is why the compaction trigger in
-        # ``Event.cancel`` compares it with ``len(_heap)``.
+        # cancelled entries still resident in the heap (cancel/kill: +1,
+        # a run loop popping a corpse: -1, sweep: 0).  Exact at all
+        # times, so ``len(_heap) - _dead`` is the live count even inside
+        # a callback.
         self._dead: int = 0
-        # dead-Event pool (see module docstring)
-        self._free: list = []
         # high-water mark of raw heap entries, updated on every push
         self.peak_pending: int = 0
 
@@ -138,12 +122,9 @@ class Simulator:
     def __getstate__(self) -> dict:
         """Snapshot for :mod:`repro.resilience` checkpoints.
 
-        The free-list is deliberately excluded: pooled Events are dead
-        objects whose only purpose is allocation reuse, and whether an
-        event comes from the pool or a fresh allocation cannot change
-        behaviour — dropping them keeps snapshots lean.  ``_running``
-        is reset because checkpoints are only taken between drain
-        slices, never from inside a callback.
+        Direct entries pickle as ``(time, seq, bound method, arg)``.
+        ``_running`` is reset because checkpoints are only taken
+        between drain slices, never from inside a callback.
         """
         if self._running:
             raise RuntimeError(
@@ -154,7 +135,6 @@ class Simulator:
             "_heap": self._heap,
             "_seq": self._seq,
             "_events_run": self._events_run,
-            "_live": self._live,
             "peak_pending": self.peak_pending,
         }
 
@@ -163,13 +143,10 @@ class Simulator:
         self._heap = state["_heap"]
         self._seq = state["_seq"]
         self._events_run = state["_events_run"]
-        self._live = state["_live"]
-        # recounted, not stored: snapshots written before the counter
-        # existed load unchanged
-        self._dead = sum(1 for entry in self._heap if entry[2].cancelled)
         self.peak_pending = state["peak_pending"]
         self._running = False
-        self._free = []
+        # recounted, not stored
+        self._dead = len(self._heap) - sum(1 for _ in self.live_entries())
 
     # -- scheduling -----------------------------------------------------
 
@@ -185,20 +162,10 @@ class Simulator:
                 raise ValueError(f"cannot schedule into the past (delay={delay})")
             delay = 0.0
         time = self.now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event.recycle = False
-        else:
-            event = Event(time, fn, args, self)
+        event = Event(time, fn, args, self)
         self._seq += 1
-        self._live += 1
         heap = self._heap
-        heapq.heappush(heap, (time, self._seq, event))
+        heapq.heappush(heap, (time, self._seq, None, event))
         if len(heap) > self.peak_pending:
             self.peak_pending = len(heap)
         return event
@@ -211,10 +178,11 @@ class Simulator:
         """Claim the next ``n`` insertion-order seqs without scheduling
         yet; returns the first.
 
-        Pair with :meth:`schedule_reserved`.  The pipelined wire reserves
-        a seq the moment a packet finishes serializing (exactly when the
-        legacy model would have scheduled its arrival), then inserts the
-        head event later — so same-instant tie-breaking is unchanged.
+        Pair with :meth:`schedule_reserved` or :meth:`schedule_direct`.
+        The pipelined wire reserves a seq the moment a packet finishes
+        serializing (exactly when the legacy model would have scheduled
+        its arrival), then inserts the head entry later — so
+        same-instant tie-breaking is unchanged.
         An :class:`EventChain` with a known length reserves its whole
         block up front and hands the seqs out as its entries are pulled,
         so a streamed flow schedule and a materialised one use the same
@@ -228,30 +196,51 @@ class Simulator:
 
     def schedule_reserved(self, time: float, seq: int,
                           fn: Callable[..., Any], *args: Any) -> Event:
-        """Insert an event at absolute ``time`` with a pre-reserved seq.
+        """Insert a cancellable event at absolute ``time`` with a
+        pre-reserved seq.
 
         ``time`` must not lie in the past and ``seq`` must come from
-        :meth:`reserve_seq`; the event is free-list recycled after it
-        fires.  No new seq is consumed, so surrounding ``schedule``
-        calls see the exact counter values they would have seen had the
-        event been inserted at reservation time.
+        :meth:`reserve_seq`.  No new seq is consumed, so surrounding
+        ``schedule`` calls see the exact counter values they would have
+        seen had the event been inserted at reservation time.
         """
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-        else:
-            event = Event(time, fn, args, self)
-        event.recycle = True
-        self._live += 1
+        event = Event(time, fn, args, self)
         heap = self._heap
-        heapq.heappush(heap, (time, seq, event))
+        heapq.heappush(heap, (time, seq, None, event))
         if len(heap) > self.peak_pending:
             self.peak_pending = len(heap)
         return event
+
+    def schedule_direct(self, time: float, seq: int,
+                        fn: Callable[[Any], Any], arg: Any) -> None:
+        """Push the heap entry itself: the run loop calls ``fn(arg)`` at
+        ``(time, seq)``.  No handle exists, so the entry cannot be
+        cancelled (:meth:`kill` revokes one by seq, in O(heap)).
+
+        Same contract as :meth:`schedule_reserved` for ``time`` and
+        ``seq``.  The packet path inlines these three lines at its five
+        push sites (``Port._start_next``/``_tx_done``, ``Wire._deliver``,
+        ``ControlPipe.send``/``_fire``).
+        """
+        heap = self._heap
+        heapq.heappush(heap, (time, seq, fn, arg))
+        if len(heap) > self.peak_pending:
+            self.peak_pending = len(heap)
+
+    def kill(self, seq: int) -> None:
+        """Revoke the direct entry pushed under ``seq``: it is swapped
+        for a cancelled handle with the same key, which the run loops
+        skip and :meth:`sweep` removes like any other corpse.  O(heap) —
+        for the rare revocation (a yanked cable) of entries whose hot
+        path carries no handle."""
+        heap = self._heap
+        for index, (time, entry_seq, fn, _arg) in enumerate(heap):
+            if entry_seq == seq and fn is not None:
+                corpse = Event(time, None, (), self)
+                heap[index] = (time, seq, None, corpse)  # same key: still a heap
+                corpse.cancel()
+                return
+        raise ValueError(f"no direct entry with seq {seq} in the heap")
 
     def schedule_chain(self, entries: Iterable[Tuple],
                        count: Optional[int] = None) -> "EventChain":
@@ -312,34 +301,38 @@ class Simulator:
             next_time = self.peek_time()
             if next_time is None or next_time > until:
                 self.now = until
-        self._events_run += executed
         # fires shrink the live set without passing through cancel():
         # re-check its bound, so it also holds between runs
         if self._dead > COMPACT_FLOOR and self._dead * 2 > len(self._heap):
             self.sweep()
         return executed
 
+    # The three loops settle ``_events_run`` in a ``finally`` so the
+    # counter stays true when a callback raises (the raising event was
+    # dispatched, so it counts).
+
     def _run_unbounded(self) -> int:
         """Drain everything: no bound checks anywhere in the loop."""
         heap = self._heap
         pop = heapq.heappop
-        free = self._free
         executed = 0
-        while heap:
-            time, _seq, event = pop(heap)
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            event.cancelled = True  # fired; late cancel() is now a no-op
-            self.now = time
-            executed += 1
-            event.fn(*event.args)
-            if event.recycle:
-                event.fn = None
-                event.args = None  # drop packet refs before pooling
-                if len(free) < FREE_LIST_MAX:
-                    free.append(event)
-        self._live -= executed
+        try:
+            while heap:
+                time, _seq, fn, arg = pop(heap)
+                if fn is None:
+                    if arg.cancelled:
+                        self._dead -= 1
+                        continue
+                    arg.cancelled = True  # fired; late cancel() is a no-op
+                    self.now = time
+                    executed += 1
+                    arg.fn(*arg.args)
+                else:
+                    self.now = time
+                    executed += 1
+                    fn(arg)
+        finally:
+            self._events_run += executed
         return executed
 
     def _run_until(self, until: float) -> int:
@@ -349,29 +342,31 @@ class Simulator:
         straight back (same key — order is untouched)."""
         heap = self._heap
         pop = heapq.heappop
-        push = heapq.heappush
-        free = self._free
         executed = 0
-        while heap:
-            entry = pop(heap)
-            event = entry[2]
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            time = entry[0]
-            if time > until:
-                push(heap, entry)
-                break
-            event.cancelled = True  # fired; late cancel() is now a no-op
-            self.now = time
-            executed += 1
-            event.fn(*event.args)
-            if event.recycle:
-                event.fn = None
-                event.args = None  # drop packet refs before pooling
-                if len(free) < FREE_LIST_MAX:
-                    free.append(event)
-        self._live -= executed
+        try:
+            while heap:
+                entry = pop(heap)
+                time, _seq, fn, arg = entry
+                if fn is None:
+                    if arg.cancelled:
+                        self._dead -= 1
+                        continue
+                    if time > until:
+                        heapq.heappush(heap, entry)
+                        break
+                    arg.cancelled = True  # fired; late cancel() is a no-op
+                    self.now = time
+                    executed += 1
+                    arg.fn(*arg.args)
+                else:
+                    if time > until:
+                        heapq.heappush(heap, entry)
+                        break
+                    self.now = time
+                    executed += 1
+                    fn(arg)
+        finally:
+            self._events_run += executed
         return executed
 
     def _run_bounded(self, until: Optional[float],
@@ -382,54 +377,63 @@ class Simulator:
         is untouched) rather than peeked at every iteration."""
         heap = self._heap
         pop = heapq.heappop
-        free = self._free
         until_f = _INF if until is None else until
         budget = _NO_BUDGET if max_events is None else max_events
         executed = 0
-        while heap and executed < budget:
-            entry = pop(heap)
-            event = entry[2]
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            time = entry[0]
-            if time > until_f:
-                heapq.heappush(heap, entry)
-                break
-            event.cancelled = True
-            self.now = time
-            executed += 1
-            event.fn(*event.args)
-            if event.recycle:
-                event.fn = None
-                event.args = None
-                if len(free) < FREE_LIST_MAX:
-                    free.append(event)
-        self._live -= executed
+        try:
+            while heap and executed < budget:
+                entry = pop(heap)
+                time, _seq, fn, arg = entry
+                if fn is None:
+                    if arg.cancelled:
+                        self._dead -= 1
+                        continue
+                    if time > until_f:
+                        heapq.heappush(heap, entry)
+                        break
+                    arg.cancelled = True
+                    self.now = time
+                    executed += 1
+                    arg.fn(*arg.args)
+                else:
+                    if time > until_f:
+                        heapq.heappush(heap, entry)
+                        break
+                    self.now = time
+                    executed += 1
+                    fn(arg)
+        finally:
+            self._events_run += executed
         return executed
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None when the heap is empty.
+    def live_entries(self) -> Iterator[Tuple[float, Callable[..., Any], Any]]:
+        """``(time, fn, args_or_arg)`` of every entry that will fire, in
+        heap (not time) order: ``args`` of a handle, the one ``arg`` of
+        a direct entry.  The one reader of the entry layout for heap
+        scanners (sampler, auditor, tests)."""
+        for time, _seq, fn, arg in self._heap:
+            if fn is not None:
+                yield time, fn, arg
+            elif not arg.cancelled:
+                yield time, arg.fn, arg.args
 
-        Pure read: unlike the historical implementation this never pops
-        lazily-cancelled entries, so callers polling between slices (the
-        runner watchdog) observe engine state without mutating it.  Use
-        :meth:`sweep` when you actually want corpses dropped.
+    def peek_time(self) -> Optional[float]:
+        """Time of the next live event, or None when there is none.
+
+        Pure read: this never pops lazily-cancelled entries, so callers
+        polling between slices (the runner watchdog) observe engine
+        state without mutating it.  Use :meth:`sweep` when you actually
+        want corpses dropped.
         """
         heap = self._heap
         if heap:
-            head = heap[0]
-            if not head[2].cancelled:
-                return head[0]
-        if self._live == 0:
-            return None
+            time, _seq, fn, arg = heap[0]
+            if fn is not None or not arg.cancelled:
+                return time
         # cancelled head: scan for the earliest live entry (rare — the
         # run loop pops corpses for free as it drains)
-        best: Optional[float] = None
-        for time, _seq, event in heap:
-            if not event.cancelled and (best is None or time < best):
-                best = time
-        return best
+        return min((time for time, _fn, _arg in self.live_entries()),
+                   default=None)
 
     def sweep(self) -> int:
         """Drop every cancelled entry (not just head corpses) and
@@ -446,7 +450,8 @@ class Simulator:
         removed = self._dead
         if removed:
             heap = self._heap
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heap[:] = [entry for entry in heap
+                       if entry[2] is not None or not entry[3].cancelled]
             heapq.heapify(heap)
             self._dead = 0
         return removed
@@ -462,12 +467,12 @@ class Simulator:
 
         ``pending`` counts raw heap entries, which with lazy deletion
         includes already-cancelled timers; diagnostics (the run-health
-        watchdog, stall reports) should use this count instead.
-        Maintained incrementally — schedule increments, cancel and fire
-        decrement — so reading it is O(1) (``tests/test_engine.py`` and
-        ``validate.RunAuditor`` cross-check it against a full heap scan).
+        watchdog, stall reports) should use this count instead.  O(1)
+        and exact at all times, inside a callback too
+        (``validate.RunAuditor`` cross-checks the dead-entry counter it
+        is derived from against a full heap scan).
         """
-        return self._live
+        return len(self._heap) - self._dead
 
     @property
     def events_run(self) -> int:
@@ -578,12 +583,8 @@ class RearmableEvent:
     changes.  Holding one of these per controller instead of scheduling
     ad-hoc events keeps the bookkeeping simple: at most ONE live entry
     exists at a time; re-arming cancels the resident entry (a corpse
-    the engine bounds like any other) and schedules a replacement.
-    The events are plain non-recycled
-    ``schedule_at`` entries — the holder keeps a reference across
-    firings, so they must never enter the free list — which lets epoch
-    events coexist with the recycled wire/timer events and the
-    reserved-seq chains without aliasing.
+    the engine bounds like any other) and schedules a replacement
+    through plain ``schedule_at``.
 
     Plain data + bound methods throughout: a RearmableEvent pickles
     inside checkpoints along with the simulator heap, and a resumed run
@@ -602,7 +603,6 @@ class RearmableEvent:
         if self.event is not None:
             self.event.cancel()
         self.event = self.sim.schedule_at(time, self._fire)
-        self.event.recycle = False  # holder keeps a reference
 
     def clear(self) -> None:
         """Disarm without firing."""

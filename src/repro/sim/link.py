@@ -9,12 +9,18 @@ the propagation delay, and pulls the next packet from the mux.
 
 The wire is a *pipelined* FIFO modelled after htsim's pipe: a deque of
 in-flight ``(arrival_time, seq, pkt)`` entries with exactly **one**
-scheduled head-arrival event per link, instead of one heap event per
+head-arrival heap entry per link, instead of one heap event per
 in-flight packet.  FIFO delivery is exact — the port serializes in order
 and ``prop_delay`` is constant, so arrival times are strictly increasing —
 and bit-identity with the legacy one-event-per-packet model is guaranteed
 by reserving each arrival's tie-break seq at serialization-completion time
 (see :meth:`~repro.sim.engine.Simulator.reserve_seq`).
+
+Serialization completions and head arrivals are *direct* heap entries
+``(time, seq, bound method, pkt_or_None)``, pushed inline (the three
+lines of :meth:`~repro.sim.engine.Simulator.schedule_direct`): no
+``Event`` is allocated on the packet path, and the one revocation a
+wire needs, :meth:`Wire.flush`, goes through ``Simulator.kill``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from collections import deque
 from heapq import heappush
 from typing import List, Optional
 
-from .engine import Event, Simulator
+from .engine import Simulator
 from .packet import NUM_PRIORITIES, Packet
 from .queues import PriorityMux
 
@@ -63,11 +69,12 @@ class Wire:
 
     ``pending`` holds every in-flight packet as ``(arrival_time, seq,
     pkt, event)`` in FIFO order.  In pipelined mode (the default) only
-    the head has a scheduled event (``event`` is None in the tuples;
-    the single head event lives in ``head_event``) and delivering the
-    head arms the next entry with its *reserved* seq.  Legacy mode
-    schedules one event per packet — the historical model, kept so the
-    equivalence suite can pin bit-identity between the two.
+    the head has a heap entry — a direct one, so ``event`` is None in
+    the tuples and :attr:`armed` says whether it is resident — and
+    delivering the head arms the next entry with its *reserved* seq.
+    Legacy mode schedules one cancellable event per packet — the
+    historical model, kept so the equivalence suite can pin
+    bit-identity between the two.
 
     Either way the deque is the authoritative record of what is on the
     wire: the invariant auditor reads it for the fabric in-propagation
@@ -79,7 +86,7 @@ class Wire:
     # mode (tests/test_wire_equivalence.py monkeypatches this).
     PIPELINED_DEFAULT = True
 
-    __slots__ = ("sim", "port", "pending", "head_event", "pipelined",
+    __slots__ = ("sim", "port", "pending", "pipelined",
                  "_deliver_cb", "_recv_cb")
 
     def __init__(self, sim: Simulator, port: "Port",
@@ -87,7 +94,6 @@ class Wire:
         self.sim = sim
         self.port = port
         self.pending: deque = deque()
-        self.head_event = None
         self.pipelined = (self.PIPELINED_DEFAULT if pipelined is None
                           else pipelined)
         # bound once: the head-arrival callback is installed once per
@@ -105,7 +111,6 @@ class Wire:
             "sim": self.sim,
             "port": self.port,
             "pending": self.pending,
-            "head_event": self.head_event,
             "pipelined": self.pipelined,
         }
 
@@ -113,12 +118,17 @@ class Wire:
         self.sim = state["sim"]
         self.port = state["port"]
         self.pending = state["pending"]
-        self.head_event = state["head_event"]
         self.pipelined = state["pipelined"]
         self._deliver_cb = self._deliver
         self._recv_cb = None  # rebound lazily on first delivery
 
-    def _deliver(self) -> None:
+    @property
+    def armed(self) -> bool:
+        """Whether the head-arrival entry is resident in the heap: a
+        pipelined wire keeps exactly one while anything is in flight."""
+        return self.pipelined and bool(self.pending)
+
+    def _deliver(self, _arg) -> None:
         """Head arrival: hand the packet to the peer, re-arm for the next.
 
         The next entry is armed *before* the peer callback runs so that
@@ -127,29 +137,15 @@ class Wire:
         provides to heap-inspecting diagnostics.
         """
         pending = self.pending
-        _arrival, _seq, pkt, _event = pending.popleft()
+        pkt = pending.popleft()[2]
         if pending:
-            # schedule_reserved, inlined (hot: once per pipelined packet)
-            arrival, seq, _pkt, _ = pending[0]
+            # schedule_direct, inlined (hot: once per pipelined packet)
+            head = pending[0]
             sim = self.sim
-            free = sim._free
-            if free:
-                event = free.pop()
-                event.time = arrival
-                event.fn = self._deliver_cb
-                event.args = ()
-                event.cancelled = False
-            else:
-                event = Event(arrival, self._deliver_cb, (), sim)
-            event.recycle = True
-            sim._live += 1
             heap = sim._heap
-            heappush(heap, (arrival, seq, event))
+            heappush(heap, (head[0], head[1], self._deliver_cb, None))
             if len(heap) > sim.peak_pending:
                 sim.peak_pending = len(heap)
-            self.head_event = event
-        else:
-            self.head_event = None
         recv = self._recv_cb
         if recv is None:
             recv = self._recv_cb = self.port.peer.receive
@@ -167,9 +163,9 @@ class Wire:
         The caller is responsible for accounting — see
         :meth:`Port.flush_wire`, which books them as wire-fault losses.
         """
-        if self.head_event is not None:
-            self.head_event.cancel()
-            self.head_event = None
+        if self.armed:
+            # the hot path carries no handle for the head: revoke by seq
+            self.sim.kill(self.pending[0][1])
         flushed: List[Packet] = []
         for _arrival, _seq, pkt, event in self.pending:
             if event is not None:
@@ -383,8 +379,7 @@ class Port:
         return True
 
     def _start_next(self) -> None:
-        # PriorityMux.dequeue + a free-list-recycled Simulator.schedule,
-        # inlined:
+        # PriorityMux.dequeue + Simulator.schedule_direct, inlined:
         # this is the single hottest function after the run loop (once
         # per serialized packet), and at that rate the two call frames
         # and re-checked branches are measurable.  The mux ledger
@@ -428,20 +423,9 @@ class Port:
         # break bit-identical reproduction; a single division keeps the
         # exact float the simulator has always produced.
         time = now + size * 8.0 / self._rate_bps
-        free = sim._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.fn = self._tx_cb
-            event.args = (pkt,)
-            event.cancelled = False
-        else:
-            event = Event(time, self._tx_cb, (pkt,), sim)
-        event.recycle = True
-        sim._seq += 1
-        sim._live += 1
+        sim._seq = seq = sim._seq + 1
         heap = sim._heap
-        heappush(heap, (time, sim._seq, event))
+        heappush(heap, (time, seq, self._tx_cb, pkt))
         if len(heap) > sim.peak_pending:
             sim.peak_pending = len(heap)
 
@@ -459,33 +443,21 @@ class Port:
             # Put the packet onto the wire (inlined: once per transmitted
             # packet): reserve the arrival's tie-break seq now — exactly
             # the one the legacy model's ``schedule`` would consume —
-            # append to the in-flight deque, and arm the head event only
+            # append to the in-flight deque, and arm the head entry only
             # when the wire was idle.
             wire = self.wire
             sim = self.sim
             arrival = sim.now + self.prop_delay
-            sim._seq += 1
-            seq = sim._seq
+            sim._seq = seq = sim._seq + 1
             if wire.pipelined:
-                wire.pending.append((arrival, seq, pkt, None))
-                if wire.head_event is None:
-                    # schedule_reserved, inlined (see _start_next)
-                    free = sim._free
-                    if free:
-                        event = free.pop()
-                        event.time = arrival
-                        event.fn = wire._deliver_cb
-                        event.args = ()
-                        event.cancelled = False
-                    else:
-                        event = Event(arrival, wire._deliver_cb, (), sim)
-                    event.recycle = True
-                    sim._live += 1
+                pending = wire.pending
+                if not pending:
+                    # schedule_direct, inlined (see _start_next)
                     heap = sim._heap
-                    heappush(heap, (arrival, seq, event))
+                    heappush(heap, (arrival, seq, wire._deliver_cb, None))
                     if len(heap) > sim.peak_pending:
                         sim.peak_pending = len(heap)
-                    wire.head_event = event
+                pending.append((arrival, seq, pkt, None))
             else:
                 wire.pending.append((arrival, seq, pkt, sim.schedule_reserved(
                     arrival, seq, wire._deliver_legacy)))

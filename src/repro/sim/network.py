@@ -17,7 +17,7 @@ from heapq import heappush
 from typing import Dict, List, Optional, Tuple
 
 from ..units import ecn_threshold_bytes, serialization_delay
-from .engine import Event, Simulator
+from .engine import Simulator
 from .host import Host
 from .link import Port
 from .packet import HEADER_BYTES, NUM_PRIORITIES, Packet
@@ -83,70 +83,43 @@ class ControlPipe:
     """Ideal-path FIFO between one (src, dst) host pair.
 
     The control plane delivers after a *constant* per-pair base delay,
-    so deliveries are FIFO exactly like a wire — one resident head
-    event with reserved seqs replaces one heap event per in-flight
-    control packet (see :class:`~repro.sim.link.Wire` for the
-    determinism argument).
+    so deliveries are FIFO exactly like a wire — one resident direct
+    head entry with reserved seqs (present whenever ``pending`` is
+    non-empty) replaces one heap event per in-flight control packet
+    (see :class:`~repro.sim.link.Wire` for the determinism argument).
     """
 
-    __slots__ = ("sim", "deliver", "pending", "head_event", "_fire_cb")
+    __slots__ = ("sim", "deliver", "pending", "_fire_cb")
 
     def __init__(self, sim: Simulator, deliver) -> None:
         self.sim = sim
         self.deliver = deliver  # bound Host.receive_control
         self.pending: deque = deque()
-        self.head_event = None
         self._fire_cb = self._fire  # bound once; installed per packet
 
     def send(self, delay: float, pkt: Packet) -> None:
-        # reserve_seq + schedule_reserved, inlined — per-ACK hot path
+        # reserve_seq + schedule_direct, inlined — per-ACK hot path
         sim = self.sim
         arrival = sim.now + delay
-        sim._seq += 1
-        seq = sim._seq
-        self.pending.append((arrival, seq, pkt))
-        if self.head_event is None:
-            free = sim._free
-            if free:
-                event = free.pop()
-                event.time = arrival
-                event.fn = self._fire_cb
-                event.args = ()
-                event.cancelled = False
-            else:
-                event = Event(arrival, self._fire_cb, (), sim)
-            event.recycle = True
-            sim._live += 1
-            heap = sim._heap
-            heappush(heap, (arrival, seq, event))
-            if len(heap) > sim.peak_pending:
-                sim.peak_pending = len(heap)
-            self.head_event = event
-
-    def _fire(self) -> None:
+        sim._seq = seq = sim._seq + 1
         pending = self.pending
-        _arrival, _seq, pkt = pending.popleft()
-        if pending:
-            arrival, seq, _pkt = pending[0]
-            sim = self.sim
-            free = sim._free
-            if free:
-                event = free.pop()
-                event.time = arrival
-                event.fn = self._fire_cb
-                event.args = ()
-                event.cancelled = False
-            else:
-                event = Event(arrival, self._fire_cb, (), sim)
-            event.recycle = True
-            sim._live += 1
+        if not pending:
             heap = sim._heap
-            heappush(heap, (arrival, seq, event))
+            heappush(heap, (arrival, seq, self._fire_cb, None))
             if len(heap) > sim.peak_pending:
                 sim.peak_pending = len(heap)
-            self.head_event = event
-        else:
-            self.head_event = None
+        pending.append((arrival, seq, pkt))
+
+    def _fire(self, _arg) -> None:
+        pending = self.pending
+        pkt = pending.popleft()[2]
+        if pending:
+            head = pending[0]
+            sim = self.sim
+            heap = sim._heap
+            heappush(heap, (head[0], head[1], self._fire_cb, None))
+            if len(heap) > sim.peak_pending:
+                sim.peak_pending = len(heap)
         self.deliver(pkt)
 
     def __len__(self) -> int:

@@ -618,21 +618,18 @@ class RunAuditor:
                     injected_bytes=injected_bytes)
 
     def _audit_engine_counters(self) -> None:
-        """The engine's incremental live- and dead-entry counters must
-        agree with a full heap scan.  O(heap), so only run once per
-        audit (finalize), not per slice — the per-slice checks read the
+        """The engine's incremental dead-entry counter — and with it
+        ``live_pending``, which is derived from it — must agree with a
+        full heap scan.  O(heap), so only run once per audit
+        (finalize), not per slice — the per-slice checks read the
         counters themselves."""
         sim = self.sim
-        scanned = sum(1 for _t, _s, event in sim._heap if not event.cancelled)
-        self._check(sim.live_pending == scanned,
-                    "engine-live-counter", "engine",
-                    "incremental live-event counter disagrees with heap scan",
-                    live_pending=sim.live_pending, scanned=scanned)
-        dead = len(sim._heap) - scanned
-        self._check(sim._dead == dead,
+        live = sum(1 for _entry in sim.live_entries())
+        self._check(sim.live_pending == live,
                     "engine-dead-counter", "engine",
                     "incremental dead-entry counter disagrees with heap scan",
-                    dead=sim._dead, scanned=dead)
+                    pending=sim.pending, live_pending=sim.live_pending,
+                    scanned_live=live)
 
     def finalize(self, flows=None) -> ValidationReport:
         """Drain-end harvest: one last slice check, then the transport

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import ast
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -235,41 +237,107 @@ def test_cancelling_any_subset_fires_exactly_the_rest(delays, data):
     assert executed == len(events) - len(to_cancel)
 
 
-# -- event free-list -------------------------------------------------------
+# -- direct entries, kill, counters ------------------------------------------
 
 
-def test_recycled_event_object_is_reused():
-    """A fired recycle-mode event returns to the pool and is handed out
-    by the next schedule call."""
+def _dead_in_heap(sim):
+    return sim.pending - sum(1 for _entry in sim.live_entries())
+
+
+def test_direct_entries_interleave_with_handles_in_time_seq_order():
+    """A direct entry is ``fn(arg)`` at its ``(time, seq)`` key: it sorts
+    among handles by time first, then by the seq it was pushed under —
+    reserved early or claimed on the spot."""
     sim = Simulator()
     fired = []
-    first = sim.schedule_reserved(1e-3, sim.reserve_seq(), fired.append, 1)
-    sim.run()
-    second = sim.schedule(1e-3, fired.append, 2)
-    assert second is first
-    sim.run()
-    assert fired == [1, 2]
+    early = sim.reserve_seq()                     # first place at t=2ms
+    sim.schedule(2e-3, fired.append, "handle-a")
+    sim.schedule_direct(2e-3, sim.reserve_seq(), fired.append, "direct-b")
+    sim.schedule(2e-3, fired.append, "handle-c")
+    sim.schedule_direct(1e-3, sim.reserve_seq(), fired.append, "direct-first")
+    sim.schedule_direct(2e-3, early, fired.append, "direct-reserved")
+    assert sim.pending == sim.live_pending == 5
+    assert sim.run() == 5
+    assert fired == ["direct-first", "direct-reserved", "handle-a",
+                     "direct-b", "handle-c"]
+    assert sim.events_run == 5
 
 
-def test_plain_schedule_events_are_not_pooled():
-    """Callers of plain schedule() may keep the handle forever, so those
-    events must never be recycled out from under them."""
+def test_kill_leaves_a_corpse_that_is_skipped_and_swept():
     sim = Simulator()
-    first = sim.schedule(1e-3, lambda: None)
-    sim.run()
-    second = sim.schedule(1e-3, lambda: None)
-    assert second is not first
+    fired = []
+    seq = sim.reserve_seq()
+    sim.schedule_direct(1e-3, seq, fired.append, "revoked")
+    sim.schedule_direct(1e-3, sim.reserve_seq(), fired.append, "kept")
+    sim.kill(seq)
+    assert sim.pending == 2                       # corpse, same key, resident
+    assert sim._dead == 1 == _dead_in_heap(sim)
+    assert sim.live_pending == 1
+    assert sim.peek_time() == 1e-3
+    assert sim.run() == 1                         # skipped, not counted
+    assert fired == ["kept"]
+    assert sim.events_run == 1
+    assert sim._dead == 0
+
+    seq = sim.reserve_seq()
+    sim.schedule_direct(2e-3, seq, fired.append, "revoked")
+    sim.kill(seq)
+    assert sim.sweep() == 1                       # sweep() removes it too
+    assert sim.pending == 0 and sim._dead == 0
 
 
-def test_cancelled_recycled_event_is_not_pooled():
-    """Cancelled events never enter the pool: the canceller may still
-    hold the reference."""
+def test_kill_of_an_unknown_seq_raises():
     sim = Simulator()
-    first = sim.schedule_reserved(1e-3, sim.reserve_seq(), lambda: None)
-    first.cancel()
-    sim.run()
-    second = sim.schedule(1e-3, lambda: None)
-    assert second is not first
+    handle_seq = sim._seq + 1
+    sim.schedule(1e-3, lambda: None)              # a handle: cancel() it
+    for seq in (handle_seq, sim.reserve_seq()):
+        with pytest.raises(ValueError, match="no direct entry"):
+            sim.kill(seq)
+    assert sim._dead == 0
+
+
+def test_counters_survive_a_raising_callback():
+    """``events_run`` and ``live_pending`` stay true when a callback
+    raises out of ``run()``: what was dispatched is counted, what is
+    left is what the heap holds."""
+
+    def boom():
+        raise RuntimeError("callback failed")
+
+    sim = Simulator()
+    for i in range(5):
+        sim.schedule(i * 1e-6, lambda: None)
+    sim.schedule(5e-6, boom)
+    sim.schedule(6e-6, lambda: None)
+    with pytest.raises(RuntimeError, match="callback failed"):
+        sim.run()
+    assert sim.pending == 1
+    assert sim.live_pending == 1
+    assert sim.events_run == 6                    # the raising one fired
+    assert sim.run() == 1
+    assert sim.events_run == 7
+
+
+def test_only_the_engine_knows_the_entry_layout():
+    """Source scan: outside ``sim/engine.py`` the simulator's heap is
+    only ever pushed a 4-tuple literal (the inlined ``schedule_direct``
+    sites), and nothing else constructs an ``Event``."""
+    root = Path(engine.__file__).parents[1]
+    pushes = 0
+    for path in root.rglob("*.py"):
+        if path == root / "sim" / "engine.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            assert name != "Event", f"{path}:{node.lineno} builds an Event"
+            if name == "heappush" and path.parent == root / "sim":
+                pushes += 1
+                entry = node.args[1]
+                assert isinstance(entry, ast.Tuple) and len(entry.elts) == 4, \
+                    f"{path}:{node.lineno} pushes {ast.unparse(entry)}"
+    assert pushes == 5            # the five sites schedule_direct names
 
 
 def test_cancel_after_fire_is_noop_for_live_counter():
@@ -312,10 +380,6 @@ def test_sweep_on_clean_heap_is_noop():
 
 
 # -- dead entries are bounded ----------------------------------------------
-
-
-def _dead_in_heap(sim):
-    return sum(1 for entry in sim._heap if entry[2].cancelled)
 
 
 def test_cancel_compacts_once_dead_outnumber_live():
@@ -404,6 +468,11 @@ _OPS = st.one_of(
               st.one_of(st.none(), st.integers(min_value=0)),
               st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0))),
     st.tuples(st.just("cancel"), st.integers(min_value=0)),
+    # schedule_direct(now + delay); on firing optionally push a child
+    st.tuples(st.just("direct"), st.floats(min_value=0.0, max_value=1.0),
+              st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0))),
+    # kill() one of the direct entries still in the heap
+    st.tuples(st.just("kill"), st.integers(min_value=0)),
     st.tuples(st.just("run_until"), st.floats(min_value=0.0, max_value=0.5)),
     st.tuples(st.just("run_events"), st.integers(min_value=1, max_value=5)),
 )
@@ -412,6 +481,7 @@ _OPS = st.one_of(
 def _replay(sim, ops, after_each=None):
     """Apply ``ops`` to ``sim``; the log of ``(id, time)`` fires."""
     handles, log = [], []
+    direct = {}                   # seq -> id of direct entries not yet fired
 
     def fire(ident, cancel_idx, child_delay):
         log.append((ident, sim.now))
@@ -421,12 +491,32 @@ def _replay(sim, ops, after_each=None):
             handles.append(sim.schedule(child_delay, fire,
                                         (ident, "child"), None, None))
 
+    def push_direct(ident, delay, child_delay):
+        seq = sim.reserve_seq()
+        direct[seq] = ident
+        sim.schedule_direct(sim.now + delay, seq, fire_direct,
+                            (seq, child_delay))
+
+    def fire_direct(arg):
+        seq, child_delay = arg
+        ident = direct.pop(seq)
+        log.append((ident, sim.now))
+        if child_delay is not None:
+            push_direct((ident, "child"), child_delay, None)
+
     for number, op in enumerate(ops):
         if op[0] == "schedule":
             handles.append(sim.schedule(op[1], fire, number, op[2], op[3]))
         elif op[0] == "cancel":
             if handles:
                 handles[op[1] % len(handles)].cancel()
+        elif op[0] == "direct":
+            push_direct(number, op[1], op[2])
+        elif op[0] == "kill":
+            if direct:
+                seq = sorted(direct)[op[1] % len(direct)]
+                del direct[seq]
+                sim.kill(seq)
         elif op[0] == "run_until":
             sim.run(until=sim.now + op[1])
         else:
@@ -434,6 +524,7 @@ def _replay(sim, ops, after_each=None):
         if after_each is not None:
             after_each()
     sim.run()
+    assert not direct
     return log
 
 
@@ -447,8 +538,9 @@ def _replay(sim, ops, after_each=None):
           ("run_until", 0.2)])
 def test_compaction_never_changes_what_fires_or_when(ops):
     """Random interleavings of schedule / cancel (from outside and from
-    inside callbacks) / run fire exactly as on a simulator that never
-    compacts, and dead entries stay bounded by the live ones."""
+    inside callbacks) / direct push / kill / run fire exactly as on a
+    simulator that never compacts, and dead entries stay bounded by the
+    live ones."""
     floor = 1                     # tiny, so short programs compact often
     sim = Simulator()
 

@@ -104,7 +104,7 @@ def test_backlog_bytes():
 
 def test_wire_holds_inflight_with_single_head_event():
     """However many packets are propagating, the heap carries exactly one
-    arrival event for the link (plus the serialization event)."""
+    arrival entry for the link (plus the serialization entry)."""
     sim = Simulator()
     # slow down propagation so several serializations complete while the
     # first packet is still on the wire
@@ -116,12 +116,13 @@ def test_wire_holds_inflight_with_single_head_event():
     ser = serialization_delay(1500, gbps(10))
     sim.run(until=4 * ser + 1e-9)
     assert len(port.wire) == 4
-    assert port.wire.head_event is not None
-    assert sim.live_pending == 1           # ONE head-arrival event only
+    assert port.wire.armed
+    assert sim.pending == sim.live_pending == 1   # ONE head arrival only
     sim.run()
     assert [p.seq for p in sink.received] == [0, 1, 2, 3]
     assert len(port.wire) == 0
-    assert port.wire.head_event is None
+    assert not port.wire.armed
+    assert sim.pending == 0
 
 
 def test_wire_fifo_even_when_priorities_reorder_the_mux():
@@ -148,12 +149,38 @@ def test_flush_wire_books_fault_losses():
     assert flushed == 3
     assert port.fault_wire_drops == 3
     assert port.fault_wire_drop_bytes == 3 * 1500
-    assert len(port.wire) == 0
-    assert sim._dead == 1                 # the recycled head, as a corpse
-    sim.run()
+    assert len(port.wire) == 0 and not port.wire.armed
+    assert sim._dead == 1                 # the revoked head, as a corpse
+    assert sim.live_pending == 0
+    assert sim.run() == 0                 # ... popped, not run
     assert sink.received == []            # nothing survives the flush
-    assert sim.live_pending == 0          # head event cancelled
-    assert sim._dead == 0                 # ... and popped by the run loop
+    assert sim._dead == 0
+
+
+def test_wire_carries_new_packets_after_a_flush():
+    """The revoked head never delivers, and packets sent on the same
+    wire afterwards arrive at their own times — even one that lands
+    before the revoked head would have."""
+    sim = Simulator()
+    port, sink = make_port(sim, prop=us(500))
+    arrivals = []
+    sink.receive = lambda p: arrivals.append((p.seq, sim.now))
+    ser = serialization_delay(1500, gbps(10))
+    port.send(pkt(seq=0))
+    sim.run(until=ser + 1e-9)
+    assert port.wire.armed
+    revoked_arrival = sim.peek_time()
+    assert port.flush_wire() == 1
+    port.prop_delay = us(100)             # the replacement cable is shorter
+    sent_at = sim.now
+    port.send(pkt(seq=1))
+    port.send(pkt(seq=2))
+    sim.run()
+    assert [seq for seq, _at in arrivals] == [1, 2]
+    assert [at for _seq, at in arrivals] == pytest.approx(
+        [sent_at + ser + us(100), sent_at + 2 * ser + us(100)])
+    assert arrivals[0][1] < revoked_arrival
+    assert not port.wire.armed and sim.pending == 0
 
 
 def test_legacy_wire_mode_schedules_per_packet():

@@ -168,7 +168,7 @@ def test_wire_arrivals_time_monotone(pattern, pipelined):
     departed = [pkt.seq for pkt in sent]
     arrived = {pkt.seq for _at, pkt in sink.arrivals}
     assert arrived == set(departed)
-    assert len(port.wire) == 0 and port.wire.head_event is None
+    assert len(port.wire) == 0 and not port.wire.armed
 
 
 @settings(max_examples=40, deadline=None)
