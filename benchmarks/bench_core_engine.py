@@ -26,16 +26,7 @@ judged against (ROADMAP: "as fast as the hardware allows").  Probes:
   mode then with the :mod:`repro.sim.hybrid` fast path; records
   simulated flow-hours per wall-second for both and asserts the hybrid
   speedup is at least 10x (the ISSUE's floor; the ratchet then gates
-  ``flow_hours_per_sec`` against the checked-in baseline);
-* ``sharded-leaf-spine`` — all-to-all over a 1024-host fabric (16
-  leaves x 64 hosts, 8 spines) run serially and again space-partitioned
-  4 ways (:func:`repro.experiments.distributed.run_sharded`); records
-  aggregate events/sec for both plus the machine's usable core count,
-  and asserts the sharded run is at least
-  ``SHARD_SPEEDUP_FLOOR``x the serial one **only when the machine
-  actually has a core per shard** — on smaller boxes the row still
-  records the protocol overhead (speedup < 1 is expected there) and the
-  ratchet gates the sharded events/sec against the baseline.
+  ``flow_hours_per_sec`` against the checked-in baseline).
 
 Every invocation writes the rows to ``BENCH_core_engine.json`` at the
 repo root (override with ``BENCH_CORE_ENGINE_OUT``) so the trajectory
@@ -52,7 +43,6 @@ import time
 from pathlib import Path
 
 from conftest import run_figure
-from repro.experiments.distributed import run_sharded
 from repro.experiments.runner import Scenario, run
 from repro.experiments.scenarios import (
     HOMA_RTT_BYTES_SIM,
@@ -67,7 +57,7 @@ from repro.sim.hybrid import HybridConfig
 from repro.transport.base import Flow
 from repro.transport.dctcp import Dctcp
 from repro.transport.homa import Homa
-from repro.units import gbps, us
+from repro.units import gbps
 from repro.workloads.distributions import WEB_SEARCH
 
 RAW_EVENTS = 200_000
@@ -76,9 +66,6 @@ INCAST_REPEATS = 3
 HYBRID_BULK_FLOWS = 24
 HYBRID_BULK_SIZE = 4_000_000
 HYBRID_SPEEDUP_FLOOR = 10.0
-SHARD_N = 4
-SHARD_FLOWS = 1500
-SHARD_SPEEDUP_FLOOR = 2.5
 
 OUT_PATH = Path(os.environ.get(
     "BENCH_CORE_ENGINE_OUT",
@@ -219,51 +206,9 @@ def _hybrid_row():
             "speedup": speedup}
 
 
-def _usable_cores():
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def _sharded_scenario():
-    return all_to_all_scenario(
-        "bench-sharded-leaf-spine", WEB_SEARCH, load=0.4,
-        n_flows=SHARD_FLOWS,
-        fabric=sim_fabric(n_leaf=16, n_spine=8, hosts_per_leaf=64,
-                          prop_delay=us(20)),
-        seed=9, max_time=5.0)
-
-
-def _sharded_row():
-    t0 = time.perf_counter()
-    serial = run(Dctcp(), _sharded_scenario())
-    serial_wall = time.perf_counter() - t0
-    assert serial.completed == len(serial.flows), "serial oracle must complete"
-
-    t0 = time.perf_counter()
-    sharded = run_sharded(Dctcp(), _sharded_scenario(), SHARD_N)
-    sharded_wall = time.perf_counter() - t0
-    assert sharded.health.completed == sharded.summary.n_flows, \
-        "sharded run must complete"
-
-    serial_eps = serial.wall_events / serial_wall
-    sharded_eps = sharded.health.events_run / sharded_wall
-    return {"bench": "sharded-leaf-spine",
-            "events": sharded.health.events_run,
-            "seconds": sharded_wall,
-            "events_per_sec": sharded_eps,
-            "peak_pending": sharded.health.peak_pending,
-            "serial_events_per_sec": serial_eps,
-            "shards": SHARD_N,
-            "cores": _usable_cores(),
-            "speedup": sharded_eps / serial_eps}
-
-
 def _run_bench():
     rows = [_raw_heap_row(), _incast_row(), _leaf_spine_row(),
-            _homa_incast_row(), _observed_incast_row(), _hybrid_row(),
-            _sharded_row()]
+            _homa_incast_row(), _observed_incast_row(), _hybrid_row()]
     payload = {"bench": "core_engine", "rows": rows}
     OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -281,12 +226,4 @@ def test_core_engine_events_per_sec(benchmark):
                 f"hybrid fast path delivered only {row['speedup']:.1f}x "
                 f"simulated flow-hours per wall-second over packet mode "
                 f"(floor {HYBRID_SPEEDUP_FLOOR:g}x)")
-        if row["bench"] == "sharded-leaf-spine" and row["cores"] >= SHARD_N:
-            # the scaling assertion only means something with a core per
-            # shard; on smaller machines the row still records overhead
-            assert row["speedup"] >= SHARD_SPEEDUP_FLOOR, (
-                f"{SHARD_N}-way sharding delivered only "
-                f"{row['speedup']:.2f}x aggregate events/sec over serial "
-                f"on a {row['cores']}-core machine "
-                f"(floor {SHARD_SPEEDUP_FLOOR:g}x)")
     assert OUT_PATH.exists()

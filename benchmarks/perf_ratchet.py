@@ -36,15 +36,9 @@ GATED_METRICS = {
     "leaf-spine": "events_per_sec",
     "homa-incast": "events_per_sec",
     "hybrid-soak": "flow_hours_per_sec",
-    # aggregate events/sec of the 4-way space-sharded 1024-host run:
-    # keeps the window protocol's synchronization overhead honest even
-    # on single-core runners, where speedup over serial is meaningless
-    # but absolute throughput still ratchets
-    "sharded-leaf-spine": "events_per_sec",
 }
 DEFAULT_METRIC = "events_per_sec"
-DEFAULT_BENCHES = ("dctcp-incast", "leaf-spine", "homa-incast",
-                   "hybrid-soak", "sharded-leaf-spine")
+DEFAULT_BENCHES = ("dctcp-incast", "leaf-spine", "homa-incast", "hybrid-soak")
 
 
 class RatchetError(RuntimeError):

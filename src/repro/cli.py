@@ -40,7 +40,6 @@ from .core.ppt_hpcc import PptHpcc
 from .core.ppt_swift import PptSwift
 from .experiments import figures, tables
 from .faults import FaultPlan
-from .experiments.distributed import run_sharded
 from .experiments.parallel import GridTask, RunSummary, run_grid
 from .experiments.runner import format_table, run
 from .experiments.scenarios import (
@@ -232,34 +231,36 @@ def _fans_out(args) -> bool:
     return args.jobs not in (None, 0, 1)
 
 
+def _supervised(args) -> bool:
+    return args.task_timeout is not None or args.retries is not None
+
+
 #: Every flag combination ``run`` refuses, as ``(predicate over the
 #: parsed args, message)`` rows checked in order: the first hit prints
-#: ``error: <message>`` and exits 2.  (What a *scenario* may not carry
-#: into a sharded run — faults, PFC, hybrid — is declared by
-#: ``repro.sim.shard.check_shardable``.)
+#: ``error: <message>`` and exits 2.
 RUN_EXCLUSIONS = (
     # the full event trace never crosses the worker pipe (only the
     # TelemetrySummary digest does), so exporting requires the
     # in-process serial path
     (lambda a: a.trace_out and _fans_out(a),
      "--trace-out requires --jobs 1"),
-    # one run split across processes composes with neither the
-    # scheme-level grid nor the serial-only machinery
-    (lambda a: a.shards is not None and a.shards < 1,
-     "--shards must be >= 1"),
-    (lambda a: a.shards is not None and _fans_out(a),
-     "--shards supplies its own parallelism; use --jobs 1"),
-    (lambda a: a.shards is not None and (a.trace_out or a.checkpoint),
-     "--shards is incompatible with --trace-out and checkpoint/resume "
-     "(both need the serial runner)"),
-    (lambda a: a.shards is not None and (a.task_timeout is not None
-                                         or a.retries is not None),
-     "--shards does not run under grid supervision"),
     # one checkpoint file describes one run
     (lambda a: a.checkpoint and (_fans_out(a) or len(a.schemes) != 1),
      "--checkpoint requires --jobs 1 and a single scheme"),
     (lambda a: a.checkpoint and a.checkpoint_every is None,
      "--checkpoint needs --checkpoint-every SIM_SECONDS"),
+    # a non-positive interval would snapshot at every drain slice
+    (lambda a: a.checkpoint_every is not None and a.checkpoint_every <= 0,
+     "--checkpoint-every must be > 0"),
+    (lambda a: a.task_timeout is not None and a.task_timeout <= 0,
+     "--task-timeout must be > 0"),
+    (lambda a: a.retries is not None and a.retries < 0,
+     "--retries must be >= 0"),
+    # supervision kills and relaunches forked cells; a trace export or
+    # a checkpointed run stays in this process, where neither can happen
+    (lambda a: _supervised(a) and (a.trace_out or a.checkpoint),
+     "--task-timeout/--retries supervise forked cells; --trace-out and "
+     "--checkpoint run in-process"),
 )
 
 
@@ -325,7 +326,22 @@ def _cmd_run(args) -> int:
             faults=faults, event_budget=args.event_budget,
             **streaming, **features)
 
-    supervised = args.task_timeout is not None or args.retries is not None
+    # Reference build in this process, before any run or fork: a bad
+    # scenario parameter (ValueError) or a fault spec naming no port
+    # (KeyError, raised when the plan is applied to a fabric) is refused
+    # here in one line, whichever path the runs then take.  The fabric
+    # is thrown away; apply() leaves the plan itself untouched, and a
+    # streamed flow source stays lazy.
+    try:
+        reference = make_scenario()
+        topo = reference.build_topology()
+        if faults is not None:
+            faults.apply(topo.network, topo.sim)
+        reference.build_flows(topo)
+    except (ValueError, KeyError) as exc:
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 2
+
     failed_cells = []
     try:
         if args.trace_out or args.checkpoint:
@@ -347,24 +363,13 @@ def _cmd_run(args) -> int:
                     written = result.telemetry.export_jsonl(path)
                     print(f"trace: {name}: {written} events -> {path}",
                           file=sys.stderr)
-        elif args.shards is not None:
-            # space-parallel: one run per scheme, partitioned across
-            # --shards worker processes with a deterministic merge
-            summaries = []
-            for name in args.schemes:
-                result = run_sharded(SCHEME_FACTORIES[name](),
-                                     make_scenario(), args.shards,
-                                     observe=observe, validate=validate)
-                summary = result.summary
-                summary.scheme = name
-                summaries.append(summary)
         else:
             tasks = [GridTask(scheme_factory=SCHEME_FACTORIES[name],
                               scenario_factory=make_scenario,
                               label=name, scheme_key=name,
                               observe=observe, validate=validate)
                      for name in args.schemes]
-            if supervised:
+            if _supervised(args):
                 outcome = supervise_grid(
                     tasks, jobs=args.jobs,
                     task_timeout=args.task_timeout,
@@ -375,10 +380,6 @@ def _cmd_run(args) -> int:
                     print(f"failed: {failure.describe()}", file=sys.stderr)
             else:
                 summaries = run_grid(tasks, jobs=args.jobs)
-    except KeyError as exc:
-        # bad port name/glob in a fault spec surfaces at apply time
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -386,19 +387,11 @@ def _cmd_run(args) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except WorkerError as exc:
-        # a grid or shard worker died with full context attached;
-        # strict-validate failures keep their dedicated exit code
-        # across the fork
+        # a grid worker died with full context attached; strict-validate
+        # failures keep their dedicated exit code across the fork
         if "InvariantViolation" in exc.cause:
             print(f"invariant violation: {exc}", file=sys.stderr)
             return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
-        if args.shards is None:
-            raise
-        # unshardable topology / unsupported feature combination / no
-        # fork start method — all user-addressable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = _summary_rows(args.schemes, summaries, faults=faults,
@@ -506,17 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes to fan the schemes across "
                             "(-1 = one per core); results are merged in "
                             "deterministic order, identical to --jobs 1")
-    run_p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="space-partition each run across N worker "
-                            "processes (leaf-spine fabrics only; one pod "
-                            "group per shard, conservative-lookahead "
-                            "synchronization, deterministic merge — see "
-                            "docs/sharding.md).  Refused combinations: "
-                            + "; ".join(message
-                                        for _, message in RUN_EXCLUSIONS
-                                        if "--shards" in message)
-                            + "; and scenarios with faults, --pfc or "
-                              "--hybrid")
     run_p.add_argument("--health", action="store_true",
                        help="include run-health columns in the output table")
     run_p.add_argument("--trace", action="store_true",
@@ -552,7 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--task-timeout", type=float, metavar="SECONDS",
                        default=None,
                        help="supervise the grid: kill and retry any cell "
-                            "whose attempt exceeds this wall-clock budget")
+                            "whose attempt exceeds this wall-clock budget "
+                            "(cells then run in forked workers even at "
+                            "--jobs 1)")
     run_p.add_argument("--retries", type=int, default=None,
                        help="supervise the grid: per-cell retry budget "
                             "after the first attempt (default 2 when "

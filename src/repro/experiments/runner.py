@@ -30,9 +30,7 @@ import functools
 import gc
 import time as _time
 from dataclasses import dataclass, field
-from typing import (
-    AbstractSet, Callable, Dict, Iterator, List, Optional, Tuple, Union,
-)
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
 from ..faults.plan import ActiveFaults, FaultPlan
@@ -205,14 +203,11 @@ def _progress_signature(ctx: TransportContext, network: Network) -> tuple:
 
 
 def _endpoint_counters(
-        network: Network, local_hosts: Optional[AbstractSet[int]] = None,
+        network: Network,
 ) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
     """The one walk over live transport endpoints: three flow-id keyed
     dicts — retransmits, RTOs, packets transmitted — summed over each
-    flow's endpoints that keep such counters.  ``local_hosts`` restricts
-    the walk to a shard's own hosts — replica senders on remote-host
-    replicas churn futile RTOs serial never sees, so the per-shard
-    walks partition the serial totals exactly.
+    flow's endpoints that keep such counters.
 
     Ints in flat dicts, not a record per flow: the drain has just
     re-enabled GC with the whole run graph still in the young
@@ -223,8 +218,6 @@ def _endpoint_counters(
     tx_by_flow: Dict[int, int] = {}
     seen = set()
     for host in network.hosts.values():
-        if local_hosts is not None and host.host_id not in local_hosts:
-            continue
         for flow_id, endpoint in host.endpoints.items():
             if id(endpoint) in seen:
                 continue
@@ -269,12 +262,9 @@ def _resolve_validate(
         f"validate must be bool, 'strict' or RunAuditor, got {validate!r}")
 
 
-def _observed_start(scheme: Scheme, local_hosts: Optional[AbstractSet[int]],
-                    flow: Flow, ctx: TransportContext,
+def _observed_start(scheme: Scheme, flow: Flow, ctx: TransportContext,
                     telemetry: Telemetry) -> None:
-    # a flow started in two shards is traced by the one owning its source
-    if local_hosts is None or flow.src in local_hosts:
-        telemetry.on_flow_start(flow)
+    telemetry.on_flow_start(flow)
     scheme.start_flow(flow, ctx)
 
 
@@ -411,18 +401,10 @@ def _assemble(
     instruments: Optional[Callable[[Topology], object]] = None,
     observe: Union[None, bool, Telemetry] = None,
     validate: Union[None, bool, str, RunAuditor] = None,
-    local_hosts: Optional[AbstractSet[int]] = None,
 ) -> RunState:
     """Lifecycle step 1: build everything a run is before its first
     event — fabric, faults, flow source, telemetry, transport context,
-    auditor, the start chain — and return it as a :class:`RunState`.
-
-    ``local_hosts`` is a shard's view (``None``: the whole fabric is
-    mine): only flows with an endpoint on a local host are started —
-    the sender's shard simulates the data path, the receiver's the
-    completion — and ``FLOW_START`` is traced by the shard owning the
-    source, so per-shard telemetry sums to the serial run's.
-    """
+    auditor, the start chain — and return it as a :class:`RunState`."""
     telemetry = _resolve_observe(observe)
     auditor = _resolve_validate(validate)
     hybrid_ctl: Optional[HybridController] = None
@@ -446,11 +428,6 @@ def _assemble(
                 injector.transition_hook = chain(
                     injector.transition_hook, hybrid_ctl.on_fault_transition)
     flow_source = scenario.build_flows(topo)
-    if local_hosts is not None:
-        if isinstance(flow_source, FlowStream):
-            flow_source = flow_source.materialize()
-        flow_source = [f for f in flow_source
-                       if f.src in local_hosts or f.dst in local_hosts]
     if isinstance(flow_source, FlowStream):
         stream, flows = flow_source, []
         total_flows = stream.n_flows
@@ -480,7 +457,7 @@ def _assemble(
     if telemetry is None:
         start_fn, extra = scheme.start_flow, (ctx,)
     else:
-        start_fn = functools.partial(_observed_start, scheme, local_hosts)
+        start_fn = functools.partial(_observed_start, scheme)
         extra = (ctx, telemetry)
     if stream is not None:
         starts = _FlowStarts(stream, flows, start_fn, extra)
@@ -501,12 +478,10 @@ def _assemble(
     )
 
 
-def _harvest(state: RunState, health: RunHealth,
-             local_hosts: Optional[AbstractSet[int]] = None) -> RunResult:
+def _harvest(state: RunState, health: RunHealth) -> RunResult:
     """Lifecycle step 3: read a drained run's books into ``health``
     (engine counters, the endpoint walk), stop instruments, finalize
-    telemetry and auditor, build the :class:`RunResult`.  A shard
-    passes its ``local_hosts`` so replica endpoints stay uncounted."""
+    telemetry and auditor, build the :class:`RunResult`."""
     topo, ctx, flows = state.topo, state.ctx, state.flows
     telemetry, auditor = state.telemetry, state.auditor
     sim = topo.sim
@@ -515,7 +490,7 @@ def _harvest(state: RunState, health: RunHealth,
     health.sim_time = sim.now
     health.live_pending = sim.live_pending
     health.peak_pending = sim.peak_pending
-    counters = _endpoint_counters(topo.network, local_hosts)
+    counters = _endpoint_counters(topo.network)
     health.retransmits_by_flow, rtos_by_flow, _tx = counters
     health.retransmits_total = sum(health.retransmits_by_flow.values())
     health.rtos_total = sum(rtos_by_flow.values())

@@ -403,32 +403,6 @@ def testbed_scenario(
 
 
 # ---------------------------------------------------------------------------
-# sharded-determinism gate (repro.experiments.distributed)
-# ---------------------------------------------------------------------------
-
-
-def shard_gate_scenario(name: str = "shard-gate") -> Scenario:
-    """The canonical sharded-determinism gate scenario.
-
-    A 4-leaf/2-spine fabric whose exact parameters (seed 103, load 0.4,
-    60 flows, 50us links) have been audited collision-free: no two
-    packets whose causal chains cross a shard boundary ever interact at
-    the same float timestamp, for 1-, 2- and 4-way partitions.  Under
-    that condition the sharded runner's per-flow FCTs are bit-identical
-    to the serial runner's (see ``docs/sharding.md`` for the determinism
-    contract and why same-timestamp cross-shard ties are the one case
-    the contract excludes).  Tests, the validation matrix and CI all
-    gate on this scenario — change any parameter and the collision
-    audit must be redone.
-    """
-    return all_to_all_scenario(
-        name, WEB_SEARCH, load=0.4, n_flows=60,
-        fabric=sim_fabric(n_leaf=4, n_spine=2, hosts_per_leaf=4,
-                          prop_delay=us(50)),
-        seed=103, max_time=5.0)
-
-
-# ---------------------------------------------------------------------------
 # long-horizon soak (repro.resilience)
 # ---------------------------------------------------------------------------
 

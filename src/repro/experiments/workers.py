@@ -3,7 +3,7 @@
 :func:`run_forked` takes a list of zero-argument callables and runs each
 in its own forked process — one process per *attempt*, never a reused
 interpreter — and hands back one :class:`Outcome` per callable, in
-index order.  Three front doors set its policy arguments and map the
+index order.  Two front doors set its policy arguments and map the
 outcomes into their own vocabulary:
 
 =====================  =====  =======  =======  =========  ==============
@@ -11,7 +11,6 @@ front door             slots  timeout  retries  fail_fast  failure becomes
 =====================  =====  =======  =======  =========  ==============
 ``run_grid``           jobs   none     0        yes        ``GridTaskError``
 ``supervise_grid``     jobs   per try  budget   no         ``FailedTask``
-``run_sharded``        all    one      0        yes        ``ShardError``
 =====================  =====  =======  =======  =========  ==============
 
 Attempt lifecycle::
@@ -35,7 +34,7 @@ pipe *and* process sentinel, so a worker that dies without reporting
 not by a hang, and nothing polls.
 
 This module imports nothing from the rest of the package: the runner,
-the grid and the shard supervisor all sit above it.
+the grid and the supervisor all sit above it.
 """
 
 from __future__ import annotations
@@ -204,8 +203,7 @@ def run_forked(
 ) -> List[Optional[Outcome]]:
     """Run every callable in a forked worker; outcomes in index order.
 
-    ``slots`` bounds the processes in flight (callables that talk to
-    each other need ``slots == len(fns)``).  ``timeout`` is wall-clock
+    ``slots`` bounds the processes in flight.  ``timeout`` is wall-clock
     seconds per attempt; a worker past it is SIGKILLed.  A failed
     attempt is relaunched up to ``retries`` times, each after
     :func:`backoff_delay`.  With ``fail_fast`` the first index to run

@@ -151,7 +151,7 @@ class TelemetrySummary:
     wall_seconds: float = 0.0
     # high-water mark of engine heap entries (``sim.peak_pending``) —
     # the memory-pressure signal the pipelined wire model is meant to
-    # shrink; combine() takes the max, not the sum
+    # shrink
     peak_pending: int = 0
 
     @property
@@ -178,36 +178,6 @@ class TelemetrySummary:
         if self.wall_seconds > 0.0:
             parts.append(f"{self.events_per_sec:,.0f} ev/s")
         return "; ".join(parts)
-
-    @classmethod
-    def combine(cls, summaries: List["TelemetrySummary"]) -> "TelemetrySummary":
-        """Merge several runs' summaries (sweep rollup); order-independent."""
-        total = cls()
-        counts: Counter = Counter()
-        for s in summaries:
-            total.events_seen += s.events_seen
-            total.events_kept += s.events_kept
-            counts.update(s.counts)
-            total.drops += s.drops
-            total.marks += s.marks
-            total.trims += s.trims
-            total.retransmits += s.retransmits
-            total.rtos += s.rtos
-            total.flows_started += s.flows_started
-            total.flows_completed += s.flows_completed
-            total.pauses_sent += s.pauses_sent
-            total.pauses_received += s.pauses_received
-            total.pause_seconds += s.pause_seconds
-            total.flowlet_repins += s.flowlet_repins
-            total.hybrid_epochs += s.hybrid_epochs
-            total.hybrid_demotions += s.hybrid_demotions
-            total.slices += s.slices
-            total.sim_events += s.sim_events
-            total.wall_seconds += s.wall_seconds
-            if s.peak_pending > total.peak_pending:
-                total.peak_pending = s.peak_pending
-        total.counts = dict(counts)
-        return total
 
 
 class _PortHook:
@@ -339,8 +309,8 @@ class Telemetry:
 
         ``endpoint_counters`` is three flow-id keyed dicts —
         retransmits, RTOs, packets transmitted: the runner's one walk
-        over the transport endpoints (local hosts only in a sharded
-        run), so this rollup and ``RunHealth`` cannot disagree.
+        over the transport endpoints, so this rollup and ``RunHealth``
+        cannot disagree.
         """
         self.port_counters = {
             port.name: {name: getattr(port.mux.stats, name)

@@ -65,7 +65,13 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # v6: heap entries are ``(time, seq, fn, arg)`` — the packet path's pickle
 # as bound method + packet, no ``Event`` — ``Wire``/``ControlPipe`` lost
 # ``head_event`` and ``Simulator`` its stored ``_live``
-CHECKPOINT_VERSION = 6
+# v7: the observed start chain's ``functools.partial`` carries one
+# argument fewer (v5's extra one is gone again), so an *observed* v6
+# snapshot would die at its next flow start.  An unobserved one would
+# still load (``Network``/``Topology`` restore by ``__dict__``, their
+# dropped attributes riding along unused), but the version cannot tell
+# the two apart
+CHECKPOINT_VERSION = 7
 
 
 class CheckpointError(RuntimeError):

@@ -28,9 +28,12 @@ changes *when* a summary arrives, never *what* it contains.  That is
 what lets the chaos benchmark assert a SIGKILLed sweep merges
 bit-identically to an undisturbed one.
 
-On platforms without ``fork`` the grid degrades to in-process execution
-with retry-on-exception semantics (timeout and crash recovery need real
-processes and are disabled).
+A grid with a ``task_timeout`` always runs in forked workers, however
+few — one worker is enough to enforce a deadline.  Without one, a
+serial grid (``jobs`` of ``None``/``0``/``1``) runs in-process with
+retry-on-exception semantics, as does any grid on a platform without
+``fork`` (timeout and crash recovery need real processes and are
+unavailable there).
 """
 
 from __future__ import annotations
@@ -121,18 +124,21 @@ def supervise_grid(
     attempt.  ``progress`` fires once per task in grid order after the
     sweep settles, like ``run_grid``'s parallel path.
 
-    Without ``fork`` (or serial), cells run in-process: exceptions are
-    retried with the same backoff and budget, but timeout/crash
-    recovery — which require a killable process — are unavailable.
+    A ``task_timeout`` forces forked workers even for a serial grid (a
+    deadline needs a killable process).  Otherwise serial grids — and
+    every grid on a platform without ``fork`` — run in-process:
+    exceptions are retried with the same backoff and budget, but
+    timeout/crash recovery are unavailable.
     """
     tasks = list(tasks)
     n_workers = workers.worker_count(jobs, len(tasks))
-    if n_workers <= 1 or not workers.fork_available():
+    if not workers.fork_available() \
+            or (n_workers <= 1 and task_timeout is None):
         outcomes = [_attempt_in_process(task, retries, backoff_base,
                                         backoff_max) for task in tasks]
     else:
         outcomes = workers.run_forked(
-            [task.execute for task in tasks], slots=n_workers,
+            [task.execute for task in tasks], slots=max(1, n_workers),
             timeout=task_timeout, retries=retries,
             backoff_base=backoff_base, backoff_max=backoff_max)
 

@@ -220,11 +220,6 @@ class Network:
         self._control_pipes: Dict[Tuple[int, int], ControlPipe] = {}
         # PFC controllers, one per switch, populated by enable_pfc().
         self.pfc_controllers: List[PfcController] = []
-        # Cross-shard handoff ledger, installed by repro.sim.shard when
-        # this network is one shard of a partitioned run; None in every
-        # serial run.  The invariant auditor adds its counters to the
-        # fabric conservation laws so per-shard books still close.
-        self.shard_ledger = None
 
     # -- construction ----------------------------------------------------
 

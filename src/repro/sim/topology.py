@@ -16,7 +16,7 @@ Three shapes cover every experiment in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Optional
 
 from ..units import gbps, us
 from .engine import Simulator
@@ -34,13 +34,6 @@ class Topology:
     edge_rate: float
     core_rate: float
     base_rtt: float  # worst-case (cross-leaf) base round-trip time
-    # Space-partitioning metadata (see repro.sim.shard): which leaf each
-    # host hangs off, and which switch_ids are leaves vs. spines.  Only
-    # the two-tier builder fills these in; shapes without a pod
-    # structure leave them None and cannot be sharded.
-    host_leaf: Optional[Dict[int, int]] = None
-    leaf_switch_ids: Optional[List[int]] = None
-    spine_switch_ids: Optional[List[int]] = None
 
     def host_ids(self):
         return list(self.network.hosts.keys())
@@ -191,10 +184,7 @@ def leaf_spine(
         for spine_idx in range(n_spine):
             spines[spine_idx].add_route(dst, down_ports[(spine_idx, dst_leaf)])
 
-    return Topology(sim, net, host_id, edge_rate, core_rate, base_rtt,
-                    host_leaf=host_leaf,
-                    leaf_switch_ids=[leaf.switch_id for leaf in leaves],
-                    spine_switch_ids=[spine.switch_id for spine in spines])
+    return Topology(sim, net, host_id, edge_rate, core_rate, base_rtt)
 
 
 def paper_oversubscribed(**overrides) -> Topology:

@@ -540,63 +540,40 @@ class RunAuditor:
         hosts = net.hosts.values()
         switches = net.switches
 
-        # Shard handoff ledger (repro.sim.shard): in a sharded run,
-        # exports leave a boundary port's book after pkts_sent but never
-        # arrive locally, imports arrive at a switch without a local
-        # send, and replica hosts count sends the fabric never carries
-        # (stopped at the InertPort).  All terms are zero in every
-        # serial run (ledger is None).
-        ledger = getattr(net, "shard_ledger", None)
-        if ledger is not None:
-            inert_drops = ledger.inert_drops
-            inert_drop_bytes = ledger.inert_drop_bytes
-            exported = ledger.exported_pkts
-            exported_bytes = ledger.exported_bytes
-            injected = ledger.injected_pkts
-            injected_bytes = ledger.injected_bytes
-        else:
-            inert_drops = inert_drop_bytes = 0
-            exported = exported_bytes = injected = injected_bytes = 0
-
         offered = sum(p.mux.stats.offered for p in ports)
         admit_killed = sum(p.fault_admit_drops for p in ports)
         host_sends = sum(h.pkts_to_fabric for h in hosts)
         forwarded = sum(s.pkts_forwarded for s in switches)
-        self._check(host_sends + forwarded
-                    == offered + admit_killed + inert_drops,
+        self._check(host_sends + forwarded == offered + admit_killed,
                     "fabric-offer-conservation", "fabric",
                     "port offers != host sends + switch forwards",
                     host_sends=host_sends, switch_forwards=forwarded,
-                    port_offers=offered, fault_admit_drops=admit_killed,
-                    inert_drops=inert_drops)
+                    port_offers=offered, fault_admit_drops=admit_killed)
 
         bytes_offered = sum(p.mux.stats.bytes_offered for p in ports)
         admit_killed_bytes = sum(p.fault_admit_drop_bytes for p in ports)
         host_send_bytes = sum(h.bytes_to_fabric for h in hosts)
         forwarded_bytes = sum(s.bytes_forwarded for s in switches)
         self._check(host_send_bytes + forwarded_bytes
-                    == bytes_offered + admit_killed_bytes
-                    + inert_drop_bytes,
+                    == bytes_offered + admit_killed_bytes,
                     "fabric-offer-conservation-bytes", "fabric",
                     "port offer bytes != host send + switch forward bytes",
                     host_send_bytes=host_send_bytes,
                     switch_forward_bytes=forwarded_bytes,
                     port_offer_bytes=bytes_offered,
-                    fault_admit_drop_bytes=admit_killed_bytes,
-                    inert_drop_bytes=inert_drop_bytes)
+                    fault_admit_drop_bytes=admit_killed_bytes)
 
         sent = sum(p.pkts_sent for p in ports)
         wire_killed = sum(p.fault_wire_drops for p in ports)
         arrivals = forwarded + sum(h.pkts_from_fabric for h in hosts)
         in_propagation = sent - wire_killed - arrivals
         on_wire = sum(len(p.wire) for p in ports)
-        self._check(in_propagation == on_wire + exported - injected,
+        self._check(in_propagation == on_wire,
                     "fabric-packet-conservation", "fabric",
                     "in-propagation residual disagrees with the wire deques",
                     pkts_sent=sent, fault_wire_drops=wire_killed,
                     arrivals=arrivals, in_propagation=in_propagation,
-                    on_wire=on_wire, exported_pkts=exported,
-                    injected_pkts=injected)
+                    on_wire=on_wire)
 
         sent_bytes = sum(p.bytes_sent for p in ports)
         wire_killed_bytes = sum(p.fault_wire_drop_bytes for p in ports)
@@ -604,8 +581,7 @@ class RunAuditor:
                                               for h in hosts)
         in_prop_bytes = sent_bytes - wire_killed_bytes - arrival_bytes
         on_wire_bytes = sum(p.wire.in_flight_bytes for p in ports)
-        self._check(in_prop_bytes
-                    == on_wire_bytes + exported_bytes - injected_bytes,
+        self._check(in_prop_bytes == on_wire_bytes,
                     "fabric-byte-conservation", "fabric",
                     "in-propagation byte residual disagrees with the "
                     "wire deques",
@@ -613,9 +589,7 @@ class RunAuditor:
                     fault_wire_drop_bytes=wire_killed_bytes,
                     arrival_bytes=arrival_bytes,
                     in_propagation_bytes=in_prop_bytes,
-                    on_wire_bytes=on_wire_bytes,
-                    exported_bytes=exported_bytes,
-                    injected_bytes=injected_bytes)
+                    on_wire_bytes=on_wire_bytes)
 
     def _audit_engine_counters(self) -> None:
         """The engine's incremental dead-entry counter — and with it

@@ -24,15 +24,12 @@ import sys
 from typing import List, Optional
 
 from ..cli import SCHEME_FACTORIES
-from ..experiments.distributed import run_sharded
 from ..experiments.parallel import GridTask, run_grid
-from ..experiments.workers import fork_available
 from ..experiments.runner import format_table
 from ..experiments.scenarios import (
     SIM_PFC,
     all_to_all_scenario,
     dumbbell_scenario,
-    shard_gate_scenario,
     sim_fabric,
     star_fabric,
 )
@@ -84,15 +81,6 @@ def _leaf_spine_conga_scenario(*, n_flows: int) -> object:
         event_budget=DEFAULT_EVENT_BUDGET, lb="conga")
 
 
-def _shard_gate_scenario(*, n_flows: int) -> object:
-    # n_flows deliberately ignored: the gate's parameters are pinned to
-    # the collision-audited configuration (see shard_gate_scenario) —
-    # running it at another flow count would void the bit-identity
-    # guarantee the sharded cross-cell checks
-    del n_flows
-    return shard_gate_scenario("validate-shard-gate")
-
-
 def _leaf_spine_hybrid_scenario(*, n_flows: int) -> object:
     return all_to_all_scenario(
         "validate-leaf-spine-hybrid", WEB_SEARCH, n_flows=n_flows,
@@ -115,13 +103,7 @@ FEATURE_CELLS = {
     "leaf-spine-flowlet": (_leaf_spine_flowlet_scenario, ("dctcp", "ppt")),
     "leaf-spine-conga": (_leaf_spine_conga_scenario, ("dctcp", "ppt")),
     "leaf-spine-hybrid": (_leaf_spine_hybrid_scenario, ("dctcp", "ppt")),
-    "shard-gate": (_shard_gate_scenario, ("dctcp", "ppt")),
 }
-
-#: Schemes whose shard-gate serial cell is cross-checked against a
-#: space-sharded run of the same scenario (2-way when fork is
-#: available, degraded to the in-process 1-shard worker otherwise).
-SHARD_CROSS_SCHEMES = ("dctcp", "ppt")
 
 
 def run_matrix(schemes: Optional[List[str]] = None, *,
@@ -187,46 +169,6 @@ def run_matrix(schemes: Optional[List[str]] = None, *,
             for violation in report.violations[:5]:
                 print(f"  {tasks[i].label}: {violation.describe()}",
                       file=sys.stderr)
-
-    bare_by_label = {tasks[i].label: summaries[i]
-                     for i in range(0, len(tasks), 2)}
-
-    # cross-cell law: a space-sharded run must merge to the serial
-    # oracle's FCT statistics bit-for-bit on the collision-audited gate
-    # scenario, with global handoff conservation closed and zero shard
-    # invariant violations.  Events-run is deliberately NOT compared —
-    # the windowed drain legitimately executes a different number of
-    # engine events than the serial slice loop.
-    n_shards = 2 if fork_available() else 1
-    for scheme in SHARD_CROSS_SCHEMES:
-        serial = bare_by_label.get(f"{scheme}@shard-gate")
-        if serial is None:
-            continue
-        sharded = run_sharded(SCHEME_FACTORIES[scheme](),
-                              shard_gate_scenario("validate-shard-gate"),
-                              n_shards, validate=True)
-        report = sharded.summary.validation
-        identical = (sharded.stats == serial.stats
-                     and sharded.health.completed == serial.completed
-                     and sharded.summary.n_flows == serial.n_flows)
-        ok = (identical and sharded.conservation_ok
-              and report is not None and report.ok)
-        if not ok:
-            failures += 1
-        problems = []
-        if not identical:
-            problems.append("NOT bit-identical to serial")
-        if not sharded.conservation_ok:
-            problems.append("handoff conservation open")
-        if report is not None and not report.ok:
-            problems.append(report.describe())
-        rows.append({
-            "cell": f"{scheme}@sharded-{n_shards}==serial",
-            "flows": f"{sharded.health.completed}/{sharded.summary.n_flows}",
-            "events": sharded.health.events_run,
-            "checks": report.checks_run if report is not None else 0,
-            "result": "ok" if ok else "; ".join(problems),
-        })
 
     print(format_table(rows), file=out)
     checks = sum(r["checks"] for r in rows)

@@ -99,19 +99,3 @@ class ValidationReport:
         laws = ", ".join(f"{law}×{n}" for law, n in sorted(self.counts.items()))
         return (f"{self.violations_seen} violation(s) over "
                 f"{self.checks_run} checks: {laws}")
-
-    @classmethod
-    def combine(cls, reports: List["ValidationReport"]) -> "ValidationReport":
-        """Merge several runs' reports (sweep rollup); order-independent."""
-        total = cls()
-        for report in reports:
-            if report is None:
-                continue
-            total.checks_run += report.checks_run
-            total.violations_seen += report.violations_seen
-            for law, n in report.counts.items():
-                total.counts[law] = total.counts.get(law, 0) + n
-            room = total.max_kept - len(total.violations)
-            if room > 0:
-                total.violations.extend(report.violations[:room])
-        return total

@@ -81,19 +81,19 @@ def test_parser_rejects_unknown_figure():
 EXCLUDED_ARGV = {
     "--trace-out requires --jobs 1":
         ["--trace-out", "t.jsonl", "--jobs", "2"],
-    "--shards must be >= 1":
-        ["--shards", "0"],
-    "--shards supplies its own parallelism; use --jobs 1":
-        ["--shards", "2", "--jobs", "2"],
-    "--shards is incompatible with --trace-out and checkpoint/resume "
-    "(both need the serial runner)":
-        ["--shards", "2", "--checkpoint", "c.ckpt"],
-    "--shards does not run under grid supervision":
-        ["--shards", "2", "--retries", "1"],
     "--checkpoint requires --jobs 1 and a single scheme":
         ["--checkpoint", "c.ckpt", "--schemes", "dctcp", "ppt"],
     "--checkpoint needs --checkpoint-every SIM_SECONDS":
         ["--checkpoint", "c.ckpt"],
+    "--checkpoint-every must be > 0":
+        ["--checkpoint", "c.ckpt", "--checkpoint-every", "-1"],
+    "--task-timeout must be > 0":
+        ["--task-timeout", "-5"],
+    "--retries must be >= 0":
+        ["--retries", "-1"],
+    "--task-timeout/--retries supervise forked cells; --trace-out and "
+    "--checkpoint run in-process":
+        ["--trace-out", "t.jsonl", "--task-timeout", "0.001"],
 }
 
 
@@ -111,10 +111,39 @@ def test_run_exclusion_row(message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_shards_help_is_generated_from_the_table(capsys):
-    with pytest.raises(SystemExit):
-        main(["run", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
-    for _, message in RUN_EXCLUSIONS:
-        if "--shards" in message:
-            assert message in help_text
+# what the reference build in the parent refuses: a scenario parameter
+# out of range, and a fault spec that parses but names no port of the
+# fabric it is applied to
+REFUSED_SCENARIOS = {
+    "n_flows must be positive": ["--flows", "0"],
+    "load out of range: 0.0": ["--load", "0"],
+    "no port matches 'nosuch->x'":
+        ["--fault", "flap:nosuch->x:0.001:0.001:0.001"],
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("message", list(REFUSED_SCENARIOS))
+def test_bad_scenario_is_one_line_whatever_the_path(message, jobs, capsys):
+    """Refused before any run or fork, so the in-process path and the
+    forked grid print the identical single line and exit 2 — no
+    traceback, no worker traceback."""
+    argv = ["run", "--schemes", "dctcp", "ppt", "--jobs", jobs] \
+        + REFUSED_SCENARIOS[message]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_a_key_error_inside_a_run_is_not_an_error_line(monkeypatch):
+    """Only the reference build's lookups are refusals; a ``KeyError``
+    out of the run itself is a bug and must surface as one."""
+    import repro.cli as cli
+
+    def broken_run_grid(tasks, jobs=None):
+        raise KeyError("a real bug")
+
+    monkeypatch.setattr(cli, "run_grid", broken_run_grid)
+    with pytest.raises(KeyError, match="a real bug"):
+        main(["run", "--schemes", "dctcp", "--flows", "8"])

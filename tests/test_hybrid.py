@@ -392,7 +392,6 @@ def test_ratchet_passes_against_itself(tmp_path):
         {"bench": "homa-incast", "events_per_sec": 700.0},
         {"bench": "hybrid-soak", "events_per_sec": 10.0,
          "flow_hours_per_sec": 3.0},
-        {"bench": "sharded-leaf-spine", "events_per_sec": 800.0},
     ]}))
     assert ratchet.main(["--baseline", str(payload),
                          "--fresh", str(payload)]) == 0

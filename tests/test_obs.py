@@ -18,7 +18,6 @@ from repro.obs import (
     FLOW_START,
     MARK,
     Telemetry,
-    TelemetrySummary,
     TraceEvent,
     chain,
     load_jsonl,
@@ -302,33 +301,3 @@ def test_grid_task_observe_round_trips_summary():
     [plain] = run_grid([GridTask(scheme_factory=Dctcp,
                                  scenario_factory=incast, label="bare")])
     assert plain.telemetry is None
-
-
-def test_summary_combine():
-    a = run(Dctcp(), incast(seed=3), observe=True).telemetry.summary()
-    b = run(Dctcp(), incast(seed=4), observe=True).telemetry.summary()
-    total = TelemetrySummary.combine([a, b])
-    assert total.drops == a.drops + b.drops
-    assert total.marks == a.marks + b.marks
-    assert total.flows_completed == a.flows_completed + b.flows_completed
-    assert total.sim_events == a.sim_events + b.sim_events
-    assert total.counts.get(FLOW_COMPLETE, 0) \
-        == a.counts.get(FLOW_COMPLETE, 0) + b.counts.get(FLOW_COMPLETE, 0)
-
-
-def test_summary_combine_many_disjoint_and_overlapping_counts():
-    a = TelemetrySummary(events_seen=1, counts={"drop": 2, "mark": 1},
-                         drops=2, marks=1, peak_pending=5)
-    b = TelemetrySummary(events_seen=2, counts={"mark": 4, "pause": 3},
-                         marks=4, peak_pending=9)
-    c = TelemetrySummary(events_seen=3, counts={"trim": 7}, trims=7,
-                         peak_pending=1)
-    total = TelemetrySummary.combine([a, b, c])
-    # overlapping keys add; disjoint keys survive untouched
-    assert total.counts == {"drop": 2, "mark": 5, "pause": 3, "trim": 7}
-    assert total.events_seen == 6
-    assert total.drops == 2 and total.marks == 5 and total.trims == 7
-    # peak_pending is a high-water mark, not a sum
-    assert total.peak_pending == 9
-    # order-independent
-    assert TelemetrySummary.combine([c, b, a]) == total

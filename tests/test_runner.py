@@ -1,5 +1,8 @@
 """Tests for the experiment harness."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.core.hypothetical import MwRecordingDctcp
@@ -102,3 +105,14 @@ def test_format_table():
     assert "10" in lines[3]
     assert format_table([]) == "(no rows)"
     assert "a" in format_table(rows, columns=["a"])
+
+
+def test_only_the_runner_drives_the_run_lifecycle():
+    """``run()`` is the one way to execute a scenario: nothing outside
+    ``experiments/runner.py`` assembles or harvests a run, so a second
+    lifecycle client has to argue its way in here first."""
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    callers = {path.relative_to(src).as_posix()
+               for path in src.rglob("*.py")
+               if re.search(r"\b_(assemble|harvest)\(", path.read_text())}
+    assert callers == {"experiments/runner.py"}

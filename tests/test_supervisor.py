@@ -170,6 +170,33 @@ def test_always_hung_worker_is_quarantined_with_timeout_reason(tmp_path):
     assert [s.params["seed"] for s in outcome.completed()] == [1, 3]
 
 
+@needs_fork
+def test_timeout_is_enforced_with_one_worker():
+    """A deadline needs a killable process, so ``task_timeout`` forks
+    even a serial grid.  In-process, the hang would sit in this very
+    process: the test is bounded from outside by a SIGALRM."""
+
+    def always_hangs(seed=1):
+        time.sleep(600.0)
+
+    def too_slow(signum, frame):
+        raise AssertionError("the hanging cell ran in-process: "
+                             "task_timeout was never enforced")
+
+    tasks = scheme_grid(SCHEMES, always_hangs, [{"seed": 1}])
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(20)
+    try:
+        outcome = supervise_grid(tasks, jobs=1, task_timeout=0.3, retries=0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [f.reason for f in outcome.failed] == ["timeout"]
+    assert outcome.summaries == [None]
+    assert outcome.attempts_total == 1
+    assert multiprocessing.active_children() == []
+
+
 # -- exceptions ------------------------------------------------------------
 
 

@@ -161,21 +161,6 @@ def test_invariant_violation_pickle_roundtrip():
     assert clone.violation.details == exc.violation.details
 
 
-def test_report_combine_and_cap():
-    a = ValidationReport(max_kept=3)
-    a.checks_run = 5
-    for _ in range(2):
-        a.record(_sample_violation())
-    b = ValidationReport()
-    b.checks_run = 7
-    b.record(_sample_violation(law="port-serialization"))
-    total = ValidationReport.combine([a, None, b])
-    assert total.checks_run == 12
-    assert total.violations_seen == 3
-    assert total.counts == {"mux-occupancy-sum": 2, "port-serialization": 1}
-    assert not total.ok
-
-
 def test_report_caps_kept_violations_but_counts_all():
     report = ValidationReport(max_kept=5)
     for _ in range(20):
@@ -317,29 +302,3 @@ def test_cooked_dead_counter_detected():
     report = result.validation
     assert not report.ok
     assert "engine-dead-counter" in report.counts
-
-
-def test_report_combine_many_disjoint_and_overlapping_laws():
-    a = ValidationReport()
-    a.checks_run = 3
-    a.record(_sample_violation())
-    b = ValidationReport()
-    b.checks_run = 4
-    b.record(_sample_violation(law="port-serialization"))
-    b.record(_sample_violation())
-    c = ValidationReport()
-    c.checks_run = 5
-    c.record(_sample_violation(law="fabric-offer-conservation"))
-    total = ValidationReport.combine([a, b, c])
-    assert total.checks_run == 12
-    assert total.violations_seen == 4
-    # overlapping law keys add; disjoint ones survive untouched
-    assert total.counts == {"mux-occupancy-sum": 2,
-                            "port-serialization": 1,
-                            "fabric-offer-conservation": 1}
-    assert not total.ok
-    # order-independent
-    flipped = ValidationReport.combine([c, a, b])
-    assert flipped.counts == total.counts
-    assert flipped.checks_run == total.checks_run
-    assert flipped.violations_seen == total.violations_seen

@@ -1,8 +1,8 @@
-"""The worker contract, checked through all three front doors.
+"""The worker contract, checked through both front doors.
 
-``run_grid``, ``supervise_grid`` and ``run_sharded`` sit on one
-primitive (:func:`repro.experiments.workers.run_forked`), so whatever a
-worker does — raise, get SIGKILLed, hang, finish out of order, return
+``run_grid`` and ``supervise_grid`` sit on one primitive
+(:func:`repro.experiments.workers.run_forked`), so whatever a worker
+does — raise, get SIGKILLed, hang, finish out of order, return
 something that will not pickle — each of them must report it the same
 way: promptly, naming the worker, with the worker's traceback when there
 is one, and with no child process left behind.
@@ -21,19 +21,16 @@ from typing import List, Optional
 
 import pytest
 
-from repro.experiments.distributed import ShardError, ShardWorker, run_sharded
 from repro.experiments.parallel import GridTaskError, run_grid
-from repro.experiments.scenarios import shard_gate_scenario
 from repro.experiments.workers import fork_available, run_forked
 from repro.resilience import supervise_grid
-from repro.transport.dctcp import Dctcp
 
 pytestmark = pytest.mark.skipif(not fork_available(),
                                 reason="needs fork start method")
 
-N = 4          # workers per run (the shard gate fabric has four leaves)
+N = 4          # workers per run
 BAD = 2        # the one that misbehaves
-BOUNDED = 20.0  # "promptly": far below the 300 s mesh / 900 s shard limits
+BOUNDED = 20.0  # "promptly": far below the 30 s / 600 s sleeps below
 
 
 @dataclass
@@ -89,38 +86,15 @@ def via_supervise_grid(before, after, timeout=None) -> Report:
                   reason=failed.reason, text=failed.detail)
 
 
-def via_run_sharded(before, after, timeout=None, monkeypatch=None) -> Report:
-    real_run = ShardWorker.run
-
-    def run(self):
-        before(self.shard_id)
-        return after(self.shard_id, real_run(self))
-
-    monkeypatch.setattr(ShardWorker, "run", run)
-    limits = {} if timeout is None else {"timeout": timeout}
-    try:
-        result = run_sharded(Dctcp(), shard_gate_scenario(), N, **limits)
-    except ShardError as exc:
-        reason = "exception" if exc.worker_traceback else \
-            "timeout" if "no result after" in exc.cause else "crashed"
-        return Report(failed=f"shard {exc.shard_id}", reason=reason,
-                      text=str(exc))
-    return Report(values=[s.shard_id for s in result.shards])
-
-
-DOORS = {"run_grid": via_run_grid, "supervise_grid": via_supervise_grid,
-         "run_sharded": via_run_sharded}
-BAD_NAME = {"run_grid": f"cell{BAD}", "supervise_grid": f"cell{BAD}",
-            "run_sharded": f"shard {BAD}"}
+DOORS = {"run_grid": via_run_grid, "supervise_grid": via_supervise_grid}
+BAD_NAME = f"cell{BAD}"
 
 
 @pytest.fixture(params=sorted(DOORS))
-def door(request, monkeypatch):
+def door(request):
     fn = DOORS[request.param]
 
     def call(before=lambda i: None, after=lambda i, value: value, **kwargs):
-        if request.param == "run_sharded":
-            kwargs["monkeypatch"] = monkeypatch
         started = time.monotonic()
         report = fn(before, after, **kwargs)
         call.elapsed = time.monotonic() - started
@@ -138,16 +112,15 @@ def test_worker_exception_reaches_parent_with_traceback(door):
 
     report = door(before=_raise)
     assert report.reason == "exception"
-    assert report.failed == BAD_NAME[door.name]
-    assert BAD_NAME[door.name] in report.text
+    assert report.failed == BAD_NAME
+    assert BAD_NAME in report.text
     assert "ValueError('sabotaged')" in report.text
     assert "_raise" in report.text          # the worker-side traceback
 
 
 def test_sigkilled_worker_is_seen_by_its_exit(door):
     """A fail-fast door must kill the dead worker's peers: run_grid's
-    would otherwise sit out their 30 s, and the shards would block on
-    the mesh pipe to the dead shard for ``RECV_TIMEOUT`` (300 s)."""
+    would otherwise sit out their 30 s."""
 
     def _die(index):
         if index == BAD:
@@ -157,7 +130,7 @@ def test_sigkilled_worker_is_seen_by_its_exit(door):
 
     report = door(before=_die)
     assert report.reason == "crashed"
-    assert report.failed == BAD_NAME[door.name]
+    assert report.failed == BAD_NAME
     assert "exit -9" in report.text
     assert door.elapsed < BOUNDED
     if door.name == "supervise_grid":
@@ -177,9 +150,8 @@ def test_timeout_kills_a_hung_worker(door):
     assert report.reason == "timeout"
     assert "no result after" in report.text
     assert door.elapsed < BOUNDED
-    if door.name == "supervise_grid":
-        assert report.failed == BAD_NAME[door.name]
-        assert report.values == [0, 1, None, 3]
+    assert report.failed == BAD_NAME
+    assert report.values == [0, 1, None, 3]
 
 
 def test_results_come_back_in_index_order(door):
@@ -198,7 +170,7 @@ def test_unpicklable_result_is_a_crash_not_a_hang(door):
 
     report = door(after=_poison)
     assert report.reason == "crashed"
-    assert report.failed == BAD_NAME[door.name]
+    assert report.failed == BAD_NAME
     assert "exit 70" in report.text
     assert door.elapsed < BOUNDED
 
