@@ -139,11 +139,9 @@ def test_bad_scenario_is_one_line_whatever_the_path(message, jobs, capsys):
 def test_a_key_error_inside_a_run_is_not_an_error_line(monkeypatch):
     """Only the reference build's lookups are refusals; a ``KeyError``
     out of the run itself is a bug and must surface as one."""
-    import repro.cli as cli
-
     def broken_run_grid(tasks, jobs=None):
         raise KeyError("a real bug")
 
-    monkeypatch.setattr(cli, "run_grid", broken_run_grid)
+    monkeypatch.setattr("repro.cli.run_grid", broken_run_grid)
     with pytest.raises(KeyError, match="a real bug"):
         main(["run", "--schemes", "dctcp", "--flows", "8"])
