@@ -15,15 +15,9 @@ fault windows and the recovery work (drops, retransmits) per scheme.
 """
 
 from conftest import by_scheme, run_figure
-from repro.core.ppt import Ppt
-from repro.experiments.runner import run
-from repro.experiments.scenarios import (
-    HOMA_RTT_BYTES_SIM,
-    all_to_all_scenario,
-)
+from repro.experiments.scenarios import SCHEMES, all_to_all_scenario
+from repro.experiments.sweeps import sweep
 from repro.faults import FaultPlan, LinkFlap
-from repro.transport.dctcp import Dctcp
-from repro.transport.homa import Homa
 from repro.workloads.distributions import WEB_SEARCH
 
 N_FLOWS = 150
@@ -37,30 +31,29 @@ FLAP_PLAN = FaultPlan([
 ], seed=1)
 
 
-def _schemes():
-    return [Ppt(), Dctcp(), Homa(rtt_bytes=HOMA_RTT_BYTES_SIM)]
+def _scenario(faults):
+    return all_to_all_scenario("ext-flap" if faults else "ext-flap-baseline",
+                               WEB_SEARCH, load=0.5, n_flows=N_FLOWS,
+                               faults=faults)
 
 
 def _run_fault_resilience():
-    faulty = all_to_all_scenario("ext-flap", WEB_SEARCH, load=0.5,
-                                 n_flows=N_FLOWS, faults=FLAP_PLAN)
-    healthy = all_to_all_scenario("ext-flap-baseline", WEB_SEARCH, load=0.5,
-                                  n_flows=N_FLOWS)
+    schemes = {name: SCHEMES[name] for name in ("ppt", "dctcp", "homa")}
+    # variants outer: every scheme healthy, then every scheme faulty
+    summaries = sweep(schemes, _scenario,
+                      [{"faults": None}, {"faults": FLAP_PLAN}], jobs=-1)
     rows = []
-    for scheme in _schemes():
-        base = run(scheme, healthy)
-        result = run(scheme, faulty)
-        h = result.health
+    for base, faulty in zip(summaries, summaries[len(schemes):]):
+        h = faulty.health
         rows.append({
-            "scheme": scheme.name,
+            "scheme": faulty.scheme,
             "completed": f"{h.completed}/{h.n_flows}",
             "stalled": h.stalled,
             "fault_drops": h.fault_drops,
             "rtx": h.retransmits_total,
             "rtos": h.rtos_total,
-            "overall_avg_ms": result.stats.overall_avg * 1e3,
-            "small_p99_ms": result.stats.small_p99 * 1e3,
-            "healthy_avg_ms": base.stats.overall_avg * 1e3,
+            **faulty.stats.row(),
+            "healthy_avg_ms": base.stats.row()["overall_avg_ms"],
             "_ok": h.ok,
             "_completion_rate": h.completion_rate,
             "_windows": len(h.fault_windows),

@@ -7,43 +7,34 @@ matters at each setting — the benefit does not hinge on a tuned K_low.
 """
 
 from conftest import run_figure
-from repro.core.ppt import Ppt
-from repro.experiments.runner import run
+from repro.experiments.parallel import run_grid, scheme_grid
 from repro.experiments.scenarios import (
+    SCHEMES,
     all_to_all_scenario,
     sim_fabric,
     sim_qcfg,
 )
-from repro.transport.dctcp import Dctcp
 from repro.workloads.distributions import WEB_SEARCH
 
 K_LOW_VALUES = (25_000, 50_000, 86_000, 110_000)  # paper default: 86KB
 
 
-def _run_sweep():
-    rows = []
-    # the DCTCP reference doesn't depend on K_low; run it once
-    reference = run(Dctcp(), all_to_all_scenario(
-        "klow-ref", WEB_SEARCH, load=0.5, n_flows=150))
-    rows.append({
-        "scheme": "dctcp", "k_low": "n/a",
-        "overall_avg_ms": reference.stats.overall_avg * 1e3,
-        "small_avg_ms": reference.stats.small_avg * 1e3,
-        "small_p99_ms": reference.stats.small_p99 * 1e3,
-    })
-    for k_low in K_LOW_VALUES:
+def _scenario(k_low):
+    fabric = None  # "n/a": the default fabric, at the paper's K_low
+    if k_low != "n/a":
         fabric = sim_fabric(qcfg=sim_qcfg(k_low=k_low))
-        scenario = all_to_all_scenario(f"klow-{k_low}", WEB_SEARCH,
-                                       load=0.5, n_flows=150, fabric=fabric)
-        result = run(Ppt(), scenario)
-        stats = result.stats
-        rows.append({
-            "scheme": "ppt", "k_low": k_low,
-            "overall_avg_ms": stats.overall_avg * 1e3,
-            "small_avg_ms": stats.small_avg * 1e3,
-            "small_p99_ms": stats.small_p99 * 1e3,
-        })
-    return {"rows": rows}
+    return all_to_all_scenario(f"klow-{k_low}", WEB_SEARCH, load=0.5,
+                               n_flows=150, fabric=fabric)
+
+
+def _run_sweep():
+    # the DCTCP reference doesn't depend on K_low; run it once
+    tasks = scheme_grid({"dctcp": SCHEMES["dctcp"]}, _scenario,
+                        [{"k_low": "n/a"}])
+    tasks += scheme_grid({"ppt": SCHEMES["ppt"]}, _scenario,
+                         [{"k_low": k_low} for k_low in K_LOW_VALUES])
+    return {"rows": [summary.row()
+                     for summary in run_grid(tasks, jobs=-1)]}
 
 
 def test_lcp_threshold_robustness(benchmark):

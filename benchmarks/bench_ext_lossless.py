@@ -70,8 +70,7 @@ def _lossless_rows():
                 "drops": _total_drops(result.topology.network),
                 "lossless_drops": lossless_drops,
                 "pauses": pauses,
-                "overall_avg_ms": result.stats.overall_avg * 1e3,
-                "small_p99_ms": result.stats.small_p99 * 1e3,
+                **result.stats.row(),
             })
     return rows
 
@@ -93,8 +92,7 @@ def _lb_rows():
                 "lossless_drops": 0,
                 "pauses": 0,
                 "repins": summary.flowlet_repins,
-                "overall_avg_ms": result.stats.overall_avg * 1e3,
-                "small_p99_ms": result.stats.small_p99 * 1e3,
+                **result.stats.row(),
             })
     return rows
 
@@ -112,7 +110,7 @@ def _storm_row():
         "lossless_drops": drops,
         "pauses": pauses,
         "rtx": h.retransmits_total,
-        "overall_avg_ms": result.stats.overall_avg * 1e3,
+        **result.stats.row(),
         "_stalled": h.stalled,
     }
 

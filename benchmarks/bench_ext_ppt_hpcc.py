@@ -9,36 +9,25 @@ Fig-14 result for the Swift variant.
 """
 
 from conftest import by_scheme, run_figure
-from repro.core.ppt_hpcc import PptHpcc
-from repro.experiments.runner import run
-from repro.experiments.scenarios import all_to_all_scenario
-from repro.transport.hpcc import Hpcc
+from repro.experiments.scenarios import SCHEMES, all_to_all_scenario
+from repro.experiments.sweeps import sweep
 from repro.workloads.distributions import WEB_SEARCH
 
 
 def _run_pair():
-    scenario = all_to_all_scenario("ext-hpcc", WEB_SEARCH, load=0.5,
-                                   n_flows=150)
-    rows = []
-    for scheme in (Hpcc(), PptHpcc()):
-        result = run(scheme, scenario)
-        stats = result.stats
-        rows.append({
-            "scheme": scheme.name,
-            "overall_avg_ms": stats.overall_avg * 1e3,
-            "small_avg_ms": stats.small_avg * 1e3,
-            "small_p99_ms": stats.small_p99 * 1e3,
-            "large_avg_ms": stats.large_avg * 1e3,
-            "completed": result.completed,
-        })
-    return {"rows": rows}
+    summaries = sweep(
+        {name: SCHEMES[name] for name in ("hpcc", "ppt-hpcc")},
+        lambda: all_to_all_scenario("ext-hpcc", WEB_SEARCH, load=0.5,
+                                    n_flows=150),
+        [{}], jobs=-1)
+    return {"rows": [summary.row() for summary in summaries]}
 
 
 def test_ppt_over_hpcc(benchmark):
     result = run_figure(benchmark, "Extension: PPT over HPCC (appendix B)",
                         _run_pair)
     rows = by_scheme(result["rows"])
-    assert all(r["completed"] == 150 for r in rows.values())
+    assert all(r["flows"] == 150 for r in rows.values())
     base, variant = rows["hpcc"], rows["ppt-hpcc"]
     assert variant["overall_avg_ms"] < base["overall_avg_ms"]
     assert variant["small_p99_ms"] < base["small_p99_ms"]

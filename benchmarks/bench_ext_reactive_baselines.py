@@ -19,42 +19,28 @@ classification with numbers from our substrate:
 """
 
 from conftest import by_scheme, run_figure
-from repro.core.ppt import Ppt
-from repro.experiments.runner import run
-from repro.experiments.scenarios import all_to_all_scenario
-from repro.transport.d2tcp import D2tcp
-from repro.transport.dcqcn import Dcqcn
-from repro.transport.expresspass import ExpressPass
-from repro.transport.halfback import Halfback
-from repro.transport.tcp10 import Tcp10
-from repro.transport.timely import Timely
+from repro.experiments.scenarios import SCHEMES, all_to_all_scenario
+from repro.experiments.sweeps import sweep
 from repro.workloads.distributions import WEB_SEARCH
+
+BASELINES = ("tcp10", "halfback", "expresspass", "timely", "d2tcp", "dcqcn",
+             "ppt")
 
 
 def _run_baselines():
-    scenario = all_to_all_scenario("ext-baselines", WEB_SEARCH, load=0.5,
-                                   n_flows=150)
-    rows = []
-    for scheme in (Tcp10(), Halfback(), ExpressPass(), Timely(), D2tcp(),
-                   Dcqcn(), Ppt()):
-        result = run(scheme, scenario)
-        stats = result.stats
-        rows.append({
-            "scheme": scheme.name,
-            "overall_avg_ms": stats.overall_avg * 1e3,
-            "small_avg_ms": stats.small_avg * 1e3,
-            "small_p99_ms": stats.small_p99 * 1e3,
-            "large_avg_ms": stats.large_avg * 1e3,
-            "completed": result.completed,
-        })
-    return {"rows": rows}
+    summaries = sweep(
+        {name: SCHEMES[name] for name in BASELINES},
+        lambda: all_to_all_scenario("ext-baselines", WEB_SEARCH, load=0.5,
+                                    n_flows=150),
+        [{}], jobs=-1)
+    return {"rows": [summary.row() for summary in summaries]}
 
 
 def test_table1_reactive_baselines(benchmark):
     result = run_figure(benchmark, "Extension: Table 1 baselines vs PPT",
                         _run_baselines)
     rows = by_scheme(result["rows"])
-    assert all(r["completed"] == 150 for r in rows.values())
+    assert all(r["flows"] == 150 for r in rows.values())
     ppt = rows["ppt"]
     # PPT beats every converge-from-below baseline overall
     for other in ("tcp10", "halfback", "expresspass", "timely", "d2tcp"):

@@ -13,15 +13,11 @@ serial run but the wall time is divided by the core count.
 """
 
 from conftest import run_figure
-from repro.core.ppt import Ppt
-from repro.experiments.parallel import GridTask, run_grid
-from repro.experiments.scenarios import all_to_all_scenario
-from repro.transport.dctcp import Dctcp
-from repro.transport.rc3 import Rc3
+from repro.experiments.scenarios import SCHEMES, all_to_all_scenario
+from repro.experiments.sweeps import sweep
 from repro.workloads.distributions import WEB_SEARCH
 
 SEEDS = (7, 23, 101)
-SCHEMES = {"dctcp": Dctcp, "rc3": Rc3, "ppt": Ppt}
 
 
 def _make_scenario(seed=7):
@@ -30,32 +26,17 @@ def _make_scenario(seed=7):
 
 
 def _run_seeds(jobs=None):
-    tasks = [
-        GridTask(scheme_factory=factory, scenario_factory=_make_scenario,
-                 params={"seed": seed}, label=f"{name} seed={seed}",
-                 scheme_key=name)
-        for seed in SEEDS
-        for name, factory in SCHEMES.items()
-    ]
-    rows = []
-    for summary in run_grid(tasks, jobs=jobs):
-        stats = summary.stats
-        rows.append({
-            "seed": summary.params["seed"],
-            "scheme": summary.scheme,
-            "overall_avg_ms": stats.overall_avg * 1e3,
-            "small_avg_ms": stats.small_avg * 1e3,
-            "small_p99_ms": stats.small_p99 * 1e3,
-            "completed": summary.completed,
-        })
-    return {"rows": rows}
+    summaries = sweep(
+        {name: SCHEMES[name] for name in ("dctcp", "rc3", "ppt")},
+        _make_scenario, [{"seed": seed} for seed in SEEDS], jobs=jobs)
+    return {"rows": [summary.row() for summary in summaries]}
 
 
 def test_headline_holds_across_seeds(benchmark):
     result = run_figure(benchmark, "Extension: seed stability",
                         _run_seeds, jobs=-1)
     data = {(r["seed"], r["scheme"]): r for r in result["rows"]}
-    assert all(r["completed"] == 150 for r in result["rows"])
+    assert all(r["flows"] == 150 for r in result["rows"])
     for seed in SEEDS:
         ppt = data[(seed, "ppt")]
         for other in ("dctcp", "rc3"):

@@ -11,9 +11,11 @@ Run:
 """
 
 import argparse
+import functools
 
-from repro import Ppt, format_table, run
+from repro import Ppt, format_table
 from repro.experiments.scenarios import all_to_all_scenario
+from repro.experiments.sweeps import sweep
 from repro.workloads import WEB_SEARCH
 
 VARIANTS = [
@@ -32,22 +34,14 @@ def main() -> None:
     parser.add_argument("--flows", type=int, default=150)
     args = parser.parse_args()
 
-    scenario = all_to_all_scenario("ablation", WEB_SEARCH, load=args.load,
-                                   n_flows=args.flows)
-    rows = []
-    for label, flags in VARIANTS:
-        result = run(Ppt(**flags), scenario)
-        stats = result.stats
-        rows.append({
-            "variant": label,
-            "overall_avg_ms": stats.overall_avg * 1e3,
-            "small_avg_ms": stats.small_avg * 1e3,
-            "small_p99_ms": stats.small_p99 * 1e3,
-            "large_avg_ms": stats.large_avg * 1e3,
-        })
-        print(f"done: {label}")
+    # one "scheme" per variant; every core takes a share of the six runs
+    summaries = sweep(
+        {label: functools.partial(Ppt, **flags) for label, flags in VARIANTS},
+        lambda: all_to_all_scenario("ablation", WEB_SEARCH, load=args.load,
+                                    n_flows=args.flows),
+        [{}], jobs=-1)
     print()
-    print(format_table(rows))
+    print(format_table([summary.row() for summary in summaries]))
 
 
 if __name__ == "__main__":

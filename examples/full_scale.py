@@ -14,23 +14,15 @@ Run:
 import argparse
 import time
 
-from repro import Dctcp, Ppt, Rc3, format_table, run
+from repro import format_table
 from repro.experiments.scenarios import (
+    SCHEMES,
     all_to_all_scenario,
     sim_fabric,
     sim_qcfg,
 )
-from repro.transport import Aeolus, Homa, Ndp
+from repro.experiments.sweeps import sweep
 from repro.workloads import WEB_SEARCH
-
-SCHEMES = {
-    "ppt": lambda: Ppt(),
-    "dctcp": lambda: Dctcp(),
-    "rc3": lambda: Rc3(),
-    "homa": lambda: Homa(rtt_bytes=45_000),
-    "aeolus": lambda: Aeolus(rtt_bytes=45_000),
-    "ndp": lambda: Ndp(rtt_bytes=45_000),
-}
 
 
 def main() -> None:
@@ -44,28 +36,17 @@ def main() -> None:
 
     fabric = sim_fabric(n_leaf=9, n_spine=4, hosts_per_leaf=16,
                         qcfg=sim_qcfg())
-    scenario = all_to_all_scenario(
-        "full-scale", WEB_SEARCH, load=args.load, n_flows=args.flows,
-        fabric=fabric, size_cap=args.size_cap)
-
-    rows = []
-    for name in args.schemes:
-        scheme = SCHEMES[name]()
-        t0 = time.time()
-        print(f"running {name} on 144 hosts ...", flush=True)
-        result = run(scheme, scenario)
-        stats = result.stats
-        rows.append({
-            "scheme": name,
-            "flows": f"{result.completed}/{len(result.flows)}",
-            "overall_avg_ms": stats.overall_avg * 1e3,
-            "small_avg_ms": stats.small_avg * 1e3,
-            "small_p99_ms": stats.small_p99 * 1e3,
-            "large_avg_ms": stats.large_avg * 1e3,
-            "wall_s": time.time() - t0,
-        })
+    print(f"{' '.join(args.schemes)} on 144 hosts ...", flush=True)
+    t0 = time.time()
+    summaries = sweep(
+        {name: SCHEMES[name] for name in args.schemes},
+        lambda: all_to_all_scenario(
+            "full-scale", WEB_SEARCH, load=args.load, n_flows=args.flows,
+            fabric=fabric, size_cap=args.size_cap),
+        [{}], jobs=-1)
     print()
-    print(format_table(rows))
+    print(format_table([summary.row() for summary in summaries]))
+    print(f"\n{time.time() - t0:.1f}s wall for {len(summaries)} run(s)")
 
 
 if __name__ == "__main__":

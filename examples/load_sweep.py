@@ -14,7 +14,7 @@ import argparse
 
 from repro import Dctcp, Ppt, Rc3, format_table
 from repro.experiments.scenarios import all_to_all_scenario
-from repro.experiments.sweeps import load_sweep_variants, points_to_json, sweep
+from repro.experiments.sweeps import load_sweep_variants, rows_to_json, sweep
 from repro.workloads import WEB_SEARCH
 
 
@@ -31,18 +31,19 @@ def main() -> None:
         return all_to_all_scenario(f"sweep-{load}", WEB_SEARCH, load=load,
                                    n_flows=args.flows)
 
-    points = sweep(
+    summaries = sweep(
         {"dctcp": Dctcp, "rc3": Rc3, "ppt": Ppt},
         scenario_factory,
         load_sweep_variants(args.loads),
         progress=lambda msg: print(f"running {msg} ..."),
     )
     print()
-    print(format_table([p.row() for p in points]))
+    rows = [summary.row() for summary in summaries]
+    print(format_table(rows))
     if args.out:
-        points_to_json(points, args.out,
-                       meta={"loads": args.loads, "flows": args.flows})
-        print(f"\nsaved {len(points)} rows to {args.out}")
+        rows_to_json(rows, args.out,
+                     meta={"loads": args.loads, "flows": args.flows})
+        print(f"\nsaved {len(rows)} rows to {args.out}")
 
 
 if __name__ == "__main__":

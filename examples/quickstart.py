@@ -9,36 +9,26 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import Dctcp, Ppt, format_table, run
+from repro import Dctcp, Ppt, format_table
 from repro.experiments.scenarios import all_to_all_scenario
+from repro.experiments.sweeps import sweep
 from repro.metrics import reduction
 from repro.workloads import WEB_SEARCH
 
 
 def main() -> None:
-    scenario = all_to_all_scenario(
-        "quickstart", WEB_SEARCH, load=0.5, n_flows=150)
-
-    rows = []
-    results = {}
-    for scheme in (Dctcp(), Ppt()):
-        print(f"running {scheme.name} ...")
-        result = run(scheme, scenario)
-        results[scheme.name] = result
-        stats = result.stats
-        rows.append({
-            "scheme": scheme.name,
-            "flows": f"{result.completed}/{len(result.flows)}",
-            "overall_avg_ms": stats.overall_avg * 1e3,
-            "small_avg_ms": stats.small_avg * 1e3,
-            "small_p99_ms": stats.small_p99 * 1e3,
-            "large_avg_ms": stats.large_avg * 1e3,
-        })
+    # the whole experiment pipeline: schemes x scenario -> one summary
+    # per run, whose row() is the printable FCT row
+    summaries = sweep(
+        {"dctcp": Dctcp, "ppt": Ppt},
+        lambda: all_to_all_scenario("quickstart", WEB_SEARCH, load=0.5,
+                                    n_flows=150),
+        [{}], progress=lambda name: print(f"running {name} ..."))
 
     print()
-    print(format_table(rows))
+    print(format_table([summary.row() for summary in summaries]))
     print()
-    dctcp, ppt = results["dctcp"].stats, results["ppt"].stats
+    dctcp, ppt = (summary.stats for summary in summaries)
     print(f"PPT reduces the overall average FCT by "
           f"{reduction(dctcp.overall_avg, ppt.overall_avg):.1f}% "
           f"and the small-flow average by "

@@ -14,6 +14,7 @@ import argparse
 
 from repro import format_table
 from repro.experiments.figures import fig12_13_largescale
+from repro.workloads import WORKLOADS
 
 
 def main() -> None:
@@ -23,7 +24,7 @@ def main() -> None:
     parser.add_argument("--flows", type=int, default=150,
                         help="number of flows (default 150)")
     parser.add_argument("--workload", default="web-search",
-                        choices=["web-search", "data-mining", "memcached"])
+                        choices=sorted(WORKLOADS))
     args = parser.parse_args()
 
     print(f"workload={args.workload} load={args.load} flows={args.flows}")

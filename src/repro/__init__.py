@@ -20,7 +20,7 @@ from .core import (
     PptHpcc,
     PptSwift,
 )
-from .experiments import RunResult, Scenario, format_table, run, run_all, two_pass
+from .experiments import RunResult, Scenario, format_table, run, two_pass
 from .metrics import FctStats, reduction
 from .transport import (
     Aeolus,
@@ -49,7 +49,7 @@ __all__ = [
     "Dctcp", "Pias", "Rc3", "Swift", "Hpcc", "Homa", "Aeolus", "Ndp",
     "Tcp10", "Halfback", "ExpressPass", "Timely", "PptHpcc",
     "Flow", "Scheme", "TransportConfig", "TransportContext",
-    "Scenario", "RunResult", "run", "run_all", "two_pass", "format_table",
+    "Scenario", "RunResult", "run", "two_pass", "format_table",
     "FctStats", "reduction",
     "__version__",
 ]

@@ -32,64 +32,31 @@ Examples
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import Callable, Dict, List
 
-from .core.ppt import Ppt
-from .core.ppt_hpcc import PptHpcc
-from .core.ppt_swift import PptSwift
 from .experiments import figures, tables
-from .faults import FaultPlan
-from .experiments.parallel import GridTask, RunSummary, run_grid
+from .experiments.parallel import RunSummary, run_grid, scheme_grid
 from .experiments.runner import format_table, run
 from .experiments.scenarios import (
-    HOMA_RTT_BYTES_SIM,
+    SCHEMES,
     SIM_PFC,
     all_to_all_scenario,
     incast_scenario,
     soak_scenario,
 )
 from .experiments.workers import WorkerError
+from .faults import FAULT_KINDS, FaultPlan
 from .resilience import CheckpointError, supervise_grid
 from .sim.hybrid import HybridConfig
 from .sim.routing import DEFAULT_FLOWLET_GAP, LB_MODES
-from .transport.aeolus import Aeolus
-from .transport.d2tcp import D2tcp
-from .transport.dcqcn import Dcqcn
-from .transport.dctcp import Dctcp
-from .transport.expresspass import ExpressPass
-from .transport.halfback import Halfback
-from .transport.homa import Homa
-from .transport.hpcc import Hpcc
-from .transport.ndp import Ndp
-from .transport.pias import Pias
-from .transport.rc3 import Rc3
-from .transport.swift import Swift
-from .transport.tcp10 import Tcp10
-from .transport.timely import Timely
 from .validate import InvariantViolation
 from .workloads.distributions import WORKLOADS
 from .workloads.streams import parse_load_shape, parse_tenant_mix
 
-SCHEME_FACTORIES: Dict[str, Callable[[], object]] = {
-    "ppt": Ppt,
-    "ppt-swift": PptSwift,
-    "ppt-hpcc": PptHpcc,
-    "dctcp": Dctcp,
-    "d2tcp": D2tcp,
-    "dcqcn": Dcqcn,
-    "pias": Pias,
-    "rc3": Rc3,
-    "swift": Swift,
-    "timely": Timely,
-    "hpcc": Hpcc,
-    "tcp10": Tcp10,
-    "halfback": Halfback,
-    "homa": lambda: Homa(rtt_bytes=HOMA_RTT_BYTES_SIM),
-    "aeolus": lambda: Aeolus(rtt_bytes=HOMA_RTT_BYTES_SIM),
-    "ndp": lambda: Ndp(rtt_bytes=HOMA_RTT_BYTES_SIM),
-    "expresspass": ExpressPass,
-}
+SCHEME_FACTORIES = SCHEMES  # the name scripts and tests import from here
+DEFAULT_SCHEMES = ("ppt", "dctcp")
 
 FIGURES: Dict[str, Callable[..., dict]] = {
     "fig01": figures.fig01_link_utilization,
@@ -117,12 +84,9 @@ FIGURES: Dict[str, Callable[..., dict]] = {
     "sec41": figures.sec41_identification_accuracy,
 }
 
-# figure drivers accepting a workload argument
-_WORKLOAD_FIGURES = {"fig08", "fig10", "fig12"}
-
 
 def _cmd_list_schemes(_args) -> int:
-    rows = [{"scheme": name} for name in sorted(SCHEME_FACTORIES)]
+    rows = [{"scheme": name} for name in sorted(SCHEMES)]
     print(format_table(rows))
     return 0
 
@@ -166,18 +130,10 @@ def _summary_rows(schemes, summaries, *, faults, health_flag):
         if summary is None:
             rows.append({"scheme": name, "flows": "FAILED"})
             continue
-        stats = summary.stats
-        # fct_summary_row renders empty small/large buckets as explicit
-        # "n=0" markers instead of printing nan
-        fct_row = tables.fct_summary_row(stats)
-        row = {
-            "scheme": name,
-            "flows": f"{summary.completed}/{summary.n_flows}",
-            "overall_avg_ms": fct_row["overall_avg_ms"],
-            "small_avg_ms": fct_row["small_avg_ms"],
-            "small_p99_ms": fct_row["small_p99_ms"],
-            "large_avg_ms": fct_row["large_avg_ms"],
-        }
+        # the grid's own FCT row; only the flows cell differs here
+        # (completed/target, where the row counts flows with an FCT)
+        row = summary.row()
+        row["flows"] = f"{summary.completed}/{summary.n_flows}"
         if faults is not None or health_flag:
             row["rtx"] = summary.health.retransmits_total
             row["rtos"] = summary.health.rtos_total
@@ -236,19 +192,10 @@ def _supervised(args) -> bool:
 
 
 #: Every flag combination ``run`` refuses, as ``(predicate over the
-#: parsed args, message)`` rows checked in order: the first hit prints
-#: ``error: <message>`` and exits 2.
+#: parsed args, message)`` rows checked in order before anything runs,
+#: resumes or forks: the first hit prints ``error: <message>`` and
+#: exits 2.
 RUN_EXCLUSIONS = (
-    # the full event trace never crosses the worker pipe (only the
-    # TelemetrySummary digest does), so exporting requires the
-    # in-process serial path
-    (lambda a: a.trace_out and _fans_out(a),
-     "--trace-out requires --jobs 1"),
-    # one checkpoint file describes one run
-    (lambda a: a.checkpoint and (_fans_out(a) or len(a.schemes) != 1),
-     "--checkpoint requires --jobs 1 and a single scheme"),
-    (lambda a: a.checkpoint and a.checkpoint_every is None,
-     "--checkpoint needs --checkpoint-every SIM_SECONDS"),
     # a non-positive interval would snapshot at every drain slice
     (lambda a: a.checkpoint_every is not None and a.checkpoint_every <= 0,
      "--checkpoint-every must be > 0"),
@@ -256,6 +203,26 @@ RUN_EXCLUSIONS = (
      "--task-timeout must be > 0"),
     (lambda a: a.retries is not None and a.retries < 0,
      "--retries must be >= 0"),
+    # a snapshot already fixes its scheme, fault plan, telemetry and
+    # auditor, and finishes in this process: none of these can be
+    # honoured, so none is dropped silently
+    (lambda a: a.resume and (
+        a.schemes is not None or a.fault or _fans_out(a) or _supervised(a)
+        or a.trace or a.trace_out or a.validate or a.validate_strict),
+     "--resume finishes the snapshot's own run in-process: --schemes, "
+     "--fault, --jobs, --task-timeout, --retries, --trace, --trace-out, "
+     "--validate and --validate-strict cannot be combined with it"),
+    # the full event trace never crosses the worker pipe (only the
+    # TelemetrySummary digest does), so exporting requires the
+    # in-process serial path
+    (lambda a: a.trace_out and _fans_out(a),
+     "--trace-out requires --jobs 1"),
+    # one checkpoint file describes one run (a resumed run is one)
+    (lambda a: a.checkpoint and not a.resume and (
+        _fans_out(a) or len(a.schemes or DEFAULT_SCHEMES) != 1),
+     "--checkpoint requires --jobs 1 and a single scheme"),
+    (lambda a: a.checkpoint and a.checkpoint_every is None,
+     "--checkpoint needs --checkpoint-every SIM_SECONDS"),
     # supervision kills and relaunches forked cells; a trace export or
     # a checkpointed run stays in this process, where neither can happen
     (lambda a: _supervised(a) and (a.trace_out or a.checkpoint),
@@ -265,19 +232,18 @@ RUN_EXCLUSIONS = (
 
 
 def _cmd_run(args) -> int:
-    cdf = WORKLOADS[args.workload]
-    if args.resume:
-        return _cmd_resume(args)
-    observe = bool(args.trace or args.trace_out)
-    validate = False
-    if args.validate_strict:
-        validate = "strict"
-    elif args.validate:
-        validate = True
     for excluded, message in RUN_EXCLUSIONS:
         if excluded(args):
             print(f"error: {message}", file=sys.stderr)
             return 2
+    if args.resume:
+        return _cmd_resume(args)
+    # --schemes defaults to None so the table can tell "given" apart
+    schemes = {name: SCHEMES[name]
+               for name in args.schemes or DEFAULT_SCHEMES}
+    cdf = WORKLOADS[args.workload]
+    observe = bool(args.trace or args.trace_out)
+    validate = "strict" if args.validate_strict else args.validate
     faults = None
     if args.fault:
         try:
@@ -348,27 +314,23 @@ def _cmd_run(args) -> int:
             # serial, in-process: keep the full Telemetry so the event
             # trace can be exported / write checkpoints from the drain
             summaries = []
-            multi = len(args.schemes) > 1
-            for name in args.schemes:
-                result = run(SCHEME_FACTORIES[name](), make_scenario(),
-                             observe=observe or bool(args.trace_out),
-                             validate=validate,
+            for name, factory in schemes.items():
+                result = run(factory(), make_scenario(),
+                             observe=observe, validate=validate,
                              checkpoint_every=args.checkpoint_every,
                              checkpoint_path=args.checkpoint)
                 summary = RunSummary.from_result(result)
                 summary.scheme = name
                 summaries.append(summary)
                 if args.trace_out:
-                    path = _trace_out_path(args.trace_out, name, multi)
+                    path = _trace_out_path(args.trace_out, name,
+                                           len(schemes) > 1)
                     written = result.telemetry.export_jsonl(path)
                     print(f"trace: {name}: {written} events -> {path}",
                           file=sys.stderr)
         else:
-            tasks = [GridTask(scheme_factory=SCHEME_FACTORIES[name],
-                              scenario_factory=make_scenario,
-                              label=name, scheme_key=name,
-                              observe=observe, validate=validate)
-                     for name in args.schemes]
+            tasks = scheme_grid(schemes, make_scenario, [{}],
+                                observe=observe, validate=validate)
             if _supervised(args):
                 outcome = supervise_grid(
                     tasks, jobs=args.jobs,
@@ -394,9 +356,9 @@ def _cmd_run(args) -> int:
             return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = _summary_rows(args.schemes, summaries, faults=faults,
+    rows = _summary_rows(schemes, summaries, faults=faults,
                          health_flag=args.health)
-    broken = _report_validation(args.schemes, summaries)
+    broken = _report_validation(schemes, summaries)
     print(format_table(rows))
     if failed_cells:
         return 1
@@ -406,7 +368,11 @@ def _cmd_run(args) -> int:
 def _cmd_figure(args) -> int:
     fn = FIGURES[args.name]
     kwargs = {}
-    if args.name in _WORKLOAD_FIGURES and args.workload:
+    if args.workload:
+        # a driver takes a workload iff its signature says so
+        if "workload" not in inspect.signature(fn).parameters:
+            print(f"error: {args.name} has no --workload", file=sys.stderr)
+            return 2
         kwargs["workload"] = args.workload
     result = fn(**kwargs)
     print(format_table(result["rows"]))
@@ -432,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-workloads").set_defaults(fn=_cmd_list_workloads)
 
     run_p = sub.add_parser("run", help="run schemes on a scenario")
-    run_p.add_argument("--schemes", nargs="+", default=["ppt", "dctcp"],
-                       choices=sorted(SCHEME_FACTORIES))
+    run_p.add_argument("--schemes", nargs="+", default=None,
+                       choices=sorted(SCHEMES),
+                       help=f"default: {' '.join(DEFAULT_SCHEMES)}")
     run_p.add_argument("--workload", default="web-search",
                        choices=sorted(WORKLOADS))
     run_p.add_argument("--load", type=float, default=0.5)
@@ -461,11 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "closed-loop fixed user pool with think times")
     run_p.add_argument(
         "--fault", action="append", metavar="SPEC",
-        help="fault spec (repeatable): down:PORT:START:DURATION, "
-             "flap:PORT:START:DOWN:UP[:CYCLES], loss:PORT:RATE[:START[:END]], "
-             "corrupt:PORT:RATE[:START[:END]], degrade:PORT:FACTOR:START[:END], "
-             "pfcstorm:PORT:START:DURATION[:PRIORITY]; "
-             "PORT is a name or glob like 'leaf0->spine*'")
+        help="fault spec (repeatable): "
+             + ", ".join(cls.spec for cls in FAULT_KINDS.values())
+             + "; PORT is a name or glob like 'leaf0->spine*'")
     run_p.add_argument("--fault-seed", type=int, default=0)
     run_p.add_argument("--lb", choices=list(LB_MODES), default="ecmp",
                        help="switch load balancer: per-flow ECMP (default, "
@@ -547,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
     fig_p.add_argument("name", choices=sorted(FIGURES))
     fig_p.add_argument("--workload", default=None,
-                       choices=["web-search", "data-mining", "memcached"])
+                       choices=sorted(WORKLOADS))
     fig_p.set_defaults(fn=_cmd_figure)
 
     sub.add_parser("tables").set_defaults(fn=_cmd_tables)

@@ -7,10 +7,9 @@ from .runner import (
     Scenario,
     format_table,
     run,
-    run_all,
     two_pass,
 )
 
-__all__ = ["Scenario", "RunResult", "run", "run_all", "two_pass",
+__all__ = ["Scenario", "RunResult", "run", "two_pass",
            "format_table", "figures", "scenarios", "tables", "sweeps",
            "parallel", "GridTask", "RunSummary", "run_grid", "scheme_grid"]

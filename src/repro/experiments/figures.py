@@ -6,47 +6,47 @@ dict with ``rows`` (list of flat dicts, printable with
 data series, so the benchmark harness can both print the same rows the
 paper reports and assert the reproduced *shape*.
 
+The FCT-table figures (8-18, 21-27) are grid specs — a scheme dict, a
+scenario factory, a variants list — handed to :func:`_fct_table`; the
+measurement figures (1-3, 19, 20, 28, 29, §4.1) need the live fabric or
+a pass-1 table and stay on :func:`~repro.experiments.runner.run`.
+
 All drivers accept scale overrides; defaults are the scaled scenarios of
 :mod:`repro.experiments.scenarios` (see that module's scale note).
+Workloads are named as in :data:`repro.workloads.distributions.WORKLOADS`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
 from ..core.identification import (
     MEMCACHED_APP,
     WEB_SERVER_APP,
     identification_accuracy,
 )
 from ..core.ppt import Ppt
-from ..core.ppt_swift import PptSwift
 from ..metrics.cpu import collect_cpu
 from ..metrics.efficiency import collect_efficiency
-from ..metrics.fct import FctStats, reduction
 from ..metrics.sampler import BufferOccupancySampler, LinkUtilizationSampler
-from ..transport.aeolus import Aeolus
-from ..transport.dctcp import Dctcp
+from ..transport.base import Scheme
 from ..transport.homa import Homa
-from ..transport.hpcc import Hpcc
-from ..transport.ndp import Ndp
-from ..transport.pias import Pias
-from ..transport.rc3 import Rc3
-from ..transport.swift import Swift
 from ..workloads.distributions import (
     DATA_MINING,
     MEMCACHED_ETC,
     MEMCACHED_W1,
     WEB_SEARCH,
+    WORKLOADS,
     YOUTUBE_HTTP,
     sample_sizes,
 )
-from .runner import run
+from .parallel import run_grid, scheme_grid
+from .runner import Scenario, run, two_pass
 from .scenarios import (
     HOMA_OVERCOMMIT,
-    HOMA_RTT_BYTES_SIM,
     HOMA_RTT_BYTES_TESTBED,
+    SCHEMES,
+    SIM_BUFFER,
     all_to_all_scenario,
     incast_scenario,
     sim_config,
@@ -57,33 +57,18 @@ from .scenarios import (
     testbed_scenario,
     two_to_one_scenario,
 )
+from .sweeps import load_sweep_variants, sweep
 
-WORKLOADS = {"web-search": WEB_SEARCH, "data-mining": DATA_MINING,
-             "memcached": MEMCACHED_W1}
-
-
-def stats_row(scheme: str, stats: FctStats, **extra) -> dict:
-    row = {
-        "scheme": scheme,
-        "overall_avg_ms": stats.overall_avg * 1e3,
-        "small_avg_ms": stats.small_avg * 1e3,
-        "small_p99_ms": stats.small_p99 * 1e3,
-        "large_avg_ms": stats.large_avg * 1e3,
-    }
-    row.update(extra)
-    return row
+SchemeSet = Dict[str, Callable[[], Scheme]]
 
 
-def sim_schemes(rtt_bytes: int = HOMA_RTT_BYTES_SIM) -> List:
+def _pick(*names: str) -> SchemeSet:
+    return {name: SCHEMES[name] for name in names}
+
+
+def sim_schemes() -> SchemeSet:
     """The §6.2 comparison set: NDP, Aeolus, Homa, RC3, DCTCP, PPT."""
-    return [
-        Ndp(rtt_bytes=rtt_bytes),
-        Aeolus(rtt_bytes=rtt_bytes, overcommit=HOMA_OVERCOMMIT),
-        Homa(rtt_bytes=rtt_bytes, overcommit=HOMA_OVERCOMMIT),
-        Rc3(),
-        Dctcp(),
-        Ppt(),
-    ]
+    return _pick("ndp", "aeolus", "homa", "rc3", "dctcp", "ppt")
 
 
 # Homa-Linux batches messages through GRO before handing them up — a
@@ -92,41 +77,40 @@ def sim_schemes(rtt_bytes: int = HOMA_RTT_BYTES_SIM) -> List:
 HOMA_LINUX_GRO_DELAY = 40e-6
 
 
-def testbed_schemes() -> List:
+def testbed_schemes() -> SchemeSet:
     """The §6.1 comparison set: Homa-Linux, RC3, DCTCP, PPT."""
-    return [
-        Homa(rtt_bytes=HOMA_RTT_BYTES_TESTBED, overcommit=HOMA_OVERCOMMIT,
-             gro_delay=HOMA_LINUX_GRO_DELAY),
-        Rc3(),
-        Dctcp(),
-        Ppt(),
-    ]
+    return {
+        "homa": lambda: Homa(rtt_bytes=HOMA_RTT_BYTES_TESTBED,
+                             overcommit=HOMA_OVERCOMMIT,
+                             gro_delay=HOMA_LINUX_GRO_DELAY),
+        **_pick("rc3", "dctcp", "ppt"),
+    }
 
 
-# ---------------------------------------------------------------------------
-# Figs 1 & 20 — link utilisation microbenchmark
-# ---------------------------------------------------------------------------
+def _fct_table(schemes: SchemeSet, scenario_factory: Callable[..., Scenario],
+               variants: Sequence[Dict[str, object]] = ({},)) -> dict:
+    """An FCT-table figure: every scheme on every variant of one
+    scenario, one forked worker per core (serial where ``fork`` is
+    missing), rows in grid order — bit-identical either way."""
+    summaries = sweep(schemes, scenario_factory, variants, jobs=-1)
+    return {"rows": [summary.row() for summary in summaries]}
 
 
-def _utilization_run(scheme, scenario, interval: float = 100e-6,
-                     skip: int = 10, samples: int = 50):
-    holder = {}
+def _utilization_sampler(topo):
+    return LinkUtilizationSampler(topo.sim, topo.network.port_to_host(2),
+                                  100e-6)
 
-    def instruments(topo):
-        sampler = LinkUtilizationSampler(topo.sim, topo.network.port_to_host(2),
-                                         interval)
-        holder["sampler"] = sampler
-        return sampler
 
-    result = run(scheme, scenario, instruments=instruments)
-    series = holder["sampler"].utilizations()[skip:skip + samples]
-    return result, series
+def _utilization_series(result) -> List[float]:
+    """50 samples of the bottleneck link, past a 10-sample warm-up."""
+    return result.ctx.extra["instruments"].utilizations()[10:60]
 
 
 def fig01_link_utilization(*, load: float = 0.5, n_flows: int = 120) -> dict:
     """Fig. 1: DCTCP's utilisation fluctuates below the ideal load."""
     scenario = two_to_one_scenario("fig01", load=load, n_flows=n_flows)
-    _result, series = _utilization_run(Dctcp(), scenario)
+    series = _utilization_series(
+        run(SCHEMES["dctcp"](), scenario, instruments=_utilization_sampler))
     avg = sum(series) / len(series)
     rows = [{"scheme": "dctcp", "avg_utilization": avg,
              "min_utilization": min(series), "max_utilization": max(series),
@@ -137,15 +121,12 @@ def fig01_link_utilization(*, load: float = 0.5, n_flows: int = 120) -> dict:
 def fig20_link_utilization(*, load: float = 0.5, n_flows: int = 120) -> dict:
     """Fig. 20: PPT vs DCTCP vs hypothetical DCTCP utilisation."""
     scenario = two_to_one_scenario("fig20", load=load, n_flows=n_flows)
-    series: Dict[str, List[float]] = {}
-
-    _res, series["dctcp"] = _utilization_run(Dctcp(), scenario)
-    recorder = MwRecordingDctcp()
-    run(recorder, scenario)
-    _res, series["hypothetical"] = _utilization_run(
-        HypotheticalDctcp(recorder.mw_table), scenario)
-    _res, series["ppt"] = _utilization_run(Ppt(), scenario)
-
+    # the recording pass is packet-for-packet plain DCTCP
+    dctcp, hypothetical = two_pass(scenario, instruments=_utilization_sampler)
+    ppt = run(SCHEMES["ppt"](), scenario, instruments=_utilization_sampler)
+    series = {"dctcp": _utilization_series(dctcp),
+              "hypothetical": _utilization_series(hypothetical),
+              "ppt": _utilization_series(ppt)}
     rows = []
     for name, vals in series.items():
         rows.append({"scheme": name,
@@ -154,30 +135,15 @@ def fig20_link_utilization(*, load: float = 0.5, n_flows: int = 120) -> dict:
     return {"rows": rows, "series": series, "ideal": load}
 
 
-# ---------------------------------------------------------------------------
-# Figs 2 & 3 — the hypothetical DCTCP motivation
-# ---------------------------------------------------------------------------
-
-
 def fig02_hypothetical(*, n_flows: int = 150, load: float = 0.5) -> dict:
     """Fig. 2: hypothetical DCTCP beats Homa and NDP on overall avg FCT."""
     scenario = all_to_all_scenario("fig02", WEB_SEARCH, load=load,
                                    n_flows=n_flows)
-    recorder = MwRecordingDctcp()
-    base = run(recorder, scenario)
-    hypo = run(HypotheticalDctcp(recorder.mw_table), scenario)
-    homa = run(Homa(rtt_bytes=HOMA_RTT_BYTES_SIM), scenario)
-    ndp = run(Ndp(rtt_bytes=HOMA_RTT_BYTES_SIM), scenario)
-    rows = [
-        {"scheme": "dctcp", "overall_avg_ms": base.stats.overall_avg * 1e3},
-        {"scheme": "hypothetical-dctcp",
-         "overall_avg_ms": hypo.stats.overall_avg * 1e3},
-        {"scheme": "homa", "overall_avg_ms": homa.stats.overall_avg * 1e3},
-        {"scheme": "ndp", "overall_avg_ms": ndp.stats.overall_avg * 1e3},
-    ]
-    return {"rows": rows,
-            "results": {"dctcp": base, "hypothetical": hypo,
-                        "homa": homa, "ndp": ndp}}
+    base, hypo = two_pass(scenario)
+    rows = [{"scheme": "dctcp", **base.stats.row()},
+            {"scheme": "hypothetical-dctcp", **hypo.stats.row()}]
+    proactive = _fct_table(_pick("homa", "ndp"), lambda: scenario)
+    return {"rows": rows + proactive["rows"]}
 
 
 def fig03_fill_factor(*, factors: Sequence[float] = (0.5, 1.0, 1.5),
@@ -192,21 +158,9 @@ def fig03_fill_factor(*, factors: Sequence[float] = (0.5, 1.0, 1.5),
     scenario = all_to_all_scenario("fig03", DATA_MINING, load=load,
                                    n_flows=n_flows, size_cap=2_000_000,
                                    fabric=fabric)
-    recorder = MwRecordingDctcp()
-    run(recorder, scenario)
-    rows = []
-    results = {}
-    for factor in factors:
-        res = run(HypotheticalDctcp(recorder.mw_table, factor), scenario)
-        results[factor] = res
-        rows.append({"fill_factor": factor,
-                     "overall_avg_ms": res.stats.overall_avg * 1e3})
-    return {"rows": rows, "results": results}
-
-
-# ---------------------------------------------------------------------------
-# Figs 8-11 — testbed experiments (15-to-15 and 14-to-1)
-# ---------------------------------------------------------------------------
+    _base, *filled = two_pass(scenario, *factors)
+    return {"rows": [{"fill_factor": factor, **res.stats.row()}
+                     for factor, res in zip(factors, filled)]}
 
 
 def fig08_09_testbed_15to15(workload: str = "web-search",
@@ -214,136 +168,87 @@ def fig08_09_testbed_15to15(workload: str = "web-search",
                             n_flows: int = 100) -> dict:
     """Figs. 8/9: 15-to-15 FCT statistics vs load on the testbed."""
     cdf = WORKLOADS[workload]
-    rows = []
-    results = {}
-    for load in loads:
-        scenario = testbed_scenario(f"fig08-{workload}-{load}", cdf,
-                                    load=load, n_flows=n_flows)
-        for scheme in testbed_schemes():
-            res = run(scheme, scenario)
-            results[(scheme.name, load)] = res
-            rows.append(stats_row(scheme.name, res.stats, load=load))
-    return {"rows": rows, "results": results}
+    return _fct_table(
+        testbed_schemes(),
+        lambda load: testbed_scenario(f"fig08-{workload}-{load}", cdf,
+                                      load=load, n_flows=n_flows),
+        load_sweep_variants(loads))
 
 
 def fig10_11_testbed_14to1(workload: str = "web-search",
                            *, load: float = 0.5, n_flows: int = 100) -> dict:
     """Figs. 10/11: 14-to-1 incast FCT statistics on the testbed."""
     cdf = WORKLOADS[workload]
-    scenario = testbed_scenario(f"fig10-{workload}", cdf, load=load,
-                                n_flows=n_flows, pattern="incast")
-    rows = []
-    results = {}
-    for scheme in testbed_schemes():
-        res = run(scheme, scenario)
-        results[scheme.name] = res
-        rows.append(stats_row(scheme.name, res.stats))
-    return {"rows": rows, "results": results}
-
-
-# ---------------------------------------------------------------------------
-# Figs 12/13 — large-scale simulations
-# ---------------------------------------------------------------------------
+    return _fct_table(
+        testbed_schemes(),
+        lambda: testbed_scenario(f"fig10-{workload}", cdf, load=load,
+                                 n_flows=n_flows, pattern="incast"))
 
 
 def fig12_13_largescale(workload: str = "web-search", *, load: float = 0.5,
                         n_flows: int = 150,
-                        fabric: Optional[Callable] = None,
-                        schemes: Optional[List] = None) -> dict:
+                        fabric: Optional[Callable] = None) -> dict:
     """Figs. 12/13: the six-scheme comparison on the oversubscribed fabric."""
     cdf = WORKLOADS[workload]
-    scenario = all_to_all_scenario(f"fig12-{workload}", cdf, load=load,
-                                   n_flows=n_flows, fabric=fabric)
-    rows = []
-    results = {}
-    for scheme in (schemes or sim_schemes()):
-        res = run(scheme, scenario)
-        results[scheme.name] = res
-        rows.append(stats_row(scheme.name, res.stats))
-    return {"rows": rows, "results": results}
-
-
-# ---------------------------------------------------------------------------
-# Fig 14 — PPT over a delay-based transport
-# ---------------------------------------------------------------------------
+    return _fct_table(
+        sim_schemes(),
+        lambda: all_to_all_scenario(f"fig12-{workload}", cdf, load=load,
+                                    n_flows=n_flows, fabric=fabric))
 
 
 def fig14_delay_based(*, load: float = 0.5, n_flows: int = 150) -> dict:
     """Fig. 14: grafting PPT's design onto a Swift-like transport."""
-    scenario = all_to_all_scenario("fig14", WEB_SEARCH, load=load,
-                                   n_flows=n_flows)
-    base = run(Swift(), scenario)
-    variant = run(PptSwift(), scenario)
-    rows = [stats_row("swift", base.stats),
-            stats_row("ppt-swift", variant.stats)]
-    return {"rows": rows, "results": {"swift": base, "ppt-swift": variant}}
+    return _fct_table(
+        _pick("swift", "ppt-swift"),
+        lambda: all_to_all_scenario("fig14", WEB_SEARCH, load=load,
+                                    n_flows=n_flows))
 
 
-# ---------------------------------------------------------------------------
-# Figs 15-18 — ablations
-# ---------------------------------------------------------------------------
-
-
-def _ablation(variant: Ppt, name: str, *, load: float = 0.5,
+def _ablation(name: str, flags: Dict[str, bool], *, load: float = 0.5,
               n_flows: int = 150) -> dict:
-    scenario = all_to_all_scenario(name, WEB_SEARCH, load=load,
-                                   n_flows=n_flows)
-    full = run(Ppt(), scenario)
-    ablated = run(variant, scenario)
-    rows = [stats_row("ppt", full.stats),
-            stats_row(variant.name, ablated.stats)]
-    return {"rows": rows, "results": {"ppt": full, variant.name: ablated}}
+    return _fct_table(
+        {"ppt": SCHEMES["ppt"], Ppt(**flags).name: lambda: Ppt(**flags)},
+        lambda: all_to_all_scenario(name, WEB_SEARCH, load=load,
+                                    n_flows=n_flows))
 
 
 def fig15_ablation_lcp_ecn(**kwargs) -> dict:
     """Fig. 15: PPT without ECN for the LCP loop."""
-    return _ablation(Ppt(lcp_ecn=False), "fig15", **kwargs)
+    return _ablation("fig15", dict(lcp_ecn=False), **kwargs)
 
 
 def fig16_ablation_ewd(**kwargs) -> dict:
     """Fig. 16: PPT without EWD (line-rate LCP)."""
-    return _ablation(Ppt(ewd=False), "fig16", **kwargs)
+    return _ablation("fig16", dict(ewd=False), **kwargs)
 
 
 def fig17_ablation_scheduling(**kwargs) -> dict:
     """Fig. 17: PPT without flow scheduling (single priority per loop)."""
-    return _ablation(Ppt(scheduling=False), "fig17", **kwargs)
+    return _ablation("fig17", dict(scheduling=False), **kwargs)
 
 
 def fig18_ablation_identification(**kwargs) -> dict:
     """Fig. 18: PPT without buffer-aware identification."""
-    return _ablation(Ppt(identification=False), "fig18", **kwargs)
-
-
-# ---------------------------------------------------------------------------
-# Fig 19 — kernel datapath (CPU) overhead proxy
-# ---------------------------------------------------------------------------
+    return _ablation("fig18", dict(identification=False), **kwargs)
 
 
 def fig19_cpu_overhead(*, loads: Sequence[float] = (0.3, 0.5, 0.7),
                        n_flows: int = 100) -> dict:
     """Fig. 19: PPT's datapath overhead vs DCTCP's, shrinking with load."""
     rows = []
-    gaps = []
     for load in loads:
         scenario = testbed_scenario(f"fig19-{load}", WEB_SEARCH, load=load,
                                     n_flows=n_flows)
         usage = {}
-        for scheme in (Dctcp(), Ppt()):
-            res = run(scheme, scenario)
+        for name in ("dctcp", "ppt"):
+            res = run(SCHEMES[name](), scenario)
             duration = max(f.finish_time or 0.0 for f in res.flows)
             cpu = collect_cpu(res.topology.network, duration)
-            usage[scheme.name] = cpu.usage_proxy()
-        gap = usage["ppt"] - usage["dctcp"]
-        gaps.append(gap)
+            usage[name] = cpu.usage_proxy()
         rows.append({"load": load, "dctcp_cpu_pct": usage["dctcp"],
-                     "ppt_cpu_pct": usage["ppt"], "gap_pct": gap})
-    return {"rows": rows, "gaps": gaps}
-
-
-# ---------------------------------------------------------------------------
-# Fig 21 — Memcached (all-small) workload
-# ---------------------------------------------------------------------------
+                     "ppt_cpu_pct": usage["ppt"],
+                     "gap_pct": usage["ppt"] - usage["dctcp"]})
+    return {"rows": rows}
 
 
 def fig21_memcached(*, load: float = 0.5, n_flows: int = 20_000) -> dict:
@@ -358,21 +263,11 @@ def fig21_memcached(*, load: float = 0.5, n_flows: int = 20_000) -> dict:
     per workload."""
     cfg = sim_config(demotion_thresholds=(2_000, 10_000, 30_000),
                      identification_threshold=30_000)
-    scenario = all_to_all_scenario("fig21", MEMCACHED_W1, load=load,
-                                   n_flows=n_flows, size_cap=None,
-                                   config=cfg)
-    rows = []
-    results = {}
-    for scheme in sim_schemes():
-        res = run(scheme, scenario)
-        results[scheme.name] = res
-        rows.append(stats_row(scheme.name, res.stats))
-    return {"rows": rows, "results": results}
-
-
-# ---------------------------------------------------------------------------
-# Fig 22 — 100/400G topology
-# ---------------------------------------------------------------------------
+    return _fct_table(
+        sim_schemes(),
+        lambda: all_to_all_scenario("fig21", MEMCACHED_W1, load=load,
+                                    n_flows=n_flows, size_cap=None,
+                                    config=cfg))
 
 
 def fig22_100_400g(*, load: float = 0.5, n_flows: int = 150) -> dict:
@@ -381,77 +276,46 @@ def fig22_100_400g(*, load: float = 0.5, n_flows: int = 150) -> dict:
                                fabric=sim_fabric_100_400g())
 
 
-# ---------------------------------------------------------------------------
-# Fig 23 — incast ratio sweep
-# ---------------------------------------------------------------------------
-
-
 def fig23_incast_sweep(*, ratios: Sequence[int] = (8, 16, 31),
                        load: float = 0.6, n_flows: int = 100) -> dict:
     """Fig. 23: N-to-1 incast (RC3 excluded: it cannot sustain heavy
     incast, per the paper)."""
-    rows = []
-    results = {}
-    schemes = [s for s in sim_schemes() if s.name != "rc3"]
-    for n in ratios:
-        scenario = incast_scenario(f"fig23-{n}", WEB_SEARCH, n_senders=n,
-                                   load=load, n_flows=n_flows)
-        for scheme in schemes:
-            res = run(scheme, scenario)
-            results[(scheme.name, n)] = res
-            rows.append({"scheme": scheme.name, "incast_ratio": n,
-                         "overall_avg_ms": res.stats.overall_avg * 1e3})
-    return {"rows": rows, "results": results}
-
-
-# ---------------------------------------------------------------------------
-# Fig 24 — RC3 with limited low-priority buffer
-# ---------------------------------------------------------------------------
+    return _fct_table(
+        _pick("ndp", "aeolus", "homa", "dctcp", "ppt"),
+        lambda incast_ratio: incast_scenario(
+            f"fig23-{incast_ratio}", WEB_SEARCH, n_senders=incast_ratio,
+            load=load, n_flows=n_flows),
+        [{"incast_ratio": n} for n in ratios])
 
 
 def fig24_rc3_lp_buffer(*, fractions: Sequence[float] = (0.2, 0.5, 0.8),
                         load: float = 0.5, n_flows: int = 150) -> dict:
     """Fig. 24: capping RC3's LP buffer does not save it."""
-    rows = []
-    results = {}
-    ppt_scenario = all_to_all_scenario("fig24-ppt", WEB_SEARCH, load=load,
-                                       n_flows=n_flows)
-    ppt = run(Ppt(), ppt_scenario)
-    results["ppt"] = ppt
-    rows.append(stats_row("ppt", ppt.stats, lp_buffer_fraction="n/a"))
-    from .scenarios import SIM_BUFFER
-    for fraction in fractions:
-        qcfg = sim_qcfg(lp_buffer_cap=int(SIM_BUFFER * fraction))
-        scenario = all_to_all_scenario(
-            f"fig24-rc3-{fraction}", WEB_SEARCH, load=load, n_flows=n_flows,
-            fabric=sim_fabric(qcfg=qcfg))
-        res = run(Rc3(), scenario)
-        results[fraction] = res
-        rows.append(stats_row("rc3", res.stats, lp_buffer_fraction=fraction))
-    return {"rows": rows, "results": results}
 
+    def scenario(lp_buffer_fraction):
+        fabric = None  # PPT's "n/a" row: the uncapped default fabric
+        if lp_buffer_fraction != "n/a":
+            fabric = sim_fabric(qcfg=sim_qcfg(
+                lp_buffer_cap=int(SIM_BUFFER * lp_buffer_fraction)))
+        return all_to_all_scenario(
+            f"fig24-{lp_buffer_fraction}", WEB_SEARCH, load=load,
+            n_flows=n_flows, fabric=fabric)
 
-# ---------------------------------------------------------------------------
-# Fig 25 — PIAS and HPCC
-# ---------------------------------------------------------------------------
+    # not a full cross product, so two grids — run as one
+    tasks = scheme_grid(_pick("ppt"), scenario,
+                        [{"lp_buffer_fraction": "n/a"}])
+    tasks += scheme_grid(_pick("rc3"), scenario,
+                         [{"lp_buffer_fraction": f} for f in fractions])
+    return {"rows": [summary.row()
+                     for summary in run_grid(tasks, jobs=-1)]}
 
 
 def fig25_pias_hpcc(*, load: float = 0.5, n_flows: int = 150) -> dict:
     """Fig. 25: PPT vs PIAS vs HPCC."""
-    scenario = all_to_all_scenario("fig25", WEB_SEARCH, load=load,
-                                   n_flows=n_flows)
-    rows = []
-    results = {}
-    for scheme in (Hpcc(), Pias(), Ppt()):
-        res = run(scheme, scenario)
-        results[scheme.name] = res
-        rows.append(stats_row(scheme.name, res.stats))
-    return {"rows": rows, "results": results}
-
-
-# ---------------------------------------------------------------------------
-# Fig 26 — non-oversubscribed topology
-# ---------------------------------------------------------------------------
+    return _fct_table(
+        _pick("hpcc", "pias", "ppt"),
+        lambda: all_to_all_scenario("fig25", WEB_SEARCH, load=load,
+                                    n_flows=n_flows))
 
 
 def fig26_non_oversubscribed(*, load: float = 0.5, n_flows: int = 150) -> dict:
@@ -460,95 +324,66 @@ def fig26_non_oversubscribed(*, load: float = 0.5, n_flows: int = 150) -> dict:
                                fabric=sim_fabric_non_oversubscribed())
 
 
-# ---------------------------------------------------------------------------
-# Fig 27 — send-buffer sensitivity
-# ---------------------------------------------------------------------------
-
-
 def fig27_send_buffer(*, sizes: Sequence[int] = (128_000, 2_000_000,
                                                  2_000_000_000),
                       load: float = 0.5, n_flows: int = 150) -> dict:
     """Appendix F: PPT under different TCP send-buffer capacities."""
-    rows = []
-    results = {}
-    for size in sizes:
-        scenario = all_to_all_scenario(
-            f"fig27-{size}", WEB_SEARCH, load=load, n_flows=n_flows,
-            config=sim_config(send_buffer_bytes=size))
-        res = run(Ppt(), scenario)
-        results[size] = res
-        rows.append(stats_row("ppt", res.stats, send_buffer=size))
-    return {"rows": rows, "results": results}
+    return _fct_table(
+        _pick("ppt"),
+        lambda send_buffer: all_to_all_scenario(
+            f"fig27-{send_buffer}", WEB_SEARCH, load=load, n_flows=n_flows,
+            config=sim_config(send_buffer_bytes=send_buffer)),
+        [{"send_buffer": size} for size in sizes])
 
 
-# ---------------------------------------------------------------------------
-# Figs 28/29 — ECN threshold vs buffer occupancy / transfer efficiency
-# ---------------------------------------------------------------------------
+# Appendix F's comparison set and its small-buffer microbenchmark fabric
+_APPENDIX_F_SCHEMES = ("dctcp", "rc3", "ppt")
+_APPENDIX_F_BUFFER = 120_000
 
 
-def _occupancy_run(scheme, *, threshold_fraction: float, load: float,
-                   n_flows: int):
-    buffer_bytes = 120_000
-    k = int(buffer_bytes * threshold_fraction)
-    scenario = two_to_one_scenario(
-        f"fig28-{scheme.name}-{threshold_fraction}",
-        load=load, n_flows=n_flows, buffer_bytes=buffer_bytes,
-        k_high=k, k_low=k)
-    holder = {}
-
-    def instruments(topo):
-        sampler = BufferOccupancySampler(topo.sim,
-                                         topo.network.port_to_host(2), 50e-6)
-        holder["sampler"] = sampler
-        return sampler
-
-    result = run(scheme, scenario, instruments=instruments)
-    total, high, low = holder["sampler"].averages(skip=5)
-    return result, total, high, low
+def _ecn_fraction_scenario(name: str, fraction: float, *, load: float,
+                           n_flows: int) -> Scenario:
+    k = int(_APPENDIX_F_BUFFER * fraction)
+    return two_to_one_scenario(name, load=load, n_flows=n_flows,
+                               buffer_bytes=_APPENDIX_F_BUFFER,
+                               k_high=k, k_low=k)
 
 
 def fig28_buffer_occupancy(*, fractions: Sequence[float] = (0.6, 0.8),
                            load: float = 0.7, n_flows: int = 100) -> dict:
     """Appendix F: high- vs low-priority buffer occupancy per scheme."""
     rows = []
-    data = {}
     for fraction in fractions:
-        for scheme in (Dctcp(), Rc3(), Ppt()):
-            _res, total, high, low = _occupancy_run(
-                scheme, threshold_fraction=fraction, load=load,
-                n_flows=n_flows)
-            data[(scheme.name, fraction)] = (total, high, low)
-            rows.append({"scheme": scheme.name, "ecn_fraction": fraction,
+        for name in _APPENDIX_F_SCHEMES:
+            result = run(
+                SCHEMES[name](),
+                _ecn_fraction_scenario(f"fig28-{name}-{fraction}", fraction,
+                                       load=load, n_flows=n_flows),
+                instruments=lambda topo: BufferOccupancySampler(
+                    topo.sim, topo.network.port_to_host(2), 50e-6))
+            total, high, low = \
+                result.ctx.extra["instruments"].averages(skip=5)
+            rows.append({"scheme": name, "ecn_fraction": fraction,
                          "avg_total_bytes": total, "avg_high_bytes": high,
                          "avg_low_bytes": low,
                          "low_share": (low / total) if total else 0.0})
-    return {"rows": rows, "data": data}
+    return {"rows": rows}
 
 
 def fig29_transfer_efficiency(*, fractions: Sequence[float] = (0.6, 0.8),
                               load: float = 0.7, n_flows: int = 100) -> dict:
     """Appendix F: received/sent efficiency, overall and LP-only."""
     rows = []
-    data = {}
     for fraction in fractions:
-        buffer_bytes = 120_000
-        k = int(buffer_bytes * fraction)
-        for scheme in (Dctcp(), Rc3(), Ppt()):
-            scenario = two_to_one_scenario(
-                f"fig29-{scheme.name}-{fraction}", load=load,
-                n_flows=n_flows, buffer_bytes=buffer_bytes, k_high=k, k_low=k)
-            res = run(scheme, scenario)
+        for name in _APPENDIX_F_SCHEMES:
+            res = run(SCHEMES[name](), _ecn_fraction_scenario(
+                f"fig29-{name}-{fraction}", fraction, load=load,
+                n_flows=n_flows))
             eff = collect_efficiency(res.topology.network)
-            data[(scheme.name, fraction)] = eff
-            rows.append({"scheme": scheme.name, "ecn_fraction": fraction,
+            rows.append({"scheme": name, "ecn_fraction": fraction,
                          "overall_efficiency": eff.overall,
                          "lp_efficiency": eff.low_priority})
-    return {"rows": rows, "data": data}
-
-
-# ---------------------------------------------------------------------------
-# §4.1 — buffer-aware identification accuracy
-# ---------------------------------------------------------------------------
+    return {"rows": rows}
 
 
 def sec41_identification_accuracy(*, n_messages: int = 5000,

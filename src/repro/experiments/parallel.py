@@ -105,6 +105,13 @@ class RunSummary:
     def completion_rate(self) -> float:
         return self.completed / max(1, self.n_flows)
 
+    def row(self) -> dict:
+        """The cell as one printable table row: scheme, the variant's
+        params, then :meth:`FctStats.row` (milliseconds, ``"n=0"`` for
+        an empty bucket) — the one FCT row every table in the repo
+        prints."""
+        return {"scheme": self.scheme, **self.params, **self.stats.row()}
+
 
 @dataclass
 class GridTask:
@@ -232,12 +239,17 @@ def scheme_grid(
     scheme_factories: Dict[str, Callable[[], Scheme]],
     scenario_factory: Callable[..., Scenario],
     variants: Sequence[Dict[str, object]],
+    **task_fields,
 ) -> List[GridTask]:
-    """The canonical sweep grid: variants outer, schemes inner.
+    """The canonical grid: variants outer, schemes inner — the one way
+    the repo spells "run these schemes on this scenario".  Figure
+    drivers, :func:`repro.experiments.sweeps.sweep`, the CLI ``run``
+    command and the validation matrix all build their cells here.
 
-    Matches the iteration order of :func:`repro.experiments.sweeps.sweep`
-    exactly, which is what makes ``sweep(..., jobs=N)`` bit-identical to
-    the serial path.
+    ``scenario_factory`` is called with each variant's items as keyword
+    arguments (``[{}]`` is one fixed scenario, and its cells are
+    labelled by scheme alone).  ``task_fields`` (``observe``,
+    ``validate``) are set on every cell.
     """
     tasks: List[GridTask] = []
     for variant in variants:
@@ -246,7 +258,8 @@ def scheme_grid(
                 scheme_factory=factory,
                 scenario_factory=scenario_factory,
                 params=dict(variant),
-                label=f"{name} @ {variant}",
+                label=f"{name} @ {variant}" if variant else name,
                 scheme_key=name,
+                **task_fields,
             ))
     return tasks

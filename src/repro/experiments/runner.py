@@ -682,29 +682,25 @@ def _drain(state: RunState, checkpoint_every: Optional[float] = None,
     return health
 
 
-def run_all(
-    schemes: List[Scheme],
-    scenario: Scenario,
-) -> Dict[str, RunResult]:
-    """Run several schemes on (fresh builds of) the same scenario."""
-    return {scheme.name: run(scheme, scenario) for scheme in schemes}
-
-
 def two_pass(
     scenario: Scenario,
-    fill_factor: float = 1.0,
-) -> Tuple[RunResult, RunResult]:
+    *fill_factors: float,
+    instruments: Optional[Callable[[Topology], object]] = None,
+) -> Tuple[RunResult, ...]:
     """The hypothetical-DCTCP construction (§2.3).
 
     Pass one runs default DCTCP recording each flow's maximum window;
-    pass two replays the identical scenario with the oracle gap filler.
-    Returns ``(baseline_result, hypothetical_result)``.
+    pass two replays the identical scenario with the oracle gap filler,
+    once per fill factor (default: the one 1.0x pass).  Returns
+    ``(baseline_result, hypothetical_result, ...)``.  ``instruments``
+    reaches :func:`run` on every pass.
     """
     recorder = MwRecordingDctcp()
-    baseline = run(recorder, scenario)
-    hypothetical = HypotheticalDctcp(recorder.mw_table, fill_factor)
-    filled = run(hypothetical, scenario)
-    return baseline, filled
+    baseline = run(recorder, scenario, instruments=instruments)
+    return (baseline,) + tuple(
+        run(HypotheticalDctcp(recorder.mw_table, factor), scenario,
+            instruments=instruments)
+        for factor in fill_factors or (1.0,))
 
 
 def format_table(rows: List[dict], columns: Optional[List[str]] = None) -> str:

@@ -19,14 +19,31 @@ mean back into the Poisson arrival rate (see
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..core.ppt import Ppt
+from ..core.ppt_hpcc import PptHpcc
+from ..core.ppt_swift import PptSwift
 from ..faults.plan import FaultPlan, LinkDown, PacketLoss, PfcStorm, RateDegrade
 from ..sim.hybrid import HybridConfig
 from ..sim.network import QueueConfig
 from ..sim.queues import PfcConfig
 from ..sim.topology import Topology, dumbbell, leaf_spine, star
-from ..transport.base import Flow, TransportConfig
+from ..transport.aeolus import Aeolus
+from ..transport.base import Flow, Scheme, TransportConfig
+from ..transport.d2tcp import D2tcp
+from ..transport.dcqcn import Dcqcn
+from ..transport.dctcp import Dctcp
+from ..transport.expresspass import ExpressPass
+from ..transport.halfback import Halfback
+from ..transport.homa import Homa
+from ..transport.hpcc import Hpcc
+from ..transport.ndp import Ndp
+from ..transport.pias import Pias
+from ..transport.rc3 import Rc3
+from ..transport.swift import Swift
+from ..transport.tcp10 import Tcp10
+from ..transport.timely import Timely
 from ..units import gbps, kb, mb, us
 from ..workloads.distributions import EmpiricalCdf, WEB_SEARCH
 from ..workloads.generator import poisson_flows
@@ -573,12 +590,37 @@ def pfc_storm_scenario(
 
 
 # ---------------------------------------------------------------------------
-# scheme parameter helpers (paper settings)
+# the scheme registry (paper settings)
 # ---------------------------------------------------------------------------
 
 HOMA_RTT_BYTES_SIM = 45_000       # §6.2: 45KB for the 40/100G fabric
 HOMA_RTT_BYTES_TESTBED = 50_000   # §6.1: 50KB on the testbed
 HOMA_OVERCOMMIT = 2               # both
+
+#: Every transport by name, built with the paper's §6.2 parameters: the
+#: one table the CLI, the figure drivers, the validation matrix and the
+#: golden tests pick their schemes from.
+SCHEMES: Dict[str, Callable[[], Scheme]] = {
+    "ppt": Ppt,
+    "ppt-swift": PptSwift,
+    "ppt-hpcc": PptHpcc,
+    "dctcp": Dctcp,
+    "d2tcp": D2tcp,
+    "dcqcn": Dcqcn,
+    "pias": Pias,
+    "rc3": Rc3,
+    "swift": Swift,
+    "timely": Timely,
+    "hpcc": Hpcc,
+    "tcp10": Tcp10,
+    "halfback": Halfback,
+    "homa": lambda: Homa(rtt_bytes=HOMA_RTT_BYTES_SIM,
+                         overcommit=HOMA_OVERCOMMIT),
+    "aeolus": lambda: Aeolus(rtt_bytes=HOMA_RTT_BYTES_SIM,
+                             overcommit=HOMA_OVERCOMMIT),
+    "ndp": lambda: Ndp(rtt_bytes=HOMA_RTT_BYTES_SIM),
+    "expresspass": ExpressPass,
+}
 
 
 def testbed_params() -> List[dict]:

@@ -1,46 +1,19 @@
-"""Tables 1-3 of the paper, plus scenario-table cell formatting.
+"""Tables 1-3 of the paper.
 
 Table 1 is the qualitative design-space comparison; Table 2 is computed
 from our workload distributions (so it doubles as a check that the
 transcribed CDFs match the paper's summary statistics); Table 3 lists the
 testbed parameters (mirrored by :func:`repro.experiments.scenarios
 .testbed_params`).
-
-:func:`fct_cell` / :func:`fct_summary_row` render
-:class:`~repro.metrics.fct.FctStats` for the CLI scenario tables:
-an empty small/large bucket produces an explicit ``"n=0"`` marker
-instead of silently printing ``nan``.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..metrics.fct import SMALL_FLOW_BYTES, FctStats
+from ..metrics.fct import SMALL_FLOW_BYTES
 from ..workloads.distributions import DATA_MINING, WEB_SEARCH, EmpiricalCdf
 from .scenarios import testbed_params
-
-
-def fct_cell(seconds: float, n: int):
-    """One scenario-table FCT cell: milliseconds, or ``"n=0"`` for an
-    empty bucket.  A NaN with a non-zero count is a real upstream bug
-    and stays visible as ``nan`` rather than being papered over."""
-    if n == 0:
-        return "n=0"
-    return seconds * 1e3
-
-
-def fct_summary_row(stats: FctStats) -> dict:
-    """Flat milliseconds dict for :class:`FctStats`, with ``n=0``
-    markers for empty buckets — what the CLI scenario table prints."""
-    return {
-        "flows": stats.n_flows,
-        "overall_avg_ms": fct_cell(stats.overall_avg, stats.n_flows),
-        "small_avg_ms": fct_cell(stats.small_avg, stats.n_small),
-        "small_p99_ms": fct_cell(stats.small_p99, stats.n_small),
-        "large_avg_ms": fct_cell(stats.large_avg, stats.n_large),
-        "overall_p99_ms": fct_cell(stats.overall_p99, stats.n_flows),
-    }
 
 
 def table1() -> List[dict]:

@@ -24,6 +24,7 @@ from .injectors import (
     PortDegrader,
 )
 from .plan import (
+    FAULT_KINDS,
     ActiveFaults,
     FaultPlan,
     LinkDown,
@@ -37,6 +38,7 @@ from .plan import (
 __all__ = [
     "ActiveFaults",
     "CorruptionInjector",
+    "FAULT_KINDS",
     "FaultPlan",
     "Injector",
     "LinkDown",

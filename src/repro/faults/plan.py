@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.engine import Simulator
 from ..sim.network import Network
 from .injectors import (
     INFINITY,
     CorruptionInjector,
-    Injector,
     LinkFaultInjector,
     LossInjector,
     PfcStormInjector,
@@ -49,6 +48,25 @@ from .injectors import (
 # ---------------------------------------------------------------------------
 # fault event descriptions (pure data; resolved against a network on apply)
 # ---------------------------------------------------------------------------
+#
+# Everything the plan knows about a fault kind is on its event class:
+# ``kind`` (the spec's first field), ``spec`` (the ``--fault`` help
+# fragment), ``from_args`` (the other spec fields -> event), ``validate``
+# (raise ``ValueError`` naming the impossible parameter), ``inject`` (one
+# injector on one port), ``describe`` and ``start`` / ``end``.
+
+
+def _window(args: List[str], at: int) -> Tuple[float, float]:
+    """Optional trailing ``[START[:END]]`` spec fields: the whole run."""
+    start = float(args[at]) if len(args) > at else 0.0
+    end = float(args[at + 1]) if len(args) > at + 1 else INFINITY
+    return start, end
+
+
+def _check_window(event) -> None:
+    if event.end < event.start:
+        raise ValueError(f"window ends ({event.end!r}) before it starts "
+                         f"({event.start!r})")
 
 
 @dataclass(frozen=True)
@@ -59,6 +77,13 @@ class LinkDown:
     start: float
     duration: float
 
+    kind: ClassVar[str] = "down"
+    spec: ClassVar[str] = "down:PORT:START:DURATION"
+
+    @classmethod
+    def from_args(cls, args: List[str]) -> "LinkDown":
+        return cls(args[0], float(args[1]), float(args[2]))
+
     @property
     def end(self) -> float:
         return self.start + self.duration
@@ -66,6 +91,15 @@ class LinkDown:
     def describe(self) -> str:
         return (f"down {self.port} "
                 f"[{self.start:.6g}s, {self.end:.6g}s)")
+
+    def validate(self) -> None:
+        if self.duration <= 0.0:
+            raise ValueError(f"duration {self.duration!r} must be positive")
+
+    def inject(self, sim: Simulator, port, rng: random.Random):
+        injector = LinkFaultInjector(sim, port).attach()
+        injector.schedule_blackout(self.start, self.duration)
+        return injector
 
 
 @dataclass(frozen=True)
@@ -78,6 +112,15 @@ class LinkFlap:
     up_time: float
     cycles: int = 1
 
+    kind: ClassVar[str] = "flap"
+    spec: ClassVar[str] = "flap:PORT:START:DOWN:UP[:CYCLES]"
+
+    @classmethod
+    def from_args(cls, args: List[str]) -> "LinkFlap":
+        start, down_time, up_time = (float(a) for a in args[1:4])
+        cycles = int(args[4]) if len(args) > 4 else 1
+        return cls(args[0], start, down_time, up_time, cycles)
+
     @property
     def end(self) -> float:
         return self.start + self.cycles * (self.down_time + self.up_time)
@@ -87,32 +130,65 @@ class LinkFlap:
                 f"({self.down_time:.6g}s down / {self.up_time:.6g}s up) "
                 f"from {self.start:.6g}s")
 
+    def validate(self) -> None:
+        if self.down_time <= 0.0:
+            raise ValueError(f"down_time {self.down_time!r} must be positive")
+        if self.up_time < 0.0:
+            raise ValueError(f"up_time {self.up_time!r} is negative")
+        if self.cycles < 1:
+            raise ValueError(f"cycles {self.cycles!r} must be >= 1")
+
+    def inject(self, sim: Simulator, port, rng: random.Random):
+        injector = LinkFaultInjector(sim, port).attach()
+        injector.schedule_flap(self.start, self.down_time, self.up_time,
+                               self.cycles)
+        return injector
+
 
 @dataclass(frozen=True)
-class PacketLoss:
+class _BernoulliWindow:
+    """A per-packet coin flip at ``rate`` on ``port`` inside a window."""
+
+    port: str
+    rate: float
+    start: float = 0.0
+    end: float = INFINITY
+
+    @classmethod
+    def from_args(cls, args: List[str]):
+        return cls(args[0], float(args[1]), *_window(args, 2))
+
+    def describe(self) -> str:
+        return (f"{self.kind} {self.rate:.3g} {self.port} "
+                f"[{self.start:.6g}s, {self.end:.6g}s)")
+
+    def validate(self) -> None:
+        if not 0.0 <= self.rate <= 1.0:
+            raise ValueError(
+                f"rate {self.rate!r} is not a probability in [0, 1]")
+        _check_window(self)
+
+    def inject(self, sim: Simulator, port, rng: random.Random):
+        return self.injector_cls(sim, port, self.rate, rng,
+                                 self.start, self.end).attach()
+
+
+@dataclass(frozen=True)
+class PacketLoss(_BernoulliWindow):
     """Bernoulli drop of every packet offered to ``port`` in a window."""
 
-    port: str
-    rate: float
-    start: float = 0.0
-    end: float = INFINITY
-
-    def describe(self) -> str:
-        return f"loss {self.rate:.3g} {self.port} [{self.start:.6g}s, {self.end:.6g}s)"
+    kind: ClassVar[str] = "loss"
+    spec: ClassVar[str] = "loss:PORT:RATE[:START[:END]]"
+    injector_cls: ClassVar[type] = LossInjector
 
 
 @dataclass(frozen=True)
-class PacketCorruption:
+class PacketCorruption(_BernoulliWindow):
     """Bernoulli corruption of DATA packets leaving ``port`` in a window."""
 
-    port: str
-    rate: float
-    start: float = 0.0
-    end: float = INFINITY
-
-    def describe(self) -> str:
-        return (f"corrupt {self.rate:.3g} {self.port} "
-                f"[{self.start:.6g}s, {self.end:.6g}s)")
+    kind: ClassVar[str] = "corrupt"
+    spec: ClassVar[str] = "corrupt:PORT:RATE[:START[:END]]"
+    injector_cls: ClassVar[type] = CorruptionInjector
 
 
 @dataclass(frozen=True)
@@ -124,9 +200,27 @@ class RateDegrade:
     start: float
     end: float = INFINITY
 
+    kind: ClassVar[str] = "degrade"
+    spec: ClassVar[str] = "degrade:PORT:FACTOR:START[:END]"
+
+    @classmethod
+    def from_args(cls, args: List[str]) -> "RateDegrade":
+        return cls(args[0], float(args[1]), *_window(args, 2))
+
     def describe(self) -> str:
         return (f"degrade x{self.factor:.3g} {self.port} "
                 f"[{self.start:.6g}s, {self.end:.6g}s)")
+
+    def validate(self) -> None:
+        if not 0.0 < self.factor <= 1.0:
+            raise ValueError(f"factor {self.factor!r} must be in (0, 1] — it "
+                             f"scales the nominal rate down")
+        _check_window(self)
+
+    def inject(self, sim: Simulator, port, rng: random.Random):
+        injector = PortDegrader(sim, port, self.factor)
+        injector.schedule(self.start, self.end)
+        return injector
 
 
 @dataclass(frozen=True)
@@ -143,6 +237,14 @@ class PfcStorm:
     duration: float
     priority: int = 0
 
+    kind: ClassVar[str] = "pfcstorm"
+    spec: ClassVar[str] = "pfcstorm:PORT:START:DURATION[:PRIORITY]"
+
+    @classmethod
+    def from_args(cls, args: List[str]) -> "PfcStorm":
+        priority = int(args[3]) if len(args) > 3 else 0
+        return cls(args[0], float(args[1]), float(args[2]), priority)
+
     @property
     def end(self) -> float:
         return self.start + self.duration
@@ -151,9 +253,22 @@ class PfcStorm:
         return (f"pfcstorm P{self.priority} {self.port} "
                 f"[{self.start:.6g}s, {self.end:.6g}s)")
 
+    def validate(self) -> None:
+        if self.duration <= 0.0:
+            raise ValueError(f"duration {self.duration!r} must be positive")
+        if not 0 <= self.priority < 8:
+            raise ValueError(f"priority {self.priority!r} must be in [0, 8)")
 
-FaultEvent = (LinkDown, LinkFlap, PacketLoss, PacketCorruption, RateDegrade,
-              PfcStorm)
+    def inject(self, sim: Simulator, port, rng: random.Random):
+        injector = PfcStormInjector(sim, port, self.priority)
+        injector.schedule(self.start, self.end)
+        return injector
+
+
+#: The one table of fault kinds: spec-string kind -> event class.
+FAULT_KINDS: Dict[str, type] = {
+    cls.kind: cls for cls in (LinkDown, LinkFlap, PacketLoss,
+                              PacketCorruption, RateDegrade, PfcStorm)}
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +284,21 @@ class FaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        """Reject impossible fault timings/parameters at construction
+        time, with errors that name the offending event — not at
+        ``apply()`` time deep inside a sweep worker."""
         seen = set()
         for index, event in enumerate(self.events):
-            if not isinstance(event, FaultEvent):
+            if not isinstance(event, tuple(FAULT_KINDS.values())):
                 raise TypeError(f"not a fault event: {event!r}")
-            _validate_event(event, index)
+            try:
+                if event.start < 0.0:
+                    raise ValueError(
+                        f"start time {event.start!r} is negative")
+                event.validate()
+            except ValueError as exc:
+                raise ValueError(
+                    f"events[{index}] ({event.describe()}): {exc}") from None
             # Injector identity is (event, port): two *identical* events
             # would stack two injectors with different RNG streams on the
             # same ports — almost certainly a copy-paste bug, and
@@ -195,7 +320,9 @@ class FaultPlan:
             fields = spec.split(":")
             kind, args = fields[0].lower(), fields[1:]
             try:
-                events.append(_parse_one(kind, args))
+                if kind not in FAULT_KINDS:
+                    raise ValueError(f"unknown fault kind {kind!r}")
+                events.append(FAULT_KINDS[kind].from_args(args))
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"bad fault spec {spec!r}: {exc}") from exc
         return cls(events, seed=seed)
@@ -212,100 +339,12 @@ class FaultPlan:
         for index, event in enumerate(self.events):
             for port in network.find_ports(event.port):
                 rng = random.Random(f"{self.seed}:{index}:{port.name}")
-                if isinstance(event, LinkDown):
-                    injector = LinkFaultInjector(sim, port).attach()
-                    injector.schedule_blackout(event.start, event.duration)
+                injector = event.inject(sim, port, rng)
+                if isinstance(injector, LinkFaultInjector):
                     active.link_injectors.append(injector)
-                elif isinstance(event, LinkFlap):
-                    injector = LinkFaultInjector(sim, port).attach()
-                    injector.schedule_flap(event.start, event.down_time,
-                                           event.up_time, event.cycles)
-                    active.link_injectors.append(injector)
-                elif isinstance(event, PacketLoss):
-                    injector = LossInjector(sim, port, event.rate, rng,
-                                            event.start, event.end).attach()
-                elif isinstance(event, PacketCorruption):
-                    injector = CorruptionInjector(
-                        sim, port, event.rate, rng,
-                        event.start, event.end).attach()
-                elif isinstance(event, PfcStorm):
-                    injector = PfcStormInjector(sim, port, event.priority)
-                    injector.schedule(event.start, event.end)
-                else:  # RateDegrade
-                    injector = PortDegrader(sim, port, event.factor)
-                    injector.schedule(event.start, event.end)
                 active.injectors.append(injector)
-                # every event type exposes start and end (field or property)
                 active.windows.append((event.describe(), event.start, event.end))
         return active
-
-
-def _validate_event(event, index: int) -> None:
-    """Reject impossible fault timings/parameters at construction time,
-    with errors that name the offending event — not at ``apply()`` time
-    deep inside a sweep worker."""
-
-    def bad(message: str) -> ValueError:
-        return ValueError(
-            f"events[{index}] ({event.describe()}): {message}")
-
-    if event.start < 0.0:
-        raise bad(f"start time {event.start!r} is negative")
-    if isinstance(event, LinkDown):
-        if event.duration <= 0.0:
-            raise bad(f"duration {event.duration!r} must be positive")
-    elif isinstance(event, LinkFlap):
-        if event.down_time <= 0.0:
-            raise bad(f"down_time {event.down_time!r} must be positive")
-        if event.up_time < 0.0:
-            raise bad(f"up_time {event.up_time!r} is negative")
-        if event.cycles < 1:
-            raise bad(f"cycles {event.cycles!r} must be >= 1")
-    elif isinstance(event, (PacketLoss, PacketCorruption)):
-        if not 0.0 <= event.rate <= 1.0:
-            raise bad(f"rate {event.rate!r} is not a probability in [0, 1]")
-        if event.end < event.start:
-            raise bad(f"window ends ({event.end!r}) before it starts "
-                      f"({event.start!r})")
-    elif isinstance(event, PfcStorm):
-        if event.duration <= 0.0:
-            raise bad(f"duration {event.duration!r} must be positive")
-        if not 0 <= event.priority < 8:
-            raise bad(f"priority {event.priority!r} must be in [0, 8)")
-    else:  # RateDegrade
-        if not 0.0 < event.factor <= 1.0:
-            raise bad(f"factor {event.factor!r} must be in (0, 1] — it "
-                      f"scales the nominal rate down")
-        if event.end < event.start:
-            raise bad(f"window ends ({event.end!r}) before it starts "
-                      f"({event.start!r})")
-
-
-def _parse_one(kind: str, args: List[str]):
-    if kind == "down":
-        port, start, duration = args[0], float(args[1]), float(args[2])
-        return LinkDown(port, start, duration)
-    if kind == "flap":
-        port = args[0]
-        start, down_time, up_time = (float(a) for a in args[1:4])
-        cycles = int(args[4]) if len(args) > 4 else 1
-        return LinkFlap(port, start, down_time, up_time, cycles)
-    if kind in ("loss", "corrupt"):
-        port, rate = args[0], float(args[1])
-        start = float(args[2]) if len(args) > 2 else 0.0
-        end = float(args[3]) if len(args) > 3 else INFINITY
-        cls = PacketLoss if kind == "loss" else PacketCorruption
-        return cls(port, rate, start, end)
-    if kind == "degrade":
-        port, factor = args[0], float(args[1])
-        start = float(args[2]) if len(args) > 2 else 0.0
-        end = float(args[3]) if len(args) > 3 else INFINITY
-        return RateDegrade(port, factor, start, end)
-    if kind == "pfcstorm":
-        port, start, duration = args[0], float(args[1]), float(args[2])
-        priority = int(args[3]) if len(args) > 3 else 0
-        return PfcStorm(port, start, duration, priority)
-    raise ValueError(f"unknown fault kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

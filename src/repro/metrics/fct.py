@@ -86,9 +86,10 @@ class FctStats:
         )
 
     def row(self) -> dict:
-        """Flat dict, milliseconds, for table printing.  Empty buckets
-        render as explicit ``"n=0"`` markers instead of NaN (see also
-        :func:`repro.experiments.tables.fct_summary_row`)."""
+        """Flat dict, milliseconds, for table printing — the one
+        seconds-to-milliseconds rendering of the four FCT numbers.
+        Empty buckets render as explicit ``"n=0"`` markers instead of
+        NaN."""
         def cell(value: float, n: int):
             return value * 1e3 if n else "n=0"
         return {

@@ -13,8 +13,10 @@ and demands two things of every cell:
 Exit status is non-zero if either property fails anywhere, which is how
 CI consumes this module.  Cells fan out over forked workers
 (``--jobs``); each (scheme, topology) pair becomes two
-:class:`~repro.experiments.parallel.GridTask` cells so the bare/validated
-halves of a comparison run under identical conditions.
+:func:`~repro.experiments.parallel.scheme_grid` cells, one per value of
+the ``validate`` task field, each forked from the same pristine parent,
+so the bare/validated halves of a comparison run under identical
+conditions.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..cli import SCHEME_FACTORIES
-from ..experiments.parallel import GridTask, run_grid
+from ..experiments.parallel import run_grid, scheme_grid
 from ..experiments.runner import format_table
 from ..experiments.scenarios import (
+    SCHEMES,
     SIM_PFC,
     all_to_all_scenario,
     dumbbell_scenario,
@@ -53,56 +55,34 @@ def _dumbbell_scenario(*, n_flows: int) -> object:
         event_budget=DEFAULT_EVENT_BUDGET)
 
 
-def _leaf_spine_scenario(*, n_flows: int) -> object:
-    return all_to_all_scenario(
-        "validate-leaf-spine", WEB_SEARCH, n_flows=n_flows,
-        fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4), seed=103,
-        event_budget=DEFAULT_EVENT_BUDGET)
+def _leaf_spine(seed: int, **features):
+    """A scenario factory on the small leaf-spine, ``features`` (PFC,
+    load balancer, hybrid) switched on."""
+
+    def scenario(*, n_flows: int) -> object:
+        return all_to_all_scenario(
+            "validate-leaf-spine", WEB_SEARCH, n_flows=n_flows,
+            fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4),
+            seed=seed, event_budget=DEFAULT_EVENT_BUDGET, **features)
+
+    return scenario
 
 
-def _leaf_spine_pfc_scenario(*, n_flows: int) -> object:
-    return all_to_all_scenario(
-        "validate-leaf-spine-pfc", WEB_SEARCH, n_flows=n_flows,
-        fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4), seed=104,
-        event_budget=DEFAULT_EVENT_BUDGET, pfc_config=SIM_PFC)
-
-
-def _leaf_spine_flowlet_scenario(*, n_flows: int) -> object:
-    return all_to_all_scenario(
-        "validate-leaf-spine-flowlet", WEB_SEARCH, n_flows=n_flows,
-        fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4), seed=105,
-        event_budget=DEFAULT_EVENT_BUDGET, lb="flowlet")
-
-
-def _leaf_spine_conga_scenario(*, n_flows: int) -> object:
-    return all_to_all_scenario(
-        "validate-leaf-spine-conga", WEB_SEARCH, n_flows=n_flows,
-        fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4), seed=106,
-        event_budget=DEFAULT_EVENT_BUDGET, lb="conga")
-
-
-def _leaf_spine_hybrid_scenario(*, n_flows: int) -> object:
-    return all_to_all_scenario(
-        "validate-leaf-spine-hybrid", WEB_SEARCH, n_flows=n_flows,
-        fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4), seed=107,
-        event_budget=DEFAULT_EVENT_BUDGET,
-        hybrid=HybridConfig(size_threshold=200_000))
-
-
-TOPOLOGIES = {
-    "star": _star_scenario,
-    "dumbbell": _dumbbell_scenario,
-    "leaf-spine": _leaf_spine_scenario,
-}
-
-#: Feature cells: (scenario factory, schemes that exercise the feature).
-#: PFC pairs with the RoCEv2 schemes it exists for; the load balancers
-#: pair with the paper's baseline and headline transports.
-FEATURE_CELLS = {
-    "leaf-spine-pfc": (_leaf_spine_pfc_scenario, ("dcqcn", "hpcc")),
-    "leaf-spine-flowlet": (_leaf_spine_flowlet_scenario, ("dctcp", "ppt")),
-    "leaf-spine-conga": (_leaf_spine_conga_scenario, ("dctcp", "ppt")),
-    "leaf-spine-hybrid": (_leaf_spine_hybrid_scenario, ("dctcp", "ppt")),
+#: Matrix cells: topology name -> (scenario factory, the schemes run on
+#: it; ``None`` = every scheme).  The feature cells pair PFC with the
+#: RoCEv2 schemes it exists for, and the load balancers and the hybrid
+#: fast path with the paper's baseline and headline transports.
+CELLS = {
+    "star": (_star_scenario, None),
+    "dumbbell": (_dumbbell_scenario, None),
+    "leaf-spine": (_leaf_spine(103), None),
+    "leaf-spine-pfc": (_leaf_spine(104, pfc_config=SIM_PFC),
+                       ("dcqcn", "hpcc")),
+    "leaf-spine-flowlet": (_leaf_spine(105, lb="flowlet"), ("dctcp", "ppt")),
+    "leaf-spine-conga": (_leaf_spine(106, lb="conga"), ("dctcp", "ppt")),
+    "leaf-spine-hybrid": (
+        _leaf_spine(107, hybrid=HybridConfig(size_threshold=200_000)),
+        ("dctcp", "ppt")),
 }
 
 
@@ -110,40 +90,25 @@ def run_matrix(schemes: Optional[List[str]] = None, *,
                flows: int = DEFAULT_FLOWS, jobs: int = -1,
                out=sys.stdout) -> int:
     """Run the matrix; print one row per cell; return the exit status."""
-    schemes = schemes or sorted(SCHEME_FACTORIES)
-    tasks: List[GridTask] = []
-    for topo_name, scenario_factory in TOPOLOGIES.items():
-        for scheme in schemes:
-            for validate in (False, True):
-                tasks.append(GridTask(
-                    scheme_factory=SCHEME_FACTORIES[scheme],
-                    scenario_factory=scenario_factory,
-                    params={"n_flows": flows},
-                    label=f"{scheme}@{topo_name}"
-                          f"{'+validate' if validate else ''}",
-                    scheme_key=scheme,
-                    validate=validate))
-
-    for topo_name, (scenario_factory, cell_schemes) in FEATURE_CELLS.items():
-        for scheme in cell_schemes:
-            if scheme not in schemes:
-                continue
-            for validate in (False, True):
-                tasks.append(GridTask(
-                    scheme_factory=SCHEME_FACTORIES[scheme],
-                    scenario_factory=scenario_factory,
-                    params={"n_flows": flows},
-                    label=f"{scheme}@{topo_name}"
-                          f"{'+validate' if validate else ''}",
-                    scheme_key=scheme,
-                    validate=validate))
-
-    summaries = run_grid(tasks, jobs=jobs)
+    schemes = schemes or sorted(SCHEMES)
+    # the whole matrix twice — bare, then validated — as one grid
+    bare_grid, validated_grid = [], []
+    for topo_name, (scenario_factory, cell_schemes) in CELLS.items():
+        picked = {s: SCHEMES[s] for s in cell_schemes or schemes
+                  if s in schemes}
+        for grid, validate in ((bare_grid, False), (validated_grid, True)):
+            cells = scheme_grid(picked, scenario_factory,
+                                [{"n_flows": flows}], validate=validate)
+            for task in cells:  # a dead worker names its topology too
+                task.label = f"{task.scheme_key}@{topo_name}"
+            grid += cells
+    summaries = run_grid(bare_grid + validated_grid, jobs=jobs)
 
     rows = []
     failures = 0
-    for i in range(0, len(tasks), 2):
-        bare, validated = summaries[i], summaries[i + 1]
+    for task, bare, validated in zip(bare_grid, summaries,
+                                     summaries[len(bare_grid):]):
+        label = task.label
         report = validated.validation
         identical = (bare.stats == validated.stats
                      and bare.wall_events == validated.wall_events
@@ -159,7 +124,7 @@ def run_matrix(schemes: Optional[List[str]] = None, *,
         elif not report.ok:
             problems.append(report.describe())
         rows.append({
-            "cell": tasks[i].label,
+            "cell": label,
             "flows": f"{validated.completed}/{validated.n_flows}",
             "events": validated.wall_events,
             "checks": report.checks_run if report is not None else 0,
@@ -167,7 +132,7 @@ def run_matrix(schemes: Optional[List[str]] = None, *,
         })
         if report is not None and not report.ok:
             for violation in report.violations[:5]:
-                print(f"  {tasks[i].label}: {violation.describe()}",
+                print(f"  {label}: {violation.describe()}",
                       file=sys.stderr)
 
     print(format_table(rows), file=out)
@@ -183,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="audit every scheme on every canonical topology and "
                     "check validated runs are bit-identical to bare ones")
     parser.add_argument("--schemes", nargs="+", default=None,
-                        choices=sorted(SCHEME_FACTORIES))
+                        choices=sorted(SCHEMES))
     parser.add_argument("--flows", type=int, default=DEFAULT_FLOWS)
     parser.add_argument("--jobs", type=int, default=-1,
                         help="worker processes (-1 = one per core)")

@@ -76,21 +76,28 @@ def test_parser_rejects_unknown_figure():
         parser.parse_args(["figure", "fig99"])
 
 
+RESUME_ROW = (
+    "--resume finishes the snapshot's own run in-process: --schemes, "
+    "--fault, --jobs, --task-timeout, --retries, --trace, --trace-out, "
+    "--validate and --validate-strict cannot be combined with it")
+
 # one argv per row of cli.RUN_EXCLUSIONS, keyed by the row's message —
 # a row added without a case here fails the coverage test below
 EXCLUDED_ARGV = {
-    "--trace-out requires --jobs 1":
-        ["--trace-out", "t.jsonl", "--jobs", "2"],
-    "--checkpoint requires --jobs 1 and a single scheme":
-        ["--checkpoint", "c.ckpt", "--schemes", "dctcp", "ppt"],
-    "--checkpoint needs --checkpoint-every SIM_SECONDS":
-        ["--checkpoint", "c.ckpt"],
     "--checkpoint-every must be > 0":
         ["--checkpoint", "c.ckpt", "--checkpoint-every", "-1"],
     "--task-timeout must be > 0":
         ["--task-timeout", "-5"],
     "--retries must be >= 0":
         ["--retries", "-1"],
+    RESUME_ROW:
+        ["--resume", "c.ckpt"],  # with the --schemes every case is given
+    "--trace-out requires --jobs 1":
+        ["--trace-out", "t.jsonl", "--jobs", "2"],
+    "--checkpoint requires --jobs 1 and a single scheme":
+        ["--checkpoint", "c.ckpt", "--schemes", "dctcp", "ppt"],
+    "--checkpoint needs --checkpoint-every SIM_SECONDS":
+        ["--checkpoint", "c.ckpt"],
     "--task-timeout/--retries supervise forked cells; --trace-out and "
     "--checkpoint run in-process":
         ["--trace-out", "t.jsonl", "--task-timeout", "0.001"],
@@ -109,6 +116,50 @@ def test_run_exclusion_row(message, capsys):
         + EXCLUDED_ARGV[message]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--fault", "bogus"], ["--jobs", "4"], ["--task-timeout", "5"],
+    ["--retries", "1"], ["--trace"], ["--trace-out", "t.jsonl"],
+    ["--validate"], ["--validate-strict"], ["--schemes", "ppt"],
+])
+def test_resume_refuses_what_the_snapshot_fixes(flags, capsys):
+    """Nothing is dropped silently: each flag a snapshot already fixes
+    or cannot honour is refused before the (here missing) file is even
+    opened."""
+    assert main(["run", "--resume", "missing.ckpt"] + flags) == 2
+    assert capsys.readouterr().err == f"error: {RESUME_ROW}\n"
+
+
+def test_resume_checks_flag_values_first(capsys):
+    """The exit-0 command of the bug report: every flag used to be
+    dropped, and ``--checkpoint-every -1`` rewrote the resume file at
+    every drain slice."""
+    assert main(["run", "--resume", "soak.ckpt", "--checkpoint-every", "-1",
+                 "--retries", "-3", "--task-timeout", "-1", "--jobs", "4",
+                 "--schemes", "ppt", "dctcp", "--fault", "bogus"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --checkpoint-every must be > 0\n"
+
+
+def test_figure_without_a_workload_parameter_refuses_the_flag(capsys):
+    """``--workload`` used to be ignored by every driver outside a
+    hand-kept set; the driver's signature decides now."""
+    assert main(["figure", "sec41", "--workload", "data-mining"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sec41 has no --workload\n"
+    assert captured.out == ""
+
+
+def test_figure_takes_list_workloads_names(capsys):
+    """``memcached-w1`` is the ``list-workloads`` name; the figure
+    drivers used to keep a table of their own that called it
+    ``memcached``."""
+    assert main(["figure", "fig12", "--workload", "memcached-w1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("n=0") == 6  # no flow of W1 is large, and it says so
+    with pytest.raises(SystemExit):
+        main(["figure", "fig12", "--workload", "memcached"])
 
 
 # what the reference build in the parent refuses: a scenario parameter

@@ -281,3 +281,68 @@ def test_active_faults_runtime_queries():
     assert active.any_active_or_recent(0.0035, grace=0.001)
     assert not active.any_active_or_recent(0.01, grace=0.001)
     assert active.last_fault_end() == pytest.approx(0.003)
+
+
+def test_a_new_fault_kind_is_one_class(monkeypatch, capsys):
+    """Everything the plan, the spec parser and the ``--fault`` help know
+    about a fault kind is on its event class: a throwaway kind defined
+    and registered here works end to end with no edit to ``plan.py``."""
+    from dataclasses import dataclass
+    from typing import ClassVar
+
+    from repro.cli import main
+    from repro.faults import FAULT_KINDS
+
+    @dataclass(frozen=True)
+    class Brownout:
+        """``port`` runs at ``percent`` % of its rate from ``start`` on."""
+
+        port: str
+        start: float
+        percent: float
+        end: ClassVar[float] = INFINITY
+
+        kind: ClassVar[str] = "brownout"
+        spec: ClassVar[str] = "brownout:PORT:START:PERCENT"
+
+        @classmethod
+        def from_args(cls, args):
+            return cls(args[0], float(args[1]), float(args[2]))
+
+        def describe(self):
+            return f"brownout {self.percent:g}% {self.port}"
+
+        def validate(self):
+            if not 0.0 < self.percent <= 100.0:
+                raise ValueError(f"percent {self.percent!r} out of range")
+
+        def inject(self, sim, port, rng):
+            injector = PortDegrader(sim, port, self.percent / 100.0)
+            injector.schedule(self.start, self.end)
+            return injector
+
+    with pytest.raises(ValueError, match="unknown fault kind 'brownout'"):
+        FaultPlan.parse(["brownout:sw0->sw1:0.001:10"])
+    monkeypatch.setitem(FAULT_KINDS, Brownout.kind, Brownout)
+
+    # parses
+    plan = FaultPlan.parse(["brownout:sw0->sw1:0.001:10"])
+    assert plan.events == [Brownout("sw0->sw1", 0.001, 10.0)]
+    # validates, with the plan's usual prefix
+    with pytest.raises(ValueError, match=r"events\[0\] \(brownout 0% "
+                                         r"sw0->sw1\): percent 0.0 out"):
+        FaultPlan.parse(["brownout:sw0->sw1:0.001:0"])
+    # applies
+    topo = make_dumbbell()
+    active = plan.apply(topo.network, topo.sim)
+    port = topo.network.port_named("sw0->sw1")
+    topo.sim.run(until=0.002)
+    assert port.rate_bps == pytest.approx(gbps(1))
+    assert active.describe_windows() == ["brownout 10% sw0->sw1"]
+    assert active.active_faults() == ["brownout 10% sw0->sw1"]
+    # and the generated --fault help lists it next to the built-in kinds
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_text = "".join(capsys.readouterr().out.split())
+    assert "brownout:PORT:START:PERCENT" in help_text
+    assert "down:PORT:START:DURATION" in help_text

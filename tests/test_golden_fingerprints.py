@@ -20,10 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import SCHEME_FACTORIES
 from repro.experiments.runner import run
 from repro.faults import FaultPlan, PacketLoss
 from repro.experiments.scenarios import (
+    SCHEMES,
     all_to_all_scenario,
     incast_scenario,
     lossless_scenario,
@@ -71,7 +71,7 @@ CELLS = {
         size_cap=4_000_000, seed=5, fabric=star_fabric(6, rate=gbps(1)),
         hybrid=HybridConfig(size_threshold=200_000))),
 }
-for _scheme in sorted(SCHEME_FACTORIES):
+for _scheme in sorted(SCHEMES):
     CELLS[f"{_scheme}-star-incast"] = (
         _scheme, lambda s=_scheme: _star_incast(f"golden-incast-{s}"))
 for _scheme in ("dctcp", "ppt", "homa", "ndp", "aeolus", "expresspass"):
@@ -100,7 +100,7 @@ def _fct_sha256(flows) -> str:
 
 def measure(cell: str) -> dict:
     scheme, scenario_factory = CELLS[cell]
-    result = run(SCHEME_FACTORIES[scheme](), scenario_factory())
+    result = run(SCHEMES[scheme](), scenario_factory())
     out = {"fct_sha256": _fct_sha256(result.flows),
            "completed": result.completed,
            "wall_events": result.wall_events}

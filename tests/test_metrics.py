@@ -114,19 +114,6 @@ def test_fct_stats_row_all_empty():
     assert row["large_avg_ms"] == "n=0"
 
 
-def test_tables_fct_cell_and_summary_row():
-    from repro.experiments.tables import fct_cell, fct_summary_row
-    assert fct_cell(float("nan"), 0) == "n=0"
-    assert fct_cell(2e-3, 5) == pytest.approx(2.0)  # seconds -> ms
-    stats = FctStats.from_flows([make_flow(500_000, 1e-2)])
-    row = fct_summary_row(stats)
-    assert row["flows"] == 1
-    assert row["small_avg_ms"] == "n=0"
-    assert row["small_p99_ms"] == "n=0"
-    assert row["large_avg_ms"] == pytest.approx(10.0)
-    assert row["overall_avg_ms"] == pytest.approx(10.0)
-
-
 def test_reduction():
     assert reduction(10.0, 5.0) == pytest.approx(50.0)
     assert reduction(10.0, 10.0) == 0.0

@@ -7,8 +7,13 @@ a wall-clock optimisation.
 """
 
 import pickle
+import re
+from pathlib import Path
+
+import pytest
 
 from repro.core.ppt import Ppt
+from repro.experiments import figures, workers
 from repro.experiments.parallel import (
     GridTask,
     RunSummary,
@@ -79,6 +84,51 @@ def test_summary_survives_pickling():
     clone = pickle.loads(pickle.dumps(summary))
     assert clone == summary
     assert isinstance(clone, RunSummary)
+
+
+def test_summary_row_is_scheme_params_then_fct_numbers():
+    """``RunSummary.row()`` is the one printable FCT row: params
+    flattened in, milliseconds from ``FctStats.row``, and an empty
+    bucket says ``n=0`` (sizes capped at the small-flow boundary)."""
+    summary, = run_grid(scheme_grid(
+        {"dctcp": Dctcp},
+        lambda load, seed: all_to_all_scenario(
+            "row", WEB_SEARCH, load=load, seed=seed, n_flows=8,
+            size_cap=100_000, fabric=TINY_FABRIC),
+        [{"load": 0.4, "seed": 7}]))
+    row = summary.row()
+    assert list(row) == ["scheme", "load", "seed", "flows",
+                         "overall_avg_ms", "small_avg_ms", "small_p99_ms",
+                         "large_avg_ms"]
+    assert (row["scheme"], row["load"], row["seed"]) == ("dctcp", 0.4, 7)
+    assert row["flows"] == summary.stats.n_flows == 8
+    assert row["overall_avg_ms"] == summary.stats.overall_avg * 1e3
+    assert summary.stats.n_large == 0 and row["large_avg_ms"] == "n=0"
+
+
+def test_scheme_grid_forwards_task_fields():
+    tasks = scheme_grid({"dctcp": Dctcp}, tiny_factory, [{}],
+                        observe=True, validate="strict")
+    assert [(t.observe, t.validate, t.label) for t in tasks] == [
+        (True, "strict", "dctcp")]
+
+
+@pytest.mark.parametrize("execution", ["no-fork", "jobs-1", "jobs-2"])
+def test_grid_backed_figure_rows_do_not_depend_on_execution(
+        execution, monkeypatch):
+    """A figure driver asks for one worker per core; the rows are the
+    same bits whether the cells fork onto two workers, onto one, or run
+    serially in-process where ``fork`` is missing."""
+    import repro.experiments.parallel as par
+
+    reference = figures.fig14_delay_based(n_flows=15)["rows"]
+    if execution == "no-fork":
+        monkeypatch.setattr(workers, "fork_available", lambda: False)
+        monkeypatch.setattr(par, "_warned_no_fork", True)  # keep it quiet
+    else:
+        monkeypatch.setattr(workers, "default_jobs",
+                            lambda: int(execution[-1]))
+    assert figures.fig14_delay_based(n_flows=15)["rows"] == reference
 
 
 def test_progress_fires_once_per_cell_in_grid_order():
@@ -155,3 +205,32 @@ def test_run_grid_jobs_one_never_warns(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         par.run_grid(tiny_tasks()[:1], jobs=1)
+
+
+# ---------------------------------------------------------------------------
+# one pipeline: source scans
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_fct_stats_row_is_the_only_seconds_to_ms_rendering():
+    """No driver, bench or example multiplies an FCT field by 1e3 by
+    hand (54 places once did, and disagreed on the empty bucket)."""
+    files = [*(REPO / "src").rglob("*.py"),
+             *(REPO / "benchmarks").glob("*.py"),
+             *(REPO / "examples").rglob("*.py")]
+    hits = [path.relative_to(REPO).as_posix() for path in files
+            if re.search(r"_avg \* 1e3|_p99 \* 1e3", path.read_text())]
+    assert hits == []
+
+
+def test_the_library_does_not_import_the_cli():
+    """The CLI is a client of the library (schemes, grids, figures),
+    never the other way round."""
+    src = REPO / "src" / "repro"
+    importers = {path.relative_to(src).as_posix()
+                 for path in src.rglob("*.py")
+                 if re.search(r"^\s*(from|import) .*\bcli\b",
+                              path.read_text(), re.MULTILINE)}
+    assert importers == {"__main__.py"}

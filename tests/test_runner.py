@@ -5,8 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.hypothetical import MwRecordingDctcp
-from repro.experiments.runner import Scenario, format_table, run, run_all, two_pass
+from repro.experiments.runner import Scenario, format_table, run, two_pass
 from repro.experiments.scenarios import (
     all_to_all_scenario,
     incast_scenario,
@@ -45,11 +44,6 @@ def test_run_different_seeds_differ():
         "tiny2", WEB_SEARCH, n_flows=20, size_cap=300_000, seed=99,
         fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=2)))
     assert [f.fct for f in r1.flows] != [f.fct for f in r2.flows]
-
-
-def test_run_all_runs_each_scheme():
-    results = run_all([Dctcp(), MwRecordingDctcp()], tiny_scenario())
-    assert set(results) == {"dctcp", "dctcp-recording"}
 
 
 def test_instruments_hook():

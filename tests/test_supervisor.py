@@ -22,9 +22,7 @@ from repro.experiments.parallel import (
     scheme_grid,
 )
 from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
-from repro.experiments.sweeps import supervised_sweep
 from repro.resilience import (
-    FailedTask,
     SupervisedResult,
     backoff_delay,
     supervise_grid,
@@ -281,24 +279,6 @@ def test_grid_task_error_survives_pickling():
     assert clone.params == {"seed": 9}
     assert clone.cause == "ValueError('x')"
     assert clone.worker_traceback == "Traceback ..."
-
-
-# -- sweeps integration ----------------------------------------------------
-
-
-@needs_fork
-def test_supervised_sweep_returns_points_and_failures():
-    def mixed_factory(seed=1):
-        if seed == 2:
-            raise ValueError("bad cell")
-        return small_scenario(seed)
-
-    points, failed = supervised_sweep(
-        SCHEMES, mixed_factory, VARIANTS, jobs=2, retries=0)
-    assert [p.variant["seed"] for p in points] == [1, 3]
-    assert all(p.scheme == "dctcp" for p in points)
-    assert len(failed) == 1 and isinstance(failed[0], FailedTask)
-    assert failed[0].params == {"seed": 2}
 
 
 def test_empty_grid_is_a_noop():

@@ -5,14 +5,8 @@ import json
 import pytest
 
 from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
-from repro.experiments.sweeps import (
-    SweepPoint,
-    load_sweep_variants,
-    points_to_json,
-    rows_from_json,
-    rows_to_json,
-    sweep,
-)
+from repro.experiments.parallel import RunSummary
+from repro.experiments.sweeps import load_sweep_variants, rows_to_json, sweep
 from repro.transport.dctcp import Dctcp
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -30,39 +24,33 @@ def test_load_sweep_variants():
 
 def test_sweep_runs_grid():
     progress = []
-    points = sweep({"dctcp": Dctcp}, tiny_factory,
-                   load_sweep_variants([0.3, 0.5]),
-                   progress=progress.append)
-    assert len(points) == 2
+    summaries = sweep({"dctcp": Dctcp}, tiny_factory,
+                      load_sweep_variants([0.3, 0.5]),
+                      progress=progress.append)
+    assert len(summaries) == 2
     assert len(progress) == 2
-    for point in points:
-        assert point.scheme == "dctcp"
-        assert point.completed == 10
-        assert point.stats.overall_avg > 0
+    for summary in summaries:
+        assert isinstance(summary, RunSummary)
+        assert summary.scheme == "dctcp"
+        assert summary.completed == 10
+        assert summary.stats.overall_avg > 0
 
 
 def test_sweep_point_row_flattens():
-    points = sweep({"dctcp": Dctcp}, tiny_factory, [{"load": 0.4}])
-    row = points[0].row()
+    """One point of a sweep is a ``RunSummary``; its row is the scheme,
+    the variant and the FCT numbers, flat."""
+    summary, = sweep({"dctcp": Dctcp}, tiny_factory, [{"load": 0.4}])
+    row = summary.row()
     assert row["scheme"] == "dctcp"
     assert row["load"] == 0.4
-    assert row["completed"] == "10/10"
-    assert "overall_avg_ms" in row
+    assert row["flows"] == 10
+    assert row["overall_avg_ms"] == summary.stats.overall_avg * 1e3
 
 
 def test_rows_round_trip(tmp_path):
     rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
     path = tmp_path / "rows.json"
     rows_to_json(rows, path, meta={"note": "test"})
-    loaded = rows_from_json(path)
-    assert loaded == rows
     payload = json.loads(path.read_text())
+    assert payload["rows"] == rows
     assert payload["meta"]["note"] == "test"
-
-
-def test_points_to_json(tmp_path):
-    points = sweep({"dctcp": Dctcp}, tiny_factory, [{"load": 0.4}])
-    path = tmp_path / "points.json"
-    points_to_json(points, path)
-    loaded = rows_from_json(path)
-    assert loaded[0]["scheme"] == "dctcp"
