@@ -15,8 +15,9 @@ judged against (ROADMAP: "as fast as the hardware allows").  Probes:
   forwarding with two switch hops per path, the topology shape the
   validation matrix leans on;
 * ``homa-incast`` — a 31:1 Homa incast, the receiver-driven message
-  core (grants, per-priority mux, sender timeouts re-armed on every
-  grant).  Its ``peak_pending`` is the live working set: re-armed
+  core (grants through the cached per-pair ``ControlPipe.send``,
+  per-priority mux, sender timeouts re-armed on every grant).  Its
+  ``peak_pending`` is the live working set: re-armed
   timeouts leave no corpses in the heap (it ran to thousands before
   the engine bounded them);
 * ``dctcp-incast-observed`` — the incast with repro.obs telemetry

@@ -116,7 +116,7 @@ class PptReceiver(WindowReceiver):
         self._lp_pending_ce = False
         self._cancel_lp_flush()
         self.lp_acks_sent += 1
-        self.ctx.network.send_control(ack)
+        (self._send_control or self._control_sender())(ack)
 
     # -- pending-tail flushes ---------------------------------------------
 

@@ -20,8 +20,8 @@ Two deliberate exclusions keep snapshots both lean and loadable:
   the scalar drain limits it needs (``max_time``, ``event_budget``,
   ``max_rto``) plus the scheme/scenario names for
   compatibility checks at resume time;
-* bound-callback caches (``Port._tx_cb``, ``Wire._deliver_cb``) are
-  rebuilt on restore.
+* bound-callback caches (``Port._tx_cb``, ``Wire._deliver_cb``,
+  ``ControlPipe._fire_cb``) are rebuilt on restore.
 
 File format
 -----------
@@ -71,7 +71,13 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # still load (``Network``/``Topology`` restore by ``__dict__``, their
 # dropped attributes riding along unused), but the version cannot tell
 # the two apart
-CHECKPOINT_VERSION = 7
+# v8: ``ControlPipe`` owns its pair's constants (``net``, ``host``,
+# ``peer``, ``delay``) and pickles by ``__getstate__`` without its
+# bound-callback caches; message states carry the cached control sender
+# (and Homa's the flow's ``rtt_packets``), ``MessageSender`` its
+# ``mss``/``payload``/``min_rto``, and ``WindowReceiver`` one
+# ``_send_control`` where it had four ACK-path slots
+CHECKPOINT_VERSION = 8
 
 
 class CheckpointError(RuntimeError):

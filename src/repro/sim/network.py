@@ -87,20 +87,47 @@ class ControlPipe:
     head entry with reserved seqs (present whenever ``pending`` is
     non-empty) replaces one heap event per in-flight control packet
     (see :class:`~repro.sim.link.Wire` for the determinism argument).
+    The pipe owns what is constant for its pair — the delay, the sending
+    host and the counters a control packet bumps — so sending one is
+    ``pipe.send(pkt)`` (handed out by :meth:`Network.control_sender`).
     """
 
-    __slots__ = ("sim", "deliver", "pending", "_fire_cb")
+    __slots__ = ("sim", "net", "host", "peer", "delay", "pending",
+                 "_deliver_cb", "_fire_cb", "_send_cb")
 
-    def __init__(self, sim: Simulator, deliver) -> None:
-        self.sim = sim
-        self.deliver = deliver  # bound Host.receive_control
+    def __init__(self, net: "Network", src: int, dst: int) -> None:
+        self.sim = net.sim
+        self.net = net                # control_pkts is counted there
+        self.host = net.hosts[src]    # the sender: one datapath op each
+        self.peer = net.hosts[dst]
+        self.delay = net.base_delay(src, dst)
         self.pending: deque = deque()
-        self._fire_cb = self._fire  # bound once; installed per packet
+        self._bind()
 
-    def send(self, delay: float, pkt: Packet) -> None:
+    def _bind(self) -> None:
+        """Bound methods made once: a fresh one per packet (deliver,
+        fire) or per endpoint (send) costs time and memory."""
+        self._deliver_cb = self.peer.receive_control
+        self._fire_cb = self._fire
+        self._send_cb = self.send
+
+    def __getstate__(self) -> dict:
+        """Checkpoint snapshot: same contract as :meth:`Wire.__getstate__`
+        — the bound-callback caches are rebuilt on restore."""
+        return {name: getattr(self, name) for name in self.__slots__
+                if not name.endswith("_cb")}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._bind()
+
+    def send(self, pkt: Packet) -> None:
+        self.net.control_pkts += 1
+        self.host.ops_sent += 1
         # reserve_seq + schedule_direct, inlined — per-ACK hot path
         sim = self.sim
-        arrival = sim.now + delay
+        arrival = sim.now + self.delay
         sim._seq = seq = sim._seq + 1
         pending = self.pending
         if not pending:
@@ -120,7 +147,7 @@ class ControlPipe:
             heappush(heap, (head[0], head[1], self._fire_cb, None))
             if len(heap) > sim.peak_pending:
                 sim.peak_pending = len(heap)
-        self.deliver(pkt)
+        self._deliver_cb(pkt)
 
     def __len__(self) -> int:
         return len(self.pending)
@@ -416,25 +443,29 @@ class Network:
         return self.base_delay(src_host, dst_host) + self.base_delay(dst_host, src_host)
 
     def control_pipe(self, src: int, dst: int) -> ControlPipe:
-        """The (lazily created) ideal-path FIFO from ``src`` to ``dst``.
-
-        Endpoints with a fixed reverse path (the window receiver's ACK
-        stream) cache the pipe and the pair's base delay to skip the
-        per-packet lookups in :meth:`send_control`.
-        """
+        """The (lazily created) ideal-path FIFO from ``src`` to ``dst``."""
         key = (src, dst)
         pipe = self._control_pipes.get(key)
         if pipe is None:
-            pipe = ControlPipe(self.sim, self.hosts[dst].receive_control)
-            self._control_pipes[key] = pipe
+            pipe = self._control_pipes[key] = ControlPipe(self, src, dst)
         return pipe
+
+    def control_sender(self, src: int, dst: int):
+        """The callable an endpoint with a fixed peer sends its control
+        packets through: the pair's bound :meth:`ControlPipe.send` — or
+        :meth:`send_control` itself when an instance patch (the tests'
+        capture seam) or a subclass override replaced it.  Endpoints
+        resolve it on their first control packet and cache it, so a
+        patch installed after the endpoint was built is still honoured.
+        """
+        if ("send_control" in self.__dict__
+                or type(self).send_control is not Network.send_control):
+            return self.send_control
+        return self.control_pipe(src, dst)._send_cb
 
     def send_control(self, pkt: Packet) -> None:
         """Deliver a control packet over the ideal (unqueued) reverse path."""
-        self.control_pkts += 1
-        self.hosts[pkt.src].ops_sent += 1
-        pipe = self.control_pipe(pkt.src, pkt.dst)
-        pipe.send(self.base_delay(pkt.src, pkt.dst), pkt)
+        self.control_pipe(pkt.src, pkt.dst).send(pkt)
 
     # -- flow endpoint wiring ---------------------------------------------
 

@@ -50,11 +50,13 @@ class AeolusSender(HomaSender):
     def _send_probe(self) -> None:
         if self.finished or self._probes_sent >= self.MAX_PROBES:
             return
-        probe = Packet(self.flow.flow_id, self.flow.src, self.flow.dst,
+        flow = self.flow
+        probe = Packet(flow.flow_id, flow.src, flow.dst,
                        self.next_seq, HEADER_BYTES, kind=CONTROL, priority=0)
-        self.ctx.network.send_control(probe)
+        # at most MAX_PROBES per flow: not worth caching the sender
+        self.ctx.network.control_sender(flow.src, flow.dst)(probe)
         self._probes_sent += 1
-        rtt = self.ctx.network.base_rtt(self.flow.src, self.flow.dst)
+        rtt = self.ctx.network.base_rtt(flow.src, flow.dst)
         self.sim.schedule(rtt, self._send_probe)
 
 

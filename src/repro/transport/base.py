@@ -217,7 +217,7 @@ class MessageState:
     """Receiver-side state of one inbound message."""
 
     __slots__ = ("flow", "n_packets", "delivered", "cum", "done",
-                 "progress_mark")
+                 "progress_mark", "send_control")
 
     def __init__(self, flow: Flow, n_packets: int) -> None:
         self.flow = flow
@@ -226,6 +226,9 @@ class MessageState:
         self.cum = 0              # every seq below this is delivered
         self.done = False
         self.progress_mark = 0    # len(delivered) at the last stall check
+        # control sender to the flow's source, resolved on the first
+        # control packet (see ReceiverHost.control_sender)
+        self.send_control = None
 
     def deliver(self, seq: int) -> None:
         """Record data packet ``seq``; a duplicate changes nothing."""
@@ -320,7 +323,17 @@ class ReceiverHost:
         ack = Packet(flow.flow_id, self.host_id, flow.src, state.n_packets,
                      HEADER_BYTES, kind=ACK, priority=0)
         ack.ack_seq = state.n_packets
-        self.ctx.network.send_control(ack)
+        (state.send_control or self.control_sender(state))(ack)
+
+    def control_sender(self, state: MessageState):
+        """Resolve and cache :meth:`Network.control_sender` from this
+        host to ``state``'s source — on the message's first control
+        packet, not in :meth:`add_message` (the tests' capture seam is
+        installed in between).  Every grant, pull, credit and final goes
+        ``(state.send_control or self.control_sender(state))(pkt)``."""
+        send = state.send_control = self.ctx.network.control_sender(
+            self.host_id, state.flow.src)
+        return send
 
     # -- control pacer ----------------------------------------------------
 
@@ -380,7 +393,12 @@ class MessageSender:
         self.sim = ctx.sim
         self.cfg = ctx.config
         self.host = ctx.network.hosts[flow.src]
-        self.n_packets = flow.n_packets(self.cfg.mss)
+        # per-sender constants, read once (send_data and arm_timer run
+        # per packet)
+        self.mss = self.cfg.mss
+        self.payload = self.cfg.payload_per_packet()
+        self.min_rto = self.cfg.min_rto
+        self.n_packets = flow.n_packets(self.mss)
         self.next_seq = 0         # first seq never sent
         self.acked_cum = 0
         self.finished = False
@@ -393,10 +411,14 @@ class MessageSender:
 
     def send_data(self, seq: int, priority: int, retransmit: bool = False,
                   unscheduled: bool = False) -> None:
-        remaining = self.flow.size - seq * self.cfg.payload_per_packet()
-        size = min(self.cfg.mss, max(1, remaining) + HEADER_BYTES)
-        pkt = Packet(self.flow.flow_id, self.flow.src, self.flow.dst, seq,
-                     size, kind=DATA, priority=priority, ecn_capable=False)
+        flow = self.flow
+        # wire size: a full MSS, or the last packet's payload (at least
+        # one byte) plus the header
+        remaining = flow.size - seq * self.payload
+        size = (self.mss if remaining >= self.payload
+                else max(1, remaining) + HEADER_BYTES)
+        pkt = Packet(flow.flow_id, flow.src, flow.dst, seq, size, DATA,
+                     priority, False)     # not ECN-capable
         pkt.unscheduled = unscheduled
         pkt.retransmit = retransmit
         pkt.sent_at = self.sim.now
@@ -420,9 +442,9 @@ class MessageSender:
         """
         if self.finished:
             return
-        self._rto_deadline = self.sim.now + self.cfg.min_rto
+        self._rto_deadline = self.sim.now + self.min_rto
         if self._rto_event is None:
-            self._rto_event = self.sim.schedule(self.cfg.min_rto,
+            self._rto_event = self.sim.schedule(self.min_rto,
                                                 self._on_timer)
 
     def _on_timer(self) -> None:

@@ -94,7 +94,7 @@ class ExpressPassReceiverHost(ReceiverHost):
         credit = Packet(flow.flow_id, self.host_id, flow.src, seq,
                         HEADER_BYTES, kind=CONTROL, priority=0)
         credit.ack_seq = state.cum
-        self.ctx.network.send_control(credit)
+        (state.send_control or self.control_sender(state))(credit)
 
 
 class ExpressPassSender(MessageSender):

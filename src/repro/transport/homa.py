@@ -49,16 +49,18 @@ def unscheduled_priority(size: int) -> int:
 class _MsgState(MessageState):
     """A message plus its grant bookkeeping."""
 
-    __slots__ = ("granted", "last_missing_request")
+    __slots__ = ("granted", "rtt_packets", "last_missing_request")
 
     def __init__(self, flow: Flow, n_packets: int) -> None:
         super().__init__(flow, n_packets)
         self.granted = 0          # packets authorised so far
+        self.rtt_packets = 0      # the scheme's grant window for this flow
         self.last_missing_request: Dict[int, float] = {}
 
-    @property
-    def remaining(self) -> int:
-        return self.n_packets - len(self.delivered)
+
+def _srpt_key(state: _MsgState):
+    """Fewest remaining packets first, flow id breaking ties."""
+    return state.n_packets - len(state.delivered), state.flow.flow_id
 
 
 class HomaReceiverHost(ReceiverHost):
@@ -76,8 +78,8 @@ class HomaReceiverHost(ReceiverHost):
 
     def add_message(self, flow: Flow) -> _MsgState:
         state = super().add_message(flow)
-        state.granted = min(state.n_packets,
-                            self.scheme.rtt_packets(flow, self.ctx))
+        state.rtt_packets = self.scheme.rtt_packets(flow, self.ctx)
+        state.granted = min(state.n_packets, state.rtt_packets)
         return state
 
     def on_delivery(self, state: _MsgState, cum_advanced: bool) -> None:
@@ -97,21 +99,25 @@ class HomaReceiverHost(ReceiverHost):
 
     def _ranked(self) -> List[_MsgState]:
         """Active messages by SRPT order (fewest remaining bytes first)."""
-        return sorted(self.messages.values(),
-                      key=lambda m: (m.remaining, m.flow.flow_id))
+        messages = self.messages
+        if len(messages) < 2:     # nothing to sort
+            return list(messages.values())
+        return sorted(messages.values(), key=_srpt_key)
 
     def _regrant(self) -> None:
-        ranked = self._ranked()
-        overcommit = self.scheme.overcommit
-        for rank, state in enumerate(ranked[:overcommit]):
-            rtt_pkts = self.scheme.rtt_packets(state.flow, self.ctx)
-            target = min(state.n_packets, len(state.delivered) + rtt_pkts)
+        scheme = self.scheme
+        for rank, state in enumerate(self._ranked()[:scheme.overcommit]):
+            target = len(state.delivered) + state.rtt_packets
+            if target > state.n_packets:
+                target = state.n_packets
             # Plain Homa is evaluated with timeout-based loss recovery
             # only (paper §6.2); Aeolus recovers holes via grants.
-            missing = self._missing(state) if self.scheme.grant_resend else []
-            if target > state.granted or missing:
-                state.granted = max(state.granted, target)
-                self._send_grant(state, rank=rank, missing=missing)
+            missing = self._missing(state) if scheme.grant_resend else None
+            if target > state.granted:
+                state.granted = target
+            elif not missing:
+                continue
+            self._send_grant(state, rank, missing)
 
     def on_control(self, pkt: Packet) -> None:
         """Aeolus first-RTT probe (the only control packet a Homa
@@ -158,12 +164,12 @@ class HomaReceiverHost(ReceiverHost):
                     final: bool = False) -> None:
         flow = state.flow
         grant = Packet(flow.flow_id, self.host_id, flow.src, state.cum,
-                       HEADER_BYTES, kind=GRANT, priority=0)
+                       HEADER_BYTES, GRANT)
         grant.ack_seq = state.cum
-        scheduled_priority = min(7, 4 + rank)
-        grant.meta = (state.granted, tuple(missing or ()), scheduled_priority,
-                      final)
-        self.ctx.network.send_control(grant)
+        # the scheduled priority is P4 + rank, P7 at the lowest
+        grant.meta = (state.granted, tuple(missing) if missing else (),
+                      4 + rank if rank < 3 else 7, final)
+        (state.send_control or self.control_sender(state))(grant)
 
 
 class _GroEndpoint(MessageEndpoint):

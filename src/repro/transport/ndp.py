@@ -99,7 +99,7 @@ class NdpReceiverHost(ReceiverHost):
                       HEADER_BYTES, kind=PULL, priority=0)
         pull.ack_seq = state.cum
         pull.meta = rtx_seq
-        self.ctx.network.send_control(pull)
+        (state.send_control or self.control_sender(state))(pull)
 
 
 class NdpSender(MessageSender):

@@ -27,7 +27,6 @@ from collections.abc import Set as _AbstractSet
 from typing import Dict, Optional, Set
 
 from ..sim.engine import Event
-from ..sim.network import Network
 from ..sim.packet import ACK, ACK_BYTES, DATA, Packet
 from .base import Flow, TransportConfig, TransportContext
 
@@ -82,8 +81,7 @@ class WindowReceiver:
 
     __slots__ = ("flow", "ctx", "n_packets", "delivered", "cum",
                  "_done", "data_pkts_received", "dup_pkts_received",
-                 "lp_pkts_received", "_net", "_ack_pipe", "_ack_delay",
-                 "_ack_host")
+                 "lp_pkts_received", "_send_control")
 
     def __init__(self, flow: Flow, ctx: TransportContext) -> None:
         self.flow = flow
@@ -95,13 +93,9 @@ class WindowReceiver:
         self.data_pkts_received = 0
         self.dup_pkts_received = 0
         self.lp_pkts_received = 0  # low-priority-loop arrivals (RC3 etc.)
-        # ACK fast path: the reverse pair (dst -> src) never changes, so
-        # the control pipe, base delay and sending host are resolved once
-        # on the first ACK instead of per packet (see acknowledge()).
-        self._net = None
-        self._ack_pipe = None
-        self._ack_delay = 0.0
-        self._ack_host = None
+        # the reverse pair (dst -> src) never changes: its control
+        # sender is resolved on the first ACK (see _control_sender())
+        self._send_control = None
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind != DATA:
@@ -144,25 +138,16 @@ class WindowReceiver:
                            else list(pkt.int_records))
         ack.queue_delay = pkt.queue_delay
         ack.hops = pkt.hops
-        # Network.send_control, inlined with the per-pair lookups cached
-        # (this runs once per delivered data packet)
-        pipe = self._ack_pipe
-        if pipe is None:
-            net = self.ctx.network
-            if ("send_control" in getattr(net, "__dict__", ())
-                    or type(net).send_control is not Network.send_control):
-                # send_control is patched (test capture seam) or
-                # overridden — honour it; never install the fast path
-                net.send_control(ack)
-                return
-            self._net = net
-            flow = self.flow
-            pipe = self._ack_pipe = net.control_pipe(flow.dst, flow.src)
-            self._ack_delay = net.base_delay(flow.dst, flow.src)
-            self._ack_host = net.hosts[flow.dst]
-        self._net.control_pkts += 1
-        self._ack_host.ops_sent += 1
-        pipe.send(self._ack_delay, ack)
+        (self._send_control or self._control_sender())(ack)
+
+    def _control_sender(self):
+        """Resolve and cache :meth:`Network.control_sender` for this
+        flow's reverse pair — on the first control packet, not at
+        construction (the tests' capture seam is installed in between)."""
+        flow = self.flow
+        send = self._send_control = self.ctx.network.control_sender(
+            flow.dst, flow.src)
+        return send
 
     @property
     def done(self) -> bool:

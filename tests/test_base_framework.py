@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_ctx, make_star
-from repro.sim.packet import HEADER_BYTES
+from repro.sim.packet import DATA, HEADER_BYTES
 from repro.transport.base import (
     Flow,
     MessageSender,
@@ -135,3 +135,39 @@ def test_stopped_sender_leaves_no_live_timer():
     sim.run()
     assert sender.timeouts == []
     assert sender.host.ops_sent == 0
+
+
+# -- the receiver-driven sender's data-packet builder ----------------------
+
+
+@st.composite
+def _sized_flows(draw):
+    mss = draw(st.sampled_from([HEADER_BYTES + 1, 576, 1500, 9000]))
+    # 1 byte to 3000 packets (4.3 MB at the default MSS), so the last
+    # packet is a partial one of every possible length
+    return mss, draw(st.integers(1, 3000 * (mss - HEADER_BYTES)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sized_flows())
+def test_send_data_sizes_every_seq_like_the_min_max_spelling(case):
+    """``send_data`` reads its constants once and sizes a full packet
+    with one comparison; every seq of the flow — and two past its end,
+    which only the ``max(1, ..)`` floor covers — must get the wire size
+    of ``min(mss, max(1, remaining) + HEADER_BYTES)``."""
+    mss, size = case
+    sender = MessageSender(Flow(7, 0, 1, size, 0.0),
+                           make_ctx(make_star(), mss=mss))
+    wire = []
+    sender.host.uplink = type("Nic", (), {"send": staticmethod(wire.append)})()
+    payload = mss - HEADER_BYTES
+    n = sender.n_packets
+    for seq in range(n + 2):
+        sender.send_data(seq, 3)
+    assert [pkt.size for pkt in wire] == [
+        min(mss, max(1, size - seq * payload) + HEADER_BYTES)
+        for seq in range(n + 2)]
+    assert sum(pkt.size - HEADER_BYTES for pkt in wire[:n]) == size
+    assert {(pkt.flow_id, pkt.src, pkt.dst, pkt.kind, pkt.priority,
+             pkt.ecn_capable) for pkt in wire} == {(7, 0, 1, DATA, 3, False)}
+    assert [pkt.seq for pkt in wire] == list(range(n + 2))

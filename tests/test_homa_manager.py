@@ -1,6 +1,8 @@
 """Unit tests for Homa's per-host receiver manager internals."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_ctx, make_star
 from repro.sim.packet import GRANT, Packet
@@ -43,6 +45,28 @@ def test_srpt_ranking_prefers_fewest_remaining():
     ranked = manager._ranked()
     assert ranked[0].flow.flow_id == 1
     assert ranked[1].flow.flow_id == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1_000, 3_000, 40_000, 2_000_000]),
+                          st.integers(0, 30)),
+                max_size=6),
+       st.randoms(use_true_random=False))
+def test_ranking_matches_the_sorted_spelling(table, rng):
+    """``_ranked`` skips the sort for a table of fewer than two messages
+    and keys without the ``remaining`` property otherwise; on any table
+    (ties in remaining included, flow ids in any insertion order) it is
+    ``sorted(key=(remaining, flow_id))``."""
+    manager, ctx, topo, scheme = make_manager()
+    flow_ids = list(range(len(table)))
+    rng.shuffle(flow_ids)
+    for flow_id, (size, delivered) in zip(flow_ids, table):
+        add_message(manager, ctx, flow_id, size, src=flow_id % 3)
+        state = manager.messages[flow_id]
+        state.delivered.update(range(min(delivered, state.n_packets - 1)))
+    assert manager._ranked() == sorted(
+        manager.messages.values(),
+        key=lambda m: (m.n_packets - len(m.delivered), m.flow.flow_id))
 
 
 def test_regrant_extends_top_k_only():

@@ -168,6 +168,35 @@ def test_resume_between_rearm_and_fire_of_a_sender_timeout(tmp_path, scheme):
                ), "no snapshot caught a re-armed timeout in flight"
 
 
+@pytest.mark.parametrize("scheme", ["homa", "ndp"])
+def test_resume_with_control_packets_in_flight(tmp_path, scheme):
+    """A snapshot cut while grants / pulls sit in a ``ControlPipe``: the
+    pipe pickles what it owns for its pair, not its bound-callback
+    caches (the ``Wire`` / ``Port`` contract), restore rebuilds them, the
+    endpoints' cached senders still point at the restored pipes, and
+    the resumed run is the straight one (checked by the helper)."""
+    copies = _resume_from_every_checkpoint(tmp_path, SCHEME_FACTORIES[scheme])
+    caught = 0
+    for copy in copies:
+        state = load_checkpoint(str(copy))
+        network = state.topo.network
+        pipes = network._control_pipes
+        for (src, dst), pipe in pipes.items():
+            assert set(pipe.__getstate__()) == {
+                "sim", "net", "host", "peer", "delay", "pending"}
+            assert pipe._fire_cb == pipe._fire and pipe._send_cb == pipe.send
+            assert pipe._deliver_cb == network.hosts[dst].receive_control
+            assert pipe.net is network and pipe.host is network.hosts[src]
+            assert pipe.delay == network.base_delay(src, dst)
+            caught += bool(pipe.pending)
+        for manager in state.ctx.extra[f"{scheme}_rx"].values():
+            for message in manager.messages.values():
+                cached = message.send_control
+                assert cached is None or pipes[
+                    manager.host_id, message.flow.src].send == cached
+    assert caught, "no snapshot caught a control packet in flight"
+
+
 def test_double_restart_kill_resume_kill_resume(tmp_path, monkeypatch):
     """Resume a run, checkpoint *again* mid-resume, resume that — the
     final state is still bit-identical to never having stopped."""
