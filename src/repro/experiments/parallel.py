@@ -22,13 +22,18 @@ Parallel output is **bit-identical** to serial output:
   which worker finished first.
 
 Spawning, collecting and crash detection live in
-:mod:`repro.experiments.workers`; this module only sets the policy (no
-retries, no timeout, the first failed cell aborts the grid as a
-:class:`GridTaskError`).  Tasks close over scheme factories, scenario
-builders and fault plans — none of them picklable in general — and reach
-the worker through the fork; only the :class:`RunSummary` crosses a pipe.
-On platforms without ``fork`` the grid degrades to serial execution,
-which is always correct.
+:mod:`repro.experiments.workers`; this module only picks one of the two
+policies tabled there.  ``run_grid(tasks, jobs=N)`` has no retries and
+no timeout, and the first failed cell aborts the grid as a
+:class:`GridTaskError`; passing ``timeout`` or ``retries`` supervises it
+— deadlines, relaunches, a :class:`FailedTask` in place of a cell that
+spent its budget — and since a relaunch replays the identical seeded
+simulation, retry changes *when* a summary arrives, never *what* it
+contains.  Tasks close over scheme factories, scenario builders and
+fault plans — none of them picklable in general — and reach the worker
+through the fork; only the :class:`RunSummary` crosses a pipe.  On
+platforms without ``fork`` the grid degrades to serial execution, which
+is always correct.
 
 :class:`RunSummary` vs :class:`~repro.experiments.runner.RunResult`:
 the full result drags the live :class:`~repro.sim.network.Network`,
@@ -42,9 +47,10 @@ health, completion counts and the event total.
 from __future__ import annotations
 
 import multiprocessing
+import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..metrics.fct import FctStats
 from ..obs.telemetry import TelemetrySummary
@@ -52,7 +58,7 @@ from ..transport.base import Scheme
 from ..validate import ValidationReport
 from . import workers
 from .runner import RunHealth, RunResult, Scenario, run
-from .workers import WorkerError
+from .workers import Outcome, WorkerError
 
 
 @dataclass
@@ -79,6 +85,8 @@ class RunSummary:
     # The invariant auditor's report when the cell ran validated; plain
     # picklable data like everything else here.
     validation: Optional[ValidationReport] = None
+    # worker processes the cell took (> 1: a supervised grid relaunched it)
+    attempts: int = field(default=1, compare=False)
 
     @classmethod
     def from_result(cls, result: RunResult,
@@ -177,6 +185,42 @@ class GridTaskError(WorkerError):
                              self.cause, self.worker_traceback))
 
 
+@dataclass
+class FailedTask:
+    """A grid cell that spent every attempt it had; a supervised
+    :func:`run_grid` returns it in the cell's place.
+
+    ``error`` is the :class:`GridTaskError` the unsupervised grid would
+    have raised (the cell's identity, ``cause``, ``worker_traceback``);
+    ``reason`` is ``"exception"``, ``"crashed"`` or ``"timeout"``.
+    """
+
+    index: int
+    error: GridTaskError
+    reason: str
+    exitcode: Optional[int]
+    attempts: int
+
+    def describe(self) -> str:
+        """The cell, its attempts, the reason, the last line it said."""
+        error = self.error
+        parts = [f"cell {self.index} ({error.label or error.scheme})",
+                 f"{self.attempts} attempt(s)", self.reason]
+        if self.reason != "exception":  # a worker that reported exited 0
+            parts.append(f"exit {self.exitcode}")
+        said = error.worker_traceback.strip() or error.cause
+        return f"{', '.join(parts)}: {said.splitlines()[-1]}"
+
+
+def _failed(index: int, task: GridTask, outcome: Outcome) -> FailedTask:
+    scheme = task.scheme_key or getattr(
+        task.scheme_factory, "__name__", "<factory>")
+    error = GridTaskError(task.label, scheme, dict(task.params),
+                          outcome.cause, outcome.worker_traceback)
+    return FailedTask(index, error, outcome.reason, outcome.exitcode,
+                      outcome.attempts)
+
+
 # run_grid warns at most once per process about a no-fork degrade; the
 # grid is called once per sweep row and repeating the warning per row
 # would drown the table
@@ -189,7 +233,7 @@ def _warn_no_fork() -> None:
         return
     _warned_no_fork = True
     warnings.warn(
-        f"parallel grid requested but the {multiprocessing.get_start_method()!r} "
+        f"forked grid requested but the {multiprocessing.get_start_method()!r} "
         "start method cannot share task closures (fork unavailable); "
         "running serially in-process",
         RuntimeWarning, stacklevel=3)
@@ -199,40 +243,70 @@ def run_grid(
     tasks: Sequence[GridTask],
     *,
     jobs: Optional[int] = None,
+    timeout: Optional[float] = None,
+    retries: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
-) -> List[RunSummary]:
-    """Execute every task; return summaries in task order.
+) -> List[Union[RunSummary, FailedTask]]:
+    """Execute every task; return one result per task, in task order.
 
     ``jobs`` — worker processes.  ``None``, ``0`` or ``1`` runs serially
     in-process; ``-1`` means
     :func:`~repro.experiments.workers.default_jobs`.  ``progress`` is
     called with each task's label as its result is merged (serial: as it
     runs), so output ordering is identical on both paths.
+
+    Passing ``timeout`` (wall-clock seconds per attempt) or ``retries``
+    (relaunches after the first attempt; 2 when only ``timeout`` is
+    given) supervises the grid: cells run in forked workers even at one
+    job, and a cell that fails every attempt is a :class:`FailedTask` in
+    the returned list instead of a raised :class:`GridTaskError`.
+    Without ``fork`` a supervised cell gets one in-process attempt (no
+    deadline can be enforced, and re-running a seeded cell in the same
+    interpreter could only replay the same exception).
     """
     tasks = list(tasks)
+    supervised = timeout is not None or retries is not None
     n_workers = workers.worker_count(jobs, len(tasks))
-    if n_workers <= 1 or not workers.fork_available():
-        if n_workers > 1:
-            _warn_no_fork()
-        summaries = []
-        for task in tasks:
+    forked = supervised or n_workers > 1
+    if forked and not workers.fork_available():
+        _warn_no_fork()
+        forked = False
+    if not forked:
+        results = []
+        for index, task in enumerate(tasks):
             if progress is not None:
                 progress(task.label)
-            summaries.append(task.execute())
-        return summaries
+            try:
+                results.append(task.execute())
+            except Exception as exc:  # noqa: BLE001 - reported in place
+                if not supervised:
+                    raise
+                results.append(_failed(index, task, Outcome(
+                    False, reason="exception", cause=repr(exc),
+                    worker_traceback=traceback.format_exc(), attempts=1)))
+        return results
 
-    outcomes = workers.run_forked([task.execute for task in tasks],
-                                  slots=n_workers, fail_fast=True)
-    for task, outcome in zip(tasks, outcomes):
-        if outcome is not None and not outcome.ok:
-            scheme = task.scheme_key or getattr(
-                task.scheme_factory, "__name__", "<factory>")
-            raise GridTaskError(task.label, scheme, dict(task.params),
-                                outcome.cause, outcome.worker_traceback)
+    if retries is None:
+        retries = 2 if supervised else 0
+    outcomes = workers.run_forked(
+        [task.execute for task in tasks], slots=n_workers,
+        timeout=timeout, retries=retries, fail_fast=not supervised)
+    results = []
+    for index, (task, outcome) in enumerate(zip(tasks, outcomes)):
+        if outcome is None:
+            continue  # killed unfinished by the fail-fast raise below
+        if outcome.ok:
+            outcome.value.attempts = outcome.attempts
+            results.append(outcome.value)
+            continue
+        failed = _failed(index, task, outcome)
+        if not supervised:
+            raise failed.error
+        results.append(failed)
     if progress is not None:
         for task in tasks:
             progress(task.label)
-    return [outcome.value for outcome in outcomes]
+    return results
 
 
 def scheme_grid(

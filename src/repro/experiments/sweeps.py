@@ -38,8 +38,8 @@ def sweep(
     (``-1`` = one per core).  Every cell builds its own fresh scenario
     and results are merged in grid order, so the returned summaries are
     bit-identical to a serial run — see :mod:`repro.experiments.parallel`
-    for the determinism contract.  ``supervise_grid(scheme_grid(...))``
-    runs the same grid with retries and quarantine.
+    for the determinism contract.  ``run_grid(scheme_grid(...),
+    timeout=, retries=)`` runs the same grid with deadlines and retries.
 
     For large sweeps pass ``stream=True`` in each variant (every
     builder in :mod:`repro.experiments.scenarios` accepts it): each

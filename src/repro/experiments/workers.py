@@ -1,17 +1,22 @@
-"""The one fork-worker primitive under every multi-process front door.
+"""The one fork-worker primitive under the grid.
 
 :func:`run_forked` takes a list of zero-argument callables and runs each
 in its own forked process — one process per *attempt*, never a reused
 interpreter — and hands back one :class:`Outcome` per callable, in
-index order.  Two front doors set its policy arguments and map the
-outcomes into their own vocabulary:
+index order.  Its one front door,
+:func:`repro.experiments.parallel.run_grid`, sets the policy arguments —
+passing ``timeout`` or ``retries`` is what selects the second row — and
+names the failed cell:
 
-=====================  =====  =======  =======  =========  ==============
-front door             slots  timeout  retries  fail_fast  failure becomes
-=====================  =====  =======  =======  =========  ==============
-``run_grid``           jobs   none     0        yes        ``GridTaskError``
-``supervise_grid``     jobs   per try  budget   no         ``FailedTask``
-=====================  =====  =======  =======  =========  ==============
+=======================  =====  =======  =======  =========  =================
+``run_grid`` is passed   slots  timeout  retries  fail_fast  a failed cell
+=======================  =====  =======  =======  =========  =================
+``jobs`` alone           jobs   none     0        yes        ``GridTaskError``
+``timeout``/``retries``  jobs*  per try  given*   no         ``FailedTask``
+=======================  =====  =======  =======  =========  =================
+
+(*) at least one worker; 2 retries when only ``timeout`` is given.  The
+error is raised, the ``FailedTask`` returned at the cell's grid index.
 
 Attempt lifecycle::
 
@@ -33,8 +38,8 @@ pipe *and* process sentinel, so a worker that dies without reporting
 (SIGKILL, OOM, a result that will not pickle) is noticed by its exit,
 not by a hang, and nothing polls.
 
-This module imports nothing from the rest of the package: the runner,
-the grid and the supervisor all sit above it.
+This module imports nothing from the rest of the package: the runner
+and the grid sit above it.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 # exit status of a worker whose result (or exception) would not pickle
 _UNSENDABLE_EXIT = 70
+
+# retry backoff, seconds: see backoff_delay
+BACKOFF_BASE = 0.25
+BACKOFF_MAX = 5.0
 
 
 class WorkerError(RuntimeError):
@@ -76,7 +85,7 @@ class Outcome:
     (``"exception"``, ``"crashed"`` or ``"timeout"``), ``cause`` and
     ``worker_traceback`` as :class:`WorkerError` defines them, and the
     last attempt's ``exitcode``.  ``attempts`` counts processes launched
-    for this index and ``elapsed`` sums their wall-clock seconds.
+    for this index.
     """
 
     ok: bool
@@ -86,7 +95,6 @@ class Outcome:
     worker_traceback: str = ""
     exitcode: Optional[int] = None
     attempts: int = 0
-    elapsed: float = 0.0
 
 
 def fork_available() -> bool:
@@ -116,11 +124,13 @@ def worker_count(jobs: Optional[int], n_tasks: int) -> int:
     return min(jobs or 1, n_tasks)
 
 
-def backoff_delay(failures: int, base: float, cap: float) -> float:
-    """Exponential backoff after ``failures`` failed attempts."""
+def backoff_delay(failures: int) -> float:
+    """Seconds a cell waits before its relaunch after ``failures``
+    failed attempts: :data:`BACKOFF_BASE`, doubling, capped at
+    :data:`BACKOFF_MAX`."""
     if failures <= 0:
         return 0.0
-    return min(cap, base * (2.0 ** (failures - 1)))
+    return min(BACKOFF_MAX, BACKOFF_BASE * (2.0 ** (failures - 1)))
 
 
 def _worker_main(fn: Callable[[], object], conn) -> None:
@@ -159,7 +169,7 @@ class _Attempt:
 
     def settle(self, timeout: Optional[float]) -> Optional[Outcome]:
         """``None`` while the worker is still running, else how this
-        attempt ended (``attempts``/``elapsed`` are the caller's)."""
+        attempt ended (``attempts`` is the caller's)."""
         # liveness is sampled BEFORE the pipe: whatever a dead worker
         # managed to send is already readable, so "dead and pipe empty"
         # cannot race a result still in flight
@@ -197,8 +207,6 @@ def run_forked(
     slots: int,
     timeout: Optional[float] = None,
     retries: int = 0,
-    backoff_base: float = 0.0,
-    backoff_max: float = 0.0,
     fail_fast: bool = False,
 ) -> List[Optional[Outcome]]:
     """Run every callable in a forked worker; outcomes in index order.
@@ -221,7 +229,6 @@ def run_forked(
     ctx = multiprocessing.get_context("fork")
     outcomes: List[Optional[Outcome]] = [None] * len(fns)
     failures = [0] * len(fns)
-    spent = [0.0] * len(fns)
     not_before = [0.0] * len(fns)            # backoff gates
     queued = list(range(len(fns)))           # FIFO launch order
     in_flight: Dict[int, _Attempt] = {}
@@ -248,16 +255,14 @@ def run_forked(
                 if outcome is None:
                     continue
                 del in_flight[index]
-                spent[index] += time.monotonic() - attempt.started
                 outcome.attempts = failures[index] + 1
                 if not outcome.ok:
                     failures[index] += 1
                     if failures[index] <= retries:
                         queued.append(index)
-                        not_before[index] = time.monotonic() + backoff_delay(
-                            failures[index], backoff_base, backoff_max)
+                        not_before[index] = (time.monotonic()
+                                             + backoff_delay(failures[index]))
                         continue
-                outcome.elapsed = spent[index]
                 outcomes[index] = outcome
                 if fail_fast and not outcome.ok:
                     return outcomes

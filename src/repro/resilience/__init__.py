@@ -1,15 +1,10 @@
-"""repro.resilience — supervised execution for long-horizon runs.
+"""repro.resilience — checkpoint/resume for long-horizon runs.
 
-Two layers (see ``docs/robustness.md``):
-
-* **checkpoint/resume** (:mod:`repro.resilience.checkpoint`) — versioned
-  snapshots of a running simulation, written periodically from the
-  runner's drain-slice loop; ``run(resume=...)`` restores one such that
-  the resumed run is bit-identical to a straight-through run;
-* **the grid supervisor** (:mod:`repro.resilience.supervisor`) — per-cell
-  wall-clock timeouts, crash/hang detection, retry with exponential
-  backoff and quarantine of repeatedly-failing cells into structured
-  :class:`FailedTask` records, with deterministic partial merges.
+:mod:`repro.resilience.checkpoint` writes versioned snapshots from the
+runner's drain-slice loop; ``run(resume=...)`` restores one bit-identical
+to a straight-through run (``docs/robustness.md``).  Surviving a hung or
+killed *worker* is the grid's business: ``run_grid(..., timeout=,
+retries=)`` in :mod:`repro.experiments.parallel`.
 """
 
 from .checkpoint import (
@@ -21,12 +16,6 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .supervisor import (
-    FailedTask,
-    SupervisedResult,
-    backoff_delay,
-    supervise_grid,
-)
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -36,8 +25,4 @@ __all__ = [
     "inspect_checkpoint",
     "load_checkpoint",
     "save_checkpoint",
-    "FailedTask",
-    "SupervisedResult",
-    "backoff_delay",
-    "supervise_grid",
 ]

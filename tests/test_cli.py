@@ -190,9 +190,39 @@ def test_bad_scenario_is_one_line_whatever_the_path(message, jobs, capsys):
 def test_a_key_error_inside_a_run_is_not_an_error_line(monkeypatch):
     """Only the reference build's lookups are refusals; a ``KeyError``
     out of the run itself is a bug and must surface as one."""
-    def broken_run_grid(tasks, jobs=None):
+    def broken_run_grid(tasks, **policy):
         raise KeyError("a real bug")
 
     monkeypatch.setattr("repro.cli.run_grid", broken_run_grid)
     with pytest.raises(KeyError, match="a real bug"):
         main(["run", "--schemes", "dctcp", "--flows", "8"])
+
+
+@pytest.mark.parametrize("policy", [
+    [], ["--jobs", "2"], ["--task-timeout", "60"], ["--retries", "1"],
+    ["--jobs", "2", "--task-timeout", "60"],
+], ids=" ".join)
+def test_strict_validate_failure_is_exit_3_whatever_the_policy(
+        policy, monkeypatch, capsys):
+    """A broken invariant keeps its ``invariant violation:`` line and
+    exit 3 in-process, across the fork, and when the supervised grid
+    hands the cell back as a ``FailedTask`` (which used to print a
+    ``failed:`` line and a table, and exit 1)."""
+    from repro.experiments import workers
+    from repro.transport.dctcp import Dctcp
+
+    healthy = Dctcp.configure_network
+
+    def cooked_ledger(self, network):
+        healthy(self, network)
+        network.ports[0].mux.occupancy += 1
+
+    monkeypatch.setattr(Dctcp, "configure_network", cooked_ledger)
+    monkeypatch.setattr(workers, "BACKOFF_BASE", 0.01)
+    assert main(["run", "--schemes", "dctcp", "homa", "--flows", "10",
+                 "--validate-strict"] + policy) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invariant violation: ")
+    assert "mux-occupancy-sum" in captured.err
+    assert "failed: " not in captured.err
+    assert captured.out == ""

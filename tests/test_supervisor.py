@@ -1,13 +1,16 @@
-"""Supervised grid execution: SIGKILL recovery, timeouts, retry budget,
-quarantine, and worker-error context.
+"""Supervised grid execution — ``run_grid(..., timeout=, retries=)``:
+SIGKILL recovery, timeouts, retry budget, failed cells in place, and
+worker-error context.
 
 The headline guarantee: a sweep whose workers are killed mid-run
 recovers by retrying the dead cells, and the recovered merge is
 bit-identical to an undisturbed sweep — each retry replays the same
 deterministic simulation.  A cell that exhausts its budget becomes a
-structured :class:`FailedTask` instead of aborting the sweep.
+structured :class:`FailedTask` at its grid index instead of aborting
+the sweep.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -16,17 +19,16 @@ import time
 
 import pytest
 
+from repro.experiments import workers
 from repro.experiments.parallel import (
+    FailedTask,
     GridTaskError,
+    RunSummary,
     run_grid,
     scheme_grid,
 )
 from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
-from repro.resilience import (
-    SupervisedResult,
-    backoff_delay,
-    supervise_grid,
-)
+from repro.experiments.workers import backoff_delay
 from repro.transport.dctcp import Dctcp
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -50,15 +52,30 @@ def summary_fingerprint(summary):
             summary.wall_events, repr(summary.stats.overall_avg))
 
 
+def failed_cells(results):
+    return [r for r in results if isinstance(r, FailedTask)]
+
+
+def attempts_total(results):
+    """Every process the grid launched (failed cells count theirs)."""
+    return sum(r.attempts for r in results)
+
+
+@pytest.fixture
+def fast_retries(monkeypatch):
+    monkeypatch.setattr(workers, "BACKOFF_BASE", 0.01)
+
+
 # -- backoff ---------------------------------------------------------------
 
 
 def test_backoff_delay_is_exponential_and_capped():
-    assert backoff_delay(0, 0.25, 5.0) == 0.0
-    assert backoff_delay(1, 0.25, 5.0) == 0.25
-    assert backoff_delay(2, 0.25, 5.0) == 0.5
-    assert backoff_delay(3, 0.25, 5.0) == 1.0
-    assert backoff_delay(10, 0.25, 5.0) == 5.0  # capped
+    assert (workers.BACKOFF_BASE, workers.BACKOFF_MAX) == (0.25, 5.0)
+    assert backoff_delay(0) == 0.0
+    assert backoff_delay(1) == 0.25
+    assert backoff_delay(2) == 0.5
+    assert backoff_delay(3) == 1.0
+    assert backoff_delay(10) == 5.0  # capped
 
 
 # -- happy path ------------------------------------------------------------
@@ -68,20 +85,21 @@ def test_backoff_delay_is_exponential_and_capped():
 def test_supervised_grid_matches_unsupervised():
     tasks = scheme_grid(SCHEMES, small_scenario, VARIANTS)
     plain = run_grid(scheme_grid(SCHEMES, small_scenario, VARIANTS), jobs=2)
-    outcome = supervise_grid(tasks, jobs=2, task_timeout=120.0, retries=2)
-    assert isinstance(outcome, SupervisedResult)
-    assert outcome.ok
-    assert outcome.attempts_total == len(tasks)
-    assert [summary_fingerprint(s) for s in outcome.summaries] == \
+    results = run_grid(tasks, jobs=2, timeout=120.0, retries=2)
+    assert all(isinstance(r, RunSummary) for r in results)
+    assert attempts_total(results) == len(tasks)
+    assert [summary_fingerprint(s) for s in results] == \
         [summary_fingerprint(s) for s in plain]
-    assert outcome.completed() == outcome.summaries
+    # how a summary was obtained takes no part in what it equals
+    assert dataclasses.replace(results[0], attempts=3) == results[0]
 
 
 # -- SIGKILL recovery ------------------------------------------------------
 
 
 @needs_fork
-def test_sigkilled_worker_is_retried_and_merge_is_identical(tmp_path):
+def test_sigkilled_worker_is_retried_and_merge_is_identical(tmp_path,
+                                                            fast_retries):
     """A worker SIGKILLed mid-cell (like an OOM kill) is detected as a
     crash, relaunched, and the recovered sweep merges bit-identically
     to one that was never disturbed."""
@@ -96,16 +114,18 @@ def test_sigkilled_worker_is_retried_and_merge_is_identical(tmp_path):
     undisturbed = run_grid(scheme_grid(SCHEMES, small_scenario, VARIANTS),
                            jobs=2)
     tasks = scheme_grid(SCHEMES, killing_factory, VARIANTS)
-    outcome = supervise_grid(tasks, jobs=2, retries=2, backoff_base=0.01)
-    assert outcome.ok, [f.describe() for f in outcome.failed]
+    results = run_grid(tasks, jobs=2, retries=2)
+    assert not failed_cells(results), \
+        [f.describe() for f in failed_cells(results)]
     assert os.path.exists(marker), "the kill never fired"
-    assert outcome.attempts_total == len(tasks) + 1  # exactly one retry
-    assert [summary_fingerprint(s) for s in outcome.summaries] == \
+    # exactly one relaunch, and it was the killed cell's
+    assert [s.attempts for s in results] == [1, 2, 1]
+    assert [summary_fingerprint(s) for s in results] == \
         [summary_fingerprint(s) for s in undisturbed]
 
 
 @needs_fork
-def test_crash_quarantine_records_signal_exitcode(tmp_path):
+def test_crash_quarantine_records_signal_exitcode(tmp_path, fast_retries):
     """A cell that dies on every attempt is quarantined with the crash
     reason and the -SIGKILL exit code; its neighbours still complete."""
 
@@ -115,26 +135,27 @@ def test_crash_quarantine_records_signal_exitcode(tmp_path):
         return small_scenario(seed)
 
     tasks = scheme_grid(SCHEMES, always_dies, VARIANTS)
-    outcome = supervise_grid(tasks, jobs=2, retries=1, backoff_base=0.01)
-    assert not outcome.ok
-    assert len(outcome.failed) == 1
-    failed = outcome.failed[0]
+    results = run_grid(tasks, jobs=2, retries=1)
+    assert len(failed_cells(results)) == 1
+    failed = failed_cells(results)[0]
     assert failed.reason == "crashed"
     assert failed.attempts == 2  # first attempt + one retry
     assert failed.exitcode == -signal.SIGKILL
-    assert failed.params == {"seed": 2}
-    assert "cell" in failed.describe()
-    # deterministic partial merge: the hole is at the failed index, the
-    # neighbours' summaries are intact and in grid order
-    assert outcome.summaries[failed.index] is None
-    assert [s.params["seed"] for s in outcome.completed()] == [1, 3]
+    assert failed.error.params == {"seed": 2}
+    assert "cell 1 (dctcp @ {'seed': 2}), 2 attempt(s), crashed, exit -9: " \
+        in failed.describe()
+    # deterministic partial merge: the failed cell sits at its own grid
+    # index, the neighbours' summaries are intact and in grid order
+    assert failed.index == 1 and results[1] is failed
+    assert [r.params["seed"] for r in results
+            if isinstance(r, RunSummary)] == [1, 3]
 
 
 # -- timeout ---------------------------------------------------------------
 
 
 @needs_fork
-def test_hung_worker_is_killed_and_retried(tmp_path):
+def test_hung_worker_is_killed_and_retried(tmp_path, fast_retries):
     marker = str(tmp_path / "hung-once")
 
     def hanging_factory(seed=1):
@@ -144,34 +165,36 @@ def test_hung_worker_is_killed_and_retried(tmp_path):
         return small_scenario(seed)
 
     tasks = scheme_grid(SCHEMES, hanging_factory, VARIANTS)
-    outcome = supervise_grid(tasks, jobs=2, task_timeout=0.5, retries=2,
-                             backoff_base=0.01)
-    assert outcome.ok, [f.describe() for f in outcome.failed]
-    assert outcome.attempts_total == len(tasks) + 1
+    results = run_grid(tasks, jobs=2, timeout=0.5, retries=2)
+    assert not failed_cells(results), \
+        [f.describe() for f in failed_cells(results)]
+    assert attempts_total(results) == len(tasks) + 1
 
 
 @needs_fork
-def test_always_hung_worker_is_quarantined_with_timeout_reason(tmp_path):
+def test_always_hung_worker_is_quarantined_with_timeout_reason(tmp_path,
+                                                               fast_retries):
     def always_hangs(seed=1):
         if seed == 2:
             time.sleep(600.0)
         return small_scenario(seed)
 
     tasks = scheme_grid(SCHEMES, always_hangs, VARIANTS)
-    outcome = supervise_grid(tasks, jobs=2, task_timeout=0.3, retries=1,
-                             backoff_base=0.01)
-    assert len(outcome.failed) == 1
-    failed = outcome.failed[0]
+    results = run_grid(tasks, jobs=2, timeout=0.3, retries=1)
+    assert len(failed_cells(results)) == 1
+    failed = failed_cells(results)[0]
     assert failed.reason == "timeout"
     assert failed.attempts == 2
-    assert "task_timeout" in failed.detail
-    assert [s.params["seed"] for s in outcome.completed()] == [1, 3]
+    assert "limit 0.30s" in failed.error.cause
+    assert ", timeout, exit -9: no result after" in failed.describe()
+    assert [r.params["seed"] for r in results
+            if isinstance(r, RunSummary)] == [1, 3]
 
 
 @needs_fork
 def test_timeout_is_enforced_with_one_worker():
-    """A deadline needs a killable process, so ``task_timeout`` forks
-    even a serial grid.  In-process, the hang would sit in this very
+    """A deadline needs a killable process, so ``timeout`` forks even a
+    serial grid.  In-process, the hang would sit in this very
     process: the test is bounded from outside by a SIGALRM."""
 
     def always_hangs(seed=1):
@@ -179,19 +202,18 @@ def test_timeout_is_enforced_with_one_worker():
 
     def too_slow(signum, frame):
         raise AssertionError("the hanging cell ran in-process: "
-                             "task_timeout was never enforced")
+                             "timeout was never enforced")
 
     tasks = scheme_grid(SCHEMES, always_hangs, [{"seed": 1}])
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(20)
     try:
-        outcome = supervise_grid(tasks, jobs=1, task_timeout=0.3, retries=0)
+        results = run_grid(tasks, jobs=1, timeout=0.3, retries=0)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert [f.reason for f in outcome.failed] == ["timeout"]
-    assert outcome.summaries == [None]
-    assert outcome.attempts_total == 1
+    assert [f.reason for f in results] == ["timeout"]
+    assert attempts_total(results) == 1
     assert multiprocessing.active_children() == []
 
 
@@ -199,26 +221,34 @@ def test_timeout_is_enforced_with_one_worker():
 
 
 @needs_fork
-def test_exception_quarantine_carries_worker_traceback():
+def test_exception_quarantine_carries_worker_traceback(fast_retries):
     def raising_factory(seed=1):
         if seed == 2:
             raise ValueError("synthetic cell failure")
         return small_scenario(seed)
 
     tasks = scheme_grid(SCHEMES, raising_factory, VARIANTS)
-    outcome = supervise_grid(tasks, jobs=2, retries=1, backoff_base=0.01)
-    assert len(outcome.failed) == 1
-    failed = outcome.failed[0]
+    results = run_grid(tasks, jobs=2, retries=1)
+    assert len(failed_cells(results)) == 1
+    failed = failed_cells(results)[0]
     assert failed.reason == "exception"
-    assert failed.scheme == "dctcp"
-    assert failed.params == {"seed": 2}
-    assert "synthetic cell failure" in failed.detail
-    assert "raising_factory" in failed.detail  # the worker-side traceback
+    # the error the unsupervised grid would have raised for this cell
+    assert isinstance(failed.error, GridTaskError)
+    assert failed.error.scheme == "dctcp"
+    assert failed.error.params == {"seed": 2}
+    assert "synthetic cell failure" in failed.error.cause
+    assert "raising_factory" in failed.error.worker_traceback
+    # a worker that reported its exception exited 0: not worth printing
+    assert failed.describe() == (
+        "cell 1 (dctcp @ {'seed': 2}), 2 attempt(s), exception: "
+        "ValueError: synthetic cell failure")
 
 
-def test_serial_supervision_retries_exceptions(tmp_path):
-    """Without fork (or jobs=1) cells run in-process; exceptions still
-    get the retry budget and quarantine treatment."""
+@needs_fork
+def test_serial_supervision_retries_exceptions(tmp_path, fast_retries):
+    """A supervised grid forks its attempts even at ``jobs=1``, so an
+    exception gets the retry budget — in a fresh process each time — and
+    the failed-cell treatment."""
     marker = str(tmp_path / "raised-once")
 
     def flaky_factory(seed=1):
@@ -228,19 +258,46 @@ def test_serial_supervision_retries_exceptions(tmp_path):
         return small_scenario(seed)
 
     tasks = scheme_grid(SCHEMES, flaky_factory, VARIANTS)
-    outcome = supervise_grid(tasks, jobs=1, retries=1, backoff_base=0.01)
-    assert outcome.ok
-    assert outcome.attempts_total == len(tasks) + 1
+    results = run_grid(tasks, jobs=1, retries=1)
+    assert not failed_cells(results)
+    assert attempts_total(results) == len(tasks) + 1
 
     def always_raises(seed=1):
         raise RuntimeError("permanent")
 
     tasks = scheme_grid(SCHEMES, always_raises, [{"seed": 5}])
-    outcome = supervise_grid(tasks, jobs=1, retries=1, backoff_base=0.01)
-    assert not outcome.ok
-    assert outcome.failed[0].reason == "exception"
-    assert outcome.failed[0].attempts == 2
-    assert "permanent" in outcome.failed[0].detail
+    results = run_grid(tasks, jobs=1, retries=1)
+    assert [f.reason for f in results] == ["exception"]
+    assert results[0].attempts == 2
+    assert "permanent" in results[0].error.cause
+
+
+def test_supervision_without_fork_is_one_in_process_attempt(monkeypatch):
+    """No fork, no fresh interpreter to retry in: re-running a seeded
+    cell here could only replay the same exception, so it gets its one
+    attempt and the exception still lands in place as a FailedTask."""
+    import repro.experiments.parallel as par
+
+    calls = []
+
+    def raises_on_two(seed=1):
+        calls.append(seed)
+        if seed == 2:
+            raise RuntimeError("permanent")
+        return small_scenario(seed)
+
+    monkeypatch.setattr(workers, "fork_available", lambda: False)
+    monkeypatch.setattr(par, "_warned_no_fork", True)  # keep it quiet
+    tasks = scheme_grid(SCHEMES, raises_on_two, VARIANTS)
+    results = run_grid(tasks, jobs=2, timeout=60.0, retries=3)
+    assert calls == [1, 2, 3]
+    assert [isinstance(r, FailedTask) for r in results] == \
+        [False, True, False]
+    failed = results[1]
+    assert (failed.reason, failed.attempts, failed.exitcode) == \
+        ("exception", 1, None)
+    assert "permanent" in failed.error.cause
+    assert "raises_on_two" in failed.error.worker_traceback
 
 
 # -- worker-error context in the unsupervised pool (parallel.py) -----------
@@ -282,6 +339,5 @@ def test_grid_task_error_survives_pickling():
 
 
 def test_empty_grid_is_a_noop():
-    outcome = supervise_grid([], jobs=4)
-    assert outcome.ok and outcome.summaries == [] \
-        and outcome.attempts_total == 0
+    assert run_grid([], jobs=4) == []
+    assert run_grid([], jobs=4, timeout=1.0, retries=1) == []

@@ -1,13 +1,14 @@
-"""The worker contract, checked through both front doors.
+"""The worker contract, checked through both policies of the one door.
 
-``run_grid`` and ``supervise_grid`` sit on one primitive
+``run_grid(tasks, jobs=)`` and ``run_grid(tasks, jobs=, retries=0[,
+timeout=])`` sit on one primitive
 (:func:`repro.experiments.workers.run_forked`), so whatever a worker
 does — raise, get SIGKILLed, hang, finish out of order, return
 something that will not pickle — each of them must report it the same
 way: promptly, naming the worker, with the worker's traceback when there
 is one, and with no child process left behind.
 
-A door here is an adapter that runs ``N`` workers, calls ``before(i)``
+A policy here is an adapter that runs ``N`` workers, calls ``before(i)``
 inside worker ``i`` ahead of its real work and passes its result through
 ``after(i, value)``, and folds what came back into a :class:`Report`.
 """
@@ -21,9 +22,9 @@ from typing import List, Optional
 
 import pytest
 
-from repro.experiments.parallel import GridTaskError, run_grid
+from repro.experiments import workers
+from repro.experiments.parallel import FailedTask, GridTaskError, run_grid
 from repro.experiments.workers import fork_available, run_forked
-from repro.resilience import supervise_grid
 
 pytestmark = pytest.mark.skipif(not fork_available(),
                                 reason="needs fork start method")
@@ -42,9 +43,18 @@ class Report:
 
 
 @dataclass
+class Result:
+    """What a cell returns: like ``RunSummary``, it takes the grid's
+    ``attempts`` stamp."""
+
+    value: object
+    attempts: int = 0
+
+
+@dataclass
 class Cell:
-    """Duck-typed ``GridTask``: the grid doors only call ``execute`` and
-    read the identity fields."""
+    """Duck-typed ``GridTask``: the grid only calls ``execute`` and
+    reads the identity fields."""
 
     index: int
     before: object
@@ -60,39 +70,46 @@ class Cell:
 
     def execute(self):
         self.before(self.index)
-        return self.after(self.index, self.index)
+        return Result(self.after(self.index, self.index))
 
 
 def _cells(before, after) -> List[Cell]:
     return [Cell(i, before, after) for i in range(N)]
 
 
-def via_run_grid(before, after, timeout=None) -> Report:
-    assert timeout is None, "run_grid has no timeout policy"
+def _values(results) -> list:
+    return [None if isinstance(r, FailedTask) else r.value for r in results]
+
+
+def via_fail_fast(before, after, timeout=None) -> Report:
+    assert timeout is None, "a timeout is what selects the other policy"
     try:
-        return Report(values=run_grid(_cells(before, after), jobs=N))
+        return Report(values=_values(run_grid(_cells(before, after), jobs=N)))
     except GridTaskError as exc:
         return Report(failed=exc.label, text=str(exc),
                       reason="exception" if exc.worker_traceback else "crashed")
 
 
-def via_supervise_grid(before, after, timeout=None) -> Report:
-    outcome = supervise_grid(_cells(before, after), jobs=N, retries=0,
-                             task_timeout=timeout)
-    if outcome.ok:
-        return Report(values=outcome.summaries)
-    failed = outcome.failed[0]
-    return Report(values=outcome.summaries, failed=failed.label,
-                  reason=failed.reason, text=failed.detail)
+def via_supervised(before, after, timeout=None) -> Report:
+    results = run_grid(_cells(before, after), jobs=N, retries=0,
+                       timeout=timeout)
+    report = Report(values=_values(results))
+    for failed in results:
+        if isinstance(failed, FailedTask):
+            # what it says is what the other policy would have raised
+            report.failed = failed.error.label
+            report.reason, report.text = failed.reason, str(failed.error)
+            break
+    return report
 
 
-DOORS = {"run_grid": via_run_grid, "supervise_grid": via_supervise_grid}
+POLICIES = {"run_grid": via_fail_fast, "supervised": via_supervised}
 BAD_NAME = f"cell{BAD}"
 
 
-@pytest.fixture(params=sorted(DOORS))
+@pytest.fixture(params=sorted(POLICIES))
 def door(request):
-    fn = DOORS[request.param]
+    fn = POLICIES[request.param]
 
     def call(before=lambda i: None, after=lambda i, value: value, **kwargs):
         started = time.monotonic()
@@ -119,7 +136,7 @@ def test_worker_exception_reaches_parent_with_traceback(door):
 
 
 def test_sigkilled_worker_is_seen_by_its_exit(door):
-    """A fail-fast door must kill the dead worker's peers: run_grid's
+    """The fail-fast policy must kill the dead worker's peers, which
     would otherwise sit out their 30 s."""
 
     def _die(index):
@@ -133,14 +150,14 @@ def test_sigkilled_worker_is_seen_by_its_exit(door):
     assert report.failed == BAD_NAME
     assert "exit -9" in report.text
     assert door.elapsed < BOUNDED
-    if door.name == "supervise_grid":
+    if door.name == "supervised":
         # not fail-fast: the neighbours' results survive, in place
         assert report.values == [0, 1, None, 3]
 
 
 def test_timeout_kills_a_hung_worker(door):
     if door.name == "run_grid":
-        pytest.skip("run_grid sets no timeout policy")
+        pytest.skip("passing a timeout is what selects the other policy")
 
     def _hang(index):
         if index == BAD:
@@ -175,10 +192,11 @@ def test_unpicklable_result_is_a_crash_not_a_hang(door):
     assert door.elapsed < BOUNDED
 
 
-# -- policy arguments only supervise_grid sets, checked on the primitive --
+# -- what only the supervised policy uses, checked on the primitive --------
 
 
-def test_retry_relaunches_a_fresh_process_after_backoff(tmp_path):
+def test_retry_relaunches_a_fresh_process_after_backoff(tmp_path,
+                                                        monkeypatch):
     marker = tmp_path / "failed-once"
 
     def flaky():
@@ -187,10 +205,10 @@ def test_retry_relaunches_a_fresh_process_after_backoff(tmp_path):
             raise RuntimeError("first attempt")
         return os.getpid()
 
+    monkeypatch.setattr(workers, "BACKOFF_BASE", 0.2)
     started = time.monotonic()
     flaky_outcome, steady_outcome = run_forked(
-        [flaky, os.getpid], slots=2, retries=1,
-        backoff_base=0.2, backoff_max=1.0)
+        [flaky, os.getpid], slots=2, retries=1)
     assert time.monotonic() - started >= 0.2     # the gate was honoured
     assert flaky_outcome.ok and flaky_outcome.attempts == 2
     assert steady_outcome.ok and steady_outcome.attempts == 1
