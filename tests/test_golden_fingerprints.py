@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import run
+from repro.core.ppt import Ppt
+from repro.experiments.runner import run, two_pass
 from repro.faults import FaultPlan, PacketLoss
 from repro.experiments.scenarios import (
     SCHEMES,
@@ -31,6 +32,7 @@ from repro.experiments.scenarios import (
     star_fabric,
 )
 from repro.sim.hybrid import HybridConfig
+from repro.transport.window import WindowSender
 from repro.units import gbps
 from repro.workloads.distributions import WEB_SEARCH
 from test_wire_equivalence import _flap_scenario
@@ -40,9 +42,9 @@ GOLDEN = Path(__file__).with_name("golden_fingerprints.json")
 SMALL_LEAF_SPINE = sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4)
 
 
-def _star_incast(name, **overrides):
+def _star_incast(name, size_cap=200_000, **overrides):
     return incast_scenario(name, WEB_SEARCH, n_senders=6, load=0.6,
-                           n_flows=60, size_cap=200_000, seed=7,
+                           n_flows=60, size_cap=size_cap, seed=7,
                            fabric=star_fabric(8), **overrides)
 
 
@@ -52,7 +54,7 @@ def _leaf_spine(name, **overrides):
                                fabric=SMALL_LEAF_SPINE, **overrides)
 
 
-# name -> (scheme key, scenario factory)
+# name -> (scheme key or factory, scenario factory)
 CELLS = {
     # the three test_wire_equivalence scenarios
     "wire-incast": ("dctcp", lambda: incast_scenario(
@@ -74,15 +76,19 @@ CELLS = {
 for _scheme in sorted(SCHEMES):
     CELLS[f"{_scheme}-star-incast"] = (
         _scheme, lambda s=_scheme: _star_incast(f"golden-incast-{s}"))
-for _scheme in ("dctcp", "ppt", "homa", "ndp", "aeolus", "expresspass"):
+for _scheme in ("dctcp", "ppt", "rc3", "homa", "ndp", "aeolus", "expresspass"):
     CELLS[f"{_scheme}-leaf-spine"] = (
         _scheme, lambda s=_scheme: _leaf_spine(f"golden-ls-{s}"))
 
 # The receiver-driven recovery paths (sender timeout, grant resend, pull
 # RTX, re-credit): the star incast with 2 % loss on the bottleneck
 # downlink.  ExpressPass's retransmit flag is a known-wrong counter at
-# the recording commit, so its cell pins FCTs and events only.
-LOSS_CELLS = ("homa", "aeolus", "ndp", "expresspass")
+# the recording commit, so its cell pins FCTs and events only.  The
+# second-loop senders ride the same cell: lost opportunistic packets are
+# purged and left to the primary loop, the loops cross, PPT's odd LP
+# tail is flushed, Halfback repairs from the tail backwards.
+LOSS_CELLS = ("homa", "aeolus", "ndp", "expresspass",
+              "ppt", "rc3", "halfback")
 COUNTS_RETRANSMITS = {"homa-loss", "aeolus-loss", "ndp-loss"}
 for _scheme in LOSS_CELLS:
     CELLS[f"{_scheme}-loss"] = (
@@ -90,22 +96,75 @@ for _scheme in LOSS_CELLS:
             f"golden-loss-{s}",
             faults=FaultPlan([PacketLoss("sw0->host0", 0.02)], seed=3)))
 
+# The two LCP ablations of Figs. 15/16: the line-rate and the ECN-blind
+# branches of ``open_loop`` / ``_termination_check`` / ``on_lp_ack``.
+CELLS["ppt-noewd-star-incast"] = (
+    lambda: Ppt(ewd=False), lambda: _star_incast("golden-incast-ppt-noewd"))
+CELLS["ppt-noecn-star-incast"] = (
+    lambda: Ppt(lcp_ecn=False),
+    lambda: _star_incast("golden-incast-ppt-noecn"))
+# At 200 kB no LP-ACK of the star incast comes back ECE-marked, so the
+# two cells above and ``ppt-star-incast`` agree wherever the ECN switch
+# is the only difference.  Uncapped Web Search sizes mark six: the
+# yield that cancels the rest of a paced window, and its ablation.
+CELLS["ppt-fullsize-incast"] = (
+    "ppt", lambda: _star_incast("golden-fullsize-ppt", size_cap=None))
+CELLS["ppt-noecn-fullsize-incast"] = (
+    lambda: Ppt(lcp_ecn=False),
+    lambda: _star_incast("golden-fullsize-ppt-noecn", size_cap=None))
 
-def _fct_sha256(flows) -> str:
+# The hypothetical-DCTCP oracle is not in SCHEMES (it needs pass one's
+# MW table): its cell runs ``two_pass`` and hashes both passes; events,
+# completions and loop counters are the oracle pass's.
+TWO_PASS_CELL = "hypothetical-star-incast"
+CELLS[TWO_PASS_CELL] = (
+    None, lambda: _star_incast("golden-incast-hypothetical"))
+
+
+def _fct_sha256(*runs) -> str:
     digest = hashlib.sha256()
-    for flow in sorted(flows, key=lambda f: f.flow_id):
-        digest.update(f"{flow.flow_id}:{flow.fct!r};".encode())
+    for flows in runs:
+        for flow in sorted(flows, key=lambda f: f.flow_id):
+            digest.update(f"{flow.flow_id}:{flow.fct!r};".encode())
     return digest.hexdigest()
+
+
+def _second_loops(result) -> list:
+    """The low-priority loop of every sender that carries one (PPT's
+    LCP, RC3's filler, the oracle filler)."""
+    loops = []
+    for host in result.topology.network.hosts.values():
+        for endpoint in host.endpoints.values():
+            if not isinstance(endpoint, WindowSender):
+                continue
+            lcp = getattr(endpoint, "lcp", None)
+            if lcp is not None:
+                loops.append((lcp.lp_pkts_sent, lcp.loops_opened))
+            elif hasattr(endpoint, "lp_sent"):
+                # RC3's filler and the oracle never re-open: one loop
+                # per flow, opened at start()
+                loops.append((endpoint.lp_sent, 1))
+    return loops
 
 
 def measure(cell: str) -> dict:
     scheme, scenario_factory = CELLS[cell]
-    result = run(SCHEMES[scheme](), scenario_factory())
-    out = {"fct_sha256": _fct_sha256(result.flows),
+    if cell == TWO_PASS_CELL:
+        baseline, result = two_pass(scenario_factory())
+        fct_sha256 = _fct_sha256(baseline.flows, result.flows)
+    else:
+        result = run(SCHEMES.get(scheme, scheme)(), scenario_factory())
+        fct_sha256 = _fct_sha256(result.flows)
+    out = {"fct_sha256": fct_sha256,
            "completed": result.completed,
            "wall_events": result.wall_events}
     if cell in COUNTS_RETRANSMITS:
         out["retransmits_total"] = result.health.retransmits_total
+    loops = _second_loops(result)
+    if loops:
+        # ROADMAP 1(d): pinned before anyone changes re-open behaviour
+        out["lp_pkts_sent"] = sum(sent for sent, _ in loops)
+        out["loops_opened"] = sum(opened for _, opened in loops)
     return out
 
 
@@ -136,7 +195,13 @@ def test_loss_cells_exercise_recovery(cell):
 # included).  A later deliberate re-record retires this check with it.
 # The hash is of the file as it stood before that change (``git show
 # 4096477~1:tests/golden_fingerprints.json``) less the six cells that
-# left the file with the run path they measured.
+# left the file with the run path they measured; the second-loop cells
+# and counters recorded later are set aside before hashing.
+SECOND_LOOP_CELLS = {"rc3-leaf-spine", "ppt-loss", "rc3-loss",
+                     "halfback-loss", "ppt-noewd-star-incast",
+                     "ppt-noecn-star-incast", "ppt-fullsize-incast",
+                     "ppt-noecn-fullsize-incast", TWO_PASS_CELL}
+SECOND_LOOP_COUNTERS = {"lp_pkts_sent", "loops_opened"}
 LAZY_TIMEOUT_WAKEUPS = {"aeolus-leaf-spine": 1, "aeolus-star-incast": 9,
                         "aeolus-loss": 9, "homa-loss": 64, "ndp-loss": 28}
 BEFORE_LAZY_TIMEOUT_SHA256 = (
@@ -144,7 +209,10 @@ BEFORE_LAZY_TIMEOUT_SHA256 = (
 
 
 def test_lazy_timeout_moved_only_wall_events():
-    golden = json.loads(GOLDEN.read_text())
+    golden = {cell: {key: value for key, value in row.items()
+                     if key not in SECOND_LOOP_COUNTERS}
+              for cell, row in json.loads(GOLDEN.read_text()).items()
+              if cell not in SECOND_LOOP_CELLS}
     for cell, wakeups in LAZY_TIMEOUT_WAKEUPS.items():
         golden[cell]["wall_events"] -= wakeups
     before = json.dumps(golden, indent=1, sort_keys=True) + "\n"
