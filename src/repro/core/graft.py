@@ -56,7 +56,7 @@ class PptGraft:
         return self.tagger.hcp_priority(bytes_sent)
 
     # NOTE: the primary loop does *not* skip packets the LCP loop has in
-    # flight (default ``claimed_elsewhere`` = False).  Exactly like the
+    # flight.  Exactly like the
     # kernel prototype, the head keeps transmitting in order and only
     # advances past bytes the receiver has already acknowledged via
     # LP-ACKs (§5.2's snd_nxt tweak, realised through the shared
@@ -66,7 +66,7 @@ class PptGraft:
 
     def stop(self) -> None:
         super().stop()
-        self.lcp.shutdown()
+        self.lcp.close()
         if self._check_event is not None:
             self._check_event.cancel()
             self._check_event = None

@@ -21,12 +21,12 @@ Experiment drivers use :func:`two_pass` from
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sim.packet import ACK, Packet
 from ..transport.base import Flow, Scheme, TransportContext
-from ..transport.dctcp import Dctcp, DctcpSender
-from ..transport.window import WindowReceiver
+from ..transport.dctcp import DctcpSender
+from ..transport.window import TailLoop, WindowReceiver
 
 
 class _RecordingSender(DctcpSender):
@@ -61,7 +61,9 @@ class MwRecordingDctcp(Scheme):
 
 
 class _HypotheticalSender(DctcpSender):
-    """DCTCP + per-RTT oracle gap filler."""
+    """DCTCP + per-RTT oracle gap filler (the shared
+    :class:`~repro.transport.window.TailLoop` mechanism under the
+    oracle's policy: top up to ``fill_factor * MW`` every RTT)."""
 
     def __init__(self, flow: Flow, ctx: TransportContext,
                  mw: float, fill_factor: float) -> None:
@@ -71,12 +73,12 @@ class _HypotheticalSender(DctcpSender):
         # for fill factors above 1.
         mw = min(mw, 2.0 * ctx.bdp_packets(flow))
         self.target_window = fill_factor * mw
-        self.lp_outstanding: Dict[int, float] = {}
-        self.lp_sent = 0
+        self.lcp = TailLoop(self)
         self._fill_timer = None
 
     def start(self) -> None:
         super().start()
+        self.lcp.open()
         self._fill_round()
 
     def stop(self) -> None:
@@ -89,66 +91,35 @@ class _HypotheticalSender(DctcpSender):
         self._fill_timer = None
         if self.finished:
             return
+        loop = self.lcp
         # purge presumed-lost opportunistic packets
-        horizon = self.sim.now - 2.0 * max(self.srtt, self.base_rtt)
-        for seq in [s for s, t in self.lp_outstanding.items() if t < horizon]:
-            del self.lp_outstanding[seq]
-        gap = int(self.target_window - self.cwnd - len(self.lp_outstanding))
+        loop.purge(self.sim.now - 2.0 * max(self.srtt, self.base_rtt))
+        gap = int(self.target_window - self.cwnd - len(loop.outstanding))
         rtt = max(self.base_rtt, 1e-9)
         if gap > 0:
-            interval = rtt / gap
-            for i in range(gap):
-                self.sim.schedule(i * interval, self._fill_one)
+            loop.pace(gap, rtt / gap, self._fill_one)
         self._fill_timer = self.sim.schedule(max(self.srtt, rtt),
                                              self._fill_round)
 
     def _fill_one(self) -> None:
         if self.finished:
             return
-        seq = self._pick_tail_seq()
-        if seq is None:
-            return
-        pkt = self.build_packet(seq)
-        pkt.lcp = True
-        pkt.priority = 4
-        pkt.sent_at = self.sim.now
-        self.lp_outstanding[seq] = self.sim.now
-        self.lp_sent += 1
-        self.pkts_transmitted += 1
-        self.host.send(pkt)
+        seq = self.lcp.pick_tail()
+        if seq is not None:
+            # P4, so the filler never displaces normal traffic
+            self.lcp.transmit(seq, 4, True)
 
-    def _pick_tail_seq(self) -> Optional[int]:
-        seq = self.buffer_end() - 1
-        while seq >= 0:
-            if seq <= self.send_ptr:
-                return None
-            if (seq not in self.delivered and seq not in self.outstanding
-                    and seq not in self.lp_outstanding):
-                return seq
-            seq -= 1
-        return None
-
-    # Like PPT's HCP (see repro.core.ppt), the primary loop does not skip
-    # packets the filler has in flight: completion must never be gated on
-    # a queued low-priority copy.
+    # Like PPT's HCP (see repro.core.graft), the primary loop does not
+    # skip packets the filler has in flight: completion must never be
+    # gated on a queued low-priority copy.
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind != ACK or self.finished:
             return
-        if pkt.lcp:
-            self.delivered.add(pkt.seq)
-            self.lp_outstanding.pop(pkt.seq, None)
-            if pkt.ack_seq > self.cum:
-                for s in range(self.cum, pkt.ack_seq):
-                    self.delivered.add(s)
-                    self.outstanding.pop(s, None)
-                self.cum = pkt.ack_seq
-            if len(self.delivered) >= self.n_packets:
-                self.stop()
-                return
+        if not pkt.lcp:
+            self.handle_ack(pkt)
+        elif self.lcp.absorb(pkt):
             self.try_send()
-            return
-        self.handle_ack(pkt)
 
 
 class HypotheticalDctcp(Scheme):

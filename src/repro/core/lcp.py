@@ -25,6 +25,11 @@ blocking opportunistic ones or vice versa, and in both cases LCP must
 yield.  A loop terminates after 2 RTTs without LP-ACKs, after which the
 controller goes back to watching for spare bandwidth.
 
+The loop *mechanism* — the in-flight ledger, LP transmission and LP-ACK
+absorption, the stale purge, the tail pick, the paced burst — is
+:class:`repro.transport.window.TailLoop`, shared with RC3's filler and
+the hypothetical-DCTCP oracle; this module is the §3 policy on top.
+
 Ablation switches (used by Figs. 15/16): ``ecn=False`` makes opportunistic
 packets non-ECN-capable and removes the ECE suppression; ``ewd=False``
 sends the loop's window at line rate every RTT instead of the paced,
@@ -33,15 +38,16 @@ halving schedule.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..sim.engine import Event
 from ..sim.packet import Packet
+from ..transport.window import TailLoop
 
 _EPS = 1e-9
 
 
-class LcpController:
+class LcpController(TailLoop):
     """Low-priority control loop attached to one PPT sender."""
 
     def __init__(
@@ -53,28 +59,20 @@ class LcpController:
         scheduling: bool = True,
         delay_large_first_loop: bool = True,
     ) -> None:
-        self.sender = sender
-        self.sim = sender.sim
+        super().__init__(sender)
         self.ecn = ecn
         self.ewd = ewd
         self.scheduling = scheduling
         self.delay_large_first_loop = delay_large_first_loop
 
-        self.active = False
-        self.outstanding: Dict[int, float] = {}   # seq -> send time
         self.last_lp_ack = -1.0
         self.initial_window = 0
 
         # statistics
-        self.loops_opened = 0
-        self.lp_pkts_sent = 0
         self.lp_acks_received = 0
         self.lp_acks_suppressed = 0
 
-        self._pace_events: list = []
         self._term_event: Optional[Event] = None
-        # every seq above this is delivered (see _pick_tail_seq)
-        self._tail_cursor = sender.n_packets - 1
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -109,19 +107,6 @@ class LcpController:
             gap = (0.5 - alpha_min) * sender.wmax - len(self.outstanding)
             self.open_loop(gap)
 
-    def shutdown(self) -> None:
-        self._cancel_timers()
-        self.active = False
-        self.outstanding.clear()
-
-    def _cancel_timers(self) -> None:
-        for event in self._pace_events:
-            event.cancel()
-        self._pace_events.clear()
-        if self._term_event is not None:
-            self._term_event.cancel()
-            self._term_event = None
-
     # -- loop control --------------------------------------------------------
 
     def open_loop(self, initial_window: float) -> bool:
@@ -134,33 +119,25 @@ class LcpController:
         window = int(min(initial_window, self.sender.n_packets))
         if window < 1:
             return False
-        for event in self._pace_events:
-            event.cancel()
-        self._pace_events.clear()
-        self.active = True
-        self.loops_opened += 1
+        self.open()
         self.initial_window = window
         self.last_lp_ack = self.sim.now
         rtt = max(self.sender.base_rtt, 1e-9)
         if self.ewd:
             # pace I packets over one RTT: rate I/RTT (§3.2)
-            interval = rtt / window
-            for i in range(window):
-                self._pace_events.append(
-                    self.sim.schedule(i * interval, self._paced_send))
+            self.pace(window, rtt / window, self._send_one)
         else:
             # ablation (Fig. 16): line-rate burst, repeated every RTT
-            for _ in range(window):
-                if not self._send_one():
-                    break
+            self._burst(window)
         if self._term_event is None:
             self._term_event = self.sim.schedule(rtt, self._termination_check)
         return True
 
-    def close_loop(self) -> None:
-        self._cancel_timers()
-        self.active = False
-        self.outstanding.clear()
+    def close(self) -> None:
+        super().close()
+        if self._term_event is not None:
+            self._term_event.cancel()
+            self._term_event = None
 
     def _termination_check(self) -> None:
         self._term_event = None
@@ -169,91 +146,48 @@ class LcpController:
         rtt = max(self.sender.srtt, self.sender.base_rtt)
         # purge presumed-lost opportunistic packets so the HCP loop can
         # cover those holes (LCP never retransmits)
-        horizon = self.sim.now - 2.0 * rtt
-        for seq in [s for s, t in self.outstanding.items() if t < horizon]:
-            del self.outstanding[seq]
+        self.purge(self.sim.now - 2.0 * rtt)
         if self.sim.now - self.last_lp_ack > 2.0 * rtt:
-            self.close_loop()
+            self.close()
             return
         if not self.ewd:
             # the no-EWD variant keeps blasting its window every RTT
-            for _ in range(self.initial_window - len(self.outstanding)):
-                if not self._send_one():
-                    break
+            self._burst(self.initial_window - len(self.outstanding))
         self._term_event = self.sim.schedule(rtt, self._termination_check)
 
     # -- sending ----------------------------------------------------------------
 
-    def _paced_send(self) -> None:
-        if self.active and not self.sender.finished:
-            self._send_one()
-
-    def _pick_tail_seq(self) -> Optional[int]:
-        """Highest buffered packet index not yet delivered or in flight.
-
-        Returns None when the loops have crossed (nothing left above the
-        HCP loop's pointer), which also closes the loop.
-        """
-        sender = self.sender
-        delivered = sender.delivered
-        # ``delivered`` only grows, so the delivered tail is skipped once
-        # and for all: rescanning it on every opportunistic packet is
-        # quadratic in the tail of a starved multi-MB flow
-        cursor = self._tail_cursor
-        while cursor >= 0 and cursor in delivered:
-            cursor -= 1
-        self._tail_cursor = cursor
-        seq = min(sender.buffer_end() - 1, cursor)
-        hcp_outstanding = sender.outstanding
-        while seq >= 0:
-            if seq <= sender.send_ptr:
-                return None  # crossed with the HCP loop
-            if (seq not in delivered and seq not in hcp_outstanding
-                    and seq not in self.outstanding):
-                return seq
-            seq -= 1
-        return None
+    def _burst(self, n: int) -> None:
+        for _ in range(n):
+            if not self._send_one():
+                break
 
     def _send_one(self) -> bool:
-        sender = self.sender
-        seq = self._pick_tail_seq()
+        """One opportunistic packet from the tail; closes the loop (and
+        returns False) when it has crossed the HCP loop."""
+        seq = self.pick_tail()
         if seq is None:
-            self.close_loop()
+            self.close()
             return False
-        pkt = sender.build_packet(seq)
-        pkt.lcp = True
-        pkt.ecn_capable = self.ecn
+        priority = 4
         if self.scheduling:
-            bytes_sent = seq * sender.cfg.payload_per_packet()
-            pkt.priority = sender.tagger.lcp_priority(bytes_sent)
-        else:
-            pkt.priority = 4
-        pkt.sent_at = self.sim.now
-        self.outstanding[seq] = self.sim.now
-        self.lp_pkts_sent += 1
-        sender.pkts_transmitted += 1
-        sender.host.send(pkt)
+            sender = self.sender
+            priority = sender.tagger.lcp_priority(
+                seq * sender.cfg.payload_per_packet())
+        self.transmit(seq, priority, self.ecn)
         return True
 
     # -- LP-ACK handling -----------------------------------------------------------
 
     def on_lp_ack(self, pkt: Packet) -> None:
         """Receiver sent one LP-ACK per two opportunistic packets."""
-        sender = self.sender
         self.lp_acks_received += 1
         self.last_lp_ack = self.sim.now
-        sacked = pkt.sack or (pkt.seq,)
-        for seq in sacked:
-            sender.delivered.add(seq)
-            self.outstanding.pop(seq, None)
-            sender.outstanding.pop(seq, None)
-        if pkt.ack_seq > sender.cum:
-            for s in range(sender.cum, pkt.ack_seq):
-                sender.delivered.add(s)
-                sender.outstanding.pop(s, None)
-            sender.cum = pkt.ack_seq
-        if len(sender.delivered) >= sender.n_packets:
-            sender.stop()
+        # §5.2: what the LP path delivered leaves the HCP window at once
+        hcp_outstanding = self.sender.outstanding
+        for seq in pkt.sack or (pkt.seq,):
+            hcp_outstanding.pop(seq, None)
+        if not self.absorb(pkt):
             return
         if self.active:
             if self.ecn and pkt.ecn_ce:
@@ -262,9 +196,7 @@ class LcpController:
                 # whatever remains of the paced initial window — "sense
                 # congestion and decrease the sending rate early".
                 self.lp_acks_suppressed += 1
-                for event in self._pace_events:
-                    event.cancel()
-                self._pace_events.clear()
+                self.cancel_pace()
             elif self.ewd:
                 self._send_one()
-        sender.try_send()
+        self.sender.try_send()

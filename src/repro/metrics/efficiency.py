@@ -51,10 +51,8 @@ def collect_efficiency(network: Network) -> EfficiencyStats:
             if hasattr(endpoint, "pkts_transmitted"):
                 sent += endpoint.pkts_transmitted
                 lcp = getattr(endpoint, "lcp", None)
-                if lcp is not None and hasattr(lcp, "lp_pkts_sent"):
+                if lcp is not None:
                     lp_sent += lcp.lp_pkts_sent
-                elif hasattr(endpoint, "lp_sent"):
-                    lp_sent += endpoint.lp_sent
             if hasattr(endpoint, "data_pkts_received"):
                 received += endpoint.data_pkts_received
                 if hasattr(endpoint, "lp_pkts_received"):

@@ -50,7 +50,7 @@ class SenderTimeline:
         )
         if hasattr(sender, "alpha"):
             sample.alpha = sender.alpha
-        lcp = getattr(sender, "lcp", None)
+        lcp = sender.lcp
         if lcp is not None:
             sample.lcp_active = lcp.active
             sample.lcp_inflight = len(lcp.outstanding)

@@ -77,7 +77,11 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # (and Homa's the flow's ``rtt_packets``), ``MessageSender`` its
 # ``mss``/``payload``/``min_rto``, and ``WindowReceiver`` one
 # ``_send_control`` where it had four ACK-path slots
-CHECKPOINT_VERSION = 8
+# v9: every second loop is a ``transport.window.TailLoop`` attached as
+# ``sender.lcp`` (RC3 and the oracle filler carried ``lp_outstanding`` /
+# ``lp_sent`` on the sender), and a paced burst is one ``EventChain``
+# over a lazy ``map`` where the heap held a handle per packet
+CHECKPOINT_VERSION = 9
 
 
 class CheckpointError(RuntimeError):

@@ -19,12 +19,10 @@ no effort to protect the HCP loop":
 
 from __future__ import annotations
 
-from typing import Dict
-
-from ..sim.packet import ACK, DATA, Packet
-from .base import Flow, Scheme, TransportContext
+from ..sim.packet import ACK, Packet
+from .base import Flow, TransportContext
 from .dctcp import Dctcp, DctcpSender
-from .window import WindowReceiver
+from .window import TailLoop, WindowReceiver
 
 # RC3's recursive priority-level sizes, in packets, counted from the tail.
 LEVEL_SIZES = (40, 400)          # beyond these, everything at the last level
@@ -42,15 +40,16 @@ def rc3_priority(packets_from_tail: int) -> int:
 
 
 class Rc3Sender(DctcpSender):
-    """DCTCP primary loop + RC3's aggressive low-priority filler loop."""
+    """DCTCP primary loop + RC3's aggressive low-priority filler loop
+    (the shared :class:`~repro.transport.window.TailLoop` mechanism under
+    RC3's policy: a BDP-filling burst every RTT, each packet attempted
+    once, recursive priorities)."""
 
     LP_STALE_RTTS = 2.0  # purge un-ACKed LP packets after this many RTTs
 
     def __init__(self, flow: Flow, ctx: TransportContext) -> None:
         super().__init__(flow, ctx)
-        self.lp_outstanding: Dict[int, float] = {}  # seq -> send time
-        self.lp_sent = 0
-        self.lp_crossed = False
+        self.lcp = TailLoop(self)
         self.bdp = ctx.bdp_packets(flow)
         self._lp_timer = None
         # RC3's LP loop attempts every packet exactly once: a strictly
@@ -60,10 +59,12 @@ class Rc3Sender(DctcpSender):
 
     def start(self) -> None:
         super().start()
+        self.lcp.open()
         self._lp_round()
 
     def stop(self) -> None:
         super().stop()
+        self.lcp.close()
         if self._lp_timer is not None:
             self._lp_timer.cancel()
             self._lp_timer = None
@@ -72,15 +73,13 @@ class Rc3Sender(DctcpSender):
 
     def _lp_round(self) -> None:
         """Once per RTT: burst LP packets to fill the BDP (RC3's behaviour)."""
-        if self.finished or self.lp_crossed:
+        loop = self.lcp
+        if not loop.active:
             return
-        # purge stale LP inflight entries (losses are never retransmitted)
-        horizon = self.sim.now - self.LP_STALE_RTTS * self.srtt
-        stale = [s for s, t in self.lp_outstanding.items() if t < horizon]
-        for s in stale:
-            del self.lp_outstanding[s]
-
-        budget = self.bdp - len(self.outstanding) - len(self.lp_outstanding)
+        # losses are never retransmitted
+        loop.purge(self.sim.now - self.LP_STALE_RTTS * self.srtt)
+        lp_outstanding = loop.outstanding
+        budget = self.bdp - len(self.outstanding) - len(lp_outstanding)
         sent = 0
         end = self.buffer_end() - 1
         if self._lp_ptr > end:
@@ -89,48 +88,29 @@ class Rc3Sender(DctcpSender):
             seq = self._lp_ptr
             if seq <= self.send_ptr:
                 # LP pointer met the primary loop: RC3 closes the LP loop.
-                self.lp_crossed = True
-                break
+                loop.close()
+                return
             self._lp_ptr -= 1
             if (seq not in self.delivered and seq not in self.outstanding
-                    and seq not in self.lp_outstanding):
+                    and seq not in lp_outstanding):
                 self._lp_transmit(seq)
                 sent += 1
-        if not self.finished and not self.lp_crossed:
-            self._lp_timer = self.sim.schedule(max(self.srtt, self.base_rtt),
-                                               self._lp_round)
+        self._lp_timer = self.sim.schedule(max(self.srtt, self.base_rtt),
+                                           self._lp_round)
 
     def _lp_transmit(self, seq: int) -> None:
-        pkt = self.build_packet(seq)
-        pkt.lcp = True
-        pkt.ecn_capable = False
-        pkt.priority = rc3_priority(self.n_packets - 1 - seq)
-        pkt.sent_at = self.sim.now
-        self.lp_outstanding[seq] = self.sim.now
-        self.lp_sent += 1
-        self.pkts_transmitted += 1
-        self.host.send(pkt)
+        # LP packets are not ECN-capable: the loop never slows down
+        self.lcp.transmit(seq, rc3_priority(self.n_packets - 1 - seq), False)
 
     # -- ACK handling ----------------------------------------------------------
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind != ACK or self.finished:
             return
-        if pkt.lcp:
-            # LP ACK: record delivery only; no congestion-control input.
-            self.delivered.add(pkt.seq)
-            self.lp_outstanding.pop(pkt.seq, None)
-            if pkt.ack_seq > self.cum:
-                for s in range(self.cum, pkt.ack_seq):
-                    self.delivered.add(s)
-                    self.outstanding.pop(s, None)
-                self.cum = pkt.ack_seq
-            if len(self.delivered) >= self.n_packets:
-                self.stop()
-                return
+        if not pkt.lcp:
+            self.handle_ack(pkt)
+        elif self.lcp.absorb(pkt):
             self.try_send()
-            return
-        self.handle_ack(pkt)
 
 
 class Rc3(Dctcp):

@@ -14,6 +14,12 @@ once; congestion control is three overridable hooks:
 The default hooks implement NewReno-style slow start / congestion
 avoidance, which concrete schemes refine.
 
+A sender may carry a *second* loop that fills the flow from the tail of
+its send buffer at low priority (PPT's LCP, RC3's filler, the
+hypothetical-DCTCP oracle).  :class:`TailLoop` is that mechanism,
+written once; the schemes keep only their policy — when to send and how
+much.
+
 Sequence numbers are *packet indices* (0-based); ``ack_seq`` on an ACK is
 the next expected index (all indices below it are delivered), and the
 ACK's own ``seq`` selectively acknowledges that one packet — a compact
@@ -24,9 +30,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Set as _AbstractSet
+from functools import partial
 from typing import Dict, Optional, Set
 
-from ..sim.engine import Event
+from ..sim.engine import Event, EventChain
 from ..sim.packet import ACK, ACK_BYTES, DATA, Packet
 from .base import Flow, TransportConfig, TransportContext
 
@@ -171,8 +178,11 @@ class WindowSender:
         "rtos_fired", "obs", "audit",
         "_rto_event", "_rto_deadline", "_last_fast_rtx", "_no_hole_floor",
         "rto_backoff_exp", "buffer_packets", "_payload", "_size_pad",
-        "_min_rto", "_rto_cap", "_rto_backoff", "_has_claims",
+        "_min_rto", "_rto_cap", "_rto_backoff",
         "_default_priority", "_default_ecn", "__dict__")
+
+    # the second, low-priority loop of the schemes that have one
+    lcp: Optional["TailLoop"] = None
 
     def __init__(self, flow: Flow, ctx: TransportContext) -> None:
         self.flow = flow
@@ -246,9 +256,8 @@ class WindowSender:
         if flow.first_syscall_bytes is None:
             flow.first_syscall_bytes = min(flow.size, self.cfg.send_buffer_bytes)
 
-        # hot-path caches: the per-packet payload split is a config
-        # constant, and the claimed_elsewhere hook only matters when a
-        # subclass actually overrides it (LCP's shadow loop)
+        # hot-path cache: the per-packet payload split is a config
+        # constant
         self._payload = payload
         self._size_pad = self.cfg.mss - payload
         # RTO parameters are construction-time constants of the config;
@@ -258,8 +267,6 @@ class WindowSender:
         self._rto_cap = max(self.cfg.max_rto, self.cfg.min_rto)
         self._rto_backoff = self.cfg.rto_backoff
         cls = type(self)
-        self._has_claims = (cls.claimed_elsewhere
-                            is not WindowSender.claimed_elsewhere)
         # build_packet hook dispatch, resolved once: schemes that keep
         # the default P0 / ECN-on hooks skip two frames per data packet
         self._default_priority = cls.priority_for is WindowSender.priority_for
@@ -300,10 +307,6 @@ class WindowSender:
         """One past the highest packet index currently in the send buffer."""
         return min(self.n_packets, self.cum + self.buffer_packets)
 
-    def claimed_elsewhere(self, seq: int) -> bool:
-        """Hook: True when another loop (LCP) already has ``seq`` in flight."""
-        return False
-
     def try_send(self) -> None:
         """Transmit while the window allows and data remains."""
         audit = self.audit
@@ -316,15 +319,10 @@ class WindowSender:
         cwnd = self.cwnd
         if not self.finished:
             delivered = self.delivered
-            # ``_has_claims`` short-circuits the hook call when no
-            # subclass overrides claimed_elsewhere — one bool load
-            # instead of a frame per probed seq on the default path
-            claims = self._has_claims
             while len(outstanding) < cwnd:
                 end = self.buffer_end()
                 ptr = self.send_ptr
-                while ptr < end and (ptr in delivered or ptr in outstanding or
-                                     (claims and self.claimed_elsewhere(ptr))):
+                while ptr < end and (ptr in delivered or ptr in outstanding):
                     ptr += 1
                 self.send_ptr = ptr
                 if ptr >= end:
@@ -574,3 +572,128 @@ class WindowSender:
     def bytes_delivered(self) -> int:
         payload = self.cfg.payload_per_packet()
         return min(self.flow.size, len(self.delivered) * payload)
+
+
+def _paced_entry(start: float, interval: float, fn, i: int) -> tuple:
+    """Chain entry ``i`` of a paced burst.  Module-level so that the lazy
+    ``map`` over it pickles (a generator would not): a checkpoint may be
+    cut through a burst."""
+    return start + i * interval, fn, ()
+
+
+class TailLoop:
+    """A low-priority loop filling a window sender's flow from the tail
+    of its send buffer, attached as ``sender.lcp``.
+
+    The mechanism shared by PPT's LCP (:mod:`repro.core.lcp`), RC3's
+    filler (:mod:`.rc3`) and the hypothetical-DCTCP oracle
+    (:mod:`repro.core.hypothetical`): the ledger of opportunistic
+    packets in flight, their transmission and LP-ACK absorption, the
+    purge of presumed-lost ones (the loop never retransmits — the
+    primary loop covers the holes), the pick of the next tail packet,
+    and a paced burst held as one heap entry.  *When* to send and *how
+    much* is the owner's policy.
+    """
+
+    def __init__(self, sender: WindowSender) -> None:
+        self.sender = sender
+        self.sim = sender.sim
+        self.outstanding: Dict[int, float] = {}   # seq -> send time
+        self.active = False
+        self.loops_opened = 0
+        self.lp_pkts_sent = 0
+        self._pace: Optional[EventChain] = None
+        # every seq above this is delivered (see pick_tail)
+        self._tail_cursor = sender.n_packets - 1
+
+    def open(self) -> None:
+        self.active = True
+        self.loops_opened += 1
+
+    def close(self) -> None:
+        """Stop sending and forget what is in flight (the primary loop
+        covers whatever the closed loop had not delivered)."""
+        self.cancel_pace()
+        self.active = False
+        self.outstanding.clear()
+
+    def pace(self, n: int, interval: float, fn) -> None:
+        """Call ``fn()`` ``n`` times, ``interval`` apart starting now, in
+        place of whatever burst was still pending.  One
+        :class:`~repro.sim.engine.EventChain`: the ``(time, seq)`` keys
+        of ``n`` ``schedule(i * interval, fn)`` calls made now, one
+        resident heap entry, nothing to cancel but its head."""
+        self.cancel_pace()
+        self._pace = self.sim.schedule_chain(
+            map(partial(_paced_entry, self.sim.now, interval, fn), range(n)),
+            n)
+
+    def cancel_pace(self) -> None:
+        if self._pace is not None:
+            self._pace.cancel()
+            self._pace = None
+
+    def pick_tail(self) -> Optional[int]:
+        """Highest buffered packet index not yet delivered or in flight
+        on either loop; None when the loops have crossed (nothing left
+        above the primary loop's pointer)."""
+        sender = self.sender
+        delivered = sender.delivered
+        # ``delivered`` only grows, so the delivered tail is skipped once
+        # and for all: rescanning it on every opportunistic packet is
+        # quadratic in the tail of a starved multi-MB flow
+        cursor = self._tail_cursor
+        while cursor >= 0 and cursor in delivered:
+            cursor -= 1
+        self._tail_cursor = cursor
+        seq = min(sender.buffer_end() - 1, cursor)
+        primary = sender.outstanding
+        send_ptr = sender.send_ptr
+        while seq > send_ptr:
+            if (seq not in delivered and seq not in primary
+                    and seq not in self.outstanding):
+                return seq
+            seq -= 1
+        return None
+
+    def transmit(self, seq: int, priority: int, ecn_capable: bool) -> None:
+        sender = self.sender
+        pkt = sender.build_packet(seq)
+        pkt.lcp = True
+        pkt.priority = priority
+        pkt.ecn_capable = ecn_capable
+        pkt.sent_at = now = self.sim.now
+        self.outstanding[seq] = now
+        self.lp_pkts_sent += 1
+        sender.pkts_transmitted += 1
+        sender.host.send(pkt)
+
+    def purge(self, horizon: float) -> None:
+        """Drop packets sent before ``horizon`` from the ledger: they are
+        presumed lost."""
+        outstanding = self.outstanding
+        for seq in [s for s, t in outstanding.items() if t < horizon]:
+            del outstanding[seq]
+
+    def absorb(self, pkt: Packet) -> bool:
+        """Record what an LP-ACK delivered (its SACK tags, or its own
+        seq, and everything below its cumulative pointer) — delivery
+        only, no congestion-control input: a tagged seq the primary loop
+        has also sent stays in the primary's window until the primary
+        hears of it.  False when that completed the flow and stopped
+        the sender."""
+        sender = self.sender
+        delivered = sender.delivered
+        for seq in pkt.sack or (pkt.seq,):
+            delivered.add(seq)
+            self.outstanding.pop(seq, None)
+        if pkt.ack_seq > sender.cum:
+            primary = sender.outstanding
+            for seq in range(sender.cum, pkt.ack_seq):
+                delivered.add(seq)
+                primary.pop(seq, None)
+            sender.cum = pkt.ack_seq
+        if len(delivered) >= sender.n_packets:
+            sender.stop()
+            return False
+        return True

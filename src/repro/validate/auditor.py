@@ -462,17 +462,11 @@ class RunAuditor:
 
     @staticmethod
     def _secondary_outstanding(sender: WindowSender) -> dict:
-        """Seqs a second loop (PPT's LCP, RC3's LP filler, the oracle
-        filler) has in flight; these count toward ``pkts_transmitted``
-        without going through :meth:`WindowSender.transmit`."""
-        extra = {}
-        lcp = getattr(sender, "lcp", None)
-        if lcp is not None and hasattr(lcp, "outstanding"):
-            extra.update(lcp.outstanding)
-        lp = getattr(sender, "lp_outstanding", None)
-        if lp is not None:
-            extra.update(lp)
-        return extra
+        """Seqs the sender's second loop (PPT's LCP, RC3's LP filler, the
+        oracle filler) has in flight; these count toward
+        ``pkts_transmitted`` without going through
+        :meth:`WindowSender.transmit`."""
+        return sender.lcp.outstanding if sender.lcp is not None else {}
 
     def _audit_sender(self, sender: WindowSender) -> None:
         subject = f"flow{sender.flow.flow_id}"

@@ -207,7 +207,7 @@ def test_shutdown_cancels_everything():
     lcp = sender.lcp
     topo.network.hosts[0].register(0, sender)
     lcp.open_loop(20)
-    lcp.shutdown()
+    lcp.close()
     assert not lcp.active
     assert not lcp.outstanding
     events = topo.sim.run(until=sender.base_rtt * 5)

@@ -1,8 +1,14 @@
 """Additional LCP edge cases: ECE pace-cancel, tiny flows, buffer
-limits, and interaction with the HCP pointer."""
+limits, and interaction with the HCP pointer — and the tail-loop
+mechanism (``repro.transport.window.TailLoop``) LCP shares with RC3's
+filler and the hypothetical-DCTCP oracle."""
+
+import pytest
 
 from conftest import make_ctx, make_star
+from repro.core.hypothetical import _HypotheticalSender
 from repro.core.ppt import Ppt, PptSender
+from repro.sim.engine import EventChain
 from repro.sim.packet import ACK, Packet
 from repro.transport.base import Flow
 
@@ -13,6 +19,22 @@ def make_sender(size=90_000, scheme=None, **cfg):
     sender = PptSender(Flow(0, 0, 1, size, 0.0), ctx, scheme or Ppt())
     topo.network.hosts[0].register(0, sender)
     return sender, topo, ctx
+
+
+def make_oracle(size=4_000_000, mw=40.0):
+    topo = make_star()
+    ctx = make_ctx(topo)
+    sender = _HypotheticalSender(Flow(0, 0, 1, size, 0.0), ctx,
+                                 mw=mw, fill_factor=1.0)
+    topo.network.hosts[0].register(0, sender)
+    return sender, topo, ctx
+
+
+def paced_entries(sim):
+    """Live heap entries that belong to a paced burst (these fixtures
+    start their one flow by hand, so no other chain exists)."""
+    return [time for time, fn, _args in sim.live_entries()
+            if isinstance(getattr(fn, "__self__", None), EventChain)]
 
 
 def lp_ack(seq, *, ce=False, ack_seq=0, sack=None):
@@ -31,10 +53,14 @@ def test_ece_cancels_pending_paced_window():
     sender.start()
     topo.sim.run(until=1e-9)          # loop opened, window paced out
     lcp = sender.lcp
-    pending_before = sum(1 for e in lcp._pace_events if not e.cancelled)
-    assert pending_before > 5
+    assert lcp.initial_window - lcp.lp_pkts_sent > 5   # still to be paced
+    assert len(paced_entries(topo.sim)) == 1
     lcp.on_lp_ack(lp_ack(80, ce=True))
-    assert not lcp._pace_events       # all remaining paced sends dropped
+    # all remaining paced sends dropped
+    assert not paced_entries(topo.sim)
+    sent = lcp.lp_pkts_sent
+    topo.sim.run(until=sender.base_rtt)
+    assert lcp.lp_pkts_sent == sent
 
 
 def test_non_ece_ack_keeps_pacing():
@@ -84,7 +110,7 @@ def test_lcp_respects_send_buffer_window():
                                     identification_threshold=10**9)
     lcp = sender.lcp
     lcp.open_loop(50)
-    seq = lcp._pick_tail_seq()
+    seq = lcp.pick_tail()
     assert seq is not None
     assert seq < sender.buffer_end()
     assert sender.buffer_end() == 20
@@ -122,7 +148,7 @@ class _ProbeCountingSet(set):
 
 
 def _rescanning_tail_pick(lcp):
-    """``_pick_tail_seq`` as it was before the cursor: rescan the whole
+    """``pick_tail`` as it was before the cursor: rescan the whole
     delivered tail from the end of the buffer (the reference)."""
     sender = lcp.sender
     seq = sender.buffer_end() - 1
@@ -137,12 +163,7 @@ def _rescanning_tail_pick(lcp):
     return None
 
 
-def test_tail_pick_does_not_rescan_the_delivered_tail():
-    """One starved multi-MB flow whose tail LCP delivers packet by
-    packet: every pick used to walk the whole delivered tail again
-    (quadratic — seconds of wall time per flow); the scan now starts
-    below it, and picks exactly the seqs the rescan picked."""
-    sender, topo, ctx = make_sender(size=4_000_000)
+def _check_tail_pick_against_rescan(sender):
     lcp = sender.lcp
     sender.delivered = delivered = _ProbeCountingSet()
     sender.send_ptr = 10                  # HCP is starved near the head
@@ -152,7 +173,7 @@ def test_tail_pick_does_not_rescan_the_delivered_tail():
     while True:
         expected = _rescanning_tail_pick(lcp)
         delivered.probes = 0
-        seq = lcp._pick_tail_seq()
+        seq = lcp.pick_tail()
         worst = max(worst, delivered.probes)
         assert seq == expected
         if seq is None:
@@ -167,3 +188,77 @@ def test_tail_pick_does_not_rescan_the_delivered_tail():
     # every seq above the HCP pointer except its one outstanding packet
     assert picks == sender.n_packets - 12
     assert worst <= 2 * in_flight_cap
+
+
+def test_tail_pick_does_not_rescan_the_delivered_tail():
+    """One starved multi-MB flow whose tail LCP delivers packet by
+    packet: every pick used to walk the whole delivered tail again
+    (quadratic — seconds of wall time per flow); the scan now starts
+    below it, and picks exactly the seqs the rescan picked."""
+    _check_tail_pick_against_rescan(make_sender(size=4_000_000)[0])
+
+
+def test_oracle_tail_pick_does_not_rescan_the_delivered_tail():
+    """The oracle filler kept the quadratic rescan after LCP lost it;
+    it now picks through the same code."""
+    _check_tail_pick_against_rescan(make_oracle(size=4_000_000)[0])
+
+
+# -- a paced burst is one event chain ---------------------------------------
+
+
+def _start_ppt_burst():
+    sender, topo, ctx = make_sender(size=4_000_000)
+    assert sender.lcp.open_loop(40)
+    return sender, topo, 40
+
+
+def _start_oracle_burst():
+    sender, topo, ctx = make_oracle()
+    sender.start()                      # first fill round paces the gap
+    gap = int(sender.target_window - sender.cfg.init_cwnd)
+    assert gap > 10
+    return sender, topo, gap
+
+
+@pytest.mark.parametrize("start_burst",
+                         [_start_ppt_burst, _start_oracle_burst],
+                         ids=["ppt", "oracle"])
+def test_paced_burst_keeps_one_resident_heap_entry(start_burst):
+    """However large the burst, the heap holds its next packet only (it
+    used to hold one cancellable handle per packet)."""
+    sender, topo, burst = start_burst()
+    sim, loop = topo.sim, sender.lcp
+    assert len(paced_entries(sim)) == 1
+    sim.run(until=sender.base_rtt / 2)
+    assert 0 < loop.lp_pkts_sent < burst           # cut mid-burst
+    assert len(paced_entries(sim)) == 1
+    sim.run(until=sender.base_rtt * 0.999)
+    assert loop.lp_pkts_sent == burst
+    assert not paced_entries(sim)
+
+
+def test_reopened_loop_replaces_the_pending_burst():
+    sender, topo, ctx = make_sender(size=4_000_000)
+    lcp = sender.lcp
+    lcp.open_loop(40)
+    topo.sim.run(until=sender.base_rtt / 2)
+    sent = lcp.lp_pkts_sent
+    assert 0 < sent < 40
+    lcp.open_loop(10)
+    assert len(paced_entries(topo.sim)) == 1
+    assert lcp.loops_opened == 2
+    topo.sim.run(until=sender.base_rtt * 1.499)
+    # the rest of the first burst never went out
+    assert lcp.lp_pkts_sent == sent + 10
+    assert not paced_entries(topo.sim)
+
+
+def test_stop_leaves_no_paced_entry():
+    sender, topo, ctx = make_sender(size=4_000_000)
+    sender.lcp.open_loop(40)
+    topo.sim.run(until=sender.base_rtt / 2)
+    assert len(paced_entries(topo.sim)) == 1
+    sender.stop()
+    assert not paced_entries(topo.sim)
+    assert not sender.lcp.active and not sender.lcp.outstanding

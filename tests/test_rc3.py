@@ -24,11 +24,11 @@ def test_lp_loop_sends_from_tail():
     scheme.start_flow(flow, ctx)
     topo.sim.run(until=20e-6)  # within the first RTT
     sender = topo.network.hosts[0].endpoints[0]
-    assert sender.lp_sent > 0
+    assert sender.lcp.lp_pkts_sent > 0
     # LP packets were taken from the high end of the sequence space
     # (the very last seqs may already be ACKed after one RTT)
-    if sender.lp_outstanding:
-        assert max(sender.lp_outstanding) > sender.n_packets * 0.8
+    if sender.lcp.outstanding:
+        assert max(sender.lcp.outstanding) > sender.n_packets * 0.8
 
 
 def test_lp_packets_not_ecn_capable_and_low_priority():
@@ -62,16 +62,18 @@ def test_lp_attempts_each_packet_once():
     scheme.start_flow(flow, ctx)
     topo.sim.run(until=1.0)
     sender = topo.network.hosts[0].endpoints[0]
-    # every LP transmission had a distinct seq: lp_sent can exceed the
-    # flow length only through the primary loop, never the LP loop
-    assert sender.lp_sent <= sender.n_packets
+    # every LP transmission had a distinct seq: transmissions can exceed
+    # the flow length only through the primary loop, never the LP loop
+    assert sender.lcp.lp_pkts_sent <= sender.n_packets
 
 
 def test_loops_cross_and_lp_stops():
     flow, ctx, topo = run_single_flow(Rc3(), 200_000, until=2.0)
     assert flow.completed
     sender = topo.network.hosts[0].endpoints[0]
-    assert sender.lp_crossed or sender.finished
+    # crossing closes the LP loop, and so does finishing
+    assert not sender.lcp.active
+    assert sender.lcp.loops_opened == 1   # RC3 never re-opens
 
 
 def test_lp_speeds_up_solo_flow():

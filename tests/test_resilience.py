@@ -109,7 +109,7 @@ def test_resume_bit_identical_property(tmp_path_factory, scheme, fabric,
     assert resumed.health == straight.health
 
 
-def _resume_from_every_checkpoint(tmp_path, factory):
+def _resume_from_every_checkpoint(tmp_path, factory, seed=3):
     """Run ``factory()`` on the lossy tiny fabric keeping every snapshot,
     resume each one to the end and check it against the straight run;
     returns the snapshot paths."""
@@ -126,11 +126,11 @@ def _resume_from_every_checkpoint(tmp_path, factory):
         return header
 
     import repro.experiments.runner as runner_mod
-    straight = run(factory(), scenario_for("tiny", "loss", 3))
+    straight = run(factory(), scenario_for("tiny", "loss", seed))
     old = runner_mod.save_checkpoint
     runner_mod.save_checkpoint = hoarding_save
     try:
-        checked = run(factory(), scenario_for("tiny", "loss", 3),
+        checked = run(factory(), scenario_for("tiny", "loss", seed),
                       checkpoint_every=0.0, checkpoint_path=path)
     finally:
         runner_mod.save_checkpoint = old
@@ -166,6 +166,41 @@ def test_resume_between_rearm_and_fire_of_a_sender_timeout(tmp_path, scheme):
                for time, fn, _args
                in load_checkpoint(str(copy)).sim.live_entries()
                ), "no snapshot caught a re-armed timeout in flight"
+
+
+def _second_loops(copy):
+    """(loop, sim) of every sender with a second loop in a snapshot."""
+    state = load_checkpoint(str(copy))
+    return [(endpoint.lcp, state.sim)
+            for host in state.topo.network.hosts.values()
+            for endpoint in host.endpoints.values()
+            if getattr(endpoint, "lcp", None) is not None]
+
+
+def test_resume_with_a_paced_burst_in_flight(tmp_path):
+    """A snapshot cut through PPT's paced initial window carries the
+    burst as the chain's one armed entry plus its picklable source."""
+    # seed 1 puts a slice boundary inside two flows' first loops
+    copies = _resume_from_every_checkpoint(tmp_path, SCHEME_FACTORIES["ppt"],
+                                           seed=1)
+
+    def mid_burst(loop, sim):
+        chain = loop._pace
+        return (chain is not None and chain.head_event is not None
+                and 0 < chain._seqs_left
+                and any(getattr(fn, "__self__", None) is chain
+                        for _time, fn, _args in sim.live_entries()))
+
+    assert any(mid_burst(loop, sim) for copy in copies
+               for loop, sim in _second_loops(copy)
+               ), "no snapshot was cut mid-burst"
+
+
+def test_resume_with_rc3_filler_in_flight(tmp_path):
+    copies = _resume_from_every_checkpoint(tmp_path, SCHEME_FACTORIES["rc3"])
+    assert any(loop.active and loop.outstanding for copy in copies
+               for loop, _sim in _second_loops(copy)
+               ), "no snapshot caught LP packets in flight"
 
 
 @pytest.mark.parametrize("scheme", ["homa", "ndp"])

@@ -30,7 +30,10 @@ from repro.experiments.scenarios import (
 from repro.sim.packet import DATA, HEADER_BYTES, Packet
 from repro.sim.queues import PriorityMux
 from repro.transport.dctcp import Dctcp
+from repro.transport.rc3 import Rc3
+from repro.core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
 from repro.core.ppt import Ppt
+from repro.faults import FaultPlan, PacketLoss
 from repro.validate import (
     InvariantViolation,
     RunAuditor,
@@ -41,10 +44,10 @@ from repro.validate import (
 from repro.workloads.distributions import WEB_SEARCH
 
 
-def small_scenario(seed=21, n_flows=16):
+def small_scenario(seed=21, n_flows=16, **overrides):
     return all_to_all_scenario("t-validate", WEB_SEARCH, n_flows=n_flows,
                                fabric=star_fabric(4), seed=seed,
-                               event_budget=2_000_000)
+                               event_budget=2_000_000, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,28 @@ def test_validated_run_is_clean_and_bit_identical(scheme_cls):
     assert validated.stats == bare.stats
     assert validated.wall_events == bare.wall_events
     assert ([f.fct for f in validated.flows] == [f.fct for f in bare.flows])
+
+
+def test_oracle_filler_validates_clean_under_strict():
+    """The hypothetical-DCTCP filler is not in SCHEMES, so the scheme
+    matrix never audits it."""
+    recorder = MwRecordingDctcp()
+    run(recorder, small_scenario())
+    result = run(HypotheticalDctcp(recorder.mw_table), small_scenario(),
+                 validate="strict")
+    assert result.validation.ok and result.validation.checks_run > 100
+    assert sum(endpoint.lcp.lp_pkts_sent
+               for host in result.topology.network.hosts.values()
+               for endpoint in host.endpoints.values()
+               if getattr(endpoint, "lcp", None) is not None) > 0
+
+
+def test_rc3_under_loss_validates_clean_under_strict():
+    lossy = small_scenario(n_flows=24, faults=FaultPlan(
+        [PacketLoss("sw0->host*", 0.02)], seed=3))
+    result = run(Rc3(), lossy, validate="strict")
+    assert result.validation.ok
+    assert result.health.retransmits_total > 0      # the loss bit
 
 
 def test_dumbbell_scenario_validates_clean():
