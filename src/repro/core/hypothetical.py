@@ -83,6 +83,7 @@ class _HypotheticalSender(DctcpSender):
 
     def stop(self) -> None:
         super().stop()
+        self.lcp.close()
         if self._fill_timer is not None:
             self._fill_timer.cancel()
             self._fill_timer = None
@@ -102,8 +103,6 @@ class _HypotheticalSender(DctcpSender):
                                              self._fill_round)
 
     def _fill_one(self) -> None:
-        if self.finished:
-            return
         seq = self.lcp.pick_tail()
         if seq is not None:
             # P4, so the filler never displaces normal traffic

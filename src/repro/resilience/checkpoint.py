@@ -78,8 +78,8 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # ``mss``/``payload``/``min_rto``, and ``WindowReceiver`` one
 # ``_send_control`` where it had four ACK-path slots
 # v9: every second loop is a ``transport.window.TailLoop`` attached as
-# ``sender.lcp`` (RC3 and the oracle filler carried ``lp_outstanding`` /
-# ``lp_sent`` on the sender), and a paced burst is one ``EventChain``
+# ``sender.lcp`` (RC3 and the oracle filler carried their ledger and
+# counter on the sender), and a paced burst is one ``EventChain``
 # over a lazy ``map`` where the heap held a handle per packet
 CHECKPOINT_VERSION = 9
 

@@ -22,9 +22,6 @@ buildup phase").
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..sim.engine import Event
 from .base import Flow, Scheme, TransportContext
 from .window import WindowReceiver, WindowSender
 
@@ -39,7 +36,8 @@ class HalfbackSender(WindowSender):
         super().__init__(flow, ctx)
         self.paced_out = flow.size <= PACE_OUT_LIMIT
         self.redundant_sent = 0
-        self._pace_events: list = []
+        # the pace-out chain and the one pending backwards round
+        self._pace = self._back_event = None
         self._back_ptr = self.n_packets - 1
 
     def ecn_capable(self) -> bool:
@@ -53,17 +51,19 @@ class HalfbackSender(WindowSender):
         # retransmission of unacked packets
         interval = max(self.base_rtt, 1e-9) / self.n_packets
         self.cwnd = float(self.n_packets)
-        for i in range(self.n_packets):
-            self._pace_events.append(
-                self.sim.schedule(i * interval, self._paced_send, i))
-        self._pace_events.append(
-            self.sim.schedule(self.base_rtt, self._backwards_round))
+        now = self.sim.now
+        self._pace = self.sim.schedule_chain(
+            [(now + i * interval, self._paced_send, (i,))
+             for i in range(self.n_packets)])
+        self._back_event = self.sim.schedule(self.base_rtt,
+                                             self._backwards_round)
 
     def stop(self) -> None:
         super().stop()
-        for event in self._pace_events:
-            event.cancel()
-        self._pace_events.clear()
+        if self._pace is not None:
+            self._pace.cancel()
+        if self._back_event is not None:
+            self._back_event.cancel()
 
     def _paced_send(self, seq: int) -> None:
         if self.finished or seq in self.delivered:
@@ -82,9 +82,8 @@ class HalfbackSender(WindowSender):
             # completed one backwards sweep; start over after one RTT
             # (Halfback keeps repairing until everything is ACKed)
             self._back_ptr = self.n_packets - 1
-            self._pace_events.append(
-                self.sim.schedule(max(self.srtt, self.base_rtt),
-                                  self._backwards_round))
+            self._back_event = self.sim.schedule(
+                max(self.srtt, self.base_rtt), self._backwards_round)
             return
         self._back_ptr = ptr
         pkt = self.build_packet(ptr)
@@ -97,8 +96,7 @@ class HalfbackSender(WindowSender):
         self.pkts_retransmitted += 1
         self.host.send(pkt)
         interval = max(self.srtt, self.base_rtt) / max(self.n_packets, 1)
-        self._pace_events.append(
-            self.sim.schedule(interval, self._backwards_round))
+        self._back_event = self.sim.schedule(interval, self._backwards_round)
 
     def on_packet(self, pkt) -> None:
         if pkt.kind == 1 and pkt.lcp and not self.finished:  # ACK for redundancy

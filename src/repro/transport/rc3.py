@@ -78,8 +78,8 @@ class Rc3Sender(DctcpSender):
             return
         # losses are never retransmitted
         loop.purge(self.sim.now - self.LP_STALE_RTTS * self.srtt)
-        lp_outstanding = loop.outstanding
-        budget = self.bdp - len(self.outstanding) - len(lp_outstanding)
+        lp_in_flight = loop.outstanding
+        budget = self.bdp - len(self.outstanding) - len(lp_in_flight)
         sent = 0
         end = self.buffer_end() - 1
         if self._lp_ptr > end:
@@ -92,7 +92,7 @@ class Rc3Sender(DctcpSender):
                 return
             self._lp_ptr -= 1
             if (seq not in self.delivered and seq not in self.outstanding
-                    and seq not in lp_outstanding):
+                    and seq not in lp_in_flight):
                 self._lp_transmit(seq)
                 sent += 1
         self._lp_timer = self.sim.schedule(max(self.srtt, self.base_rtt),

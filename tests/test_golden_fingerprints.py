@@ -115,7 +115,11 @@ CELLS["ppt-noecn-fullsize-incast"] = (
 
 # The hypothetical-DCTCP oracle is not in SCHEMES (it needs pass one's
 # MW table): its cell runs ``two_pass`` and hashes both passes; events,
-# completions and loop counters are the oracle pass's.
+# completions and loop counters are the oracle pass's.  Its
+# ``wall_events`` was re-recorded once, 23215 -> 23045: the filler's
+# paced handles used to outlive ``stop()`` and fire as no-ops, and the
+# 170 still pending when their flows finished are now cancelled with the
+# burst.  Nothing else in the cell (or the file) moved with it.
 TWO_PASS_CELL = "hypothetical-star-incast"
 CELLS[TWO_PASS_CELL] = (
     None, lambda: _star_incast("golden-incast-hypothetical"))

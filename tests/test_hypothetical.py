@@ -70,3 +70,28 @@ def test_filler_is_ecn_blind():
     sender.on_packet(ack)  # must not raise nor install any throttle
     assert not hasattr(sender, "_suppress_until")
     assert 5 in sender.delivered
+
+
+def test_stop_cancels_the_paced_fill():
+    """The filler's paced sends used to stay in the heap after the flow
+    finished and fire as no-ops."""
+    topo = make_star()
+    ctx = make_ctx(topo)
+    from repro.core.hypothetical import _HypotheticalSender
+    sender = _HypotheticalSender(Flow(0, 0, 1, 1_000_000, 0.0), ctx,
+                                 mw=50.0, fill_factor=1.0)
+    topo.network.hosts[0].register(0, sender)
+    sender.start()
+    topo.sim.run(until=sender.base_rtt / 2)      # mid-burst
+    sent = sender.lcp.lp_pkts_sent
+    assert 0 < sent < 40
+    sender.stop()
+
+    def owner(fn):
+        return getattr(fn, "__self__", None)
+
+    assert not [fn for _time, fn, _args in topo.sim.live_entries()
+                if owner(fn) is sender or owner(owner(fn)) is sender]
+    assert not sender.lcp.active and not sender.lcp.outstanding
+    topo.sim.run(until=sender.base_rtt * 3)
+    assert sender.lcp.lp_pkts_sent == sent

@@ -138,3 +138,29 @@ def test_halfback_backwards_sweep_wraps():
     # pointer wrapped: a re-scheduled round was queued; run it
     topo.sim.run(until=1.0)
     assert len(fake.sent) > sender.n_packets  # second sweep began
+
+
+def test_halfback_holds_one_pending_handle():
+    """The sender used to keep the handle of every pace-out packet and
+    every fired backwards round until ``stop()``: one ``Event`` retained
+    per redundant packet."""
+    from repro.sim.engine import Event
+    topo = make_star()
+    ctx = make_ctx(topo)
+    sender = HalfbackSender(Flow(0, 0, 1, 50_000, 0.0), ctx)
+    topo.network.hosts[0].register(0, sender)
+    sender.start()                    # no receiver: nothing is ever ACKed
+    topo.sim.run(until=sender.base_rtt * 3)
+    assert sender.pkts_retransmitted > sender.n_packets   # rounds did fire
+
+    def events(value):
+        if isinstance(value, Event):
+            return [value]
+        if isinstance(value, (list, tuple)):
+            return [e for item in value for e in events(item)]
+        return []
+
+    held = [e for value in vars(sender).values() for e in events(value)]
+    assert len(held) == 1 and not held[0].cancelled
+    sender.stop()
+    assert held[0].cancelled
