@@ -25,10 +25,9 @@ blocking opportunistic ones or vice versa, and in both cases LCP must
 yield.  A loop terminates after 2 RTTs without LP-ACKs, after which the
 controller goes back to watching for spare bandwidth.
 
-The loop *mechanism* — the in-flight ledger, LP transmission and LP-ACK
-absorption, the stale purge, the tail pick, the paced burst — is
+This module is the §3 *policy*; the loop mechanism under it is
 :class:`repro.transport.window.TailLoop`, shared with RC3's filler and
-the hypothetical-DCTCP oracle; this module is the §3 policy on top.
+the hypothetical-DCTCP oracle.
 
 Ablation switches (used by Figs. 15/16): ``ecn=False`` makes opportunistic
 packets non-ECN-capable and removes the ECE suppression; ``ewd=False``

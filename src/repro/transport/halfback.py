@@ -23,7 +23,7 @@ buildup phase").
 from __future__ import annotations
 
 from .base import Flow, Scheme, TransportContext
-from .window import WindowReceiver, WindowSender
+from .window import WindowReceiver, WindowSender, paced_chain
 
 PACE_OUT_LIMIT = 141_000       # bytes; flows up to this are paced out
 REDUNDANCY_PRIORITY = 7        # backwards retransmissions ride the bottom
@@ -36,8 +36,10 @@ class HalfbackSender(WindowSender):
         super().__init__(flow, ctx)
         self.paced_out = flow.size <= PACE_OUT_LIMIT
         self.redundant_sent = 0
-        # the pace-out chain and the one pending backwards round
+        # the pace-out chain (and the seq it sends next) and the one
+        # pending backwards round
         self._pace = self._back_event = None
+        self._pace_ptr = 0
         self._back_ptr = self.n_packets - 1
 
     def ecn_capable(self) -> bool:
@@ -51,10 +53,8 @@ class HalfbackSender(WindowSender):
         # retransmission of unacked packets
         interval = max(self.base_rtt, 1e-9) / self.n_packets
         self.cwnd = float(self.n_packets)
-        now = self.sim.now
-        self._pace = self.sim.schedule_chain(
-            [(now + i * interval, self._paced_send, (i,))
-             for i in range(self.n_packets)])
+        self._pace = paced_chain(self.sim, self.n_packets, interval,
+                                 self._paced_send)
         self._back_event = self.sim.schedule(self.base_rtt,
                                              self._backwards_round)
 
@@ -65,10 +65,11 @@ class HalfbackSender(WindowSender):
         if self._back_event is not None:
             self._back_event.cancel()
 
-    def _paced_send(self, seq: int) -> None:
-        if self.finished or seq in self.delivered:
-            return
-        self.transmit(seq)
+    def _paced_send(self) -> None:
+        seq = self._pace_ptr
+        self._pace_ptr = seq + 1
+        if not self.finished and seq not in self.delivered:
+            self.transmit(seq)
 
     def _backwards_round(self) -> None:
         """Redundantly resend un-ACKed packets from the tail backwards,

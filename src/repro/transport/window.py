@@ -14,11 +14,9 @@ once; congestion control is three overridable hooks:
 The default hooks implement NewReno-style slow start / congestion
 avoidance, which concrete schemes refine.
 
-A sender may carry a *second* loop that fills the flow from the tail of
-its send buffer at low priority (PPT's LCP, RC3's filler, the
-hypothetical-DCTCP oracle).  :class:`TailLoop` is that mechanism,
-written once; the schemes keep only their policy — when to send and how
-much.
+A sender may carry a *second*, low-priority loop that fills the flow
+from the tail of its send buffer: :class:`TailLoop` is that mechanism,
+written once; the schemes keep their policy.
 
 Sequence numbers are *packet indices* (0-based); ``ack_seq`` on an ACK is
 the next expected index (all indices below it are delivered), and the
@@ -575,10 +573,18 @@ class WindowSender:
 
 
 def _paced_entry(start: float, interval: float, fn, i: int) -> tuple:
-    """Chain entry ``i`` of a paced burst.  Module-level so that the lazy
-    ``map`` over it pickles (a generator would not): a checkpoint may be
-    cut through a burst."""
     return start + i * interval, fn, ()
+
+
+def paced_chain(sim, n: int, interval: float, fn) -> EventChain:
+    """``fn()`` ``n`` times, ``interval`` apart starting now, as one
+    :class:`~repro.sim.engine.EventChain`: the ``(time, seq)`` keys of
+    ``n`` ``schedule(i * interval, fn)`` calls made now, one resident
+    heap entry, nothing to cancel but its head.  The source is a lazy
+    ``map`` over a module-level function because that pickles (a
+    generator would not) and a checkpoint may be cut through a burst."""
+    return sim.schedule_chain(
+        map(partial(_paced_entry, sim.now, interval, fn), range(n)), n)
 
 
 class TailLoop:
@@ -618,15 +624,10 @@ class TailLoop:
         self.outstanding.clear()
 
     def pace(self, n: int, interval: float, fn) -> None:
-        """Call ``fn()`` ``n`` times, ``interval`` apart starting now, in
-        place of whatever burst was still pending.  One
-        :class:`~repro.sim.engine.EventChain`: the ``(time, seq)`` keys
-        of ``n`` ``schedule(i * interval, fn)`` calls made now, one
-        resident heap entry, nothing to cancel but its head."""
+        """Start a :func:`paced_chain` in place of whatever burst was
+        still pending."""
         self.cancel_pace()
-        self._pace = self.sim.schedule_chain(
-            map(partial(_paced_entry, self.sim.now, interval, fn), range(n)),
-            n)
+        self._pace = paced_chain(self.sim, n, interval, fn)
 
     def cancel_pace(self) -> None:
         if self._pace is not None:

@@ -462,10 +462,8 @@ class RunAuditor:
 
     @staticmethod
     def _secondary_outstanding(sender: WindowSender) -> dict:
-        """Seqs the sender's second loop (PPT's LCP, RC3's LP filler, the
-        oracle filler) has in flight; these count toward
-        ``pkts_transmitted`` without going through
-        :meth:`WindowSender.transmit`."""
+        """Seqs the sender's second loop has in flight: they count toward
+        ``pkts_transmitted`` without :meth:`WindowSender.transmit`."""
         return sender.lcp.outstanding if sender.lcp is not None else {}
 
     def _audit_sender(self, sender: WindowSender) -> None:

@@ -136,19 +136,10 @@ def _fct_sha256(*runs) -> str:
 def _second_loops(result) -> list:
     """The low-priority loop of every sender that carries one (PPT's
     LCP, RC3's filler, the oracle filler)."""
-    loops = []
-    for host in result.topology.network.hosts.values():
-        for endpoint in host.endpoints.values():
-            if not isinstance(endpoint, WindowSender):
-                continue
-            lcp = getattr(endpoint, "lcp", None)
-            if lcp is not None:
-                loops.append((lcp.lp_pkts_sent, lcp.loops_opened))
-            elif hasattr(endpoint, "lp_sent"):
-                # RC3's filler and the oracle never re-open: one loop
-                # per flow, opened at start()
-                loops.append((endpoint.lp_sent, 1))
-    return loops
+    return [endpoint.lcp
+            for host in result.topology.network.hosts.values()
+            for endpoint in host.endpoints.values()
+            if isinstance(endpoint, WindowSender) and endpoint.lcp is not None]
 
 
 def measure(cell: str) -> dict:
@@ -167,8 +158,8 @@ def measure(cell: str) -> dict:
     loops = _second_loops(result)
     if loops:
         # ROADMAP 1(d): pinned before anyone changes re-open behaviour
-        out["lp_pkts_sent"] = sum(sent for sent, _ in loops)
-        out["loops_opened"] = sum(opened for _, opened in loops)
+        out["lp_pkts_sent"] = sum(loop.lp_pkts_sent for loop in loops)
+        out["loops_opened"] = sum(loop.loops_opened for loop in loops)
     return out
 
 
