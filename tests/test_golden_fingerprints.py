@@ -113,6 +113,17 @@ CELLS["ppt-noecn-fullsize-incast"] = (
     lambda: Ppt(lcp_ecn=False),
     lambda: _star_incast("golden-fullsize-ppt-noecn", size_cap=None))
 
+# Uncapped all-to-all on the default fabric, in the regime where one
+# starved multi-MB flow keeps re-opening its loop: picked by counting
+# ledger reads, not by the clock (docs/architecture.md, "Second loops") —
+# 137,866 tail picks walk 36.1 M seqs and 7,447 dup-ACK hole scans read
+# 11.0 M ledger entries at the recording commit.  ROADMAP 1(d): the two
+# LP counters are pinned here before anyone touches re-open behaviour.
+CELLS["ppt-uncapped-all-to-all"] = (
+    "ppt", lambda: all_to_all_scenario(
+        "golden-uncapped-ppt", WEB_SEARCH, load=0.5, n_flows=40,
+        size_cap=None, seed=3, max_time=60.0))
+
 # The hypothetical-DCTCP oracle is not in SCHEMES (it needs pass one's
 # MW table): its cell runs ``two_pass`` and hashes both passes; events,
 # completions and loop counters are the oracle pass's.  Its
@@ -195,7 +206,8 @@ def test_loss_cells_exercise_recovery(cell):
 SECOND_LOOP_CELLS = {"rc3-leaf-spine", "ppt-loss", "rc3-loss",
                      "halfback-loss", "ppt-noewd-star-incast",
                      "ppt-noecn-star-incast", "ppt-fullsize-incast",
-                     "ppt-noecn-fullsize-incast", TWO_PASS_CELL}
+                     "ppt-noecn-fullsize-incast",
+                     "ppt-uncapped-all-to-all", TWO_PASS_CELL}
 SECOND_LOOP_COUNTERS = {"lp_pkts_sent", "loops_opened"}
 LAZY_TIMEOUT_WAKEUPS = {"aeolus-leaf-spine": 1, "aeolus-star-incast": 9,
                         "aeolus-loss": 9, "homa-loss": 64, "ndp-loss": 28}
