@@ -52,7 +52,7 @@ class PptGraft:
     def priority_for(self, seq: int) -> int:
         if not self.scheme.scheduling:
             return 0
-        bytes_sent = seq * self.cfg.payload_per_packet()
+        bytes_sent = seq * self._payload
         return self.tagger.hcp_priority(bytes_sent)
 
     # NOTE: the primary loop does *not* skip packets the LCP loop has in

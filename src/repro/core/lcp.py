@@ -171,8 +171,7 @@ class LcpController(TailLoop):
         priority = 4
         if self.scheduling:
             sender = self.sender
-            priority = sender.tagger.lcp_priority(
-                seq * sender.cfg.payload_per_packet())
+            priority = sender.tagger.lcp_priority(seq * sender._payload)
         self.transmit(seq, priority, self.ecn)
         return True
 

@@ -81,7 +81,11 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # ``sender.lcp`` (RC3 and the oracle filler carried their ledger and
 # counter on the sender), and a paced burst is one ``EventChain``
 # over a lazy ``map`` where the heap held a handle per packet
-CHECKPOINT_VERSION = 9
+# v10: ``TailLoop`` carries its tail walk (``_walk``, ``_walk_top``,
+# ``_walk_rtos``) in slots, and both ``outstanding`` ledgers are read as
+# send-time-ordered prefixes — a v9 snapshot may hold one a fast
+# retransmit re-timed in place, which the prefix walks must never see
+CHECKPOINT_VERSION = 10
 
 
 class CheckpointError(RuntimeError):

@@ -27,7 +27,7 @@ class PiasSender(DctcpSender):
     """DCTCP sender with bytes-sent priority demotion."""
 
     def priority_for(self, seq: int) -> int:
-        bytes_sent = seq * self.cfg.payload_per_packet()
+        bytes_sent = seq * self._payload
         return demotion_priority(bytes_sent, self.cfg.demotion_thresholds)
 
 

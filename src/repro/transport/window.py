@@ -198,7 +198,9 @@ class WindowSender:
 
         # reliability state: outstanding maps seq -> last send time, so
         # SACK-style recovery can tell a *lost* packet (sent long ago,
-        # still unacknowledged) from one merely in flight
+        # still unacknowledged) from one merely in flight.  It iterates
+        # in non-decreasing send time (transmit() re-inserts a re-sent
+        # seq), so the stale entries are always a prefix
         self.outstanding: Dict[int, float] = {}
         # every seq this loop has ever put on the wire — a re-send of one
         # of these is a retransmission even when the caller didn't know
@@ -236,10 +238,10 @@ class WindowSender:
         self._rto_event: Optional[Event] = None
         self._rto_deadline: float = math.inf
         self._last_fast_rtx: float = -1.0
-        # Dup-ACK rescan guard: the minimum outstanding send time observed
-        # by the last hole scan that found nothing.  While every send time
-        # is provably newer than the staleness cutoff the O(W) rescan is
-        # skipped — it could not find a hole either.  None = no such bound.
+        # Dup-ACK rescan guard: the oldest outstanding send time seen by
+        # the last hole scan that found nothing.  While that is newer
+        # than the staleness cutoff the scan is skipped — it could not
+        # find a hole either.  None = no such bound.
         self._no_hole_floor: Optional[float] = None
         # consecutive timeouts without forward progress; exponent of the
         # RTO backoff, reset by any ACK that delivers new data
@@ -341,13 +343,17 @@ class WindowSender:
         now = self.sim.now
         pkt.retransmit = retransmit
         pkt.sent_at = now
-        self.outstanding[seq] = now
+        outstanding = self.outstanding
         self.pkts_transmitted += 1
         if retransmit:
+            # only a seq sent before can still be in the ledger: move it
+            # to the end, never re-time it in place
+            outstanding.pop(seq, None)
             self._rtx_seqs.add(seq)
             self.pkts_retransmitted += 1
             if self.obs is not None:
                 self.obs.on_retransmit(self.sim.now, self.flow.flow_id, seq)
+        outstanding[seq] = now
         self.host.send(pkt)
         self._arm_rto()
 
@@ -463,15 +469,21 @@ class WindowSender:
         if floor is not None and floor > stale:
             # Every send time at the last no-hole scan was >= floor, and
             # anything transmitted since then is newer still — so no
-            # entry can satisfy ``t <= stale``.  Skipping the O(W) rescan
-            # here is exact: the scan below would find nothing.
+            # entry can satisfy ``t <= stale``: the walk below would
+            # find nothing.
             return
-        holes = [s for s, t in self.outstanding.items()
-                 if t <= stale and s < self.n_packets]
+        # send-time order: the stale entries are a prefix, the entry
+        # that ends the walk is the oldest fresh one (and no seq
+        # >= n_packets is ever created, so none needs filtering out)
+        holes = []
+        floor = None
+        for seq, sent in self.outstanding.items():
+            if sent > stale:
+                floor = sent
+                break
+            holes.append(seq)
         if not holes:
-            outstanding = self.outstanding
-            self._no_hole_floor = (min(outstanding.values())
-                                   if outstanding else None)
+            self._no_hole_floor = floor
             return
         self._no_hole_floor = None
         if now - self._last_fast_rtx >= self.srtt:
@@ -568,8 +580,7 @@ class WindowSender:
 
     @property
     def bytes_delivered(self) -> int:
-        payload = self.cfg.payload_per_packet()
-        return min(self.flow.size, len(self.delivered) * payload)
+        return min(self.flow.size, len(self.delivered) * self._payload)
 
 
 def _paced_entry(start: float, interval: float, fn, i: int) -> tuple:
@@ -598,8 +609,16 @@ class TailLoop:
     purge of presumed-lost ones (the loop never retransmits — the
     primary loop covers the holes), the pick of the next tail packet,
     and a paced burst held as one heap entry.  *When* to send and *how
-    much* is the owner's policy.
+    much* is the owner's policy.  The ledger is in send-time order (the
+    loop never re-sends); drop from it through :meth:`purge` or
+    :meth:`close` only — :meth:`pick_tail` resumes its walk on that.
     """
+
+    # one loop per PPT / RC3 flow: slots for the same reason as
+    # WindowSender's (the policies' own attributes go to ``__dict__``)
+    __slots__ = ("sender", "sim", "outstanding", "active", "loops_opened",
+                 "lp_pkts_sent", "_pace", "_tail_cursor", "_walk",
+                 "_walk_top", "_walk_rtos", "__dict__")
 
     def __init__(self, sender: WindowSender) -> None:
         self.sender = sender
@@ -611,6 +630,10 @@ class TailLoop:
         self._pace: Optional[EventChain] = None
         # every seq above this is delivered (see pick_tail)
         self._tail_cursor = sender.n_packets - 1
+        # pick_tail's walk: the seq it stopped at, the buffer top it
+        # started from (-1: start over) and the primary's RTO count then
+        self._walk = self._walk_top = -1
+        self._walk_rtos = 0
 
     def open(self) -> None:
         self.active = True
@@ -621,7 +644,9 @@ class TailLoop:
         covers whatever the closed loop had not delivered)."""
         self.cancel_pace()
         self.active = False
-        self.outstanding.clear()
+        if self.outstanding:
+            self.outstanding.clear()
+            self._walk_top = -1
 
     def pace(self, n: int, interval: float, fn) -> None:
         """Start a :func:`paced_chain` in place of whatever burst was
@@ -640,22 +665,35 @@ class TailLoop:
         above the primary loop's pointer)."""
         sender = self.sender
         delivered = sender.delivered
-        # ``delivered`` only grows, so the delivered tail is skipped once
-        # and for all: rescanning it on every opportunistic packet is
-        # quadratic in the tail of a starved multi-MB flow
-        cursor = self._tail_cursor
-        while cursor >= 0 and cursor in delivered:
-            cursor -= 1
-        self._tail_cursor = cursor
-        seq = min(sender.buffer_end() - 1, cursor)
+        top = sender.buffer_end() - 1
+        # A seq the walk has passed was delivered (for good) or in
+        # flight on a loop, and is pickable again only once a ledger
+        # forgets it undelivered: purge() / close() dropping something
+        # (they reset _walk_top) or the primary's RTO.  Then, and when
+        # the buffer top has risen, the walk starts over; otherwise it
+        # resumes where it stopped — walking it all again per packet is
+        # quadratic in the tail of a starved multi-MB flow.
+        if top > self._walk_top or sender.rtos_fired != self._walk_rtos:
+            self._walk_top = top
+            self._walk_rtos = sender.rtos_fired
+            # ``delivered`` only grows, so a restart skips the delivered
+            # tail once and for all
+            cursor = self._tail_cursor
+            while cursor >= 0 and cursor in delivered:
+                cursor -= 1
+            self._tail_cursor = cursor
+            seq = min(top, cursor)
+        else:
+            seq = self._walk
         primary = sender.outstanding
+        mine = self.outstanding
         send_ptr = sender.send_ptr
-        while seq > send_ptr:
-            if (seq not in delivered and seq not in primary
-                    and seq not in self.outstanding):
-                return seq
+        while seq > send_ptr and (seq in delivered or seq in primary
+                                  or seq in mine):
             seq -= 1
-        return None
+        # a picked seq is looked at again next time: the caller sends it
+        self._walk = seq
+        return seq if seq > send_ptr else None
 
     def transmit(self, seq: int, priority: int, ecn_capable: bool) -> None:
         sender = self.sender
@@ -673,8 +711,15 @@ class TailLoop:
         """Drop packets sent before ``horizon`` from the ledger: they are
         presumed lost."""
         outstanding = self.outstanding
-        for seq in [s for s, t in outstanding.items() if t < horizon]:
-            del outstanding[seq]
+        lost = []
+        for seq, sent in outstanding.items():   # send-time order: a prefix
+            if sent >= horizon:
+                break
+            lost.append(seq)
+        if lost:
+            for seq in lost:
+                del outstanding[seq]
+            self._walk_top = -1
 
     def absorb(self, pkt: Packet) -> bool:
         """Record what an LP-ACK delivered (its SACK tags, or its own

@@ -262,6 +262,7 @@ class RunAuditor:
                 self._audit_lb(switch)
         for sender in self._endpoints(WindowSender):
             self._audit_rto(sender)
+            self._audit_ledger_order(sender)
         self._audit_hybrid()
 
     def on_restore(self) -> None:
@@ -433,6 +434,21 @@ class RunAuditor:
                     "rto-deadline", subject,
                     "RTO timer scheduled after its own deadline",
                     event_time=event.time, deadline=sender._rto_deadline)
+
+    def _audit_ledger_order(self, sender: WindowSender) -> None:
+        """Both ledgers iterate in non-decreasing send time: the hole
+        scan, ``TailLoop.purge`` and the ``_no_hole_floor`` read a
+        *prefix* and are exact only under that order.  Per slice, not at
+        drain end — a finished flow's ledgers are empty."""
+        for name, ledger in (("outstanding", sender.outstanding),
+                             ("lcp.outstanding",
+                              self._secondary_outstanding(sender))):
+            times = list(ledger.values())
+            self._check(times == sorted(times),
+                        "window-ledger-time-ordered",
+                        f"flow{sender.flow.flow_id}",
+                        f"{name} not in send-time order "
+                        "(a seq re-timed in place?)", entries=len(times))
 
     # -- per-burst check (hooked from WindowSender.try_send) ---------------
 

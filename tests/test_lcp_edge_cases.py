@@ -204,6 +204,94 @@ def test_oracle_tail_pick_does_not_rescan_the_delivered_tail():
     _check_tail_pick_against_rescan(make_oracle(size=4_000_000)[0])
 
 
+def test_tail_pick_does_not_rewalk_what_is_in_lp_flight():
+    """A 20 k-packet flow whose top 10 k seqs sit in LP flight: each of
+    the next 1,000 picks used to walk all of them again (10 M probes);
+    the walk now resumes where the last one stopped."""
+    sender, topo, ctx = make_sender(size=20_000 * 1436)
+    lcp = sender.lcp
+    assert sender.n_packets == 20_000
+    sender.delivered = delivered = _ProbeCountingSet()
+    sender.send_ptr = 10
+    for seq in range(19_999, 9_999, -1):
+        lcp.outstanding[seq] = 0.0
+    for expected in range(9_999, 8_999, -1):
+        assert lcp.pick_tail() == expected
+        lcp.outstanding[expected] = 0.0
+    # one pass over the 10 k in flight, then two probes a pick
+    assert delivered.probes <= 10_000 + 2 * 1_000
+
+
+# -- what restarts the tail walk ---------------------------------------------
+
+
+def _walk_down(lcp, n, now=0.0):
+    """``n`` picks, each sent; returns them."""
+    lcp.sim.now = now
+    picked = []
+    for _ in range(n):
+        seq = lcp.pick_tail()
+        assert seq == _rescanning_tail_pick(lcp)
+        lcp.transmit(seq, 4, True)
+        picked.append(seq)
+    return picked
+
+
+def _pick_matches_rescan(lcp, expected):
+    assert _rescanning_tail_pick(lcp) == expected
+    assert lcp.pick_tail() == expected
+
+
+def test_purged_seqs_are_picked_again():
+    sender, topo, ctx = make_sender()           # 63 packets
+    lcp = sender.lcp
+    assert _walk_down(lcp, 5, now=0.0) == [62, 61, 60, 59, 58]
+    assert _walk_down(lcp, 3, now=1e-5) == [57, 56, 55]
+    lcp.purge(5e-6)                             # the first five are lost
+    _pick_matches_rescan(lcp, 62)
+    lcp.purge(5e-6)                             # drops nothing: no restart
+    assert _walk_down(lcp, 5, now=2e-5) == [62, 61, 60, 59, 58]
+    _pick_matches_rescan(lcp, 54)
+
+
+def test_a_closed_loops_seqs_are_picked_again():
+    sender, topo, ctx = make_sender()
+    lcp = sender.lcp
+    assert _walk_down(lcp, 4) == [62, 61, 60, 59]
+    lcp.on_lp_ack(lp_ack(61, sack=(61,)))       # delivered, not forgotten
+    lcp.close()
+    _pick_matches_rescan(lcp, 62)
+    assert _walk_down(lcp, 3) == [62, 60, 59]   # 61 was delivered
+
+
+def test_seqs_an_rto_takes_from_the_primary_are_picked_again():
+    sender, topo, ctx = make_sender()
+    lcp = sender.lcp
+    sender.cwnd = 5.0
+    sender.try_send()                           # 0..4
+    sender.transmit(60)                         # an out-of-order repair
+    assert _walk_down(lcp, 3) == [62, 61, 59]
+    sender._on_rto()                            # window cleared, ptr at cum
+    assert 60 not in sender.outstanding and sender.send_ptr == 0
+    _pick_matches_rescan(lcp, 60)
+
+
+def test_a_buffer_top_that_rose_is_picked_from_again():
+    sender, topo, ctx = make_sender(size=1_000_000,
+                                    send_buffer_bytes=28_720,  # 20 packets
+                                    identification_threshold=10**9)
+    lcp = sender.lcp
+    sender.cwnd = 3.0
+    sender.try_send()                           # 0..2
+    assert _walk_down(lcp, 4) == [19, 18, 17, 16]
+    ack = Packet(0, 1, 0, 1, 64, kind=ACK)
+    ack.ack_seq = 2                             # cum 0 -> 2: two more buffered
+    ack.sent_at = 0.0
+    sender.handle_ack(ack)
+    assert sender.buffer_end() == 22
+    assert _walk_down(lcp, 3) == [21, 20, 15]
+
+
 # -- a paced burst is one event chain ---------------------------------------
 
 

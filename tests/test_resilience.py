@@ -196,6 +196,30 @@ def test_resume_with_a_paced_burst_in_flight(tmp_path):
                ), "no snapshot was cut mid-burst"
 
 
+def test_resume_between_a_purge_and_the_next_tail_pick(tmp_path):
+    """``pick_tail`` resumes its walk unless a ledger forgot seqs
+    undelivered; a snapshot cut after that (restart pending) and before
+    the loop picks again must carry the pending restart."""
+    # seed 6: flow 7's loop closes on 43 packets, is cut, then sends two more
+    copies = _resume_from_every_checkpoint(tmp_path, SCHEME_FACTORIES["ppt"],
+                                           seed=6)
+    cut = [(copy, loop.sender.flow.flow_id, loop.lp_pkts_sent)
+           for copy in copies for loop, _sim in _second_loops(copy)
+           if loop._walk_top == -1 and loop.lp_pkts_sent
+           and not loop.sender.finished]
+    assert cut, "no snapshot holds a pending walk restart"
+
+    def picked_again(copy, flow_id, sent_before):
+        hosts = run(resume=str(copy)).topology.network.hosts.values()
+        return any(endpoint.lcp.lp_pkts_sent > sent_before
+                   for host in hosts for endpoint in host.endpoints.values()
+                   if getattr(endpoint, "lcp", None) is not None
+                   and endpoint.flow.flow_id == flow_id)
+
+    assert any(picked_again(*row) for row in cut
+               ), "no loop with a pending restart picked again"
+
+
 def test_resume_with_rc3_filler_in_flight(tmp_path):
     copies = _resume_from_every_checkpoint(tmp_path, SCHEME_FACTORIES["rc3"])
     assert any(loop.active and loop.outstanding for copy in copies

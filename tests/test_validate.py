@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_ctx, make_star
 from repro.experiments.parallel import GridTask, run_grid
 from repro.experiments.runner import run
 from repro.experiments.scenarios import (
@@ -29,6 +30,7 @@ from repro.experiments.scenarios import (
 )
 from repro.sim.packet import DATA, HEADER_BYTES, Packet
 from repro.sim.queues import PriorityMux
+from repro.transport.base import Flow
 from repro.transport.dctcp import Dctcp
 from repro.transport.rc3 import Rc3
 from repro.core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
@@ -311,6 +313,30 @@ def test_cooked_wire_ledger_breaks_fabric_conservation():
     assert not report.ok
     assert "fabric-packet-conservation" in report.counts
     assert "fabric-byte-conservation" in report.counts
+
+
+@pytest.mark.parametrize("ledger", ["outstanding", "lcp.outstanding"])
+def test_ledger_retimed_in_place_breaks_time_order(ledger):
+    """The hole scan and ``TailLoop.purge`` read the stale *prefix* of a
+    ledger: a writer that re-times a seq where it sits (what
+    ``WindowSender.transmit`` did before it re-inserted) must be caught
+    while the flow is live, not at drain end when the ledger is empty."""
+    topo = make_star()
+    ctx = make_ctx(topo)
+    auditor = RunAuditor().attach(topo.sim, topo.network, ctx)
+    Ppt().start_flow(Flow(0, 0, 1, 400_000, 0.0), ctx)
+    sender = topo.network.hosts[0].endpoints[0]
+    # an identified-large flow opens its first loop in the second RTT
+    topo.sim.run(until=1.5 * sender.base_rtt)
+    entries = sender.outstanding if ledger == "outstanding" \
+        else sender.lcp.outstanding
+    assert len(entries) > 2
+    auditor.on_slice()
+    assert auditor.report.ok, auditor.report.describe()
+    entries[next(iter(entries))] = topo.sim.now
+    auditor.on_slice()
+    assert list(auditor.report.counts) == ["window-ledger-time-ordered"]
+    assert ledger + " not" in auditor.report.violations[0].message
 
 
 def test_cooked_dead_counter_detected():

@@ -11,8 +11,18 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from conftest import make_ctx, make_star
+from repro.core.hypothetical import _HypotheticalSender
+from repro.core.ppt import Ppt, PptSender
+from repro.transport.rc3 import Rc3Sender
+from test_lcp_edge_cases import _rescanning_tail_pick
 from repro.sim.network import QueueConfig
 from repro.sim.packet import ACK, Packet
 from repro.sim.topology import star
@@ -131,3 +141,243 @@ def test_total_payload_conserved(size):
         total += pkt.size - header
     assert total >= size  # padding only on the (tiny) last packet
     assert total - size < payload
+
+
+# -- the send ledgers: prefix walks against full scans -----------------------
+
+
+class _SinkHost:
+    """Swallows what a sender transmits; the tests below move the clock
+    by hand and never run the event loop."""
+
+    ops_sent = 0
+
+    def send(self, pkt):
+        pass
+
+
+def _ack(seq, ack_seq, sent_at, *, lcp=False):
+    ack = Packet(0, 1, 0, seq, 64, kind=ACK)
+    ack.ack_seq = ack_seq
+    ack.sent_at = sent_at
+    ack.lcp = lcp
+    ack.sack = (seq,)
+    return ack
+
+
+class _ReadCountingDict(dict):
+    """``outstanding`` with a counter on the entries ``items()`` yields:
+    one read is one step of the hole scan."""
+
+    reads = walks = 0
+
+    def items(self):
+        self.walks += 1
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+
+SENDER_KINDS = {
+    "ppt": lambda flow, ctx: PptSender(flow, ctx, Ppt()),
+    "rc3": Rc3Sender,
+    "oracle": lambda flow, ctx: _HypotheticalSender(
+        flow, ctx, mw=40.0, fill_factor=1.0),
+}
+
+
+class _LedgerMachine(RuleBasedStateMachine):
+    """Random sends, ACKs, dup-ACK bursts, RTOs, LP sends, LP-ACKs,
+    purges, closes and re-opens on one sender and its ``TailLoop``.
+    Every ``_fast_retransmit`` is held to the full-dict comprehension it
+    replaced (same holes re-sent, same ``_no_hole_floor``) and every
+    ``pick_tail`` — the policy's own calls included — to the rescan from
+    the top of the buffer."""
+
+    kind = "ppt"
+    N_PACKETS = 60
+
+    def __init__(self):
+        super().__init__()
+        topo = make_star()
+        # 25 buffered packets of 60: the buffer top rises with ``cum``
+        ctx = make_ctx(topo, send_buffer_bytes=25 * 1436)
+        self.sim = topo.sim
+        flow = Flow(0, 0, 1, self.N_PACKETS * 1436, 0.0)
+        self.sender = sender = SENDER_KINDS[self.kind](flow, ctx)
+        sender.host = _SinkHost()
+        self.loop = loop = sender.lcp
+        self.received = set()               # the receiver's side
+
+        fast_retransmit, transmit = sender._fast_retransmit, sender.transmit
+        pick_tail = loop.pick_tail
+
+        def checked_fast_retransmit():
+            ledger = sender.outstanding
+            stale = self.sim.now - max(sender.srtt, sender.base_rtt)
+            floor = sender._no_hole_floor
+            holes = sorted(s for s, t in ledger.items()
+                           if t <= stale and s < sender.n_packets)
+            if floor is None or floor <= stale:     # the scan runs
+                floor = None
+                if not holes and ledger:
+                    floor = min(ledger.values())
+            resent = []
+            sender.transmit = lambda seq, retransmit=False: (
+                resent.append(seq), transmit(seq, retransmit))
+            try:
+                fast_retransmit()
+            finally:
+                del sender.transmit
+            assert resent == holes[:sender.MAX_RTX_PER_ACK]
+            assert sender._no_hole_floor == floor
+
+        def checked_pick_tail():
+            expected = _rescanning_tail_pick(loop)
+            seq = pick_tail()
+            assert seq == expected
+            return seq
+
+        sender._fast_retransmit = checked_fast_retransmit
+        loop.pick_tail = checked_pick_tail
+
+    def _cum(self):
+        cum = 0
+        while cum in self.received:
+            cum += 1
+        return cum
+
+    live = precondition(lambda self: not self.sender.finished)
+
+    @rule(dt=st.floats(min_value=0.0, max_value=60e-6))
+    def tick(self, dt):
+        self.sim.now += dt
+
+    @live
+    @rule(n=st.integers(min_value=1, max_value=12))
+    def primary_sends(self, n):
+        self.sender.cwnd = float(len(self.sender.outstanding) + n)
+        self.sender.try_send()
+
+    @live
+    @rule(pos=st.floats(min_value=0.0, max_value=1.0))
+    def primary_transmits_out_of_order(self, pos):
+        """Any undelivered buffered seq, as a subclass's repair might."""
+        sender = self.sender
+        free = [s for s in range(sender.cum, sender.buffer_end())
+                if s not in sender.delivered]
+        if free:
+            sender.transmit(free[int(pos * (len(free) - 1))])
+
+    @live
+    @rule(pos=st.floats(min_value=0.0, max_value=1.0))
+    def primary_ack(self, pos):
+        ledger = self.sender.outstanding
+        if not ledger:
+            return
+        seq = list(ledger)[int(pos * (len(ledger) - 1))]
+        self.received.add(seq)
+        self.sender.on_packet(_ack(seq, self._cum(), ledger[seq]))
+
+    @live
+    @rule(n=st.integers(min_value=1, max_value=7))
+    def dup_ack_burst(self, n):
+        above = [s for s in self.received if s > self._cum()]
+        if not above:
+            return
+        for _ in range(n):
+            if self.sender.finished:
+                return
+            self.sender.on_packet(_ack(max(above), self._cum(), self.sim.now))
+
+    @live
+    @rule()
+    def primary_rto(self):
+        self.sender._on_rto()
+
+    @live
+    @rule()
+    def lp_open(self):
+        self.loop.open()
+
+    @live
+    @rule(n=st.integers(min_value=1, max_value=6))
+    def lp_sends(self, n):
+        for _ in range(n):
+            seq = self.loop.pick_tail()
+            if seq is None:
+                return
+            self.loop.transmit(seq, 4, True)
+
+    @live
+    @rule(pos=st.floats(min_value=0.0, max_value=1.0))
+    def lp_ack(self, pos):
+        ledger = self.loop.outstanding
+        if not ledger:
+            return
+        seq = list(ledger)[int(pos * (len(ledger) - 1))]
+        self.received.add(seq)
+        self.sender.on_packet(_ack(seq, self._cum(), ledger[seq], lcp=True))
+
+    @live
+    @rule(age=st.floats(min_value=0.0, max_value=80e-6))
+    def lp_purge(self, age):
+        self.loop.purge(self.sim.now - age)
+
+    @live
+    @rule()
+    def lp_close(self):
+        self.loop.close()
+
+    @invariant()
+    def ledgers_are_time_ordered_and_the_pick_matches(self):
+        for ledger in (self.sender.outstanding, self.loop.outstanding):
+            times = list(ledger.values())
+            assert times == sorted(times)
+        if not self.sender.finished:
+            self.loop.pick_tail()
+
+
+def _ledger_machine_case(kind_name):
+    machine = type(f"LedgerMachine_{kind_name}", (_LedgerMachine,),
+                   {"kind": kind_name})
+    case = machine.TestCase
+    case.settings = settings(max_examples=40, stateful_step_count=60,
+                             deadline=None)
+    return case
+
+
+TestPptLedgers = _ledger_machine_case("ppt")
+TestRc3Ledgers = _ledger_machine_case("rc3")
+TestOracleLedgers = _ledger_machine_case("oracle")
+
+
+def test_dup_ack_hole_scan_reads_only_the_stale_prefix():
+    """5,000 packets in flight, three of them newly stale at each scan:
+    1,000 dup-ACKs used to read the whole ledger on every scan (1.7 M
+    entries); the walk stops at the first fresh entry."""
+    topo = make_star()
+    ctx = make_ctx(topo)
+    sim = topo.sim
+    n, gap = 5_000, 1e-7
+    sender = WindowSender(Flow(0, 0, 1, (n + 10) * 1436, 0.0), ctx)
+    sender.host = _SinkHost()
+    sender.outstanding = ledger = _ReadCountingDict()
+    sender.cwnd = sender.ssthresh = float(n)
+    for seq in range(n):                    # seq i leaves at i * gap
+        sim.now = seq * gap
+        sender.transmit(seq)
+    top = n - 1
+    sim.now = top * gap
+    sender.on_packet(_ack(top, 0, sim.now))     # delivered; cum stays 0
+    horizon = max(sender.srtt, sender.base_rtt)
+    resent_before = sender.pkts_retransmitted
+    for i in range(1_000):
+        # three dup-ACKs arm one scan: one more entry goes stale per ACK
+        sim.now = horizon + (i + 0.5) * gap
+        sender.on_packet(_ack(top, 0, sim.now))
+    assert len(ledger) >= n - 1
+    assert ledger.walks >= 300
+    assert sender.pkts_retransmitted - resent_before >= 900
+    # each walk reads its holes and the one fresh entry that ends it
+    assert ledger.reads <= 1_000 + ledger.walks
