@@ -472,9 +472,8 @@ class WindowSender:
             # entry can satisfy ``t <= stale``: the walk below would
             # find nothing.
             return
-        # send-time order: the stale entries are a prefix, the entry
-        # that ends the walk is the oldest fresh one (and no seq
-        # >= n_packets is ever created, so none needs filtering out)
+        # send-time order: the stale entries are a prefix, and the
+        # entry that ends the walk is the oldest fresh one
         holes = []
         floor = None
         for seq, sent in self.outstanding.items():

@@ -168,13 +168,16 @@ def test_resume_between_rearm_and_fire_of_a_sender_timeout(tmp_path, scheme):
                ), "no snapshot caught a re-armed timeout in flight"
 
 
+def _loops(network):
+    return [endpoint.lcp for host in network.hosts.values()
+            for endpoint in host.endpoints.values()
+            if getattr(endpoint, "lcp", None) is not None]
+
+
 def _second_loops(copy):
     """(loop, sim) of every sender with a second loop in a snapshot."""
     state = load_checkpoint(str(copy))
-    return [(endpoint.lcp, state.sim)
-            for host in state.topo.network.hosts.values()
-            for endpoint in host.endpoints.values()
-            if getattr(endpoint, "lcp", None) is not None]
+    return [(loop, state.sim) for loop in _loops(state.topo.network)]
 
 
 def test_resume_with_a_paced_burst_in_flight(tmp_path):
@@ -210,11 +213,9 @@ def test_resume_between_a_purge_and_the_next_tail_pick(tmp_path):
     assert cut, "no snapshot holds a pending walk restart"
 
     def picked_again(copy, flow_id, sent_before):
-        hosts = run(resume=str(copy)).topology.network.hosts.values()
-        return any(endpoint.lcp.lp_pkts_sent > sent_before
-                   for host in hosts for endpoint in host.endpoints.values()
-                   if getattr(endpoint, "lcp", None) is not None
-                   and endpoint.flow.flow_id == flow_id)
+        return any(loop.lp_pkts_sent > sent_before
+                   for loop in _loops(run(resume=str(copy)).topology.network)
+                   if loop.sender.flow.flow_id == flow_id)
 
     assert any(picked_again(*row) for row in cut
                ), "no loop with a pending restart picked again"
