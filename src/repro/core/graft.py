@@ -16,11 +16,17 @@ capacity and a loop should open.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..sim.packet import ACK, Packet
 from ..transport.base import Flow, TransportContext
 from .identification import identify_large
 from .lcp import LcpController
 from .tagging import MirrorTagger
+
+# one immutable tagger per (identified_large, thresholds), validated
+# once; a bad key raises here and is not cached
+_shared_tagger = lru_cache(maxsize=None)(MirrorTagger)
 
 
 class PptGraft:
@@ -39,8 +45,8 @@ class PptGraft:
             and identify_large(flow.first_syscall_bytes or 0,
                                cfg.identification_threshold)
         )
-        self.tagger = MirrorTagger(self.identified_large,
-                                   cfg.demotion_thresholds)
+        self.tagger = _shared_tagger(self.identified_large,
+                                     tuple(cfg.demotion_thresholds))
         self.lcp = LcpController(
             self,
             ecn=scheme.lcp_ecn,

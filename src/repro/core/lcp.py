@@ -77,17 +77,35 @@ class LcpController(TailLoop):
 
     def on_flow_start(self) -> None:
         """Case 1: open the first loop at flow start (or the 2nd RTT for
-        identified-large flows)."""
-        delay = 0.0
-        if self.sender.identified_large and self.delay_large_first_loop:
-            delay = self.sender.base_rtt
-        self.sim.schedule(delay, self._open_case1)
+        identified-large flows).
+
+        An undelayed EWD loop with nothing to pick once the first HCP
+        window is out is *booked*: nothing of a flow can happen at its
+        own start instant (its first packet has yet to serialise), so the
+        paced first ``_send_one`` would find the same empty tail now and
+        close the loop.  The state open-then-close leaves is recorded and
+        nothing is scheduled — the case of every 1-2 packet message."""
+        sender = self.sender
+        delayed = sender.identified_large and self.delay_large_first_loop
+        window = self._first_window() if self.ewd and not delayed else 0
+        if window >= 1 and self.pick_tail() is None:
+            self.loops_opened += 1
+            self.initial_window = window
+            self.last_lp_ack = self.sim.now
+        else:
+            self.sim.schedule(sender.base_rtt if delayed else 0.0,
+                              self._open_case1)
+
+    def _first_window(self) -> int:
+        """Case 1's ``I = BDP - init_cwnd``, clamped as in ``open_loop``."""
+        sender = self.sender
+        return int(min(sender.ctx.bdp_packets(sender.flow)
+                       - sender.cfg.init_cwnd, sender.n_packets))
 
     def _open_case1(self) -> None:
         if self.sender.finished or self.active:
             return
-        bdp = self.sender.ctx.bdp_packets(self.sender.flow)
-        self.open_loop(bdp - self.sender.cfg.init_cwnd)
+        self.open_loop(self._first_window())
 
     def on_window_update(self) -> None:
         """Case 2: DCTCP just finished a window; (re)initialise a loop

@@ -38,11 +38,7 @@ class PptSender(PptGraft, DctcpSender):
     """HCP (DCTCP) sender carrying the graft; its trigger is DCTCP's
     per-window alpha update (case 2) plus the flow-start loop (case 1)."""
 
-    def __init__(self, flow: Flow, ctx: TransportContext, scheme: "Ppt") -> None:
-        super().__init__(flow, ctx, scheme)
-        self.on_window_update = self._window_update_hook
-
-    def _window_update_hook(self, _sender) -> None:
+    def on_window_update(self) -> None:
         if self.scheme.lcp_enabled:
             self.lcp.on_window_update()
 

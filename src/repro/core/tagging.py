@@ -24,9 +24,10 @@ HCP_LOWEST = 3
 LCP_OFFSET = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class MirrorTagger:
-    """Per-flow priority assigner.
+    """Per-flow priority assigner.  Immutable: flows with the same
+    parameters may share one.
 
     Parameters
     ----------
@@ -47,7 +48,7 @@ class MirrorTagger:
         if len(thresholds) != HCP_LOWEST:
             raise ValueError("exactly three demotion thresholds required "
                              "(levels P0->P1->P2->P3)")
-        self.demotion_thresholds = thresholds
+        object.__setattr__(self, "demotion_thresholds", thresholds)
 
     def hcp_priority(self, bytes_sent: int) -> int:
         """Priority for a normal (HCP) packet after ``bytes_sent`` bytes."""

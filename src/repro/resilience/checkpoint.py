@@ -85,7 +85,10 @@ CHECKPOINT_FORMAT = "repro-checkpoint"
 # ``_walk_rtos``) in slots, and both ``outstanding`` ledgers are read as
 # send-time-ordered prefixes — a v9 snapshot may hold one a fast
 # retransmit re-timed in place, which the prefix walks must never see
-CHECKPOINT_VERSION = 10
+# v11: ``Network`` carries a ``_base_rtt_cache``, and DCTCP's window hook
+# is a class-level ``on_window_update`` method — a v10 PPT sender pickled
+# an instance-level bound ``_window_update_hook`` this build lacks
+CHECKPOINT_VERSION = 11
 
 
 class CheckpointError(RuntimeError):

@@ -242,6 +242,8 @@ class Network:
         # slowest-link rate along the same min-hop path base_delay uses,
         # filled by the same BFS (ideal_fct and the hybrid fast path)
         self._path_min_rate_cache: Dict[Tuple[int, int], float] = {}
+        # both directions summed, one probe per flow set-up
+        self._base_rtt_cache: Dict[Tuple[int, int], float] = {}
         # Control-path accounting (bytes that bypassed the queued fabric).
         self.control_pkts = 0
         self._control_pipes: Dict[Tuple[int, int], ControlPipe] = {}
@@ -440,7 +442,13 @@ class Network:
 
     def base_rtt(self, src_host: int, dst_host: int) -> float:
         """Round-trip base delay between two hosts."""
-        return self.base_delay(src_host, dst_host) + self.base_delay(dst_host, src_host)
+        key = (src_host, dst_host)
+        rtt = self._base_rtt_cache.get(key)
+        if rtt is None:
+            rtt = self._base_rtt_cache[key] = (
+                self.base_delay(src_host, dst_host)
+                + self.base_delay(dst_host, src_host))
+        return rtt
 
     def control_pipe(self, src: int, dst: int) -> ControlPipe:
         """The (lazily created) ideal-path FIFO from ``src`` to ``dst``."""

@@ -58,8 +58,7 @@ class D2tcpSender(DctcpSender):
         self._win_ce = 0
         self._win_end = max(self.send_ptr, self.cum + 1)
         self._last_alpha_update = self.sim.now
-        if self.on_window_update is not None:
-            self.on_window_update(self)
+        self.on_window_update()
 
 
 class D2tcp(Dctcp):

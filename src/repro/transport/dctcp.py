@@ -17,7 +17,6 @@ avoidance.  The sender exposes the two quantities PPT's LCP consumes:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
 
 from .base import Flow, Scheme, TransportContext
 from .window import WindowReceiver, WindowSender
@@ -46,8 +45,10 @@ class DctcpSender(WindowSender):
         # cwnd cap, cached as a float: config is fixed once the run is
         # built, and cc_on_ack compares against it on every ACK
         self._max_cwnd = float(self.cfg.max_cwnd_packets)
-        # PPT hooks in
-        self.on_window_update: Optional[Callable[["DctcpSender"], None]] = None
+
+    def on_window_update(self) -> None:
+        """A window just ended (``alpha`` updated, any cut applied).  PPT
+        opens its case-2 loop here; plain DCTCP does nothing."""
 
     def stop(self) -> None:
         super().stop()
@@ -96,8 +97,7 @@ class DctcpSender(WindowSender):
         self._win_ce = 0
         self._win_end = max(self.send_ptr, self.cum + 1)
         self._last_alpha_update = self.sim.now
-        if self.on_window_update is not None:
-            self.on_window_update(self)
+        self.on_window_update()
 
     def cc_on_fast_rtx(self) -> None:
         self.startup_done = True

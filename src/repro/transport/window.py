@@ -129,7 +129,9 @@ class WindowReceiver:
             self.ctx.on_complete(self.flow)
 
     def acknowledge(self, pkt: Packet) -> None:
-        """Send an ACK for ``pkt``.  Overridable (PPT's 2:1 LP-ACKs)."""
+        """Send an ACK for ``pkt`` — one per data packet.  PPT's 2:1
+        LP-ACKs do not come through here: ``PptReceiver`` diverts LP data
+        in ``on_packet`` before it reaches this method."""
         # make_ack, inlined — keep in sync with repro.sim.packet.make_ack
         # (this runs once per delivered data packet)
         ack = Packet(pkt.flow_id, pkt.dst, pkt.src, pkt.seq, ACK_BYTES,

@@ -105,9 +105,10 @@ def test_alpha_history_bounded():
 def test_window_update_hook_fires():
     sender, _ = make_sender()
     calls = []
-    sender.on_window_update = calls.append
+    sender.on_window_update = lambda: calls.append(sender.alpha)
     drive_window(sender, 10, ce=False)
-    assert calls and calls[0] is sender
+    # fired after the window's alpha update
+    assert calls and calls[0] == sender.alpha_history[0]
 
 
 def test_rto_resets_to_one_packet():

@@ -10,7 +10,7 @@ from repro.core.hypothetical import _HypotheticalSender
 from repro.core.ppt import Ppt, PptSender
 from repro.sim.engine import EventChain
 from repro.sim.packet import ACK, Packet
-from repro.transport.base import Flow
+from repro.transport.base import Flow, TransportConfig
 
 
 def make_sender(size=90_000, scheme=None, **cfg):
@@ -350,3 +350,79 @@ def test_stop_leaves_no_paced_entry():
     sender.stop()
     assert not paced_entries(topo.sim)
     assert not sender.lcp.active and not sender.lcp.outstanding
+
+
+# -- a first loop with nothing to send is booked, not simulated ---------------
+
+INIT_CWND = TransportConfig().init_cwnd
+PAYLOAD = TransportConfig().payload_per_packet()
+
+
+def _loop_state(lcp):
+    return (lcp.loops_opened, lcp.initial_window, lcp.last_lp_ack,
+            lcp.active, lcp._walk, lcp._walk_top, lcp._walk_rtos,
+            lcp._tail_cursor, lcp._pace, lcp._term_event, lcp.lp_pkts_sent)
+
+
+def _loop_entries(sim):
+    return [fn.__name__ for _time, fn, _args in sim.live_entries()
+            if fn.__name__ in ("_open_case1", "_send_one", "_termination_check")
+            or isinstance(getattr(fn, "__self__", None), EventChain)]
+
+
+def _first_instant(n_packets, *, evented, scheme=None):
+    """Start an ``n_packets`` flow and run its start instant; ``evented``
+    opens case 1 the way every loop did before booking: a zero-delay
+    ``_open_case1`` whose paced first ``_send_one`` closes an empty loop."""
+    sender, topo, ctx = make_sender(size=n_packets * PAYLOAD, scheme=scheme)
+    assert sender.n_packets == n_packets
+    lcp = sender.lcp
+    if evented:
+        lcp.on_flow_start = lambda: lcp.sim.schedule(0.0, lcp._open_case1)
+    sender.start()
+    topo.sim.run(until=0.0)
+    return sender, topo
+
+
+@pytest.mark.parametrize("n_packets", range(1, INIT_CWND + 1))
+def test_booked_first_loop_is_what_open_then_close_leaves(n_packets):
+    booked, topo = _first_instant(n_packets, evented=False)
+    assert not _loop_entries(topo.sim)          # nothing was scheduled
+    evented, _topo = _first_instant(n_packets, evented=True)
+    assert evented.lcp.loops_opened == 1 and not evented.lcp.active
+    assert _loop_state(booked.lcp) == _loop_state(evented.lcp)
+    assert booked.lcp._pace is None and booked.lcp._term_event is None
+    assert booked.lcp.initial_window >= 1
+
+
+def _pending_opens(sender, topo):
+    return [time for time, fn, _args in topo.sim.live_entries()
+            if fn == sender.lcp._open_case1]
+
+
+@pytest.mark.parametrize("size, scheme, at_rtt", [
+    (INIT_CWND * PAYLOAD + 1, None, False),         # beyond the first window
+    (200_000, None, True),                          # identified large
+    (200_000, Ppt(identification=False), False),    # large, unidentified
+], ids=["first-window-plus-one", "identified-large", "noident-large"])
+def test_a_loop_with_something_to_send_keeps_the_evented_open(size, scheme,
+                                                              at_rtt):
+    sender, topo, ctx = make_sender(size=size, scheme=scheme)
+    sender.start()
+    assert _pending_opens(sender, topo) == [
+        sender.base_rtt if at_rtt else 0.0]
+    assert sender.lcp.loops_opened == 0
+    topo.sim.run(until=sender.base_rtt * 1.001)
+    assert sender.lcp.loops_opened == 1 and sender.lcp.lp_pkts_sent > 0
+
+
+def test_ablations_keep_their_first_instant():
+    """``ewd=False`` bursts inside ``open_loop`` (no paced first packet
+    to book) and keeps its zero-delay open; ``lcp_enabled=False`` has
+    no loop to open."""
+    sender, topo = _first_instant(1, evented=False, scheme=Ppt(ewd=False))
+    assert sender.lcp.loops_opened == 1 and not sender.lcp.active
+    assert _loop_entries(topo.sim) == ["_termination_check"]
+    sender, topo = _first_instant(1, evented=False,
+                                  scheme=Ppt(lcp_enabled=False))
+    assert sender.lcp.loops_opened == 0 and not _loop_entries(topo.sim)

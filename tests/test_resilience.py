@@ -36,7 +36,7 @@ from repro.resilience import (
 )
 from repro.transport.base import MessageSender
 from repro.transport.dctcp import Dctcp
-from repro.workloads.distributions import WEB_SEARCH
+from repro.workloads.distributions import MEMCACHED_W1, WEB_SEARCH
 
 FABRICS = {
     "tiny": lambda: sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=2),
@@ -109,12 +109,13 @@ def test_resume_bit_identical_property(tmp_path_factory, scheme, fabric,
     assert resumed.health == straight.health
 
 
-def _resume_from_every_checkpoint(tmp_path, factory, seed=3):
-    """Run ``factory()`` on the lossy tiny fabric keeping every snapshot,
-    resume each one to the end and check it against the straight run;
-    returns the snapshot paths."""
+def _resume_from_every_checkpoint(tmp_path, factory, seed=3, scenario=None):
+    """Run ``factory()`` on ``scenario()`` (default: the lossy tiny
+    fabric) keeping every snapshot, resume each one to the end and check
+    it against the straight run; returns the snapshot paths."""
     path = str(tmp_path / "run.ckpt")
     copies = []
+    scenario = scenario or (lambda: scenario_for("tiny", "loss", seed))
 
     real_save = save_checkpoint
 
@@ -126,11 +127,11 @@ def _resume_from_every_checkpoint(tmp_path, factory, seed=3):
         return header
 
     import repro.experiments.runner as runner_mod
-    straight = run(factory(), scenario_for("tiny", "loss", seed))
+    straight = run(factory(), scenario())
     old = runner_mod.save_checkpoint
     runner_mod.save_checkpoint = hoarding_save
     try:
-        checked = run(factory(), scenario_for("tiny", "loss", seed),
+        checked = run(factory(), scenario(),
                       checkpoint_every=0.0, checkpoint_path=path)
     finally:
         runner_mod.save_checkpoint = old
@@ -219,6 +220,26 @@ def test_resume_between_a_purge_and_the_next_tail_pick(tmp_path):
 
     assert any(picked_again(*row) for row in cut
                ), "no loop with a pending restart picked again"
+
+
+def test_resume_straight_after_booked_first_loops(tmp_path):
+    """Memcached-sized flows book their empty first LCP loop instead of
+    scheduling it: a snapshot holding unfinished flows whose loop was
+    booked carries no loop entry for them and resumes bit-identical."""
+    copies = _resume_from_every_checkpoint(
+        tmp_path, SCHEME_FACTORIES["ppt"], scenario=lambda: all_to_all_scenario(
+            "ckpt-memcached", MEMCACHED_W1, load=0.01, n_flows=60,
+            size_cap=None, seed=2, fabric=FABRICS["tiny"](), max_time=0.02))
+
+    def booked(loop, sim):
+        return (loop.loops_opened == 1 and not loop.active
+                and loop.lp_pkts_sent == 0 and not loop.sender.finished
+                and not any(getattr(fn, "__self__", None) is loop
+                            for _time, fn, _args in sim.live_entries()))
+
+    assert any(booked(loop, sim) for copy in copies
+               for loop, sim in _second_loops(copy)
+               ), "no snapshot was cut with a booked loop's flow unfinished"
 
 
 def test_resume_with_rc3_filler_in_flight(tmp_path):

@@ -1,10 +1,15 @@
 """Unit + property tests for mirror-symmetric packet tagging (§4.2)."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_ctx, make_star
+from repro.core.ppt import Ppt, PptSender
 from repro.core.tagging import HCP_LOWEST, LCP_OFFSET, MirrorTagger
+from repro.transport.base import Flow
 
 
 def test_identified_large_pinned_to_lowest():
@@ -68,3 +73,27 @@ def test_lcp_always_below_every_hcp(bytes_sent):
     for identified in (False, True):
         tagger = MirrorTagger(identified)
         assert tagger.lcp_priority(bytes_sent) > HCP_LOWEST
+
+
+def _ppt_sender(flow_id, size, **cfg):
+    topo = make_star()
+    return PptSender(Flow(flow_id, 0, 1, size, 0.0), make_ctx(topo, **cfg),
+                     Ppt())
+
+
+def test_senders_with_one_key_share_one_immutable_tagger():
+    small, other_small = _ppt_sender(0, 3_000), _ppt_sender(1, 5_000)
+    large = _ppt_sender(2, 500_000)
+    assert small.tagger is other_small.tagger
+    assert large.identified_large and large.tagger is not small.tagger
+    assert _ppt_sender(3, 3_000, demotion_thresholds=[10, 20, 30]).tagger \
+        is _ppt_sender(4, 3_000, demotion_thresholds=(10, 20, 30)).tagger
+    with pytest.raises(FrozenInstanceError):
+        small.tagger.identified_large = True
+
+
+@pytest.mark.parametrize("thresholds", [(300, 200, 100), (100, 200)])
+def test_a_sender_with_bad_thresholds_still_raises(thresholds):
+    for _ in range(2):                   # a failed key is not cached
+        with pytest.raises(ValueError):
+            _ppt_sender(0, 3_000, demotion_thresholds=thresholds)
