@@ -18,7 +18,9 @@ Workloads are named as in :data:`repro.workloads.distributions.WORKLOADS`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+import dataclasses
+import functools
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.identification import (
     MEMCACHED_APP,
@@ -28,7 +30,7 @@ from ..core.identification import (
 from ..core.ppt import Ppt
 from ..metrics.cpu import collect_cpu
 from ..metrics.efficiency import collect_efficiency
-from ..metrics.sampler import BufferOccupancySampler, LinkUtilizationSampler
+from ..metrics.probe import Probe
 from ..transport.base import Scheme
 from ..transport.homa import Homa
 from ..workloads.distributions import (
@@ -41,7 +43,7 @@ from ..workloads.distributions import (
     sample_sizes,
 )
 from .parallel import run_grid, scheme_grid
-from .runner import Scenario, run, two_pass
+from .runner import RunResult, Scenario, run, two_pass
 from .scenarios import (
     HOMA_OVERCOMMIT,
     HOMA_RTT_BYTES_TESTBED,
@@ -96,21 +98,64 @@ def _fct_table(schemes: SchemeSet, scenario_factory: Callable[..., Scenario],
     return {"rows": [summary.row() for summary in summaries]}
 
 
-def _utilization_sampler(topo):
-    return LinkUtilizationSampler(topo.sim, topo.network.port_to_host(2),
-                                  100e-6)
+# the microbenchmarks' bottleneck: the downlink to two_to_one_scenario's
+# (and _ecn_fraction_scenario's) receiver
+_BOTTLENECK_HOST = 2
+_UTILIZATION_INTERVAL = 100e-6
 
 
-def _utilization_series(result) -> List[float]:
-    """50 samples of the bottleneck link, past a 10-sample warm-up."""
-    return result.ctx.extra["instruments"].utilizations()[10:60]
+def _bytes_sent(port) -> int:
+    return port.bytes_sent
+
+
+def _occupancy(port) -> Tuple[int, int]:
+    return port.mux.occupancy, port.mux.hp_occupancy
+
+
+def _probed(scenario: Scenario, read: Callable, interval: float,
+            ) -> Tuple[Scenario, List[Probe]]:
+    """``scenario`` with a :class:`Probe` of ``read(bottleneck port)``
+    attached to every fabric it builds, and the list each build's probe
+    is appended to (one per run, in run order)."""
+    probes: List[Probe] = []
+    build = scenario.build_topology
+
+    def build_topology():
+        topo = build()
+        port = topo.network.port_to_host(_BOTTLENECK_HOST)
+        probes.append(Probe(topo.sim, functools.partial(read, port),
+                            interval))
+        return topo
+
+    return dataclasses.replace(scenario, build_topology=build_topology), probes
+
+
+def _enough(samples: list, needed: int, what: str) -> list:
+    """``samples``, once a run produced the ``needed`` its window reads."""
+    if len(samples) < needed:
+        raise ValueError(
+            f"{what}: the run produced {len(samples)} samples, the window "
+            f"needs {needed}; run more flows")
+    return samples
+
+
+def _utilization_series(result: RunResult, probe: Probe) -> List[float]:
+    """50 utilisation samples of the bottleneck link (fraction of its
+    capacity per interval), past a 10-sample warm-up."""
+    port = result.topology.network.port_to_host(_BOTTLENECK_HOST)
+    capacity = port.rate_bps * _UTILIZATION_INTERVAL / 8.0
+    sent = [value for _time, value in probe.samples]
+    utilization = [(now - before) / capacity
+                   for before, now in zip(sent, sent[1:])]
+    return _enough(utilization, 60, "link utilisation")[10:60]
 
 
 def fig01_link_utilization(*, load: float = 0.5, n_flows: int = 120) -> dict:
     """Fig. 1: DCTCP's utilisation fluctuates below the ideal load."""
-    scenario = two_to_one_scenario("fig01", load=load, n_flows=n_flows)
-    series = _utilization_series(
-        run(SCHEMES["dctcp"](), scenario, instruments=_utilization_sampler))
+    scenario, probes = _probed(
+        two_to_one_scenario("fig01", load=load, n_flows=n_flows),
+        _bytes_sent, _UTILIZATION_INTERVAL)
+    series = _utilization_series(run(SCHEMES["dctcp"](), scenario), probes[0])
     avg = sum(series) / len(series)
     rows = [{"scheme": "dctcp", "avg_utilization": avg,
              "min_utilization": min(series), "max_utilization": max(series),
@@ -120,13 +165,13 @@ def fig01_link_utilization(*, load: float = 0.5, n_flows: int = 120) -> dict:
 
 def fig20_link_utilization(*, load: float = 0.5, n_flows: int = 120) -> dict:
     """Fig. 20: PPT vs DCTCP vs hypothetical DCTCP utilisation."""
-    scenario = two_to_one_scenario("fig20", load=load, n_flows=n_flows)
+    scenario, probes = _probed(
+        two_to_one_scenario("fig20", load=load, n_flows=n_flows),
+        _bytes_sent, _UTILIZATION_INTERVAL)
     # the recording pass is packet-for-packet plain DCTCP
-    dctcp, hypothetical = two_pass(scenario, instruments=_utilization_sampler)
-    ppt = run(SCHEMES["ppt"](), scenario, instruments=_utilization_sampler)
-    series = {"dctcp": _utilization_series(dctcp),
-              "hypothetical": _utilization_series(hypothetical),
-              "ppt": _utilization_series(ppt)}
+    results = two_pass(scenario) + (run(SCHEMES["ppt"](), scenario),)
+    series = {name: _utilization_series(result, probe) for name, result, probe
+              in zip(("dctcp", "hypothetical", "ppt"), results, probes)}
     rows = []
     for name, vals in series.items():
         rows.append({"scheme": name,
@@ -355,14 +400,17 @@ def fig28_buffer_occupancy(*, fractions: Sequence[float] = (0.6, 0.8),
     rows = []
     for fraction in fractions:
         for name in _APPENDIX_F_SCHEMES:
-            result = run(
-                SCHEMES[name](),
+            scenario, probes = _probed(
                 _ecn_fraction_scenario(f"fig28-{name}-{fraction}", fraction,
                                        load=load, n_flows=n_flows),
-                instruments=lambda topo: BufferOccupancySampler(
-                    topo.sim, topo.network.port_to_host(2), 50e-6))
-            total, high, low = \
-                result.ctx.extra["instruments"].averages(skip=5)
+                _occupancy, 50e-6)
+            run(SCHEMES[name](), scenario)
+            # averages past a 5-sample warm-up, in bytes
+            samples = _enough(probes[0].samples, 6, "buffer occupancy")[5:]
+            n = len(samples)
+            total = sum(occ for _time, (occ, _hp) in samples) / n
+            high = sum(hp for _time, (_occ, hp) in samples) / n
+            low = sum(occ - hp for _time, (occ, hp) in samples) / n
             rows.append({"scheme": name, "ecn_fraction": fraction,
                          "avg_total_bytes": total, "avg_high_bytes": high,
                          "avg_low_bytes": low,

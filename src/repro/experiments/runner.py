@@ -68,7 +68,9 @@ class Scenario:
     the same seed the streamed run is bit-identical to the materialized
     one (see ``docs/workloads.md``).  ``faults`` re-runs the identical
     workload under a deterministic fault schedule; ``event_budget``
-    bounds runaway runs.
+    bounds runaway runs.  Whatever must watch a run from its first
+    instant (a :class:`~repro.metrics.Probe`) attaches by wrapping
+    ``build_topology`` under :func:`dataclasses.replace`.
     """
 
     name: str
@@ -295,30 +297,10 @@ class _FlowStarts:
         return (flow.start_time, self._fn, (flow,) + self._extra)
 
 
-def _stop_instruments(obj) -> None:
-    """Recursively ``stop()`` whatever an ``instruments`` callback (or a
-    figure driver) hung onto: a sampler, or any nesting of
-    lists/tuples/dicts of them.  Objects without ``stop`` are ignored."""
-    if obj is None:
-        return
-    if isinstance(obj, (list, tuple, set)):
-        for item in obj:
-            _stop_instruments(item)
-        return
-    if isinstance(obj, dict):
-        for item in obj.values():
-            _stop_instruments(item)
-        return
-    stop = getattr(obj, "stop", None)
-    if callable(stop):
-        stop()
-
-
 def run(
     scheme: Optional[Scheme] = None,
     scenario: Optional[Scenario] = None,
     *,
-    instruments: Optional[Callable[[Topology], object]] = None,
     observe: Union[None, bool, Telemetry] = None,
     validate: Union[None, bool, str, RunAuditor] = None,
     checkpoint_every: Optional[float] = None,
@@ -334,11 +316,6 @@ def run(
     (e.g. with a larger ring capacity).  The finalized object lands on
     ``result.telemetry``.  When off (the default) every hook site stays
     ``None`` and the run is bit-identical to an unobserved one.
-
-    ``instruments`` (the older, narrower mechanism ``observe`` subsumes)
-    may attach samplers to the freshly built topology before any flow
-    starts; whatever it returns is stored on the result's
-    ``ctx.extra['instruments']`` and stopped at drain end.
 
     ``validate`` opts the run into the :mod:`repro.validate` invariant
     auditor: ``True`` audits (violations land on ``result.validation``),
@@ -358,14 +335,13 @@ def run(
     where it stopped; the result is bit-identical to a run that never
     stopped.  ``scheme``/``scenario`` may be omitted when resuming —
     when given, their names are checked against the checkpoint.
-    ``observe``/``validate``/``instruments`` travel inside the snapshot
-    and must not be re-passed.
+    ``observe``/``validate`` travel inside the snapshot and must not be
+    re-passed.
     """
     if resume is not None:
-        if observe not in (None, False) or validate not in (None, False) \
-                or instruments is not None:
+        if observe not in (None, False) or validate not in (None, False):
             raise ValueError(
-                "observe/validate/instruments are baked into the checkpoint; "
+                "observe/validate are baked into the checkpoint; "
                 "do not pass them together with resume=")
         state = resume if isinstance(resume, RunState) \
             else load_checkpoint(resume)
@@ -385,8 +361,8 @@ def run(
         raise TypeError("run() needs scheme and scenario unless resume= "
                         "restores them from a checkpoint")
     else:
-        state = _assemble(scheme, scenario, instruments=instruments,
-                          observe=observe, validate=validate)
+        state = _assemble(scheme, scenario, observe=observe,
+                          validate=validate)
     # drain and harvest are shared by the fresh and resumed paths —
     # which is exactly why a resumed run cannot diverge from a
     # straight-through one after the restore point
@@ -398,7 +374,6 @@ def _assemble(
     scheme: Scheme,
     scenario: Scenario,
     *,
-    instruments: Optional[Callable[[Topology], object]] = None,
     observe: Union[None, bool, Telemetry] = None,
     validate: Union[None, bool, str, RunAuditor] = None,
 ) -> RunState:
@@ -445,8 +420,6 @@ def _assemble(
         auditor.attach(topo.sim, topo.network, ctx)
     if faults is not None:
         ctx.extra["faults"] = faults
-    if instruments is not None:
-        ctx.extra["instruments"] = instruments(topo)
 
     # One chain for the whole start schedule instead of one heap event
     # per flow: the chain reserves its seq block here, where a loop of
@@ -480,8 +453,8 @@ def _assemble(
 
 def _harvest(state: RunState, health: RunHealth) -> RunResult:
     """Lifecycle step 3: read a drained run's books into ``health``
-    (engine counters, the endpoint walk), stop instruments, finalize
-    telemetry and auditor, build the :class:`RunResult`."""
+    (engine counters, the endpoint walk), finalize telemetry and
+    auditor, build the :class:`RunResult`."""
     topo, ctx, flows = state.topo, state.ctx, state.flows
     telemetry, auditor = state.telemetry, state.auditor
     sim = topo.sim
@@ -494,7 +467,6 @@ def _harvest(state: RunState, health: RunHealth) -> RunResult:
     health.retransmits_by_flow, rtos_by_flow, _tx = counters
     health.retransmits_total = sum(health.retransmits_by_flow.values())
     health.rtos_total = sum(rtos_by_flow.values())
-    _stop_instruments(ctx.extra.get("instruments"))
     if telemetry is not None:
         telemetry.finalize(topo.network, flows, counters)
     validation = auditor.finalize(flows) if auditor is not None else None
@@ -682,24 +654,19 @@ def _drain(state: RunState, checkpoint_every: Optional[float] = None,
     return health
 
 
-def two_pass(
-    scenario: Scenario,
-    *fill_factors: float,
-    instruments: Optional[Callable[[Topology], object]] = None,
-) -> Tuple[RunResult, ...]:
+def two_pass(scenario: Scenario,
+             *fill_factors: float) -> Tuple[RunResult, ...]:
     """The hypothetical-DCTCP construction (§2.3).
 
     Pass one runs default DCTCP recording each flow's maximum window;
     pass two replays the identical scenario with the oracle gap filler,
     once per fill factor (default: the one 1.0x pass).  Returns
-    ``(baseline_result, hypothetical_result, ...)``.  ``instruments``
-    reaches :func:`run` on every pass.
+    ``(baseline_result, hypothetical_result, ...)``.
     """
     recorder = MwRecordingDctcp()
-    baseline = run(recorder, scenario, instruments=instruments)
+    baseline = run(recorder, scenario)
     return (baseline,) + tuple(
-        run(HypotheticalDctcp(recorder.mw_table, factor), scenario,
-            instruments=instruments)
+        run(HypotheticalDctcp(recorder.mw_table, factor), scenario)
         for factor in fill_factors or (1.0,))
 
 

@@ -1,21 +1,14 @@
-"""Metrics: FCT statistics, samplers, efficiency and CPU proxies."""
+"""Metrics: FCT statistics, the periodic probe, efficiency and CPU proxies."""
 
 from .cpu import CpuStats, collect_cpu
 from .efficiency import EfficiencyStats, collect_efficiency
 from .fct import SMALL_FLOW_BYTES, FctStats, mean, percentile, reduction
+from .probe import Probe
 from .slowdown import SlowdownStats, ideal_fct
-from .timeline import SenderTimeline, TimelineSample
-from .sampler import (
-    BufferOccupancySampler,
-    LinkUtilizationSampler,
-    OccupancySample,
-    UtilizationSample,
-)
 
 __all__ = [
     "FctStats", "percentile", "mean", "reduction", "SMALL_FLOW_BYTES",
-    "LinkUtilizationSampler", "BufferOccupancySampler",
-    "UtilizationSample", "OccupancySample",
+    "Probe",
     "EfficiencyStats", "collect_efficiency", "CpuStats", "collect_cpu",
-    "SlowdownStats", "ideal_fct", "SenderTimeline", "TimelineSample",
+    "SlowdownStats", "ideal_fct",
 ]

@@ -51,44 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-# v2: RunState grew ``total_flows`` (streaming flow sources — ``flows``
-# now only holds what a stream has already emitted, and the lazy start
-# chain, with its half-consumed FlowStream, rides inside the sim graph)
-# v3: RunState grew ``hybrid`` (the flow-level fast path's controller —
-# abstract-flow set, rate assignments and the armed epoch event — so a
-# mid-epoch resume is bit-identical)
-# v4: one ``EventChain`` class — the armed flow-start chain in the sim
-# graph changed shape (a v3 snapshot pickled ``LazyEventChain`` or the
-# list-indexing ``EventChain``, neither of which this build can load)
-# v5: ``RunState.stall_slices`` is gone (a runner constant), and the
-# observed start chain's ``functools.partial`` carries one more argument
-# v6: heap entries are ``(time, seq, fn, arg)`` — the packet path's pickle
-# as bound method + packet, no ``Event`` — ``Wire``/``ControlPipe`` lost
-# ``head_event`` and ``Simulator`` its stored ``_live``
-# v7: the observed start chain's ``functools.partial`` carries one
-# argument fewer (v5's extra one is gone again), so an *observed* v6
-# snapshot would die at its next flow start.  An unobserved one would
-# still load (``Network``/``Topology`` restore by ``__dict__``, their
-# dropped attributes riding along unused), but the version cannot tell
-# the two apart
-# v8: ``ControlPipe`` owns its pair's constants (``net``, ``host``,
-# ``peer``, ``delay``) and pickles by ``__getstate__`` without its
-# bound-callback caches; message states carry the cached control sender
-# (and Homa's the flow's ``rtt_packets``), ``MessageSender`` its
-# ``mss``/``payload``/``min_rto``, and ``WindowReceiver`` one
-# ``_send_control`` where it had four ACK-path slots
-# v9: every second loop is a ``transport.window.TailLoop`` attached as
-# ``sender.lcp`` (RC3 and the oracle filler carried their ledger and
-# counter on the sender), and a paced burst is one ``EventChain``
-# over a lazy ``map`` where the heap held a handle per packet
-# v10: ``TailLoop`` carries its tail walk (``_walk``, ``_walk_top``,
-# ``_walk_rtos``) in slots, and both ``outstanding`` ledgers are read as
-# send-time-ordered prefixes — a v9 snapshot may hold one a fast
-# retransmit re-timed in place, which the prefix walks must never see
-# v11: ``Network`` carries a ``_base_rtt_cache``, and DCTCP's window hook
-# is a class-level ``on_window_update`` method — a v10 PPT sender pickled
-# an instance-level bound ``_window_update_hook`` this build lacks
-CHECKPOINT_VERSION = 11
+CHECKPOINT_VERSION = 12
 
 
 class CheckpointError(RuntimeError):
@@ -118,7 +81,7 @@ class RunState:
     auditor: Any = None
     # the HybridController when the run uses the flow-level fast path
     # (None otherwise); shares references into the sim graph, so the
-    # abstract set and its armed RearmableEvent pickle consistently
+    # abstract set and its armed epoch event pickle consistently
     hybrid: Any = None
 
     # the run's flow target: len(flows) for a materialized workload,

@@ -574,51 +574,3 @@ class EventChain:
         self._entries = None
         self._seqs_left = 0 if self._seqs_left is not None else None
 
-
-class RearmableEvent:
-    """A single re-armable heap entry for coarse *epoch* work.
-
-    The hybrid fast path advances abstract flows at congestion epochs —
-    irregular instants recomputed every time the flow set or the fabric
-    changes.  Holding one of these per controller instead of scheduling
-    ad-hoc events keeps the bookkeeping simple: at most ONE live entry
-    exists at a time; re-arming cancels the resident entry (a corpse
-    the engine bounds like any other) and schedules a replacement
-    through plain ``schedule_at``.
-
-    Plain data + bound methods throughout: a RearmableEvent pickles
-    inside checkpoints along with the simulator heap, and a resumed run
-    fires the restored entry at the identical (time, seq) slot.
-    """
-
-    __slots__ = ("sim", "fn", "event")
-
-    def __init__(self, sim: Simulator, fn) -> None:
-        self.sim = sim
-        self.fn = fn
-        self.event: Optional[Event] = None
-
-    def set_at(self, time: float) -> None:
-        """Arm (or move) the single entry to fire at ``time``."""
-        if self.event is not None:
-            self.event.cancel()
-        self.event = self.sim.schedule_at(time, self._fire)
-
-    def clear(self) -> None:
-        """Disarm without firing."""
-        if self.event is not None:
-            self.event.cancel()
-            self.event = None
-
-    def _fire(self) -> None:
-        self.event = None
-        self.fn()
-
-    @property
-    def armed(self) -> bool:
-        return self.event is not None
-
-    @property
-    def time(self) -> Optional[float]:
-        """Scheduled fire time of the live entry, or None."""
-        return self.event.time if self.event is not None else None

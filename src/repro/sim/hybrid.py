@@ -17,8 +17,8 @@ motivates at datacenter scale, done here exactly:
 * **Congestion epochs.**  Abstract flows advance at *epochs* — abstract
   arrival/departure, packet-flow arrival/departure on a shared port,
   fault transitions, and a bounded re-measure interval while packet
-  traffic coexists — via a single
-  :class:`~repro.sim.engine.RearmableEvent` heap entry.  Each epoch
+  traffic coexists — via a single re-armed heap entry
+  (:meth:`HybridController._set_epoch`).  Each epoch
   banks ``rate * dt`` of progress per flow, re-measures packet
   occupancy through the shared :class:`~repro.sim.network.LinkLedger`,
   and re-runs progressive waterfilling for new max-min rates.
@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import RearmableEvent, Simulator
+from .engine import Event, Simulator
 from .link import Port
 from .network import LinkLedger, Network
 from .packet import HEADER_BYTES
@@ -189,7 +189,8 @@ class HybridController:
         self.ctx = None
         self.ledger = LinkLedger()
         self.abstract: Dict[int, AbstractFlow] = {}
-        self.epoch_event: Optional[RearmableEvent] = None
+        # the one armed epoch entry, None when no epoch is due
+        self.epoch_event: Optional[Event] = None
         # abstraction is only sound under deterministic per-flow
         # routing; spray / stateful LB disables it wholesale (bind time)
         self.abstraction_ok = False
@@ -232,7 +233,6 @@ class HybridController:
         self.ctx = ctx
         self.sim = ctx.sim
         self.network = ctx.network
-        self.epoch_event = RearmableEvent(self.sim, self._epoch)
         self.abstraction_ok = not any(
             switch.spray or switch.lb is not None
             for switch in self.network.switches)
@@ -370,11 +370,22 @@ class HybridController:
             af.rate = rate
             af.bottleneck = ports[bn] if bn is not None else None
 
+    def _set_epoch(self, time: Optional[float]) -> None:
+        """Move the single epoch entry to ``time``, or disarm it (None).
+        Re-arming leaves a corpse the engine bounds like any other."""
+        if self.epoch_event is not None:
+            self.epoch_event.cancel()
+        self.epoch_event = None if time is None \
+            else self.sim.schedule_at(time, self._epoch_due)
+
+    def _epoch_due(self) -> None:
+        self.epoch_event = None
+        self._epoch()
+
     def _arm(self, now: float) -> None:
         abstract = self.abstract
         if not abstract:
-            if self.epoch_event is not None:
-                self.epoch_event.clear()
+            self._set_epoch(None)
             return
         next_time = math.inf
         for af in abstract.values():
@@ -387,10 +398,7 @@ class HybridController:
             cap = now + self.config.max_epoch
             if cap < next_time:
                 next_time = cap
-        if next_time != math.inf:
-            self.epoch_event.set_at(next_time)
-        else:
-            self.epoch_event.clear()
+        self._set_epoch(next_time if next_time != math.inf else None)
 
     # -- demotion & completion ---------------------------------------------
 
@@ -443,8 +451,8 @@ class HybridController:
             original.finish_time = flow.finish_time
         if self.abstract:
             event = self.epoch_event
-            if event.time is None or event.time > self.sim.now:
-                event.set_at(self.sim.now)
+            if event is None or event.time > self.sim.now:
+                self._set_epoch(self.sim.now)
 
     # -- fault coupling ----------------------------------------------------
 

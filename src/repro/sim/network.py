@@ -581,13 +581,6 @@ class LinkLedger:
             else:
                 flows.pop(port, None)
 
-    def shared_with_packets(self, path: List[Port]) -> bool:
-        flows = self.packet_flows
-        for port in path:
-            if port in flows:
-                return True
-        return False
-
     def available_bps(self, port: Port) -> float:
         """Link rate minus measured packet throughput, in bits/sec."""
         state = self.tracked.get(port)

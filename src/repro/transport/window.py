@@ -577,12 +577,6 @@ class WindowSender:
             # nothing sendable (e.g. all delivered via SACK); re-arm anyway
             self._arm_rto()
 
-    # -- introspection ----------------------------------------------------------
-
-    @property
-    def bytes_delivered(self) -> int:
-        return min(self.flow.size, len(self.delivered) * self._payload)
-
 
 def _paced_entry(start: float, interval: float, fn, i: int) -> tuple:
     return start + i * interval, fn, ()

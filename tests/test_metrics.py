@@ -1,5 +1,6 @@
-"""Tests for FCT statistics, samplers, efficiency and CPU metrics."""
+"""Tests for FCT statistics, the periodic probe, efficiency and CPU metrics."""
 
+import functools
 import math
 
 import pytest
@@ -11,7 +12,7 @@ from repro.core.ppt import Ppt
 from repro.metrics.cpu import CpuStats, collect_cpu
 from repro.metrics.efficiency import collect_efficiency
 from repro.metrics.fct import SMALL_FLOW_BYTES, FctStats, mean, percentile, reduction
-from repro.metrics.sampler import BufferOccupancySampler, LinkUtilizationSampler
+from repro.metrics.probe import Probe
 from repro.transport.base import Flow
 from repro.transport.dctcp import Dctcp
 
@@ -120,39 +121,61 @@ def test_reduction():
     assert math.isnan(reduction(0.0, 5.0))
 
 
-# -- samplers -----------------------------------------------------------------
+# -- probe ----------------------------------------------------------------------
+
+
+def _bytes_sent(port):
+    return port.bytes_sent
+
+
+def _occupancy(port):
+    return port.mux.occupancy, port.mux.hp_occupancy
+
+
+def utilization_probe(topo, interval):
+    port = topo.network.port_to_host(2)
+    return Probe(topo.sim, functools.partial(_bytes_sent, port), interval)
+
+
+def utilizations(probe, port):
+    capacity = port.rate_bps * probe.interval / 8.0
+    sent = [value for _time, value in probe.samples]
+    return [(now - before) / capacity for before, now in zip(sent, sent[1:])]
+
+
+def busy_star(size):
+    """A star with one DCTCP flow into host 2, not yet run."""
+    topo = make_star(3)
+    flow = Flow(0, 0, 2, size, 0.0)
+    Dctcp().start_flow(flow, make_ctx(topo))
+    return topo, flow
 
 
 def test_link_utilization_sampler_idle_link():
     topo = make_star(3)
-    port = topo.network.port_to_host(2)
-    sampler = LinkUtilizationSampler(topo.sim, port, 10e-6)
+    probe = utilization_probe(topo, 10e-6)
     topo.sim.run(until=100e-6)
-    assert sampler.samples
-    assert all(s.utilization == 0.0 for s in sampler.samples)
+    assert len(probe.samples) > 1
+    assert utilizations(probe, topo.network.port_to_host(2)) == [0.0] * (
+        len(probe.samples) - 1)
 
 
 def test_link_utilization_sampler_busy_link():
-    topo = make_star(3)
-    scheme = Dctcp()
-    ctx = make_ctx(topo)
-    flow = Flow(0, 0, 2, 2_000_000, 0.0)
-    port = topo.network.port_to_host(2)
-    sampler = LinkUtilizationSampler(topo.sim, port, 20e-6)
-    scheme.start_flow(flow, ctx)
+    topo, flow = busy_star(2_000_000)
+    probe = utilization_probe(topo, 20e-6)
     topo.sim.run(until=2.0)
     assert flow.completed
-    peak = max(sampler.utilizations())
+    peak = max(utilizations(probe, topo.network.port_to_host(2)))
     assert 0.8 <= peak <= 1.05
 
 
 def test_buffer_occupancy_sampler():
     topo = make_star(3)
     port = topo.network.port_to_host(2)
-    sampler = BufferOccupancySampler(topo.sim, port, 10e-6)
+    probe = Probe(topo.sim, functools.partial(_occupancy, port), 10e-6)
     topo.sim.run(until=100e-6)
-    total, high, low = sampler.averages()
-    assert total == 0.0 and high == 0.0 and low == 0.0
+    assert probe.samples[0] == (0.0, (0, 0))
+    assert {value for _time, value in probe.samples} == {(0, 0)}
 
 
 # -- efficiency ----------------------------------------------------------------
@@ -206,64 +229,50 @@ def test_ppt_overhead_scales_with_lp_traffic():
     assert ops_ppt <= ops_dctcp * 2.5
 
 
-# -- sampler lifecycle ---------------------------------------------------------
+# -- probe lifecycle -------------------------------------------------------------
 
 
 def test_sampler_stop_cancels_pending_tick():
-    topo = make_star(3)
-    port = topo.network.port_to_host(2)
-    sampler = LinkUtilizationSampler(topo.sim, port, 10e-6)
+    topo, _flow = busy_star(2_000_000)
+    probe = utilization_probe(topo, 10e-6)
     topo.sim.run(until=35e-6)
-    n = len(sampler.samples)
-    assert n > 0
-    sampler.stop()
-    assert sampler.stopped
-    assert sampler._pending is None
+    n = len(probe.samples)
+    assert n == 4  # t = 0, 10, 20, 30 us
+    probe.stop()
+    assert probe.stopped
+    assert probe._pending is None
     topo.sim.run(until=200e-6)
-    assert len(sampler.samples) == n  # never fired again
+    assert len(probe.samples) == n  # never fired again
 
 
 def test_sampler_auto_stops_when_fabric_idle():
-    """Once nothing but sampler timers remains in the heap, the sampler
-    stops rescheduling instead of keeping the heap warm forever."""
-    topo = make_star(3)
-    scheme = Dctcp()
-    ctx = make_ctx(topo)
-    flow = Flow(0, 0, 2, 50_000, 0.0)
-    port = topo.network.port_to_host(2)
-    sampler = LinkUtilizationSampler(topo.sim, port, 20e-6)
-    scheme.start_flow(flow, ctx)
+    """Once nothing but probe ticks remains in the heap, the probe stops
+    rescheduling instead of keeping the heap warm forever."""
+    topo, flow = busy_star(50_000)
+    probe = utilization_probe(topo, 20e-6)
     topo.sim.run(until=10.0)
     assert flow.completed
-    assert sampler.stopped
-    assert sampler.samples
+    assert probe.stopped
+    assert probe.samples[-1][0] < 1e-3
     # the heap fully drained — the runner's heap-empty early exit works
     assert topo.sim.live_pending == 0
 
 
 def test_occupancy_sampler_auto_stops_too():
-    topo = make_star(3)
-    scheme = Dctcp()
-    ctx = make_ctx(topo)
-    flow = Flow(0, 0, 2, 50_000, 0.0)
-    sampler = BufferOccupancySampler(
-        topo.sim, topo.network.port_to_host(2), 20e-6)
-    scheme.start_flow(flow, ctx)
+    topo, flow = busy_star(50_000)
+    probe = Probe(topo.sim, functools.partial(
+        _occupancy, topo.network.port_to_host(2)), 20e-6)
     topo.sim.run(until=10.0)
     assert flow.completed
-    assert sampler.stopped
+    assert probe.stopped
     assert topo.sim.live_pending == 0
 
 
 def test_two_samplers_both_auto_stop():
-    topo = make_star(3)
-    scheme = Dctcp()
-    ctx = make_ctx(topo)
-    flow = Flow(0, 0, 2, 50_000, 0.0)
+    topo, _flow = busy_star(50_000)
     port = topo.network.port_to_host(2)
-    util = LinkUtilizationSampler(topo.sim, port, 20e-6)
-    occ = BufferOccupancySampler(topo.sim, port, 30e-6)
-    scheme.start_flow(flow, ctx)
+    util = Probe(topo.sim, functools.partial(_bytes_sent, port), 20e-6)
+    occ = Probe(topo.sim, functools.partial(_occupancy, port), 30e-6)
     topo.sim.run(until=10.0)
     assert util.stopped and occ.stopped
     assert topo.sim.live_pending == 0

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import SCHEME_FACTORIES
+from repro.experiments import figures
 from repro.experiments.runner import run
 from repro.experiments.scenarios import (
     all_to_all_scenario,
@@ -25,6 +26,7 @@ from repro.experiments.scenarios import (
     soak_scenario,
 )
 from repro.faults import FaultPlan, LinkDown, PacketLoss
+from repro.metrics.probe import Probe
 from repro.resilience import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
@@ -340,6 +342,44 @@ def test_observed_and_validated_run_survives_resume(tmp_path):
     assert resumed.validation.checks_run >= straight.validation.checks_run
 
 
+def test_probed_run_resumes_and_the_probe_keeps_sampling(tmp_path,
+                                                         monkeypatch):
+    """A probe attached through the scenario rides in the heap: the run
+    snapshots mid-drain, resumes bit-identical, and the restored probe
+    goes on sampling exactly as the straight run's did."""
+    path = str(tmp_path / "run.ckpt")
+
+    def probed():
+        return figures._probed(scenario_for("tiny", "none", 1),
+                               figures._bytes_sent, 20e-6)
+
+    scenario, straight_probes = probed()
+    straight = run(Dctcp(), scenario)
+
+    import repro.experiments.runner as runner_mod
+    real_save = save_checkpoint
+
+    def first_only(state, p):
+        if not os.path.exists(p):
+            return real_save(state, p)
+        return state.header()
+
+    monkeypatch.setattr(runner_mod, "save_checkpoint", first_only)
+    scenario, _probes = probed()
+    run(Dctcp(), scenario, checkpoint_every=0.0, checkpoint_path=path)
+
+    state = load_checkpoint(path)
+    assert state.sim.events_run < straight.wall_events
+    (probe,) = {fn.__self__ for _time, fn, _args in state.sim.live_entries()
+                if isinstance(getattr(fn, "__self__", None), Probe)}
+    taken = len(probe.samples)
+    resumed = run(resume=state)
+    assert fct_fingerprint(resumed) == fct_fingerprint(straight)
+    assert resumed.wall_events == straight.wall_events
+    assert len(probe.samples) > taken
+    assert probe.samples == straight_probes[0].samples
+
+
 # -- format, versioning, atomicity ----------------------------------------
 
 
@@ -397,7 +437,7 @@ def test_scheme_scenario_mismatch_is_refused(ckpt_path):
         run(Dctcp(), scenario_for("wide", "none", 1), resume=ckpt_path)
 
 
-def test_resume_rejects_observe_validate_instruments(ckpt_path):
+def test_resume_rejects_observe_and_validate(ckpt_path):
     run(Dctcp(), scenario_for("tiny", "none", 1),
         checkpoint_every=0.0, checkpoint_path=ckpt_path)
     with pytest.raises(ValueError, match="baked into"):

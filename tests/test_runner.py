@@ -46,18 +46,6 @@ def test_run_different_seeds_differ():
     assert [f.fct for f in r1.flows] != [f.fct for f in r2.flows]
 
 
-def test_instruments_hook():
-    seen = {}
-
-    def instruments(topo):
-        seen["topo"] = topo
-        return "probe"
-
-    result = run(Dctcp(), tiny_scenario(), instruments=instruments)
-    assert seen["topo"] is result.topology
-    assert result.ctx.extra["instruments"] == "probe"
-
-
 def test_two_pass_same_flows():
     base, hypo = two_pass(tiny_scenario())
     assert base.completion_rate == 1.0

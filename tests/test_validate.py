@@ -13,6 +13,7 @@ Three families:
   single operation (doubling as the unit test for the mux validator).
 """
 
+import dataclasses
 import pickle
 import random
 
@@ -103,17 +104,29 @@ def test_dumbbell_scenario_validates_clean():
     assert result.validation.ok, result.validation.describe()
 
 
+def _tampered(scenario, tamper):
+    """``scenario`` with ``tamper(topo)`` applied to every fabric it
+    builds, before the run attaches anything to it."""
+    build = scenario.build_topology
+
+    def build_topology():
+        topo = build()
+        tamper(topo)
+        return topo
+
+    return dataclasses.replace(scenario, build_topology=build_topology)
+
+
 def _corrupt_first_mux(topo):
     # Cook the shared-buffer ledger without touching any real packet:
     # exactly what a buggy enqueue path would do.
     topo.network.ports[0].mux.occupancy += 1500
-    return None
 
 
 def test_corrupted_mux_raises_in_strict_mode():
     with pytest.raises(InvariantViolation) as exc_info:
-        run(Dctcp(), small_scenario(), validate="strict",
-            instruments=_corrupt_first_mux)
+        run(Dctcp(), _tampered(small_scenario(), _corrupt_first_mux),
+            validate="strict")
     exc = exc_info.value
     assert exc.law.startswith("mux-occupancy")
     assert exc.subject  # names the offending port
@@ -121,8 +134,8 @@ def test_corrupted_mux_raises_in_strict_mode():
 
 
 def test_corrupted_mux_reported_in_audit_mode():
-    result = run(Dctcp(), small_scenario(), validate=True,
-                 instruments=_corrupt_first_mux)
+    result = run(Dctcp(), _tampered(small_scenario(), _corrupt_first_mux),
+                 validate=True)
     report = result.validation
     assert not report.ok
     assert any(law.startswith("mux-occupancy") for law in report.counts)
@@ -305,10 +318,9 @@ def test_cooked_wire_ledger_breaks_fabric_conservation():
     def cook_port(topo):
         topo.network.ports[0].pkts_sent += 1
         topo.network.ports[0].bytes_sent += 1500
-        return None
 
-    result = run(Dctcp(), small_scenario(n_flows=4), validate=True,
-                 instruments=cook_port)
+    result = run(Dctcp(), _tampered(small_scenario(n_flows=4), cook_port),
+                 validate=True)
     report = result.validation
     assert not report.ok
     assert "fabric-packet-conservation" in report.counts
@@ -346,10 +358,9 @@ def test_cooked_dead_counter_detected():
 
     def cook_dead(topo):
         topo.sim._dead += 1
-        return None
 
-    result = run(Dctcp(), small_scenario(n_flows=4), validate=True,
-                 instruments=cook_dead)
+    result = run(Dctcp(), _tampered(small_scenario(n_flows=4), cook_dead),
+                 validate=True)
     report = result.validation
     assert not report.ok
     assert "engine-dead-counter" in report.counts
