@@ -66,9 +66,9 @@ class PptGraft:
     # kernel prototype, the head keeps transmitting in order and only
     # advances past bytes the receiver has already acknowledged via
     # LP-ACKs (§5.2's snd_nxt tweak, realised through the shared
-    # ``delivered`` set).  The occasional duplicate costs only spare
-    # low-priority bandwidth; gating completion on a queued P4-P7 packet
-    # would cost latency.
+    # ``cum`` / ``sacked`` scoreboard).  The occasional duplicate costs
+    # only spare low-priority bandwidth; gating completion on a queued
+    # P4-P7 packet would cost latency.
 
     def stop(self) -> None:
         super().stop()

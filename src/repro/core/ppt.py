@@ -13,8 +13,8 @@ packets are counted and acknowledged with one low-priority ACK per *two*
 LP data packets, carrying SACK tags for both and the ECN-Echo of either.
 When the ACK for LP data advances past the HCP loop's next sequence, the
 sender simply advances its head ("tweak the ACK processing by advancing
-the send queue's head"), implemented here by the shared delivered set that
-the HCP head pointer skips over.
+the send queue's head"), implemented here by the sender's shared
+``cum`` / ``sacked`` scoreboard that the HCP head pointer skips over.
 
 Ablation flags reproduce the §6.3.1 variants:
 
@@ -28,9 +28,9 @@ Ablation flags reproduce the §6.3.1 variants:
 from __future__ import annotations
 
 from ..sim.packet import DATA, Packet, make_ack
-from ..transport.base import Flow, Scheme, TransportContext
+from ..transport.base import NO_SEQS, Flow, Scheme, TransportContext
 from ..transport.dctcp import DctcpSender
-from ..transport.window import WindowReceiver, _DeliveredAll
+from ..transport.window import WindowReceiver
 from .graft import PptGraft
 
 
@@ -81,13 +81,19 @@ class PptReceiver(WindowReceiver):
     def _on_lp_data(self, pkt: Packet) -> None:
         self.data_pkts_received += 1
         self.lp_pkts_received += 1
-        if pkt.seq in self.delivered:
+        seq = pkt.seq
+        sacked = self.sacked
+        if seq < self.cum or seq in sacked:
             self.dup_pkts_received += 1
+        elif seq > self.cum:
+            sacked.add(seq)
         else:
-            self.delivered.add(pkt.seq)
-            while self.cum in self.delivered:
-                self.cum += 1
-        self._lp_pending.append(pkt.seq)
+            cum = seq + 1
+            while cum in sacked:
+                sacked.remove(cum)
+                cum += 1
+            self.cum = cum
+        self._lp_pending.append(seq)
         self._lp_pending_ce = self._lp_pending_ce or pkt.ecn_ce
         self._lp_last_pkt = pkt
         if len(self._lp_pending) >= 2:
@@ -95,12 +101,10 @@ class PptReceiver(WindowReceiver):
         elif self._lp_flush_event is None:
             self._lp_flush_event = self.ctx.sim.schedule(
                 self.ctx.config.lp_ack_delay, self._lp_delayed_flush)
-        if not self._done and len(self.delivered) >= self.n_packets:
+        if not self._done and self.cum >= self.n_packets:
             self._done = True
             self._flush_lp_pending()
-            # finished receivers hold {0..n-1} exactly; release the
-            # per-seq hash set (see window._DeliveredAll)
-            self.delivered = _DeliveredAll(self.n_packets)
+            self.sacked = NO_SEQS     # as WindowReceiver.on_packet
             self.ctx.on_complete(self.flow)
 
     def _send_lp_ack(self, pkt: Packet) -> None:

@@ -175,8 +175,8 @@ class RunResult:
 
 def _progress_signature(ctx: TransportContext, network: Network) -> tuple:
     """Snapshot of forward progress: completions, every endpoint's
-    delivered-packet count (window senders and receivers both keep a
-    ``delivered`` set; a receiver-driven scheme's ``MessageEndpoint``
+    delivered-packet count (window senders and receivers both expose a
+    ``delivered`` view; a receiver-driven scheme's ``MessageEndpoint``
     exposes its message's; endpoints without one, such as the
     receiver-driven senders, count nothing) and the number of registered
     endpoints (so a newly started flow counts as progress).  If this is unchanged across the

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Set as _AbstractSet
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Deque, Dict, List, Optional, Set
 
 from ..sim.engine import Event, Simulator
@@ -213,46 +215,93 @@ class RttBytesScheme(Scheme):
 # ---------------------------------------------------------------------------
 
 
+# What a finished flow's ``sacked`` set is swapped for: one shared object,
+# where the drained set would keep its hash table (sets never shrink).
+NO_SEQS: frozenset = frozenset()
+
+
+class DeliveredSeqs(_AbstractSet):
+    """Read-only, live view of the seqs an endpoint knows delivered:
+    every seq below its ``cum`` plus its ``sacked`` set, the delivered
+    seqs at or above ``cum``.
+
+    Both cores keep that pair instead of one hash entry per packet, so
+    per-flow state is O(reorder window), not O(flow).  The view is for
+    the auditor, the stall watchdog and tests; hot paths read ``cum``
+    and ``sacked`` directly.
+    """
+
+    __slots__ = ("_owner",)
+
+    def __init__(self, owner) -> None:
+        self._owner = owner
+
+    def __contains__(self, seq) -> bool:
+        owner = self._owner
+        return 0 <= seq < owner.cum or seq in owner.sacked
+
+    def __iter__(self):
+        owner = self._owner
+        return chain(range(owner.cum), owner.sacked)
+
+    def __len__(self) -> int:
+        owner = self._owner
+        return owner.cum + len(owner.sacked)
+
+
+#: ``delivered`` of every endpoint that keeps ``cum`` and ``sacked``
+delivered_view = property(DeliveredSeqs, doc=DeliveredSeqs.__doc__)
+
+
 class MessageState:
     """Receiver-side state of one inbound message."""
 
-    __slots__ = ("flow", "n_packets", "delivered", "cum", "done",
+    __slots__ = ("flow", "n_packets", "cum", "sacked", "done",
                  "progress_mark", "send_control")
 
     def __init__(self, flow: Flow, n_packets: int) -> None:
         self.flow = flow
         self.n_packets = n_packets
-        self.delivered: Set[int] = set()
         self.cum = 0              # every seq below this is delivered
+        self.sacked: Set[int] = set()   # delivered seqs above ``cum``
         self.done = False
-        self.progress_mark = 0    # len(delivered) at the last stall check
+        self.progress_mark = 0    # delivered count at the last stall check
         # control sender to the flow's source, resolved on the first
         # control packet (see ReceiverHost.control_sender)
         self.send_control = None
 
+    delivered = delivered_view
+
     def deliver(self, seq: int) -> None:
         """Record data packet ``seq``; a duplicate changes nothing."""
-        delivered = self.delivered
-        if seq not in delivered:
-            delivered.add(seq)
-            cum = self.cum
-            while cum in delivered:
+        cum = self.cum
+        if seq == cum:
+            cum += 1
+            sacked = self.sacked
+            while cum in sacked:
+                sacked.remove(cum)
                 cum += 1
             self.cum = cum
+        elif seq > cum:
+            self.sacked.add(seq)
 
 
 class MessageEndpoint:
     """The per-flow receiver a receiver-driven scheme registers with the
     destination host: it hands packets to the per-host
-    :class:`ReceiverHost` and exposes the message's ``delivered`` set, so
-    the run-health watchdog counts in-message progress exactly as it
+    :class:`ReceiverHost` and exposes its message's ``delivered`` view,
+    so the run-health watchdog counts in-message progress exactly as it
     does for window endpoints."""
 
-    __slots__ = ("manager", "delivered")
+    __slots__ = ("manager", "state")
 
     def __init__(self, manager: "ReceiverHost", state: MessageState) -> None:
         self.manager = manager
-        self.delivered = state.delivered
+        self.state = state
+
+    @property
+    def delivered(self) -> DeliveredSeqs:
+        return DeliveredSeqs(self.state)
 
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind == DATA:
@@ -301,7 +350,7 @@ class ReceiverHost:
             return
         old_cum = state.cum
         state.deliver(pkt.seq)
-        if len(state.delivered) >= state.n_packets:
+        if state.cum >= state.n_packets:
             self.complete(state)
         else:
             self.on_delivery(state, state.cum > old_cum)
@@ -314,6 +363,7 @@ class ReceiverHost:
 
     def complete(self, state: MessageState) -> None:
         state.done = True
+        state.sacked = NO_SEQS
         self.send_final(state)
         self.ctx.on_complete(state.flow)
 
@@ -372,7 +422,7 @@ class ReceiverHost:
     def _stall_check(self, state: MessageState) -> None:
         if state.done:
             return
-        delivered = len(state.delivered)
+        delivered = state.cum + len(state.sacked)
         if delivered <= state.progress_mark:
             self.on_stall(state)
         state.progress_mark = delivered

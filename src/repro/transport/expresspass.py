@@ -67,8 +67,9 @@ class ExpressPassReceiverHost(ReceiverHost):
         some credited packets were lost — re-credit the holes."""
         if state.credited >= state.n_packets and not state.recredit:
             # target exactly the holes, not a sequential re-walk
-            state.recredit.extend(seq for seq in range(state.n_packets)
-                                  if seq not in state.delivered)
+            state.recredit.extend(seq for seq in range(state.cum,
+                                                       state.n_packets)
+                                  if seq not in state.sacked)
             if state not in self.control_queue:
                 self.control_queue.append(state)
             self.arm_pacer()
@@ -85,7 +86,7 @@ class ExpressPassReceiverHost(ReceiverHost):
     def release(self, state: _CreditState) -> None:
         if state.recredit:
             seq = state.recredit.popleft()
-            if seq in state.delivered:
+            if seq < state.cum or seq in state.sacked:
                 return
         else:
             seq = state.credited

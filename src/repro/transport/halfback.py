@@ -68,7 +68,7 @@ class HalfbackSender(WindowSender):
     def _paced_send(self) -> None:
         seq = self._pace_ptr
         self._pace_ptr = seq + 1
-        if not self.finished and seq not in self.delivered:
+        if not self.finished and seq >= self.cum and seq not in self.sacked:
             self.transmit(seq)
 
     def _backwards_round(self) -> None:
@@ -77,9 +77,10 @@ class HalfbackSender(WindowSender):
         if self.finished:
             return
         ptr = self._back_ptr
-        while ptr >= 0 and ptr in self.delivered:
+        cum = self.cum
+        while ptr >= cum and ptr in self.sacked:
             ptr -= 1
-        if ptr < 0:
+        if ptr < cum:           # every seq below cum is delivered
             # completed one backwards sweep; start over after one RTT
             # (Halfback keeps repairing until everything is ACKed)
             self._back_ptr = self.n_packets - 1
@@ -101,9 +102,11 @@ class HalfbackSender(WindowSender):
 
     def on_packet(self, pkt) -> None:
         if pkt.kind == 1 and pkt.lcp and not self.finished:  # ACK for redundancy
-            self.delivered.add(pkt.seq)
-            self.outstanding.pop(pkt.seq, None)
-            if len(self.delivered) >= self.n_packets:
+            seq = pkt.seq
+            if seq >= self.cum:
+                self.sacked.add(seq)
+            self.outstanding.pop(seq, None)
+            if self.cum + len(self.sacked) >= self.n_packets:
                 self.stop()
             return
         super().on_packet(pkt)

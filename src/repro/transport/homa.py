@@ -60,7 +60,8 @@ class _MsgState(MessageState):
 
 def _srpt_key(state: _MsgState):
     """Fewest remaining packets first, flow id breaking ties."""
-    return state.n_packets - len(state.delivered), state.flow.flow_id
+    return (state.n_packets - state.cum - len(state.sacked),
+            state.flow.flow_id)
 
 
 class HomaReceiverHost(ReceiverHost):
@@ -107,7 +108,7 @@ class HomaReceiverHost(ReceiverHost):
     def _regrant(self) -> None:
         scheme = self.scheme
         for rank, state in enumerate(self._ranked()[:scheme.overcommit]):
-            target = len(state.delivered) + state.rtt_packets
+            target = state.cum + len(state.sacked) + state.rtt_packets
             if target > state.n_packets:
                 target = state.n_packets
             # Plain Homa is evaluated with timeout-based loss recovery
@@ -128,9 +129,10 @@ class HomaReceiverHost(ReceiverHost):
             return
         horizon = min(pkt.seq, state.n_packets)
         now = self.ctx.sim.now
+        sacked = state.sacked
         missing = []
-        for seq in range(horizon):
-            if seq in state.delivered:
+        for seq in range(state.cum, horizon):
+            if seq in sacked:
                 continue
             state.last_missing_request[seq] = now
             missing.append(seq)
@@ -141,14 +143,15 @@ class HomaReceiverHost(ReceiverHost):
 
     def _missing(self, state: _MsgState, limit: int = 8) -> List[int]:
         """Holes below the highest delivered seq, rate-limited per seq."""
-        if not state.delivered:
+        sacked = state.sacked
+        if not sacked:            # no hole: everything delivered is below cum
             return []
-        high = max(state.delivered)
+        high = max(sacked)
         now = self.ctx.sim.now
         cooldown = self.ctx.network.base_rtt(state.flow.src, state.flow.dst)
         missing = []
         for seq in range(state.cum, high):
-            if seq in state.delivered:
+            if seq in sacked:
                 continue
             last = state.last_missing_request.get(seq, -1.0)
             if now - last < cooldown:

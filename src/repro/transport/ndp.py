@@ -67,8 +67,8 @@ class NdpReceiverHost(ReceiverHost):
 
     def on_stall(self, state: _PullState) -> None:
         # no unique-delivery progress in a full RTO: re-pull holes
-        holes = (seq for seq in range(state.n_packets)
-                 if seq not in state.delivered)
+        holes = (seq for seq in range(state.cum, state.n_packets)
+                 if seq not in state.sacked)
         for seq in islice(holes, 64):
             self._enqueue_pull(state, seq)
 

@@ -84,6 +84,7 @@ class Rc3Sender(DctcpSender):
         end = self.buffer_end() - 1
         if self._lp_ptr > end:
             self._lp_ptr = end
+        cum, sacked = self.cum, self.sacked
         while sent < budget and self._lp_ptr >= 0:
             seq = self._lp_ptr
             if seq <= self.send_ptr:
@@ -91,7 +92,8 @@ class Rc3Sender(DctcpSender):
                 loop.close()
                 return
             self._lp_ptr -= 1
-            if (seq not in self.delivered and seq not in self.outstanding
+            if (seq >= cum and seq not in sacked
+                    and seq not in self.outstanding
                     and seq not in lp_in_flight):
                 self._lp_transmit(seq)
                 sent += 1

@@ -22,69 +22,29 @@ Sequence numbers are *packet indices* (0-based); ``ack_seq`` on an ACK is
 the next expected index (all indices below it are delivered), and the
 ACK's own ``seq`` selectively acknowledges that one packet — a compact
 SACK that is exact at packet granularity.
+
+Each end keeps what it knows delivered as ``cum`` plus ``sacked``, the
+delivered seqs at or above ``cum`` — O(reorder window), not O(flow);
+``delivered`` is a read-only view over the pair
+(:class:`~repro.transport.base.DeliveredSeqs`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Set as _AbstractSet
 from functools import partial
 from typing import Dict, Optional, Set
 
 from ..sim.engine import Event, EventChain
 from ..sim.packet import ACK, ACK_BYTES, DATA, Packet
-from .base import Flow, TransportConfig, TransportContext
-
-
-# what a finished sender's send-history sets are swapped for: one shared
-# object instead of two empty ``set()`` (216 bytes each) per retired flow
-_NO_SEQS: frozenset = frozenset()
-
-
-class _DeliveredAll(_AbstractSet):
-    """Memory-flat stand-in for a *finished* flow's delivered-seq set.
-
-    When a flow completes, its delivered set is provably exactly
-    ``{0, .., n_packets-1}`` (``cum`` only advances past delivered seqs
-    and no seq >= ``n_packets`` is ever created), so the per-seq hash
-    set can be replaced by this O(1)-memory equivalent.  Long-horizon
-    soaks retire tens of thousands of flows; without this swap the
-    retired endpoints' seq sets dominate the process's memory and grow
-    without bound (see docs/robustness.md).
-
-    Implements the full ``collections.abc.Set`` protocol, so membership,
-    ``len``, iteration and set comparisons against real ``set`` objects
-    all behave exactly as the original set did.
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def __contains__(self, seq: object) -> bool:
-        return isinstance(seq, int) and 0 <= seq < self.n
-
-    def __iter__(self):
-        return iter(range(self.n))
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<_DeliveredAll n={self.n}>"
-
-    def __getstate__(self):
-        return self.n
-
-    def __setstate__(self, n) -> None:
-        self.n = n
+from .base import (NO_SEQS, Flow, TransportConfig, TransportContext,
+                   delivered_view)
 
 
 class WindowReceiver:
     """Counts unique payload packets; one ACK per data packet."""
 
-    __slots__ = ("flow", "ctx", "n_packets", "delivered", "cum",
+    __slots__ = ("flow", "ctx", "n_packets", "sacked", "cum",
                  "_done", "data_pkts_received", "dup_pkts_received",
                  "lp_pkts_received", "_send_control")
 
@@ -92,8 +52,8 @@ class WindowReceiver:
         self.flow = flow
         self.ctx = ctx
         self.n_packets = flow.n_packets(ctx.config.mss)
-        self.delivered: Set[int] = set()
         self.cum = 0               # next expected in-order packet index
+        self.sacked: Set[int] = set()   # delivered seqs above ``cum``
         self._done = False
         self.data_pkts_received = 0
         self.dup_pkts_received = 0
@@ -102,30 +62,33 @@ class WindowReceiver:
         # sender is resolved on the first ACK (see _control_sender())
         self._send_control = None
 
+    delivered = delivered_view
+
     def on_packet(self, pkt: Packet) -> None:
         if pkt.kind != DATA:
             return
         self.data_pkts_received += 1
         if pkt.lcp:
             self.lp_pkts_received += 1
-        delivered = self.delivered
         seq = pkt.seq
-        if seq in delivered:
-            self.dup_pkts_received += 1
-        else:
-            delivered.add(seq)
-            cum = self.cum
-            while cum in delivered:
+        cum = self.cum
+        if seq == cum:
+            cum += 1
+            sacked = self.sacked
+            while cum in sacked:
+                sacked.remove(cum)
                 cum += 1
             self.cum = cum
+        elif seq < cum or seq in self.sacked:
+            self.dup_pkts_received += 1
+        else:
+            self.sacked.add(seq)
         self.acknowledge(pkt)
-        if not self._done and len(delivered) >= self.n_packets:
+        if not self._done and cum >= self.n_packets:
             self._done = True
-            # all n seqs are provably in ``delivered`` now: swap the
-            # per-seq set for the O(1) equivalent (late duplicates only
-            # probe membership) so retired receivers stop holding one
-            # hash entry per packet — see _DeliveredAll
-            self.delivered = _DeliveredAll(self.n_packets)
+            # late duplicates only compare against ``cum``: the drained
+            # set goes, not just its entries
+            self.sacked = NO_SEQS
             self.ctx.on_complete(self.flow)
 
     def acknowledge(self, pkt: Packet) -> None:
@@ -172,7 +135,7 @@ class WindowSender:
     __slots__ = (
         "flow", "ctx", "cfg", "sim", "host", "n_packets", "base_rtt",
         "cwnd", "ssthresh", "max_cwnd_seen",
-        "outstanding", "_ever_sent", "_rtx_seqs", "delivered", "cum",
+        "outstanding", "_sent_hw", "_rtx_seqs", "sacked", "cum",
         "send_ptr", "dup_acks", "finished",
         "srtt", "pkts_transmitted", "pkts_retransmitted", "acks_received",
         "rtos_fired", "obs", "audit",
@@ -204,16 +167,21 @@ class WindowSender:
         # in non-decreasing send time (transmit() re-inserts a re-sent
         # seq), so the stale entries are always a prefix
         self.outstanding: Dict[int, float] = {}
-        # every seq this loop has ever put on the wire — a re-send of one
-        # of these is a retransmission even when the caller didn't know
-        # (post-RTO recovery goes through the plain try_send path)
-        self._ever_sent: Set[int] = set()
+        # one past the highest seq this loop has put on the wire: a send
+        # below it is a retransmission even when the caller didn't know
+        # (post-RTO recovery goes through the plain try_send path).  A
+        # mark is exact because the loop never sends a seq below it that
+        # it did not send before: try_send skips delivered and
+        # outstanding seqs, fast retransmit re-sends outstanding ones,
+        # and the only unsent seqs below the mark were delivered by a
+        # second loop, which nothing re-sends.
+        self._sent_hw = 0
         # Karn's rule: seqs that were ever retransmitted.  An ACK for one
         # is ambiguous (it may acknowledge the original or any re-send
         # copy), so its RTT sample must not feed the srtt estimator.
         self._rtx_seqs: Set[int] = set()
-        self.delivered: Set[int] = set()
         self.cum = 0
+        self.sacked: Set[int] = set()   # delivered seqs at or above ``cum``
         self.send_ptr = 0
         self.dup_acks = 0
         self.finished = False
@@ -274,6 +242,8 @@ class WindowSender:
         self._default_priority = cls.priority_for is WindowSender.priority_for
         self._default_ecn = cls.ecn_capable is WindowSender.ecn_capable
 
+    delivered = delivered_view
+
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
@@ -286,20 +256,19 @@ class WindowSender:
         self._release_seq_state()
 
     def _release_seq_state(self) -> None:
-        """Swap the per-seq containers of a *completed* flow for O(1)
-        equivalents.  Every read that can still happen (progress
-        signature ``len``, auditor finalize membership/len, late
-        duplicate ACKs bounced off the ``finished`` guard) behaves
-        identically; what disappears is one hash entry per packet per
-        retired flow — the difference between flat and linearly growing
-        memory on a long-horizon soak."""
-        if len(self.delivered) >= self.n_packets:
-            self.delivered = _DeliveredAll(self.n_packets)
+        """Drop the per-seq containers of a stopped flow.  A *completed*
+        one has every seq delivered: ``cum`` moves to ``n_packets`` and
+        the drained ``sacked`` set (sets never shrink) is swapped for the
+        shared empty one, so ``delivered`` reads the same while a retired
+        flow holds O(1) memory — the difference between flat and linearly
+        growing memory on a long-horizon soak."""
+        if self.cum + len(self.sacked) >= self.n_packets:
+            self.cum = self.n_packets
+            self.sacked = NO_SEQS
         self.outstanding.clear()
         # dead once ``finished`` is set: try_send/handle_ack/transmit all
-        # short-circuit, so nothing consults send history or Karn marks
-        self._ever_sent = _NO_SEQS
-        self._rtx_seqs = _NO_SEQS
+        # short-circuit, so nothing consults the Karn marks
+        self._rtx_seqs = NO_SEQS
         self._no_hole_floor = None
         self._rto_event = None
 
@@ -320,11 +289,14 @@ class WindowSender:
         # is inline — one loop instead of a frame per window slot
         cwnd = self.cwnd
         if not self.finished:
-            delivered = self.delivered
+            cum = self.cum
+            sacked = self.sacked
             while len(outstanding) < cwnd:
                 end = self.buffer_end()
                 ptr = self.send_ptr
-                while ptr < end and (ptr in delivered or ptr in outstanding):
+                if ptr < cum:         # every seq below cum is delivered
+                    ptr = cum
+                while ptr < end and (ptr in sacked or ptr in outstanding):
                     ptr += 1
                 self.send_ptr = ptr
                 if ptr >= end:
@@ -338,9 +310,10 @@ class WindowSender:
         # retransmission, whether or not the caller knew: after an RTO
         # the presumed-lost window is re-sent via the ordinary try_send
         # path, and that recovery work must show up in the counters.
-        ever_sent = self._ever_sent
-        retransmit = retransmit or seq in ever_sent
-        ever_sent.add(seq)
+        if seq < self._sent_hw:
+            retransmit = True
+        else:
+            self._sent_hw = seq + 1
         pkt = self.build_packet(seq)
         now = self.sim.now
         pkt.retransmit = retransmit
@@ -422,10 +395,12 @@ class WindowSender:
     def handle_ack(self, pkt: Packet) -> None:
         self.acks_received += 1
         seq = pkt.seq
-        delivered = self.delivered
+        cum = self.cum
+        sacked = self.sacked
         outstanding = self.outstanding
-        newly = seq not in delivered
-        delivered.add(seq)
+        newly = seq >= cum and seq not in sacked
+        if newly:
+            sacked.add(seq)
         outstanding.pop(seq, None)
 
         rtt = self.sim.now - pkt.sent_at
@@ -437,13 +412,13 @@ class WindowSender:
             self.srtt = 0.875 * self.srtt + 0.125 * rtt
 
         new_cum = pkt.ack_seq
-        if new_cum > self.cum:
-            for s in range(self.cum, new_cum):
-                delivered.add(s)
+        if new_cum > cum:
+            for s in range(cum, new_cum):
+                sacked.discard(s)
                 outstanding.pop(s, None)
-            self.cum = new_cum
+            self.cum = cum = new_cum
             self.dup_acks = 0
-        elif seq > self.cum:
+        elif seq > cum:
             self.dup_acks += 1
             if self.dup_acks >= 3:
                 self._fast_retransmit()
@@ -452,7 +427,7 @@ class WindowSender:
             self.rto_backoff_exp = 0  # forward progress: reset backoff
             self.cc_on_ack(pkt.ecn_ce, rtt)
 
-        if len(delivered) >= self.n_packets:
+        if cum + len(sacked) >= self.n_packets:
             self.stop()
             return
         self._arm_rto()
@@ -659,7 +634,8 @@ class TailLoop:
         on either loop; None when the loops have crossed (nothing left
         above the primary loop's pointer)."""
         sender = self.sender
-        delivered = sender.delivered
+        cum = sender.cum
+        sacked = sender.sacked
         top = sender.buffer_end() - 1
         # A seq the walk has passed was delivered (for good) or in
         # flight on a loop, and is pickable again only once a ledger
@@ -671,11 +647,13 @@ class TailLoop:
         if top > self._walk_top or sender.rtos_fired != self._walk_rtos:
             self._walk_top = top
             self._walk_rtos = sender.rtos_fired
-            # ``delivered`` only grows, so a restart skips the delivered
-            # tail once and for all
+            # what is delivered stays delivered, so a restart skips the
+            # delivered tail once and for all
             cursor = self._tail_cursor
-            while cursor >= 0 and cursor in delivered:
+            while cursor >= cum and cursor in sacked:
                 cursor -= 1
+            if cursor < cum:          # every seq below cum is delivered
+                cursor = -1
             self._tail_cursor = cursor
             seq = min(top, cursor)
         else:
@@ -683,8 +661,8 @@ class TailLoop:
         primary = sender.outstanding
         mine = self.outstanding
         send_ptr = sender.send_ptr
-        while seq > send_ptr and (seq in delivered or seq in primary
-                                  or seq in mine):
+        while seq > send_ptr and (seq in sacked or seq < cum
+                                  or seq in primary or seq in mine):
             seq -= 1
         # a picked seq is looked at again next time: the caller sends it
         self._walk = seq
@@ -724,17 +702,20 @@ class TailLoop:
         hears of it.  False when that completed the flow and stopped
         the sender."""
         sender = self.sender
-        delivered = sender.delivered
+        cum = sender.cum
+        sacked = sender.sacked
         for seq in pkt.sack or (pkt.seq,):
-            delivered.add(seq)
+            if seq >= cum:
+                sacked.add(seq)
             self.outstanding.pop(seq, None)
-        if pkt.ack_seq > sender.cum:
+        ack_seq = pkt.ack_seq
+        if ack_seq > cum:
             primary = sender.outstanding
-            for seq in range(sender.cum, pkt.ack_seq):
-                delivered.add(seq)
+            for seq in range(cum, ack_seq):
+                sacked.discard(seq)
                 primary.pop(seq, None)
-            sender.cum = pkt.ack_seq
-        if len(delivered) >= sender.n_packets:
+            sender.cum = cum = ack_seq
+        if cum + len(sacked) >= sender.n_packets:
             sender.stop()
             return False
         return True

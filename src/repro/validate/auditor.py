@@ -21,8 +21,9 @@ paper grounding of each):
 * **port** — dequeues equal completed transmissions plus the packet on
   the wire;
 * **transport** — per-flow transmission accounting, cum/delivered
-  bounds, window discipline after every send burst, and a never-stale
-  RTO deadline while armed;
+  bounds, every out-of-order scoreboard inside ``[cum, n_packets)``,
+  window discipline after every send burst, and a never-stale RTO
+  deadline while armed;
 * **end-to-end** — every packet (and byte) injected by any sender is
   delivered, dropped, trimmed away or still in flight — nothing is
   created or destroyed by the fabric.
@@ -35,6 +36,7 @@ from typing import List, Optional, Tuple
 
 from ..sim.network import Network
 from ..sim.queues import PriorityMux
+from ..transport.base import MessageEndpoint
 from ..transport.window import WindowReceiver, WindowSender
 from .report import InvariantViolation, ValidationReport, Violation
 
@@ -494,6 +496,7 @@ class RunAuditor:
         self._check(len(delivered) <= n, "flow-cum-bound", subject,
                     "more delivered seqs than the flow has packets",
                     delivered=len(delivered), n_packets=n)
+        self._audit_scoreboard(sender, subject)
         overlap = len([s for s in sender.outstanding if s in delivered])
         self._check(overlap == 0, "flow-outstanding-disjoint", subject,
                     "seqs simultaneously delivered and outstanding",
@@ -524,10 +527,7 @@ class RunAuditor:
         self._check(receiver.cum <= n, "recv-cum-bound", subject,
                     "receiver cum beyond the flow's packet count",
                     cum=receiver.cum, n_packets=n)
-        missing = [s for s in range(receiver.cum) if s not in receiver.delivered]
-        self._check(not missing, "recv-cum-bound", subject,
-                    "cum advanced past undelivered seqs",
-                    missing_below_cum=len(missing))
+        self._audit_scoreboard(receiver, subject)
         self._check(receiver.data_pkts_received
                     == len(receiver.delivered) + receiver.dup_pkts_received,
                     "recv-counting", subject,
@@ -535,6 +535,17 @@ class RunAuditor:
                     data_pkts_received=receiver.data_pkts_received,
                     delivered=len(receiver.delivered),
                     dup_pkts_received=receiver.dup_pkts_received)
+
+    def _audit_scoreboard(self, owner, subject: str) -> None:
+        """``sacked`` holds delivered seqs at or above ``cum`` only: a
+        seq below it would be counted twice by ``delivered``, one at or
+        past ``n_packets`` was never a packet of the flow."""
+        cum, n = owner.cum, owner.n_packets
+        stray = sorted(s for s in owner.sacked if not cum <= s < n)
+        self._check(not stray, "seq-scoreboard", subject,
+                    "sacked seqs outside [cum, n_packets)",
+                    cum=cum, n_packets=n, stray=stray[:8],
+                    n_stray=len(stray))
 
     def _audit_fabric_conservation(self) -> None:
         """End-to-end conservation over the whole fabric (packet and
@@ -625,5 +636,8 @@ class RunAuditor:
             self._audit_sender(sender)
         for receiver in self._endpoints(WindowReceiver):
             self._audit_receiver(receiver)
+        for endpoint in self._endpoints(MessageEndpoint):
+            state = endpoint.state
+            self._audit_scoreboard(state, f"flow{state.flow.flow_id}")
         self._audit_fabric_conservation()
         return self.report

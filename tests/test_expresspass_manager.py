@@ -80,7 +80,8 @@ def test_rtx_check_targets_holes():
     manager.open_message(manager.add_message(flow))
     state = manager.messages[0]
     state.credited = state.n_packets
-    state.delivered.update({0, 1, 3, 5})
+    for seq in (0, 1, 3, 5):
+        state.deliver(seq)
     state.progress_mark = 4  # no progress since last check
     manager._stall_check(state)
     assert list(state.recredit) == [2, 4, 6]
@@ -92,7 +93,8 @@ def test_rtx_check_waits_while_progress():
     manager.open_message(manager.add_message(flow))
     state = manager.messages[0]
     state.credited = state.n_packets
-    state.delivered.update({0, 1})
+    for seq in (0, 1):
+        state.deliver(seq)
     state.progress_mark = 0  # progress happened: 2 > 0
     manager._stall_check(state)
     assert not state.recredit

@@ -63,7 +63,8 @@ def test_ranking_matches_the_sorted_spelling(table, rng):
     for flow_id, (size, delivered) in zip(flow_ids, table):
         add_message(manager, ctx, flow_id, size, src=flow_id % 3)
         state = manager.messages[flow_id]
-        state.delivered.update(range(min(delivered, state.n_packets - 1)))
+        for seq in range(min(delivered, state.n_packets - 1)):
+            state.deliver(seq)
     assert manager._ranked() == sorted(
         manager.messages.values(),
         key=lambda m: (m.n_packets - len(m.delivered), m.flow.flow_id))
@@ -110,8 +111,9 @@ def test_missing_detection_with_cooldown():
     manager, ctx, topo, scheme = make_manager()
     add_message(manager, ctx, 0, 20_000)  # 14 packets
     state = manager.messages[0]
-    state.delivered.update({0, 1, 5})
-    state.cum = 2
+    for seq in (0, 1, 5):
+        state.deliver(seq)
+    assert state.cum == 2
     missing = manager._missing(state)
     assert missing == [2, 3, 4]
     # immediately re-asking is suppressed by the per-seq cooldown
@@ -122,8 +124,9 @@ def test_probe_grants_all_holes():
     manager, ctx, topo, scheme = make_manager()
     add_message(manager, ctx, 0, 20_000)
     state = manager.messages[0]
-    state.delivered.update({1, 3})
-    state.cum = 0
+    for seq in (1, 3):
+        state.deliver(seq)
+    assert state.cum == 0
     sent = []
     ctx.network.send_control = sent.append
     probe = Packet(0, 0, 3, 10, 64)

@@ -102,6 +102,17 @@ def test_lp_ack_cum_advances_head():
     assert {0, 1, 2, 3, 4} <= sender.delivered
 
 
+def test_lp_ack_below_cum_adds_nothing_to_the_scoreboard():
+    """An LP copy of a seq the primary already delivered is acknowledged
+    after ``cum`` passed it: it must stay out of ``sacked``, where the
+    ``delivered`` view would count it twice."""
+    sender, topo, ctx = make_sender()
+    sender.lcp.on_lp_ack(lp_ack(30, ack_seq=5, sack=(30,)))
+    sender.lcp.on_lp_ack(lp_ack(4, ack_seq=5, sack=(3, 4)))
+    assert sender.cum == 5 and sender.sacked == {30}
+    assert len(sender.delivered) == 6
+
+
 def test_lcp_respects_send_buffer_window():
     """With a small send buffer, the tail pointer cannot reach past the
     buffered window."""
@@ -137,8 +148,9 @@ def test_open_loop_rejects_nonpositive_window():
 
 
 class _ProbeCountingSet(set):
-    """``delivered`` with a counter on membership tests: one probe is
-    one step of the tail scan."""
+    """``sacked`` with a counter on membership tests.  The fixtures keep
+    ``cum`` at 0, so no ``< cum`` comparison settles a seq and every
+    step of the tail scan is one probe."""
 
     probes = 0
 
@@ -155,7 +167,9 @@ def _rescanning_tail_pick(lcp):
     while seq >= 0:
         if seq <= sender.send_ptr:
             return None
-        if (not set.__contains__(sender.delivered, seq)
+        delivered = (seq < sender.cum
+                     or set.__contains__(sender.sacked, seq))
+        if (not delivered
                 and seq not in sender.outstanding
                 and seq not in lcp.outstanding):
             return seq
@@ -165,16 +179,16 @@ def _rescanning_tail_pick(lcp):
 
 def _check_tail_pick_against_rescan(sender):
     lcp = sender.lcp
-    sender.delivered = delivered = _ProbeCountingSet()
+    sender.sacked = sacked = _ProbeCountingSet()
     sender.send_ptr = 10                  # HCP is starved near the head
     sender.outstanding[11] = 0.0
     in_flight_cap = 8
     worst = picks = 0
     while True:
         expected = _rescanning_tail_pick(lcp)
-        delivered.probes = 0
+        sacked.probes = 0
         seq = lcp.pick_tail()
-        worst = max(worst, delivered.probes)
+        worst = max(worst, sacked.probes)
         assert seq == expected
         if seq is None:
             break
@@ -184,7 +198,7 @@ def _check_tail_pick_against_rescan(sender):
             # the oldest opportunistic packet is LP-ACKed
             oldest = next(iter(lcp.outstanding))
             del lcp.outstanding[oldest]
-            delivered.add(oldest)
+            sacked.add(oldest)
     # every seq above the HCP pointer except its one outstanding packet
     assert picks == sender.n_packets - 12
     assert worst <= 2 * in_flight_cap
@@ -211,7 +225,7 @@ def test_tail_pick_does_not_rewalk_what_is_in_lp_flight():
     sender, topo, ctx = make_sender(size=20_000 * 1436)
     lcp = sender.lcp
     assert sender.n_packets == 20_000
-    sender.delivered = delivered = _ProbeCountingSet()
+    sender.sacked = sacked = _ProbeCountingSet()
     sender.send_ptr = 10
     for seq in range(19_999, 9_999, -1):
         lcp.outstanding[seq] = 0.0
@@ -219,7 +233,7 @@ def test_tail_pick_does_not_rewalk_what_is_in_lp_flight():
         assert lcp.pick_tail() == expected
         lcp.outstanding[expected] = 0.0
     # one pass over the 10 k in flight, then two probes a pick
-    assert delivered.probes <= 10_000 + 2 * 1_000
+    assert sacked.probes <= 10_000 + 2 * 1_000
 
 
 # -- what restarts the tail walk ---------------------------------------------

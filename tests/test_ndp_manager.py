@@ -103,7 +103,8 @@ def test_rtx_check_repulls_only_when_stalled():
     flow = Flow(0, 0, 3, 30_000, 0.0)  # 21 packets
     manager.add_message(flow, first_window=30)
     state = manager.messages[0]
-    state.delivered.update(range(10))
+    for seq in range(10):
+        state.deliver(seq)
     state.progress_mark = 10  # no progress since the last check
     sent = []
     ctx.network.send_control = sent.append

@@ -153,6 +153,28 @@ def test_resume_from_every_checkpoint_is_identical(tmp_path):
     _resume_from_every_checkpoint(tmp_path, Dctcp)
 
 
+def _open_scoreboards(copy):
+    """Flow ids whose sender and receiver both hold out-of-order seqs
+    (a non-empty ``sacked``) in a snapshot."""
+    network = load_checkpoint(str(copy)).topo.network
+    ends = {}
+    for host in network.hosts.values():
+        for flow_id, endpoint in host.endpoints.items():
+            if getattr(endpoint, "sacked", None):
+                ends[flow_id] = ends.get(flow_id, 0) + 1
+    return [flow_id for flow_id, count in ends.items() if count == 2]
+
+
+@pytest.mark.parametrize("scheme", ["dctcp", "ppt"])
+def test_resume_mid_recovery_with_both_scoreboards_open(tmp_path, scheme):
+    """A snapshot cut while a flow recovers from loss, with out-of-order
+    seqs in the ``sacked`` sets of both its ends, resumes bit-identical
+    (the helper checks every snapshot against the straight run)."""
+    copies = _resume_from_every_checkpoint(tmp_path, SCHEME_FACTORIES[scheme])
+    assert any(_open_scoreboards(copy) for copy in copies
+               ), "no snapshot was cut with both scoreboards open"
+
+
 @pytest.mark.parametrize("scheme", ["homa", "ndp"])
 def test_resume_between_rearm_and_fire_of_a_sender_timeout(tmp_path, scheme):
     """The receiver-driven senders' timeout is a deadline plus one

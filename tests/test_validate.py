@@ -33,6 +33,7 @@ from repro.sim.packet import DATA, HEADER_BYTES, Packet
 from repro.sim.queues import PriorityMux
 from repro.transport.base import Flow
 from repro.transport.dctcp import Dctcp
+from repro.transport.homa import Homa
 from repro.transport.rc3 import Rc3
 from repro.core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
 from repro.core.ppt import Ppt
@@ -349,6 +350,40 @@ def test_ledger_retimed_in_place_breaks_time_order(ledger):
     auditor.on_slice()
     assert list(auditor.report.counts) == ["window-ledger-time-ordered"]
     assert ledger + " not" in auditor.report.violations[0].message
+
+
+def _scoreboards(topo, scheme):
+    """The (sender, receiver) ``cum`` / ``sacked`` owners of flow 0."""
+    sender = topo.network.hosts[0].endpoints[0]
+    receiver = topo.network.hosts[1].endpoints[0]
+    if scheme == "homa":
+        return None, receiver.state
+    return sender, receiver
+
+
+@pytest.mark.parametrize("scheme, end", [
+    ("dctcp", 0), ("dctcp", 1), ("homa", 1)],
+    ids=["window-sender", "window-receiver", "message-state"])
+def test_stale_seq_below_cum_breaks_the_scoreboard(scheme, end):
+    """Every seq below ``cum`` is delivered by construction, so a stale
+    one left in ``sacked`` is counted twice by ``delivered`` — which a
+    window endpoint's counting law may also notice; the scoreboard law
+    names the seq."""
+    topo = make_star()
+    ctx = make_ctx(topo)
+    auditor = RunAuditor().attach(topo.sim, topo.network, ctx)
+    factory = {"dctcp": Dctcp, "homa": lambda: Homa(rtt_bytes=15_000)}
+    factory[scheme]().start_flow(Flow(0, 0, 1, 400_000, 0.0), ctx)
+    topo.sim.run(until=40e-6)
+    owner = _scoreboards(topo, scheme)[end]
+    assert 2 <= owner.cum < owner.n_packets
+    owner.sacked.add(owner.cum - 2)
+    report = auditor.finalize()
+    assert report.counts["seq-scoreboard"] == 1, report.describe()
+    assert set(report.counts) <= {"seq-scoreboard", "flow-tx-conservation",
+                                  "recv-counting"}
+    [violation] = [v for v in report.violations if v.law == "seq-scoreboard"]
+    assert violation.details["stray"] == [owner.cum - 2]
 
 
 def test_cooked_dead_counter_detected():

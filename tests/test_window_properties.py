@@ -20,15 +20,23 @@ from hypothesis.stateful import (
 
 from conftest import make_ctx, make_star
 from repro.core.hypothetical import _HypotheticalSender
-from repro.core.ppt import Ppt, PptSender
+from repro.core.ppt import Ppt, PptReceiver, PptSender
+from repro.experiments.runner import run
+from repro.experiments.scenarios import (
+    SCHEMES,
+    all_to_all_scenario,
+    star_fabric,
+)
+from repro.transport.halfback import HalfbackSender
 from repro.transport.rc3 import Rc3Sender
 from test_lcp_edge_cases import _rescanning_tail_pick
 from repro.sim.network import QueueConfig
 from repro.sim.packet import ACK, Packet
 from repro.sim.topology import star
-from repro.transport.base import Flow
-from repro.transport.dctcp import Dctcp
+from repro.transport.base import NO_SEQS, Flow, MessageState
+from repro.transport.dctcp import Dctcp, DctcpSender
 from repro.transport.window import WindowReceiver, WindowSender
+from repro.workloads.distributions import WEB_SEARCH
 from repro.units import gbps, us
 
 
@@ -381,3 +389,222 @@ def test_dup_ack_hole_scan_reads_only_the_stale_prefix():
     assert sender.pkts_retransmitted - resent_before >= 900
     # each walk reads its holes and the one fresh entry that ends it
     assert ledger.reads <= 1_000 + ledger.walks
+
+
+# -- the sequence scoreboard: cum + sacked against a reference set -----------
+
+
+class _WireHost:
+    """Collects what a sender puts on the wire; the machine below moves
+    each packet (or drops it) by hand."""
+
+    ops_sent = 0
+
+    def __init__(self, wire):
+        self.send = wire.append
+
+
+SCOREBOARD_KINDS = {
+    "dctcp": (DctcpSender, WindowReceiver),
+    "ppt": (lambda flow, ctx: PptSender(flow, ctx, Ppt()), PptReceiver),
+    "rc3": (Rc3Sender, WindowReceiver),
+    "halfback": (HalfbackSender, WindowReceiver),
+    "oracle": (lambda flow, ctx: _HypotheticalSender(
+        flow, ctx, mw=40.0, fill_factor=1.0), WindowReceiver),
+}
+
+
+class _ScoreboardMachine(RuleBasedStateMachine):
+    """A sender and its receiver joined by two hand-driven wires: data
+    and ACKs are delivered in any order or lost, on both loops, with
+    RTOs and paced sends in between.  Both ends' ``delivered`` view is
+    held to the set the per-packet implementation kept, every ``sacked``
+    seq to ``[cum, n_packets)``, and every primary transmission's
+    retransmit flag (``seq < _sent_hw``) to membership in the set of
+    seqs the primary had sent before."""
+
+    kind = "dctcp"
+    N_PACKETS = 40
+
+    def __init__(self):
+        super().__init__()
+        topo = make_star()
+        ctx = make_ctx(topo)
+        self.sim = topo.sim
+        flow = Flow(0, 0, 1, self.N_PACKETS * 1436, 0.0)
+        sender_cls, receiver_cls = SCOREBOARD_KINDS[self.kind]
+        self.sender = sender = sender_cls(flow, ctx)
+        self.receiver = receiver = receiver_cls(flow, ctx)
+        self.data, self.acks = [], []
+        sender.host = _WireHost(self.data)
+        receiver._send_control = self.acks.append
+        self.sent_ref = set()            # what the sender was told
+        self.received_ref = set()        # what reached the receiver
+        self.ever_sent = set()           # the primary's send history
+        transmit = sender.transmit
+
+        def checked_transmit(seq, retransmit=False):
+            assert (seq < sender._sent_hw) == (seq in self.ever_sent)
+            self.ever_sent.add(seq)
+            transmit(seq, retransmit)
+
+        sender.transmit = checked_transmit
+        sender.start()
+
+    live = precondition(lambda self: not self.sender.finished)
+
+    @staticmethod
+    def _take(wire, pos):
+        return wire.pop(int(pos * (len(wire) - 1)))
+
+    @rule(dt=st.floats(min_value=0.0, max_value=60e-6))
+    def tick(self, dt):
+        self.sim.now += dt
+
+    @live
+    @rule(n=st.integers(min_value=1, max_value=10))
+    def primary_sends(self, n):
+        self.sender.cwnd = float(len(self.sender.outstanding) + n)
+        self.sender.try_send()
+
+    @rule(pos=st.floats(min_value=0.0, max_value=1.0), lost=st.booleans())
+    def data_arrives(self, pos, lost):
+        if not self.data:
+            return
+        pkt = self._take(self.data, pos)
+        if not lost:
+            self.received_ref.add(pkt.seq)
+            self.receiver.on_packet(pkt)
+
+    @rule(pos=st.floats(min_value=0.0, max_value=1.0), lost=st.booleans())
+    def ack_arrives(self, pos, lost):
+        if not self.acks:
+            return
+        ack = self._take(self.acks, pos)
+        if lost:
+            return
+        if not self.sender.finished:
+            ref = self.sent_ref
+            if ack.lcp and self.kind == "halfback":
+                ref.add(ack.seq)            # redundancy: its own seq only
+            else:
+                ref.update((ack.sack or (ack.seq,)) if ack.lcp
+                           else (ack.seq,))
+                ref.update(range(ack.ack_seq))
+        self.sender.on_packet(ack)
+
+    @live
+    @rule()
+    def rto(self):
+        self.sender._on_rto()
+
+    @live
+    @precondition(lambda self: self.sender.lcp is not None)
+    @rule(n=st.integers(min_value=1, max_value=6),
+          age=st.floats(min_value=0.0, max_value=80e-6))
+    def lp_sends(self, n, age):
+        loop = self.sender.lcp
+        loop.open()
+        loop.purge(self.sim.now - age)
+        for _ in range(n):
+            seq = loop.pick_tail()
+            if seq is None:
+                return
+            loop.transmit(seq, 4, True)
+
+    @precondition(lambda self: self.kind == "ppt")
+    @rule()
+    def lp_ack_timer(self):
+        self.receiver._lp_delayed_flush()
+
+    @live
+    @precondition(lambda self: self.kind == "halfback")
+    @rule(backwards=st.booleans())
+    def halfback_paces(self, backwards):
+        sender = self.sender
+        if backwards:
+            sender._backwards_round()
+        elif sender._pace_ptr < sender.n_packets:
+            sender._paced_send()
+
+    @invariant()
+    def scoreboards_match_the_reference(self):
+        n = self.N_PACKETS
+        for end, ref in ((self.sender, self.sent_ref),
+                         (self.receiver, self.received_ref)):
+            view = end.delivered
+            assert view == ref and set(view) == ref
+            assert len(view) == len(ref)
+            assert all((seq in view) == (seq in ref)
+                       for seq in range(-1, n + 1))
+            assert all(end.cum <= seq < n for seq in end.sacked)
+        receiver = self.receiver
+        assert receiver.cum == min(set(range(n + 1)) - self.received_ref)
+        if self.sender.finished:
+            assert self.sender.sacked is NO_SEQS
+        if receiver.done:
+            assert receiver.sacked is NO_SEQS
+
+
+def _scoreboard_machine_case(kind_name):
+    machine = type(f"ScoreboardMachine_{kind_name}", (_ScoreboardMachine,),
+                   {"kind": kind_name})
+    case = machine.TestCase
+    case.settings = settings(max_examples=30, stateful_step_count=80,
+                             deadline=None)
+    return case
+
+
+TestDctcpScoreboard = _scoreboard_machine_case("dctcp")
+TestPptScoreboard = _scoreboard_machine_case("ppt")
+TestRc3Scoreboard = _scoreboard_machine_case("rc3")
+TestHalfbackScoreboard = _scoreboard_machine_case("halfback")
+TestOracleScoreboard = _scoreboard_machine_case("oracle")
+
+
+class _MessageScoreboardMachine(RuleBasedStateMachine):
+    """``MessageState.deliver`` in any order, with duplicates: the view
+    is the delivered set, ``cum`` its first hole, ``sacked`` the rest."""
+
+    N_PACKETS = 30
+
+    def __init__(self):
+        super().__init__()
+        flow = Flow(0, 0, 1, self.N_PACKETS * 1436, 0.0)
+        self.state = MessageState(flow, self.N_PACKETS)
+        self.ref = set()
+
+    @rule(seq=st.integers(min_value=0, max_value=N_PACKETS - 1))
+    def deliver(self, seq):
+        self.state.deliver(seq)
+        self.ref.add(seq)
+
+    @invariant()
+    def scoreboard_matches_the_reference(self):
+        state, ref, n = self.state, self.ref, self.N_PACKETS
+        assert state.delivered == ref and len(state.delivered) == len(ref)
+        assert state.cum == min(set(range(n + 1)) - ref)
+        assert all(state.cum < seq < n for seq in state.sacked)
+
+
+TestMessageScoreboard = _MessageScoreboardMachine.TestCase
+TestMessageScoreboard.settings = settings(max_examples=40,
+                                          stateful_step_count=60,
+                                          deadline=None)
+
+
+@pytest.mark.parametrize("scheme", ["dctcp", "ppt", "homa", "ndp"])
+def test_retired_endpoints_hold_the_shared_empty_scoreboard(scheme):
+    """A completed flow keeps no per-seq table on either end: a drained
+    set keeps its hash table, so ``sacked`` is swapped for one shared
+    empty frozenset."""
+    result = run(SCHEMES[scheme](), all_to_all_scenario(
+        "retired-scoreboards", WEB_SEARCH, n_flows=20,
+        fabric=star_fabric(4), seed=5))
+    assert result.completed == 20
+    ends = [end for host in result.topology.network.hosts.values()
+            for end in host.endpoints.values()]
+    boards = [getattr(end, "state", end).sacked for end in ends
+              if hasattr(getattr(end, "state", end), "sacked")]
+    assert len(boards) >= 20
+    assert all(board is NO_SEQS for board in boards)
