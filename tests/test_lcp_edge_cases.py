@@ -8,9 +8,12 @@ import pytest
 from conftest import make_ctx, make_star
 from repro.core.hypothetical import _HypotheticalSender
 from repro.core.ppt import Ppt, PptSender
+from repro.experiments.runner import run
+from repro.experiments.scenarios import all_to_all_scenario, sim_config
 from repro.sim.engine import EventChain
 from repro.sim.packet import ACK, Packet
 from repro.transport.base import Flow, TransportConfig
+from repro.workloads.distributions import MEMCACHED_W1
 
 
 def make_sender(size=90_000, scheme=None, **cfg):
@@ -440,3 +443,40 @@ def test_ablations_keep_their_first_instant():
     sender, topo = _first_instant(1, evented=False,
                                   scheme=Ppt(lcp_enabled=False))
     assert sender.lcp.loops_opened == 0 and not _loop_entries(topo.sim)
+
+
+# Streamed Memcached W1 (1-2 packet messages) with the benchmark's
+# ``memcached-churn`` thresholds: nearly every flow is covered by its
+# first HCP window.  Both bounds are counts, so box speed cannot flake
+# them.  Before booking, each covered flow left a zero-delay
+# ``_open_case1`` in the heap and this run cost 39.07 events per flow.
+SHORT_FLOWS = 2_000
+BOOKED_EVENTS_PER_FLOW = 37.22      # 74,437 events
+
+
+class _CoveredFlowPpt(Ppt):
+    """PPT that counts flow starts leaving a loop entry in the heap
+    although the first window covered the flow."""
+
+    covered = resident = 0
+
+    def start_flow(self, flow, ctx):
+        super().start_flow(flow, ctx)
+        sender = ctx.network.hosts[flow.src].endpoints[flow.flow_id]
+        if sender.send_ptr >= sender.buffer_end() - 1:
+            self.covered += 1
+            self.resident += any(getattr(fn, "__self__", None) is sender.lcp
+                                 for _time, fn, _args in ctx.sim.live_entries())
+
+
+def test_short_flows_book_their_empty_first_loop():
+    scheme = _CoveredFlowPpt()
+    result = run(scheme, all_to_all_scenario(
+        "short-flow-events", MEMCACHED_W1, load=0.5, n_flows=SHORT_FLOWS,
+        size_cap=None, stream=True, seed=3,
+        config=sim_config(demotion_thresholds=(2_000, 10_000, 30_000),
+                          identification_threshold=30_000)))
+    assert result.completed == SHORT_FLOWS
+    assert scheme.covered > SHORT_FLOWS * 0.9
+    assert scheme.resident == 0
+    assert result.wall_events / SHORT_FLOWS <= BOOKED_EVENTS_PER_FLOW
