@@ -23,7 +23,7 @@ Examples
     python -m repro run --schemes ppt dctcp homa swift --jobs 4
     python -m repro run --schemes ppt dctcp \
         --fault "flap:leaf0->spine0:0.005:0.002:0.004:3" --health
-    python -m repro run --schemes ppt --stream --flows 20000 \
+    python -m repro run --schemes ppt --flows 20000 \
         --tenant-mix web-search:3,memcached-w1:1 --load-shape diurnal
     python -m repro figure fig12 --workload data-mining
     python -m repro list-schemes
@@ -264,10 +264,10 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # The streamed source and the materialized list are bit-identical,
-    # so --stream composes freely with checkpoints, faults and --jobs
-    # (each worker builds its own stream from the picklable spec).
-    streaming = dict(stream=args.stream, load_shape=load_shape,
+    # Flows are always streamed: memory stays flat at any --flows, and a
+    # stream composes with checkpoints, faults and --jobs (each worker
+    # builds its own stream from the picklable spec).
+    streaming = dict(stream=True, load_shape=load_shape,
                      tenants=tenants, arrivals=args.arrivals)
     # PFC + load-balancer features; all-defaults leaves the fabric
     # builder untouched so existing invocations stay bit-identical
@@ -413,10 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--pattern", choices=["all-to-all", "incast"],
                        default="all-to-all")
     run_p.add_argument("--incast-senders", type=int, default=16)
-    run_p.add_argument("--stream", action="store_true",
-                       help="generate flows lazily from a constant-memory "
-                            "stream instead of materializing the list "
-                            "(bit-identical results for the same seed)")
     run_p.add_argument("--load-shape", metavar="SPEC", default=None,
                        help="modulate the arrival rate over time: "
                             "constant, diurnal[:PERIOD[:DEPTH]] or "

@@ -128,10 +128,10 @@ class GridTask:
     ``scenario_factory`` is called with ``params`` as keyword arguments
     inside the worker, so the (unpicklable) topology/flows/faults are
     built after the fork, exactly as the serial path would build them.
-    Streaming scenarios (``stream=True`` builders) get this for free:
-    the cell ships only the factory + params, and the worker constructs
-    its own :class:`~repro.workloads.FlowStream` from that picklable
-    spec — no flow list ever crosses the pipe.
+    The cell ships only the factory + params, and the worker draws its
+    own flows from its own :class:`~repro.workloads.FlowStream` (lazily
+    for a ``stream=True`` scenario) — no flow list ever crosses the
+    pipe.
     """
 
     scheme_factory: Callable[[], Scheme]

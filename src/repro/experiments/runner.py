@@ -164,13 +164,15 @@ class RunResult:
     def completed(self) -> int:
         return sum(1 for f in self.flows if f.completed)
 
+    # health.n_flows, not len(flows): a streamed run that stops early
+    # holds only the flows pulled so far
     @property
     def completion_rate(self) -> float:
-        return self.completed / max(1, len(self.flows))
+        return self.completed / max(1, self.health.n_flows)
 
     def summary(self) -> str:
         return (f"[{self.scheme_name} @ {self.scenario_name}] "
-                f"{self.completed}/{len(self.flows)} flows, {self.stats}")
+                f"{self.completed}/{self.health.n_flows} flows, {self.stats}")
 
 
 def _progress_signature(ctx: TransportContext, network: Network) -> tuple:

@@ -14,7 +14,7 @@ streaming / tenant / arrival switches, load balancer, PFC and hybrid.
 
 The arrival *load* is always preserved — capping sizes feeds the capped
 mean back into the Poisson arrival rate (see
-:func:`repro.workloads.generator.poisson_flows`).
+:class:`repro.workloads.PoissonFlowStream`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from ..transport.tcp10 import Tcp10
 from ..transport.timely import Timely
 from ..units import gbps, kb, mb, us
 from ..workloads.distributions import EmpiricalCdf, WEB_SEARCH
-from ..workloads.generator import poisson_flows
 from ..workloads.patterns import PairSampler, all_to_all, incast
 from ..workloads.streams import FlowStream, LoadShape, TenantClass, flow_stream
 
@@ -249,7 +248,6 @@ def _traffic_scenario(
     load_shape: Optional[LoadShape] = None,
     tenants: Optional[Sequence[TenantClass]] = None,
     arrivals: str = "open",
-    closed_users: int = 8,
     lb: str = "ecmp",
     lb_gap: Optional[float] = None,
     pfc_config: Optional[PfcConfig] = None,
@@ -258,33 +256,26 @@ def _traffic_scenario(
     """Poisson traffic on a fabric: the one place that owns the keywords
     every public builder below accepts through ``**shared`` — ``faults``,
     ``event_budget``, the flow-source switches (``stream``,
-    ``load_shape``, ``tenants``, ``arrivals``, ``closed_users``) and the
-    fabric features (``lb``, ``lb_gap``, ``pfc_config``, ``hybrid``).
+    ``load_shape``, ``tenants``, ``arrivals``) and the fabric features
+    (``lb``, ``lb_gap``, ``pfc_config``, ``hybrid``).
 
     ``traffic(topo)`` is what a builder varies: the pair pattern, the
     number of senders the load is defined against, and the flow count.
 
-    ``stream=True`` makes the flow source a constant-memory
-    :class:`~repro.workloads.FlowStream` the runner pulls lazily —
-    bit-identical to the materialized list for the same seed.  The
-    richer generator features (tenant mixes, load shapes, closed-loop
-    arrivals) are available in both modes: without ``stream`` the
-    stream is simply drained into a list up front.  The plain
-    open-loop, unshaped, single-class case keeps going through
-    :func:`poisson_flows`, the reference implementation the stream is
-    gated against.
+    The flows are drawn by :func:`~repro.workloads.flow_stream`.
+    ``stream=True`` hands that constant-memory
+    :class:`~repro.workloads.FlowStream` to the runner, which pulls it
+    lazily; otherwise it is drained into a list up front.  Both give
+    the same run for the same seed.
     """
-    plain = (tenants is None and load_shape is None and arrivals == "open")
 
     def build_flows(topo: Topology) -> FlowSource:
         pattern, n_senders, n_flows = traffic(topo)
-        sizing = dict(load=load, link_rate=topo.edge_rate, n_flows=n_flows,
-                      n_senders=n_senders, seed=seed, size_cap=size_cap)
-        if not stream and plain:
-            return poisson_flows(pattern, cdf, **sizing)
-        source = flow_stream(pattern, cdf, **sizing, shape=load_shape,
-                             tenants=tenants, arrivals=arrivals,
-                             closed_users=closed_users)
+        source = flow_stream(pattern, cdf, load=load,
+                             link_rate=topo.edge_rate, n_flows=n_flows,
+                             n_senders=n_senders, seed=seed,
+                             size_cap=size_cap, shape=load_shape,
+                             tenants=tenants, arrivals=arrivals)
         return source if stream else source.materialize()
 
     return Scenario(name,

@@ -43,10 +43,10 @@ def sweep(
 
     For large sweeps pass ``stream=True`` in each variant (every
     builder in :mod:`repro.experiments.scenarios` accepts it): each
-    worker then pulls flows lazily from a constant-memory
-    :class:`~repro.workloads.FlowStream` built in-process instead of
-    materializing the whole workload list up front.  The results are
-    bit-identical either way.
+    worker then pulls flows lazily from its constant-memory
+    :class:`~repro.workloads.FlowStream` instead of draining that
+    stream into a list up front.  The results are bit-identical either
+    way.
     """
     tasks = scheme_grid(scheme_factories, scenario_factory, variants)
     return run_grid(tasks, jobs=jobs, progress=progress)

@@ -1,14 +1,13 @@
-"""Constant-memory streaming flow sources.
+"""Flow sources: picklable, constant-memory iterators of flows.
 
-:func:`~repro.workloads.generator.poisson_flows` materializes its whole
-flow list, so memory scales with run length and multi-million-flow
-"production traffic" runs are out of reach.  A :class:`FlowStream` is
-the streaming replacement: a **picklable iterator** yielding
-:class:`~repro.transport.base.Flow` objects in non-decreasing
-start-time order, holding O(1) state regardless of how many flows it
-will ever produce.  The runner pulls flows lazily (one look-ahead flow
-at a time — see ``Simulator.schedule_chain``), so a streamed run's
-resident memory stays flat.
+Every generated workload is a :class:`FlowStream`: a **picklable
+iterator** yielding :class:`~repro.transport.base.Flow` objects in
+non-decreasing start-time order, holding O(1) state regardless of how
+many flows it will ever produce.  The runner pulls flows lazily (one
+look-ahead flow at a time — see ``Simulator.schedule_chain``), so a
+streamed run's resident memory stays flat; a scenario built with
+``stream=False`` gets the same flows as a list
+(:meth:`FlowStream.materialize`).
 
 The protocol's three contracts:
 
@@ -19,16 +18,15 @@ The protocol's three contracts:
   half-consumed stream and lets ``run(resume=)`` stay bit-identical
   (and lets sweep workers construct streams from a spec after the
   fork instead of shipping a flow list);
-* **bit-identical to the list generator** — for any finite ``n_flows``,
-  :class:`PoissonFlowStream` performs exactly the RNG draws
-  :func:`poisson_flows` performs, in the same order, so
-  ``list(stream) == poisson_flows(...)`` float for float.
+* **seeded** — the same arguments draw the same flows, float for
+  float (``tests/test_generator.py`` pins a digest of them).
 
-On top of the single-class Poisson stream this module layers the
-methodology of "Traffic Generation for Benchmarking Data Centre
-Networks" (PAPERS.md): mixed tenant classes (per-class size CDF and
-load share, merged by a k-way heap), load shapes (constant, diurnal
-sine, on/off bursts) and open- vs closed-loop arrival modes.
+:class:`PoissonFlowStream` is the paper's open-loop Poisson process
+(§6.1).  On top of it this module layers the methodology of "Traffic
+Generation for Benchmarking Data Centre Networks" (PAPERS.md): mixed
+tenant classes (per-class size CDF and load share, merged by a k-way
+heap), load shapes (constant, diurnal sine, on/off bursts) and open-
+vs closed-loop arrival modes.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .distributions import WORKLOADS, EmpiricalCdf
 from .patterns import PairSampler
 
 __all__ = [
-    "FlowStream", "MaterializedStream", "PoissonFlowStream",
+    "FlowStream", "PoissonFlowStream",
     "ClosedLoopStream", "MergedStream", "TenantClass",
     "tenant_mix_stream", "flow_stream",
     "LoadShape", "ConstantShape", "DiurnalShape", "OnOffShape",
@@ -146,19 +144,21 @@ def parse_load_shape(spec: Optional[str]) -> Optional[LoadShape]:
         return None
     parts = spec.split(":")
     kind, args = parts[0], parts[1:]
+    shapes = {"constant": (ConstantShape, 0), "diurnal": (DiurnalShape, 2),
+              "onoff": (OnOffShape, 3)}
+    if kind not in shapes:
+        raise ValueError(f"unknown load shape {kind!r} "
+                         "(expected constant, diurnal or onoff)")
+    cls, max_args = shapes[kind]
     try:
-        if kind == "constant":
-            if args:
-                raise ValueError("constant takes no parameters")
-            return ConstantShape()
-        if kind == "diurnal":
-            return DiurnalShape(*[float(a) for a in args[:2]])
-        if kind == "onoff":
-            return OnOffShape(*[float(a) for a in args[:3]])
-    except (TypeError, ValueError) as exc:
+        if len(args) > max_args:
+            raise ValueError(f"too many fields for {kind} (at most {max_args})")
+        values = [float(a) for a in args]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("parameters must be finite")
+        return cls(*values)
+    except ValueError as exc:
         raise ValueError(f"bad load-shape spec {spec!r}: {exc}") from exc
-    raise ValueError(
-        f"unknown load shape {kind!r} (expected constant, diurnal or onoff)")
 
 
 # ---------------------------------------------------------------------------
@@ -201,36 +201,27 @@ class FlowStream:
         return out
 
 
-class MaterializedStream(FlowStream):
-    """Adapter presenting an existing flow list as a stream (the
-    degenerate case — memory already spent)."""
+class _ArrivalStream(FlowStream):
+    """What both generators share: argument checks, the arrival rate
+    at the target load, and the refusal of a self-pair.  The generators
+    add ``seed`` (default 1) to these keywords.
 
-    def __init__(self, flows: Sequence[Flow]):
-        self._flows = list(flows)
-        for a, b in zip(self._flows, self._flows[1:]):
-            if b.start_time < a.start_time:
-                raise ValueError("flows must be in start-time order")
-        self.n_flows = len(self._flows)
-        self._cursor = 0
+    The paper generates flows "following the Poisson process and
+    controls the inter-arrival time of flows to achieve the desired
+    network load" (§6.1).  Network load is defined against the
+    aggregate edge capacity of the *sending* hosts: at load ``rho`` with
+    ``S`` senders of edge rate ``C`` and mean flow size ``E[s]`` bytes,
+    the flow arrival rate is::
 
-    def __next__(self) -> Flow:
-        if self._cursor >= len(self._flows):
-            raise StopIteration
-        flow = self._flows[self._cursor]
-        self._cursor += 1
-        return flow
+        lambda = rho * S * C / (8 * E[s])      [flows per second]
 
-
-class PoissonFlowStream(FlowStream):
-    """Streaming twin of :func:`~repro.workloads.generator.poisson_flows`.
-
-    Same parameters, same seeded RNG, same draw order — for a finite
-    ``n_flows`` and no shape, ``list(PoissonFlowStream(...))`` equals
-    ``poisson_flows(...)`` bit for bit (gated by
-    ``tests/test_streams.py``).  ``n_flows=None`` streams forever.
-    ``shape`` modulates the instantaneous arrival rate (a factor of
-    exactly ``1.0`` leaves the expovariate argument untouched, so a
-    :class:`ConstantShape` preserves bit-identity too).
+    For incast patterns the receiver's downlink is the bottleneck, so
+    the load is defined against that single link (``n_senders=1``).
+    ``size_cap`` caps sampled sizes (the scaled-down scenarios use it);
+    the rate is derived from the exact capped mean ``E[min(S, cap)]``
+    (see :meth:`EmpiricalCdf.mean`), so the *offered load* stays
+    correct under capping.  ``cdf`` may be any object with that
+    ``mean(cap)`` and a ``sample(rng, cap)``.
     """
 
     def __init__(
@@ -241,37 +232,65 @@ class PoissonFlowStream(FlowStream):
         load: float,
         link_rate: float,
         n_flows: Optional[int],
-        seed: int = 1,
         n_senders: int = 1,
         size_cap: Optional[int] = None,
-        start_time: float = 0.0,
         first_flow_id: int = 0,
         shape: Optional[LoadShape] = None,
     ):
         if not 0.0 < load <= 1.5:
             raise ValueError(f"load out of range: {load}")
         if n_flows is not None and n_flows <= 0:
-            raise ValueError("n_flows must be positive (None = unbounded)")
+            raise ValueError("n_flows must be positive")
         self.pattern = pattern
         self.cdf = cdf
         self.size_cap = size_cap
         self.n_flows = n_flows
         self.first_flow_id = first_flow_id
         self.shape = shape
-        self._rng = random.Random(seed)
-        mean_size = cdf.mean(size_cap)
-        rate = load * n_senders * link_rate / (8.0 * mean_size)  # flows/sec
-        # keep poisson_flows' exact double-reciprocal arithmetic
-        self._mean_gap = 1.0 / rate
-        self._now = start_time
+        self.link_rate = link_rate
+        # flows per second
+        self._rate = load * n_senders * link_rate / (8.0 * cdf.mean(size_cap))
         self._emitted = 0
 
+    def _refuse_self_pair(self, src: int) -> None:
+        # every shipped pattern guarantees src != dst, but a
+        # user-supplied sampler may not — a src == dst flow would sit in
+        # the runner forever (the receiver is its own sender)
+        raise ValueError(
+            f"pattern produced src == dst == {src} for flow "
+            f"{self.first_flow_id + self._emitted}")
+
+
+class PoissonFlowStream(_ArrivalStream):
+    """Open-loop Poisson arrivals at the target load: the §6.1 generator.
+
+    Flow ``i`` starts one exponential gap after flow ``i - 1`` (flow 0
+    at time 0).  Each flow draws, from one seeded RNG and in this order,
+    its gap, its (src, dst) pair and its size, so a seed fixes the whole
+    sequence.  ``n_flows=None`` streams forever.  ``shape`` modulates
+    the instantaneous arrival rate (a factor of exactly ``1.0`` leaves
+    the gap untouched, so a :class:`ConstantShape` draws what no shape
+    draws).
+    """
+
+    def __init__(self, pattern: PairSampler, cdf: EmpiricalCdf, *,
+                 seed: int = 1, **arrival):
+        super().__init__(pattern, cdf, **arrival)
+        self._rng = random.Random(seed)
+        # 1 / (1 / rate), not rate: the rounding the draws pinned in
+        # tests/test_generator.py were made with
+        self._lambd = 1.0 / (1.0 / self._rate)
+        self._now = 0.0
+
     def __next__(self) -> Flow:
-        if self.n_flows is not None and self._emitted >= self.n_flows:
+        # the per-flow path of every generated workload: keep helper
+        # calls off it (the self-pair refusal runs only on error)
+        emitted = self._emitted
+        if emitted == self.n_flows:
             raise StopIteration
         rng = self._rng
-        if self._emitted:
-            lambd = 1.0 / self._mean_gap
+        if emitted:
+            lambd = self._lambd
             if self.shape is not None:
                 factor = self.shape.rate_at(self._now)
                 if factor != 1.0:
@@ -279,17 +298,15 @@ class PoissonFlowStream(FlowStream):
             self._now += rng.expovariate(lambd)
         src, dst = self.pattern(rng)
         if src == dst:
-            raise ValueError(
-                f"pattern produced src == dst == {src} for flow "
-                f"{self.first_flow_id + self._emitted}")
-        size = self.cdf.sample(rng, self.size_cap)
-        flow = Flow(flow_id=self.first_flow_id + self._emitted,
-                    src=src, dst=dst, size=size, start_time=self._now)
-        self._emitted += 1
+            self._refuse_self_pair(src)
+        flow = Flow(flow_id=self.first_flow_id + emitted, src=src, dst=dst,
+                    size=self.cdf.sample(rng, self.size_cap),
+                    start_time=self._now)
+        self._emitted = emitted + 1
         return flow
 
 
-class ClosedLoopStream(FlowStream):
+class ClosedLoopStream(_ArrivalStream):
     """Closed-loop arrivals: a fixed pool of ``n_users`` request loops.
 
     Each user issues a flow, waits out a think time, then issues the
@@ -304,57 +321,28 @@ class ClosedLoopStream(FlowStream):
     open-loop stream at the same nominal load.
     """
 
-    def __init__(
-        self,
-        pattern: PairSampler,
-        cdf: EmpiricalCdf,
-        *,
-        load: float,
-        link_rate: float,
-        n_flows: Optional[int],
-        seed: int = 1,
-        n_senders: int = 1,
-        size_cap: Optional[int] = None,
-        start_time: float = 0.0,
-        first_flow_id: int = 0,
-        shape: Optional[LoadShape] = None,
-        n_users: int = 8,
-    ):
-        if not 0.0 < load <= 1.5:
-            raise ValueError(f"load out of range: {load}")
-        if n_flows is not None and n_flows <= 0:
-            raise ValueError("n_flows must be positive (None = unbounded)")
+    def __init__(self, pattern: PairSampler, cdf: EmpiricalCdf, *,
+                 seed: int = 1, n_users: int = 8, **arrival):
         if n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {n_users!r}")
-        self.pattern = pattern
-        self.cdf = cdf
-        self.size_cap = size_cap
-        self.n_flows = n_flows
-        self.first_flow_id = first_flow_id
-        self.shape = shape
-        self.link_rate = link_rate
-        mean_size = cdf.mean(size_cap)
-        rate = load * n_senders * link_rate / (8.0 * mean_size)
-        self.mean_think = n_users / rate
+        super().__init__(pattern, cdf, **arrival)
+        self.mean_think = n_users / self._rate
         self._rngs = [random.Random(_child_seed(seed, u))
                       for u in range(n_users)]
         # (next arrival time, user) — user index breaks exact-time ties
         self._heap: List[Tuple[float, int]] = [
-            (start_time + self._rngs[u].expovariate(1.0 / self.mean_think), u)
+            (self._rngs[u].expovariate(1.0 / self.mean_think), u)
             for u in range(n_users)]
         heapq.heapify(self._heap)
-        self._emitted = 0
 
     def __next__(self) -> Flow:
-        if self.n_flows is not None and self._emitted >= self.n_flows:
+        if self._emitted == self.n_flows:
             raise StopIteration
         now, user = heapq.heappop(self._heap)
         rng = self._rngs[user]
         src, dst = self.pattern(rng)
         if src == dst:
-            raise ValueError(
-                f"pattern produced src == dst == {src} for flow "
-                f"{self.first_flow_id + self._emitted}")
+            self._refuse_self_pair(src)
         size = self.cdf.sample(rng, self.size_cap)
         flow = Flow(flow_id=self.first_flow_id + self._emitted,
                     src=src, dst=dst, size=size, start_time=now)
@@ -457,7 +445,6 @@ def tenant_mix_stream(
     seed: int = 1,
     n_senders: int = 1,
     size_cap: Optional[int] = None,
-    start_time: float = 0.0,
     first_flow_id: int = 0,
     shape: Optional[LoadShape] = None,
 ) -> MergedStream:
@@ -495,7 +482,6 @@ def tenant_mix_stream(
             seed=_child_seed(seed, idx),
             n_senders=n_senders,
             size_cap=cls.size_cap if cls.size_cap is not None else size_cap,
-            start_time=start_time,
             first_flow_id=next_id,
             shape=shape,
         ))
@@ -551,40 +537,29 @@ def flow_stream(
     seed: int = 1,
     n_senders: int = 1,
     size_cap: Optional[int] = None,
-    start_time: float = 0.0,
     first_flow_id: int = 0,
     shape: Optional[LoadShape] = None,
     tenants: Optional[Sequence[TenantClass]] = None,
     arrivals: str = "open",
-    closed_users: int = 8,
 ) -> FlowStream:
     """Build the right stream for a scenario's knobs.
 
-    Plain open-loop single-class → :class:`PoissonFlowStream` (the
-    bit-identical twin of ``poisson_flows``); ``tenants`` →
-    :func:`tenant_mix_stream`; ``arrivals="closed"`` →
+    Plain open-loop single-class → :class:`PoissonFlowStream`;
+    ``tenants`` → :func:`tenant_mix_stream`; ``arrivals="closed"`` →
     :class:`ClosedLoopStream` (single class only — per-tenant closed
     loops would need per-class user pools, which nothing needs yet).
     """
     if arrivals not in ("open", "closed"):
         raise ValueError(
             f"arrivals must be 'open' or 'closed', got {arrivals!r}")
-    if arrivals == "closed":
-        if tenants:
-            raise ValueError("closed-loop arrivals do not combine with "
-                             "tenant mixes (open-loop only)")
-        return ClosedLoopStream(
-            pattern, cdf, load=load, link_rate=link_rate, n_flows=n_flows,
-            seed=seed, n_senders=n_senders, size_cap=size_cap,
-            start_time=start_time, first_flow_id=first_flow_id,
-            shape=shape, n_users=closed_users)
+    if arrivals == "closed" and tenants:
+        raise ValueError("closed-loop arrivals do not combine with "
+                         "tenant mixes (open-loop only)")
+    common = dict(load=load, link_rate=link_rate, n_flows=n_flows,
+                  seed=seed, n_senders=n_senders, size_cap=size_cap,
+                  first_flow_id=first_flow_id, shape=shape)
     if tenants:
-        return tenant_mix_stream(
-            tenants, pattern, load=load, link_rate=link_rate,
-            n_flows=n_flows, seed=seed, n_senders=n_senders,
-            size_cap=size_cap, start_time=start_time,
-            first_flow_id=first_flow_id, shape=shape)
-    return PoissonFlowStream(
-        pattern, cdf, load=load, link_rate=link_rate, n_flows=n_flows,
-        seed=seed, n_senders=n_senders, size_cap=size_cap,
-        start_time=start_time, first_flow_id=first_flow_id, shape=shape)
+        return tenant_mix_stream(tenants, pattern, **common)
+    if arrivals == "closed":
+        return ClosedLoopStream(pattern, cdf, **common)
+    return PoissonFlowStream(pattern, cdf, **common)

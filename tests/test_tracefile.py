@@ -8,8 +8,8 @@ from repro.transport.base import Flow
 from repro.transport.dctcp import Dctcp
 from repro.units import gbps
 from repro.workloads.distributions import WEB_SEARCH
-from repro.workloads.generator import poisson_flows
 from repro.workloads.patterns import all_to_all
+from repro.workloads.streams import flow_stream
 from repro.workloads.tracefile import (
     TraceFormatError,
     load_csv,
@@ -105,9 +105,9 @@ def test_endpoint_bounds_check(tmp_path):
 
 def test_frozen_poisson_draw_replays_identically(tmp_path):
     """Freeze a generator draw to disk, replay it through the runner."""
-    generated = poisson_flows(all_to_all(range(8)), WEB_SEARCH, load=0.4,
-                              link_rate=gbps(40), n_flows=15, n_senders=8,
-                              size_cap=300_000, seed=3)
+    generated = flow_stream(all_to_all(range(8)), WEB_SEARCH, load=0.4,
+                            link_rate=gbps(40), n_flows=15, n_senders=8,
+                            size_cap=300_000, seed=3).materialize()
     path = tmp_path / "frozen.csv"
     save_trace(generated, path)
     fabric = sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4)
