@@ -273,13 +273,14 @@ def _cmd_run(args) -> int:
     # builder untouched so existing invocations stay bit-identical
     features = dict(lb=args.lb, lb_gap=args.lb_gap,
                     pfc_config=SIM_PFC if args.pfc else None)
-    hybrid = None
-    if args.hybrid:
-        hybrid = HybridConfig(size_threshold=args.hybrid_size_threshold,
-                              max_epoch=args.hybrid_epoch)
-    features["hybrid"] = hybrid
 
     def make_scenario():
+        # HybridConfig refuses a bad --hybrid-* value; built here, the
+        # refusal comes out of the reference build below
+        features["hybrid"] = (
+            HybridConfig(size_threshold=args.hybrid_size_threshold,
+                         max_epoch=args.hybrid_epoch)
+            if args.hybrid else None)
         if args.soak is not None:
             return soak_scenario(
                 "cli-soak", cdf, horizon=args.soak, seed=args.seed,

@@ -26,7 +26,7 @@ from typing import Dict
 from ..sim.packet import ACK, Packet
 from ..transport.base import Flow, Scheme, TransportContext
 from ..transport.dctcp import DctcpSender
-from ..transport.window import TailLoop, WindowReceiver
+from ..transport.window import INIT_CWND, TailLoop, WindowReceiver
 
 
 class _RecordingSender(DctcpSender):
@@ -42,7 +42,7 @@ class _RecordingSender(DctcpSender):
         if self.startup_done and self.wmax > 0:
             mw = self.wmax
         else:
-            mw = min(self.max_cwnd_seen, self.cwnd + self.cfg.init_cwnd)
+            mw = min(self.max_cwnd_seen, self.cwnd + INIT_CWND)
         self._table[self.flow.flow_id] = mw
         super().stop()
 
@@ -134,5 +134,5 @@ class HypotheticalDctcp(Scheme):
             self.name = f"hypothetical-dctcp-{int(fill_factor * 100)}"
 
     def make_sender(self, flow: Flow, ctx: TransportContext):
-        mw = self.mw_table.get(flow.flow_id, float(ctx.config.init_cwnd))
+        mw = self.mw_table.get(flow.flow_id, float(INIT_CWND))
         return _HypotheticalSender(flow, ctx, mw, self.fill_factor)

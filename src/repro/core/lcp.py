@@ -41,7 +41,7 @@ from typing import Optional
 
 from ..sim.engine import Event
 from ..sim.packet import Packet
-from ..transport.window import TailLoop
+from ..transport.window import INIT_CWND, TailLoop
 
 _EPS = 1e-9
 
@@ -100,7 +100,7 @@ class LcpController(TailLoop):
         """Case 1's ``I = BDP - init_cwnd``, clamped as in ``open_loop``."""
         sender = self.sender
         return int(min(sender.ctx.bdp_packets(sender.flow)
-                       - sender.cfg.init_cwnd, sender.n_packets))
+                       - INIT_CWND, sender.n_packets))
 
     def _open_case1(self) -> None:
         if self.sender.finished or self.active:

@@ -33,6 +33,11 @@ from ..transport.dctcp import DctcpSender
 from ..transport.window import WindowReceiver
 from .graft import PptGraft
 
+# Delayed-ACK timer for the 2:1 low-priority ACKs (seconds): an odd LP
+# data packet left un-acked (no pair arrived) is acknowledged after this
+# delay instead of waiting for the sender's RTO.
+LP_ACK_DELAY = 5e-4
+
 
 class PptSender(PptGraft, DctcpSender):
     """HCP (DCTCP) sender carrying the graft; its trigger is DCTCP's
@@ -55,7 +60,7 @@ class PptReceiver(WindowReceiver):
     next LP arrival.  The pending entry must never be stranded — the
     final LP packet of an odd-count batch used to sit un-acked until the
     sender's RTO re-sent it.  Two flushes close that hole: a short
-    delayed-ACK timer (``config.lp_ack_delay``), and an immediate flush
+    delayed-ACK timer (:data:`LP_ACK_DELAY`), and an immediate flush
     when the flow completes (via either loop).
     """
 
@@ -100,7 +105,7 @@ class PptReceiver(WindowReceiver):
             self._send_lp_ack(pkt)
         elif self._lp_flush_event is None:
             self._lp_flush_event = self.ctx.sim.schedule(
-                self.ctx.config.lp_ack_delay, self._lp_delayed_flush)
+                LP_ACK_DELAY, self._lp_delayed_flush)
         if not self._done and self.cum >= self.n_packets:
             self._done = True
             self._flush_lp_pending()

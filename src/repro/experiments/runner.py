@@ -84,6 +84,11 @@ class Scenario:
     # identical code path as before the feature existed
     hybrid: Optional[HybridConfig] = None
 
+    def __post_init__(self) -> None:
+        if self.event_budget is not None and self.event_budget <= 0:
+            raise ValueError(f"event_budget must be positive, "
+                             f"got {self.event_budget}")
+
 
 @dataclass
 class RunHealth:

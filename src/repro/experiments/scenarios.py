@@ -419,16 +419,13 @@ def soak_fault_plan(
     horizon: float,
     *,
     period: float = 300.0,
-    seed: int = 17,
-    down_port: str = "sw0->host1",
-    loss_port: str = "host2->sw0",
-    degrade_port: str = "sw0->host3",
 ) -> FaultPlan:
     """A repeating fault schedule that fires throughout ``horizon``.
 
     Every ``period`` simulated seconds one fault lands, rotating through
-    the three injector families — a link blackout, a Bernoulli loss
-    window, a rate degrade — so a soak exercises *every* fault path many
+    the three injector families — a blackout of ``sw0->host1``, a
+    Bernoulli loss window on ``host2->sw0``, a rate degrade of
+    ``sw0->host3`` — so a soak exercises *every* fault path many
     times, not once.  Windows are short relative to ``period`` (a tenth)
     so the fabric keeps making progress and the run-health watchdog's
     fault grace never masks a real stall for long.
@@ -444,14 +441,14 @@ def soak_fault_plan(
     while t < horizon:
         kind = k % 3
         if kind == 0:
-            events.append(LinkDown(down_port, t, min(width, 0.05)))
+            events.append(LinkDown("sw0->host1", t, min(width, 0.05)))
         elif kind == 1:
-            events.append(PacketLoss(loss_port, 0.02, t, t + width))
+            events.append(PacketLoss("host2->sw0", 0.02, t, t + width))
         else:
-            events.append(RateDegrade(degrade_port, 0.25, t, t + width))
+            events.append(RateDegrade("sw0->host3", 0.25, t, t + width))
         k += 1
         t += period
-    return FaultPlan(events, seed=seed)
+    return FaultPlan(events, seed=17)
 
 
 def soak_scenario(
@@ -465,7 +462,6 @@ def soak_scenario(
     size_cap: Optional[int] = 200_000,
     seed: int = 23,
     fault_period: Optional[float] = 300.0,
-    fault_seed: int = 17,
     faults: Optional[FaultPlan] = None,
     config: Optional[TransportConfig] = None,
     **shared,
@@ -485,8 +481,7 @@ def soak_scenario(
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     if faults is None and fault_period is not None:
-        faults = soak_fault_plan(horizon, period=fault_period,
-                                 seed=fault_seed)
+        faults = soak_fault_plan(horizon, period=fault_period)
 
     def traffic(topo: Topology):
         hosts = topo.host_ids()
@@ -559,24 +554,18 @@ def lossless_scenario(
 def pfc_storm_scenario(
     name: str,
     cdf: EmpiricalCdf = WEB_SEARCH,
-    *,
-    storm_port: str = "leaf0->host0",
-    storm_start: float = 0.002,
-    storm_duration: float = 0.004,
-    priority: int = 0,
     **overrides,
 ) -> Scenario:
     """A lossless incast with a malfunctioning-NIC PFC storm layered on.
 
-    The storm jams ``storm_port`` (the victim receiver's downlink) in
-    the paused state; the leaf's shared buffer backs up, the leaf pauses
-    its own ingress — spine downlinks included — and head-of-line
-    blocking cascades fabric-wide until the window closes.  This is the
+    The storm jams ``leaf0->host0`` (the victim receiver's downlink) in
+    the paused state from 2 ms to 6 ms; the leaf's shared buffer backs
+    up, the leaf pauses its own ingress — spine downlinks included — and
+    head-of-line blocking cascades fabric-wide until the window closes.  This is the
     classic PFC failure mode (RoCEv2 deployment papers' motivating
     incident) and the reason `repro.faults` grew a pause injector.
     """
-    plan = FaultPlan([PfcStorm(storm_port, storm_start, storm_duration,
-                               priority=priority)])
+    plan = FaultPlan([PfcStorm("leaf0->host0", 0.002, 0.004)])
     return lossless_scenario(name, cdf, faults=plan, **overrides)
 
 

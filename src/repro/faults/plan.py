@@ -63,10 +63,15 @@ def _window(args: List[str], at: int) -> Tuple[float, float]:
     return start, end
 
 
+def _check_duration(name: str, value: float) -> None:
+    if not 0.0 < value < INFINITY:
+        raise ValueError(f"{name} {value!r} must be positive and finite")
+
+
 def _check_window(event) -> None:
-    if event.end < event.start:
+    if not event.end >= event.start:  # NaN fails; +inf is "the whole run"
         raise ValueError(f"window ends ({event.end!r}) before it starts "
-                         f"({event.start!r})")
+                         f"({event.start!r}) or is NaN")
 
 
 @dataclass(frozen=True)
@@ -93,8 +98,7 @@ class LinkDown:
                 f"[{self.start:.6g}s, {self.end:.6g}s)")
 
     def validate(self) -> None:
-        if self.duration <= 0.0:
-            raise ValueError(f"duration {self.duration!r} must be positive")
+        _check_duration("duration", self.duration)
 
     def inject(self, sim: Simulator, port, rng: random.Random):
         injector = LinkFaultInjector(sim, port).attach()
@@ -131,10 +135,10 @@ class LinkFlap:
                 f"from {self.start:.6g}s")
 
     def validate(self) -> None:
-        if self.down_time <= 0.0:
-            raise ValueError(f"down_time {self.down_time!r} must be positive")
-        if self.up_time < 0.0:
-            raise ValueError(f"up_time {self.up_time!r} is negative")
+        _check_duration("down_time", self.down_time)
+        if not 0.0 <= self.up_time < INFINITY:
+            raise ValueError(
+                f"up_time {self.up_time!r} must be finite and >= 0")
         if self.cycles < 1:
             raise ValueError(f"cycles {self.cycles!r} must be >= 1")
 
@@ -254,8 +258,7 @@ class PfcStorm:
                 f"[{self.start:.6g}s, {self.end:.6g}s)")
 
     def validate(self) -> None:
-        if self.duration <= 0.0:
-            raise ValueError(f"duration {self.duration!r} must be positive")
+        _check_duration("duration", self.duration)
         if not 0 <= self.priority < 8:
             raise ValueError(f"priority {self.priority!r} must be in [0, 8)")
 
@@ -292,9 +295,9 @@ class FaultPlan:
             if not isinstance(event, tuple(FAULT_KINDS.values())):
                 raise TypeError(f"not a fault event: {event!r}")
             try:
-                if event.start < 0.0:
-                    raise ValueError(
-                        f"start time {event.start!r} is negative")
+                if not 0.0 <= event.start < INFINITY:
+                    raise ValueError(f"start time {event.start!r} must be "
+                                     f"finite and not negative")
                 event.validate()
             except ValueError as exc:
                 raise ValueError(
@@ -322,7 +325,12 @@ class FaultPlan:
             try:
                 if kind not in FAULT_KINDS:
                     raise ValueError(f"unknown fault kind {kind!r}")
-                events.append(FAULT_KINDS[kind].from_args(args))
+                event_cls = FAULT_KINDS[kind]
+                extra = args[event_cls.spec.count(":"):]
+                if extra:
+                    raise ValueError(f"extra field(s) {':'.join(extra)!r} "
+                                     f"(expected {event_cls.spec})")
+                events.append(event_cls.from_args(args))
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"bad fault spec {spec!r}: {exc}") from exc
         return cls(events, seed=seed)

@@ -10,8 +10,7 @@ motivates at datacenter scale, done here exactly:
 
 * **Classification at admission.**  :meth:`HybridController.start_flow`
   admits a flow to the *abstract* set when it is large enough
-  (``size_threshold``), expected to live long enough on its bottleneck
-  (``min_duration``), and its deterministically resolved port path is
+  (``size_threshold``) and its deterministically resolved port path is
   currently uncontended.  Everything else goes to the wrapped packet
   scheme untouched.
 * **Congestion epochs.**  Abstract flows advance at *epochs* — abstract
@@ -59,19 +58,19 @@ class HybridConfig:
     """Knobs for the hybrid fast path (``Scenario.hybrid=None`` is
     "off": no controller is built at all)."""
 
-    # admission: flows at least this big are abstract candidates ...
+    # admission: flows at least this big are abstract candidates
     size_threshold: int = 1_000_000
-    # ... provided the unloaded transfer would outlive this ("age"
-    # threshold: seconds of serialization at the path bottleneck)
-    min_duration: float = 0.0
-    # demote when measured packet traffic claims more than this
-    # fraction of a path port's capacity (belt and braces on top of the
-    # packet-flow path refcounts, which catch sharing exactly)
-    contention_fraction: float = 0.02
     # upper bound on the inter-epoch interval while packet-mode flows
     # coexist (stands in for per-ACK cwnd-inflection triggers, which
     # would put a hook on the packet hot path)
     max_epoch: float = 0.005
+
+    def __post_init__(self) -> None:
+        # an epoch re-armed at ``now`` would never let time advance
+        if not self.max_epoch > 0.0 or self.size_threshold < 0:
+            raise ValueError(
+                f"hybrid needs max_epoch > 0 and size_threshold >= 0, got "
+                f"{self.max_epoch!r} and {self.size_threshold!r}")
 
 
 def waterfill(paths: Sequence[Sequence[int]],
@@ -251,17 +250,13 @@ class HybridController:
             return None
         network = self.network
         path = network.resolve_path(flow.flow_id, flow.src, flow.dst)
-        min_rate = min(port.rate_bps for port in path)
+        ledger = self.ledger
+        for port in path:
+            if ledger.contended(port):
+                return None
         wire_total = float(
             flow.size
             + flow.n_packets(self.ctx.config.mss) * HEADER_BYTES)
-        if wire_total * 8.0 / min_rate < cfg.min_duration:
-            return None
-        ledger = self.ledger
-        fraction = cfg.contention_fraction
-        for port in path:
-            if ledger.contended(port, fraction):
-                return None
         return AbstractFlow(flow, path, wire_total, self.sim.now)
 
     def _admit(self, af: AbstractFlow) -> None:
@@ -337,11 +332,10 @@ class HybridController:
                               self._complete_abstract, flow)
         self.ledger.measure(now)
         if abstract:
-            fraction = self.config.contention_fraction
             ledger = self.ledger
             for af in list(abstract.values()):
                 for port in af.path:
-                    if ledger.contended(port, fraction):
+                    if ledger.contended(port):
                         self._demote(af, now)
                         break
             self._assign_rates()

@@ -89,13 +89,11 @@ class Wire:
     __slots__ = ("sim", "port", "pending", "pipelined",
                  "_deliver_cb", "_recv_cb")
 
-    def __init__(self, sim: Simulator, port: "Port",
-                 pipelined: Optional[bool] = None) -> None:
+    def __init__(self, sim: Simulator, port: "Port") -> None:
         self.sim = sim
         self.port = port
         self.pending: deque = deque()
-        self.pipelined = (self.PIPELINED_DEFAULT if pipelined is None
-                          else pipelined)
+        self.pipelined = self.PIPELINED_DEFAULT
         # bound once: the head-arrival callback is installed once per
         # packet, and binding it per install shows up in profiles
         self._deliver_cb = self._deliver

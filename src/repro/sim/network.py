@@ -41,9 +41,6 @@ class QueueConfig:
     ecn_lambda_high: Optional[float] = None
     ecn_lambda_low: Optional[float] = None
     base_rtt: Optional[float] = None
-    ecn_mode: str = "paper"
-    trim: bool = False
-    selective_drop_threshold: Optional[int] = None
     lp_buffer_cap: Optional[int] = None
     # DT alpha 8 for the high-priority half, 1 for the lossy low-priority
     # half (see PriorityMux docstring); None = pure shared tail drop.
@@ -68,9 +65,6 @@ class QueueConfig:
         mux = PriorityMux(
             self.buffer_bytes,
             thresholds,
-            ecn_mode=self.ecn_mode,
-            trim=self.trim,
-            selective_drop_threshold=self.selective_drop_threshold,
             lp_buffer_cap=self.lp_buffer_cap,
             dt_alpha=self.dt_alpha,
         )
@@ -528,6 +522,12 @@ class Network:
         return sum(port.mux.stats.marked for port in self.ports)
 
 
+# An abstract flow is demoted when measured packet traffic claims more
+# than this fraction of a path port's capacity (belt and braces on top
+# of the packet-flow path refcounts, which catch sharing exactly).
+CONTENTION_FRACTION = 0.02
+
+
 class LinkLedger:
     """Per-port capacity ledger shared between the hybrid fast path's
     abstract rate shares and the packet model's occupancy.
@@ -588,11 +588,11 @@ class LinkLedger:
         rest = port.rate_bps - measured
         return rest if rest > 0.0 else 0.0
 
-    def contended(self, port: Port, fraction: float) -> bool:
+    def contended(self, port: Port) -> bool:
         """True when ``port`` is unsafe to back an abstract rate share:
         PFC-paused, fault-chained, shared with a live packet flow,
         visibly transmitting, or measurably carrying more than
-        ``fraction`` of its capacity in packet traffic."""
+        :data:`CONTENTION_FRACTION` of its capacity in packet traffic."""
         if port.paused_mask or port.fault_chain is not None:
             return True
         if port in self.packet_flows:
@@ -601,4 +601,4 @@ class LinkLedger:
             return True
         state = self.tracked.get(port)
         return (state is not None
-                and state[1] * 8.0 > fraction * port.rate_bps)
+                and state[1] * 8.0 > CONTENTION_FRACTION * port.rate_bps)

@@ -20,17 +20,23 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..obs.hooks import chain
 from .packet import HEADER, HEADER_BYTES, NUM_PRIORITIES, Packet
+
+
+#: The one lossless (PFC-protected) class.  Lossy priorities keep the
+#: plain admission checks on a PFC port.
+LOSSLESS_PRIORITY = 0
+LOSSLESS_MASK = 1 << LOSSLESS_PRIORITY
 
 
 @dataclass(frozen=True)
 class PfcConfig:
     """Priority Flow Control (IEEE 802.1Qbb) thresholds for one port.
 
-    A lossless priority's queue crossing ``xoff_bytes`` sends PAUSE
+    The lossless priority's queue crossing ``xoff_bytes`` sends PAUSE
     upstream; draining back below ``xon_bytes`` sends RESUME.  The
     hysteresis band (xon < xoff) stops pause/resume flapping.
     ``headroom_bytes`` is buffer *beyond* the shared pool reserved for
@@ -43,7 +49,6 @@ class PfcConfig:
     xoff_bytes: int
     xon_bytes: int
     headroom_bytes: int
-    priorities: Tuple[int, ...] = (0,)
 
     def __post_init__(self) -> None:
         if not 0 <= self.xon_bytes <= self.xoff_bytes:
@@ -52,28 +57,16 @@ class PfcConfig:
                 f"({self.xoff_bytes})")
         if self.headroom_bytes < 0:
             raise ValueError("headroom_bytes must be >= 0")
-        for p in self.priorities:
-            if not 0 <= p < NUM_PRIORITIES:
-                raise ValueError(f"lossless priority out of range: {p}")
-
-    @property
-    def lossless_mask(self) -> int:
-        mask = 0
-        for p in self.priorities:
-            mask |= 1 << p
-        return mask
 
     @classmethod
-    def for_buffer(cls, buffer_bytes: int,
-                   priorities: Tuple[int, ...] = (0,)) -> "PfcConfig":
+    def for_buffer(cls, buffer_bytes: int) -> "PfcConfig":
         """Conventional thresholds scaled to the shared-buffer size:
         XOFF at a third of the pool, XON at a sixth, headroom equal to
         the pool (worst case every upstream port keeps blasting for a
         full pause-propagation window)."""
         return cls(xoff_bytes=buffer_bytes // 3,
                    xon_bytes=buffer_bytes // 6,
-                   headroom_bytes=buffer_bytes,
-                   priorities=priorities)
+                   headroom_bytes=buffer_bytes)
 
     def make_state(self) -> "PfcState":
         return PfcState(self)
@@ -82,21 +75,19 @@ class PfcConfig:
 class PfcState:
     """Mutable per-mux PFC state built from a :class:`PfcConfig`.
 
-    ``xoff_state`` is a bitmask of priorities currently asserting XOFF;
-    the attached controller (wired by ``Network.enable_pfc``) turns the
-    on/off edges into PAUSE/RESUME deliveries to upstream ports.
-    ``lossless_drops`` must stay zero — the validate layer enforces it.
+    ``xoff_state`` is :data:`LOSSLESS_MASK` while the lossless class
+    asserts XOFF, else 0; the attached controller (wired by
+    ``Network.enable_pfc``) turns the edges into PAUSE/RESUME deliveries
+    to upstream ports.  ``lossless_drops`` must stay zero.
     """
 
     __slots__ = ("xoff_bytes", "xon_bytes", "headroom_bytes",
-                 "lossless_mask", "xoff_state", "lossless_drops",
-                 "controller")
+                 "xoff_state", "lossless_drops", "controller")
 
     def __init__(self, config: PfcConfig) -> None:
         self.xoff_bytes = config.xoff_bytes
         self.xon_bytes = config.xon_bytes
         self.headroom_bytes = config.headroom_bytes
-        self.lossless_mask = config.lossless_mask
         self.xoff_state = 0
         self.lossless_drops = 0
         self.controller = None
@@ -152,25 +143,14 @@ class PriorityMux:
         Total buffer shared by all priority queues of this port.
     ecn_thresholds:
         Per-priority ECN marking threshold in bytes (None = no marking for
-        that priority).  The paper marks against the *queue's own*
-        occupancy, mirroring per-queue RED with min==max==K.
-    ecn_mode:
-        What occupancy a packet's ECN threshold is compared against:
-
-        * ``"paper"`` (default) — high-priority packets (P0-P3) mark on
-          the *high-priority half's* occupancy, so LP bytes never inflate
-          DCTCP's congestion signal; low-priority packets (P4-P7) mark on
-          the *total* port occupancy, because "all data packets
-          essentially share the switch buffer" (§3.2) and the LCP loop
-          must sense both normal-blocks-opportunistic and
-          opportunistic-impacts-normal situations.
-        * ``"queue"`` — per-queue WRED (each queue marks on its own depth).
-        * ``"total"`` — everything marks on total port occupancy.
-    trim:
-        Enable NDP trimming on overflow.
-    selective_drop_threshold:
-        If set, drop packets with ``unscheduled=True`` whenever total
-        occupancy exceeds this many bytes (Aeolus).
+        that priority), compared with the paper's rule (RED with
+        min == max == K, Eq. 3): high-priority packets (P0-P3) mark on
+        the *high-priority half's* occupancy, so LP bytes never inflate
+        DCTCP's congestion signal; low-priority packets (P4-P7) mark on
+        the *total* port occupancy, because "all data packets essentially
+        share the switch buffer" (§3.2) and the LCP loop must sense both
+        normal-blocks-opportunistic and opportunistic-impacts-normal
+        situations.
     lp_buffer_cap:
         If set, cap the bytes that low-priority (``lcp=True``) packets may
         occupy (used for the Fig. 24 RC3-variant experiment).
@@ -187,7 +167,7 @@ class PriorityMux:
     """
 
     __slots__ = (
-        "buffer_bytes", "ecn_thresholds", "ecn_mode", "trim",
+        "buffer_bytes", "ecn_thresholds", "trim",
         "trim_threshold_bytes",
         "selective_drop_threshold", "lp_buffer_cap", "dt_alphas",
         "queues", "occupancy", "queue_occupancy", "lp_occupancy",
@@ -200,9 +180,6 @@ class PriorityMux:
         buffer_bytes: int,
         ecn_thresholds: Optional[List[Optional[int]]] = None,
         *,
-        ecn_mode: str = "paper",
-        trim: bool = False,
-        selective_drop_threshold: Optional[int] = None,
         lp_buffer_cap: Optional[int] = None,
         dt_alpha=None,
     ) -> None:
@@ -212,11 +189,6 @@ class PriorityMux:
         if len(ecn_thresholds) != NUM_PRIORITIES:
             raise ValueError("ecn_thresholds must have 8 entries")
         self.ecn_thresholds = list(ecn_thresholds)
-        if ecn_mode not in ("paper", "queue", "total"):
-            raise ValueError(f"unknown ecn_mode: {ecn_mode!r}")
-        self.ecn_mode = ecn_mode
-        self.trim = trim
-        self.selective_drop_threshold = selective_drop_threshold
         self.lp_buffer_cap = lp_buffer_cap
         if dt_alpha is None:
             self.dt_alphas: Optional[List[float]] = None
@@ -227,17 +199,21 @@ class PriorityMux:
             if len(alphas) != NUM_PRIORITIES:
                 raise ValueError("dt_alpha sequence must have 8 entries")
             self.dt_alphas = alphas
-        # NDP trims a data packet once its queue exceeds this (None = only
-        # on buffer exhaustion); trimmed headers use the whole buffer,
-        # modelling NDP's separate tiny header queue.
+        # Off until NDP's / Aeolus's ``configure_network`` sets them.  NDP
+        # also trims a data packet once its queue exceeds
+        # ``trim_threshold_bytes`` (None = only on buffer exhaustion);
+        # trimmed headers use the whole buffer, modelling NDP's separate
+        # tiny header queue.
+        self.trim = False
         self.trim_threshold_bytes: Optional[int] = None
+        self.selective_drop_threshold: Optional[int] = None
         self.queues: List[deque] = [deque() for _ in range(NUM_PRIORITIES)]
         self.occupancy = 0
         self.queue_occupancy = [0] * NUM_PRIORITIES
         self.lp_occupancy = 0
         # Incremental ledgers mirroring derivable state so the hot path
         # never recomputes it: high-priority (P0-3) bytes for the
-        # paper-mode ECN comparison, a bitmask of non-empty queues for
+        # paper's ECN comparison, a bitmask of non-empty queues for
         # O(1) strict-priority dequeue, and the total packet count.
         # All integer arithmetic — exact by construction; audit_mux in
         # repro.validate asserts agreement with the recomputed sums.
@@ -274,6 +250,15 @@ class PriorityMux:
     def enqueue(self, pkt: Packet) -> bool:
         """Admit ``pkt``; returns False when it was dropped.
 
+        A lossy packet passes Aeolus's selective drop, RC3's LP cap,
+        NDP's trim, the shared tail drop and the DT threshold.  A
+        lossless packet (P0 on a PFC port) never meets them: crossing
+        XOFF pauses the upstream senders instead, and ``headroom_bytes``
+        beyond the pool absorbs what is already in flight; a drop there
+        (headroom too small) is counted apart for the validate layer.
+        Both share ECN marking (DCQCN's signal is CE marks on the very
+        queues PFC protects) and the ledgers.
+
         Trimmed packets (NDP) count as admitted — the header survives.
         Accounting invariant: every arrival ends up as exactly one of
         ``enqueued`` or ``dropped`` (a trimmed-then-dropped packet is a
@@ -285,83 +270,85 @@ class PriorityMux:
         occupancy = self.occupancy
         stats.offered += 1
         stats.bytes_offered += arrival_size
+        queue_occupancy = self.queue_occupancy
         pfc = self.pfc
-        if pfc is not None and (pfc.lossless_mask >> pkt.priority) & 1:
-            return self._enqueue_lossless(pkt, arrival_size, pfc)
+        lossless = pfc is not None and pkt.priority == LOSSLESS_PRIORITY
         trimmed = False
-        # Aeolus selective dropping of pre-credit packets.
-        if (
-            self.selective_drop_threshold is not None
-            and pkt.unscheduled
-            and occupancy > self.selective_drop_threshold
-        ):
-            self._drop(pkt, arrival_size)
-            return False
-
-        # RC3 variant: cap buffer available to the low-priority loop.
-        if self.lp_buffer_cap is not None and pkt.lcp:
-            if self.lp_occupancy + pkt.size > self.lp_buffer_cap:
+        if lossless:
+            size = arrival_size
+            priority = LOSSLESS_PRIORITY
+            if occupancy + size > self.buffer_bytes + pfc.headroom_bytes:
+                pfc.lossless_drops += 1
+                self._drop(pkt, arrival_size)
+                return False
+        else:
+            # Aeolus selective dropping of pre-credit packets.
+            if (
+                self.selective_drop_threshold is not None
+                and pkt.unscheduled
+                and occupancy > self.selective_drop_threshold
+            ):
                 self._drop(pkt, arrival_size)
                 return False
 
-        # NDP trimming: cut the payload as soon as the data queue exceeds
-        # the (small) trim threshold; the surviving header is tiny and
-        # rides the highest priority.
-        if (
-            self.trim
-            and pkt.kind != HEADER
-            and pkt.size > HEADER_BYTES
-            and self.trim_threshold_bytes is not None
-            and self.queue_occupancy[pkt.priority] + pkt.size
-            > self.trim_threshold_bytes
-        ):
-            pkt.trim()
-            trimmed = True
-
-        size = pkt.size
-        priority = pkt.priority
-        buffer_bytes = self.buffer_bytes
-        queue_occupancy = self.queue_occupancy
-        # shared tail drop, then per-queue dynamic threshold (DT); the DT
-        # product is only evaluated when the cheap shared check passes
-        over = occupancy + size > buffer_bytes
-        if not over:
-            alphas = self.dt_alphas
-            over = (
-                alphas is not None
-                and pkt.kind != HEADER
-                and queue_occupancy[priority] + size
-                > alphas[priority] * (buffer_bytes - occupancy)
-            )
-        if over:
-            if self.trim and pkt.kind != HEADER and size > HEADER_BYTES:
-                # buffer exhausted: last-resort trim
-                pkt.trim()
-                trimmed = True
-                size = pkt.size
-                priority = pkt.priority
-                if occupancy + size > buffer_bytes:
+            # RC3 variant: cap buffer available to the low-priority loop.
+            if self.lp_buffer_cap is not None and pkt.lcp:
+                if self.lp_occupancy + pkt.size > self.lp_buffer_cap:
                     self._drop(pkt, arrival_size)
                     return False
-            else:
-                self._drop(pkt, arrival_size)
-                return False
 
-        # ECN marking on arrival (RED with min == max == K, per Eq. 3).
+            # NDP trimming: cut the payload as soon as the data queue
+            # exceeds the (small) trim threshold; the surviving header is
+            # tiny and rides the highest priority.
+            if (
+                self.trim
+                and pkt.kind != HEADER
+                and pkt.size > HEADER_BYTES
+                and self.trim_threshold_bytes is not None
+                and queue_occupancy[pkt.priority] + pkt.size
+                > self.trim_threshold_bytes
+            ):
+                pkt.trim()
+                trimmed = True
+
+            size = pkt.size
+            priority = pkt.priority
+            buffer_bytes = self.buffer_bytes
+            # shared tail drop, then per-queue dynamic threshold (DT); the
+            # DT product is only evaluated when the cheap shared check
+            # passes
+            over = occupancy + size > buffer_bytes
+            if not over:
+                alphas = self.dt_alphas
+                over = (
+                    alphas is not None
+                    and pkt.kind != HEADER
+                    and queue_occupancy[priority] + size
+                    > alphas[priority] * (buffer_bytes - occupancy)
+                )
+            if over:
+                if self.trim and pkt.kind != HEADER and size > HEADER_BYTES:
+                    # buffer exhausted: last-resort trim
+                    pkt.trim()
+                    trimmed = True
+                    size = pkt.size
+                    priority = pkt.priority
+                    if occupancy + size > buffer_bytes:
+                        self._drop(pkt, arrival_size)
+                        return False
+                else:
+                    self._drop(pkt, arrival_size)
+                    return False
+
+        # ECN marking on arrival: the paper's rule (class docstring).
         threshold = self.ecn_thresholds[priority]
-        if threshold is not None and pkt.ecn_capable:
-            mode = self.ecn_mode
-            if mode == "paper":
-                level = self.hp_occupancy if priority < 4 else occupancy
-            elif mode == "total":
-                level = occupancy
-            else:
-                level = queue_occupancy[priority]
-            if level >= threshold:
-                pkt.ecn_ce = True
-                stats.marked += 1
-                if self.mark_hook is not None:
-                    self.mark_hook(pkt)
+        if (threshold is not None and pkt.ecn_capable
+                and (self.hp_occupancy if priority < 4 else occupancy)
+                >= threshold):
+            pkt.ecn_ce = True
+            stats.marked += 1
+            if self.mark_hook is not None:
+                self.mark_hook(pkt)
 
         if trimmed:
             # counted only now that the header actually survived
@@ -380,61 +367,9 @@ class PriorityMux:
         self.pkt_count += 1
         stats.enqueued += 1
         stats.bytes_enqueued += size
-        return True
-
-    def _enqueue_lossless(self, pkt: Packet, arrival_size: int,
-                          pfc: PfcState) -> bool:
-        """Admit a packet of a PFC-protected priority.
-
-        Lossless classes skip the lossy admission features (trim,
-        Aeolus, DT) entirely: instead of dropping, crossing XOFF pauses
-        the upstream senders, and ``headroom_bytes`` beyond the shared
-        pool absorbs what is already in flight.  A drop here means the
-        headroom was provisioned too small; it is counted separately so
-        the validate layer can flag it.
-        """
-        occupancy = self.occupancy
-        size = pkt.size
-        priority = pkt.priority
-        if occupancy + size > self.buffer_bytes + pfc.headroom_bytes:
-            pfc.lossless_drops += 1
-            self._drop(pkt, arrival_size)
-            return False
-
-        # ECN still marks lossless traffic — DCQCN's congestion signal
-        # is CE marks on the very queues PFC protects.
-        queue_occupancy = self.queue_occupancy
-        threshold = self.ecn_thresholds[priority]
-        if threshold is not None and pkt.ecn_capable:
-            mode = self.ecn_mode
-            if mode == "paper":
-                level = self.hp_occupancy if priority < 4 else occupancy
-            elif mode == "total":
-                level = occupancy
-            else:
-                level = queue_occupancy[priority]
-            if level >= threshold:
-                pkt.ecn_ce = True
-                self.stats.marked += 1
-                if self.mark_hook is not None:
-                    self.mark_hook(pkt)
-
-        self.queues[priority].append(pkt)
-        self.occupancy = occupancy + size
-        queue_occupancy[priority] += size
-        if priority < 4:
-            self.hp_occupancy += size
-        if pkt.lcp:
-            self.lp_occupancy += size
-        self.nonempty_mask |= 1 << priority
-        self.pkt_count += 1
-        self.stats.enqueued += 1
-        self.stats.bytes_enqueued += size
-
-        bit = 1 << priority
-        if not (pfc.xoff_state & bit) \
+        if lossless and not pfc.xoff_state \
                 and queue_occupancy[priority] > pfc.xoff_bytes:
-            pfc.xoff_state |= bit
+            pfc.xoff_state = LOSSLESS_MASK
             if pfc.controller is not None:
                 pfc.controller.on_xoff(priority)
         return True
@@ -446,10 +381,9 @@ class PriorityMux:
         ``Port._start_next``) on PFC-enabled muxes only.
         """
         pfc = self.pfc
-        bit = 1 << priority
-        if pfc.xoff_state & bit \
+        if pfc.xoff_state and priority == LOSSLESS_PRIORITY \
                 and self.queue_occupancy[priority] <= pfc.xon_bytes:
-            pfc.xoff_state &= ~bit
+            pfc.xoff_state = 0
             if pfc.controller is not None:
                 pfc.controller.on_xon(priority)
 
@@ -513,14 +447,10 @@ class PriorityMux:
         self.nonempty_mask = 0
         pfc = self.pfc
         if pfc is not None and pfc.xoff_state:
-            # every queue is now empty (<= xon), so all pauses lift
-            state = pfc.xoff_state
+            # every queue is now empty (<= xon), so the pause lifts
             pfc.xoff_state = 0
             if pfc.controller is not None:
-                while state:
-                    bit = state & -state
-                    state ^= bit
-                    pfc.controller.on_xon(bit.bit_length() - 1)
+                pfc.controller.on_xon(LOSSLESS_PRIORITY)
         return flushed
 
     # -- introspection ---------------------------------------------------

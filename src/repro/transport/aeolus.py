@@ -16,8 +16,6 @@ Differences from plain Homa, per the Aeolus design:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..sim.network import Network
 from ..sim.packet import CONTROL, HEADER_BYTES, Packet
 from .homa import Homa, HomaSender
@@ -65,17 +63,9 @@ class Aeolus(Homa):
     sender_cls = AeolusSender
     grant_resend = True
 
-    def __init__(self, rtt_bytes: Optional[int] = None, overcommit: int = 2,
-                 drop_threshold_bytes: Optional[int] = None):
-        super().__init__(rtt_bytes=rtt_bytes, overcommit=overcommit)
-        self.drop_threshold_bytes = drop_threshold_bytes
-
     def configure_network(self, network: Network) -> None:
         super().configure_network(network)  # uniform DT (see Homa)
         for port in network.ports:
-            threshold = self.drop_threshold_bytes
-            if threshold is None:
-                # default: drop unscheduled once the port holds more than
-                # a quarter of its buffer
-                threshold = port.mux.buffer_bytes // 4
-            port.mux.selective_drop_threshold = threshold
+            # drop unscheduled once the port holds more than a quarter
+            # of its buffer
+            port.mux.selective_drop_threshold = port.mux.buffer_bytes // 4

@@ -77,23 +77,14 @@ class TransportConfig:
     """
 
     mss: int = 1500
-    init_cwnd: int = 10            # packets; Linux default (TCP-10 [12])
     min_rto: float = 2e-3          # seconds; testbed uses 10ms (Table 3)
-    # Exponential RTO backoff (consecutive timeouts without forward
-    # progress double the timer, capped) — keeps senders alive through
-    # link blackouts without a pathological retransmit storm.
-    max_rto: float = 0.25          # seconds; the backoff cap
-    rto_backoff: float = 2.0       # multiplier per consecutive timeout
-    dctcp_g: float = 1.0 / 16.0    # alpha EWMA gain (DCTCP paper default)
+    # cap of the exponential RTO backoff (``window.RTO_BACKOFF``)
+    max_rto: float = 0.25          # seconds
     max_cwnd_packets: int = 10_000
     # TCP send buffer capacity (buffer-aware identification, §4.1 / Fig 27).
     send_buffer_bytes: int = 2_000_000_000
     # Large-flow identification threshold (Table 3: 100KB in the testbed).
     identification_threshold: int = 100_000
-    # Delayed-ACK timer for PPT's 2:1 low-priority ACKs: an odd LP data
-    # packet left un-acked (no pair arrived) is acknowledged after this
-    # delay instead of waiting for the sender's RTO.
-    lp_ack_delay: float = 5e-4
     # PIAS-style demotion thresholds (bytes sent) for priorities 0->1->2->3.
     demotion_thresholds: tuple = (100_000, 1_000_000, 10_000_000)
 

@@ -17,7 +17,7 @@ exactly like DCTCP (d = 1).
 from __future__ import annotations
 
 from .base import Flow, Scheme, TransportContext
-from .dctcp import Dctcp, DctcpSender
+from .dctcp import DCTCP_G, Dctcp, DctcpSender
 
 D_MIN = 0.5
 D_MAX = 2.0
@@ -45,7 +45,7 @@ class D2tcpSender(DctcpSender):
         # replicate DCTCP's per-window bookkeeping with the gamma-
         # corrected cut (p = alpha^d instead of alpha)
         fraction = self._win_ce / max(1, self._win_acks)
-        self.alpha = (1.0 - self.g) * self.alpha + self.g * fraction
+        self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * fraction
         self.alpha_history.append(self.alpha)
         if self._win_ce > 0:
             if not self.startup_done:

@@ -19,12 +19,14 @@ from __future__ import annotations
 from collections import deque
 
 from .base import Flow, Scheme, TransportContext
-from .window import WindowReceiver, WindowSender
+from .window import INIT_CWND, WindowReceiver, WindowSender
 
 # Number of recent per-window alpha values over which PPT computes its
 # running minimum (the paper says "the past RTTs"; a short sliding window
 # keeps the trigger responsive).
 ALPHA_HISTORY = 16
+# alpha's EWMA gain g (the DCTCP paper's default)
+DCTCP_G = 1.0 / 16.0
 
 
 class DctcpSender(WindowSender):
@@ -33,14 +35,13 @@ class DctcpSender(WindowSender):
     def __init__(self, flow: Flow, ctx: TransportContext) -> None:
         super().__init__(flow, ctx)
         self.alpha = 1.0          # Linux dctcp initialises alpha to 1
-        self.g = ctx.config.dctcp_g
         self.startup_done = False  # True after the first window cut / loss
         self.wmax: float = 0.0     # max cwnd, post-startup only (footnote 3)
         self.alpha_history: deque = deque(maxlen=ALPHA_HISTORY)
         # per-window mark accounting
         self._win_acks = 0
         self._win_ce = 0
-        self._win_end = self.cfg.init_cwnd
+        self._win_end = INIT_CWND
         self._last_alpha_update = 0.0
         # cwnd cap, cached as a float: config is fixed once the run is
         # built, and cc_on_ack compares against it on every ACK
@@ -85,7 +86,7 @@ class DctcpSender(WindowSender):
 
     def _end_of_window(self) -> None:
         fraction = self._win_ce / max(1, self._win_acks)
-        self.alpha = (1.0 - self.g) * self.alpha + self.g * fraction
+        self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * fraction
         self.alpha_history.append(self.alpha)
         if self._win_ce > 0:
             if not self.startup_done:

@@ -40,6 +40,13 @@ from ..sim.packet import ACK, ACK_BYTES, DATA, Packet
 from .base import (NO_SEQS, Flow, TransportConfig, TransportContext,
                    delivered_view)
 
+#: Initial congestion window in packets: the Linux default (TCP-10 [12]).
+INIT_CWND = 10
+#: RTO multiplier per consecutive timeout without forward progress
+#: (capped at ``max_rto``): keeps senders alive through link blackouts
+#: without a pathological retransmit storm.
+RTO_BACKOFF = 2.0
+
 
 class WindowReceiver:
     """Counts unique payload packets; one ACK per data packet."""
@@ -141,7 +148,7 @@ class WindowSender:
         "rtos_fired", "obs", "audit",
         "_rto_event", "_rto_deadline", "_last_fast_rtx", "_no_hole_floor",
         "rto_backoff_exp", "buffer_packets", "_payload", "_size_pad",
-        "_min_rto", "_rto_cap", "_rto_backoff",
+        "_min_rto", "_rto_cap",
         "_default_priority", "_default_ecn", "__dict__")
 
     # the second, low-priority loop of the schemes that have one
@@ -157,7 +164,7 @@ class WindowSender:
         self.base_rtt = ctx.base_rtt(flow)
 
         # congestion state
-        self.cwnd: float = float(self.cfg.init_cwnd)
+        self.cwnd: float = float(INIT_CWND)
         self.ssthresh: float = float("inf")
         self.max_cwnd_seen: float = self.cwnd  # W_max for PPT (Eq. 2)
 
@@ -235,7 +242,6 @@ class WindowSender:
         # caches instead of chasing cfg attributes
         self._min_rto = self.cfg.min_rto
         self._rto_cap = max(self.cfg.max_rto, self.cfg.min_rto)
-        self._rto_backoff = self.cfg.rto_backoff
         cls = type(self)
         # build_packet hook dispatch, resolved once: schemes that keep
         # the default P0 / ECN-on hooks skip two frames per data packet
@@ -487,7 +493,7 @@ class WindowSender:
         base = min(max(self.cfg.min_rto, 2.0 * self.srtt), cap)
         if self.rto_backoff_exp == 0:
             return base
-        return min(base * self.cfg.rto_backoff ** self.rto_backoff_exp, cap)
+        return min(base * RTO_BACKOFF ** self.rto_backoff_exp, cap)
 
     def _arm_rto(self) -> None:
         """Push the RTO deadline out to ``now + rto_interval()``.
@@ -510,7 +516,7 @@ class WindowSender:
             interval = cap
         exp = self.rto_backoff_exp
         if exp:
-            interval = min(interval * self._rto_backoff ** exp, cap)
+            interval = min(interval * RTO_BACKOFF ** exp, cap)
         deadline = self.sim.now + interval
         self._rto_deadline = deadline
         event = self._rto_event

@@ -35,7 +35,7 @@ import math
 from typing import List, Optional, Tuple
 
 from ..sim.network import Network
-from ..sim.queues import PriorityMux
+from ..sim.queues import LOSSLESS_MASK, LOSSLESS_PRIORITY, PriorityMux
 from ..transport.base import MessageEndpoint
 from ..transport.window import WindowReceiver, WindowSender
 from .report import InvariantViolation, ValidationReport, Violation
@@ -116,32 +116,29 @@ def audit_mux(mux: PriorityMux) -> List[Tuple[str, str, dict]]:
             {"occupancy": mux.occupancy, "buffer_bytes": mux.buffer_bytes,
              "headroom_bytes": headroom}))
     if pfc is not None:
-        # PFC state laws: XOFF only on lossless classes, hysteresis
+        # PFC state laws: XOFF only on the lossless class, hysteresis
         # respected both ways, and — the whole point of lossless
         # Ethernet — no lossless-class packet was ever dropped.
-        if pfc.xoff_state & ~pfc.lossless_mask:
+        if pfc.xoff_state & ~LOSSLESS_MASK:
             problems.append((
                 "pfc-xoff-lossless",
-                "XOFF asserted for a priority outside the lossless set",
+                "XOFF asserted for a priority outside the lossless class",
                 {"xoff_state": pfc.xoff_state,
-                 "lossless_mask": pfc.lossless_mask}))
-        for priority in range(len(mux.queues)):
-            bit = 1 << priority
-            if not (pfc.lossless_mask & bit):
-                continue
-            depth = mux.queue_occupancy[priority]
-            if (pfc.xoff_state & bit) and depth <= pfc.xon_bytes:
-                problems.append((
-                    "pfc-hysteresis",
-                    f"priority {priority} still XOFF below the XON mark",
-                    {"priority": priority, "depth": depth,
-                     "xon_bytes": pfc.xon_bytes}))
-            if not (pfc.xoff_state & bit) and depth > pfc.xoff_bytes:
-                problems.append((
-                    "pfc-hysteresis",
-                    f"priority {priority} above XOFF without asserting it",
-                    {"priority": priority, "depth": depth,
-                     "xoff_bytes": pfc.xoff_bytes}))
+                 "lossless_mask": LOSSLESS_MASK}))
+        depth = mux.queue_occupancy[LOSSLESS_PRIORITY]
+        asserted = pfc.xoff_state & LOSSLESS_MASK
+        if asserted and depth <= pfc.xon_bytes:
+            problems.append((
+                "pfc-hysteresis",
+                "lossless class still XOFF below the XON mark",
+                {"priority": LOSSLESS_PRIORITY, "depth": depth,
+                 "xon_bytes": pfc.xon_bytes}))
+        if not asserted and depth > pfc.xoff_bytes:
+            problems.append((
+                "pfc-hysteresis",
+                "lossless class above XOFF without asserting it",
+                {"priority": LOSSLESS_PRIORITY, "depth": depth,
+                 "xoff_bytes": pfc.xoff_bytes}))
         if pfc.lossless_drops:
             problems.append((
                 "pfc-lossless-drop",
@@ -195,8 +192,8 @@ class RunAuditor:
     would conflate two runs' clocks and ledgers.
     """
 
-    def __init__(self, *, strict: bool = False, max_kept: int = 200) -> None:
-        self.report = ValidationReport(strict=strict, max_kept=max_kept)
+    def __init__(self, *, strict: bool = False) -> None:
+        self.report = ValidationReport(strict=strict)
         self.sim = None
         self.network: Optional[Network] = None
         self.ctx = None

@@ -241,6 +241,8 @@ class _ArrivalStream(FlowStream):
             raise ValueError(f"load out of range: {load}")
         if n_flows is not None and n_flows <= 0:
             raise ValueError("n_flows must be positive")
+        if size_cap is not None and size_cap <= 0:
+            raise ValueError(f"size_cap must be positive, got {size_cap}")
         self.pattern = pattern
         self.cdf = cdf
         self.size_cap = size_cap
@@ -513,8 +515,9 @@ def parse_tenant_mix(spec: Optional[str]) -> Optional[List[TenantClass]]:
         except ValueError as exc:
             raise ValueError(
                 f"bad share {share_text!r} for tenant {name!r}") from exc
-        if share <= 0.0:
-            raise ValueError(f"tenant {name!r}: share must be positive")
+        if not 0.0 < share < math.inf:
+            raise ValueError(f"tenant {name!r}: share must be positive "
+                             f"and finite, got {share_text!r}")
         classes.append(TenantClass(name=name, cdf=WORKLOADS[name],
                                    share=share))
     if not classes:

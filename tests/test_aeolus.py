@@ -5,20 +5,21 @@ from repro.transport.aeolus import Aeolus, AeolusSender
 from repro.transport.base import Flow
 
 
+def configure_with_drop_threshold(scheme, topo, threshold):
+    """The scheme's fabric set-up, then a harsher selective-drop
+    threshold than its quarter-buffer default, set the way
+    ``configure_network`` sets it."""
+    scheme.configure_network(topo.network)
+    for port in topo.network.ports:
+        port.mux.selective_drop_threshold = threshold
+
+
 def test_configure_network_sets_selective_drop():
     scheme = Aeolus(rtt_bytes=45_000)
     topo = make_star()
     scheme.configure_network(topo.network)
     for port in topo.network.ports:
         assert port.mux.selective_drop_threshold is not None
-
-
-def test_explicit_drop_threshold():
-    scheme = Aeolus(rtt_bytes=45_000, drop_threshold_bytes=12_345)
-    topo = make_star()
-    scheme.configure_network(topo.network)
-    assert all(p.mux.selective_drop_threshold == 12_345
-               for p in topo.network.ports)
 
 
 def test_unscheduled_packets_flagged_and_lowest_priority():
@@ -45,10 +46,10 @@ def test_unscheduled_packets_flagged_and_lowest_priority():
 def test_completion_with_selective_dropping():
     """Aggressive dropping of the pre-credit blast must be recovered via
     the probe + grant path, not just timeouts."""
-    scheme = Aeolus(rtt_bytes=45_000, drop_threshold_bytes=5_000)
+    scheme = Aeolus(rtt_bytes=45_000)
     topo = make_star(3)
     ctx = make_ctx(topo)
-    scheme.configure_network(topo.network)
+    configure_with_drop_threshold(scheme, topo, 5_000)
     flows = [Flow(0, 0, 2, 200_000, 0.0), Flow(1, 1, 2, 200_000, 0.0)]
     for f in flows:
         scheme.start_flow(f, ctx)
@@ -59,10 +60,10 @@ def test_completion_with_selective_dropping():
 def test_probe_recovers_faster_than_timeout():
     """With heavy selective dropping, completion should happen well
     before a full min_rto (the probe path recovers in ~RTTs)."""
-    scheme = Aeolus(rtt_bytes=45_000, drop_threshold_bytes=4_000)
+    scheme = Aeolus(rtt_bytes=45_000)
     topo = make_star(3)
     ctx = make_ctx(topo, min_rto=50e-3)  # timeouts are very expensive
-    scheme.configure_network(topo.network)
+    configure_with_drop_threshold(scheme, topo, 4_000)
     f1 = Flow(0, 0, 2, 60_000, 0.0)
     f2 = Flow(1, 1, 2, 60_000, 0.0)
     scheme.start_flow(f1, ctx)

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import (
@@ -226,3 +231,47 @@ def test_strict_validate_failure_is_exit_3_whatever_the_policy(
     assert "mux-occupancy-sum" in captured.err
     assert "failed: " not in captured.err
     assert captured.out == ""
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# one bad input per row, each refused by the reference build: exit 2 and
+# one error line.  A subprocess with a timeout, because one of them used
+# to livelock (--hybrid-epoch 0 re-armed its epoch at the same instant).
+REFUSED_INPUTS = {
+    "hybrid-epoch-zero": (["--hybrid", "--hybrid-epoch", "0"], "max_epoch"),
+    "hybrid-epoch-negative": (["--hybrid", "--hybrid-epoch", "-1"],
+                              "max_epoch"),
+    "hybrid-size-threshold-negative": (
+        ["--hybrid", "--hybrid-size-threshold", "-1"], "size_threshold"),
+    "size-cap-zero": (["--size-cap", "0"], "size_cap"),
+    "event-budget-zero": (["--event-budget", "0"], "event_budget"),
+    "event-budget-negative": (["--event-budget", "-5"], "event_budget"),
+    "fault-trailing-field": (
+        ["--fault", "down:leaf0->spine0:0.001:0.002:zzz"], "extra field"),
+    "fault-nan-start": (["--fault", "down:leaf0->spine0:nan:0.002"],
+                        "start time nan"),
+    "tenant-share-nan": (["--tenant-mix", "web-search:nan"],
+                         "share must be positive"),
+    "tenant-share-inf": (["--tenant-mix", "web-search:inf"],
+                         "share must be positive"),
+}
+
+
+@pytest.mark.parametrize("row", list(REFUSED_INPUTS))
+def test_bad_input_is_refused_in_one_line(row):
+    flags, fragment = REFUSED_INPUTS[row]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--schemes", "dctcp",
+             "--flows", "20"] + flags,
+            capture_output=True, text=True, timeout=30, env=env)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{row}: still running after 30 s")
+    errors = [line for line in proc.stderr.splitlines()
+              if line.startswith("error:")]
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    assert len(errors) == 1, proc.stderr
+    assert fragment in errors[0]

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_ctx, make_star, run_single_flow
 from repro.transport.base import Flow
-from repro.transport.dctcp import ALPHA_HISTORY, Dctcp, DctcpSender
+from repro.transport.dctcp import ALPHA_HISTORY, DCTCP_G, Dctcp, DctcpSender
 
 
 def make_sender(size=1_000_000, **cfg):
@@ -32,7 +32,7 @@ def test_alpha_decays_without_marks():
     drive_window(sender, 10, ce=False)
     assert sender.alpha < a0
     # Eq. 1 with F=0: alpha <- (1-g) * alpha
-    assert sender.alpha == pytest.approx((1 - sender.g) * a0)
+    assert sender.alpha == pytest.approx((1 - DCTCP_G) * a0)
 
 
 def test_alpha_rises_with_marks():

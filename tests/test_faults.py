@@ -239,6 +239,43 @@ def test_plan_parse_rejects_garbage():
         FaultPlan.parse(["loss:sw0->sw1:not-a-number"])
 
 
+@pytest.mark.parametrize("spec", [
+    "down:sw0->sw1:0.001:0.002:zzz",
+    "flap:sw0->sw1:0.001:0.002:0.003:4:1",
+    "loss:sw0->sw1:0.05:0:0.01:9",
+    "corrupt:sw0->sw1:0.01:0.001:0.01:x",
+    "degrade:sw1->sw0:0.1:0.002:0.01:0.02",
+    "pfcstorm:sw0->sw1:0.002:0.004:0:0",
+])
+def test_plan_parse_rejects_trailing_fields(spec):
+    """A trailing field used to be dropped: the spec ran as if it were
+    not there."""
+    with pytest.raises(ValueError, match="extra field"):
+        FaultPlan.parse([spec])
+
+
+@pytest.mark.parametrize("spec, match", [
+    ("down:sw0->sw1:nan:0.002", "start time nan"),
+    ("down:sw0->sw1:inf:0.002", "start time inf"),
+    ("down:sw0->sw1:0.001:nan", "duration nan"),
+    ("down:sw0->sw1:0.001:inf", "duration inf"),
+    ("flap:sw0->sw1:0.001:inf:0.001", "down_time inf"),
+    ("flap:sw0->sw1:0.001:0.001:nan", "up_time nan"),
+    ("loss:sw0->sw1:0.05:0.001:nan", "is NaN"),
+    ("degrade:sw1->sw0:0.1:nan", "start time nan"),
+    ("pfcstorm:sw0->sw1:0.002:inf", "duration inf"),
+])
+def test_plan_rejects_non_finite_times(spec, match):
+    """A NaN start used to be accepted and then inject nothing."""
+    with pytest.raises(ValueError, match=match):
+        FaultPlan.parse([spec])
+
+
+def test_plan_accepts_an_open_ended_window():
+    [loss] = FaultPlan.parse(["loss:sw0->sw1:0.05:0.001:inf"]).events
+    assert loss.end == INFINITY  # +inf means "the whole run"
+
+
 def test_plan_rejects_non_events():
     with pytest.raises(TypeError):
         FaultPlan(["down:sw0->sw1:0:1"])  # strings must go through parse

@@ -56,6 +56,17 @@ BENCHMARKS_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 # -- waterfilling ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("bad", [
+    dict(max_epoch=0.0), dict(max_epoch=-1.0), dict(max_epoch=float("nan")),
+    dict(size_threshold=-1),
+])
+def test_hybrid_config_refuses_bad_values(bad):
+    """``max_epoch=0`` used to re-arm the epoch at ``now`` forever, and a
+    negative one scheduled into the past."""
+    with pytest.raises(ValueError, match="hybrid"):
+        HybridConfig(**bad)
+
+
 def test_waterfill_single_link_equal_shares():
     rates, bottlenecks = waterfill([[0], [0], [0]], [30.0])
     assert rates == [10.0, 10.0, 10.0]

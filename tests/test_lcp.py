@@ -5,6 +5,7 @@ import pytest
 from conftest import make_ctx, make_star, run_single_flow
 from repro.core.ppt import Ppt, PptSender
 from repro.transport.base import Flow
+from repro.transport.window import INIT_CWND
 
 
 def make_ppt_sender(size=300_000, scheme=None, **cfg):
@@ -23,7 +24,7 @@ def test_case1_initial_window_is_bdp_minus_iw():
     topo.network.hosts[0].register(0, sender)
     sender.start()
     topo.sim.run(until=1e-6)  # the case-1 open fires at t=0
-    expected = ctx.bdp_packets(sender.flow) - ctx.config.init_cwnd
+    expected = ctx.bdp_packets(sender.flow) - INIT_CWND
     assert lcp.active
     assert lcp.initial_window == min(expected, sender.n_packets)
 
@@ -109,7 +110,7 @@ def test_ewd_pacing_spreads_over_one_rtt():
     # immediately after start only the HCP burst (init_cwnd) has entered
     # the NIC; the LCP window trickles in over the next RTT
     sent_now = nic.pkts_sent + len(nic.mux)
-    assert sent_now <= ctx.config.init_cwnd + 2
+    assert sent_now <= INIT_CWND + 2
     topo.sim.run(until=sender.base_rtt * 1.2)
     assert sender.lcp.lp_pkts_sent > 5
 
@@ -122,7 +123,7 @@ def test_no_ewd_bursts_at_line_rate():
     topo.sim.run(until=1e-9)
     nic = topo.network.hosts[0].uplink
     queued = nic.pkts_sent + len(nic.mux)
-    assert queued > ctx.config.init_cwnd + 10  # whole I burst at once
+    assert queued > INIT_CWND + 10  # whole I burst at once
 
 
 def test_lp_ack_releases_one_packet():

@@ -13,6 +13,7 @@ from repro.experiments.scenarios import all_to_all_scenario, sim_config
 from repro.sim.engine import EventChain
 from repro.sim.packet import ACK, Packet
 from repro.transport.base import Flow, TransportConfig
+from repro.transport.window import INIT_CWND
 from repro.workloads.distributions import MEMCACHED_W1
 
 
@@ -321,7 +322,7 @@ def _start_ppt_burst():
 def _start_oracle_burst():
     sender, topo, ctx = make_oracle()
     sender.start()                      # first fill round paces the gap
-    gap = int(sender.target_window - sender.cfg.init_cwnd)
+    gap = int(sender.target_window - INIT_CWND)
     assert gap > 10
     return sender, topo, gap
 
@@ -371,7 +372,6 @@ def test_stop_leaves_no_paced_entry():
 
 # -- a first loop with nothing to send is booked, not simulated ---------------
 
-INIT_CWND = TransportConfig().init_cwnd
 PAYLOAD = TransportConfig().payload_per_packet()
 
 

@@ -12,7 +12,7 @@ from repro.experiments.scenarios import (
     pfc_storm_scenario,
 )
 from repro.sim.packet import Packet
-from repro.sim.queues import PfcConfig, PriorityMux
+from repro.sim.queues import LOSSLESS_MASK, PfcConfig, PriorityMux
 from repro.transport.dcqcn import Dcqcn
 from repro.transport.dctcp import Dctcp
 from repro.validate.auditor import audit_mux
@@ -52,9 +52,7 @@ def _pkt(seq, size=1500, priority=0):
 def test_pfc_config_validates():
     for bad in (dict(xoff_bytes=-1, xon_bytes=0, headroom_bytes=0),
                 dict(xoff_bytes=100, xon_bytes=200, headroom_bytes=0),
-                dict(xoff_bytes=100, xon_bytes=50, headroom_bytes=-1),
-                dict(xoff_bytes=100, xon_bytes=50, headroom_bytes=0,
-                     priorities=(8,))):
+                dict(xoff_bytes=100, xon_bytes=50, headroom_bytes=-1)):
         try:
             PfcConfig(**bad)
         except ValueError:
@@ -67,7 +65,7 @@ def test_pfc_config_for_buffer():
     cfg = PfcConfig.for_buffer(120_000)
     assert cfg.xon_bytes <= cfg.xoff_bytes <= 120_000
     assert cfg.headroom_bytes > 0
-    assert cfg.lossless_mask == 0b1
+    assert LOSSLESS_MASK == 0b1
 
 
 # ---------------------------------------------------------------------------

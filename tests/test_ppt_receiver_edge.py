@@ -1,7 +1,7 @@
 """PPT receiver edge cases: duplicate/odd LP arrivals, mixed ordering."""
 
 from conftest import make_ctx, make_star
-from repro.core.ppt import PptReceiver
+from repro.core.ppt import LP_ACK_DELAY, PptReceiver
 from repro.sim.packet import Packet
 from repro.transport.base import Flow
 
@@ -97,8 +97,8 @@ def test_odd_tail_flushed_by_delayed_ack_timer():
     assert receiver.lp_acks_sent == 0        # still waiting for the pair
     # run only to 1.5x the delayed-ACK delay — well under min_rto, so an
     # ACK here can only have come from the flush timer
-    assert ctx.config.lp_ack_delay * 1.5 < ctx.config.min_rto
-    topo.sim.run(until=ctx.config.lp_ack_delay * 1.5)
+    assert LP_ACK_DELAY * 1.5 < ctx.config.min_rto
+    topo.sim.run(until=LP_ACK_DELAY * 1.5)
     assert receiver.lp_acks_sent == 1
     [ack] = [a for a in captured if a.lcp]
     assert ack.sack == (10,)
@@ -111,7 +111,7 @@ def test_delayed_flush_cancelled_when_pair_arrives():
     receiver.on_packet(lp(10))
     receiver.on_packet(lp(11))
     assert receiver.lp_acks_sent == 1
-    topo.sim.run(until=ctx.config.lp_ack_delay * 4)
+    topo.sim.run(until=LP_ACK_DELAY * 4)
     assert receiver.lp_acks_sent == 1        # timer did not double-ACK
     assert receiver._lp_flush_event is None
 

@@ -17,6 +17,14 @@ def make_pkt(seq=0, size=1500, priority=0, *, lcp=False, unscheduled=False,
     return pkt
 
 
+def trimming_mux(buffer_bytes, **kwargs):
+    """A mux with NDP trimming on, set the way NDP's
+    ``configure_network`` sets it."""
+    mux = PriorityMux(buffer_bytes, **kwargs)
+    mux.trim = True
+    return mux
+
+
 def test_fifo_within_priority():
     mux = PriorityMux(100_000)
     for seq in range(5):
@@ -66,19 +74,8 @@ def test_occupancy_split_high_low():
     assert split == {"high": 1000, "low": 700}
 
 
-def test_ecn_threshold_semantics_queue_mode():
-    mux = PriorityMux(100_000, [3000] * 8, ecn_mode="queue")
-    p1, p2, p3 = make_pkt(size=1500), make_pkt(size=1500), make_pkt(size=1500)
-    mux.enqueue(p1)
-    mux.enqueue(p2)
-    mux.enqueue(p3)
-    assert not p1.ecn_ce
-    assert not p2.ecn_ce   # queue held 1500 < 3000 at arrival
-    assert p3.ecn_ce       # queue held 3000 >= 3000 at arrival
-
-
 def test_paper_mode_hp_marks_on_hp_half_only():
-    mux = PriorityMux(100_000, [3000] * 4 + [3000] * 4, ecn_mode="paper")
+    mux = PriorityMux(100_000, [3000] * 4 + [3000] * 4)
     # Fill P5 (low half) with 6KB: must NOT mark high-priority arrivals.
     mux.enqueue(make_pkt(size=3000, priority=5))
     mux.enqueue(make_pkt(size=3000, priority=5))
@@ -92,7 +89,7 @@ def test_paper_mode_hp_marks_on_hp_half_only():
 
 
 def test_paper_mode_hp_half_aggregates_across_hp_queues():
-    mux = PriorityMux(100_000, [3000] * 8, ecn_mode="paper")
+    mux = PriorityMux(100_000, [3000] * 8)
     mux.enqueue(make_pkt(size=2000, priority=0))
     mux.enqueue(make_pkt(size=2000, priority=3))
     hp = make_pkt(size=1000, priority=1)
@@ -101,7 +98,7 @@ def test_paper_mode_hp_half_aggregates_across_hp_queues():
 
 
 def test_non_ecn_capable_never_marked():
-    mux = PriorityMux(100_000, [0] * 8, ecn_mode="queue")
+    mux = PriorityMux(100_000, [0] * 8)
     mux.enqueue(make_pkt(size=1500))
     pkt = make_pkt(size=1500, ecn_capable=False)
     mux.enqueue(pkt)
@@ -137,18 +134,13 @@ def test_dt_alpha_bad_length_rejected():
         PriorityMux(10_000, dt_alpha=[1.0, 2.0])
 
 
-def test_bad_ecn_mode_rejected():
-    with pytest.raises(ValueError):
-        PriorityMux(10_000, ecn_mode="bogus")
-
-
 def test_bad_threshold_count_rejected():
     with pytest.raises(ValueError):
         PriorityMux(10_000, [1000] * 3)
 
 
 def test_trim_threshold_cuts_payload():
-    mux = PriorityMux(100_000, trim=True)
+    mux = trimming_mux(100_000)
     mux.trim_threshold_bytes = 3000
     mux.enqueue(make_pkt(size=1500, priority=1))
     mux.enqueue(make_pkt(size=1500, priority=1))
@@ -161,7 +153,7 @@ def test_trim_threshold_cuts_payload():
 
 
 def test_trim_on_buffer_exhaustion():
-    mux = PriorityMux(3100, trim=True)
+    mux = trimming_mux(3100)
     mux.enqueue(make_pkt(size=1500))
     mux.enqueue(make_pkt(size=1500))
     victim = make_pkt(seq=9, size=1500)
@@ -170,7 +162,7 @@ def test_trim_on_buffer_exhaustion():
 
 
 def test_trim_drops_header_when_buffer_truly_full():
-    mux = PriorityMux(3000, trim=True)
+    mux = trimming_mux(3000)
     mux.enqueue(make_pkt(size=1500))
     mux.enqueue(make_pkt(size=1500))
     assert not mux.enqueue(make_pkt(seq=9, size=1500))
@@ -178,7 +170,8 @@ def test_trim_drops_header_when_buffer_truly_full():
 
 
 def test_selective_drop_only_hits_unscheduled():
-    mux = PriorityMux(100_000, selective_drop_threshold=2000)
+    mux = PriorityMux(100_000)
+    mux.selective_drop_threshold = 2000  # as Aeolus's configure_network
     mux.enqueue(make_pkt(size=1500))
     mux.enqueue(make_pkt(size=1500))  # occupancy now 3000 > 2000
     unsched = make_pkt(unscheduled=True)
@@ -237,7 +230,7 @@ def test_trimmed_then_dropped_counts_once_as_drop():
     """A packet trimmed as a last resort and *still* not fitting is one
     drop — not a trim and a drop — and its bytes_dropped reflect the
     size it arrived with, not the 64B header it shrank to."""
-    mux = PriorityMux(3000, trim=True)
+    mux = trimming_mux(3000)
     mux.enqueue(make_pkt(size=1500))
     mux.enqueue(make_pkt(size=1500))
     assert not mux.enqueue(make_pkt(seq=9, size=1500))
@@ -248,7 +241,7 @@ def test_trimmed_then_dropped_counts_once_as_drop():
 
 
 def test_threshold_trim_survivor_counts_as_trim_not_drop():
-    mux = PriorityMux(100_000, trim=True)
+    mux = trimming_mux(100_000)
     mux.trim_threshold_bytes = 1000
     assert mux.enqueue(make_pkt(size=900, priority=1))          # under threshold
     assert mux.enqueue(make_pkt(seq=1, size=1500, priority=1))  # trimmed
@@ -259,7 +252,7 @@ def test_threshold_trim_survivor_counts_as_trim_not_drop():
 
 def test_mark_and_trim_hooks_invoked():
     marks, trims = [], []
-    mux = PriorityMux(100_000, ecn_thresholds=[0] + [None] * 7, trim=True)
+    mux = trimming_mux(100_000, ecn_thresholds=[0] + [None] * 7)
     mux.add_mark_hook(marks.append)
     mux.add_trim_hook(trims.append)
     mux.trim_threshold_bytes = 1000
@@ -285,7 +278,7 @@ def test_hooks_chain_instead_of_overwrite():
 def test_conservation_with_trimming(items, buffer_bytes):
     """Property: with NDP trimming on, every arrival is still exactly one
     of enqueued or dropped, and bytes_dropped sums arrival sizes."""
-    mux = PriorityMux(buffer_bytes, trim=True)
+    mux = trimming_mux(buffer_bytes)
     mux.trim_threshold_bytes = buffer_bytes // 2
     arrival_bytes = []
     for priority, size in items:
@@ -337,7 +330,7 @@ def test_ledgers_track_mixed_enqueue_dequeue():
 def test_ledgers_track_trim_and_flush():
     # 6100: four 1500 B packets fill the buffer, the fifth's last-resort
     # trim leaves a 64 B header that still fits
-    mux = PriorityMux(buffer_bytes=6_100, trim=True)
+    mux = trimming_mux(6_100)
     for seq in range(4):
         mux.enqueue(make_pkt(seq=seq, priority=6))
         _ledgers_match_scan(mux)

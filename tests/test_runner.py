@@ -32,6 +32,14 @@ def test_run_completes_all_flows():
     assert "dctcp" in result.summary()
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_scenario_refuses_a_non_positive_event_budget(budget):
+    """A zero budget used to run no event and report 0/N as a finished
+    run."""
+    with pytest.raises(ValueError, match="event_budget must be positive"):
+        tiny_scenario(event_budget=budget)
+
+
 def test_run_deterministic():
     r1 = run(Dctcp(), tiny_scenario())
     r2 = run(Dctcp(), tiny_scenario())

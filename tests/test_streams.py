@@ -437,6 +437,17 @@ def test_parse_tenant_mix_specs():
     for bad in ("web-search", "nope:1", "web-search:0", "web-search:x", ","):
         with pytest.raises(ValueError):
             parse_tenant_mix(bad)
+    for bad in ("web-search:nan", "web-search:inf", "web-search:-inf"):
+        with pytest.raises(ValueError, match="share must be positive"):
+            parse_tenant_mix(bad)
+
+
+@pytest.mark.parametrize("size_cap", [0, -1])
+def test_flow_stream_refuses_a_non_positive_size_cap(size_cap):
+    """A zero cap used to divide by the zero capped mean."""
+    with pytest.raises(ValueError, match="size_cap must be positive"):
+        flow_stream(all_to_all(range(4)), WEB_SEARCH, load=0.5,
+                    link_rate=gbps(10), n_flows=10, size_cap=size_cap)
 
 
 def test_flow_stream_front_door_dispatch():

@@ -258,13 +258,15 @@ def test_mux_conservation_holds_after_every_op(ops, buffer_bytes, trim,
     mux = PriorityMux(
         buffer_bytes,
         [buffer_bytes // 2] * 8,
-        trim=trim,
-        selective_drop_threshold=buffer_bytes // 2 if selective else None,
         lp_buffer_cap=buffer_bytes // 3 if lp_cap else None,
         dt_alpha=(8, 8, 8, 8, 1, 1, 1, 1) if dt else None,
     )
+    # NDP's and Aeolus's features, switched on as configure_network does
     if trim:
+        mux.trim = True
         mux.trim_threshold_bytes = buffer_bytes // 4
+    if selective:
+        mux.selective_drop_threshold = buffer_bytes // 2
     seq = 0
     for i, (op, arg) in enumerate(ops):
         if op == "enqueue":

@@ -15,6 +15,7 @@ from repro.faults import LinkFaultInjector, LossInjector
 from repro.sim.topology import dumbbell
 from repro.transport.base import Flow, TransportConfig
 from repro.transport.dctcp import Dctcp
+from repro.transport.window import RTO_BACKOFF
 from repro.transport.pias import Pias
 from repro.units import gbps, us
 
@@ -55,7 +56,7 @@ def test_blackout_triggers_rto_with_backoff(scheme_cls):
     # blackout long enough for several timeouts, shorter than the cap
     # would need to ride out: min_rto=1ms, max_rto=8ms, 50ms of darkness
     injector.schedule_blackout(0.0002, 0.05)
-    flow, sender = launch(scheme_cls, topo, max_rto=8e-3, rto_backoff=2.0)
+    flow, sender = launch(scheme_cls, topo, max_rto=8e-3)
 
     samples = {}
 
@@ -78,8 +79,7 @@ def test_blackout_triggers_rto_with_backoff(scheme_cls):
 
 def test_rto_interval_backoff_math():
     topo = make_dumbbell()
-    flow, sender = launch(Dctcp, topo, min_rto=1e-3, max_rto=16e-3,
-                          rto_backoff=2.0)
+    flow, sender = launch(Dctcp, topo, min_rto=1e-3, max_rto=16e-3)
     sender.srtt = 0.0  # pin the base at min_rto
     assert sender.rto_interval() == pytest.approx(1e-3)
     for exp, expected in [(1, 2e-3), (2, 4e-3), (3, 8e-3),
@@ -101,7 +101,7 @@ def test_backoff_exponent_is_capped():
 def test_max_rto_defaults_sane():
     cfg = TransportConfig()
     assert cfg.max_rto >= cfg.min_rto
-    assert cfg.rto_backoff > 1.0
+    assert RTO_BACKOFF > 1.0
 
 
 def test_base_rto_capped_by_max_rto():
