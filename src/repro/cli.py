@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 from typing import Callable, Dict, List
 
@@ -201,11 +202,16 @@ def _supervised(args) -> bool:
 #: resumes or forks: the first hit prints ``error: <message>`` and
 #: exits 2.
 RUN_EXCLUSIONS = (
-    # a non-positive interval would snapshot at every drain slice
-    (lambda a: a.checkpoint_every is not None and a.checkpoint_every <= 0,
-     "--checkpoint-every must be > 0"),
-    (lambda a: a.task_timeout is not None and a.task_timeout <= 0,
-     "--task-timeout must be > 0"),
+    # a non-positive interval would snapshot at every drain slice, a
+    # NaN or infinite one never
+    (lambda a: a.checkpoint_every is not None
+     and not 0 < a.checkpoint_every < math.inf,
+     "--checkpoint-every must be finite and > 0"),
+    # a NaN deadline is never enforced, an infinite one overflows the
+    # wait
+    (lambda a: a.task_timeout is not None
+     and not 0 < a.task_timeout < math.inf,
+     "--task-timeout must be finite and > 0"),
     (lambda a: a.retries is not None and a.retries < 0,
      "--retries must be >= 0"),
     # a snapshot already fixes its scheme, fault plan, telemetry and

@@ -46,6 +46,7 @@ health, completion counts and the event total.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import traceback
 import warnings
@@ -264,6 +265,8 @@ def run_grid(
     deadline can be enforced, and re-running a seeded cell in the same
     interpreter could only replay the same exception).
     """
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be finite and > 0, got {timeout!r}")
     tasks = list(tasks)
     supervised = timeout is not None or retries is not None
     n_workers = workers.worker_count(jobs, len(tasks))

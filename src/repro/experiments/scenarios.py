@@ -19,6 +19,7 @@ mean back into the Poisson arrival rate (see
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.ppt import Ppt
@@ -350,6 +351,8 @@ def incast_scenario(
     **shared,
 ) -> Scenario:
     """N-to-1 incast: the load is defined against the receiver downlink."""
+    if n_senders < 1:
+        raise ValueError(f"n_senders must be >= 1, got {n_senders!r}")
 
     def traffic(topo: Topology):
         senders = [h for h in topo.host_ids() if h != receiver][:n_senders]
@@ -430,10 +433,12 @@ def soak_fault_plan(
     so the fabric keeps making progress and the run-health watchdog's
     fault grace never masks a real stall for long.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
-    if period <= 0.0:
-        raise ValueError(f"period must be positive, got {period!r}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(
+            f"horizon must be positive and finite, got {horizon!r}")
+    if not 0.0 < period < math.inf:
+        raise ValueError(
+            f"period must be positive and finite, got {period!r}")
     events: List[object] = []
     width = period / 10.0
     t = period / 2.0
@@ -478,8 +483,9 @@ def soak_scenario(
     under ``--validate`` with periodic checkpoints — see
     ``docs/robustness.md``.
     """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(
+            f"horizon must be positive and finite, got {horizon!r}")
     if faults is None and fault_period is not None:
         faults = soak_fault_plan(horizon, period=fault_period)
 

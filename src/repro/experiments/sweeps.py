@@ -6,15 +6,12 @@
 is the printable FCT row.  The per-figure drivers in
 :mod:`repro.experiments.figures` are calls of it with the paper's
 schemes and scenarios; ad-hoc exploration (load sweeps, buffer sweeps,
-scheme grids) calls it directly and can archive the rows as JSON to
-diff across code versions.
+scheme grids) calls it directly.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..transport.base import Scheme
 from .parallel import RunSummary, run_grid, scheme_grid
@@ -55,10 +52,3 @@ def sweep(
 def load_sweep_variants(loads: Iterable[float]) -> List[Dict[str, object]]:
     """The most common sweep: one variant per network load."""
     return [{"load": load} for load in loads]
-
-
-def rows_to_json(rows: List[dict], path: Union[str, Path],
-                 *, meta: Optional[dict] = None) -> None:
-    """Save printable rows (plus optional metadata) as JSON."""
-    payload = {"meta": meta or {}, "rows": rows}
-    Path(path).write_text(json.dumps(payload, indent=1, default=str))

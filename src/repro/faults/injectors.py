@@ -47,11 +47,6 @@ class Injector:
             self.attached = True
         return self
 
-    def detach(self) -> None:
-        if self.attached:
-            self.port.detach_fault(self)
-            self.attached = False
-
     # -- chain hooks ------------------------------------------------------
 
     def admit(self, pkt: Packet) -> bool:
@@ -59,9 +54,6 @@ class Injector:
 
     def transmit(self, pkt: Packet) -> bool:
         return True
-
-    def describe(self) -> str:
-        return f"{type(self).__name__} on {self.port.name}"
 
 
 class LinkFaultInjector(Injector):
@@ -133,10 +125,6 @@ class LinkFaultInjector(Injector):
             return False
         return True
 
-    def describe(self) -> str:
-        state = "down" if self.is_down else "up"
-        return f"link {self.port.name} {state}"
-
 
 class LossInjector(Injector):
     """Seeded Bernoulli per-packet drop at a port within a time window."""
@@ -158,9 +146,6 @@ class LossInjector(Injector):
             self.pkts_dropped += 1
             return False
         return True
-
-    def describe(self) -> str:
-        return f"loss {self.rate:.3g} on {self.port.name}"
 
 
 class CorruptionInjector(Injector):
@@ -194,9 +179,6 @@ class CorruptionInjector(Injector):
             pkt.corrupted = True
             self.pkts_corrupted += 1
         return True
-
-    def describe(self) -> str:
-        return f"corrupt {self.rate:.3g} on {self.port.name}"
 
 
 class PortDegrader:
@@ -236,9 +218,6 @@ class PortDegrader:
         if end != INFINITY:
             self.sim.schedule_at(end, self.restore)
 
-    def describe(self) -> str:
-        return f"degrade x{self.factor:.3g} on {self.port.name}"
-
 
 class PfcStormInjector:
     """A malfunctioning receiver blasting PAUSE frames (PFC storm).
@@ -276,6 +255,3 @@ class PfcStormInjector:
         self.sim.schedule_at(start, self.storm)
         if end != INFINITY:
             self.sim.schedule_at(end, self.calm)
-
-    def describe(self) -> str:
-        return f"pfcstorm P{self.priority} on {self.port.name}"

@@ -405,11 +405,6 @@ class ActiveFaults:
                 return True
         return False
 
-    def last_fault_end(self) -> float:
-        """Latest finite window end, or 0.0 for an eventless plan."""
-        ends = [end for _d, _s, end in self.windows if end != INFINITY]
-        return max(ends) if ends else 0.0
-
     # -- accounting -------------------------------------------------------
 
     @property

@@ -4,11 +4,9 @@ from .cpu import CpuStats, collect_cpu
 from .efficiency import EfficiencyStats, collect_efficiency
 from .fct import SMALL_FLOW_BYTES, FctStats, mean, percentile, reduction
 from .probe import Probe
-from .slowdown import SlowdownStats, ideal_fct
 
 __all__ = [
     "FctStats", "percentile", "mean", "reduction", "SMALL_FLOW_BYTES",
     "Probe",
     "EfficiencyStats", "collect_efficiency", "CpuStats", "collect_cpu",
-    "SlowdownStats", "ideal_fct",
 ]

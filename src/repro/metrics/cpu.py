@@ -18,6 +18,11 @@ from typing import Dict
 
 from ..sim.network import Network
 
+# Datapath operations one core sustains: typical for a kernel TCP path
+# on the testbed's 2.4GHz cores.  Only *relative* comparisons matter for
+# the Fig. 19 claim.
+OPS_PER_CORE_SECOND = 5e6
+
 
 @dataclass
 class CpuStats:
@@ -36,16 +41,11 @@ class CpuStats:
             return float("nan")
         return self.total_ops / self.duration
 
-    def usage_proxy(self, ops_per_core_second: float = 5e6) -> float:
-        """Map the op rate to a CPU-share percentage.
-
-        ``ops_per_core_second`` calibrates how many datapath operations
-        one core sustains; the default is typical for a kernel TCP path
-        on the testbed's 2.4GHz cores.  Only *relative* comparisons
-        matter for the Fig. 19 claim.
-        """
+    def usage_proxy(self) -> float:
+        """Map the op rate to a CPU-share percentage of one core
+        (:data:`OPS_PER_CORE_SECOND`)."""
         per_host = self.ops_per_second / max(1, len(self.ops_by_host))
-        return per_host / ops_per_core_second * 100.0
+        return per_host / OPS_PER_CORE_SECOND * 100.0
 
 
 def collect_cpu(network: Network, duration: float) -> CpuStats:

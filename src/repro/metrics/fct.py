@@ -60,8 +60,7 @@ class FctStats:
     overall_p99: float
 
     @classmethod
-    def from_flows(cls, flows: Iterable[Flow],
-                   small_threshold: int = SMALL_FLOW_BYTES) -> "FctStats":
+    def from_flows(cls, flows: Iterable[Flow]) -> "FctStats":
         fcts: List[float] = []
         small: List[float] = []
         large: List[float] = []
@@ -70,7 +69,7 @@ class FctStats:
             if fct is None:
                 continue
             fcts.append(fct)
-            if flow.size <= small_threshold:
+            if flow.size <= SMALL_FLOW_BYTES:
                 small.append(fct)
             else:
                 large.append(fct)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 15
+CHECKPOINT_VERSION = 16
 
 
 class CheckpointError(RuntimeError):

@@ -25,8 +25,6 @@ from .topology import (
     dumbbell,
     fat_tree,
     leaf_spine,
-    paper_non_oversubscribed,
-    paper_oversubscribed,
     star,
 )
 
@@ -34,7 +32,6 @@ __all__ = [
     "Event", "Simulator", "Host", "Port", "Network", "QueueConfig",
     "Packet", "make_ack", "PriorityMux", "QueueStats", "Switch",
     "Topology", "dumbbell", "fat_tree", "leaf_spine", "star",
-    "paper_oversubscribed", "paper_non_oversubscribed",
     "DATA", "ACK", "GRANT", "PULL", "HEADER", "NACK", "CONTROL",
     "ACK_BYTES", "HEADER_BYTES", "NUM_PRIORITIES",
 ]

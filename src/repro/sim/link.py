@@ -287,16 +287,6 @@ class Port:
             self.fault_chain = FaultChain()
         self.fault_chain.injectors.append(injector)
 
-    def detach_fault(self, injector) -> None:
-        """Remove ``injector``; drops the chain when it empties."""
-        chain = self.fault_chain
-        if chain is None:
-            return
-        if injector in chain.injectors:
-            chain.injectors.remove(injector)
-        if not chain.injectors:
-            self.fault_chain = None
-
     def flush_wire(self) -> int:
         """Drop every packet propagating on this link (dead link).
 

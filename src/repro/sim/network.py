@@ -233,9 +233,6 @@ class Network:
         # adjacency: device -> [(peer_device, prop_delay, rate_bps)]
         self._adj: Dict[object, List[Tuple[object, float, float]]] = {}
         self._base_delay_cache: Dict[Tuple[int, int], float] = {}
-        # slowest-link rate along the same min-hop path base_delay uses,
-        # filled by the same BFS (ideal_fct and the hybrid fast path)
-        self._path_min_rate_cache: Dict[Tuple[int, int], float] = {}
         # both directions summed, one probe per flow set-up
         self._base_rtt_cache: Dict[Tuple[int, int], float] = {}
         # Control-path accounting (bytes that bypassed the queued fabric).
@@ -359,45 +356,24 @@ class Network:
             return cached
         src = self.hosts[src_host]
         dst = self.hosts[dst_host]
-        # BFS for the minimum-hop path, accumulating delay and tracking
-        # the slowest link rate seen along it (cached for path_min_rate).
-        best: Dict[object, float] = {src: 0.0}
-        frontier = deque([(src, 0.0, 0, float("inf"))])
+        # BFS for the minimum-hop path, accumulating delay.
+        frontier = deque([(src, 0.0, 0)])
         result = None
-        result_rate = None
         best_hops: Dict[object, int] = {src: 0}
         while frontier:
-            node, delay, hops, min_rate = frontier.popleft()
+            node, delay, hops = frontier.popleft()
             if node is dst:
                 result = delay
-                result_rate = min_rate
                 break
             for peer, prop, rate in self._adj[node]:
                 d = delay + prop + serialization_delay(HEADER_BYTES, rate)
                 if peer not in best_hops or hops + 1 < best_hops[peer]:
                     best_hops[peer] = hops + 1
-                    best[peer] = d
-                    frontier.append((peer, d, hops + 1,
-                                     rate if rate < min_rate else min_rate))
+                    frontier.append((peer, d, hops + 1))
         if result is None:
             raise KeyError(f"no path from host {src_host} to host {dst_host}")
         self._base_delay_cache[key] = result
-        self._path_min_rate_cache[key] = result_rate
         return result
-
-    def path_min_rate(self, src_host: int, dst_host: int) -> float:
-        """Capacity (bits/sec) of the slowest link on the minimum-hop
-        path between two hosts — the true serialization bottleneck for
-        an unloaded transfer on an oversubscribed fabric.  Computed by
-        the same BFS as :meth:`base_delay` and cached alongside it."""
-        if src_host == dst_host:
-            return self.hosts[src_host].uplink.rate_bps
-        key = (src_host, dst_host)
-        rate = self._path_min_rate_cache.get(key)
-        if rate is None:
-            self.base_delay(src_host, dst_host)  # fills both caches
-            rate = self._path_min_rate_cache[key]
-        return rate
 
     def resolve_path(self, flow_id: int, src_host: int,
                      dst_host: int) -> List[Port]:

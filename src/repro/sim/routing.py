@@ -120,7 +120,7 @@ class FlowletBalancer:
     __slots__ = ("gap", "repins", "_flows", "_calls")
 
     def __init__(self, gap: float) -> None:
-        if gap <= 0:
+        if not gap > 0:
             raise ValueError(f"flowlet gap must be > 0, got {gap}")
         self.gap = gap
         self.repins = 0
@@ -164,7 +164,7 @@ class CongaBalancer:
     __slots__ = ("gap", "repins", "_flows", "_calls")
 
     def __init__(self, gap: float) -> None:
-        if gap <= 0:
+        if not gap > 0:
             raise ValueError(f"flowlet gap must be > 0, got {gap}")
         self.gap = gap
         self.repins = 0

@@ -8,7 +8,7 @@ hash, or round-robin spraying when the network runs in spray mode (NDP).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .link import Port
 from .packet import DATA, HEADER, Packet
@@ -99,23 +99,6 @@ class Switch:
                 if port not in seen:
                     seen.append(port)
         return seen
-
-    def port_named(self, name: str) -> Port:
-        """The output port with exactly this name (fault-injection hook)."""
-        for port in self.ports():
-            if port.name == name:
-                return port
-        raise KeyError(f"{self.name}: no output port named {name!r}")
-
-    def attach_fault(self, injector, dst_host: Optional[int] = None) -> None:
-        """Attach ``injector`` to every output port, or only to the
-        candidates towards ``dst_host`` when given."""
-        targets = self.table.get(dst_host, []) if dst_host is not None \
-            else self.ports()
-        if not targets:
-            raise KeyError(f"{self.name}: no ports towards {dst_host}")
-        for port in targets:
-            port.attach_fault(injector)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Switch {self.name} routes={len(self.table)}>"

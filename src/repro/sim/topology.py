@@ -187,22 +187,6 @@ def leaf_spine(
     return Topology(sim, net, host_id, edge_rate, core_rate, base_rtt)
 
 
-def paper_oversubscribed(**overrides) -> Topology:
-    """The §6.2 topology: 144 hosts, 9 leaves, 4 spines, 40/100G, 1.4:1."""
-    params = dict(n_leaf=9, n_spine=4, hosts_per_leaf=16,
-                  edge_rate=gbps(40), core_rate=gbps(100))
-    params.update(overrides)
-    return leaf_spine(**params)
-
-
-def paper_non_oversubscribed(**overrides) -> Topology:
-    """Appendix E topology: 10G edge, 40G core, fully provisioned."""
-    params = dict(n_leaf=9, n_spine=4, hosts_per_leaf=16,
-                  edge_rate=gbps(10), core_rate=gbps(40))
-    params.update(overrides)
-    return leaf_spine(**params)
-
-
 def fat_tree(
     *,
     k: int = 4,

@@ -104,7 +104,7 @@ class EquivalenceReport:
             + " | ".join(parts)
 
 
-def _fcts(flows, small_threshold: int):
+def _fcts(flows):
     overall: List[float] = []
     small: List[float] = []
     large: List[float] = []
@@ -113,7 +113,7 @@ def _fcts(flows, small_threshold: int):
         if fct is None:
             continue
         overall.append(fct)
-        (small if flow.size <= small_threshold else large).append(fct)
+        (small if flow.size <= SMALL_FLOW_BYTES else large).append(fct)
     return overall, small, large
 
 
@@ -124,7 +124,6 @@ def compare_fct_distributions(
     mean_tol: float = 0.25,
     p99_tol: float = 0.35,
     ks_bound: float = 0.30,
-    small_threshold: int = SMALL_FLOW_BYTES,
 ) -> EquivalenceReport:
     """Gate ``hybrid_flows`` against the packet-model ``oracle_flows``.
 
@@ -133,8 +132,8 @@ def compare_fct_distributions(
     lost, which no tolerance excuses).  Empty buckets on both sides
     compare equal trivially.
     """
-    o_all, o_small, o_large = _fcts(oracle_flows, small_threshold)
-    h_all, h_small, h_large = _fcts(hybrid_flows, small_threshold)
+    o_all, o_small, o_large = _fcts(oracle_flows)
+    h_all, h_small, h_large = _fcts(hybrid_flows)
 
     buckets = []
     for name, o, h in (("overall", o_all, h_all),

@@ -27,19 +27,12 @@ from .streams import (
     parse_tenant_mix,
     tenant_mix_stream,
 )
-from .tracefile import (
-    TraceFormatError,
-    load_trace,
-    save_trace,
-    trace_scenario_flows,
-)
-from .patterns import all_to_all, fixed_pairs, incast, permutation
+from .patterns import all_to_all, incast
 
 __all__ = [
     "EmpiricalCdf", "WEB_SEARCH", "DATA_MINING", "MEMCACHED_W1",
     "MEMCACHED_ETC", "YOUTUBE_HTTP", "WORKLOADS", "sample_sizes",
-    "all_to_all", "incast", "fixed_pairs", "permutation",
-    "load_trace", "save_trace", "trace_scenario_flows", "TraceFormatError",
+    "all_to_all", "incast",
     "FlowStream", "PoissonFlowStream",
     "ClosedLoopStream", "MergedStream", "TenantClass", "tenant_mix_stream",
     "flow_stream", "LoadShape", "ConstantShape", "DiurnalShape",

@@ -14,8 +14,7 @@ aliases kept for the original closure-based API): a
 :class:`~repro.workloads.streams.FlowStream` carries its pattern inside
 checkpoint snapshots and across worker-process boundaries, so the
 pattern must survive ``pickle`` — closures do not.  Every pattern is
-guaranteed to never produce ``src == dst``; :func:`permutation` raises
-instead of silently falling back to a mapping with fixed points.
+guaranteed to never produce ``src == dst``.
 """
 
 from __future__ import annotations
@@ -56,51 +55,6 @@ class Incast:
         return rng.choice(self.senders), self.receiver
 
 
-class FixedPairs:
-    """Draw uniformly from an explicit pair list (e.g. permutations)."""
-
-    def __init__(self, pairs: Sequence[Tuple[int, int]]):
-        self.pairs = list(pairs)
-        if not self.pairs:
-            raise ValueError("fixed_pairs needs at least one pair")
-        for src, dst in self.pairs:
-            if src == dst:
-                raise ValueError(f"fixed_pairs: src == dst == {src}")
-
-    def __call__(self, rng: random.Random) -> Tuple[int, int]:
-        return self.pairs[rng.randrange(len(self.pairs))]
-
-
-class Permutation(FixedPairs):
-    """A fixed random permutation: host i always sends to perm(i).
-
-    Raises :class:`ValueError` when fewer than two hosts are given or
-    when no derangement is found within the retry budget — a mapping
-    with fixed points would generate src==dst flows the runner can
-    never complete.
-    """
-
-    RETRIES = 100
-
-    def __init__(self, hosts: Sequence[int], seed: int = 0):
-        hosts = list(hosts)
-        if len(hosts) < 2:
-            raise ValueError("permutation needs at least two hosts")
-        rng = random.Random(seed)
-        shuffled = hosts[:]
-        for _ in range(self.RETRIES):
-            rng.shuffle(shuffled)
-            if all(a != b for a, b in zip(hosts, shuffled)):
-                break
-        else:
-            raise ValueError(
-                f"permutation: no derangement of {len(hosts)} hosts found "
-                f"in {self.RETRIES} shuffles (seed={seed})")
-        super().__init__(list(zip(hosts, shuffled)))
-
-
 # Original factory-function API; each returns a picklable instance.
 all_to_all = AllToAll
 incast = Incast
-fixed_pairs = FixedPairs
-permutation = Permutation

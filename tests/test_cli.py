@@ -89,9 +89,9 @@ RESUME_ROW = (
 # one argv per row of cli.RUN_EXCLUSIONS, keyed by the row's message —
 # a row added without a case here fails the coverage test below
 EXCLUDED_ARGV = {
-    "--checkpoint-every must be > 0":
+    "--checkpoint-every must be finite and > 0":
         ["--checkpoint", "c.ckpt", "--checkpoint-every", "-1"],
-    "--task-timeout must be > 0":
+    "--task-timeout must be finite and > 0":
         ["--task-timeout", "-5"],
     "--retries must be >= 0":
         ["--retries", "-1"],
@@ -144,7 +144,7 @@ def test_resume_checks_flag_values_first(capsys):
                  "--retries", "-3", "--task-timeout", "-1", "--jobs", "4",
                  "--schemes", "ppt", "dctcp", "--fault", "bogus"]) == 2
     assert capsys.readouterr().err == \
-        "error: --checkpoint-every must be > 0\n"
+        "error: --checkpoint-every must be finite and > 0\n"
 
 
 def test_figure_without_a_workload_parameter_refuses_the_flag(capsys):
@@ -255,18 +255,35 @@ REFUSED_INPUTS = {
                          "share must be positive"),
     "tenant-share-inf": (["--tenant-mix", "web-search:inf"],
                          "share must be positive"),
+    # NaN and infinity pass a ``<= 0`` check: a NaN interval or deadline
+    # was never enforced, an infinite soak horizon laid fault events
+    # forever, and a negative sender count sliced the host list
+    "checkpoint-every-nan": (
+        ["--checkpoint", "c.ckpt", "--checkpoint-every", "nan"],
+        "--checkpoint-every"),
+    "checkpoint-every-inf": (
+        ["--checkpoint", "c.ckpt", "--checkpoint-every", "inf"],
+        "--checkpoint-every"),
+    "task-timeout-nan": (["--task-timeout", "nan"], "--task-timeout"),
+    "task-timeout-inf": (["--task-timeout", "inf"], "--task-timeout"),
+    "soak-inf": (["--soak", "inf"], "horizon"),
+    "soak-nan": (["--soak", "nan"], "horizon"),
+    "lb-gap-nan": (["--lb", "flowlet", "--lb-gap", "nan"], "flowlet gap"),
+    "incast-senders-negative": (
+        ["--pattern", "incast", "--incast-senders", "-3"], "n_senders"),
 }
 
 
 @pytest.mark.parametrize("row", list(REFUSED_INPUTS))
-def test_bad_input_is_refused_in_one_line(row):
+def test_bad_input_is_refused_in_one_line(row, tmp_path):
     flags, fragment = REFUSED_INPUTS[row]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "repro", "run", "--schemes", "dctcp",
              "--flows", "20"] + flags,
-            capture_output=True, text=True, timeout=30, env=env)
+            capture_output=True, text=True, timeout=30, env=env,
+            cwd=tmp_path)
     except subprocess.TimeoutExpired:
         pytest.fail(f"{row}: still running after 30 s")
     errors = [line for line in proc.stderr.splitlines()

@@ -50,14 +50,12 @@ def test_ports_have_no_chain_by_default():
     assert all(port.fault_chain is None for port in topo.network.ports)
 
 
-def test_attach_detach_fault_chain():
+def test_attach_fault_chain():
     topo = make_dumbbell()
     port = topo.network.port_named("sw0->sw1")
     injector = LinkFaultInjector(topo.sim, port).attach()
     assert isinstance(port.fault_chain, FaultChain)
     assert injector in port.fault_chain.injectors
-    injector.detach()
-    assert port.fault_chain is None  # chain dropped when it empties
 
 
 def test_find_ports_exact_glob_and_missing():
@@ -70,18 +68,6 @@ def test_find_ports_exact_glob_and_missing():
         net.find_ports("nonexistent->port")
     with pytest.raises(KeyError):
         net.port_named("nope")
-
-
-def test_switch_port_named_and_attach_fault():
-    topo = make_dumbbell()
-    sw0 = topo.network.switches[0]
-    port = sw0.port_named("sw0->sw1")
-    assert port.name == "sw0->sw1"
-    injector = LinkFaultInjector(topo.sim, port)
-    sw0.attach_fault(injector, dst_host=1)
-    assert injector in port.fault_chain.injectors
-    with pytest.raises(KeyError):
-        sw0.port_named("bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +303,6 @@ def test_active_faults_runtime_queries():
     assert active.down_links() == []
     assert active.any_active_or_recent(0.0035, grace=0.001)
     assert not active.any_active_or_recent(0.01, grace=0.001)
-    assert active.last_fault_end() == pytest.approx(0.003)
 
 
 def test_a_new_fault_kind_is_one_class(monkeypatch, capsys):

@@ -8,7 +8,7 @@ import pytest
 from repro.transport.base import Flow
 from repro.units import gbps
 from repro.workloads.distributions import WEB_SEARCH
-from repro.workloads.patterns import all_to_all, fixed_pairs, incast, permutation
+from repro.workloads.patterns import all_to_all, incast
 from repro.workloads.streams import flow_stream
 
 
@@ -159,41 +159,6 @@ def test_incast_requires_a_sender():
         incast([3], receiver=3)
 
 
-def test_fixed_pairs():
-    sampler = fixed_pairs([(0, 1), (2, 3)])
-    rng = random.Random(0)
-    pairs = {sampler(rng) for _ in range(50)}
-    assert pairs <= {(0, 1), (2, 3)}
-
-
-def test_permutation_is_derangement():
-    sampler = permutation(range(10), seed=3)
-    rng = random.Random(0)
-    for _ in range(100):
-        src, dst = sampler(rng)
-        assert src != dst
-
-
-def test_permutation_rejects_fewer_than_two_hosts():
-    with pytest.raises(ValueError, match="at least two hosts"):
-        permutation([4])
-    with pytest.raises(ValueError, match="at least two hosts"):
-        permutation([])
-
-
-def test_permutation_rejects_impossible_derangement():
-    # duplicate host ids: every shuffle of [1, 1] keeps a fixed point,
-    # so the retry budget must run out and raise instead of silently
-    # producing src == dst pairs
-    with pytest.raises(ValueError, match="no derangement"):
-        permutation([1, 1], seed=0)
-
-
-def test_fixed_pairs_rejects_self_pair():
-    with pytest.raises(ValueError, match="src == dst"):
-        fixed_pairs([(0, 1), (2, 2)])
-
-
 @pytest.mark.parametrize("arrivals", ["open", "closed"])
 def test_flow_stream_rejects_self_pair_pattern(arrivals):
     with pytest.raises(ValueError, match="src == dst == 3 for flow 0"):
@@ -204,8 +169,6 @@ def test_flow_stream_rejects_self_pair_pattern(arrivals):
 @pytest.mark.parametrize("make", [
     lambda: all_to_all(range(6)),
     lambda: incast(range(5), receiver=4),
-    lambda: fixed_pairs([(0, 1), (2, 3)]),
-    lambda: permutation(range(8), seed=3),
 ])
 def test_patterns_pickle_and_draw_identically(make):
     """Patterns ride inside FlowStreams across checkpoint and worker

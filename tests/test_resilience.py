@@ -9,6 +9,7 @@ plans; the double-restart test kills and resumes the same run twice.
 """
 
 import io
+import math
 import os
 import pickle
 
@@ -23,6 +24,7 @@ from repro.experiments.scenarios import (
     all_to_all_scenario,
     incast_scenario,
     sim_fabric,
+    soak_fault_plan,
     soak_scenario,
 )
 from repro.faults import FaultPlan, LinkDown, PacketLoss
@@ -504,9 +506,23 @@ def test_soak_scenario_checkpoints_and_resumes(tmp_path):
 def test_soak_rejects_bad_horizon():
     with pytest.raises(ValueError, match="horizon"):
         soak_scenario(horizon=0.0)
-    from repro.experiments.scenarios import soak_fault_plan
     with pytest.raises(ValueError, match="period"):
         soak_fault_plan(10.0, period=-1.0)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: soak_scenario(horizon=math.nan), "horizon"),
+    (lambda: soak_scenario(horizon=math.inf, fault_period=None), "horizon"),
+    (lambda: soak_fault_plan(math.nan), "horizon"),
+    (lambda: soak_fault_plan(10.0, period=math.nan), "period"),
+    (lambda: soak_fault_plan(10.0, period=math.inf), "period"),
+], ids=["scenario-nan-horizon", "scenario-inf-horizon", "plan-nan-horizon",
+        "plan-nan-period", "plan-inf-period"])
+def test_soak_rejects_non_finite_horizon_and_period(build, fragment):
+    """NaN and infinity pass a ``<= 0`` check; an infinite horizon used
+    to lay fault events forever."""
+    with pytest.raises(ValueError, match=fragment):
+        build()
 
 
 # -- CLI -------------------------------------------------------------------

@@ -4,6 +4,7 @@ flowlet/CONGA load balancers."""
 import math
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,3 +190,11 @@ def test_make_balancer():
         pass
     else:
         raise AssertionError("unknown balancer must raise")
+
+
+@pytest.mark.parametrize("mode", ["flowlet", "conga"])
+def test_make_balancer_rejects_nan_gap(mode):
+    """NaN passes a ``<= 0`` check, and no idle time exceeds a NaN gap,
+    so the balancer silently never re-pinned."""
+    with pytest.raises(ValueError, match="flowlet gap"):
+        make_balancer(mode, gap=math.nan)

@@ -12,6 +12,7 @@ from repro.experiments.scenarios import (
     TESTBED_K_HIGH,
     TESTBED_K_LOW,
     all_to_all_scenario,
+    incast_scenario,
     sim_config,
     sim_fabric,
     sim_fabric_100_400g,
@@ -115,3 +116,11 @@ def test_sim_qcfg_overrides():
     mux = qcfg.build(gbps(40))
     assert mux.ecn_thresholds[4] == 40_000
     assert mux.dt_alphas is None
+
+
+@pytest.mark.parametrize("n_senders", [0, -3])
+def test_incast_scenario_rejects_fewer_than_one_sender(n_senders):
+    """A negative count used to slice ``[:-3]`` off the host list and
+    run the remaining senders silently."""
+    with pytest.raises(ValueError, match="n_senders"):
+        incast_scenario("bad", WEB_SEARCH, n_senders=n_senders)

@@ -11,6 +11,7 @@ the sweep.
 """
 
 import dataclasses
+import math
 import multiprocessing
 import os
 import pickle
@@ -336,6 +337,14 @@ def test_grid_task_error_survives_pickling():
     assert clone.params == {"seed": 9}
     assert clone.cause == "ValueError('x')"
     assert clone.worker_traceback == "Traceback ..."
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, math.nan, math.inf])
+def test_run_grid_rejects_bad_timeout(timeout):
+    """A NaN deadline was never enforced (the parent busy-polled) and an
+    infinite one overflowed the wait, so both are refused up front."""
+    with pytest.raises(ValueError, match="timeout must be finite"):
+        run_grid([], timeout=timeout)
 
 
 def test_empty_grid_is_a_noop():

@@ -1,12 +1,8 @@
-"""Tests for the sweep helpers and result archival."""
-
-import json
-
-import pytest
+"""Tests for the sweep helpers."""
 
 from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
 from repro.experiments.parallel import RunSummary
-from repro.experiments.sweeps import load_sweep_variants, rows_to_json, sweep
+from repro.experiments.sweeps import load_sweep_variants, sweep
 from repro.transport.dctcp import Dctcp
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -45,12 +41,3 @@ def test_sweep_point_row_flattens():
     assert row["load"] == 0.4
     assert row["flows"] == 10
     assert row["overall_avg_ms"] == summary.stats.overall_avg * 1e3
-
-
-def test_rows_round_trip(tmp_path):
-    rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
-    path = tmp_path / "rows.json"
-    rows_to_json(rows, path, meta={"note": "test"})
-    payload = json.loads(path.read_text())
-    assert payload["rows"] == rows
-    assert payload["meta"]["note"] == "test"

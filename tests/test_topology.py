@@ -4,14 +4,7 @@ import pytest
 
 from conftest import make_leaf_spine, make_star, quick_qcfg
 from repro.sim.packet import Packet
-from repro.sim.topology import (
-    dumbbell,
-    leaf_spine,
-    paper_non_oversubscribed,
-    paper_oversubscribed,
-    star,
-)
-from repro.units import gbps, us
+from repro.sim.topology import dumbbell, leaf_spine, star
 
 
 def test_star_builds_hosts_and_routes():
@@ -88,15 +81,6 @@ def test_cross_leaf_base_delay_larger_than_intra():
     intra = net.base_rtt(0, 1)
     cross = net.base_rtt(0, 2)
     assert cross > intra
-
-
-def test_paper_topologies_shapes():
-    over = paper_oversubscribed(hosts_per_leaf=2, n_leaf=2, n_spine=2)
-    assert over.edge_rate == gbps(40)
-    assert over.core_rate == gbps(100)
-    non = paper_non_oversubscribed(hosts_per_leaf=2, n_leaf=2, n_spine=2)
-    assert non.edge_rate == gbps(10)
-    assert non.core_rate == gbps(40)
 
 
 def test_host_uplink_uses_large_nic_buffer():
