@@ -46,8 +46,8 @@ def _chaotic_scenario(seed=1):
 
 
 def _fingerprint(summary):
-    return (summary.scheme, summary.params["seed"], summary.completed,
-            summary.n_flows, summary.wall_events,
+    return (summary.scheme, summary.params["seed"], summary.health.completed,
+            summary.health.n_flows, summary.health.events_run,
             repr(summary.stats.overall_avg), repr(summary.stats.small_p99))
 
 
@@ -69,7 +69,7 @@ def _run_chaos_sweep():
             "scheme": plain.scheme,
             "seed": plain.params["seed"],
             "completed": "LOST" if lost
-            else f"{survived.completed}/{survived.n_flows}",
+            else f"{survived.health.completed}/{survived.health.n_flows}",
             "killed_once": plain.params["seed"] in KILL_SEEDS,
             "attempts": survived.attempts,
             "identical": (not lost

@@ -15,8 +15,8 @@ fault windows and the recovery work (drops, retransmits) per scheme.
 """
 
 from conftest import by_scheme, run_figure
+from repro.experiments.parallel import run_grid, scheme_grid
 from repro.experiments.scenarios import SCHEMES, all_to_all_scenario
-from repro.experiments.sweeps import sweep
 from repro.faults import FaultPlan, LinkFlap
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -40,8 +40,9 @@ def _scenario(faults):
 def _run_fault_resilience():
     schemes = {name: SCHEMES[name] for name in ("ppt", "dctcp", "homa")}
     # variants outer: every scheme healthy, then every scheme faulty
-    summaries = sweep(schemes, _scenario,
-                      [{"faults": None}, {"faults": FLAP_PLAN}], jobs=-1)
+    summaries = run_grid(scheme_grid(
+        schemes, _scenario, [{"faults": None}, {"faults": FLAP_PLAN}]),
+        jobs=-1)
     rows = []
     for base, faulty in zip(summaries, summaries[len(schemes):]):
         h = faulty.health

@@ -9,17 +9,17 @@ Fig-14 result for the Swift variant.
 """
 
 from conftest import by_scheme, run_figure
+from repro.experiments.parallel import run_grid, scheme_grid
 from repro.experiments.scenarios import SCHEMES, all_to_all_scenario
-from repro.experiments.sweeps import sweep
 from repro.workloads.distributions import WEB_SEARCH
 
 
 def _run_pair():
-    summaries = sweep(
+    summaries = run_grid(scheme_grid(
         {name: SCHEMES[name] for name in ("hpcc", "ppt-hpcc")},
         lambda: all_to_all_scenario("ext-hpcc", WEB_SEARCH, load=0.5,
                                     n_flows=150),
-        [{}], jobs=-1)
+        [{}]), jobs=-1)
     return {"rows": [summary.row() for summary in summaries]}
 
 

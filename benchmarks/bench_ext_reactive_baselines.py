@@ -19,8 +19,8 @@ classification with numbers from our substrate:
 """
 
 from conftest import by_scheme, run_figure
+from repro.experiments.parallel import run_grid, scheme_grid
 from repro.experiments.scenarios import SCHEMES, all_to_all_scenario
-from repro.experiments.sweeps import sweep
 from repro.workloads.distributions import WEB_SEARCH
 
 BASELINES = ("tcp10", "halfback", "expresspass", "timely", "d2tcp", "dcqcn",
@@ -28,11 +28,11 @@ BASELINES = ("tcp10", "halfback", "expresspass", "timely", "d2tcp", "dcqcn",
 
 
 def _run_baselines():
-    summaries = sweep(
+    summaries = run_grid(scheme_grid(
         {name: SCHEMES[name] for name in BASELINES},
         lambda: all_to_all_scenario("ext-baselines", WEB_SEARCH, load=0.5,
                                     n_flows=150),
-        [{}], jobs=-1)
+        [{}]), jobs=-1)
     return {"rows": [summary.row() for summary in summaries]}
 
 

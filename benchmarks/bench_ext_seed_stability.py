@@ -13,8 +13,8 @@ serial run but the wall time is divided by the core count.
 """
 
 from conftest import run_figure
+from repro.experiments.parallel import run_grid, scheme_grid
 from repro.experiments.scenarios import SCHEMES, all_to_all_scenario
-from repro.experiments.sweeps import sweep
 from repro.workloads.distributions import WEB_SEARCH
 
 SEEDS = (7, 23, 101)
@@ -26,9 +26,9 @@ def _make_scenario(seed=7):
 
 
 def _run_seeds(jobs=None):
-    summaries = sweep(
+    summaries = run_grid(scheme_grid(
         {name: SCHEMES[name] for name in ("dctcp", "rc3", "ppt")},
-        _make_scenario, [{"seed": seed} for seed in SEEDS], jobs=jobs)
+        _make_scenario, [{"seed": seed} for seed in SEEDS]), jobs=jobs)
     return {"rows": [summary.row() for summary in summaries]}
 
 

@@ -34,8 +34,9 @@ def _run_seeds(jobs=None):
     cells = run_grid(scheme_grid({"ppt": Ppt}, _scenario,
                                  [{"seed": seed} for seed in SEEDS],
                                  observe=True), jobs=jobs)
-    return {"rows": [{"seed": cell.params["seed"], "flows": cell.completed,
-                      "events": cell.wall_events,
+    return {"rows": [{"seed": cell.params["seed"],
+                      "flows": cell.health.completed,
+                      "events": cell.health.events_run,
                       "us_per_event": 1e6 / cell.telemetry.events_per_sec}
                      for cell in cells]}
 

@@ -14,8 +14,8 @@ import argparse
 import functools
 
 from repro import Ppt, format_table
+from repro.experiments import run_grid, scheme_grid
 from repro.experiments.scenarios import all_to_all_scenario
-from repro.experiments.sweeps import sweep
 from repro.workloads import WEB_SEARCH
 
 VARIANTS = [
@@ -35,11 +35,11 @@ def main() -> None:
     args = parser.parse_args()
 
     # one "scheme" per variant; every core takes a share of the six runs
-    summaries = sweep(
+    summaries = run_grid(scheme_grid(
         {label: functools.partial(Ppt, **flags) for label, flags in VARIANTS},
         lambda: all_to_all_scenario("ablation", WEB_SEARCH, load=args.load,
                                     n_flows=args.flows),
-        [{}], jobs=-1)
+        [{}]), jobs=-1)
     print()
     print(format_table([summary.row() for summary in summaries]))
 

@@ -15,13 +15,13 @@ import argparse
 import time
 
 from repro import format_table
+from repro.experiments import run_grid, scheme_grid
 from repro.experiments.scenarios import (
     SCHEMES,
     all_to_all_scenario,
     sim_fabric,
     sim_qcfg,
 )
-from repro.experiments.sweeps import sweep
 from repro.workloads import WEB_SEARCH
 
 
@@ -38,12 +38,12 @@ def main() -> None:
                         qcfg=sim_qcfg())
     print(f"{' '.join(args.schemes)} on 144 hosts ...", flush=True)
     t0 = time.time()
-    summaries = sweep(
+    summaries = run_grid(scheme_grid(
         {name: SCHEMES[name] for name in args.schemes},
         lambda: all_to_all_scenario(
             "full-scale", WEB_SEARCH, load=args.load, n_flows=args.flows,
             fabric=fabric, size_cap=args.size_cap),
-        [{}], jobs=-1)
+        [{}]), jobs=-1)
     print()
     print(format_table([summary.row() for summary in summaries]))
     print(f"\n{time.time() - t0:.1f}s wall for {len(summaries)} run(s)")

@@ -10,8 +10,8 @@ Run:
 """
 
 from repro import Dctcp, Ppt, format_table
+from repro.experiments import run_grid, scheme_grid
 from repro.experiments.scenarios import all_to_all_scenario
-from repro.experiments.sweeps import sweep
 from repro.metrics import reduction
 from repro.workloads import WEB_SEARCH
 
@@ -19,11 +19,12 @@ from repro.workloads import WEB_SEARCH
 def main() -> None:
     # the whole experiment pipeline: schemes x scenario -> one summary
     # per run, whose row() is the printable FCT row
-    summaries = sweep(
-        {"dctcp": Dctcp, "ppt": Ppt},
-        lambda: all_to_all_scenario("quickstart", WEB_SEARCH, load=0.5,
-                                    n_flows=150),
-        [{}], progress=lambda name: print(f"running {name} ..."))
+    summaries = run_grid(
+        scheme_grid({"dctcp": Dctcp, "ppt": Ppt},
+                    lambda: all_to_all_scenario("quickstart", WEB_SEARCH,
+                                                load=0.5, n_flows=150),
+                    [{}]),
+        progress=lambda name: print(f"running {name} ..."))
 
     print()
     print(format_table([summary.row() for summary in summaries]))

@@ -119,9 +119,10 @@ def _health_label(health) -> str:
     return "ok"
 
 
-def _trace_out_path(template: str, scheme: str, multi: bool) -> str:
-    """Per-scheme trace path: insert the scheme name before the suffix
-    when more than one scheme runs, so files do not clobber each other."""
+def _cell_path(template: str, scheme: str, multi: bool) -> str:
+    """Per-scheme trace or checkpoint path: insert the scheme name before
+    the suffix when more than one scheme runs, so files do not clobber
+    each other (``c.ckpt`` -> ``c.ppt.ckpt``)."""
     if not multi:
         return template
     if "." in template.rsplit("/", 1)[-1]:
@@ -139,7 +140,7 @@ def _summary_rows(schemes, summaries, *, faults, health_flag):
         # the grid's own FCT row; only the flows cell differs here
         # (completed/target, where the row counts flows with an FCT)
         row = summary.row()
-        row["flows"] = f"{summary.completed}/{summary.n_flows}"
+        row["flows"] = f"{summary.health.completed}/{summary.health.n_flows}"
         if faults is not None or health_flag:
             row["rtx"] = summary.health.retransmits_total
             row["rtos"] = summary.health.rtos_total
@@ -170,10 +171,13 @@ def _report_validation(schemes, summaries) -> bool:
 def _cmd_resume(args) -> int:
     """``--resume``: finish a checkpointed run, bit-identical to one
     that never stopped."""
+    path = None
+    if args.checkpoint_every is not None:
+        path = args.checkpoint or args.resume
     try:
         result = run(resume=args.resume,
                      checkpoint_every=args.checkpoint_every,
-                     checkpoint_path=args.checkpoint or args.resume)
+                     checkpoint_path=path)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -187,14 +191,6 @@ def _cmd_resume(args) -> int:
     broken = _report_validation(schemes, [summary])
     print(format_table(rows))
     return 1 if broken else 0
-
-
-def _fans_out(args) -> bool:
-    return args.jobs not in (None, 0, 1)
-
-
-def _supervised(args) -> bool:
-    return args.task_timeout is not None or args.retries is not None
 
 
 #: Every flag combination ``run`` refuses, as ``(predicate over the
@@ -218,27 +214,14 @@ RUN_EXCLUSIONS = (
     # auditor, and finishes in this process: none of these can be
     # honoured, so none is dropped silently
     (lambda a: a.resume and (
-        a.schemes is not None or a.fault or _fans_out(a) or _supervised(a)
+        a.schemes is not None or a.fault or a.jobs not in (None, 0, 1)
+        or a.task_timeout is not None or a.retries is not None
         or a.trace or a.trace_out or a.validate or a.validate_strict),
      "--resume finishes the snapshot's own run in-process: --schemes, "
      "--fault, --jobs, --task-timeout, --retries, --trace, --trace-out, "
      "--validate and --validate-strict cannot be combined with it"),
-    # the full event trace never crosses the worker pipe (only the
-    # TelemetrySummary digest does), so exporting requires the
-    # in-process serial path
-    (lambda a: a.trace_out and _fans_out(a),
-     "--trace-out requires --jobs 1"),
-    # one checkpoint file describes one run (a resumed run is one)
-    (lambda a: a.checkpoint and not a.resume and (
-        _fans_out(a) or len(a.schemes or DEFAULT_SCHEMES) != 1),
-     "--checkpoint requires --jobs 1 and a single scheme"),
     (lambda a: a.checkpoint and a.checkpoint_every is None,
      "--checkpoint needs --checkpoint-every SIM_SECONDS"),
-    # supervision kills and relaunches forked cells; a trace export or
-    # a checkpointed run stays in this process, where neither can happen
-    (lambda a: _supervised(a) and (a.trace_out or a.checkpoint),
-     "--task-timeout/--retries supervise forked cells; --trace-out and "
-     "--checkpoint run in-process"),
 )
 
 
@@ -253,7 +236,6 @@ def _cmd_run(args) -> int:
     schemes = {name: SCHEMES[name]
                for name in args.schemes or DEFAULT_SCHEMES}
     cdf = WORKLOADS[args.workload]
-    observe = bool(args.trace or args.trace_out)
     validate = "strict" if args.validate_strict else args.validate
     faults = None
     if args.fault:
@@ -320,40 +302,26 @@ def _cmd_run(args) -> int:
         print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 
+    # each cell writes its own trace / checkpoint file where it runs
+    tasks = scheme_grid(schemes, make_scenario, [{}], observe=args.trace,
+                        validate=validate)
+    multi = len(tasks) > 1
+    for task in tasks:
+        if args.trace_out:
+            task.trace_out = _cell_path(args.trace_out, task.scheme_key, multi)
+        if args.checkpoint:
+            task.checkpoint_path = _cell_path(args.checkpoint,
+                                              task.scheme_key, multi)
+            task.checkpoint_every = args.checkpoint_every
     try:
-        if args.trace_out or args.checkpoint:
-            # serial, in-process: keep the full Telemetry so the event
-            # trace can be exported / write checkpoints from the drain
-            summaries = []
-            for name, factory in schemes.items():
-                result = run(factory(), make_scenario(),
-                             observe=observe, validate=validate,
-                             checkpoint_every=args.checkpoint_every,
-                             checkpoint_path=args.checkpoint)
-                summary = RunSummary.from_result(result)
-                summary.scheme = name
-                summaries.append(summary)
-                if args.trace_out:
-                    path = _trace_out_path(args.trace_out, name,
-                                           len(schemes) > 1)
-                    written = result.telemetry.export_jsonl(path)
-                    print(f"trace: {name}: {written} events -> {path}",
-                          file=sys.stderr)
-        else:
-            tasks = scheme_grid(schemes, make_scenario, [{}],
-                                observe=observe, validate=validate)
-            summaries = run_grid(tasks, jobs=args.jobs,
-                                 timeout=args.task_timeout,
-                                 retries=args.retries)
-            # a broken invariant is not a cell to report and carry on
-            # past: it leaves the way the unsupervised grid raises it
-            for cell in summaries:
-                if isinstance(cell, FailedTask) \
-                        and "InvariantViolation" in cell.error.cause:
-                    raise cell.error
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        summaries = run_grid(tasks, jobs=args.jobs, timeout=args.task_timeout,
+                             retries=args.retries)
+        # a broken invariant is not a cell to report and carry on past:
+        # it leaves the way the unsupervised grid raises it
+        for cell in summaries:
+            if isinstance(cell, FailedTask) \
+                    and "InvariantViolation" in cell.error.cause:
+                raise cell.error
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
@@ -365,6 +333,11 @@ def _cmd_run(args) -> int:
             return 3
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for task, summary in zip(tasks, summaries):
+        if task.trace_out and not isinstance(summary, FailedTask):
+            print(f"trace: {task.scheme_key}: "
+                  f"{summary.telemetry.events_kept} events -> "
+                  f"{task.trace_out}", file=sys.stderr)
     failed_cells = [s for s in summaries if isinstance(s, FailedTask)]
     for failure in failed_cells:
         print(f"failed: {failure.describe()}", file=sys.stderr)
@@ -477,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "per-scheme trace summary")
     run_p.add_argument("--trace-out", metavar="PATH", default=None,
                        help="export the event trace as JSONL (implies "
-                            "--trace; requires --jobs 1; with several "
-                            "schemes the scheme name is appended to PATH)")
+                            "--trace; with several schemes the scheme "
+                            "name is inserted into PATH)")
     run_p.add_argument("--validate", action="store_true",
                        help="run the repro.validate invariant auditor; "
                             "violations are reported per scheme and make "
@@ -492,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "periodically throughout; see docs/robustness.md)")
     run_p.add_argument("--checkpoint", metavar="PATH", default=None,
                        help="write periodic resumable snapshots to PATH "
-                            "(requires --jobs 1, a single scheme and "
-                            "--checkpoint-every)")
+                            "(requires --checkpoint-every; with several "
+                            "schemes the scheme name is inserted into "
+                            "PATH)")
     run_p.add_argument("--checkpoint-every", type=float,
                        metavar="SIM_SECONDS", default=None,
                        help="simulated seconds between checkpoint writes")

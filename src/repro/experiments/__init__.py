@@ -1,6 +1,6 @@
 """Experiment harness: scenarios, runners and per-figure drivers."""
 
-from . import figures, parallel, scenarios, sweeps, tables
+from . import figures, parallel, scenarios, tables
 from .parallel import GridTask, RunSummary, run_grid, scheme_grid
 from .runner import (
     RunResult,
@@ -11,5 +11,5 @@ from .runner import (
 )
 
 __all__ = ["Scenario", "RunResult", "run", "two_pass",
-           "format_table", "figures", "scenarios", "tables", "sweeps",
+           "format_table", "figures", "scenarios", "tables",
            "parallel", "GridTask", "RunSummary", "run_grid", "scheme_grid"]

@@ -59,7 +59,6 @@ from .scenarios import (
     testbed_scenario,
     two_to_one_scenario,
 )
-from .sweeps import load_sweep_variants, sweep
 
 SchemeSet = Dict[str, Callable[[], Scheme]]
 
@@ -94,7 +93,8 @@ def _fct_table(schemes: SchemeSet, scenario_factory: Callable[..., Scenario],
     """An FCT-table figure: every scheme on every variant of one
     scenario, one forked worker per core (serial where ``fork`` is
     missing), rows in grid order — bit-identical either way."""
-    summaries = sweep(schemes, scenario_factory, variants, jobs=-1)
+    summaries = run_grid(scheme_grid(schemes, scenario_factory, variants),
+                         jobs=-1)
     return {"rows": [summary.row() for summary in summaries]}
 
 
@@ -217,7 +217,7 @@ def fig08_09_testbed_15to15(workload: str = "web-search",
         testbed_schemes(),
         lambda load: testbed_scenario(f"fig08-{workload}-{load}", cdf,
                                       load=load, n_flows=n_flows),
-        load_sweep_variants(loads))
+        [{"load": load} for load in loads])
 
 
 def fig10_11_testbed_14to1(workload: str = "web-search",

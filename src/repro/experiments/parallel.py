@@ -40,8 +40,8 @@ the full result drags the live :class:`~repro.sim.network.Network`,
 :class:`~repro.sim.topology.Topology` and every endpoint along — none of
 which survive pickling (and shipping a few hundred megabytes of
 simulator state across a pipe would erase the speedup).  The summary
-keeps what every sweep consumer actually reads: FCT statistics, run
-health, completion counts and the event total.
+keeps what every sweep consumer actually reads: FCT statistics and
+run health (completion counts and the event total included).
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ class RunSummary:
     containers), so it crosses process boundaries cheaply and can be
     archived as JSON.  ``telemetry`` is the equally slim
     :class:`~repro.obs.TelemetrySummary` rollup when the cell ran
-    observed (the full event trace stays in the worker; only the digest
-    crosses the pipe, merged in grid order exactly like the rest).
+    observed (the full event trace stays in the worker, which writes it
+    to the task's ``trace_out``; only the digest crosses the pipe,
+    merged in grid order exactly like the rest).
     """
 
     scheme: str
@@ -79,9 +80,6 @@ class RunSummary:
     params: Dict[str, object]
     stats: FctStats
     health: RunHealth
-    completed: int
-    n_flows: int
-    wall_events: int
     telemetry: Optional[TelemetrySummary] = None
     # The invariant auditor's report when the cell ran validated; plain
     # picklable data like everything else here.
@@ -99,20 +97,10 @@ class RunSummary:
             params=dict(params or {}),
             stats=result.stats,
             health=result.health,
-            completed=result.completed,
-            # health.n_flows is the run's true flow target: for a
-            # streamed scenario ``result.flows`` only holds what the
-            # stream emitted before the drain stopped.
-            n_flows=result.health.n_flows,
-            wall_events=result.wall_events,
             telemetry=(result.telemetry.summary()
                        if result.telemetry is not None else None),
             validation=result.validation,
         )
-
-    @property
-    def completion_rate(self) -> float:
-        return self.completed / max(1, self.n_flows)
 
     def row(self) -> dict:
         """The cell as one printable table row: scheme, the variant's
@@ -151,11 +139,23 @@ class GridTask:
     # back on the summary; in strict mode a broken law raises
     # InvariantViolation inside the worker and surfaces as GridTaskError.
     validate: object = False
+    # Files the cell writes where it runs (forked worker or in-process):
+    # its event trace as JSONL (the cell then runs observed), and a
+    # resumable snapshot every ``checkpoint_every`` simulated seconds —
+    # see run().  A supervised retry starts over and overwrites both.
+    trace_out: Optional[str] = None
+    checkpoint_path: Optional[str] = None
+    checkpoint_every: Optional[float] = None
 
     def execute(self) -> RunSummary:
         scenario = self.scenario_factory(**self.params)
-        result = run(self.scheme_factory(), scenario, observe=self.observe,
-                     validate=self.validate)
+        result = run(self.scheme_factory(), scenario,
+                     observe=self.observe or self.trace_out is not None,
+                     validate=self.validate,
+                     checkpoint_every=self.checkpoint_every,
+                     checkpoint_path=self.checkpoint_path)
+        if self.trace_out is not None:
+            result.telemetry.export_jsonl(self.trace_out)
         summary = RunSummary.from_result(result, self.params)
         if self.scheme_key:
             summary.scheme = self.scheme_key
@@ -320,13 +320,14 @@ def scheme_grid(
 ) -> List[GridTask]:
     """The canonical grid: variants outer, schemes inner — the one way
     the repo spells "run these schemes on this scenario".  Figure
-    drivers, :func:`repro.experiments.sweeps.sweep`, the CLI ``run``
-    command and the validation matrix all build their cells here.
+    drivers, examples, benches, the CLI ``run`` command and the
+    validation matrix all build their cells here and execute them with
+    ``run_grid(scheme_grid(schemes, factory, variants), jobs=...)``.
 
     ``scenario_factory`` is called with each variant's items as keyword
     arguments (``[{}]`` is one fixed scenario, and its cells are
     labelled by scheme alone).  ``task_fields`` (``observe``,
-    ``validate``) are set on every cell.
+    ``validate``, ...) are set on every cell.
     """
     tasks: List[GridTask] = []
     for variant in variants:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import gc
+import math
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
@@ -112,7 +113,6 @@ class RunHealth:
     corrupted_pkts: int = 0
     retransmits_total: int = 0
     rtos_total: int = 0
-    retransmits_by_flow: Dict[int, int] = field(default_factory=dict)
     event_budget_exceeded: bool = False
     events_run: int = 0
     sim_time: float = 0.0
@@ -171,10 +171,6 @@ class RunResult:
 
     # health.n_flows, not len(flows): a streamed run that stops early
     # holds only the flows pulled so far
-    @property
-    def completion_rate(self) -> float:
-        return self.completed / max(1, self.health.n_flows)
-
     def summary(self) -> str:
         return (f"[{self.scheme_name} @ {self.scenario_name}] "
                 f"{self.completed}/{self.health.n_flows} flows, {self.stats}")
@@ -334,8 +330,11 @@ def run(
     ``checkpoint_every`` + ``checkpoint_path`` write a
     :mod:`repro.resilience` snapshot of the whole run every that many
     *simulated* seconds (atomic replace — the file always holds the
-    newest complete snapshot).  Snapshotting only reads state, so a
-    checkpointed run stays bit-identical to an uncheckpointed one.
+    newest complete snapshot; ``0`` snapshots at every drain slice).
+    The two come together, and the interval must be finite and
+    ``>= 0``: anything else raises :class:`ValueError`.  Snapshotting
+    only reads state, so a checkpointed run stays bit-identical to an
+    uncheckpointed one.
 
     ``resume`` restores such a snapshot (a path or a loaded
     :class:`~repro.resilience.RunState`) and finishes the run from
@@ -345,6 +344,12 @@ def run(
     ``observe``/``validate`` travel inside the snapshot and must not be
     re-passed.
     """
+    if (checkpoint_every is None) != (checkpoint_path is None):
+        raise ValueError("checkpoint_every and checkpoint_path go together, "
+                         f"got {checkpoint_every!r} and {checkpoint_path!r}")
+    if checkpoint_every is not None and not 0 <= checkpoint_every < math.inf:
+        raise ValueError(f"checkpoint_every must be finite and >= 0, "
+                         f"got {checkpoint_every!r}")
     if resume is not None:
         if observe not in (None, False) or validate not in (None, False):
             raise ValueError(
@@ -471,8 +476,8 @@ def _harvest(state: RunState, health: RunHealth) -> RunResult:
     health.live_pending = sim.live_pending
     health.peak_pending = sim.peak_pending
     counters = _endpoint_counters(topo.network)
-    health.retransmits_by_flow, rtos_by_flow, _tx = counters
-    health.retransmits_total = sum(health.retransmits_by_flow.values())
+    rtx_by_flow, rtos_by_flow, _tx = counters
+    health.retransmits_total = sum(rtx_by_flow.values())
     health.rtos_total = sum(rtos_by_flow.values())
     if telemetry is not None:
         telemetry.finalize(topo.network, flows, counters)
@@ -562,15 +567,9 @@ def _drain(state: RunState, checkpoint_every: Optional[float] = None,
     faults, network = state.faults, state.topo.network
     # total_flows is the run's target: len(flows) for a materialized
     # list, the stream's declared total for a streamed run (where
-    # ``flows`` only holds what has been pulled so far), or None for an
-    # unbounded stream — which can only end at max_time or heap
-    # exhaustion, so its target is infinite and its reported n_flows is
-    # whatever was pulled.
-    total = state.total_flows if state.total_flows is not None \
-        else len(flows)
-    target = state.total_flows if state.total_flows is not None \
-        else float("inf")
-    health = RunHealth(n_flows=total)
+    # ``flows`` only holds what has been pulled so far)
+    target = state.total_flows
+    health = RunHealth(n_flows=target)
     if faults is not None:
         health.fault_windows = faults.describe_windows()
 
@@ -581,8 +580,7 @@ def _drain(state: RunState, checkpoint_every: Optional[float] = None,
     # off RTOs' worth of quiet time.
     stall_window = max(STALL_SLICES * slice_len, 4.0 * max_rto)
     grace = 2.0 * max_rto
-    checkpointing = (checkpoint_every is not None
-                     and checkpoint_path is not None)
+    checkpointing = checkpoint_every is not None
 
     heap_empty = False
     watchdog_tripped = False
@@ -617,10 +615,6 @@ def _drain(state: RunState, checkpoint_every: Optional[float] = None,
                 state.last_checkpoint_t = t
                 state.checkpoints_taken += 1
                 save_checkpoint(state, checkpoint_path)
-
-    if state.total_flows is None:
-        # unbounded stream: report against what actually entered the run
-        health.n_flows = len(flows)
 
     incomplete = health.n_flows - len(ctx.completed)
     if incomplete > 0 and not health.event_budget_exceeded:

@@ -87,9 +87,8 @@ class RunState:
     # the run's flow target: len(flows) for a materialized workload,
     # the FlowStream's declared total for a streamed one (``flows``
     # then only holds the prefix pulled so far — the un-consumed stream
-    # itself travels inside the sim graph via the lazy start chain),
-    # None for an unbounded stream
-    total_flows: Optional[int] = None
+    # itself travels inside the sim graph via the lazy start chain)
+    total_flows: int = 0
 
     # drain limits copied off the Scenario (builders are not picklable)
     max_time: float = 10.0
@@ -117,8 +116,7 @@ class RunState:
             "sim_time": self.sim.now,
             "events_run": self.sim.events_run,
             "completed": len(self.ctx.completed),
-            "n_flows": (self.total_flows if self.total_flows is not None
-                        else len(self.flows)),
+            "n_flows": self.total_flows,
             "checkpoints_taken": self.checkpoints_taken,
         }
 

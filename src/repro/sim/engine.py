@@ -250,16 +250,13 @@ class Simulator:
         or tuple is a materialised batch: it may come in any order (it
         is stably sorted by time) and its length is the ``count``.  Any
         other iterable is pulled lazily, one look-ahead entry at a time,
-        and must already be in non-decreasing time order; ``count``,
-        when given, must be the exact number of entries it will yield.
+        must already be in non-decreasing time order, and needs
+        ``count``: the exact number of entries it will yield.
 
-        With a count the chain reserves that many consecutive seqs up
-        front, so every entry fires exactly where a loop of
-        ``schedule_at`` calls made now (in time order) would have put
-        it, and a lazily pulled source is bit-identical to the same
-        entries materialised.  ``count=None`` claims seqs as entries
-        are pulled — for unbounded sources, where no materialised
-        counterpart exists to be identical to.
+        The chain reserves that many consecutive seqs up front, so every
+        entry fires exactly where a loop of ``schedule_at`` calls made
+        now (in time order) would have put it, and a lazily pulled
+        source is bit-identical to the same entries materialised.
         """
         return EventChain(self, entries, count)
 
@@ -511,7 +508,7 @@ class EventChain:
             entries = sorted(entries, key=lambda entry: self._clamp(entry[0]))
             count = len(entries)
         self._entries = iter(entries)
-        self._next_seq = None if count is None else sim.reserve_seq(count)
+        self._next_seq = sim.reserve_seq(count)
         self._seqs_left = count
         self._current: Optional[Tuple] = None
         self.head_event: Optional[Event] = None
@@ -545,15 +542,12 @@ class EventChain:
         # the predecessor is firing right now, so an out-of-order source
         # shows up here as an entry behind the clock
         time = self._clamp(time)
-        if self._seqs_left is None:
-            seq = sim.reserve_seq()
-        elif self._seqs_left == 0:
+        if self._seqs_left == 0:
             raise ValueError(
                 "chain source yielded more entries than its declared count")
-        else:
-            seq = self._next_seq
-            self._next_seq += 1
-            self._seqs_left -= 1
+        seq = self._next_seq
+        self._next_seq += 1
+        self._seqs_left -= 1
         self._current = (fn, args)
         self.head_event = sim.schedule_reserved(time, seq, self._fire)
 
@@ -572,5 +566,5 @@ class EventChain:
             self.head_event = None
         self._current = None
         self._entries = None
-        self._seqs_left = 0 if self._seqs_left is not None else None
+        self._seqs_left = 0
 

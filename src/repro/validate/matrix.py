@@ -111,8 +111,8 @@ def run_matrix(schemes: Optional[List[str]] = None, *,
         label = task.label
         report = validated.validation
         identical = (bare.stats == validated.stats
-                     and bare.wall_events == validated.wall_events
-                     and bare.completed == validated.completed)
+                     and bare.health.events_run == validated.health.events_run
+                     and bare.health.completed == validated.health.completed)
         ok = identical and report is not None and report.ok
         if not ok:
             failures += 1
@@ -125,8 +125,9 @@ def run_matrix(schemes: Optional[List[str]] = None, *,
             problems.append(report.describe())
         rows.append({
             "cell": label,
-            "flows": f"{validated.completed}/{validated.n_flows}",
-            "events": validated.wall_events,
+            "flows": (f"{validated.health.completed}/"
+                      f"{validated.health.n_flows}"),
+            "events": validated.health.events_run,
             "checks": report.checks_run if report is not None else 0,
             "result": "ok" if ok else "; ".join(problems),
         })

@@ -169,13 +169,13 @@ def parse_load_shape(spec: Optional[str]) -> Optional[LoadShape]:
 class FlowStream:
     """A picklable iterator of :class:`Flow` in start-time order.
 
-    ``n_flows`` is the total the stream will yield, or ``None`` for an
-    unbounded stream.  Streams are their own iterators — their cursor
-    and RNG state ARE the object state, so pickling a half-consumed
-    stream and resuming it elsewhere continues the exact sequence.
+    ``n_flows`` is the total the stream will yield.  Streams are their
+    own iterators — their cursor and RNG state ARE the object state, so
+    pickling a half-consumed stream and resuming it elsewhere continues
+    the exact sequence.
     """
 
-    n_flows: Optional[int] = None
+    n_flows: int
 
     def __iter__(self) -> Iterator[Flow]:
         return self
@@ -183,22 +183,9 @@ class FlowStream:
     def __next__(self) -> Flow:
         raise NotImplementedError
 
-    def materialize(self, limit: Optional[int] = None) -> List[Flow]:
-        """Drain (the rest of) the stream into a list.
-
-        ``limit`` bounds the pull and is required for unbounded streams.
-        """
-        if limit is None:
-            if self.n_flows is None:
-                raise ValueError(
-                    "materialize() on an unbounded stream needs limit=")
-            return list(self)
-        out: List[Flow] = []
-        for flow in self:
-            out.append(flow)
-            if len(out) >= limit:
-                break
-        return out
+    def materialize(self) -> List[Flow]:
+        """Drain (the rest of) the stream into a list."""
+        return list(self)
 
 
 class _ArrivalStream(FlowStream):
@@ -231,7 +218,7 @@ class _ArrivalStream(FlowStream):
         *,
         load: float,
         link_rate: float,
-        n_flows: Optional[int],
+        n_flows: int,
         n_senders: int = 1,
         size_cap: Optional[int] = None,
         first_flow_id: int = 0,
@@ -239,7 +226,7 @@ class _ArrivalStream(FlowStream):
     ):
         if not 0.0 < load <= 1.5:
             raise ValueError(f"load out of range: {load}")
-        if n_flows is not None and n_flows <= 0:
+        if n_flows <= 0:
             raise ValueError("n_flows must be positive")
         if size_cap is not None and size_cap <= 0:
             raise ValueError(f"size_cap must be positive, got {size_cap}")
@@ -269,7 +256,7 @@ class PoissonFlowStream(_ArrivalStream):
     Flow ``i`` starts one exponential gap after flow ``i - 1`` (flow 0
     at time 0).  Each flow draws, from one seeded RNG and in this order,
     its gap, its (src, dst) pair and its size, so a seed fixes the whole
-    sequence.  ``n_flows=None`` streams forever.  ``shape`` modulates
+    sequence.  ``shape`` modulates
     the instantaneous arrival rate (a factor of exactly ``1.0`` leaves
     the gap untouched, so a :class:`ConstantShape` draws what no shape
     draws).
@@ -371,13 +358,7 @@ class MergedStream(FlowStream):
         self._streams = list(streams)
         if not self._streams:
             raise ValueError("MergedStream needs at least one source")
-        total = 0
-        for stream in self._streams:
-            if stream.n_flows is None:
-                total = None
-                break
-            total += stream.n_flows
-        self.n_flows = total
+        self.n_flows = sum(stream.n_flows for stream in self._streams)
         self._heap: List[Tuple[float, int, Flow]] = []
         for idx, stream in enumerate(self._streams):
             flow = next(stream, None)
@@ -443,7 +424,7 @@ def tenant_mix_stream(
     *,
     load: float,
     link_rate: float,
-    n_flows: Optional[int],
+    n_flows: int,
     seed: int = 1,
     n_senders: int = 1,
     size_cap: Optional[int] = None,
@@ -456,15 +437,11 @@ def tenant_mix_stream(
     own size CDF (so its arrival rate follows from its own mean size),
     a private RNG stream (seeded from ``seed`` and the class index) and
     a contiguous, disjoint flow-id block.  ``n_flows`` is apportioned
-    across classes by share (largest remainder) and must be finite —
-    unbounded classes could not keep their id blocks disjoint.
+    across classes by share (largest remainder).
     """
     classes = list(classes)
     if not classes:
         raise ValueError("tenant_mix_stream needs at least one class")
-    if n_flows is None:
-        raise ValueError("tenant mixes need a finite n_flows "
-                         "(disjoint per-class flow-id blocks)")
     for cls in classes:
         if cls.share <= 0.0:
             raise ValueError(
@@ -536,7 +513,7 @@ def flow_stream(
     *,
     load: float,
     link_rate: float,
-    n_flows: Optional[int],
+    n_flows: int,
     seed: int = 1,
     n_senders: int = 1,
     size_cap: Optional[int] = None,

@@ -97,15 +97,8 @@ EXCLUDED_ARGV = {
         ["--retries", "-1"],
     RESUME_ROW:
         ["--resume", "c.ckpt"],  # with the --schemes every case is given
-    "--trace-out requires --jobs 1":
-        ["--trace-out", "t.jsonl", "--jobs", "2"],
-    "--checkpoint requires --jobs 1 and a single scheme":
-        ["--checkpoint", "c.ckpt", "--schemes", "dctcp", "ppt"],
     "--checkpoint needs --checkpoint-every SIM_SECONDS":
         ["--checkpoint", "c.ckpt"],
-    "--task-timeout/--retries supervise forked cells; --trace-out and "
-    "--checkpoint run in-process":
-        ["--trace-out", "t.jsonl", "--task-timeout", "0.001"],
 }
 
 
@@ -231,6 +224,36 @@ def test_strict_validate_failure_is_exit_3_whatever_the_policy(
     assert "mux-occupancy-sum" in captured.err
     assert "failed: " not in captured.err
     assert captured.out == ""
+
+
+def _traced_run(out_dir, capsys, *policy):
+    """``--trace-out`` over two schemes: the table, the per-scheme
+    files' bytes, and the ``trace:`` export lines."""
+    out_dir.mkdir()
+    assert main(["run", "--schemes", "ppt", "dctcp", "--flows", "40",
+                 "--trace-out", str(out_dir / "t.jsonl"), *policy]) == 0
+    captured = capsys.readouterr()
+    files = {name: (out_dir / f"t.{name}.jsonl").read_bytes()
+             for name in ("ppt", "dctcp")}
+    exports = [line.replace(str(out_dir), "DIR")
+               for line in captured.err.splitlines()
+               if line.startswith("trace: ")]
+    return captured.out, files, exports
+
+
+@pytest.mark.parametrize("policy", [
+    ["--jobs", "2"], ["--task-timeout", "300"]], ids=" ".join)
+def test_trace_out_files_do_not_depend_on_the_policy(
+        policy, tmp_path, capsys):
+    """Each cell writes its own trace where it runs — in this process,
+    in a forked worker or under the supervisor — and the files, the
+    table and the export lines are the same bytes."""
+    serial = _traced_run(tmp_path / "serial", capsys)
+    _, files, exports = serial
+    events = {name: len(data.splitlines()) for name, data in files.items()}
+    assert exports == [f"trace: {name}: {events[name]} events -> "
+                       f"DIR/t.{name}.jsonl" for name in ("ppt", "dctcp")]
+    assert _traced_run(tmp_path / "other", capsys, *policy) == serial
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

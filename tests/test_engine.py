@@ -690,15 +690,3 @@ def test_lazily_pulled_chain_checks_order_and_count():
     sim.schedule_chain(iter([(1e-3, int, ()), (2e-3, int, ())]), count=1)
     with pytest.raises(ValueError, match="more entries than"):
         sim.run()
-
-
-def test_uncounted_chain_claims_seqs_as_it_goes():
-    """No count: an unbounded source, whose entries take their place in
-    line when pulled rather than when the chain was declared."""
-    sim = Simulator()
-    fired = []
-    sim.schedule_chain(iter([(1e-3, fired.append, ("a",)),
-                             (2e-3, fired.append, ("b",))]))
-    sim.schedule_at(2e-3, fired.append, "declared-later")
-    sim.run()
-    assert fired == ["a", "declared-later", "b"]

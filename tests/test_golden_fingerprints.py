@@ -196,6 +196,10 @@ def measure(cell: str) -> dict:
     else:
         result = run(SCHEMES.get(scheme, scheme)(), scenario_factory())
         fct_sha256 = _fct_sha256(result.flows)
+    # the run's counts have one spelling each: RunSummary carries only
+    # the health's, so every cell must agree with the flow-list reading
+    assert result.completed == result.health.completed
+    assert result.wall_events == result.health.events_run
     out = {"fct_sha256": fct_sha256,
            "completed": result.completed,
            "wall_events": result.wall_events}

@@ -47,7 +47,7 @@ def loaded_scenario(seed=13):
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=lambda s: s.name)
 def test_scheme_completes_loaded_run(scheme):
     result = run(scheme, loaded_scenario())
-    assert result.completion_rate == 1.0, (
+    assert result.health.completion_rate == 1.0, (
         f"{scheme.name}: {result.completed}/{len(result.flows)}")
     assert result.stats.overall_avg > 0
 

@@ -1,9 +1,10 @@
-"""Parallel experiment executor: determinism, summaries, sweep wiring.
+"""Parallel experiment executor: determinism, summaries, grid wiring.
 
-The headline guarantee under test: ``sweep(..., jobs=N)`` and
-``run_grid(..., jobs=N)`` return **bit-identical** results to the serial
-path, in the same deterministic grid order — parallelism must be purely
-a wall-clock optimisation.
+The headline guarantee under test: ``run_grid(scheme_grid(...),
+jobs=N)`` returns **bit-identical** results to the serial path, in the
+same deterministic grid order — parallelism must be purely a
+wall-clock optimisation.  A cell's trace file is written where the cell
+runs, forked or not.
 """
 
 import pickle
@@ -22,8 +23,8 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import run
 from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
-from repro.experiments.sweeps import load_sweep_variants, sweep
 from repro.experiments.workers import default_jobs
+from repro.obs import load_jsonl
 from repro.transport.dctcp import Dctcp
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -38,14 +39,16 @@ def tiny_factory(load=0.4, seed=7):
 
 def tiny_tasks():
     return scheme_grid({"dctcp": Dctcp, "ppt": Ppt}, tiny_factory,
-                       load_sweep_variants([0.3, 0.5]))
+                       [{"load": 0.3}, {"load": 0.5}])
 
 
 def test_parallel_sweep_bit_identical_to_serial():
     factories = {"dctcp": Dctcp, "ppt": Ppt}
-    variants = load_sweep_variants([0.3, 0.5])
-    serial = sweep(factories, tiny_factory, variants)
-    parallel = sweep(factories, tiny_factory, variants, jobs=2)
+    variants = [{"load": load, "seed": seed}
+                for load in (0.3, 0.5) for seed in (7, 8)]
+    serial = run_grid(scheme_grid(factories, tiny_factory, variants))
+    parallel = run_grid(scheme_grid(factories, tiny_factory, variants),
+                        jobs=2)
     # same rows, same order, same stats — dataclass equality is exact
     assert parallel == serial
 
@@ -74,9 +77,8 @@ def test_summary_matches_full_result():
     assert summary.scenario == result.scenario_name
     assert summary.stats == result.stats
     assert summary.health == result.health
-    assert summary.completed == result.completed == summary.n_flows == 8
-    assert summary.wall_events == result.wall_events
-    assert summary.completion_rate == 1.0
+    assert summary.health.completed == result.completed == 8
+    assert summary.health.events_run == result.wall_events
 
 
 def test_summary_survives_pickling():
@@ -137,6 +139,19 @@ def test_progress_fires_once_per_cell_in_grid_order():
     run_grid(tiny_tasks(), jobs=2, progress=labels_parallel.append)
     assert labels_serial == labels_parallel
     assert len(labels_serial) == 4
+
+
+def test_forked_cell_writes_its_trace_file(tmp_path):
+    """The event trace never crosses the worker pipe: the cell exports
+    it where it runs, and the summary's digest counts what it wrote."""
+    path = tmp_path / "cell.jsonl"
+    task = GridTask(scheme_factory=Dctcp, scenario_factory=tiny_factory,
+                    scheme_key="dctcp", trace_out=str(path))
+    spare = GridTask(scheme_factory=Ppt, scenario_factory=tiny_factory)
+    summary, _ = run_grid([task, spare], jobs=2)
+    events = load_jsonl(path)
+    assert len(events) == summary.telemetry.events_kept > 0
+    assert summary.telemetry.flows_completed == 8
 
 
 def test_jobs_minus_one_uses_default_jobs():

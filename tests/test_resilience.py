@@ -525,6 +525,22 @@ def test_soak_rejects_non_finite_horizon_and_period(build, fragment):
         build()
 
 
+@pytest.mark.parametrize("settings", [
+    dict(checkpoint_path="x.ckpt"),
+    dict(checkpoint_every=5.0),
+    dict(checkpoint_every=math.nan, checkpoint_path="x.ckpt"),
+    dict(checkpoint_every=math.inf, checkpoint_path="x.ckpt"),
+    dict(checkpoint_every=-1.0, checkpoint_path="x.ckpt"),
+], ids=["path-only", "every-only", "every-nan", "every-inf", "every-neg"])
+def test_run_refuses_checkpoint_settings_it_would_ignore(
+        settings, tmp_path, monkeypatch):
+    """Each of these used to finish a soak and write no file."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        run(Dctcp(), soak_scenario("misuse", horizon=20.0), **settings)
+    assert os.listdir(tmp_path) == []
+
+
 # -- CLI -------------------------------------------------------------------
 
 
@@ -543,15 +559,33 @@ def test_cli_checkpoint_and_resume_roundtrip(tmp_path, capsys):
     assert capsys.readouterr().out == table
 
 
+@pytest.mark.parametrize("policy", [[], ["--jobs", "2"]],
+                         ids=["serial", "jobs-2"])
+def test_cli_checkpoints_each_scheme_to_its_own_file(
+        policy, tmp_path, capsys):
+    """Two schemes write ``c.dctcp.ckpt`` and ``c.ppt.ckpt``, and each
+    resumes to its own row of the straight-through table."""
+    from repro.cli import main
+    base = ["run", "--schemes", "dctcp", "ppt", "--soak", "20",
+            "--seed", "3"]
+    assert main(base) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert main(base + policy + ["--checkpoint", str(tmp_path / "c.ckpt"),
+                                 "--checkpoint-every", "5.0"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == rows
+    assert sorted(os.listdir(tmp_path)) == ["c.dctcp.ckpt", "c.ppt.ckpt"]
+    for name, row in zip(("dctcp", "ppt"), rows):
+        assert main(["run", "--resume", str(tmp_path / f"c.{name}.ckpt")]) \
+            == 0
+        resumed, = capsys.readouterr().out.splitlines()[2:]
+        assert resumed.split() == row.split()
+
+
 def test_cli_checkpoint_flag_validation(capsys):
     from repro.cli import main
     # needs --checkpoint-every
     assert main(["run", "--schemes", "dctcp", "--flows", "8",
                  "--checkpoint", "/tmp/x.ckpt"]) == 2
-    # one checkpoint file describes one run
-    assert main(["run", "--schemes", "dctcp", "ppt", "--flows", "8",
-                 "--checkpoint", "/tmp/x.ckpt",
-                 "--checkpoint-every", "0.1"]) == 2
     # a missing checkpoint is a clean error, not a traceback
     assert main(["run", "--resume", "/tmp/definitely-missing.ckpt"]) == 2
 

@@ -26,7 +26,7 @@ def tiny_scenario(n_flows=20, **kwargs):
 
 def test_run_completes_all_flows():
     result = run(Dctcp(), tiny_scenario())
-    assert result.completion_rate == 1.0
+    assert result.health.completion_rate == 1.0
     assert result.stats.n_flows == 20
     assert result.scheme_name == "dctcp"
     assert "dctcp" in result.summary()
@@ -56,8 +56,8 @@ def test_run_different_seeds_differ():
 
 def test_two_pass_same_flows():
     base, hypo = two_pass(tiny_scenario())
-    assert base.completion_rate == 1.0
-    assert hypo.completion_rate == 1.0
+    assert base.health.completion_rate == 1.0
+    assert hypo.health.completion_rate == 1.0
     assert [f.size for f in base.flows] == [f.size for f in hypo.flows]
 
 

@@ -125,8 +125,6 @@ def test_retransmit_counters_harvested():
     h = result.health
     assert h.completed == 2
     assert h.retransmits_total > 0
-    assert h.retransmits_total == sum(h.retransmits_by_flow.values())
-    assert set(h.retransmits_by_flow) == {0, 1}
     assert h.fault_drops > 0
 
 

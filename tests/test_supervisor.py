@@ -49,8 +49,8 @@ VARIANTS = [{"seed": 1}, {"seed": 2}, {"seed": 3}]
 
 
 def summary_fingerprint(summary):
-    return (summary.scheme, summary.completed, summary.n_flows,
-            summary.wall_events, repr(summary.stats.overall_avg))
+    return (summary.scheme, summary.health.completed, summary.health.n_flows,
+            summary.health.events_run, repr(summary.stats.overall_avg))
 
 
 def failed_cells(results):

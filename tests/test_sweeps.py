@@ -1,8 +1,7 @@
-"""Tests for the sweep helpers."""
+"""Tests for a parameter sweep: a scheme grid over scenario variants."""
 
 from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
-from repro.experiments.parallel import RunSummary
-from repro.experiments.sweeps import load_sweep_variants, sweep
+from repro.experiments.parallel import RunSummary, run_grid, scheme_grid
 from repro.transport.dctcp import Dctcp
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -14,28 +13,26 @@ def tiny_factory(load=0.4):
                                             hosts_per_leaf=2))
 
 
-def test_load_sweep_variants():
-    assert load_sweep_variants([0.4, 0.6]) == [{"load": 0.4}, {"load": 0.6}]
-
-
 def test_sweep_runs_grid():
     progress = []
-    summaries = sweep({"dctcp": Dctcp}, tiny_factory,
-                      load_sweep_variants([0.3, 0.5]),
-                      progress=progress.append)
+    summaries = run_grid(
+        scheme_grid({"dctcp": Dctcp}, tiny_factory,
+                    [{"load": 0.3}, {"load": 0.5}]),
+        progress=progress.append)
     assert len(summaries) == 2
-    assert len(progress) == 2
+    assert progress == ["dctcp @ {'load': 0.3}", "dctcp @ {'load': 0.5}"]
     for summary in summaries:
         assert isinstance(summary, RunSummary)
         assert summary.scheme == "dctcp"
-        assert summary.completed == 10
+        assert summary.health.completed == 10
         assert summary.stats.overall_avg > 0
 
 
 def test_sweep_point_row_flattens():
     """One point of a sweep is a ``RunSummary``; its row is the scheme,
     the variant and the FCT numbers, flat."""
-    summary, = sweep({"dctcp": Dctcp}, tiny_factory, [{"load": 0.4}])
+    summary, = run_grid(scheme_grid({"dctcp": Dctcp}, tiny_factory,
+                                    [{"load": 0.4}]))
     row = summary.row()
     assert row["scheme"] == "dctcp"
     assert row["load"] == 0.4
