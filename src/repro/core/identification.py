@@ -13,7 +13,8 @@ This module provides:
 * :func:`identify_large` — the kernel-side check itself,
 * application *write models* reproducing the first-syscall behaviour of
   Memcached-style and HTTP-server-style applications, used by the §4.1
-  accuracy experiment (``benchmarks/bench_identification_accuracy.py``).
+  accuracy experiment (claims ``sec41-*`` of
+  :mod:`repro.experiments.claims`).
 """
 
 from __future__ import annotations

@@ -1,0 +1,388 @@
+"""The paper's evaluation claims as data: one row per checked comparison.
+
+``benchmarks/bench_claims.py`` runs each figure driver once at its
+default scale and checks every row as its own test;
+``tests/test_claims.py`` holds the table to the recorded figure rows
+without running a driver.
+
+A claim compares two cells of one driver's rows, ``lhs OP bound x rhs``,
+or one cell with a constant, ``lhs OP bound``.  A cell is a metric of
+the one row its selector picks (every ``(column, value)`` pair of the
+selector matches).  A claim the paper makes "at every load" or "below
+every other scheme" is one row per load or per scheme.  ``paper`` is
+what the paper states; ``note`` is the known deviation behind a bound
+looser than the paper's (EXPERIMENTS.md has the full account).  A claim
+the reproduction fails today is listed in :data:`RED` with its two
+numbers, and its ``xfail`` reason quotes them.
+
+Nothing here runs a simulation, and ``import repro`` does not load this
+module.
+"""
+
+from __future__ import annotations
+
+import itertools
+import operator
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+Pairs = Tuple[Tuple[str, object], ...]
+
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+       ">=": operator.ge, "==": operator.eq}
+
+
+class Cell(NamedTuple):
+    where: Pairs    # (column, value) pairs picking exactly one row
+    metric: str     # the column read from that row
+
+
+class Claim(NamedTuple):
+    id: str
+    figure: str                 # a ``cli.FIGURES`` key
+    paper: str
+    lhs: Cell
+    op: str                     # a key of OPS
+    bound: float
+    rhs: Optional[Cell] = None  # None: ``bound`` is a constant
+    kwargs: Pairs = ()          # the driver's keyword arguments
+    note: str = ""
+    xfail: str = ""
+
+
+def _at(metric: str, scheme: Optional[str] = None, **columns) -> Cell:
+    where = (("scheme", scheme),) if scheme else ()
+    return Cell(where + tuple(columns.items()), metric)
+
+
+def _vs(figure: str, name: str, paper: str, metric: str, op: str,
+        bound: float, lhs: str, others, *, kwargs: Pairs = (),
+        note: str = "", **columns) -> List[Claim]:
+    """``lhs``'s ``metric`` OP ``bound`` x each of ``others``', one claim
+    per scheme (``{figure}-{name}-{scheme}``), on the rows ``columns``
+    pick."""
+    return [Claim(f"{figure}-{name}-{other}", figure, paper,
+                  _at(metric, lhs, **columns), op, bound,
+                  _at(metric, other, **columns), kwargs, note)
+            for other in others]
+
+
+# the §6.2 comparison set but PPT
+_SIM_OTHERS = ("ndp", "aeolus", "homa", "rc3", "dctcp")
+_WORKLOADS = (("ws", "web-search"), ("dm", "data-mining"))
+
+
+def _table() -> List[Claim]:
+    claims: List[Claim] = []
+    add = claims.extend
+
+    paper = ("at 0.5 load DCTCP's bottleneck utilisation oscillates "
+             "between ~25% and ~50%")
+    add([Claim("fig01-used", "fig01", paper,
+               _at("avg_utilization", "dctcp"), ">", 0.2),
+         Claim("fig01-dips", "fig01", paper,
+               _at("min_utilization", "dctcp"), "<", 0.3,
+               _at("ideal", "dctcp")),
+         Claim("fig01-peaks", "fig01", paper,
+               _at("max_utilization", "dctcp"), ">", 0.9)])
+
+    paper = ("the hypothetical DCTCP cuts the overall average FCT by 33% "
+             "vs Homa and 40% vs NDP")
+    add(_vs("fig02", "overall", paper, "overall_avg_ms", "<", 1.0,
+            "hypothetical-dctcp", ["dctcp"]))
+    add(_vs("fig02", "overall", paper, "overall_avg_ms", "<=", 1.05,
+            "hypothetical-dctcp", ["homa"], note=(
+                "deviation 1: our Homa (ideal grant path) lands at parity, "
+                "so 'no worse'; our NDP is stronger than the paper's and is "
+                "not compared")))
+
+    paper = ("filling beyond 1x MW bursts and loses packets (up to 6x "
+             "FCT); filling to 0.5x wastes capacity (+56%)")
+    for low, bound in ((1.0, 1.05), (0.5, 1.10)):
+        add([Claim(f"fig03-overfill-{low}", "fig03", paper,
+                   _at("overall_avg_ms", fill_factor=1.5), ">", bound,
+                   _at("overall_avg_ms", fill_factor=low),
+                   kwargs=(("factors", (0.5, 1.0, 1.5)),), note=(
+                       "deviation 4: on tail-drop buffers; the underfill "
+                       "penalty is muted"))])
+
+    paper = ("PPT has the lowest overall average FCT at every load and far "
+             "better small-flow average/tail than RC3, DCTCP and "
+             "Homa-Linux (up to 84.5%/96.8% lower)")
+    band = ("the paper's reductions vs Homa-Linux are best-case: 'no worse' "
+            "within 2% (avg) / 35% (tail)")
+    for tag, workload in _WORKLOADS:
+        kwargs = (("workload", workload),)
+        for load in (0.5, 0.7):
+            at = dict(kwargs=kwargs, load=load)
+            add(_vs("fig08", f"{tag}-{load}-overall", paper,
+                    "overall_avg_ms", "<", 1.0, "ppt",
+                    ["homa", "rc3", "dctcp"], **at))
+            for metric, short, bound in (("small_avg_ms", "small-avg", 1.02),
+                                         ("small_p99_ms", "small-p99", 1.35)):
+                add(_vs("fig08", f"{tag}-{load}-{short}", paper, metric, "<",
+                        1.0, "ppt", ["rc3", "dctcp"], **at))
+                add(_vs("fig08", f"{tag}-{load}-{short}", paper, metric, "<=",
+                        bound, "ppt", ["homa"], note=band, **at))
+
+    paper = ("under 14-to-1 incast PPT has the lowest overall average and "
+             "protects small flows while RC3's LP flood collapses; large "
+             "flows are not starved")
+    for tag, workload in _WORKLOADS:
+        kwargs = (("workload", workload),)
+        add(_vs("fig10", f"{tag}-overall", paper, "overall_avg_ms", "<", 1.0,
+                "ppt", ["dctcp", "homa"], kwargs=kwargs))
+        add(_vs("fig10", f"{tag}-small-avg", paper, "small_avg_ms", "<", 1.0,
+                "ppt", ["dctcp", "rc3"], kwargs=kwargs))
+        add(_vs("fig10", f"{tag}-small-p99", paper, "small_p99_ms", "<", 1.0,
+                "ppt", ["dctcp"], kwargs=kwargs))
+        add(_vs("fig10", f"{tag}-large", paper, "large_avg_ms", "<=", 1.15,
+                "ppt", ["homa", "rc3", "dctcp"], kwargs=kwargs,
+                note="within 15% of the best large-flow average"))
+
+    paper = ("PPT has the lowest overall average FCT (38.5-87.5% lower on "
+             "web search), a small-flow tail 75-77% below RC3's and "
+             "DCTCP's, and never starves large flows")
+    parity = ("deviation 1: our Homa/Aeolus (ideal grant path) are tougher "
+              "than the paper's, so within 10%")
+    for tag, workload in _WORKLOADS:
+        kwargs = (("workload", workload),)
+        add(_vs("fig12", f"{tag}-overall", paper, "overall_avg_ms", "<", 1.0,
+                "ppt", ["rc3", "dctcp"], kwargs=kwargs))
+        add(_vs("fig12", f"{tag}-overall", paper, "overall_avg_ms", "<=",
+                1.10, "ppt", ["homa", "aeolus"], kwargs=kwargs, note=parity))
+        add(_vs("fig12", f"{tag}-small-p99", paper, "small_p99_ms", "<",
+                1 / 3, "ppt", ["rc3", "dctcp"], kwargs=kwargs))
+        add(_vs("fig12", f"{tag}-small-avg", paper, "small_avg_ms", "<", 1.0,
+                "ppt", ["rc3", "dctcp"], kwargs=kwargs))
+        add(_vs("fig12", f"{tag}-large", paper, "large_avg_ms", "<", 1.02,
+                "ppt", ["dctcp"], kwargs=kwargs))
+        add(_vs("fig12", f"{tag}-large", paper, "large_avg_ms", "<", 1.10,
+                "ppt", ["homa"], kwargs=kwargs, note=parity))
+
+    paper = ("PPT's design on a Swift-like transport cuts the overall "
+             "average by 16.7%, the small avg/tail by 56.5%/72.1% and the "
+             "large average by 11%")
+    for metric, short, bound in (("overall_avg_ms", "overall", 1.0),
+                                 ("small_avg_ms", "small-avg", 1.0),
+                                 ("small_p99_ms", "small-p99", 1.0),
+                                 ("large_avg_ms", "large", 1.02)):
+        add(_vs("fig14", short, paper, metric, "<", bound, "ppt-swift",
+                ["swift"]))
+
+    muted = ("deviation 5: dynamic-threshold buffers already stop a blind "
+             "LCP, so the ablation is muted")
+    paper = ("without ECN for the LCP loop the overall average is 18.9% "
+             "slower and the small avg/tail 59.6%/78.4% slower")
+    add(_vs("fig15", "overall", paper, "overall_avg_ms", ">=", 0.97,
+            "ppt-noecn", ["ppt"], note=muted))
+    add(_vs("fig15", "small-p99", paper, "small_p99_ms", ">=", 0.95,
+            "ppt-noecn", ["ppt"], note=muted))
+
+    paper = ("without EWD the overall average is 26% longer and the small "
+             "avg/tail 63.5%/85.8% longer")
+    for metric, short, op, bound in (
+            ("overall_avg_ms", "overall", ">", 1.02),
+            ("large_avg_ms", "large", ">", 1.02),
+            ("small_avg_ms", "small-avg", ">=", 0.95)):
+        add(_vs("fig16", short, paper, metric, op, bound, "ppt-noewd",
+                ["ppt"], note=muted))
+
+    paper = ("scheduling is worth 26% on the overall average and 66%/51.2% "
+             "on the small avg/tail")
+    for metric, short, bound in (("overall_avg_ms", "overall", 1.05),
+                                 ("small_avg_ms", "small-avg", 2.0),
+                                 ("small_p99_ms", "small-p99", 2.0)):
+        add(_vs("fig17", short, paper, metric, ">", bound, "ppt-nosched",
+                ["ppt"]))
+
+    paper = ("without identification the small avg/tail lose 4.3%/31.9%; "
+             "the overall average can be slightly lower")
+    add(_vs("fig18", "small-p99", paper, "small_p99_ms", ">", 1.1,
+            "ppt-noident", ["ppt"]))
+    add(_vs("fig18", "small-avg", paper, "small_avg_ms", ">=", 1.0,
+            "ppt-noident", ["ppt"]))
+
+    paper = ("PPT's CPU usage exceeds DCTCP's by under 1 percentage point, "
+             "and the relative gap shrinks as the load grows")
+    proxy = "the CPU is a proxy: datapath operations per host per second"
+    for load in (0.3, 0.5, 0.7):
+        add([Claim(f"fig19-{load}-gap", "fig19", paper,
+                   _at("gap_pct", load=load), "<", 2.5, note=proxy),
+             Claim(f"fig19-{load}-ppt-dctcp", "fig19", paper,
+                   _at("ppt_cpu_pct", load=load), ">=", 0.95,
+                   _at("dctcp_cpu_pct", load=load), note=proxy)])
+
+    paper = ("PPT and the hypothetical DCTCP hold utilisation near the "
+             "ideal 50% while DCTCP dips (PPT's average 15% higher)")
+    add(_vs("fig20", "ppt", paper, "avg_utilization", ">", 1.0, "ppt",
+            ["dctcp"]))
+    add(_vs("fig20", "hypothetical", paper, "avg_utilization", ">", 1.0,
+            "hypothetical", ["dctcp"]))
+    add(_vs("fig20", "ppt", paper, "avg_utilization", ">=", 0.85, "ppt",
+            ["hypothetical"]))
+
+    paper = ("PPT has the best average FCT, at least 25% below every other "
+             "scheme, and a far better tail than Homa/Aeolus (line-rate "
+             "first RTT) and RC3 (LP flood)")
+    add(_vs("fig21", "small-avg", paper, "small_avg_ms", "<=", 1.0, "ppt",
+            _SIM_OTHERS))
+    add(_vs("fig21", "small-p99", paper, "small_p99_ms", "<", 1.0, "ppt",
+            ["homa", "aeolus", "rc3", "ndp"]))
+    add(_vs("fig21", "small-p99", paper, "small_p99_ms", "<=", 1.3, "ppt",
+            ["dctcp"], note="deviation 3: our DCTCP's tail is competitive"))
+
+    paper = ("at 100G/400G PPT keeps the lowest overall average (42.8-84.2% "
+             "lower) and the best large-flow average; PPT's small tail is "
+             "slightly worse than Homa's")
+    add(_vs("fig22", "overall", paper, "overall_avg_ms", "<=", 1.0, "ppt",
+            _SIM_OTHERS))
+    add(_vs("fig22", "large", paper, "large_avg_ms", "<=", 1.02, "ppt",
+            _SIM_OTHERS))
+    add(_vs("fig22", "small-p99", paper, "small_p99_ms", "<=", 1.5, "ppt",
+            ["homa"]))
+
+    paper = ("under heavy incast PPT degrades gracefully to DCTCP, beats "
+             "Homa and Aeolus, and is comparable to NDP")
+    for ratio in (8, 16, 31):
+        add(_vs("fig23", f"N{ratio}-tracks", paper, "overall_avg_ms", "<=",
+                1.45, "ppt", ["dctcp"], incast_ratio=ratio))
+    add(_vs("fig23", "N31", paper, "overall_avg_ms", "<=", 1.2, "ppt",
+            ["ndp"], incast_ratio=31))
+    add(_vs("fig23", "N31", paper, "overall_avg_ms", "<=", 1.0, "ppt",
+            ["dctcp"], incast_ratio=31))
+
+    paper = ("at every 20-80% LP-buffer cap PPT beats RC3: up to 71% lower "
+             "overall and 73%/75% lower small avg/tail")
+    for fraction in (0.2, 0.5, 0.8):
+        for metric, short in (("overall_avg_ms", "overall"),
+                              ("small_avg_ms", "small-avg"),
+                              ("small_p99_ms", "small-p99")):
+            add([Claim(f"fig24-{fraction}-{short}", "fig24", paper,
+                       _at(metric, "ppt"), "<", 1.0,
+                       _at(metric, "rc3", lp_buffer_fraction=fraction))])
+
+    paper = ("PPT cuts the overall average by 24.6% vs PIAS and 4.7% vs "
+             "HPCC; its tail is 38.2% below HPCC's")
+    add(_vs("fig25", "overall", paper, "overall_avg_ms", "<", 1.0, "ppt",
+            ["hpcc"]))
+    add(_vs("fig25", "overall", paper, "overall_avg_ms", "<=", 1.02, "ppt",
+            ["pias"], note="deviation 6: the PIAS margin is thinner"))
+    add(_vs("fig25", "small-p99", paper, "small_p99_ms", "<", 1.0, "ppt",
+            ["hpcc"]))
+    add(_vs("fig25", "large", paper, "large_avg_ms", "<", 1.0, "ppt",
+            ["hpcc"]))
+
+    paper = ("on the non-oversubscribed fabric PPT keeps the best overall "
+             "and large-flow averages; its small tail can be up to 37.5% "
+             "worse than the proactive schemes'")
+    add(_vs("fig26", "overall", paper, "overall_avg_ms", "<=", 1.0, "ppt",
+            _SIM_OTHERS))
+    add(_vs("fig26", "large", paper, "large_avg_ms", "<=", 1.05, "ppt",
+            _SIM_OTHERS))
+    add(_vs("fig26", "small-p99", paper, "small_p99_ms", "<=", 1.4, "ppt",
+            ["ndp", "aeolus", "homa"]))
+
+    paper = ("small-flow FCTs stay strong even with a 128KB send buffer; a "
+             "couple of MB gives full performance")
+    sizes = {128_000: "128KB", 2_000_000: "2MB", 2_000_000_000: "2GB"}
+    for metric, short, bound in (("small_avg_ms", "small-avg", 1.5),
+                                 ("overall_avg_ms", "overall", 1.25)):
+        add([Claim(f"fig27-{short}-{sizes[a]}-{sizes[b]}", "fig27", paper,
+                   _at(metric, send_buffer=a), "<=", bound,
+                   _at(metric, send_buffer=b), note=(
+                       "deviation 7: 128KB is marginally better, not worse"))
+             for a, b in itertools.permutations(sizes, 2)])
+
+    paper = ("PPT needs ~20% less buffer than RC3, its LP queue holds "
+             "2.6-3.1% of the buffer vs RC3's 17.4-30.2%, and it uses "
+             "10.8-17.4% more than DCTCP")
+    for fraction in (0.6, 0.8):
+        add(_vs("fig28", f"{fraction}-total", paper, "avg_total_bytes", "<",
+                1.0, "ppt", ["rc3"], ecn_fraction=fraction))
+        add(_vs("fig28", f"{fraction}-low", paper, "avg_low_bytes", "<", 1.0,
+                "ppt", ["rc3"], ecn_fraction=fraction))
+        add(_vs("fig28", f"{fraction}-total", paper, "avg_total_bytes", ">",
+                1.0, "ppt", ["dctcp"], ecn_fraction=fraction))
+        add([Claim(f"fig28-{fraction}-dctcp-low", "fig28", paper,
+                   _at("avg_low_bytes", "dctcp", ecn_fraction=fraction),
+                   "==", 0.0)])
+
+    paper = ("PPT's transfer efficiency is comparable to DCTCP's and "
+             "14.6-18.4% above RC3's; RC3's LP efficiency is ~50% below "
+             "PPT's")
+    for fraction in (0.6, 0.8):
+        add(_vs("fig29", f"{fraction}-eff", paper, "overall_efficiency", ">=",
+                0.98, "dctcp", ["ppt"], ecn_fraction=fraction))
+        add(_vs("fig29", f"{fraction}-eff", paper, "overall_efficiency", ">",
+                1.0, "ppt", ["rc3"], ecn_fraction=fraction))
+    add(_vs("fig29", "0.8-lp-eff", paper, "lp_efficiency", ">", 1.0, "ppt",
+            ["rc3"], ecn_fraction=0.8))
+
+    paper = ("the first-syscall test identifies 86.7% of >1KB Memcached "
+             "(ETC) flows and 84.3% of >10KB web-server flows")
+    for app, short, floor, ceiling in (("memcached (ETC)", "memcached",
+                                        0.80, 0.93),
+                                       ("web server (HTTP)", "web",
+                                        0.78, 0.92)):
+        add([Claim(f"sec41-{short}-floor", "sec41", paper,
+                   _at("accuracy", application=app), ">=", floor),
+             Claim(f"sec41-{short}-ceiling", "sec41", paper,
+                   _at("accuracy", application=app), "<=", ceiling)])
+    return claims
+
+
+def _label(cell: Cell) -> str:
+    """``cell`` as an account names it: selector values, then metric."""
+    return " ".join([*(str(value) if column == "scheme"
+                       else f"{column}={value}"
+                       for column, value in cell.where), cell.metric])
+
+
+def _read(rows: List[dict], cell: Cell):
+    """The value of ``cell`` in a driver's rows."""
+    picked = [row for row in rows
+              if all(row.get(column) == value
+                     for column, value in cell.where)]
+    if len(picked) != 1:
+        raise LookupError(f"{_label(cell)}: {len(picked)} rows match")
+    return picked[0][cell.metric]
+
+
+def _account(claim: Claim, lhs: float, rhs: Optional[float] = None,
+             holds: bool = True) -> str:
+    """One line stating ``claim`` with its numbers (``!`` when it fails),
+    the form a strict-xfail reason quotes."""
+    op = claim.op if holds else "!" + claim.op
+    text = f"{_label(claim.lhs)} {lhs:.4g} {op} {claim.bound:.4g}"
+    if claim.rhs is not None:
+        text += f" x {_label(claim.rhs)} {rhs:.4g}"
+    return text
+
+
+def evaluate(claim: Claim, rows: List[dict]) -> Tuple[bool, str]:
+    """Whether ``claim`` holds on a driver's rows, and its account."""
+    lhs = _read(rows, claim.lhs)
+    if claim.rhs is None:
+        rhs, limit = None, claim.bound
+    else:
+        rhs = _read(rows, claim.rhs)
+        limit = claim.bound * rhs
+    holds = OPS[claim.op](lhs, limit)
+    return holds, _account(claim, lhs, rhs, holds)
+
+
+# Claims the reproduction fails at its default scale today, with the two
+# numbers each fails on; ROADMAP item 6 bisects them.
+RED: Dict[str, Tuple[float, float]] = {
+    "fig02-overall-dctcp": (0.4399, 0.4383),
+    "fig02-overall-homa": (0.4399, 0.3902),
+    "fig03-overfill-1.0": (0.1999, 0.2028),
+    "fig08-ws-0.7-small-p99-homa": (0.5061, 0.3313),
+    "fig22-large-rc3": (0.4874, 0.412),
+    "fig23-N31-ndp": (0.3197, 0.2657),
+}
+
+CLAIMS: Tuple[Claim, ...] = tuple(
+    claim._replace(xfail="ROADMAP item 6: " + _account(
+        claim, *RED[claim.id], holds=False)) if claim.id in RED else claim
+    for claim in _table())

@@ -230,15 +230,20 @@ def fig10_11_testbed_14to1(workload: str = "web-search",
                                  n_flows=n_flows, pattern="incast"))
 
 
-def fig12_13_largescale(workload: str = "web-search", *, load: float = 0.5,
-                        n_flows: int = 150,
-                        fabric: Optional[Callable] = None) -> dict:
-    """Figs. 12/13: the six-scheme comparison on the oversubscribed fabric."""
-    cdf = WORKLOADS[workload]
+def _largescale(name: str, cdf, *, load: float, n_flows: int,
+                fabric: Optional[Callable] = None) -> dict:
+    """The six-scheme comparison of Figs. 12/13, 22 and 26."""
     return _fct_table(
         sim_schemes(),
-        lambda: all_to_all_scenario(f"fig12-{workload}", cdf, load=load,
-                                    n_flows=n_flows, fabric=fabric))
+        lambda: all_to_all_scenario(name, cdf, load=load, n_flows=n_flows,
+                                    fabric=fabric))
+
+
+def fig12_13_largescale(workload: str = "web-search", *, load: float = 0.5,
+                        n_flows: int = 150) -> dict:
+    """Figs. 12/13: the six-scheme comparison on the oversubscribed fabric."""
+    return _largescale(f"fig12-{workload}", WORKLOADS[workload], load=load,
+                       n_flows=n_flows)
 
 
 def fig14_delay_based(*, load: float = 0.5, n_flows: int = 150) -> dict:
@@ -317,8 +322,8 @@ def fig21_memcached(*, load: float = 0.5, n_flows: int = 20_000) -> dict:
 
 def fig22_100_400g(*, load: float = 0.5, n_flows: int = 150) -> dict:
     """Fig. 22: FCT statistics at 100G edge / 400G core line rates."""
-    return fig12_13_largescale("web-search", load=load, n_flows=n_flows,
-                               fabric=sim_fabric_100_400g())
+    return _largescale("fig22", WEB_SEARCH, load=load, n_flows=n_flows,
+                       fabric=sim_fabric_100_400g())
 
 
 def fig23_incast_sweep(*, ratios: Sequence[int] = (8, 16, 31),
@@ -365,8 +370,8 @@ def fig25_pias_hpcc(*, load: float = 0.5, n_flows: int = 150) -> dict:
 
 def fig26_non_oversubscribed(*, load: float = 0.5, n_flows: int = 150) -> dict:
     """Appendix E: the proactive-friendly fully-provisioned fabric."""
-    return fig12_13_largescale("web-search", load=load, n_flows=n_flows,
-                               fabric=sim_fabric_non_oversubscribed())
+    return _largescale("fig26", WEB_SEARCH, load=load, n_flows=n_flows,
+                       fabric=sim_fabric_non_oversubscribed())
 
 
 def fig27_send_buffer(*, sizes: Sequence[int] = (128_000, 2_000_000,

@@ -198,6 +198,22 @@ def test_fig22_26_smoke(name):
     assert len(result["rows"]) == 6
 
 
+def test_large_scale_figures_name_their_own_scenarios(monkeypatch):
+    """Figs 22 and 26 run Fig 12's six schemes on other fabrics, under
+    their own scenario names (they once ran as ``fig12-web-search``)."""
+    names = []
+
+    def fct_table(_schemes, scenario_factory):
+        names.append(scenario_factory().name)
+        return {"rows": []}
+
+    monkeypatch.setattr(figures, "_fct_table", fct_table)
+    figures.fig12_13_largescale("data-mining")
+    figures.fig22_100_400g()
+    figures.fig26_non_oversubscribed()
+    assert names == ["fig12-data-mining", "fig22", "fig26"]
+
+
 def test_fig23_smoke():
     result = smoke("fig23")
     assert_rows(result, ["scheme", "incast_ratio", "overall_avg_ms"])
