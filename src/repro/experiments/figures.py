@@ -29,7 +29,6 @@ from ..core.identification import (
 )
 from ..core.ppt import Ppt
 from ..metrics.cpu import collect_cpu
-from ..metrics.efficiency import collect_efficiency
 from ..metrics.probe import Probe
 from ..transport.base import Scheme
 from ..transport.homa import Homa
@@ -432,10 +431,9 @@ def fig29_transfer_efficiency(*, fractions: Sequence[float] = (0.6, 0.8),
             res = run(SCHEMES[name](), _ecn_fraction_scenario(
                 f"fig29-{name}-{fraction}", fraction, load=load,
                 n_flows=n_flows))
-            eff = collect_efficiency(res.topology.network)
             rows.append({"scheme": name, "ecn_fraction": fraction,
-                         "overall_efficiency": eff.overall,
-                         "lp_efficiency": eff.low_priority})
+                         "overall_efficiency": res.table.efficiency(),
+                         "lp_efficiency": res.table.efficiency(lp=True)})
     return {"rows": rows}
 
 

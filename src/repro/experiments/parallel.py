@@ -40,8 +40,9 @@ the full result drags the live :class:`~repro.sim.network.Network`,
 :class:`~repro.sim.topology.Topology` and every endpoint along — none of
 which survive pickling (and shipping a few hundred megabytes of
 simulator state across a pipe would erase the speedup).  The summary
-keeps what every sweep consumer actually reads: FCT statistics and
-run health (completion counts and the event total included).
+keeps what every sweep consumer actually reads: FCT statistics, the
+per-flow :class:`~repro.metrics.flowtable.FlowTable` and run health
+(completion counts and the event total included).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..metrics.fct import FctStats
+from ..metrics.flowtable import FlowTable
 from ..obs.telemetry import TelemetrySummary
 from ..transport.base import Scheme
 from ..validate import ValidationReport
@@ -79,6 +81,7 @@ class RunSummary:
     scenario: str
     params: Dict[str, object]
     stats: FctStats
+    table: FlowTable
     health: RunHealth
     telemetry: Optional[TelemetrySummary] = None
     # The invariant auditor's report when the cell ran validated; plain
@@ -96,6 +99,7 @@ class RunSummary:
             scenario=result.scenario_name,
             params=dict(params or {}),
             stats=result.stats,
+            table=result.table,
             health=result.health,
             telemetry=(result.telemetry.summary()
                        if result.telemetry is not None else None),

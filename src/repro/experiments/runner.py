@@ -31,11 +31,12 @@ import gc
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from ..core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
 from ..faults.plan import ActiveFaults, FaultPlan
 from ..metrics.fct import FctStats
+from ..metrics.flowtable import FlowTable
 from ..obs.hooks import chain
 from ..obs.telemetry import Telemetry
 from ..resilience.checkpoint import (
@@ -154,6 +155,8 @@ class RunResult:
     scenario_name: str
     flows: List[Flow]
     stats: FctStats
+    # one row per pulled flow: FCT and per-flow transport counters
+    table: FlowTable
     topology: Topology
     ctx: TransportContext
     wall_events: int
@@ -205,37 +208,6 @@ def _progress_signature(ctx: TransportContext, network: Network) -> tuple:
         return (len(ctx.completed), delivered, endpoints,
                 hybrid.progress_probe(network.sim.now))
     return (len(ctx.completed), delivered, endpoints)
-
-
-def _endpoint_counters(
-        network: Network,
-) -> Tuple[Dict[int, int], Dict[int, int], Dict[int, int]]:
-    """The one walk over live transport endpoints: three flow-id keyed
-    dicts — retransmits, RTOs, packets transmitted — summed over each
-    flow's endpoints that keep such counters.
-
-    Ints in flat dicts, not a record per flow: the drain has just
-    re-enabled GC with the whole run graph still in the young
-    generation, and a burst of tracked containers here buys a
-    generation-1 pass over all of it inside ``run()``."""
-    rtx_by_flow: Dict[int, int] = {}
-    rtos_by_flow: Dict[int, int] = {}
-    tx_by_flow: Dict[int, int] = {}
-    seen = set()
-    for host in network.hosts.values():
-        for flow_id, endpoint in host.endpoints.items():
-            if id(endpoint) in seen:
-                continue
-            seen.add(id(endpoint))
-            rtx = getattr(endpoint, "pkts_retransmitted", None)
-            if rtx is None:
-                continue
-            rtx_by_flow[flow_id] = rtx_by_flow.get(flow_id, 0) + rtx
-            rtos_by_flow[flow_id] = (rtos_by_flow.get(flow_id, 0)
-                                     + getattr(endpoint, "rtos_fired", 0))
-            tx_by_flow[flow_id] = (tx_by_flow.get(flow_id, 0)
-                                   + getattr(endpoint, "pkts_transmitted", 0))
-    return rtx_by_flow, rtos_by_flow, tx_by_flow
 
 
 def _resolve_observe(observe: Union[None, bool, Telemetry]) -> Optional[Telemetry]:
@@ -464,9 +436,9 @@ def _assemble(
 
 
 def _harvest(state: RunState, health: RunHealth) -> RunResult:
-    """Lifecycle step 3: read a drained run's books into ``health``
-    (engine counters, the endpoint walk), finalize telemetry and
-    auditor, build the :class:`RunResult`."""
+    """Lifecycle step 3: read a drained run's books — engine counters
+    into ``health``, flows and endpoints into one :class:`FlowTable` —
+    finalize telemetry and auditor, build the :class:`RunResult`."""
     topo, ctx, flows = state.topo, state.ctx, state.flows
     telemetry, auditor = state.telemetry, state.auditor
     sim = topo.sim
@@ -475,13 +447,12 @@ def _harvest(state: RunState, health: RunHealth) -> RunResult:
     health.sim_time = sim.now
     health.live_pending = sim.live_pending
     health.peak_pending = sim.peak_pending
-    counters = _endpoint_counters(topo.network)
-    rtx_by_flow, rtos_by_flow, _tx = counters
-    health.retransmits_total = sum(rtx_by_flow.values())
-    health.rtos_total = sum(rtos_by_flow.values())
+    table = FlowTable.harvest(flows, topo.network)
+    health.retransmits_total = sum(table.retransmits)
+    health.rtos_total = sum(table.rtos)
     if telemetry is not None:
-        telemetry.finalize(topo.network, flows, counters)
-    validation = auditor.finalize(flows) if auditor is not None else None
+        telemetry.finalize(topo.network, table)
+    validation = auditor.finalize() if auditor is not None else None
 
     stats = FctStats.from_flows(flows)
     return RunResult(
@@ -489,6 +460,7 @@ def _harvest(state: RunState, health: RunHealth) -> RunResult:
         scenario_name=state.scenario_name,
         flows=flows,
         stats=stats,
+        table=table,
         topology=topo,
         ctx=ctx,
         wall_events=sim.events_run,

@@ -8,8 +8,10 @@ A :class:`Telemetry` instance gives a run three things at once:
   :mod:`repro.sim.queues`, :mod:`repro.transport.window`,
   :mod:`repro.faults.injectors` and :mod:`repro.experiments.runner`;
 * **counter snapshots** — per-port :class:`~repro.sim.queues.QueueStats`
-  and per-flow transport counters harvested once at drain end, so the
-  rollup never disagrees with the counters the simulator keeps anyway;
+  and the column sums of the run's
+  :class:`~repro.metrics.flowtable.FlowTable`, harvested once at drain
+  end, so the rollup never disagrees with the counters the simulator
+  keeps anyway;
 * a **wall-clock profile** — events and elapsed seconds per drain
   slice, the events/sec trajectory the ``bench_core_engine`` benchmark
   tracks across commits.
@@ -229,7 +231,8 @@ class Telemetry:
         self.attached = False
         # harvested at finalize()
         self.port_counters: Dict[str, Dict[str, int]] = {}
-        self.flow_counters: Dict[int, Dict[str, object]] = {}
+        self.retransmits = 0
+        self.rtos = 0
         self.pauses_sent = 0
         self.pauses_received = 0
         self.pause_seconds = 0.0
@@ -304,14 +307,11 @@ class Telemetry:
 
     # -- harvest -----------------------------------------------------------
 
-    def finalize(self, network, flows, endpoint_counters) -> None:
-        """Snapshot per-port and per-flow counters at drain end.
-
-        ``endpoint_counters`` is three flow-id keyed dicts —
-        retransmits, RTOs, packets transmitted: the runner's one walk
-        over the transport endpoints, so this rollup and ``RunHealth``
-        cannot disagree.
-        """
+    def finalize(self, network, table) -> None:
+        """Snapshot per-port counters at drain end, and the retransmit
+        and RTO totals of ``table`` — the run's
+        :class:`~repro.metrics.flowtable.FlowTable`, whose column sums
+        ``RunHealth`` reports too, so the two cannot disagree."""
         self.port_counters = {
             port.name: {name: getattr(port.mux.stats, name)
                         for name in _QUEUE_COUNTER_FIELDS}
@@ -328,19 +328,8 @@ class Telemetry:
         self.flowlet_repins = sum(
             switch.lb.repins for switch in getattr(network, "switches", [])
             if getattr(switch, "lb", None) is not None)
-        rtx_by_flow, rtos_by_flow, tx_by_flow = endpoint_counters
-        per_flow: Dict[int, Dict[str, object]] = {}
-        for flow in flows:
-            flow_id = flow.flow_id
-            per_flow[flow_id] = {
-                "completed": flow.completed,
-                "fct": flow.fct,
-                "size": flow.size,
-                "retransmits": rtx_by_flow.get(flow_id, 0),
-                "rtos": rtos_by_flow.get(flow_id, 0),
-                "pkts_transmitted": tx_by_flow.get(flow_id, 0),
-            }
-        self.flow_counters = per_flow
+        self.retransmits = sum(table.retransmits)
+        self.rtos = sum(table.rtos)
 
     # -- reading -----------------------------------------------------------
 
@@ -360,7 +349,6 @@ class Telemetry:
         """Slim rollup; counter totals come from the drain-end snapshots
         (exact), event counts from the trace tallies (exact even when
         the ring overflowed)."""
-        flow_values = self.flow_counters.values()
         slices = len(self.profile)
         return TelemetrySummary(
             events_seen=self.events_seen,
@@ -369,8 +357,8 @@ class Telemetry:
             drops=self.total_port_counter("dropped"),
             marks=self.total_port_counter("marked"),
             trims=self.total_port_counter("trimmed"),
-            retransmits=sum(c["retransmits"] for c in flow_values),
-            rtos=sum(c["rtos"] for c in flow_values),
+            retransmits=self.retransmits,
+            rtos=self.rtos,
             flows_started=self.counts.get(FLOW_START, 0),
             flows_completed=self.counts.get(FLOW_COMPLETE, 0),
             pauses_sent=self.pauses_sent,

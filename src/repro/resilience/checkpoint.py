@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 16
+CHECKPOINT_VERSION = 17
 
 
 class CheckpointError(RuntimeError):

@@ -53,9 +53,6 @@ class Host:
         """Attach ``endpoint`` (must expose ``on_packet``) for ``flow_id``."""
         self.endpoints[flow_id] = endpoint
 
-    def unregister(self, flow_id: int) -> None:
-        self.endpoints.pop(flow_id, None)
-
     def send(self, pkt: Packet) -> bool:
         """Push a packet into the NIC egress queue."""
         self.ops_sent += 1

@@ -456,10 +456,5 @@ class Port:
         else:
             self.busy = False
 
-    @property
-    def backlog_bytes(self) -> int:
-        """Bytes waiting in the mux (excludes packets on the wire)."""
-        return self.mux.occupancy
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Port {self.name} rate={self._rate_bps/1e9:.0f}Gbps busy={self.busy}>"

@@ -453,10 +453,6 @@ class Network:
         self.hosts[src_host].register(flow_id, sender)
         self.hosts[dst_host].register(flow_id, receiver)
 
-    def detach(self, flow_id: int, src_host: int, dst_host: int) -> None:
-        self.hosts[src_host].unregister(flow_id)
-        self.hosts[dst_host].unregister(flow_id)
-
     # -- introspection ----------------------------------------------------
 
     def find_ports(self, pattern: str) -> List[Port]:
@@ -493,9 +489,6 @@ class Network:
 
     def total_drops(self) -> int:
         return sum(port.mux.stats.dropped for port in self.ports)
-
-    def total_marked(self) -> int:
-        return sum(port.mux.stats.marked for port in self.ports)
 
 
 # An abstract flow is demoted when measured packet traffic claims more

@@ -58,20 +58,12 @@ def mb(value: float) -> int:
 
 # --- rate -------------------------------------------------------------
 
-BPS = 1.0
-KBPS = 1e3
-MBPS = 1e6
 GBPS = 1e9
 
 
 def gbps(value: float) -> float:
     """Gigabits per second to bits per second."""
     return value * GBPS
-
-
-def mbps(value: float) -> float:
-    """Megabits per second to bits per second."""
-    return value * MBPS
 
 
 # --- derived quantities ------------------------------------------------

@@ -621,7 +621,7 @@ class RunAuditor:
                     pending=sim.pending, live_pending=sim.live_pending,
                     scanned_live=live)
 
-    def finalize(self, flows=None) -> ValidationReport:
+    def finalize(self) -> ValidationReport:
         """Drain-end harvest: one last slice check, then the transport
         and end-to-end conservation laws.  Idempotent."""
         if self._finalized:

@@ -7,8 +7,9 @@ and demands two things of every cell:
 
 1. **zero invariant violations** in audit mode, and
 2. **bit-identical results**: the validated run's :class:`FctStats`,
-   events-run count and run health must equal the bare run's, proving
-   the auditor observes without perturbing.
+   per-flow :class:`~repro.metrics.flowtable.FlowTable`, events-run
+   count and completions must equal the bare run's, proving the auditor
+   observes without perturbing.
 
 Exit status is non-zero if either property fails anywhere, which is how
 CI consumes this module.  Cells fan out over forked workers
@@ -111,6 +112,7 @@ def run_matrix(schemes: Optional[List[str]] = None, *,
         label = task.label
         report = validated.validation
         identical = (bare.stats == validated.stats
+                     and bare.table == validated.table
                      and bare.health.events_run == validated.health.events_run
                      and bare.health.completed == validated.health.completed)
         ok = identical and report is not None and report.ok

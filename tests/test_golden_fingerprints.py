@@ -231,6 +231,25 @@ def test_loss_cells_exercise_recovery(cell):
     assert golden["completed"] == 60 and golden["retransmits_total"] > 0
 
 
+@pytest.mark.parametrize("scheme", LOSS_CELLS)
+def test_loss_cell_table_sums_are_the_totals(scheme):
+    """On the loss cells (retransmits non-zero) the per-flow table's
+    column sums are the run health's and the telemetry rollup's totals,
+    and the recorded retransmit counts where the golden file holds one."""
+    cell = f"{scheme}-loss"
+    key, scenario_factory = CELLS[cell]
+    result = run(SCHEMES[key](), scenario_factory(), observe=True)
+    table, health = result.table, result.health
+    telemetry = result.telemetry.summary()
+    assert len(table) == health.n_flows == 60
+    assert sum(table.retransmits) == health.retransmits_total \
+        == telemetry.retransmits > 0
+    assert sum(table.rtos) == health.rtos_total == telemetry.rtos
+    if cell in COUNTS_RETRANSMITS:
+        golden = json.loads(GOLDEN.read_text())[cell]
+        assert sum(table.retransmits) == golden["retransmits_total"]
+
+
 # The receiver-driven senders' timeout became a lazy deadline: a
 # re-armed timer no longer leaves a cancelled heap entry per grant or
 # pull, it wakes once, finds the deadline moved and sleeps again.  Those

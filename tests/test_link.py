@@ -96,7 +96,7 @@ def test_backlog_bytes():
     port, _ = make_port(sim)
     port.send(pkt(0))
     port.send(pkt(1))
-    assert port.backlog_bytes == 1500  # one on the wire, one queued
+    assert port.mux.occupancy == 1500  # one on the wire, one queued
 
 
 # -- pipelined wire --------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Tests for FCT statistics, the periodic probe, efficiency and CPU metrics."""
+"""Tests for FCT statistics, the per-flow table, the periodic probe and CPU
+metrics."""
 
 import functools
 import math
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import make_ctx, make_star, run_single_flow
 from repro.core.ppt import Ppt
 from repro.metrics.cpu import CpuStats, collect_cpu
-from repro.metrics.efficiency import collect_efficiency
 from repro.metrics.fct import SMALL_FLOW_BYTES, FctStats, mean, percentile, reduction
+from repro.metrics.flowtable import FlowTable
 from repro.metrics.probe import Probe
 from repro.transport.base import Flow
 from repro.transport.dctcp import Dctcp
@@ -183,23 +184,23 @@ def test_buffer_occupancy_sampler():
 
 def test_efficiency_lossless_run_is_unity():
     flow, ctx, topo = run_single_flow(Dctcp(), 200_000, until=1.0)
-    eff = collect_efficiency(topo.network)
-    assert eff.pkts_sent >= flow.n_packets(ctx.config.mss)
-    assert eff.overall == pytest.approx(1.0, abs=0.02)
+    table = FlowTable.harvest([flow], topo.network)
+    assert sum(table.pkts_sent) >= flow.n_packets(ctx.config.mss)
+    assert table.efficiency() == pytest.approx(1.0, abs=0.02)
 
 
 def test_efficiency_counts_ppt_lp_traffic():
     flow, ctx, topo = run_single_flow(Ppt(), 300_000, until=1.0)
-    eff = collect_efficiency(topo.network)
-    assert eff.lp_pkts_sent > 0
-    assert 0.0 < eff.low_priority <= 1.0
+    table = FlowTable.harvest([flow], topo.network)
+    assert sum(table.lp_pkts_sent) > 0
+    assert 0.0 < table.efficiency(lp=True) <= 1.0
 
 
 def test_efficiency_nan_when_nothing_sent():
     topo = make_star(3)
-    eff = collect_efficiency(topo.network)
-    assert math.isnan(eff.overall)
-    assert math.isnan(eff.low_priority)
+    table = FlowTable.harvest([], topo.network)
+    assert math.isnan(table.efficiency())
+    assert math.isnan(table.efficiency(lp=True))
 
 
 # -- cpu proxy -----------------------------------------------------------------

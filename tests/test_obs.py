@@ -10,6 +10,7 @@ from repro.experiments.parallel import GridTask, run_grid
 from repro.experiments.runner import run
 from repro.experiments.scenarios import incast_scenario
 from repro.faults import FaultPlan, LinkDown
+from repro.metrics.flowtable import UNFINISHED
 from repro.obs import (
     DROP,
     FAULT_DOWN,
@@ -17,6 +18,7 @@ from repro.obs import (
     FLOW_COMPLETE,
     FLOW_START,
     MARK,
+    RETRANSMIT,
     Telemetry,
     TraceEvent,
     chain,
@@ -155,7 +157,8 @@ def test_summary_matches_network_counters():
     summary = telem.summary()
     network = result.topology.network
     assert summary.drops == network.total_drops()
-    assert summary.marks == network.total_marked()
+    assert summary.marks == sum(port.mux.stats.marked
+                                for port in network.ports)
     assert summary.retransmits == result.health.retransmits_total
     assert summary.rtos == result.health.rtos_total
     assert summary.flows_started == len(result.flows)
@@ -166,13 +169,17 @@ def test_summary_matches_network_counters():
     assert summary.events_seen == summary.events_kept
 
 
-def test_flow_counters_harvested():
+def test_flow_table_harvested():
     result = run(Dctcp(), incast(), observe=True)
-    counters = result.telemetry.flow_counters
-    assert set(counters) == {f.flow_id for f in result.flows}
-    assert all(c["completed"] for c in counters.values())
-    assert sum(c["retransmits"] for c in counters.values()) \
-        == result.health.retransmits_total
+    table = result.table
+    assert list(table.flow_id) == [f.flow_id for f in result.flows]
+    assert UNFINISHED not in table.fct
+    assert list(table.fct) == [f.fct for f in result.flows]
+    assert sum(table.retransmits) == result.health.retransmits_total
+    # per flow, the counters agree with the traced retransmits
+    traced = Counter(e.flow_id for e in result.telemetry.iter_events(RETRANSMIT))
+    assert {flow_id: n for flow_id, n in zip(table.flow_id, table.retransmits)
+            if n} == dict(traced)
 
 
 def test_profile_feeds_events_per_sec():

@@ -29,6 +29,7 @@ from repro.experiments.scenarios import (
     soak_scenario,
     star_fabric,
 )
+from repro.metrics.flowtable import UNFINISHED
 from repro.resilience.checkpoint import load_checkpoint, save_checkpoint
 from repro.transport.dctcp import Dctcp
 from repro.transport.homa import Homa
@@ -166,6 +167,24 @@ def test_early_stop_counts_every_declared_flow():
     assert streamed.health.completion_rate == listed.health.completion_rate \
         == listed.completed / 400
     assert streamed.summary() == listed.summary()
+
+
+def test_early_stop_table_has_one_row_per_pulled_flow():
+    """The per-flow table of a run cut short holds the pulled flows, the
+    unfinished ones under a sentinel that compares equal across runs."""
+    def early():
+        return run(Dctcp(), all_to_all_scenario(
+            "early", WEB_SEARCH, n_flows=400, max_time=0.0005, seed=7,
+            stream=True))
+
+    result = early()
+    table = result.table
+    assert len(table) == len(result.flows) < result.health.n_flows
+    assert list(table.flow_id) == [f.flow_id for f in result.flows]
+    assert UNFINISHED in table.fct
+    assert [fct for fct in table.fct if fct != UNFINISHED] \
+        == [f.fct for f in result.flows if f.fct is not None]
+    assert early().table == table
 
 
 def test_streamed_run_bit_identical_with_mix_and_shape():

@@ -9,7 +9,6 @@ from repro.units import (
     gbps,
     kb,
     mb,
-    mbps,
     ms,
     ns,
     serialization_delay,
@@ -30,7 +29,6 @@ def test_size_helpers():
 
 def test_rate_helpers():
     assert gbps(40) == 40e9
-    assert mbps(100) == 100e6
 
 
 def test_serialization_delay():

@@ -14,8 +14,10 @@ Three families:
 """
 
 import dataclasses
+import io
 import pickle
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,7 @@ from repro.validate import (
     ValidationReport,
     Violation,
     audit_mux,
+    matrix,
 )
 from repro.workloads.distributions import WEB_SEARCH
 
@@ -75,6 +78,30 @@ def test_validated_run_is_clean_and_bit_identical(scheme_cls):
     assert validated.stats == bare.stats
     assert validated.wall_events == bare.wall_events
     assert ([f.fct for f in validated.flows] == [f.fct for f in bare.flows])
+
+
+def test_matrix_compares_per_flow_tables(monkeypatch):
+    """Swapping two flows' FCTs leaves the FctStats equal; the matrix
+    still reports the pair as not bit-identical."""
+    bare = GridTask(Dctcp, small_scenario, scheme_key="dctcp").execute()
+    fct = list(bare.table.fct)
+    fct[0], fct[1] = fct[1], fct[0]
+    assert fct != list(bare.table.fct)
+    swapped = dataclasses.replace(bare.table, fct=array("d", fct))
+    validated = dataclasses.replace(bare, table=swapped,
+                                    validation=ValidationReport())
+    assert validated.stats == bare.stats
+
+    def grid(tasks, jobs):
+        half = len(tasks) // 2
+        return [bare] * half + [validated] * half
+
+    monkeypatch.setattr(matrix, "run_grid", grid)
+    out = io.StringIO()
+    assert matrix.run_matrix(["dctcp"], out=out) == 1
+    assert "NOT bit-identical" in out.getvalue()
+    validated.table = bare.table
+    assert matrix.run_matrix(["dctcp"], out=io.StringIO()) == 0
 
 
 def test_oracle_filler_validates_clean_under_strict():
