@@ -53,11 +53,11 @@ from .experiments.scenarios import (
     soak_scenario,
 )
 from .experiments.workers import WorkerError
-from .faults import FAULT_KINDS, FaultPlan
-from .resilience import CheckpointError
+from .faults.plan import FAULT_KINDS, FaultPlan
+from .resilience.checkpoint import CheckpointError
 from .sim.hybrid import HybridConfig
 from .sim.routing import DEFAULT_FLOWLET_GAP, LB_MODES
-from .validate import InvariantViolation
+from .validate.report import InvariantViolation
 from .workloads.distributions import WORKLOADS
 from .workloads.streams import parse_load_shape, parse_tenant_mix
 

@@ -1,24 +1,14 @@
 """PPT: the paper's primary contribution."""
 
-from .hypothetical import HypotheticalDctcp, MwRecordingDctcp
-from .identification import (
-    MEMCACHED_APP,
-    WEB_SERVER_APP,
-    AppWriteModel,
-    identification_accuracy,
-    identify_large,
-)
-from .lcp import LcpController
-from .ppt import Ppt, PptReceiver, PptSender
-from .ppt_hpcc import PptHpcc, PptHpccSender
-from .ppt_swift import PptSwift, PptSwiftSender
-from .tagging import MirrorTagger
+from .. import _lazy_exports
 
-__all__ = [
-    "Ppt", "PptSender", "PptReceiver", "PptSwift", "PptSwiftSender",
-    "PptHpcc", "PptHpccSender",
-    "LcpController", "MirrorTagger",
-    "identify_large", "identification_accuracy", "AppWriteModel",
-    "MEMCACHED_APP", "WEB_SERVER_APP",
-    "HypotheticalDctcp", "MwRecordingDctcp",
-]
+__all__ = _lazy_exports(__name__, {
+    ".ppt": ("Ppt", "PptSender", "PptReceiver"),
+    ".ppt_swift": ("PptSwift", "PptSwiftSender"),
+    ".ppt_hpcc": ("PptHpcc", "PptHpccSender"),
+    ".lcp": ("LcpController",),
+    ".tagging": ("MirrorTagger",),
+    ".identification": ("identify_large", "identification_accuracy",
+                        "AppWriteModel", "MEMCACHED_APP", "WEB_SERVER_APP"),
+    ".hypothetical": ("HypotheticalDctcp", "MwRecordingDctcp"),
+})

@@ -52,16 +52,19 @@ import multiprocessing
 import traceback
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Union)
 
 from ..metrics.fct import FctStats
 from ..metrics.flowtable import FlowTable
-from ..obs.telemetry import TelemetrySummary
 from ..transport.base import Scheme
-from ..validate import ValidationReport
 from . import workers
 from .runner import RunHealth, RunResult, Scenario, run
 from .workers import Outcome, WorkerError
+
+if TYPE_CHECKING:
+    from ..obs.telemetry import TelemetrySummary
+    from ..validate.report import ValidationReport
 
 
 @dataclass

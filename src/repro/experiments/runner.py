@@ -31,26 +31,32 @@ import gc
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple,
+                    Union)
 
-from ..core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
-from ..faults.plan import ActiveFaults, FaultPlan
 from ..metrics.fct import FctStats
 from ..metrics.flowtable import FlowTable
 from ..obs.hooks import chain
-from ..obs.telemetry import Telemetry
 from ..resilience.checkpoint import (
     CheckpointError,
     RunState,
     load_checkpoint,
     save_checkpoint,
 )
-from ..sim.hybrid import HybridConfig, HybridController
 from ..sim.network import Network
 from ..sim.topology import Topology
 from ..transport.base import Flow, Scheme, TransportConfig, TransportContext
-from ..validate import RunAuditor, ValidationReport
 from ..workloads.streams import FlowStream
+
+# Telemetry, the auditor, the hybrid fast path and the two-pass oracle
+# are imported where a run switches them on (a fault plan arrives built),
+# so a bare run never loads them.
+if TYPE_CHECKING:
+    from ..faults.plan import ActiveFaults, FaultPlan
+    from ..obs.telemetry import Telemetry
+    from ..sim.hybrid import HybridConfig, HybridController
+    from ..validate.auditor import RunAuditor
+    from ..validate.report import ValidationReport
 
 
 # the stall watchdog's window, in drain slices
@@ -215,6 +221,7 @@ def _resolve_observe(observe: Union[None, bool, Telemetry]) -> Optional[Telemetr
     Telemetry) or a preconfigured :class:`~repro.obs.Telemetry`."""
     if observe is None or observe is False:
         return None
+    from ..obs.telemetry import Telemetry
     if observe is True:
         return Telemetry()
     if isinstance(observe, Telemetry):
@@ -229,6 +236,7 @@ def _resolve_validate(
     :class:`~repro.validate.RunAuditor`."""
     if validate is None or validate is False:
         return None
+    from ..validate.auditor import RunAuditor
     if validate is True:
         return RunAuditor()
     if validate == "strict":
@@ -372,6 +380,7 @@ def _assemble(
         # advanced analytically; everything else passes straight through
         # to the packet model.  hybrid=None skips the wrapper entirely,
         # keeping the bare path bit-identical.
+        from ..sim.hybrid import HybridController
         hybrid_ctl = HybridController(scheme, scenario.hybrid)
         scheme = hybrid_ctl
     topo = scenario.build_topology()
@@ -636,6 +645,7 @@ def two_pass(scenario: Scenario,
     once per fill factor (default: the one 1.0x pass).  Returns
     ``(baseline_result, hypothetical_result, ...)``.
     """
+    from ..core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
     recorder = MwRecordingDctcp()
     baseline = run(recorder, scenario)
     return (baseline,) + tuple(

@@ -19,32 +19,17 @@ mean back into the Poisson arrival rate (see
 
 from __future__ import annotations
 
+import importlib
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core.ppt import Ppt
-from ..core.ppt_hpcc import PptHpcc
-from ..core.ppt_swift import PptSwift
-from ..faults.plan import FaultPlan, LinkDown, PacketLoss, PfcStorm, RateDegrade
-from ..sim.hybrid import HybridConfig
 from ..sim.network import QueueConfig
 from ..sim.queues import PfcConfig
 from ..sim.topology import Topology, dumbbell, leaf_spine, star
-from ..transport.aeolus import Aeolus
 from ..transport.base import Flow, Scheme, TransportConfig
-from ..transport.d2tcp import D2tcp
-from ..transport.dcqcn import Dcqcn
 from ..transport.dctcp import Dctcp
-from ..transport.expresspass import ExpressPass
-from ..transport.halfback import Halfback
-from ..transport.homa import Homa
-from ..transport.hpcc import Hpcc
-from ..transport.ndp import Ndp
-from ..transport.pias import Pias
-from ..transport.rc3 import Rc3
-from ..transport.swift import Swift
-from ..transport.tcp10 import Tcp10
-from ..transport.timely import Timely
 from ..units import gbps, kb, mb, us
 from ..workloads.distributions import EmpiricalCdf, WEB_SEARCH
 from ..workloads.patterns import PairSampler, all_to_all, incast
@@ -53,6 +38,10 @@ from ..workloads.streams import FlowStream, LoadShape, TenantClass, flow_stream
 #: The return type every ``build_flows`` closure may now produce.
 FlowSource = Union[List[Flow], FlowStream]
 from .runner import Scenario
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
+    from ..sim.hybrid import HybridConfig
 
 # ---------------------------------------------------------------------------
 # fabric builders
@@ -439,6 +428,7 @@ def soak_fault_plan(
     if not 0.0 < period < math.inf:
         raise ValueError(
             f"period must be positive and finite, got {period!r}")
+    from ..faults.plan import FaultPlan, LinkDown, PacketLoss, RateDegrade
     events: List[object] = []
     width = period / 10.0
     t = period / 2.0
@@ -571,6 +561,7 @@ def pfc_storm_scenario(
     classic PFC failure mode (RoCEv2 deployment papers' motivating
     incident) and the reason `repro.faults` grew a pause injector.
     """
+    from ..faults.plan import FaultPlan, PfcStorm
     plan = FaultPlan([PfcStorm("leaf0->host0", 0.002, 0.004)])
     return lossless_scenario(name, cdf, faults=plan, **overrides)
 
@@ -583,29 +574,41 @@ HOMA_RTT_BYTES_SIM = 45_000       # §6.2: 45KB for the 40/100G fabric
 HOMA_RTT_BYTES_TESTBED = 50_000   # §6.1: 50KB on the testbed
 HOMA_OVERCOMMIT = 2               # both
 
+
+def _on_call(module: str, name: str, **kwargs) -> Callable[[], Scheme]:
+    """A factory that imports ``name`` from ``module`` (relative to this
+    package) when first called, so a run loads only its own transport."""
+    def build() -> Scheme:
+        cls = getattr(importlib.import_module(module, __package__), name)
+        return cls(**kwargs)
+    return build
+
+
 #: Every transport by name, built with the paper's §6.2 parameters: the
 #: one table the CLI, the figure drivers, the validation matrix and the
-#: golden tests pick their schemes from.
+#: golden tests pick their schemes from.  PPT and DCTCP are imported
+#: with this module; every other scheme on its first build.
 SCHEMES: Dict[str, Callable[[], Scheme]] = {
     "ppt": Ppt,
-    "ppt-swift": PptSwift,
-    "ppt-hpcc": PptHpcc,
+    "ppt-swift": _on_call("..core.ppt_swift", "PptSwift"),
+    "ppt-hpcc": _on_call("..core.ppt_hpcc", "PptHpcc"),
     "dctcp": Dctcp,
-    "d2tcp": D2tcp,
-    "dcqcn": Dcqcn,
-    "pias": Pias,
-    "rc3": Rc3,
-    "swift": Swift,
-    "timely": Timely,
-    "hpcc": Hpcc,
-    "tcp10": Tcp10,
-    "halfback": Halfback,
-    "homa": lambda: Homa(rtt_bytes=HOMA_RTT_BYTES_SIM,
-                         overcommit=HOMA_OVERCOMMIT),
-    "aeolus": lambda: Aeolus(rtt_bytes=HOMA_RTT_BYTES_SIM,
-                             overcommit=HOMA_OVERCOMMIT),
-    "ndp": lambda: Ndp(rtt_bytes=HOMA_RTT_BYTES_SIM),
-    "expresspass": ExpressPass,
+    "d2tcp": _on_call("..transport.d2tcp", "D2tcp"),
+    "dcqcn": _on_call("..transport.dcqcn", "Dcqcn"),
+    "pias": _on_call("..transport.pias", "Pias"),
+    "rc3": _on_call("..transport.rc3", "Rc3"),
+    "swift": _on_call("..transport.swift", "Swift"),
+    "timely": _on_call("..transport.timely", "Timely"),
+    "hpcc": _on_call("..transport.hpcc", "Hpcc"),
+    "tcp10": _on_call("..transport.tcp10", "Tcp10"),
+    "halfback": _on_call("..transport.halfback", "Halfback"),
+    "homa": _on_call("..transport.homa", "Homa",
+                     rtt_bytes=HOMA_RTT_BYTES_SIM, overcommit=HOMA_OVERCOMMIT),
+    "aeolus": _on_call("..transport.aeolus", "Aeolus",
+                       rtt_bytes=HOMA_RTT_BYTES_SIM,
+                       overcommit=HOMA_OVERCOMMIT),
+    "ndp": _on_call("..transport.ndp", "Ndp", rtt_bytes=HOMA_RTT_BYTES_SIM),
+    "expresspass": _on_call("..transport.expresspass", "ExpressPass"),
 }
 
 

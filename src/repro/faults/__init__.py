@@ -15,40 +15,12 @@ Quick start::
     print(result.health.summary())
 """
 
-from .injectors import (
-    CorruptionInjector,
-    Injector,
-    LinkFaultInjector,
-    LossInjector,
-    PfcStormInjector,
-    PortDegrader,
-)
-from .plan import (
-    FAULT_KINDS,
-    ActiveFaults,
-    FaultPlan,
-    LinkDown,
-    LinkFlap,
-    PacketCorruption,
-    PacketLoss,
-    PfcStorm,
-    RateDegrade,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ActiveFaults",
-    "CorruptionInjector",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "Injector",
-    "LinkDown",
-    "LinkFlap",
-    "LinkFaultInjector",
-    "LossInjector",
-    "PacketCorruption",
-    "PacketLoss",
-    "PfcStorm",
-    "PfcStormInjector",
-    "PortDegrader",
-    "RateDegrade",
-]
+__all__ = _lazy_exports(__name__, {
+    ".injectors": ("CorruptionInjector", "Injector", "LinkFaultInjector",
+                   "LossInjector", "PfcStormInjector", "PortDegrader"),
+    ".plan": ("FAULT_KINDS", "ActiveFaults", "FaultPlan", "LinkDown",
+              "LinkFlap", "PacketCorruption", "PacketLoss", "PfcStorm",
+              "RateDegrade"),
+})

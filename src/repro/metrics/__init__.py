@@ -1,12 +1,12 @@
 """Metrics: FCT statistics, the per-flow table, the periodic probe and CPU
 proxies."""
 
-from .cpu import CpuStats, collect_cpu
-from .fct import SMALL_FLOW_BYTES, FctStats, mean, percentile, reduction
-from .flowtable import FlowTable
-from .probe import Probe
+from .. import _lazy_exports
 
-__all__ = [
-    "FctStats", "percentile", "mean", "reduction", "SMALL_FLOW_BYTES",
-    "FlowTable", "Probe", "CpuStats", "collect_cpu",
-]
+__all__ = _lazy_exports(__name__, {
+    ".fct": ("FctStats", "percentile", "mean", "reduction",
+             "SMALL_FLOW_BYTES"),
+    ".flowtable": ("FlowTable",),
+    ".probe": ("Probe",),
+    ".cpu": ("CpuStats", "collect_cpu"),
+})

@@ -4,26 +4,12 @@ See :mod:`repro.obs.telemetry` for the design and
 ``docs/observability.md`` for the hook-site map and trace schema.
 """
 
-from .hooks import chain
-from .telemetry import (
-    DROP,
-    EVENT_KINDS,
-    FAULT_DOWN,
-    FAULT_UP,
-    FLOW_COMPLETE,
-    FLOW_START,
-    MARK,
-    RETRANSMIT,
-    RTO,
-    TRIM,
-    Telemetry,
-    TelemetrySummary,
-    TraceEvent,
-    load_jsonl,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "Telemetry", "TelemetrySummary", "TraceEvent", "load_jsonl", "chain",
-    "EVENT_KINDS", "DROP", "MARK", "TRIM", "RETRANSMIT", "RTO",
-    "FAULT_DOWN", "FAULT_UP", "FLOW_START", "FLOW_COMPLETE",
-]
+__all__ = _lazy_exports(__name__, {
+    ".telemetry": ("Telemetry", "TelemetrySummary", "TraceEvent",
+                   "load_jsonl", "EVENT_KINDS", "DROP", "MARK", "TRIM",
+                   "RETRANSMIT", "RTO", "FAULT_DOWN", "FAULT_UP",
+                   "FLOW_START", "FLOW_COMPLETE"),
+    ".hooks": ("chain",),
+})

@@ -7,22 +7,10 @@ killed *worker* is the grid's business: ``run_grid(..., timeout=,
 retries=)`` in :mod:`repro.experiments.parallel`.
 """
 
-from .checkpoint import (
-    CHECKPOINT_FORMAT,
-    CHECKPOINT_VERSION,
-    CheckpointError,
-    RunState,
-    inspect_checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "CHECKPOINT_FORMAT",
-    "CHECKPOINT_VERSION",
-    "CheckpointError",
-    "RunState",
-    "inspect_checkpoint",
-    "load_checkpoint",
-    "save_checkpoint",
-]
+__all__ = _lazy_exports(__name__, {
+    ".checkpoint": ("CHECKPOINT_FORMAT", "CHECKPOINT_VERSION",
+                    "CheckpointError", "RunState", "inspect_checkpoint",
+                    "load_checkpoint", "save_checkpoint"),
+})

@@ -1,27 +1,22 @@
 """Transport schemes: the paper's baselines and the window machinery."""
 
-from .aeolus import Aeolus
-from .base import Flow, Scheme, TransportConfig, TransportContext
-from .d2tcp import D2tcp
-from .dcqcn import Dcqcn
-from .dctcp import Dctcp, DctcpSender
-from .expresspass import ExpressPass
-from .halfback import Halfback
-from .homa import Homa, HomaSender
-from .hpcc import Hpcc, HpccSender
-from .ndp import Ndp, NdpSender
-from .pias import Pias, PiasSender
-from .rc3 import Rc3, Rc3Sender
-from .swift import Swift, SwiftSender
-from .tcp10 import Tcp10
-from .timely import Timely
-from .window import WindowReceiver, WindowSender
+from .. import _lazy_exports
 
-__all__ = [
-    "Flow", "Scheme", "TransportConfig", "TransportContext",
-    "Dctcp", "DctcpSender", "Pias", "PiasSender", "Rc3", "Rc3Sender",
-    "Swift", "SwiftSender", "Hpcc", "HpccSender",
-    "Homa", "HomaSender", "Aeolus", "Ndp", "NdpSender",
-    "Tcp10", "Halfback", "ExpressPass", "Timely", "D2tcp", "Dcqcn",
-    "WindowSender", "WindowReceiver",
-]
+__all__ = _lazy_exports(__name__, {
+    ".base": ("Flow", "Scheme", "TransportConfig", "TransportContext"),
+    ".dctcp": ("Dctcp", "DctcpSender"),
+    ".pias": ("Pias", "PiasSender"),
+    ".rc3": ("Rc3", "Rc3Sender"),
+    ".swift": ("Swift", "SwiftSender"),
+    ".hpcc": ("Hpcc", "HpccSender"),
+    ".homa": ("Homa", "HomaSender"),
+    ".aeolus": ("Aeolus",),
+    ".ndp": ("Ndp", "NdpSender"),
+    ".tcp10": ("Tcp10",),
+    ".halfback": ("Halfback",),
+    ".expresspass": ("ExpressPass",),
+    ".timely": ("Timely",),
+    ".d2tcp": ("D2tcp",),
+    ".dcqcn": ("Dcqcn",),
+    ".window": ("WindowSender", "WindowReceiver"),
+})

@@ -11,16 +11,11 @@ bit-identity check CI runs.
 See ``docs/validation.md`` for the law catalogue.
 """
 
-from .auditor import RunAuditor, audit_mux
-from .equivalence import (
-    EquivalenceReport,
-    compare_fct_distributions,
-    ks_distance,
-)
-from .report import InvariantViolation, ValidationReport, Violation
+from .. import _lazy_exports
 
-__all__ = [
-    "RunAuditor", "audit_mux",
-    "InvariantViolation", "ValidationReport", "Violation",
-    "EquivalenceReport", "compare_fct_distributions", "ks_distance",
-]
+__all__ = _lazy_exports(__name__, {
+    ".auditor": ("RunAuditor", "audit_mux"),
+    ".report": ("InvariantViolation", "ValidationReport", "Violation"),
+    ".equivalence": ("EquivalenceReport", "compare_fct_distributions",
+                     "ks_distance"),
+})

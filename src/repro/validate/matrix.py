@@ -80,6 +80,10 @@ CELLS = {
     "leaf-spine-pfc": (_leaf_spine(104, pfc_config=SIM_PFC),
                        ("dcqcn", "hpcc")),
     "leaf-spine-flowlet": (_leaf_spine(105, lb="flowlet"), ("dctcp", "ppt")),
+    # the same traffic with a 20 us flowlet gap: at the default 500 us
+    # gap these flows barely re-pin, so the flowlet laws see no switch
+    "leaf-spine-flowlet-short": (
+        _leaf_spine(105, lb="flowlet", lb_gap=20e-6), ("dctcp", "ppt")),
     "leaf-spine-conga": (_leaf_spine(106, lb="conga"), ("dctcp", "ppt")),
     "leaf-spine-hybrid": (
         _leaf_spine(107, hybrid=HybridConfig(size_threshold=200_000)),

@@ -104,6 +104,25 @@ def test_matrix_compares_per_flow_tables(monkeypatch):
     assert matrix.run_matrix(["dctcp"], out=io.StringIO()) == 0
 
 
+def test_short_gap_flowlet_cell_repins():
+    """The 20 us flowlet cell re-pins flows mid-run (10 and 4 times for
+    dctcp and ppt at the matrix's 24 flows, where the 500 us cell re-pins
+    0 and 1 times), and dctcp's FCTs move with it, so the flowlet laws
+    audit path changes, not ECMP in disguise."""
+    short, schemes = matrix.CELLS["leaf-spine-flowlet-short"]
+    default, _ = matrix.CELLS["leaf-spine-flowlet"]
+    tables = {}
+    for name in schemes:
+        result = run(matrix.SCHEMES[name](),
+                     short(n_flows=matrix.DEFAULT_FLOWS), observe=True)
+        assert result.health.ok
+        assert result.telemetry.summary().flowlet_repins > 0, name
+        tables[name] = result.table
+    unchanged = run(matrix.SCHEMES["dctcp"](),
+                    default(n_flows=matrix.DEFAULT_FLOWS)).table
+    assert tables["dctcp"] != unchanged
+
+
 def test_oracle_filler_validates_clean_under_strict():
     """The hypothetical-DCTCP filler is not in SCHEMES, so the scheme
     matrix never audits it."""
