@@ -1,6 +1,7 @@
-"""The paper's claims (``repro.experiments.claims``), one test each, and
-the checks that are not one comparison: Tables 1-3, Fig 18's band, Fig
-19's trend and row counts.
+"""The paper's claims and the extension studies' (``ext-*`` figures) in
+``repro.experiments.claims``, one test each, and the checks that are not
+one comparison: Tables 1-3, Fig 18's band, Fig 19's trend, row counts
+and complete runs.
 
 Each figure driver runs once per keyword set, at its default scale, the
 first time a test reads it (under ``benchmark.pedantic``, so
@@ -51,6 +52,21 @@ def test_claim(benchmark, claim):
     if claim.xfail and not holds and not claim.xfail.endswith(account):
         pytest.fail(f"{claim.id} is red on other numbers: {account}")
     assert holds, f"{claim.id}: {account}"
+
+
+@pytest.mark.parametrize("figure, kwargs", [
+    pytest.param("fig12", (("workload", "web-search"),), id="fig12"),
+    pytest.param("fig12", (("seed", 23),), id="fig12-s23"),
+    pytest.param("fig12", (("seed", 101),), id="fig12-s101"),
+    pytest.param("sec63", (), id="sec63"),
+    pytest.param("ext-baselines", (), id="ext-baselines"),
+    pytest.param("ext-buffer-model", (), id="ext-buffer-model"),
+])
+def test_every_flow_completes(benchmark, figure, kwargs):
+    """An average over the flows that finished would compare schemes on
+    different flows."""
+    rows = _figure(benchmark, figure, kwargs)
+    assert [row["flows"] for row in rows] == [150] * len(rows)
 
 
 def test_fig01_average_below_the_load(benchmark):

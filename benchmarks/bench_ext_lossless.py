@@ -137,8 +137,8 @@ def test_lossless_and_lb(benchmark):
         # the balancers must not break completion on a healthy fabric
         completed, total = row["completed"].split("/")
         assert completed == total, row
-        if row["mode"] == "flowlet":
-            assert row["repins"] >= 0
+        # and both move flows off their first path under this load
+        assert row["repins"] > 0, row
     # the storm HOL-blocks but the fabric recovers, no deadlock
     assert not storm["_stalled"], storm
     completed, total = storm["completed"].split("/")

@@ -4,11 +4,13 @@ Two 20 MB flows into one host of a 4-host 40G star, per scheme.  Each
 end of a flow keeps ``cum`` plus the out-of-order ``sacked`` set, and a
 finished end swaps that set for one shared empty frozenset, so the
 traced peak of ``run()`` is the packets in flight plus the reorder
-window, not one hash entry per packet of the flow.  Both assertions are
-counts (bytes traced, object identity), so box speed cannot flake them.
-With a per-packet ``delivered`` set on each end and a per-packet send
-history on the window sender the peaks were DCTCP 3.98 MB, PPT 4.22 MB
-and Homa 2.05 MB.
+window, not one hash entry per packet of the flow.  The bound is on
+bytes traced, not time, so box speed cannot flake it.  With a
+per-packet ``delivered`` set on each end and a per-packet send history
+on the window sender the peaks were DCTCP 3.98 MB, PPT 4.22 MB and Homa
+2.05 MB.  That every finished end holds the shared ``NO_SEQS`` does not
+depend on flow size: ``tests/test_window_properties.py`` checks it on
+short flows.
 """
 
 import tracemalloc
@@ -16,7 +18,7 @@ import tracemalloc
 from conftest import run_figure
 from repro.experiments.runner import Scenario, run
 from repro.experiments.scenarios import SCHEMES, sim_config, star_fabric
-from repro.transport.base import NO_SEQS, Flow
+from repro.transport.base import Flow
 from repro.units import gbps
 
 FLOW_BYTES = 20_000_000
@@ -32,18 +34,6 @@ def _two_long_flows() -> Scenario:
         config=sim_config())
 
 
-def _scoreboards(result) -> list:
-    """The ``sacked`` set of every endpoint that keeps one (a
-    receiver-driven endpoint's is its message state's)."""
-    boards = []
-    for host in result.topology.network.hosts.values():
-        for endpoint in host.endpoints.values():
-            owner = getattr(endpoint, "state", endpoint)
-            if hasattr(owner, "sacked"):
-                boards.append(owner.sacked)
-    return boards
-
-
 def _run():
     rows = []
     for name in SCHEME_NAMES:
@@ -53,10 +43,8 @@ def _run():
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        boards = _scoreboards(result)
         rows.append({"scheme": name, "completed": result.completed,
-                     "peak_mb": peak / 1e6, "scoreboards": len(boards),
-                     "retired_shared": sum(b is NO_SEQS for b in boards)})
+                     "peak_mb": peak / 1e6})
     return {"rows": rows}
 
 
@@ -66,6 +54,3 @@ def test_long_flows_keep_window_sized_state(benchmark):
     for row in rows:
         assert row["completed"] == 2, row
         assert row["peak_mb"] <= PEAK_MB, row
-        # every end of both finished flows holds the shared empty set
-        assert row["scoreboards"] >= 2, row
-        assert row["retired_shared"] == row["scoreboards"], row

@@ -12,7 +12,7 @@ Commands
     FCT statistics table.
 ``figure``
     Regenerate one of the paper's figures by name (fig01 .. fig29,
-    sec41) and print its rows.
+    sec41, sec63) or an extension study (ext-*) and print its rows.
 ``tables``
     Print Tables 1-3.
 
@@ -35,15 +35,9 @@ import argparse
 import inspect
 import math
 import sys
-from typing import Callable, Dict, List
+from collections.abc import Mapping
+from typing import Callable, List
 
-from .experiments import figures, tables
-from .experiments.parallel import (
-    FailedTask,
-    RunSummary,
-    run_grid,
-    scheme_grid,
-)
 from .experiments.runner import format_table, run
 from .experiments.scenarios import (
     SCHEMES,
@@ -52,10 +46,7 @@ from .experiments.scenarios import (
     incast_scenario,
     soak_scenario,
 )
-from .experiments.workers import WorkerError
-from .faults.plan import FAULT_KINDS, FaultPlan
 from .resilience.checkpoint import CheckpointError
-from .sim.hybrid import HybridConfig
 from .sim.routing import DEFAULT_FLOWLET_GAP, LB_MODES
 from .validate.report import InvariantViolation
 from .workloads.distributions import WORKLOADS
@@ -64,31 +55,52 @@ from .workloads.streams import parse_load_shape, parse_tenant_mix
 SCHEME_FACTORIES = SCHEMES  # the name scripts and tests import from here
 DEFAULT_SCHEMES = ("ppt", "dctcp")
 
-FIGURES: Dict[str, Callable[..., dict]] = {
-    "fig01": figures.fig01_link_utilization,
-    "fig02": figures.fig02_hypothetical,
-    "fig03": figures.fig03_fill_factor,
-    "fig08": figures.fig08_09_testbed_15to15,
-    "fig10": figures.fig10_11_testbed_14to1,
-    "fig12": figures.fig12_13_largescale,
-    "fig14": figures.fig14_delay_based,
-    "fig15": figures.fig15_ablation_lcp_ecn,
-    "fig16": figures.fig16_ablation_ewd,
-    "fig17": figures.fig17_ablation_scheduling,
-    "fig18": figures.fig18_ablation_identification,
-    "fig19": figures.fig19_cpu_overhead,
-    "fig20": figures.fig20_link_utilization,
-    "fig21": figures.fig21_memcached,
-    "fig22": figures.fig22_100_400g,
-    "fig23": figures.fig23_incast_sweep,
-    "fig24": figures.fig24_rc3_lp_buffer,
-    "fig25": figures.fig25_pias_hpcc,
-    "fig26": figures.fig26_non_oversubscribed,
-    "fig27": figures.fig27_send_buffer,
-    "fig28": figures.fig28_buffer_occupancy,
-    "fig29": figures.fig29_transfer_efficiency,
-    "sec41": figures.sec41_identification_accuracy,
-}
+
+class _Drivers(Mapping):
+    """Figure names -> drivers in :mod:`repro.experiments.figures`, which
+    the first lookup imports; ``ext-*`` names are extension studies."""
+
+    _names = {
+        "fig01": "fig01_link_utilization",
+        "fig02": "fig02_hypothetical",
+        "fig03": "fig03_fill_factor",
+        "fig08": "fig08_09_testbed_15to15",
+        "fig10": "fig10_11_testbed_14to1",
+        "fig12": "fig12_13_largescale",
+        "fig14": "fig14_delay_based",
+        "fig15": "fig15_ablation_lcp_ecn",
+        "fig16": "fig16_ablation_ewd",
+        "fig17": "fig17_ablation_scheduling",
+        "fig18": "fig18_ablation_identification",
+        "fig19": "fig19_cpu_overhead",
+        "fig20": "fig20_link_utilization",
+        "fig21": "fig21_memcached",
+        "fig22": "fig22_100_400g",
+        "fig23": "fig23_incast_sweep",
+        "fig24": "fig24_rc3_lp_buffer",
+        "fig25": "fig25_pias_hpcc",
+        "fig26": "fig26_non_oversubscribed",
+        "fig27": "fig27_send_buffer",
+        "fig28": "fig28_buffer_occupancy",
+        "fig29": "fig29_transfer_efficiency",
+        "sec41": "sec41_identification_accuracy",
+        "sec63": "sec63_lcp_threshold",
+        "ext-baselines": "ext_baselines",
+        "ext-buffer-model": "ext_buffer_model",
+    }
+
+    def __getitem__(self, name: str) -> Callable[..., dict]:
+        from .experiments import figures
+        return getattr(figures, self._names[name])
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
+FIGURES = _Drivers()
 
 
 def _cmd_list_schemes(_args) -> int:
@@ -132,6 +144,7 @@ def _cell_path(template: str, scheme: str, multi: bool) -> str:
 
 
 def _summary_rows(schemes, summaries, *, faults, health_flag):
+    from .experiments.parallel import FailedTask
     rows = []
     for name, summary in zip(schemes, summaries):
         if isinstance(summary, FailedTask):
@@ -171,6 +184,7 @@ def _report_validation(schemes, summaries) -> bool:
 def _cmd_resume(args) -> int:
     """``--resume``: finish a checkpointed run, bit-identical to one
     that never stopped."""
+    from .experiments.parallel import RunSummary
     path = None
     if args.checkpoint_every is not None:
         path = args.checkpoint or args.resume
@@ -226,6 +240,10 @@ RUN_EXCLUSIONS = (
 
 
 def _cmd_run(args) -> int:
+    from .experiments.parallel import FailedTask, run_grid, scheme_grid
+    from .experiments.workers import WorkerError
+    from .faults.plan import FaultPlan
+    from .sim.hybrid import HybridConfig
     for excluded, message in RUN_EXCLUSIONS:
         if excluded(args):
             print(f"error: {message}", file=sys.stderr)
@@ -363,6 +381,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_tables(_args) -> int:
+    from .experiments import tables
     print("Table 1 — design space")
     print(format_table(tables.table1()))
     print("\nTable 2 — workload statistics")
@@ -373,6 +392,7 @@ def _cmd_tables(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .faults.plan import FAULT_KINDS
     parser = argparse.ArgumentParser(
         prog="repro", description="PPT (SIGCOMM 2024) reproduction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

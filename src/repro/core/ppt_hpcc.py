@@ -17,7 +17,8 @@ suggestion, so this is an *extension*, not a reproduced experiment):
 * PPT's mirror-symmetric scheduling and buffer-aware identification
   apply to both loops.
 
-``benchmarks/bench_ext_ppt_hpcc.py`` compares it against plain HPCC.
+The ``ext-baselines`` figure runs it against plain HPCC; claim rows
+``ext-baselines-ppt-hpcc-*`` check the comparison.
 """
 
 from __future__ import annotations

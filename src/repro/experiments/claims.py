@@ -10,7 +10,8 @@ or one cell with a constant, ``lhs OP bound``.  A cell is a metric of
 the one row its selector picks (every ``(column, value)`` pair of the
 selector matches).  A claim the paper makes "at every load" or "below
 every other scheme" is one row per load or per scheme.  ``paper`` is
-what the paper states; ``note`` is the known deviation behind a bound
+what the paper states (on an ``ext-*`` figure, a study beyond the paper:
+what the study backs); ``note`` is the known deviation behind a bound
 looser than the paper's (EXPERIMENTS.md has the full account).  A claim
 the reproduction fails today is listed in :data:`RED` with its two
 numbers, and its ``xfail`` reason quotes them.
@@ -69,6 +70,9 @@ def _vs(figure: str, name: str, paper: str, metric: str, op: str,
 # the §6.2 comparison set but PPT
 _SIM_OTHERS = ("ndp", "aeolus", "homa", "rc3", "dctcp")
 _WORKLOADS = (("ws", "web-search"), ("dm", "data-mining"))
+# the overall and small-flow FCT metrics, with their id stems
+_FCT = (("overall_avg_ms", "overall"), ("small_avg_ms", "small-avg"),
+        ("small_p99_ms", "small-p99"))
 
 
 def _table() -> List[Claim]:
@@ -161,6 +165,13 @@ def _table() -> List[Claim]:
                 "ppt", ["dctcp"], kwargs=kwargs))
         add(_vs("fig12", f"{tag}-large", paper, "large_avg_ms", "<", 1.10,
                 "ppt", ["homa"], kwargs=kwargs, note=parity))
+    for seed in (23, 101):
+        for metric, short, bound in (("overall_avg_ms", "overall", 1.0),
+                                     ("small_avg_ms", "small-avg", 1.0),
+                                     ("small_p99_ms", "small-p99", 0.5)):
+            add(_vs("fig12", f"ws-s{seed}-{short}", paper, metric, "<",
+                    bound, "ppt", ["rc3", "dctcp"], kwargs=(("seed", seed),),
+                    note="another draw of the flows: a 2x tail margin"))
 
     paper = ("PPT's design on a Swift-like transport cuts the overall "
              "average by 16.7%, the small avg/tail by 56.5%/72.1% and the "
@@ -257,12 +268,23 @@ def _table() -> List[Claim]:
     paper = ("at every 20-80% LP-buffer cap PPT beats RC3: up to 71% lower "
              "overall and 73%/75% lower small avg/tail")
     for fraction in (0.2, 0.5, 0.8):
-        for metric, short in (("overall_avg_ms", "overall"),
-                              ("small_avg_ms", "small-avg"),
-                              ("small_p99_ms", "small-p99")):
+        for metric, short in _FCT:
             add([Claim(f"fig24-{fraction}-{short}", "fig24", paper,
                        _at(metric, "ppt"), "<", 1.0,
                        _at(metric, "rc3", lp_buffer_fraction=fraction))])
+
+    paper = ("PPT has performance benefits under a wide range of K_low for "
+             "the low-priority queue (§6.3)")
+    k_lows = (25_000, 50_000, 86_000, 110_000)
+    for k_low in k_lows:
+        for metric, short in _FCT:
+            add([Claim(f"sec63-{k_low // 1000}KB-{short}", "sec63", paper,
+                       _at(metric, "ppt", k_low=k_low), "<", 1.0,
+                       _at(metric, "dctcp"))])
+    add([Claim(f"sec63-spread-{a // 1000}KB-{b // 1000}KB", "sec63", paper,
+               _at("overall_avg_ms", "ppt", k_low=a), "<=", 1.25,
+               _at("overall_avg_ms", "ppt", k_low=b))
+         for a, b in itertools.permutations(k_lows, 2)])
 
     paper = ("PPT cuts the overall average by 24.6% vs PIAS and 4.7% vs "
              "HPCC; its tail is 38.2% below HPCC's")
@@ -331,6 +353,40 @@ def _table() -> List[Claim]:
                    _at("accuracy", application=app), ">=", floor),
              Claim(f"sec41-{short}-ceiling", "sec41", paper,
                    _at("accuracy", application=app), "<=", ceiling)])
+
+    paper = ("Table 1 and appendix C: TCP-10 and Halfback fix only the "
+             "startup phase, ExpressPass waits an RTT for credits, and "
+             "TIMELY, D2TCP and DCQCN converge without flow scheduling")
+    slow = ("tcp10", "halfback", "expresspass", "timely", "d2tcp")
+    deadline = ("d2tcp's row equals dctcp's bit for bit: no generator sets "
+                "Flow.deadline, so deadline_factor() is always 1")
+    for metric, short, others in (
+            ("overall_avg_ms", "overall", slow),
+            ("small_avg_ms", "small-avg", slow + ("dcqcn",)),
+            ("small_p99_ms", "small-p99", slow + ("dcqcn",))):
+        for other in others:
+            add(_vs("ext-baselines", short, paper, metric, "<", 1.0, "ppt",
+                    [other], note=deadline if other == "d2tcp" else ""))
+    add(_vs("ext-baselines", "halfback-small-avg", paper, "small_avg_ms", "<",
+            1.0, "halfback", ["tcp10"]))
+    paper = ("appendix B: PPT's LCP loop and scheduling are a building block "
+             "for INT-based transports like HPCC")
+    for metric, short in _FCT[::2]:
+        add(_vs("ext-baselines", f"ppt-hpcc-{short}", paper, metric, "<", 1.0,
+                "ppt-hpcc", ["hpcc"]))
+
+    paper = ("PPT beats DCTCP under every buffer-sharing model, and the "
+             "default scavenger profile protects PPT's small flows best")
+    for model in ("scavenger", "uniform", "tail-drop"):
+        for metric, short in _FCT[:2]:
+            add(_vs("ext-buffer-model", f"{model}-{short}", paper, metric,
+                    "<", 1.0, "ppt", ["dctcp"], buffer_model=model))
+        if model != "scavenger":
+            add([Claim(f"ext-buffer-model-scavenger-small-p99-{model}",
+                       "ext-buffer-model", paper,
+                       _at("small_p99_ms", "ppt", buffer_model="scavenger"),
+                       "<=", 1.05,
+                       _at("small_p99_ms", "ppt", buffer_model=model))])
     return claims
 
 

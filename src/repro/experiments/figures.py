@@ -1,6 +1,7 @@
 """Per-figure experiment drivers.
 
-One function per table/figure in the paper's evaluation.  Each returns a
+One function per table/figure in the paper's evaluation, plus §6.3's
+K_low remark and two studies beyond it (``ext_*``).  Each returns a
 dict with ``rows`` (list of flat dicts, printable with
 :func:`~repro.experiments.runner.format_table`) plus any figure-specific
 data series, so the benchmark harness can both print the same rows the
@@ -230,19 +231,19 @@ def fig10_11_testbed_14to1(workload: str = "web-search",
 
 
 def _largescale(name: str, cdf, *, load: float, n_flows: int,
-                fabric: Optional[Callable] = None) -> dict:
+                fabric: Optional[Callable] = None, seed: int = 7) -> dict:
     """The six-scheme comparison of Figs. 12/13, 22 and 26."""
     return _fct_table(
         sim_schemes(),
         lambda: all_to_all_scenario(name, cdf, load=load, n_flows=n_flows,
-                                    fabric=fabric))
+                                    fabric=fabric, seed=seed))
 
 
 def fig12_13_largescale(workload: str = "web-search", *, load: float = 0.5,
-                        n_flows: int = 150) -> dict:
+                        n_flows: int = 150, seed: int = 7) -> dict:
     """Figs. 12/13: the six-scheme comparison on the oversubscribed fabric."""
     return _largescale(f"fig12-{workload}", WORKLOADS[workload], load=load,
-                       n_flows=n_flows)
+                       n_flows=n_flows, seed=seed)
 
 
 def fig14_delay_based(*, load: float = 0.5, n_flows: int = 150) -> dict:
@@ -337,26 +338,43 @@ def fig23_incast_sweep(*, ratios: Sequence[int] = (8, 16, 31),
         [{"incast_ratio": n} for n in ratios])
 
 
+def _qcfg_sweep(name: str, reference: str, swept: str, column: str,
+                values: Sequence, qcfg: Callable, *, load: float,
+                n_flows: int) -> dict:
+    """``reference`` on the default fabric (``column`` "n/a"), ``swept``
+    on ``qcfg(value)``'s queues for each of ``values``: two grids run as
+    one."""
+
+    def scenario(**variant):
+        value = variant[column]
+        fabric = None if value == "n/a" else sim_fabric(qcfg=qcfg(value))
+        return all_to_all_scenario(f"{name}-{value}", WEB_SEARCH, load=load,
+                                   n_flows=n_flows, fabric=fabric)
+
+    tasks = scheme_grid(_pick(reference), scenario, [{column: "n/a"}])
+    tasks += scheme_grid(_pick(swept), scenario,
+                         [{column: value} for value in values])
+    return {"rows": [summary.row()
+                     for summary in run_grid(tasks, jobs=-1)]}
+
+
 def fig24_rc3_lp_buffer(*, fractions: Sequence[float] = (0.2, 0.5, 0.8),
                         load: float = 0.5, n_flows: int = 150) -> dict:
     """Fig. 24: capping RC3's LP buffer does not save it."""
+    return _qcfg_sweep(
+        "fig24", "ppt", "rc3", "lp_buffer_fraction", fractions,
+        lambda f: sim_qcfg(lp_buffer_cap=int(SIM_BUFFER * f)), load=load,
+        n_flows=n_flows)
 
-    def scenario(lp_buffer_fraction):
-        fabric = None  # PPT's "n/a" row: the uncapped default fabric
-        if lp_buffer_fraction != "n/a":
-            fabric = sim_fabric(qcfg=sim_qcfg(
-                lp_buffer_cap=int(SIM_BUFFER * lp_buffer_fraction)))
-        return all_to_all_scenario(
-            f"fig24-{lp_buffer_fraction}", WEB_SEARCH, load=load,
-            n_flows=n_flows, fabric=fabric)
 
-    # not a full cross product, so two grids — run as one
-    tasks = scheme_grid(_pick("ppt"), scenario,
-                        [{"lp_buffer_fraction": "n/a"}])
-    tasks += scheme_grid(_pick("rc3"), scenario,
-                         [{"lp_buffer_fraction": f} for f in fractions])
-    return {"rows": [summary.row()
-                     for summary in run_grid(tasks, jobs=-1)]}
+def sec63_lcp_threshold(*, k_lows: Sequence[int] = (25_000, 50_000, 86_000,
+                                                    110_000),
+                        load: float = 0.5, n_flows: int = 150) -> dict:
+    """§6.3: PPT keeps its benefit over a wide range of K_low, the LCP
+    queues' ECN threshold (86KB by default; DCTCP never uses them)."""
+    return _qcfg_sweep("sec63", "dctcp", "ppt", "k_low", k_lows,
+                       lambda k_low: sim_qcfg(k_low=k_low), load=load,
+                       n_flows=n_flows)
 
 
 def fig25_pias_hpcc(*, load: float = 0.5, n_flows: int = 150) -> dict:
@@ -455,3 +473,28 @@ def sec41_identification_accuracy(*, n_messages: int = 5000,
          "accuracy": web, "paper_accuracy": 0.843},
     ]
     return {"rows": rows, "memcached": memcached, "web": web}
+
+
+def ext_baselines(*, load: float = 0.5, n_flows: int = 150) -> dict:
+    """Extension: appendix B/C's and Table 1's other transports vs PPT."""
+    return _fct_table(
+        _pick("tcp10", "halfback", "expresspass", "timely", "d2tcp", "dcqcn",
+              "hpcc", "ppt-hpcc", "ppt"),
+        lambda: all_to_all_scenario("ext-baselines", WEB_SEARCH, load=load,
+                                    n_flows=n_flows))
+
+
+# dynamic-threshold alphas: the default (scavenger P4-P7), uniform, none
+BUFFER_MODELS = {"scavenger": (8.0,) * 4 + (1.0,) * 4, "uniform": 8.0,
+                 "tail-drop": None}
+
+
+def ext_buffer_model(*, load: float = 0.5, n_flows: int = 150) -> dict:
+    """Extension: PPT and DCTCP under each buffer-sharing model."""
+    return _fct_table(
+        _pick("dctcp", "ppt"),
+        lambda buffer_model: all_to_all_scenario(
+            f"ext-buffer-model-{buffer_model}", WEB_SEARCH, load=load,
+            n_flows=n_flows, fabric=sim_fabric(qcfg=sim_qcfg(
+                dt_alpha=BUFFER_MODELS[buffer_model]))),
+        [{"buffer_model": model} for model in BUFFER_MODELS])

@@ -7,6 +7,7 @@ their values."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_every_figure_has_a_claim_and_every_claim_a_figure():
     assert {claim.figure for claim in CLAIMS} == set(FIGURES)
+
+
+def test_every_figure_key_says_whether_it_is_the_papers():
+    """A key starting ``ext-`` is a study beyond the paper's evaluation;
+    every other key names a paper figure or section."""
+    for key in FIGURES:
+        assert re.fullmatch(r"(fig|sec)\d\d|ext-[a-z-]+", key), key
 
 
 def test_claim_ids_are_unique():

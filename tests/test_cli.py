@@ -191,7 +191,8 @@ def test_a_key_error_inside_a_run_is_not_an_error_line(monkeypatch):
     def broken_run_grid(tasks, **policy):
         raise KeyError("a real bug")
 
-    monkeypatch.setattr("repro.cli.run_grid", broken_run_grid)
+    monkeypatch.setattr("repro.experiments.parallel.run_grid",
+                        broken_run_grid)
     with pytest.raises(KeyError, match="a real bug"):
         main(["run", "--schemes", "dctcp", "--flows", "8"])
 

@@ -60,6 +60,10 @@ SMOKE_CALLS = {
     "fig29": lambda: figures.fig29_transfer_efficiency(fractions=(0.6,),
                                                        n_flows=20),
     "sec41": lambda: figures.sec41_identification_accuracy(n_messages=500),
+    "sec63": lambda: figures.sec63_lcp_threshold(k_lows=(50_000,),
+                                                 n_flows=20),
+    "ext-baselines": lambda: figures.ext_baselines(n_flows=15),
+    "ext-buffer-model": lambda: figures.ext_buffer_model(n_flows=15),
 }
 
 
@@ -200,18 +204,23 @@ def test_fig22_26_smoke(name):
 
 def test_large_scale_figures_name_their_own_scenarios(monkeypatch):
     """Figs 22 and 26 run Fig 12's six schemes on other fabrics, under
-    their own scenario names (they once ran as ``fig12-web-search``)."""
-    names = []
+    their own scenario names (they once ran as ``fig12-web-search``),
+    and Fig 12 draws its flows from the seed it is given (7 by
+    default)."""
+    built = []
 
-    def fct_table(_schemes, scenario_factory):
-        names.append(scenario_factory().name)
-        return {"rows": []}
+    def scenario(name, _cdf, **kwargs):
+        built.append((name, kwargs["seed"]))
 
-    monkeypatch.setattr(figures, "_fct_table", fct_table)
+    monkeypatch.setattr(figures, "all_to_all_scenario", scenario)
+    monkeypatch.setattr(figures, "_fct_table",
+                        lambda _schemes, scenario_factory: scenario_factory())
     figures.fig12_13_largescale("data-mining")
+    figures.fig12_13_largescale(seed=23)
     figures.fig22_100_400g()
     figures.fig26_non_oversubscribed()
-    assert names == ["fig12-data-mining", "fig22", "fig26"]
+    assert built == [("fig12-data-mining", 7), ("fig12-web-search", 23),
+                     ("fig22", 7), ("fig26", 7)]
 
 
 def test_fig23_smoke():
@@ -243,6 +252,12 @@ def test_fig28_smoke():
 def test_fig29_smoke():
     result = smoke("fig29")
     assert_rows(result, ["scheme", "overall_efficiency"])
+
+
+@pytest.mark.parametrize("name", ["sec63", "ext-baselines",
+                                  "ext-buffer-model"])
+def test_sec63_and_extension_smoke(name):
+    smoke(name)  # the golden rows name every scheme and variant
 
 
 def test_sec41_smoke():

@@ -67,6 +67,20 @@ def test_bare_import_and_ppt_run_load_only_their_path():
     assert "repro.core.ppt" in after_run  # the run did load its own path
 
 
+def test_cli_loads_no_driver_or_grid_before_a_command_needs_one():
+    loaded = _fresh("""
+        import json, sys
+        import repro.cli
+        repro.cli.main(["list-schemes"])
+        print(json.dumps(sorted(sys.modules)))
+    """)
+    assert "repro.experiments.scenarios" in loaded
+    assert sorted({"repro.experiments.figures", "repro.experiments.tables",
+                   "repro.experiments.parallel", "repro.experiments.workers",
+                   "repro.sim.hybrid", "multiprocessing"}
+                  & set(loaded)) == []
+
+
 # (module a path must load, digest of its result at the last eager-import
 # commit): sha256 prefixes over sorted (flow_id, fct) plus the path's own
 # counters, recorded before the imports moved
