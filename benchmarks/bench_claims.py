@@ -75,7 +75,7 @@ def test_fig01_average_below_the_load(benchmark):
 
 
 def test_fig18_overall_in_the_same_ballpark(benchmark):
-    rows = {row["scheme"]: row for row in _figure(benchmark, "fig18")}
+    rows = {row["scheme"]: row for row in _figure(benchmark, "fig15")}
     full, ablated = rows["ppt"], rows["ppt-noident"]
     assert abs(ablated["overall_avg_ms"] - full["overall_avg_ms"]) \
         <= full["overall_avg_ms"] * 0.25

@@ -11,8 +11,8 @@ Commands
     Run one or more schemes on a configurable scenario and print the
     FCT statistics table.
 ``figure``
-    Regenerate one of the paper's figures by name (fig01 .. fig29,
-    sec41, sec63) or an extension study (ext-*) and print its rows.
+    Regenerate one of the paper's figures (fig01 .. fig28; fig15 is Figs
+    15-18, fig28 Figs 28/29), sec41, sec63 or an extension study (ext-*).
 ``tables``
     Print Tables 1-3.
 
@@ -68,10 +68,7 @@ class _Drivers(Mapping):
         "fig10": "fig10_11_testbed_14to1",
         "fig12": "fig12_13_largescale",
         "fig14": "fig14_delay_based",
-        "fig15": "fig15_ablation_lcp_ecn",
-        "fig16": "fig16_ablation_ewd",
-        "fig17": "fig17_ablation_scheduling",
-        "fig18": "fig18_ablation_identification",
+        "fig15": "fig15_18_ablation",
         "fig19": "fig19_cpu_overhead",
         "fig20": "fig20_link_utilization",
         "fig21": "fig21_memcached",
@@ -81,8 +78,7 @@ class _Drivers(Mapping):
         "fig25": "fig25_pias_hpcc",
         "fig26": "fig26_non_oversubscribed",
         "fig27": "fig27_send_buffer",
-        "fig28": "fig28_buffer_occupancy",
-        "fig29": "fig29_transfer_efficiency",
+        "fig28": "fig28_29_buffer_efficiency",
         "sec41": "sec41_identification_accuracy",
         "sec63": "sec63_lcp_threshold",
         "ext-baselines": "ext_baselines",
@@ -236,6 +232,10 @@ RUN_EXCLUSIONS = (
      "--validate and --validate-strict cannot be combined with it"),
     (lambda a: a.checkpoint and a.checkpoint_every is None,
      "--checkpoint needs --checkpoint-every SIM_SECONDS"),
+    # --resume writes to the snapshot it finishes
+    (lambda a: a.checkpoint_every is not None and not a.checkpoint
+     and not a.resume,
+     "--checkpoint-every needs --checkpoint PATH"),
 )
 
 

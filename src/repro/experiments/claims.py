@@ -39,7 +39,7 @@ class Cell(NamedTuple):
 
 class Claim(NamedTuple):
     id: str
-    figure: str                 # a ``cli.FIGURES`` key
+    figure: str                 # the ``cli.FIGURES`` key whose rows it reads
     paper: str
     lhs: Cell
     op: str                     # a key of OPS
@@ -183,38 +183,36 @@ def _table() -> List[Claim]:
         add(_vs("fig14", short, paper, metric, "<", bound, "ppt-swift",
                 ["swift"]))
 
+    # Figs 15-18 read one grid, fig15's: PPT and its four ablations
     muted = ("deviation 5: dynamic-threshold buffers already stop a blind "
              "LCP, so the ablation is muted")
-    paper = ("without ECN for the LCP loop the overall average is 18.9% "
-             "slower and the small avg/tail 59.6%/78.4% slower")
-    add(_vs("fig15", "overall", paper, "overall_avg_ms", ">=", 0.97,
-            "ppt-noecn", ["ppt"], note=muted))
-    add(_vs("fig15", "small-p99", paper, "small_p99_ms", ">=", 0.95,
-            "ppt-noecn", ["ppt"], note=muted))
-
-    paper = ("without EWD the overall average is 26% longer and the small "
-             "avg/tail 63.5%/85.8% longer")
-    for metric, short, op, bound in (
-            ("overall_avg_ms", "overall", ">", 1.02),
-            ("large_avg_ms", "large", ">", 1.02),
-            ("small_avg_ms", "small-avg", ">=", 0.95)):
-        add(_vs("fig16", short, paper, metric, op, bound, "ppt-noewd",
-                ["ppt"], note=muted))
-
-    paper = ("scheduling is worth 26% on the overall average and 66%/51.2% "
-             "on the small avg/tail")
-    for metric, short, bound in (("overall_avg_ms", "overall", 1.05),
-                                 ("small_avg_ms", "small-avg", 2.0),
-                                 ("small_p99_ms", "small-p99", 2.0)):
-        add(_vs("fig17", short, paper, metric, ">", bound, "ppt-nosched",
-                ["ppt"]))
-
-    paper = ("without identification the small avg/tail lose 4.3%/31.9%; "
-             "the overall average can be slightly lower")
-    add(_vs("fig18", "small-p99", paper, "small_p99_ms", ">", 1.1,
-            "ppt-noident", ["ppt"]))
-    add(_vs("fig18", "small-avg", paper, "small_avg_ms", ">=", 1.0,
-            "ppt-noident", ["ppt"]))
+    for figure, ablated, paper, checks in (
+            ("fig15", "ppt-noecn",
+             "without ECN for the LCP loop the overall average is 18.9% "
+             "slower and the small avg/tail 59.6%/78.4% slower",
+             (("overall_avg_ms", "overall", ">=", 0.97, muted),
+              ("small_p99_ms", "small-p99", ">=", 0.95, muted))),
+            ("fig16", "ppt-noewd",
+             "without EWD the overall average is 26% longer and the small "
+             "avg/tail 63.5%/85.8% longer",
+             (("overall_avg_ms", "overall", ">", 1.02, muted),
+              ("large_avg_ms", "large", ">", 1.02, muted),
+              ("small_avg_ms", "small-avg", ">=", 0.95, muted))),
+            ("fig17", "ppt-nosched",
+             "scheduling is worth 26% on the overall average and 66%/51.2% "
+             "on the small avg/tail",
+             (("overall_avg_ms", "overall", ">", 1.05, ""),
+              ("small_avg_ms", "small-avg", ">", 2.0, ""),
+              ("small_p99_ms", "small-p99", ">", 2.0, ""))),
+            ("fig18", "ppt-noident",
+             "without identification the small avg/tail lose 4.3%/31.9%; "
+             "the overall average can be slightly lower",
+             (("small_p99_ms", "small-p99", ">", 1.1, ""),
+              ("small_avg_ms", "small-avg", ">=", 1.0, "")))):
+        for metric, short, op, bound, note in checks:
+            add(claim._replace(figure="fig15") for claim in _vs(
+                figure, short, paper, metric, op, bound, ablated, ["ppt"],
+                note=note))
 
     paper = ("PPT's CPU usage exceeds DCTCP's by under 1 percentage point, "
              "and the relative gap shrinks as the load grows")
@@ -335,13 +333,17 @@ def _table() -> List[Claim]:
     paper = ("PPT's transfer efficiency is comparable to DCTCP's and "
              "14.6-18.4% above RC3's; RC3's LP efficiency is ~50% below "
              "PPT's")
+    efficiency = []  # Fig 29 reads fig28's runs
     for fraction in (0.6, 0.8):
-        add(_vs("fig29", f"{fraction}-eff", paper, "overall_efficiency", ">=",
-                0.98, "dctcp", ["ppt"], ecn_fraction=fraction))
-        add(_vs("fig29", f"{fraction}-eff", paper, "overall_efficiency", ">",
-                1.0, "ppt", ["rc3"], ecn_fraction=fraction))
-    add(_vs("fig29", "0.8-lp-eff", paper, "lp_efficiency", ">", 1.0, "ppt",
-            ["rc3"], ecn_fraction=0.8))
+        efficiency += _vs("fig29", f"{fraction}-eff", paper,
+                          "overall_efficiency", ">=", 0.98, "dctcp", ["ppt"],
+                          ecn_fraction=fraction)
+        efficiency += _vs("fig29", f"{fraction}-eff", paper,
+                          "overall_efficiency", ">", 1.0, "ppt", ["rc3"],
+                          ecn_fraction=fraction)
+    efficiency += _vs("fig29", "0.8-lp-eff", paper, "lp_efficiency", ">", 1.0,
+                      "ppt", ["rc3"], ecn_fraction=0.8)
+    add(claim._replace(figure="fig28") for claim in efficiency)
 
     paper = ("the first-syscall test identifies 86.7% of >1KB Memcached "
              "(ETC) flows and 84.3% of >10KB web-server flows")
@@ -357,16 +359,15 @@ def _table() -> List[Claim]:
     paper = ("Table 1 and appendix C: TCP-10 and Halfback fix only the "
              "startup phase, ExpressPass waits an RTT for credits, and "
              "TIMELY, D2TCP and DCQCN converge without flow scheduling")
-    slow = ("tcp10", "halfback", "expresspass", "timely", "d2tcp")
-    deadline = ("d2tcp's row equals dctcp's bit for bit: no generator sets "
-                "Flow.deadline, so deadline_factor() is always 1")
+    # D2TCP has no row: no generator sets Flow.deadline, so its cell is
+    # fig12's DCTCP cell, which the fig12-ws-*-dctcp rows bound as tight
+    slow = ("tcp10", "halfback", "expresspass", "timely")
     for metric, short, others in (
             ("overall_avg_ms", "overall", slow),
             ("small_avg_ms", "small-avg", slow + ("dcqcn",)),
             ("small_p99_ms", "small-p99", slow + ("dcqcn",))):
-        for other in others:
-            add(_vs("ext-baselines", short, paper, metric, "<", 1.0, "ppt",
-                    [other], note=deadline if other == "d2tcp" else ""))
+        add(_vs("ext-baselines", short, paper, metric, "<", 1.0, "ppt",
+                others))
     add(_vs("ext-baselines", "halfback-small-avg", paper, "small_avg_ms", "<",
             1.0, "halfback", ["tcp10"]))
     paper = ("appendix B: PPT's LCP loop and scheduling are a building block "

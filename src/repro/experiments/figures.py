@@ -1,6 +1,7 @@
 """Per-figure experiment drivers.
 
-One function per table/figure in the paper's evaluation, plus §6.3's
+One function per setup in the paper's evaluation (figures read off the
+same runs share one: Figs 15-18, Figs 28/29), plus §6.3's
 K_low remark and two studies beyond it (``ext_*``).  Each returns a
 dict with ``rows`` (list of flat dicts, printable with
 :func:`~repro.experiments.runner.format_table`) plus any figure-specific
@@ -9,7 +10,7 @@ paper reports and assert the reproduced *shape*.
 
 The FCT-table figures (8-18, 21-27) are grid specs — a scheme dict, a
 scenario factory, a variants list — handed to :func:`_fct_table`; the
-measurement figures (1-3, 19, 20, 28, 29, §4.1) need the live fabric or
+measurement figures (1-3, 19, 20, 28/29, §4.1) need the live fabric or
 a pass-1 table and stay on :func:`~repro.experiments.runner.run`.
 
 All drivers accept scale overrides; defaults are the scaled scenarios of
@@ -98,8 +99,7 @@ def _fct_table(schemes: SchemeSet, scenario_factory: Callable[..., Scenario],
     return {"rows": [summary.row() for summary in summaries]}
 
 
-# the microbenchmarks' bottleneck: the downlink to two_to_one_scenario's
-# (and _ecn_fraction_scenario's) receiver
+# the microbenchmarks' bottleneck: the downlink to the 2-to-1 receiver
 _BOTTLENECK_HOST = 2
 _UTILIZATION_INTERVAL = 100e-6
 
@@ -254,32 +254,17 @@ def fig14_delay_based(*, load: float = 0.5, n_flows: int = 150) -> dict:
                                     n_flows=n_flows))
 
 
-def _ablation(name: str, flags: Dict[str, bool], *, load: float = 0.5,
-              n_flows: int = 150) -> dict:
+def fig15_18_ablation(*, load: float = 0.5, n_flows: int = 150) -> dict:
+    """Figs. 15-18: PPT, and PPT without one mechanism each: ECN for the
+    LCP loop (15), EWD (16), flow scheduling (17) and buffer-aware
+    identification (18)."""
+    schemes = {"ppt": SCHEMES["ppt"]}
+    for flags in (dict(lcp_ecn=False), dict(ewd=False),
+                  dict(scheduling=False), dict(identification=False)):
+        schemes[Ppt(**flags).name] = functools.partial(Ppt, **flags)
     return _fct_table(
-        {"ppt": SCHEMES["ppt"], Ppt(**flags).name: lambda: Ppt(**flags)},
-        lambda: all_to_all_scenario(name, WEB_SEARCH, load=load,
-                                    n_flows=n_flows))
-
-
-def fig15_ablation_lcp_ecn(**kwargs) -> dict:
-    """Fig. 15: PPT without ECN for the LCP loop."""
-    return _ablation("fig15", dict(lcp_ecn=False), **kwargs)
-
-
-def fig16_ablation_ewd(**kwargs) -> dict:
-    """Fig. 16: PPT without EWD (line-rate LCP)."""
-    return _ablation("fig16", dict(ewd=False), **kwargs)
-
-
-def fig17_ablation_scheduling(**kwargs) -> dict:
-    """Fig. 17: PPT without flow scheduling (single priority per loop)."""
-    return _ablation("fig17", dict(scheduling=False), **kwargs)
-
-
-def fig18_ablation_identification(**kwargs) -> dict:
-    """Fig. 18: PPT without buffer-aware identification."""
-    return _ablation("fig18", dict(identification=False), **kwargs)
+        schemes, lambda: all_to_all_scenario("fig15", WEB_SEARCH, load=load,
+                                             n_flows=n_flows))
 
 
 def fig19_cpu_overhead(*, loads: Sequence[float] = (0.3, 0.5, 0.7),
@@ -408,25 +393,20 @@ _APPENDIX_F_SCHEMES = ("dctcp", "rc3", "ppt")
 _APPENDIX_F_BUFFER = 120_000
 
 
-def _ecn_fraction_scenario(name: str, fraction: float, *, load: float,
-                           n_flows: int) -> Scenario:
-    k = int(_APPENDIX_F_BUFFER * fraction)
-    return two_to_one_scenario(name, load=load, n_flows=n_flows,
-                               buffer_bytes=_APPENDIX_F_BUFFER,
-                               k_high=k, k_low=k)
-
-
-def fig28_buffer_occupancy(*, fractions: Sequence[float] = (0.6, 0.8),
-                           load: float = 0.7, n_flows: int = 100) -> dict:
-    """Appendix F: high- vs low-priority buffer occupancy per scheme."""
+def fig28_29_buffer_efficiency(*, fractions: Sequence[float] = (0.6, 0.8),
+                               load: float = 0.7, n_flows: int = 100) -> dict:
+    """Appendix F, Figs. 28/29: high- vs low-priority buffer occupancy
+    and received/sent efficiency (overall and LP-only) per scheme, read
+    from the same runs."""
     rows = []
     for fraction in fractions:
+        k = int(_APPENDIX_F_BUFFER * fraction)  # both ECN thresholds
         for name in _APPENDIX_F_SCHEMES:
-            scenario, probes = _probed(
-                _ecn_fraction_scenario(f"fig28-{name}-{fraction}", fraction,
-                                       load=load, n_flows=n_flows),
+            scenario, probes = _probed(two_to_one_scenario(
+                f"fig28-{name}-{fraction}", load=load, n_flows=n_flows,
+                buffer_bytes=_APPENDIX_F_BUFFER, k_high=k, k_low=k),
                 _occupancy, 50e-6)
-            run(SCHEMES[name](), scenario)
+            res = run(SCHEMES[name](), scenario)
             # averages past a 5-sample warm-up, in bytes
             samples = _enough(probes[0].samples, 6, "buffer occupancy")[5:]
             n = len(samples)
@@ -436,20 +416,7 @@ def fig28_buffer_occupancy(*, fractions: Sequence[float] = (0.6, 0.8),
             rows.append({"scheme": name, "ecn_fraction": fraction,
                          "avg_total_bytes": total, "avg_high_bytes": high,
                          "avg_low_bytes": low,
-                         "low_share": (low / total) if total else 0.0})
-    return {"rows": rows}
-
-
-def fig29_transfer_efficiency(*, fractions: Sequence[float] = (0.6, 0.8),
-                              load: float = 0.7, n_flows: int = 100) -> dict:
-    """Appendix F: received/sent efficiency, overall and LP-only."""
-    rows = []
-    for fraction in fractions:
-        for name in _APPENDIX_F_SCHEMES:
-            res = run(SCHEMES[name](), _ecn_fraction_scenario(
-                f"fig29-{name}-{fraction}", fraction, load=load,
-                n_flows=n_flows))
-            rows.append({"scheme": name, "ecn_fraction": fraction,
+                         "low_share": (low / total) if total else 0.0,
                          "overall_efficiency": res.table.efficiency(),
                          "lp_efficiency": res.table.efficiency(lp=True)})
     return {"rows": rows}
@@ -476,10 +443,12 @@ def sec41_identification_accuracy(*, n_messages: int = 5000,
 
 
 def ext_baselines(*, load: float = 0.5, n_flows: int = 150) -> dict:
-    """Extension: appendix B/C's and Table 1's other transports vs PPT."""
+    """Extension: appendix B/C's and Table 1's other transports vs PPT.
+    D2TCP is not among them: no generator sets a flow deadline, so its
+    cell is Fig. 12's DCTCP cell."""
     return _fct_table(
-        _pick("tcp10", "halfback", "expresspass", "timely", "d2tcp", "dcqcn",
-              "hpcc", "ppt-hpcc", "ppt"),
+        _pick("tcp10", "halfback", "expresspass", "timely", "dcqcn", "hpcc",
+              "ppt-hpcc", "ppt"),
         lambda: all_to_all_scenario("ext-baselines", WEB_SEARCH, load=load,
                                     n_flows=n_flows))
 

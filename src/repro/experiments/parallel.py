@@ -274,6 +274,8 @@ def run_grid(
     """
     if timeout is not None and not 0 < timeout < math.inf:
         raise ValueError(f"timeout must be finite and > 0, got {timeout!r}")
+    if retries is not None and retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries!r}")
     tasks = list(tasks)
     supervised = timeout is not None or retries is not None
     n_workers = workers.worker_count(jobs, len(tasks))

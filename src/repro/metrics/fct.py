@@ -57,7 +57,6 @@ class FctStats:
     small_avg: float
     small_p99: float
     large_avg: float
-    overall_p99: float
 
     @classmethod
     def from_flows(cls, flows: Iterable[Flow]) -> "FctStats":
@@ -81,7 +80,6 @@ class FctStats:
             small_avg=mean(small),
             small_p99=percentile(small, 99.0),
             large_avg=mean(large),
-            overall_p99=percentile(fcts, 99.0),
         )
 
     def row(self) -> dict:

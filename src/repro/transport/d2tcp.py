@@ -16,8 +16,7 @@ exactly like DCTCP (d = 1).
 
 from __future__ import annotations
 
-from .base import Flow, Scheme, TransportContext
-from .dctcp import DCTCP_G, Dctcp, DctcpSender
+from .dctcp import Dctcp, DctcpSender
 
 D_MIN = 0.5
 D_MAX = 2.0
@@ -41,24 +40,9 @@ class D2tcpSender(DctcpSender):
         d = expected_completion / remaining_time
         return max(D_MIN, min(D_MAX, d))
 
-    def _end_of_window(self) -> None:
-        # replicate DCTCP's per-window bookkeeping with the gamma-
-        # corrected cut (p = alpha^d instead of alpha)
-        fraction = self._win_ce / max(1, self._win_acks)
-        self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * fraction
-        self.alpha_history.append(self.alpha)
-        if self._win_ce > 0:
-            if not self.startup_done:
-                self.startup_done = True
-                self.ssthresh = max(self.cwnd, 2.0)
-                self.wmax = max(self.wmax, self.cwnd)
-            penalty = self.alpha ** self.deadline_factor()
-            self.cwnd = max(1.0, self.cwnd * (1.0 - penalty / 2.0))
-        self._win_acks = 0
-        self._win_ce = 0
-        self._win_end = max(self.send_ptr, self.cum + 1)
-        self._last_alpha_update = self.sim.now
-        self.on_window_update()
+    def cut_penalty(self) -> float:
+        # the gamma-corrected cut: p = alpha^d instead of alpha
+        return self.alpha ** self.deadline_factor()
 
 
 class D2tcp(Dctcp):

@@ -99,6 +99,8 @@ EXCLUDED_ARGV = {
         ["--resume", "c.ckpt"],  # with the --schemes every case is given
     "--checkpoint needs --checkpoint-every SIM_SECONDS":
         ["--checkpoint", "c.ckpt"],
+    "--checkpoint-every needs --checkpoint PATH":
+        ["--checkpoint-every", "0.001"],
 }
 
 
@@ -138,6 +140,15 @@ def test_resume_checks_flag_values_first(capsys):
                  "--schemes", "ppt", "dctcp", "--fault", "bogus"]) == 2
     assert capsys.readouterr().err == \
         "error: --checkpoint-every must be finite and > 0\n"
+
+
+def test_resume_checkpoints_to_its_own_snapshot(capsys):
+    """``--checkpoint-every`` needs no ``--checkpoint`` with ``--resume``:
+    the resumed run rewrites the snapshot it finishes."""
+    assert main(["run", "--resume", "missing.ckpt",
+                 "--checkpoint-every", "0.001"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot open checkpoint missing.ckpt")
 
 
 def test_figure_without_a_workload_parameter_refuses_the_flag(capsys):

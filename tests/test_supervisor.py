@@ -347,6 +347,12 @@ def test_run_grid_rejects_bad_timeout(timeout):
         run_grid([], timeout=timeout)
 
 
+def test_run_grid_rejects_negative_retries():
+    """``retries=-1`` used to run like ``retries=0``."""
+    with pytest.raises(ValueError, match="retries must be >= 0"):
+        run_grid([], retries=-1)
+
+
 def test_empty_grid_is_a_noop():
     assert run_grid([], jobs=4) == []
     assert run_grid([], jobs=4, timeout=1.0, retries=1) == []
