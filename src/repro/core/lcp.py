@@ -103,7 +103,10 @@ class LcpController(TailLoop):
                        - INIT_CWND, sender.n_packets))
 
     def _open_case1(self) -> None:
-        if self.sender.finished or self.active:
+        # the one timer close() leaves pending: it may fire after the
+        # flow finished, or after retirement cleared ``sender``
+        sender = self.sender
+        if sender is None or sender.finished or self.active:
             return
         self.open_loop(self._first_window())
 

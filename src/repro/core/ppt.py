@@ -64,9 +64,14 @@ class PptReceiver(WindowReceiver):
     when the flow completes (via either loop).
     """
 
+    # one receiver per flow, and every receiver outlives its flow
+    __slots__ = ("_lp_pending", "_lp_pending_ce", "_lp_last_pkt",
+                 "_lp_flush_event", "lp_acks_sent")
+
     def __init__(self, flow: Flow, ctx: TransportContext) -> None:
         super().__init__(flow, ctx)
-        self._lp_pending: list = []
+        # seqs of the LP packets the next LP-ACK covers (at most two)
+        self._lp_pending: tuple = ()
         self._lp_pending_ce = False
         self._lp_last_pkt: Packet = None
         self._lp_flush_event = None
@@ -98,7 +103,7 @@ class PptReceiver(WindowReceiver):
                 sacked.remove(cum)
                 cum += 1
             self.cum = cum
-        self._lp_pending.append(seq)
+        self._lp_pending += (seq,)
         self._lp_pending_ce = self._lp_pending_ce or pkt.ecn_ce
         self._lp_last_pkt = pkt
         if len(self._lp_pending) >= 2:
@@ -116,9 +121,11 @@ class PptReceiver(WindowReceiver):
         ack = make_ack(pkt, ack_seq=self.cum, priority=7)
         ack.lcp = True
         ack.ecn_ce = self._lp_pending_ce
-        ack.sack = tuple(self._lp_pending)
-        self._lp_pending = []
+        ack.sack = self._lp_pending
+        self._lp_pending = ()
         self._lp_pending_ce = False
+        # only a pending packet's ACK needs it (the delayed flush)
+        self._lp_last_pkt = None
         self._cancel_lp_flush()
         self.lp_acks_sent += 1
         (self._send_control or self._control_sender())(ack)

@@ -72,9 +72,16 @@ class Scenario:
     either a flow **list** or a :class:`~repro.workloads.FlowStream`
     (so patterns can reference real host ids and rates).  A list is
     scheduled up front; a stream is pulled lazily — one look-ahead flow
-    at a time — so memory stays flat regardless of flow count, and for
-    the same seed the streamed run is bit-identical to the materialized
-    one (see ``docs/workloads.md``).  ``faults`` re-runs the identical
+    at a time — so the schedule never materializes, and for the same
+    seed the streamed run is bit-identical to the materialized one (see
+    ``docs/workloads.md``).  Transport state stays flat too: a finished
+    window sender and its second loop are retired
+    (:meth:`~repro.transport.base.TransportContext.retire`).  What stays
+    per flow seen is its record — the ``Flow`` (~170 B), its receiver
+    (~150 B for PPT's) and host registry entry (~75 B), its sender's
+    ledger row and its ``FlowTable`` row (~150 B): about 630 B on a
+    streamed PPT Memcached run (``benchmarks/bench_ext_seq_state.py``).
+    ``faults`` re-runs the identical
     workload under a deterministic fault schedule; ``event_budget``
     bounds runaway runs.  Whatever must watch a run from its first
     instant (a :class:`~repro.metrics.Probe`) attaches by wrapping
@@ -190,10 +197,12 @@ def _progress_signature(ctx: TransportContext, network: Network) -> tuple:
     delivered-packet count (window senders and receivers both expose a
     ``delivered`` view; a receiver-driven scheme's ``MessageEndpoint``
     exposes its message's; endpoints without one, such as the
-    receiver-driven senders, count nothing) and the number of registered
-    endpoints (so a newly started flow counts as progress).  If this is unchanged across the
-    watchdog window, nothing useful is happening — retransmit storms and
-    idling RTO timers keep the heap warm but do not move it."""
+    receiver-driven senders, count nothing), the number of registered
+    endpoints (so a newly started flow counts as progress) and of retired
+    senders (a retirement takes a sender's count out of the sum).  If
+    this is unchanged across the watchdog window, nothing useful is
+    happening — retransmit storms and idling RTO timers keep the heap
+    warm but do not move it."""
     delivered = 0
     endpoints = 0
     for host in network.hosts.values():
@@ -211,9 +220,9 @@ def _progress_signature(ctx: TransportContext, network: Network) -> tuple:
         # analytic progress has no packets for the counters above to
         # see: fold in the controller's projected-delivery probe so an
         # hours-long abstract epoch never reads as a stall
-        return (len(ctx.completed), delivered, endpoints,
+        return (len(ctx.completed), delivered, endpoints, len(ctx.retired),
                 hybrid.progress_probe(network.sim.now))
-    return (len(ctx.completed), delivered, endpoints)
+    return (len(ctx.completed), delivered, endpoints, len(ctx.retired))
 
 
 def _resolve_observe(observe: Union[None, bool, Telemetry]) -> Optional[Telemetry]:
@@ -456,7 +465,7 @@ def _harvest(state: RunState, health: RunHealth) -> RunResult:
     health.sim_time = sim.now
     health.live_pending = sim.live_pending
     health.peak_pending = sim.peak_pending
-    table = FlowTable.harvest(flows, topo.network)
+    table = FlowTable.harvest(flows, topo.network, ctx.retired)
     health.retransmits_total = sum(table.retransmits)
     health.rtos_total = sum(table.rtos)
     if telemetry is not None:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 17
+CHECKPOINT_VERSION = 18
 
 
 class CheckpointError(RuntimeError):

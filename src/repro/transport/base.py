@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Deque, Dict, List, Optional, Set
 
+from ..metrics.flowtable import SenderLedger
 from ..sim.engine import Event, Simulator
 from ..sim.network import Network
 from ..sim.packet import ACK, DATA, HEADER_BYTES, Packet
 from ..units import serialization_delay
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
     """One application message/flow.
 
@@ -116,6 +117,8 @@ class TransportContext:
         # The run's invariant auditor (repro.validate), or None for an
         # unvalidated run; same read-once contract as ``telemetry``.
         self.auditor = None
+        # counters of the senders retire() let go
+        self.retired = SenderLedger()
 
     def host_manager(self, key: str, host_id: int, manager_cls, *args):
         """Per-host singleton of a receiver-driven scheme: the
@@ -132,6 +135,29 @@ class TransportContext:
         self.completed.append(flow)
         if self._on_complete is not None:
             self._on_complete(flow)
+
+    def retire(self, sender) -> None:
+        """Let go of a window sender whose every seq is delivered —
+        called right after its ``stop()``, which cancelled its timers;
+        from then on it ignores every packet.  Its counters go to
+        :attr:`retired` (what the run's ``FlowTable`` reads in its
+        place), the auditor checks its drain-end laws now, its host
+        forgets it (a late ACK is discarded as for a closed socket) and
+        its second loop forgets it, so reference counting frees both
+        while the drain holds the GC off.  A sender its host does not
+        hold under its flow id (one a test drives by hand) is left
+        alone.  The receiver stays: late duplicates are still counted
+        and ACKed."""
+        flow_id = sender.flow.flow_id
+        endpoints = sender.host.endpoints
+        if endpoints.get(flow_id) is not sender:
+            return
+        del endpoints[flow_id]
+        self.retired.record(flow_id, sender)
+        if self.auditor is not None:
+            self.auditor.audit_sender(sender)
+        if sender.lcp is not None:
+            sender.lcp.sender = None
 
     def base_rtt(self, flow: Flow) -> float:
         return self.network.base_rtt(flow.src, flow.dst)

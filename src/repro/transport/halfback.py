@@ -63,7 +63,9 @@ class HalfbackSender(WindowSender):
         if self._pace is not None:
             self._pace.cancel()
         if self._back_event is not None:
+            # a dead handle still holds its callback, this sender
             self._back_event.cancel()
+        self._pace = self._back_event = None
 
     def _paced_send(self) -> None:
         seq = self._pace_ptr

@@ -435,6 +435,7 @@ class WindowSender:
 
         if cum + len(sacked) >= self.n_packets:
             self.stop()
+            self.ctx.retire(self)
             return
         self._arm_rto()
         self.try_send()
@@ -706,7 +707,7 @@ class TailLoop:
         only, no congestion-control input: a tagged seq the primary loop
         has also sent stays in the primary's window until the primary
         hears of it.  False when that completed the flow and stopped
-        the sender."""
+        and retired the sender (this loop's ``sender`` is then None)."""
         sender = self.sender
         cum = sender.cum
         sacked = sender.sacked
@@ -723,5 +724,6 @@ class TailLoop:
             sender.cum = cum = ack_seq
         if cum + len(sacked) >= sender.n_packets:
             sender.stop()
+            sender.ctx.retire(sender)
             return False
         return True

@@ -481,7 +481,11 @@ class RunAuditor:
         ``pkts_transmitted`` without :meth:`WindowSender.transmit`."""
         return sender.lcp.outstanding if sender.lcp is not None else {}
 
-    def _audit_sender(self, sender: WindowSender) -> None:
+    def audit_sender(self, sender: WindowSender) -> None:
+        """The drain-end sender laws: at :meth:`finalize` for a sender
+        still registered, and at retirement
+        (:meth:`~repro.transport.base.TransportContext.retire`) for one
+        that leaves its host."""
         subject = f"flow{sender.flow.flow_id}"
         now = self.sim.now
         delivered = sender.delivered
@@ -630,7 +634,7 @@ class RunAuditor:
         self.on_slice()
         self._audit_engine_counters()
         for sender in self._endpoints(WindowSender):
-            self._audit_sender(sender)
+            self.audit_sender(sender)
         for receiver in self._endpoints(WindowReceiver):
             self._audit_receiver(receiver)
         for endpoint in self._endpoints(MessageEndpoint):

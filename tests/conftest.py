@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.network import QueueConfig
+from repro.sim.network import Network, QueueConfig
 from repro.sim.topology import Topology, dumbbell, leaf_spine, star
 from repro.transport.base import Flow, TransportConfig, TransportContext
 from repro.units import gbps, us
@@ -51,6 +51,31 @@ def run_single_flow(scheme, size: int, *, topo: Topology = None,
     scheme.start_flow(flow, ctx)
     topo.sim.run(until=until)
     return flow, ctx, topo
+
+
+class Attached:
+    """The endpoints ``Network.attach`` registered, by flow id.  A run
+    retires a window sender from its host once its flow is delivered
+    (``TransportContext.retire``), so a test that inspects a finished
+    sender reads it here, not from ``host.endpoints``."""
+
+    def __init__(self) -> None:
+        self.senders: dict = {}
+        self.receivers: dict = {}
+
+
+@pytest.fixture
+def attached(monkeypatch) -> Attached:
+    record = Attached()
+    attach = Network.attach
+
+    def recording_attach(network, flow_id, src, dst, sender, receiver):
+        record.senders[flow_id] = sender
+        record.receivers[flow_id] = receiver
+        attach(network, flow_id, src, dst, sender, receiver)
+
+    monkeypatch.setattr(Network, "attach", recording_attach)
+    return record
 
 
 @pytest.fixture

@@ -1,5 +1,8 @@
 """Tests for the transport framework primitives (Flow, config, context)."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,17 @@ def test_flow_fct_none_until_finished():
     flow.finish_time = 1.5
     assert flow.completed
     assert flow.fct == pytest.approx(0.5)
+
+
+def test_flow_is_slotted_and_still_pickles_and_replaces():
+    """One ``Flow`` per flow ever started stays in a run's record:
+    slots, no per-instance dict."""
+    flow = Flow(3, 0, 1, 5_000, 1e-3, deadline=2e-3)
+    flow.finish_time = 1.5e-3
+    assert not hasattr(flow, "__dict__")
+    assert pickle.loads(pickle.dumps(flow)) == flow
+    moved = dataclasses.replace(flow, size=6_000)
+    assert (moved.size, moved.fct) == (6_000, flow.fct)
 
 
 def test_flow_deadline_defaults_none():

@@ -126,10 +126,10 @@ def test_fast_rtx_halves():
     assert sender.cwnd == pytest.approx(15.0)
 
 
-def test_end_to_end_flow_completes_with_marking():
+def test_end_to_end_flow_completes_with_marking(attached):
     flow, ctx, topo = run_single_flow(Dctcp(), 500_000, until=2.0)
     assert flow.completed
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender.alpha < 1.0  # alpha was updated during the run
 
 

@@ -8,12 +8,14 @@ passes them all.  This one compares against
 it touched any source: a cell's per-flow ``repr(fct)`` hash and its
 event count must match what an earlier commit produced.
 
-A deliberate behaviour change re-records the file in the same commit
-and says why::
+A deliberate behaviour change re-records the file (and
+``golden_flowtables.json``, each cell's per-flow table) in the same
+commit and says why::
 
     PYTHONPATH=src python tests/test_golden_fingerprints.py
 """
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -34,7 +36,6 @@ from repro.experiments.scenarios import (
 )
 from repro.sim.hybrid import HybridConfig
 from repro.transport.base import Flow
-from repro.transport.window import WindowSender
 from repro.units import gbps
 from repro.workloads.distributions import MEMCACHED_W1, WEB_SEARCH
 from test_wire_equivalence import _flap_scenario
@@ -179,16 +180,27 @@ def _fct_sha256(*runs) -> str:
     return digest.hexdigest()
 
 
-def _second_loops(result) -> list:
-    """The low-priority loop of every sender that carries one (PPT's
-    LCP, RC3's filler, the oracle filler)."""
-    return [endpoint.lcp
-            for host in result.topology.network.hosts.values()
-            for endpoint in host.endpoints.values()
-            if isinstance(endpoint, WindowSender) and endpoint.lcp is not None]
-
-
 def measure(cell: str) -> dict:
+    return _run_cell(cell)[0]
+
+
+# ``FlowTable`` column order of :func:`_table_sha256`
+TABLE_COLUMNS = ("flow_id", "size", "fct", "retransmits", "rtos",
+                 "pkts_sent", "lp_pkts_sent", "pkts_received",
+                 "lp_pkts_received", "acks", "lp_loops")
+
+
+def _table_sha256(table) -> str:
+    digest = hashlib.sha256()
+    for name in TABLE_COLUMNS:
+        digest.update(name.encode())
+        digest.update(getattr(table, name).tobytes())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def _run_cell(cell: str) -> tuple:
+    """The cell's golden row and its table's digest, from one run."""
     scheme, scenario_factory = CELLS[cell]
     if cell == TWO_PASS_CELL:
         baseline, result = two_pass(scenario_factory())
@@ -205,12 +217,14 @@ def measure(cell: str) -> dict:
            "wall_events": result.wall_events}
     if cell in COUNTS_RETRANSMITS:
         out["retransmits_total"] = result.health.retransmits_total
-    loops = _second_loops(result)
-    if loops:
-        # ROADMAP 1(d): pinned before anyone changes re-open behaviour
-        out["lp_pkts_sent"] = sum(loop.lp_pkts_sent for loop in loops)
-        out["loops_opened"] = sum(loop.loops_opened for loop in loops)
-    return out
+    loops_opened = sum(result.table.lp_loops)
+    if loops_opened:
+        # the senders that carry a second loop (PPT's LCP, RC3's filler,
+        # the oracle filler); ROADMAP 1(d): pinned before anyone changes
+        # re-open behaviour
+        out["lp_pkts_sent"] = sum(result.table.lp_pkts_sent)
+        out["loops_opened"] = loops_opened
+    return out, _table_sha256(result.table)
 
 
 ALL_CELLS = sorted(CELLS)
@@ -223,6 +237,19 @@ def test_golden_file_covers_every_cell():
 @pytest.mark.parametrize("cell", ALL_CELLS)
 def test_matches_golden(cell):
     assert measure(cell) == json.loads(GOLDEN.read_text())[cell]
+
+
+# Every cell's per-flow table, all eleven columns, as the commit before
+# finished window senders were retired (``TransportContext.retire``)
+# produced it: there every sender stayed registered to the end and the
+# harvest read it off its host.  That commit's table had no ``acks`` or
+# ``lp_loops`` column; the recording read them off the same endpoints.
+GOLDEN_TABLES = Path(__file__).with_name("golden_flowtables.json")
+
+
+@pytest.mark.parametrize("cell", ALL_CELLS)
+def test_flow_table_matches_the_unretired_run(cell):
+    assert _run_cell(cell)[1] == json.loads(GOLDEN_TABLES.read_text())[cell]
 
 
 @pytest.mark.parametrize("cell", sorted(COUNTS_RETRANSMITS))
@@ -348,7 +375,8 @@ def test_message_core_rewrite_moved_no_receiver_driven_cell():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(
-        {cell: measure(cell) for cell in ALL_CELLS},
-        indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(ALL_CELLS)} cells -> {GOLDEN}")
+    for path, part in ((GOLDEN, 0), (GOLDEN_TABLES, 1)):
+        path.write_text(json.dumps(
+            {cell: _run_cell(cell)[part] for cell in ALL_CELLS},
+            indent=1, sort_keys=True) + "\n")
+        print(f"recorded {len(ALL_CELLS)} cells -> {path}")

@@ -25,10 +25,10 @@ def test_data_packets_carry_int():
     assert pkt.int_records == []
 
 
-def test_switches_stamp_int():
+def test_switches_stamp_int(attached):
     flow, ctx, topo = run_single_flow(Hpcc(), 10_000)
     # after the run, the sender saw INT from the single switch hop
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender._prev  # at least one hop's history retained
 
 

@@ -62,19 +62,16 @@ def test_scheme_deterministic(scheme):
     assert [f.fct for f in r1.flows] == [f.fct for f in r2.flows]
 
 
-def test_ppt_priorities_observed_on_fabric():
+def test_ppt_priorities_observed_on_fabric(attached):
     """PPT traffic uses both halves of the priority space."""
-    result = run(Ppt(), loaded_scenario())
+    run(Ppt(), loaded_scenario())
     priorities = set()
-    for host in result.topology.network.hosts.values():
-        for endpoint in host.endpoints.values():
-            if hasattr(endpoint, "tagger"):
-                n = endpoint.n_packets
-                priorities.add(endpoint.priority_for(0))
-                priorities.add(endpoint.priority_for(n - 1))
-                if endpoint.lcp.lp_pkts_sent:
-                    priorities.add(
-                        endpoint.tagger.lcp_priority(0))
+    for endpoint in attached.senders.values():
+        n = endpoint.n_packets
+        priorities.add(endpoint.priority_for(0))
+        priorities.add(endpoint.priority_for(n - 1))
+        if endpoint.lcp.lp_pkts_sent:
+            priorities.add(endpoint.tagger.lcp_priority(0))
     assert priorities & {0, 1, 2, 3}
     assert priorities & {4, 5, 6, 7}
 
@@ -100,13 +97,7 @@ def test_packet_conservation_dctcp():
     """Transmitted = delivered + dropped-in-fabric (+ still queued: none
     after completion)."""
     result = run(Dctcp(), loaded_scenario())
-    net = result.topology.network
-    sent = received = 0
-    for host in net.hosts.values():
-        for endpoint in host.endpoints.values():
-            if hasattr(endpoint, "pkts_transmitted"):
-                sent += endpoint.pkts_transmitted
-            if hasattr(endpoint, "data_pkts_received"):
-                received += endpoint.data_pkts_received
-    dropped = net.total_drops()
+    sent = sum(result.table.pkts_sent)
+    received = sum(result.table.pkts_received)
+    dropped = result.topology.network.total_drops()
     assert sent == received + dropped

@@ -126,9 +126,9 @@ def test_no_ewd_bursts_at_line_rate():
     assert queued > INIT_CWND + 10  # whole I burst at once
 
 
-def test_lp_ack_releases_one_packet():
+def test_lp_ack_releases_one_packet(attached):
     flow, ctx, topo = run_single_flow(Ppt(), 300_000, until=1.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     # EWD: one LP packet per LP-ACK; receiver ACKs 2:1, so LP sends are
     # bounded by initial windows + acks received
     lcp = sender.lcp

@@ -184,14 +184,14 @@ def test_buffer_occupancy_sampler():
 
 def test_efficiency_lossless_run_is_unity():
     flow, ctx, topo = run_single_flow(Dctcp(), 200_000, until=1.0)
-    table = FlowTable.harvest([flow], topo.network)
+    table = FlowTable.harvest([flow], topo.network, ctx.retired)
     assert sum(table.pkts_sent) >= flow.n_packets(ctx.config.mss)
     assert table.efficiency() == pytest.approx(1.0, abs=0.02)
 
 
 def test_efficiency_counts_ppt_lp_traffic():
     flow, ctx, topo = run_single_flow(Ppt(), 300_000, until=1.0)
-    table = FlowTable.harvest([flow], topo.network)
+    table = FlowTable.harvest([flow], topo.network, ctx.retired)
     assert sum(table.lp_pkts_sent) > 0
     assert 0.0 < table.efficiency(lp=True) <= 1.0
 

@@ -39,7 +39,7 @@ def test_end_to_end_completion():
     assert flow.completed
 
 
-def test_demotion_observed_on_wire():
+def test_demotion_observed_on_wire(attached):
     """A multi-MB flow's packets must actually leave at demoted
     priorities."""
     seen = set()
@@ -47,6 +47,6 @@ def test_demotion_observed_on_wire():
     flow, ctx, topo = run_single_flow(Pias(), 500_000, until=5.0,
                                       demotion_thresholds=(100_000, 200_000,
                                                            300_000))
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     priorities = {sender.priority_for(seq) for seq in range(sender.n_packets)}
     assert priorities == {0, 1, 2, 3}

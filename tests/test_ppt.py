@@ -1,12 +1,23 @@
 """Integration tests for the assembled PPT transport."""
 
+import hashlib
+
 import pytest
 
 from conftest import make_ctx, make_star, run_single_flow
 from repro.core.ppt import Ppt, PptReceiver, PptSender
+from repro.experiments.runner import run
+from repro.experiments.scenarios import (
+    all_to_all_scenario,
+    incast_scenario,
+    sim_fabric,
+    sim_qcfg,
+    star_fabric,
+)
 from repro.sim.packet import DATA, Packet
 from repro.transport.base import Flow
 from repro.transport.dctcp import Dctcp
+from repro.workloads.distributions import WEB_SEARCH
 
 
 def test_flow_completes():
@@ -22,32 +33,32 @@ def test_solo_bdp_flow_beats_dctcp():
     assert f_ppt.fct < f_dctcp.fct * 0.8
 
 
-def test_large_flow_identified_and_tagged_low():
+def test_large_flow_identified_and_tagged_low(attached):
     flow, ctx, topo = run_single_flow(Ppt(), 5_000_000, until=5.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender.identified_large
     assert sender.priority_for(0) == 3
 
 
-def test_small_flow_unidentified_and_tagged_high():
+def test_small_flow_unidentified_and_tagged_high(attached):
     flow, ctx, topo = run_single_flow(Ppt(), 50_000)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert not sender.identified_large
     assert sender.priority_for(0) == 0
 
 
-def test_scheduling_off_uses_single_priority():
+def test_scheduling_off_uses_single_priority(attached):
     flow, ctx, topo = run_single_flow(Ppt(scheduling=False), 5_000_000,
                                       until=5.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender.priority_for(0) == 0
     assert sender.priority_for(sender.n_packets - 1) == 0
 
 
-def test_identification_off_treats_all_as_unidentified():
+def test_identification_off_treats_all_as_unidentified(attached):
     flow, ctx, topo = run_single_flow(Ppt(identification=False), 5_000_000,
                                       until=5.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert not sender.identified_large
     assert sender.priority_for(0) == 0  # starts at the top, ages down
 
@@ -108,10 +119,10 @@ def test_completion_via_mixed_hcp_lcp_delivery():
     assert receiver.data_pkts_received >= receiver.n_packets
 
 
-def test_hcp_packets_ride_p0_to_p3_lcp_p4_to_p7():
+def test_hcp_packets_ride_p0_to_p3_lcp_p4_to_p7(attached):
     seen = {"hcp": set(), "lcp": set()}
     flow, ctx, topo = run_single_flow(Ppt(), 500_000, until=2.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     for seq in range(sender.n_packets):
         seen["hcp"].add(sender.priority_for(seq))
     assert seen["hcp"] <= {0, 1, 2, 3}
@@ -126,10 +137,10 @@ def test_ablated_names():
     assert Ppt(lcp_enabled=False).name == "ppt-nolcp"
 
 
-def test_nolcp_never_opens_loops():
+def test_nolcp_never_opens_loops(attached):
     flow, ctx, topo = run_single_flow(Ppt(lcp_enabled=False), 300_000,
                                       until=2.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender.lcp.loops_opened == 0
     assert flow.completed
 
@@ -156,3 +167,45 @@ def test_deterministic_repeat():
     f1, _, _ = run_single_flow(Ppt(), 500_000, until=2.0)
     f2, _, _ = run_single_flow(Ppt(), 500_000, until=2.0)
     assert f1.fct == f2.fct
+
+
+# Fig. 15's smoke cell (15 flows) gives ``ppt-noecn`` and ``ppt-nosched``
+# the FCTs of ``ppt`` bit for bit, so it cannot tell a dead flag from a
+# live one.  These are the smallest cells found where each flag moves
+# the FCTs.
+
+
+def _fct_sha256(result) -> str:
+    digest = hashlib.sha256()
+    for flow in sorted(result.flows, key=lambda f: f.flow_id):
+        digest.update(f"{flow.flow_id}:{flow.fct!r};".encode())
+    return digest.hexdigest()
+
+
+def test_lcp_ecn_flag_moves_fcts_on_tail_drop_buffers(attached):
+    """Tail-drop buffers (``dt_alpha=None``) mark LP-ACKs ECE at 35
+    all-to-all Web Search flows (34 mark none): the yield that the
+    ``lcp_ecn=False`` ablation removes."""
+    def scenario():
+        return all_to_all_scenario(
+            "ecn-fires", WEB_SEARCH, load=0.5, n_flows=35,
+            fabric=sim_fabric(qcfg=sim_qcfg(dt_alpha=None)))
+
+    ppt = run(Ppt(), scenario())
+    suppressed = sum(sender.lcp.lp_acks_suppressed
+                     for sender in attached.senders.values())
+    noecn = run(Ppt(lcp_ecn=False), scenario())
+    assert suppressed > 0
+    assert _fct_sha256(noecn) != _fct_sha256(ppt)
+
+
+def test_scheduling_flag_moves_fcts_on_a_small_incast():
+    def scenario():
+        return incast_scenario("sched-fires", WEB_SEARCH, n_senders=6,
+                               load=0.6, n_flows=6, size_cap=200_000,
+                               seed=7, fabric=star_fabric(8))
+
+    ppt = run(Ppt(), scenario())
+    nosched = run(Ppt(scheduling=False), scenario())
+    assert ppt.completed == nosched.completed == 6
+    assert _fct_sha256(nosched) != _fct_sha256(ppt)

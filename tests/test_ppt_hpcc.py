@@ -30,9 +30,9 @@ def test_lcp_stays_closed_when_path_busy():
     assert not sender.lcp.active
 
 
-def test_uses_ppt_scheduling():
+def test_uses_ppt_scheduling(attached):
     flow, ctx, topo = run_single_flow(PptHpcc(), 5_000_000, until=5.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender.identified_large
     assert sender.priority_for(0) == 3
 
@@ -43,8 +43,8 @@ def test_no_worse_than_plain_hpcc_solo():
     assert f_ext.fct <= f_hpcc.fct * 1.1
 
 
-def test_stop_cancels_timers():
+def test_stop_cancels_timers(attached):
     flow, ctx, topo = run_single_flow(PptHpcc(), 100_000, until=1.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender.finished
     assert sender._check_event is None or sender._check_event.cancelled

@@ -36,6 +36,18 @@ def test_odd_lp_packet_leaves_pending_ack():
     assert receiver.lp_acks_sent == 1
 
 
+def test_lp_ack_lets_go_of_the_last_lp_packet():
+    """Only a pending LP packet's delayed flush needs the packet; a
+    receiver outlives its flow, so it must not pin one to the run's
+    end."""
+    receiver, captured, ctx, topo = make_receiver()
+    receiver.on_packet(lp(10))
+    assert receiver._lp_last_pkt is not None
+    receiver.on_packet(lp(11))
+    assert receiver._lp_last_pkt is None
+    assert not hasattr(receiver, "__dict__")
+
+
 def test_duplicate_lp_still_counts_toward_pair():
     """A duplicate LP arrival is acknowledged (the kernel ACKs what it
     receives) even though delivery is deduplicated."""

@@ -37,15 +37,15 @@ def test_beats_plain_swift_solo():
     assert f_variant.fct <= f_swift.fct
 
 
-def test_uses_mirror_scheduling():
+def test_uses_mirror_scheduling(attached):
     flow, ctx, topo = run_single_flow(PptSwift(), 5_000_000, until=5.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender.identified_large
     assert sender.priority_for(0) == 3
 
 
-def test_stop_cancels_delay_check():
+def test_stop_cancels_delay_check(attached):
     flow, ctx, topo = run_single_flow(PptSwift(), 100_000, until=1.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender.finished
     assert sender._check_event is None or sender._check_event.cancelled

@@ -53,7 +53,7 @@ def test_lp_packets_not_ecn_capable_and_low_priority():
     assert pkt.priority >= 5
 
 
-def test_lp_attempts_each_packet_once():
+def test_lp_attempts_each_packet_once(attached):
     """The descending pointer never revisits a sequence number."""
     topo = make_star()
     ctx = make_ctx(topo)
@@ -61,16 +61,16 @@ def test_lp_attempts_each_packet_once():
     scheme = Rc3()
     scheme.start_flow(flow, ctx)
     topo.sim.run(until=1.0)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     # every LP transmission had a distinct seq: transmissions can exceed
     # the flow length only through the primary loop, never the LP loop
     assert sender.lcp.lp_pkts_sent <= sender.n_packets
 
 
-def test_loops_cross_and_lp_stops():
+def test_loops_cross_and_lp_stops(attached):
     flow, ctx, topo = run_single_flow(Rc3(), 200_000, until=2.0)
     assert flow.completed
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     # crossing closes the LP loop, and so does finishing
     assert not sender.lcp.active
     assert sender.lcp.loops_opened == 1   # RC3 never re-opens

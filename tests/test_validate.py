@@ -34,7 +34,7 @@ from repro.experiments.scenarios import (
 from repro.sim.packet import DATA, HEADER_BYTES, Packet
 from repro.sim.queues import PriorityMux
 from repro.transport.base import Flow
-from repro.transport.dctcp import Dctcp
+from repro.transport.dctcp import Dctcp, DctcpSender
 from repro.transport.homa import Homa
 from repro.transport.rc3 import Rc3
 from repro.core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
@@ -131,10 +131,7 @@ def test_oracle_filler_validates_clean_under_strict():
     result = run(HypotheticalDctcp(recorder.mw_table), small_scenario(),
                  validate="strict")
     assert result.validation.ok and result.validation.checks_run > 100
-    assert sum(endpoint.lcp.lp_pkts_sent
-               for host in result.topology.network.hosts.values()
-               for endpoint in host.endpoints.values()
-               if getattr(endpoint, "lcp", None) is not None) > 0
+    assert sum(result.table.lp_pkts_sent) > 0
 
 
 def test_rc3_under_loss_validates_clean_under_strict():
@@ -432,6 +429,38 @@ def test_stale_seq_below_cum_breaks_the_scoreboard(scheme, end):
                                   "recv-counting"}
     [violation] = [v for v in report.violations if v.law == "seq-scoreboard"]
     assert violation.details["stray"] == [owner.cum - 2]
+
+
+class _ForgetfulSender(DctcpSender):
+    """Loses count of its transmissions as its last ACK lands."""
+
+    def stop(self) -> None:
+        self.pkts_transmitted = 0
+        super().stop()
+
+
+class _ForgetfulDctcp(Dctcp):
+    sender_cls = _ForgetfulSender
+
+
+def test_undercounted_transmissions_caught_at_retirement():
+    """The drain-end sender laws run when a sender retires, which is
+    the last time anything can read it: each flow breaks
+    ``flow-tx-conservation`` at its own completion, not at drain end."""
+    result = run(_ForgetfulDctcp(), small_scenario(n_flows=4),
+                 validate=True)
+    report = result.validation
+    assert list(report.counts) == ["flow-tx-conservation"]
+    assert report.counts["flow-tx-conservation"] == 4
+    # each at its last ACK: after the receiver finished, one path delay
+    # later, long before the drain ends
+    times = sorted(v.sim_time for v in report.violations)
+    finishes = sorted(f.finish_time for f in result.flows)
+    assert all(f < t < f + 1e-4 for f, t in zip(finishes, times))
+    assert times[-1] < result.health.sim_time
+    with pytest.raises(InvariantViolation) as exc_info:
+        run(_ForgetfulDctcp(), small_scenario(n_flows=4), validate="strict")
+    assert exc_info.value.law == "flow-tx-conservation"
 
 
 def test_cooked_dead_counter_detected():

@@ -29,9 +29,9 @@ def test_multi_packet_flow_completes():
     assert len(ctx.completed) == 1
 
 
-def test_sender_stops_after_completion():
+def test_sender_stops_after_completion(attached):
     flow, ctx, topo = run_single_flow(PlainScheme(), 50_000)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender.finished
     assert sender._rto_event is None
 
@@ -78,7 +78,7 @@ def test_send_buffer_limits_inflight_window():
     assert sender.buffer_end() == 60
 
 
-def test_retransmission_after_loss():
+def test_retransmission_after_loss(attached):
     """Two senders overload a tiny switch buffer: losses must be
     recovered and both flows finish."""
     from repro.sim.network import QueueConfig
@@ -93,8 +93,7 @@ def test_retransmission_after_loss():
         scheme.start_flow(flow, ctx)
     topo.sim.run(until=2.0)
     assert all(f.completed for f in flows)
-    retransmits = sum(topo.network.hosts[h].endpoints[i].pkts_retransmitted
-                      for h, i in ((0, 0), (1, 1)))
+    retransmits = sum(attached.senders[i].pkts_retransmitted for i in (0, 1))
     assert retransmits > 0
 
 
@@ -146,11 +145,11 @@ def test_rto_recovers_total_blackout():
     assert flow.completed
 
 
-def test_srtt_stays_near_base_rtt_uncontended():
+def test_srtt_stays_near_base_rtt_uncontended(attached):
     """Solo flow: the smoothed RTT reflects base RTT plus (at most) its
     own slow-start self-queueing at the NIC."""
     flow, ctx, topo = run_single_flow(PlainScheme(), 200_000)
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert topo.base_rtt * 0.8 <= sender.srtt <= topo.base_rtt * 6
 
 
@@ -221,7 +220,7 @@ def test_fresh_seq_still_feeds_srtt():
     assert sender.srtt != srtt_before
 
 
-def test_lossy_run_srtt_never_collapses_below_base_rtt():
+def test_lossy_run_srtt_never_collapses_below_base_rtt(attached):
     from repro.faults import LossInjector
     import random as _random
 
@@ -231,7 +230,7 @@ def test_lossy_run_srtt_never_collapses_below_base_rtt():
     flow, ctx, topo = run_single_flow(PlainScheme(), 400_000, topo=topo,
                                       until=5.0)
     assert flow.completed
-    sender = topo.network.hosts[0].endpoints[0]
+    sender = attached.senders[0]
     assert sender.pkts_retransmitted > 0
     # Karn's rule keeps ambiguous samples out: the smoothed RTT can only
     # sit at or above the propagation floor

@@ -594,7 +594,8 @@ TestMessageScoreboard.settings = settings(max_examples=40,
 
 
 @pytest.mark.parametrize("scheme", ["dctcp", "ppt", "homa", "ndp"])
-def test_retired_endpoints_hold_the_shared_empty_scoreboard(scheme):
+def test_retired_endpoints_hold_the_shared_empty_scoreboard(scheme,
+                                                             attached):
     """A completed flow keeps no per-seq table on either end: a drained
     set keeps its hash table, so ``sacked`` is swapped for one shared
     empty frozenset."""
@@ -602,8 +603,7 @@ def test_retired_endpoints_hold_the_shared_empty_scoreboard(scheme):
         "retired-scoreboards", WEB_SEARCH, n_flows=20,
         fabric=star_fabric(4), seed=5))
     assert result.completed == 20
-    ends = [end for host in result.topology.network.hosts.values()
-            for end in host.endpoints.values()]
+    ends = [*attached.senders.values(), *attached.receivers.values()]
     boards = [getattr(end, "state", end).sacked for end in ends
               if hasattr(getattr(end, "state", end), "sacked")]
     assert len(boards) >= 20
