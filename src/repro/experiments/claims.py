@@ -359,8 +359,6 @@ def _table() -> List[Claim]:
     paper = ("Table 1 and appendix C: TCP-10 and Halfback fix only the "
              "startup phase, ExpressPass waits an RTT for credits, and "
              "TIMELY, D2TCP and DCQCN converge without flow scheduling")
-    # D2TCP has no row: no generator sets Flow.deadline, so its cell is
-    # fig12's DCTCP cell, which the fig12-ws-*-dctcp rows bound as tight
     slow = ("tcp10", "halfback", "expresspass", "timely")
     for metric, short, others in (
             ("overall_avg_ms", "overall", slow),

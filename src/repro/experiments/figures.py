@@ -443,9 +443,7 @@ def sec41_identification_accuracy(*, n_messages: int = 5000,
 
 
 def ext_baselines(*, load: float = 0.5, n_flows: int = 150) -> dict:
-    """Extension: appendix B/C's and Table 1's other transports vs PPT.
-    D2TCP is not among them: no generator sets a flow deadline, so its
-    cell is Fig. 12's DCTCP cell."""
+    """Extension: appendix B/C's and Table 1's other transports vs PPT."""
     return _fct_table(
         _pick("tcp10", "halfback", "expresspass", "timely", "dcqcn", "hpcc",
               "ppt-hpcc", "ppt"),

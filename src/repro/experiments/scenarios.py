@@ -593,7 +593,6 @@ SCHEMES: Dict[str, Callable[[], Scheme]] = {
     "ppt-swift": _on_call("..core.ppt_swift", "PptSwift"),
     "ppt-hpcc": _on_call("..core.ppt_hpcc", "PptHpcc"),
     "dctcp": Dctcp,
-    "d2tcp": _on_call("..transport.d2tcp", "D2tcp"),
     "dcqcn": _on_call("..transport.dcqcn", "Dcqcn"),
     "pias": _on_call("..transport.pias", "Pias"),
     "rc3": _on_call("..transport.rc3", "Rc3"),

@@ -16,7 +16,6 @@ __all__ = _lazy_exports(__name__, {
     ".halfback": ("Halfback",),
     ".expresspass": ("ExpressPass",),
     ".timely": ("Timely",),
-    ".d2tcp": ("D2tcp",),
     ".dcqcn": ("Dcqcn",),
     ".window": ("WindowSender", "WindowReceiver"),
 })

@@ -50,9 +50,6 @@ class Flow:
     # Filled by the sender model: bytes the application's *first* send()
     # syscall injected into the send buffer (buffer-aware identification).
     first_syscall_bytes: Optional[int] = None
-    # Optional absolute completion deadline (used by deadline-aware
-    # transports such as D2TCP); None = no deadline.
-    deadline: Optional[float] = None
 
     @property
     def fct(self) -> Optional[float]:

@@ -47,10 +47,6 @@ class DctcpSender(WindowSender):
         # built, and cc_on_ack compares against it on every ACK
         self._max_cwnd = float(self.cfg.max_cwnd_packets)
 
-    def cut_penalty(self) -> float:
-        """``p`` of a marked window's cut ``cwnd *= 1 - p/2``: ``alpha``."""
-        return self.alpha
-
     def on_window_update(self) -> None:
         """A window just ended (``alpha`` updated, any cut applied).  PPT
         opens its case-2 loop here; plain DCTCP does nothing."""
@@ -97,7 +93,7 @@ class DctcpSender(WindowSender):
                 self.startup_done = True
                 self.ssthresh = max(self.cwnd, 2.0)
                 self.wmax = max(self.wmax, self.cwnd)
-            self.cwnd = max(1.0, self.cwnd * (1.0 - self.cut_penalty() / 2.0))
+            self.cwnd = max(1.0, self.cwnd * (1.0 - self.alpha / 2.0))
         self._win_acks = 0
         self._win_ce = 0
         self._win_end = max(self.send_ptr, self.cum + 1)

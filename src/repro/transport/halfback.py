@@ -110,6 +110,7 @@ class HalfbackSender(WindowSender):
             self.outstanding.pop(seq, None)
             if self.cum + len(self.sacked) >= self.n_packets:
                 self.stop()
+                self.ctx.retire(self)
             return
         super().on_packet(pkt)
 

@@ -30,17 +30,12 @@ def test_flow_fct_none_until_finished():
 def test_flow_is_slotted_and_still_pickles_and_replaces():
     """One ``Flow`` per flow ever started stays in a run's record:
     slots, no per-instance dict."""
-    flow = Flow(3, 0, 1, 5_000, 1e-3, deadline=2e-3)
+    flow = Flow(3, 0, 1, 5_000, 1e-3)
     flow.finish_time = 1.5e-3
     assert not hasattr(flow, "__dict__")
     assert pickle.loads(pickle.dumps(flow)) == flow
     moved = dataclasses.replace(flow, size=6_000)
     assert (moved.size, moved.fct) == (6_000, flow.fct)
-
-
-def test_flow_deadline_defaults_none():
-    assert Flow(0, 0, 1, 1000, 0.0).deadline is None
-    assert Flow(0, 0, 1, 1000, 0.0, deadline=0.1).deadline == 0.1
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cli import FIGURES
 from repro.experiments.claims import CLAIMS, OPS, RED, Cell, Claim, evaluate
+from repro.experiments.scenarios import SCHEMES
 
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_figure_rows.json").read_text())
@@ -31,6 +32,14 @@ def test_every_figure_key_says_whether_it_is_the_papers():
     every other key names a paper figure or section."""
     for key in FIGURES:
         assert re.fullmatch(r"(fig|sec)\d\d|ext-[a-z-]+", key), key
+
+
+def test_every_scheme_is_read_by_a_claim():
+    """A transport that no claim reads is code no result depends on."""
+    read = {value for claim in CLAIMS
+            for cell in filter(None, (claim.lhs, claim.rhs))
+            for column, value in cell.where if column == "scheme"}
+    assert set(SCHEMES) - read == set()
 
 
 def test_claim_ids_are_unique():

@@ -13,7 +13,6 @@ from repro.core.ppt_swift import PptSwift
 from repro.experiments.runner import run
 from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
 from repro.transport.aeolus import Aeolus
-from repro.transport.d2tcp import D2tcp
 from repro.transport.dcqcn import Dcqcn
 from repro.transport.dctcp import Dctcp
 from repro.transport.expresspass import ExpressPass
@@ -30,7 +29,7 @@ from repro.core.ppt_hpcc import PptHpcc
 from repro.workloads.distributions import WEB_SEARCH
 
 ALL_SCHEMES = [
-    Dctcp(), D2tcp(), Dcqcn(), Pias(), Rc3(), Swift(), Timely(), Hpcc(),
+    Dctcp(), Dcqcn(), Pias(), Rc3(), Swift(), Timely(), Hpcc(),
     Tcp10(), Halfback(), ExpressPass(),
     Homa(rtt_bytes=45_000), Aeolus(rtt_bytes=45_000), Ndp(),
     Ppt(), PptSwift(), PptHpcc(),

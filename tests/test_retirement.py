@@ -5,15 +5,19 @@ tracks the flows in flight, not the flows seen."""
 
 import gc
 
+import pytest
+
 from conftest import run_single_flow
 from repro.core.ppt import Ppt
 from repro.experiments.runner import run
-from repro.experiments.scenarios import all_to_all_scenario, sim_config
+from repro.experiments.scenarios import (SCHEMES, all_to_all_scenario,
+                                         sim_config)
 from repro.sim.packet import Packet
 from repro.transport.base import Flow
 from repro.transport.dctcp import Dctcp
 from repro.transport.window import TailLoop, WindowSender
 from repro.workloads.distributions import MEMCACHED_W1
+from test_golden_fingerprints import CELLS
 
 
 def _memcached_churn(n_flows):
@@ -81,3 +85,16 @@ def test_ledger_row_is_what_the_table_reads(attached):
         (sender.rtos_fired,), (sender.lcp.lp_pkts_sent,),
         (sender.acks_received,), (sender.lcp.loops_opened,)]
     assert sender.lcp.lp_pkts_sent > 0 and sender.acks_received > 0
+
+
+@pytest.mark.parametrize("cell", ["halfback-star-incast", "halfback-loss"])
+def test_halfback_retires_on_a_redundancy_ack(cell):
+    """Halfback can complete a flow on the ACK of a backwards redundant
+    copy; that completion retires the sender like the other two."""
+    key, scenario_factory = CELLS[cell]
+    result = run(SCHEMES[key](), scenario_factory())
+    finished = [end for host in result.topology.network.hosts.values()
+                for end in host.endpoints.values()
+                if isinstance(end, WindowSender) and end.finished]
+    assert result.completed == len(result.ctx.retired) == 60
+    assert finished == []
