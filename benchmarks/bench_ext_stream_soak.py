@@ -28,7 +28,7 @@ from repro.sim.engine import Simulator
 from repro.sim.link import Port
 from repro.sim.packet import Packet
 from repro.sim.queues import PriorityMux
-from repro.sim.routing import make_balancer
+from repro.sim.routing import SprayBalancer, make_balancer
 from repro.sim.switch import Switch
 from repro.transport.dctcp import Dctcp
 from repro.units import gbps
@@ -142,14 +142,12 @@ def test_switch_state_memory_bounded():
     """
     print("\n=== Extension: switch-state memory over "
           f"{N_SWITCH_FLOWS} distinct flows ===")
-    for mode, limit_kb in (("ecmp", MAX_SWITCH_GROWTH_KB),
-                           ("spray", MAX_SWITCH_GROWTH_KB),
-                           ("flowlet", MAX_FLOWLET_GROWTH_KB)):
+    for mode, lb, limit_kb in (
+            ("ecmp", None, MAX_SWITCH_GROWTH_KB),
+            ("spray", SprayBalancer(), MAX_SWITCH_GROWTH_KB),
+            ("flowlet", make_balancer("flowlet"), MAX_FLOWLET_GROWTH_KB)):
         sim, switch = _forwarding_harness()
-        if mode == "spray":
-            switch.spray = True
-        elif mode == "flowlet":
-            switch.lb = make_balancer("flowlet")
+        switch.lb = lb
         growth = _traced_growth_kb(
             lambda: _forward_distinct_flows(sim, switch, N_SWITCH_FLOWS))
         print(f"{mode}: second-pass growth {growth:.1f}KB "
@@ -157,7 +155,8 @@ def test_switch_state_memory_bounded():
         assert growth < limit_kb * 1.0, (
             f"{mode} switch state grew {growth:.1f}KB over "
             f"{N_SWITCH_FLOWS} flows — per-flow state is accumulating")
-        assert switch._spray_counter._value < 720_720
+        if mode == "spray":
+            assert lb._value < lb._modulus == 720_720
 
 
 def test_validated_streamed_soak_clean(benchmark):

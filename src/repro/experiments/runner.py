@@ -420,8 +420,6 @@ def _assemble(
     ctx.telemetry = telemetry
     if auditor is not None:
         auditor.attach(topo.sim, topo.network, ctx)
-    if faults is not None:
-        ctx.extra["faults"] = faults
 
     # One chain for the whole start schedule instead of one heap event
     # per flow: the chain reserves its seq block here, where a loop of

@@ -19,6 +19,7 @@ mean back into the Poisson arrival rate (see
 
 from __future__ import annotations
 
+import functools
 import importlib
 import math
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
@@ -27,6 +28,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
 from ..core.ppt import Ppt
 from ..sim.network import QueueConfig
 from ..sim.queues import PfcConfig
+from ..sim.routing import make_balancer
 from ..sim.topology import Topology, dumbbell, leaf_spine, star
 from ..transport.base import Flow, Scheme, TransportConfig
 from ..transport.dctcp import Dctcp
@@ -74,21 +76,26 @@ def _with_features(
     pfc_config: Optional[PfcConfig] = None,
 ) -> Callable[[], Topology]:
     """Wrap a fabric builder with PFC / load-balancer configuration
-    (a ``pfc_config`` switches PFC on).
+    (a ``pfc_config`` switches PFC on; ``lb_gap`` is the flowlet idle
+    gap, refused under a balancer without flowlets).
 
     With everything at defaults the original closure is returned
     untouched, so scenarios without these features stay bit-identical
     object-for-object.
     """
+    if lb_gap is not None and lb not in ("flowlet", "conga"):
+        raise ValueError(f"lb_gap is a flowlet idle gap: it needs lb "
+                         f"'flowlet' or 'conga', not {lb!r}")
     if lb == "ecmp" and pfc_config is None:
         return fabric
 
     def build() -> Topology:
         topo = fabric()
         if pfc_config is not None:
-            topo.enable_pfc(pfc_config)
+            topo.network.enable_pfc(pfc_config)
         if lb != "ecmp":
-            topo.set_load_balancer(lb, lb_gap)
+            topo.network.set_load_balancer(
+                functools.partial(make_balancer, lb, lb_gap))
         return topo
 
     return build

@@ -10,7 +10,9 @@ low-priority loop, where RC3 loses about half its packets).  Endpoints
 are duck-typed: a sender exposes ``pkts_transmitted`` (and
 ``pkts_retransmitted``, optionally ``rtos_fired``, ``acks_received``
 and a second loop ``lcp``), a receiver ``data_pkts_received``
-(optionally ``lp_pkts_received``).
+(optionally ``lp_pkts_received`` and ``dup_pkts_received``, the data
+packets it already had; the message-core receivers count none, so
+their flows read 0).
 
 Columns are stdlib ``array``\\ s — compact, picklable across a
 ``run_grid`` pipe, and untracked by the GC, which the harvest runs
@@ -85,6 +87,7 @@ class FlowTable:
     lp_pkts_received: array
     acks: array
     lp_loops: array
+    dup_pkts_received: array
 
     def __len__(self) -> int:
         return len(self.flow_id)
@@ -101,9 +104,9 @@ class FlowTable:
             fct = flow.fct
             fcts.append(UNFINISHED if fct is None else fct)
         zeros = bytes(flow_ids.itemsize * len(flow_ids))
-        # the eight counter columns start at zero
+        # the nine counter columns start at zero
         table = cls(flow_ids, sizes, fcts,
-                    *(array("q", zeros) for _ in range(8)))
+                    *(array("q", zeros) for _ in range(9)))
         columns = [getattr(table, name) for name in SENDER_COLUMNS]
 
         def add_sender(i: int, counts: tuple) -> None:
@@ -131,6 +134,8 @@ class FlowTable:
                     table.pkts_received[i] += received
                     table.lp_pkts_received[i] += getattr(
                         endpoint, "lp_pkts_received", 0)
+                    table.dup_pkts_received[i] += getattr(
+                        endpoint, "dup_pkts_received", 0)
         return table
 
     def efficiency(self, lp: bool = False) -> float:

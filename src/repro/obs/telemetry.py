@@ -327,7 +327,7 @@ class Telemetry:
             if getattr(port, "pauses_received", 0))
         self.flowlet_repins = sum(
             switch.lb.repins for switch in getattr(network, "switches", [])
-            if getattr(switch, "lb", None) is not None)
+            if switch.lb is not None)
         self.retransmits = sum(table.retransmits)
         self.rtos = sum(table.rtos)
 

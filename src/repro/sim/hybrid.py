@@ -191,7 +191,8 @@ class HybridController:
         # the one armed epoch entry, None when no epoch is due
         self.epoch_event: Optional[Event] = None
         # abstraction is only sound under deterministic per-flow
-        # routing; spray / stateful LB disables it wholesale (bind time)
+        # routing; any balancer (NDP's spray too) disables it wholesale
+        # (bind time)
         self.abstraction_ok = False
         self._packet_paths: Dict[int, List[Port]] = {}
         # demoted-tail flow id -> the original Flow awaiting its FCT
@@ -232,9 +233,8 @@ class HybridController:
         self.ctx = ctx
         self.sim = ctx.sim
         self.network = ctx.network
-        self.abstraction_ok = not any(
-            switch.spray or switch.lb is not None
-            for switch in self.network.switches)
+        self.abstraction_ok = all(
+            switch.lb is None for switch in self.network.switches)
         # observe every completion: tail-flow finish-time mapping and
         # packet-departure epoch triggers
         self._inner_on_complete = ctx._on_complete

@@ -14,7 +14,7 @@ import fnmatch
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..units import ecn_threshold_bytes, serialization_delay
 from .engine import Simulator
@@ -22,7 +22,7 @@ from .host import Host
 from .link import Port
 from .packet import HEADER_BYTES, NUM_PRIORITIES, Packet
 from .queues import PfcConfig, PriorityMux
-from .routing import ecmp_hash, make_balancer
+from .routing import ecmp_hash
 from .switch import Switch
 
 
@@ -301,21 +301,16 @@ class Network:
         self._adj[b].append((a, prop_delay, rate_bps))
         return ab, ba
 
-    def set_spray(self, enabled: bool) -> None:
-        """Enable per-packet spraying on every switch (NDP mode)."""
-        for switch in self.switches:
-            switch.spray = enabled
+    def set_load_balancer(self, make: Callable[[], object]) -> None:
+        """Install ``make()`` as the load balancer of every switch,
+        replacing whatever balancer it had (``make`` returning None
+        restores per-flow ECMP).
 
-    def set_load_balancer(self, mode: str, gap: Optional[float] = None) -> None:
-        """Install a load balancer on every switch.
-
-        ``mode`` is ``"ecmp"`` (the stateless default), ``"flowlet"`` or
-        ``"conga"``; each switch gets its own balancer instance so
-        flowlet state never leaks between hops.  Call after the topology
-        is fully built.
+        Each switch gets its own instance so balancer state never leaks
+        between hops.  Call after the topology is fully built.
         """
         for switch in self.switches:
-            switch.lb = make_balancer(mode, gap)
+            switch.lb = make()
 
     def enable_pfc(self, config: Optional[PfcConfig] = None) -> None:
         """Turn on PFC at every switch (idempotent per switch).
@@ -382,7 +377,7 @@ class Network:
 
         Mirrors :meth:`Switch.receive`'s candidate selection (single
         candidate, else per-flow ECMP hash).  Only meaningful when no
-        switch sprays or runs a stateful load balancer — the hybrid
+        switch has a load balancer (``Switch.lb``) — the hybrid
         fast path checks that once at bind time and falls back to the
         packet model otherwise.
         """

@@ -1,15 +1,14 @@
-"""Routing helpers: ECMP, NDP spray, flowlet switching, CONGA.
+"""Routing helpers: ECMP hashing and the switch's load balancers.
 
 Commodity switches hash the 5-tuple to pick among equal-cost uplinks.  We
 model the 5-tuple with the flow id and mix in the switch id so different
 switches make independent choices, exactly like independent ASIC hash seeds.
 
-NDP instead sprays packets across all equal-cost paths packet-by-packet; a
-per-switch round-robin counter reproduces that.
-
-On top of the stateless per-flow hash this module offers two stateful
-load balancers, pluggable into :class:`~repro.sim.switch.Switch` via the
-``lb`` attribute:
+A switch with no balancer (``Switch.lb is None``) uses that stateless
+per-flow hash.  Any other path choice is a balancer plugged into
+:class:`~repro.sim.switch.Switch` via the ``lb`` attribute — an object
+with ``choose(flow_id, candidates, now, switch_id) -> index`` and a
+``repins`` count:
 
 * :class:`FlowletBalancer` — flowlet switching: a flow's packets follow
   one path while they arrive back to back; a gap longer than the flowlet
@@ -18,6 +17,9 @@ load balancers, pluggable into :class:`~repro.sim.switch.Switch` via the
 * :class:`CongaBalancer` — CONGA-style least-congested-path choice: each
   new flowlet picks the candidate port whose output queue currently holds
   the fewest bytes (local congestion-aware, leaf-local CONGA flavour).
+* :class:`SprayBalancer` — NDP's per-packet spraying across all
+  equal-cost paths, round robin per switch.  NDP installs it on every
+  switch in place of the scenario's balancer; it is not an ``lb`` mode.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ def flowlet_hash(flow_id: int, switch_id: int, flowlet_id: int,
     return x % n_choices
 
 
-class SprayCounter:
-    """Per-switch round-robin counter for NDP-style packet spraying.
+class SprayBalancer:
+    """NDP-style packet spraying: a per-switch round-robin counter.
 
     The counter wraps modulo a common multiple of every candidate count
     it has seen (seeded with lcm(1..16) = 720720), so the choice
@@ -78,23 +80,26 @@ class SprayCounter:
     long soaks.
     """
 
+    #: every packet picks anew; there is no flowlet to re-pin
+    repins = 0
+
     __slots__ = ("_value", "_modulus")
 
     def __init__(self) -> None:
         self._value = 0
         self._modulus = _SPRAY_MODULUS
 
-    def next(self, n_choices: int) -> int:
-        if n_choices <= 1:
-            return 0
-        if self._modulus % n_choices:
+    def choose(self, flow_id: int, candidates: list, now: float,
+               switch_id: int) -> int:
+        n = len(candidates)
+        if self._modulus % n:
             # A candidate count > 16 that does not divide the current
             # modulus: widen it.  Choices made before the widening are
             # unaffected; ones after match the unbounded counter unless
             # the counter had already wrapped (unreachable with in-repo
             # topologies, which never exceed 16 equal-cost paths).
-            self._modulus = math.lcm(self._modulus, n_choices)
-        choice = self._value % n_choices
+            self._modulus = math.lcm(self._modulus, n)
+        choice = self._value % n
         self._value = (self._value + 1) % self._modulus
         return choice
 
@@ -102,10 +107,14 @@ class SprayCounter:
 class FlowletBalancer:
     """Flowlet switching: re-pin a flow to a new path after an idle gap.
 
-    State per active flow is ``[last_seen_time, flowlet_id]``.  A packet
-    arriving more than ``gap`` seconds after the flow's previous packet
-    starts a new flowlet (``flowlet_id += 1``), which re-hashes the path
-    choice.  ``flowlet_id == 0`` hashes identically to per-flow ECMP, so
+    State per active flow is ``[last_seen_time, flowlet_id,
+    n_candidates, choice]``.  A packet arriving more than ``gap``
+    seconds after the flow's previous packet, or finding the candidate
+    set resized (routes were added), starts a new flowlet
+    (``flowlet_id += 1``, one re-pin), and :meth:`pick` chooses its
+    path; within a flowlet the choice is sticky, so packets are not
+    reordered.  Here :meth:`pick` hashes the flowlet id in, and
+    ``flowlet_id == 0`` hashes identically to per-flow ECMP, so
     ``gap=inf`` is bit-identical to the default balancer.
 
     Entries idle longer than the gap are evicted lazily every
@@ -127,15 +136,25 @@ class FlowletBalancer:
         self._flows: Dict[int, List] = {}
         self._calls = 0
 
+    def pick(self, flow_id: int, flowlet_id: int, candidates: list,
+             switch_id: int) -> int:
+        """The candidate index a new flowlet takes."""
+        return flowlet_hash(flow_id, switch_id, flowlet_id, len(candidates))
+
     def choose(self, flow_id: int, candidates: list, now: float,
                switch_id: int) -> int:
         gap = self.gap
+        n = len(candidates)
         state = self._flows.get(flow_id)
         if state is None:
-            state = self._flows[flow_id] = [now, 0]
+            state = self._flows[flow_id] = [
+                now, 0, n, self.pick(flow_id, 0, candidates, switch_id)]
         else:
-            if now - state[0] > gap:
+            if now - state[0] > gap or state[2] != n:
                 state[1] += 1
+                state[2] = n
+                state[3] = self.pick(flow_id, state[1], candidates,
+                                     switch_id)
                 self.repins += 1
             state[0] = now
         if gap != math.inf:
@@ -146,58 +165,20 @@ class FlowletBalancer:
                 flows = self._flows
                 for fid in [f for f, s in flows.items() if s[0] < cutoff]:
                     del flows[fid]
-        return flowlet_hash(flow_id, switch_id, state[1], len(candidates))
+        return state[3]
 
 
-class CongaBalancer:
-    """CONGA-style congestion-aware path choice at flowlet granularity.
+class CongaBalancer(FlowletBalancer):
+    """CONGA-style congestion-aware path choice at flowlet granularity:
+    each new flowlet picks the candidate output port with the smallest
+    queue occupancy, breaking ties towards the lowest index."""
 
-    Each new flowlet (first packet of a flow, idle gap exceeded, or the
-    candidate set changing size because routes were added) picks the
-    candidate output port with the smallest queue occupancy, breaking
-    ties towards the lowest index.  Within a flowlet the choice is
-    sticky, so packets are not reordered.
-    """
+    __slots__ = ()
 
-    _SWEEP_EVERY = 4096
-
-    __slots__ = ("gap", "repins", "_flows", "_calls")
-
-    def __init__(self, gap: float) -> None:
-        if not gap > 0:
-            raise ValueError(f"flowlet gap must be > 0, got {gap}")
-        self.gap = gap
-        self.repins = 0
-        # flow_id -> [last_seen_time, chosen_index, n_candidates]
-        self._flows: Dict[int, List] = {}
-        self._calls = 0
-
-    def choose(self, flow_id: int, candidates: list, now: float,
-               switch_id: int) -> int:
-        gap = self.gap
-        n = len(candidates)
-        state = self._flows.get(flow_id)
-        if state is None or now - state[0] > gap or state[2] != n:
-            idx = min(range(n),
-                      key=lambda i: (candidates[i].mux.occupancy, i))
-            if state is None:
-                self._flows[flow_id] = [now, idx, n]
-            else:
-                self.repins += 1
-                state[0] = now
-                state[1] = idx
-                state[2] = n
-        else:
-            state[0] = now
-            idx = state[1]
-        self._calls += 1
-        if self._calls >= self._SWEEP_EVERY:
-            self._calls = 0
-            cutoff = now - gap
-            flows = self._flows
-            for fid in [f for f, s in flows.items() if s[0] < cutoff]:
-                del flows[fid]
-        return idx
+    def pick(self, flow_id: int, flowlet_id: int, candidates: list,
+             switch_id: int) -> int:
+        return min(range(len(candidates)),
+                   key=lambda i: (candidates[i].mux.occupancy, i))
 
 
 #: Default flowlet idle gap (seconds).  Must exceed the worst-case
@@ -205,18 +186,18 @@ class CongaBalancer:
 #: a flow; 500us is ~100x the in-repo leaf-spine propagation delay.
 DEFAULT_FLOWLET_GAP = 500e-6
 
-LB_MODES = ("ecmp", "flowlet", "conga")
+#: ``lb`` mode -> balancer class (``None``: stateless per-flow ECMP)
+_BALANCERS = {"ecmp": None, "flowlet": FlowletBalancer,
+              "conga": CongaBalancer}
+LB_MODES = tuple(_BALANCERS)
 
 
 def make_balancer(mode: str, gap: float = None):
     """Build a load balancer for ``mode``; ``None`` means default ECMP."""
-    if gap is None:
-        gap = DEFAULT_FLOWLET_GAP
-    if mode == "ecmp":
+    if mode not in _BALANCERS:
+        raise ValueError(f"unknown load-balancer mode {mode!r} "
+                         f"(expected one of {LB_MODES})")
+    cls = _BALANCERS[mode]
+    if cls is None:
         return None
-    if mode == "flowlet":
-        return FlowletBalancer(gap)
-    if mode == "conga":
-        return CongaBalancer(gap)
-    raise ValueError(f"unknown load-balancer mode {mode!r} "
-                     f"(expected one of {LB_MODES})")
+    return cls(DEFAULT_FLOWLET_GAP if gap is None else gap)

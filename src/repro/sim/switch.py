@@ -2,8 +2,9 @@
 
 A switch holds a forwarding table mapping destination host id to one or
 more candidate output :class:`~repro.sim.link.Port` objects.  Multiple
-candidates mean equal-cost paths; the switch picks one by per-flow ECMP
-hash, or round-robin spraying when the network runs in spray mode (NDP).
+candidates mean equal-cost paths; the switch picks one through its load
+balancer (``lb``: flowlet, CONGA or NDP's spray, see
+:mod:`~repro.sim.routing`), or by per-flow ECMP hash when it has none.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Dict, List
 
 from .link import Port
 from .packet import DATA, HEADER, Packet
-from .routing import SprayCounter, ecmp_hash
+from .routing import ecmp_hash
 
 
 class Switch:
@@ -24,22 +25,20 @@ class Switch:
         Unique id among switches (used to decorrelate ECMP hashes).
     table:
         ``dst_host_id -> [Port, ...]`` — candidate output ports.
-    spray:
-        When True, pick among candidates round-robin per packet (NDP).
+    lb:
+        The load balancer that picks among several candidates
+        (:mod:`~repro.sim.routing`); None means stateless per-flow ECMP.
     """
 
-    __slots__ = ("switch_id", "name", "table", "spray", "_spray_counter",
-                 "lb", "pkts_forwarded", "bytes_forwarded")
+    __slots__ = ("switch_id", "name", "table", "lb", "pkts_forwarded",
+                 "bytes_forwarded")
 
     def __init__(self, switch_id: int, name: str = "") -> None:
         self.switch_id = switch_id
         self.name = name or f"switch{switch_id}"
         self.table: Dict[int, List[Port]] = {}
-        self.spray = False
-        self._spray_counter = SprayCounter()
-        # Optional stateful load balancer (FlowletBalancer /
-        # CongaBalancer); None means stateless per-flow ECMP.  The hash
-        # is a few integer ops, cheaper than a dict probe — no memo.
+        # The ECMP hash is a few integer ops, cheaper than a dict
+        # probe — no memo.
         self.lb = None
         self.pkts_forwarded = 0
         self.bytes_forwarded = 0
@@ -57,8 +56,6 @@ class Switch:
             )
         if len(candidates) == 1:
             port = candidates[0]
-        elif self.spray:
-            port = candidates[self._spray_counter.next(len(candidates))]
         elif self.lb is not None:
             port = candidates[self.lb.choose(
                 pkt.flow_id, candidates, candidates[0].sim.now,

@@ -21,7 +21,6 @@ from typing import Optional
 from ..units import gbps, us
 from .engine import Simulator
 from .network import Network, QueueConfig
-from .queues import PfcConfig
 
 
 @dataclass
@@ -37,17 +36,6 @@ class Topology:
 
     def host_ids(self):
         return list(self.network.hosts.keys())
-
-    def enable_pfc(self, config: Optional[PfcConfig] = None) -> "Topology":
-        """Lossless Ethernet: PFC on every switch (see Network.enable_pfc)."""
-        self.network.enable_pfc(config)
-        return self
-
-    def set_load_balancer(self, mode: str,
-                          gap: Optional[float] = None) -> "Topology":
-        """Install flowlet/CONGA/ECMP balancing on every switch."""
-        self.network.set_load_balancer(mode, gap)
-        return self
 
 
 def _default_qcfg(buffer_bytes: int, base_rtt: float) -> QueueConfig:
@@ -138,8 +126,9 @@ def leaf_spine(
 ) -> Topology:
     """Two-tier leaf-spine fabric (defaults = the paper's §6.2 topology).
 
-    Every leaf connects to every spine.  Cross-leaf traffic hashes (or
-    sprays) over the spines; intra-leaf traffic turns around at the leaf.
+    Every leaf connects to every spine.  Cross-leaf traffic is spread
+    over the spines by the switches' path choice (ECMP hash or
+    ``Switch.lb``); intra-leaf traffic turns around at the leaf.
     """
     sim = sim or Simulator()
     net = Network(sim)

@@ -6,7 +6,9 @@ Fabric behaviour (enabled by :meth:`Ndp.configure_network`):
 * **packet trimming**: on overflow the payload is cut and the 64-byte
   header is queued at the highest priority, so the receiver learns about
   every would-be loss within one RTT,
-* per-packet **spraying** across all equal-cost paths.
+* per-packet **spraying** across all equal-cost paths (a
+  :class:`~repro.sim.routing.SprayBalancer` on every switch, in place of
+  the scenario's ``lb``).
 
 End-host behaviour:
 
@@ -30,6 +32,7 @@ from typing import Deque, Optional
 
 from ..sim.network import Network
 from ..sim.packet import ACK, HEADER, HEADER_BYTES, PULL, Packet
+from ..sim.routing import SprayBalancer
 from .base import (
     Flow, MessageEndpoint, MessageSender, MessageState, ReceiverHost,
     RttBytesScheme, TransportContext,
@@ -155,7 +158,8 @@ class Ndp(RttBytesScheme):
         self.rtt_bytes = rtt_bytes
 
     def configure_network(self, network: Network) -> None:
-        network.set_spray(True)
+        # spraying replaces whatever balancer the scenario installed
+        network.set_load_balancer(SprayBalancer)
         # NDP's tiny trimming queues are a *switch* feature; host NIC
         # egress queues stay as they are (the pull clock paces senders).
         host_uplinks = {host.uplink for host in network.hosts.values()}

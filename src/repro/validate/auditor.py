@@ -36,6 +36,7 @@ from typing import List, Optional, Tuple
 
 from ..sim.network import Network
 from ..sim.queues import LOSSLESS_MASK, LOSSLESS_PRIORITY, PriorityMux
+from ..sim.routing import FlowletBalancer
 from ..transport.base import MessageEndpoint
 from ..transport.window import WindowReceiver, WindowSender
 from .report import InvariantViolation, ValidationReport, Violation
@@ -257,7 +258,7 @@ class RunAuditor:
         for controller in getattr(self.network, "pfc_controllers", []):
             self._audit_pfc_controller(controller)
         for switch in self.network.switches:
-            if getattr(switch, "lb", None) is not None:
+            if isinstance(switch.lb, FlowletBalancer):
                 self._audit_lb(switch)
         for sender in self._endpoints(WindowSender):
             self._audit_rto(sender)
@@ -401,23 +402,25 @@ class RunAuditor:
                             paused_mask=port.paused_mask)
 
     def _audit_lb(self, switch) -> None:
-        """Load-balancer state sanity: flowlet timestamps never come
-        from the future and per-flow state stays well-formed."""
+        """Flowlet state sanity: timestamps never come from the future,
+        flowlet ids are never negative and each pinned path is one of
+        the flow's candidates."""
         now = self.sim.now
         subject = f"lb@{switch.name}"
+        flows = switch.lb._flows
         stale = 0
         bad_state = 0
-        for state in switch.lb._flows.values():
-            if state[0] > now + TIME_EPS:
+        for last_seen, flowlet_id, n_candidates, choice in flows.values():
+            if last_seen > now + TIME_EPS:
                 stale += 1
-            if state[1] < 0:
+            if flowlet_id < 0 or not 0 <= choice < n_candidates:
                 bad_state += 1
         self._check(stale == 0, "lb-flowlet-times", subject,
                     "flowlet last-seen timestamps in the future",
-                    future_entries=stale, tracked_flows=len(switch.lb._flows))
+                    future_entries=stale, tracked_flows=len(flows))
         self._check(bad_state == 0, "lb-flowlet-state", subject,
-                    "negative flowlet id / path index in balancer state",
-                    bad_entries=bad_state)
+                    "negative flowlet id or out-of-range path index in "
+                    "balancer state", bad_entries=bad_state)
 
     def _audit_rto(self, sender: WindowSender) -> None:
         event = sender._rto_event

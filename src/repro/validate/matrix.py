@@ -79,7 +79,10 @@ CELLS = {
     "leaf-spine": (_leaf_spine(103), None),
     "leaf-spine-pfc": (_leaf_spine(104, pfc_config=SIM_PFC),
                        ("dcqcn", "hpcc")),
-    "leaf-spine-flowlet": (_leaf_spine(105, lb="flowlet"), ("dctcp", "ppt")),
+    # ndp replaces the flowlet balancer with its spray: the laws must
+    # skip a balancer that keeps no flowlet state
+    "leaf-spine-flowlet": (_leaf_spine(105, lb="flowlet"),
+                           ("dctcp", "ppt", "ndp")),
     # the same traffic with a 20 us flowlet gap: at the default 500 us
     # gap these flows barely re-pin, so the flowlet laws see no switch
     "leaf-spine-flowlet-short": (

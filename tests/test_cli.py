@@ -304,6 +304,8 @@ REFUSED_INPUTS = {
     "soak-inf": (["--soak", "inf"], "horizon"),
     "soak-nan": (["--soak", "nan"], "horizon"),
     "lb-gap-nan": (["--lb", "flowlet", "--lb-gap", "nan"], "flowlet gap"),
+    # ECMP has no flowlets: the gap changed nothing and was ignored
+    "lb-gap-under-ecmp": (["--lb-gap", "2e-5"], "needs lb 'flowlet' or"),
     "incast-senders-negative": (
         ["--pattern", "incast", "--incast-senders", "-3"], "n_senders"),
 }

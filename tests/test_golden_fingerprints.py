@@ -93,11 +93,17 @@ for _scheme in ("dctcp", "ppt", "rc3", "homa", "ndp", "aeolus", "expresspass"):
 LOSS_CELLS = ("homa", "aeolus", "ndp", "expresspass",
               "ppt", "rc3", "halfback")
 COUNTS_RETRANSMITS = {"homa-loss", "aeolus-loss", "ndp-loss"}
+
+
+def _loss_incast(scheme):
+    return _star_incast(
+        f"golden-loss-{scheme}",
+        faults=FaultPlan([PacketLoss("sw0->host0", 0.02)], seed=3))
+
+
 for _scheme in LOSS_CELLS:
     CELLS[f"{_scheme}-loss"] = (
-        _scheme, lambda s=_scheme: _star_incast(
-            f"golden-loss-{s}",
-            faults=FaultPlan([PacketLoss("sw0->host0", 0.02)], seed=3)))
+        _scheme, lambda s=_scheme: _loss_incast(s))
 
 # The two LCP ablations of Figs. 15/16: the line-rate and the ECN-blind
 # branches of ``open_loop`` / ``_termination_check`` / ``on_lp_ack``.
@@ -196,7 +202,8 @@ def _table_sha256(table) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _run_cell(cell: str) -> tuple:
-    """The cell's golden row and its table's digest, from one run."""
+    """The cell's golden row, its table's digest and its duplicate
+    deliveries, from one run."""
     scheme, scenario_factory = CELLS[cell]
     if cell == TWO_PASS_CELL:
         baseline, result = two_pass(scenario_factory())
@@ -220,7 +227,8 @@ def _run_cell(cell: str) -> tuple:
         # re-open behaviour
         out["lp_pkts_sent"] = sum(result.table.lp_pkts_sent)
         out["loops_opened"] = loops_opened
-    return out, _table_sha256(result.table)
+    return out, _table_sha256(result.table), sum(
+        result.table.dup_pkts_received)
 
 
 ALL_CELLS = sorted(CELLS)
@@ -246,6 +254,27 @@ GOLDEN_TABLES = Path(__file__).with_name("golden_flowtables.json")
 @pytest.mark.parametrize("cell", ALL_CELLS)
 def test_flow_table_matches_the_unretired_run(cell):
     assert _run_cell(cell)[1] == json.loads(GOLDEN_TABLES.read_text())[cell]
+
+
+# ROADMAP item 17, step 1 — evidence before any change to the window
+# family's loss rule: the data packets the receivers already had
+# (``FlowTable.dup_pkts_received``), per cell, as that rule produces
+# them.  DCTCP has no loss cell; its row runs the loss cells' scenario.
+# The message-core receivers count no duplicates (Homa's row).  The
+# column is not in ``TABLE_COLUMNS``, so no table hash moved with it.
+DUP_PKTS_RECEIVED = {"dctcp-star-incast": 4, "ppt-star-incast": 497,
+                     "rc3-star-incast": 391, "dctcp-loss": 553,
+                     "ppt-loss": 782, "rc3-loss": 762, "homa-loss": 0}
+
+
+@pytest.mark.parametrize("cell", sorted(DUP_PKTS_RECEIVED))
+def test_duplicate_deliveries_are_pinned(cell):
+    if cell in CELLS:
+        dups = _run_cell(cell)[2]
+    else:
+        dups = sum(run(SCHEMES["dctcp"](), _loss_incast("dctcp"))
+                   .table.dup_pkts_received)
+    assert dups == DUP_PKTS_RECEIVED[cell]
 
 
 @pytest.mark.parametrize("cell", sorted(COUNTS_RETRANSMITS))

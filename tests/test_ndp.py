@@ -1,17 +1,24 @@
 """Tests for the NDP trimming + pull transport."""
 
+import functools
+
 import pytest
 
 from conftest import make_ctx, make_leaf_spine, make_star, run_single_flow
+from repro.experiments.runner import run
+from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
+from repro.sim.routing import SprayBalancer
 from repro.transport.base import Flow
 from repro.transport.ndp import NDP_QUEUE_PACKETS, Ndp
+from repro.workloads.distributions import WEB_SEARCH
 
 
 def test_configure_network_trims_and_sprays():
     scheme = Ndp()
     topo = make_leaf_spine()
     scheme.configure_network(topo.network)
-    assert all(sw.spray for sw in topo.network.switches)
+    assert all(isinstance(sw.lb, SprayBalancer)
+               for sw in topo.network.switches)
     host_uplinks = {h.uplink for h in topo.network.hosts.values()}
     for port in topo.network.ports:
         if port in host_uplinks:
@@ -114,3 +121,20 @@ def test_spray_distributes_packets_across_spines():
     counts = [p.pkts_sent for p in spine_ports]
     assert all(c > 0 for c in counts)
     assert max(counts) < 2 * min(counts) + 10  # roughly balanced
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_spine_run(lb):
+    result = run(Ndp(), all_to_all_scenario(
+        f"ndp-{lb}", WEB_SEARCH, n_flows=12, lb=lb, seed=11,
+        fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4)))
+    return [repr(flow.fct) for flow in result.flows], result.wall_events
+
+
+@pytest.mark.parametrize("lb", ["flowlet", "conga"])
+def test_spray_replaces_the_scenario_balancer(lb):
+    """NDP installs its spray balancer over the one the scenario asked
+    for, so a flowlet or CONGA scenario runs exactly as on ECMP."""
+    fcts, events = _leaf_spine_run(lb)
+    assert len(fcts) == 12
+    assert (fcts, events) == _leaf_spine_run("ecmp")

@@ -1,5 +1,5 @@
-"""Unit and property tests for ECMP hashing, spraying and the
-flowlet/CONGA load balancers."""
+"""Unit and property tests for ECMP hashing and the spray, flowlet and
+CONGA load balancers."""
 
 import math
 from collections import Counter
@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_leaf_spine
+from repro.sim.packet import Packet
 from repro.sim.routing import (
     CongaBalancer,
     FlowletBalancer,
-    SprayCounter,
+    SprayBalancer,
     ecmp_hash,
     flowlet_hash,
     make_balancer,
@@ -59,16 +61,35 @@ def test_hash_in_range(flow_id, switch_id, n):
     assert 0 <= ecmp_hash(flow_id, switch_id, n) < n
 
 
+def _spray(spray, n):
+    return spray.choose(0, [_FakePort() for _ in range(n)], 0.0, 0)
+
+
 def test_spray_counter_round_robin():
-    spray = SprayCounter()
-    picks = [spray.next(3) for _ in range(6)]
+    spray = SprayBalancer()
+    picks = [_spray(spray, 3) for _ in range(6)]
     assert picks == [0, 1, 2, 0, 1, 2]
+    assert spray.repins == 0
 
 
 def test_spray_counter_single_choice():
-    spray = SprayCounter()
-    assert spray.next(1) == 0
-    assert spray.next(1) == 0
+    """A destination with one candidate never consults the balancer, so
+    it does not advance the counter the multipath destinations share:
+    cross-leaf packets interleaved with intra-leaf ones still alternate
+    over the two spines."""
+    topo = make_leaf_spine(n_spine=2)
+    net = topo.network
+    net.set_load_balancer(SprayBalancer)
+    sink = type("E", (), {"on_packet": staticmethod(lambda p: None)})()
+    local, remote = 1, topo.n_hosts - 1
+    for host in (local, remote):
+        net.hosts[host].default_endpoint = sink
+    for seq in range(20):
+        net.hosts[0].send(Packet(7, 0, local, seq, 1500))
+        net.hosts[0].send(Packet(7, 0, remote, seq, 1500))
+    topo.sim.run()
+    spine_ports = [p for p in net.ports if p.name.startswith("leaf0->spine")]
+    assert [p.pkts_sent for p in spine_ports] == [10, 10]
 
 
 def test_ecmp_uniformity_chi_squared():
@@ -127,23 +148,26 @@ def test_spray_wrap_bit_identical_to_unbounded():
     """The modulo wrap must not change a single choice: run a bounded
     and an unbounded counter through the 720720 boundary with a mixed
     fan-out schedule and demand identical sequences."""
-    bounded = SprayCounter()
+    bounded = SprayBalancer()
     unbounded_value = 0
     fanouts = [2, 3, 4, 7, 8, 16]
+    candidates = {n: [_FakePort() for _ in range(n)] for n in fanouts}
     for i in range(1_500_000):
         n = fanouts[i % len(fanouts)]
         expected = unbounded_value % n
         unbounded_value += 1
-        assert bounded.next(n) == expected
+        assert bounded.choose(i, candidates[n], 0.0, 0) == expected
     assert bounded._value < 720_720 * 16  # bounded even after 1.5M picks
 
 
 def test_spray_wrap_extends_for_non_dividing_fanout():
     """720720 = lcm(1..16); a fan-out outside that range extends the
     modulus instead of breaking round-robin fairness."""
-    spray = SprayCounter()
-    picks = [spray.next(17) for _ in range(34)]
+    spray = SprayBalancer()
+    picks = [_spray(spray, 17) for _ in range(34)]
     assert picks == list(range(17)) * 2
+    # widened to lcm(1..17); the wrap still never perturbs a choice
+    assert spray._modulus == 720_720 * 17
 
 
 def test_conga_picks_least_congested():

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_leaf_spine, make_star
 from repro.sim.packet import Packet
+from repro.sim.routing import SprayBalancer
 
 
 def test_flow_sticks_to_one_ecmp_path():
@@ -37,7 +38,7 @@ def test_different_flows_spread_over_ecmp():
 def test_spray_alternates_per_packet():
     topo = make_leaf_spine(n_spine=2)
     net, sim = topo.network, topo.sim
-    net.set_spray(True)
+    net.set_load_balancer(SprayBalancer)
     dst = topo.n_hosts - 1
     net.hosts[dst].default_endpoint = type(
         "E", (), {"on_packet": staticmethod(lambda p: None)})()

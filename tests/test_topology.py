@@ -4,6 +4,7 @@ import pytest
 
 from conftest import make_leaf_spine, make_star, quick_qcfg
 from repro.sim.packet import Packet
+from repro.sim.routing import SprayBalancer
 from repro.sim.topology import dumbbell, leaf_spine, star
 
 
@@ -108,9 +109,12 @@ def test_base_delay_self_is_zero():
     assert topo.network.base_delay(1, 1) == 0.0
 
 
-def test_spray_mode_flag():
+def test_set_load_balancer_one_instance_per_switch():
     topo = make_leaf_spine()
-    topo.network.set_spray(True)
-    assert all(sw.spray for sw in topo.network.switches)
-    topo.network.set_spray(False)
-    assert not any(sw.spray for sw in topo.network.switches)
+    switches = topo.network.switches
+    topo.network.set_load_balancer(SprayBalancer)
+    balancers = {id(sw.lb) for sw in switches}
+    assert len(balancers) == len(switches)
+    assert all(isinstance(sw.lb, SprayBalancer) for sw in switches)
+    topo.network.set_load_balancer(lambda: None)
+    assert all(sw.lb is None for sw in switches)
