@@ -10,6 +10,11 @@ Commands
 ``run``
     Run one or more schemes on a configurable scenario and print the
     FCT statistics table.
+``soak HORIZON``
+    The same on the long-horizon soak scenario, which derives its flow
+    count from ``HORIZON`` and fixes its load and size cap.
+``resume PATH``
+    Finish a checkpointed run, bit-identical to one that never stopped.
 ``figure``
     Regenerate one of the paper's figures (fig01 .. fig28; fig15 is Figs
     15-18, fig28 Figs 28/29), sec41, sec63 or an extension study (ext-*).
@@ -21,10 +26,14 @@ Examples
 
     python -m repro run --schemes ppt dctcp --workload web-search --load 0.5
     python -m repro run --schemes ppt dctcp homa swift --jobs 4
+    python -m repro run --schemes dcqcn hpcc --incast 16 --pfc
     python -m repro run --schemes ppt dctcp \
         --fault "flap:leaf0->spine0:0.005:0.002:0.004:3" --health
     python -m repro run --schemes ppt --flows 20000 \
         --tenant-mix web-search:3,memcached-w1:1 --load-shape diurnal
+    python -m repro soak 60 --schemes dctcp --hybrid 100000 \
+        --checkpoint soak.ckpt --checkpoint-every 10
+    python -m repro resume soak.ckpt
     python -m repro figure fig12 --workload data-mining
     python -m repro list-schemes
 """
@@ -33,12 +42,11 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import sys
 from collections.abc import Mapping
 from typing import Callable, List
 
-from .experiments.runner import format_table, run
+from .experiments.runner import check_checkpointing, format_table, run
 from .experiments.scenarios import (
     SCHEMES,
     SIM_PFC,
@@ -177,20 +185,30 @@ def _report_validation(schemes, summaries) -> bool:
     return broken
 
 
+def _error(message) -> int:
+    """A refusal: one ``error:`` line, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_resume(args) -> int:
-    """``--resume``: finish a checkpointed run, bit-identical to one
-    that never stopped."""
+    """Finish a checkpointed run, bit-identical to one that never
+    stopped; ``--checkpoint-every`` alone keeps rewriting the snapshot
+    it finishes."""
     from .experiments.parallel import RunSummary
-    path = None
-    if args.checkpoint_every is not None:
-        path = args.checkpoint or args.resume
+    path = args.checkpoint
+    if path is None and args.checkpoint_every is not None:
+        path = args.path
     try:
-        result = run(resume=args.resume,
+        check_checkpointing(args.checkpoint_every, path)
+    except ValueError as exc:
+        return _error(exc)
+    try:
+        result = run(resume=args.path,
                      checkpoint_every=args.checkpoint_every,
                      checkpoint_path=path)
     except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
@@ -203,122 +221,83 @@ def _cmd_resume(args) -> int:
     return 1 if broken else 0
 
 
-#: Every flag combination ``run`` refuses, as ``(predicate over the
-#: parsed args, message)`` rows checked in order before anything runs,
-#: resumes or forks: the first hit prints ``error: <message>`` and
-#: exits 2.
-RUN_EXCLUSIONS = (
-    # a non-positive interval would snapshot at every drain slice, a
-    # NaN or infinite one never
-    (lambda a: a.checkpoint_every is not None
-     and not 0 < a.checkpoint_every < math.inf,
-     "--checkpoint-every must be finite and > 0"),
-    # a NaN deadline is never enforced, an infinite one overflows the
-    # wait
-    (lambda a: a.task_timeout is not None
-     and not 0 < a.task_timeout < math.inf,
-     "--task-timeout must be finite and > 0"),
-    (lambda a: a.retries is not None and a.retries < 0,
-     "--retries must be >= 0"),
-    # a snapshot already fixes its scheme, fault plan, telemetry and
-    # auditor, and finishes in this process: none of these can be
-    # honoured, so none is dropped silently
-    (lambda a: a.resume and (
-        a.schemes is not None or a.fault or a.jobs not in (None, 0, 1)
-        or a.task_timeout is not None or a.retries is not None
-        or a.trace or a.trace_out or a.validate or a.validate_strict),
-     "--resume finishes the snapshot's own run in-process: --schemes, "
-     "--fault, --jobs, --task-timeout, --retries, --trace, --trace-out, "
-     "--validate and --validate-strict cannot be combined with it"),
-    (lambda a: a.checkpoint and a.checkpoint_every is None,
-     "--checkpoint needs --checkpoint-every SIM_SECONDS"),
-    # --resume writes to the snapshot it finishes
-    (lambda a: a.checkpoint_every is not None and not a.checkpoint
-     and not a.resume,
-     "--checkpoint-every needs --checkpoint PATH"),
-)
+def hybrid_spec(spec: str) -> dict:
+    """``--hybrid BYTES[:SECONDS]`` as :class:`HybridConfig` keywords; an
+    empty field keeps its default, and ``HybridConfig`` refuses a value
+    out of range."""
+    size, _, epoch = spec.partition(":")
+    settings = {"size_threshold": int(size)} if size else {}
+    if epoch:
+        settings["max_epoch"] = float(epoch)
+    return settings
 
 
 def _cmd_run(args) -> int:
-    from .experiments.parallel import FailedTask, run_grid, scheme_grid
+    """``run`` and ``soak``: every scheme on the scenario the flags
+    describe, as one grid."""
+    from .experiments.parallel import (
+        FailedTask,
+        check_supervision,
+        run_grid,
+        scheme_grid,
+    )
     from .experiments.workers import WorkerError
     from .faults.plan import FaultPlan
     from .sim.hybrid import HybridConfig
-    for excluded, message in RUN_EXCLUSIONS:
-        if excluded(args):
-            print(f"error: {message}", file=sys.stderr)
-            return 2
-    if args.resume:
-        return _cmd_resume(args)
-    # --schemes defaults to None so the table can tell "given" apart
-    schemes = {name: SCHEMES[name]
-               for name in args.schemes or DEFAULT_SCHEMES}
+    schemes = {name: SCHEMES[name] for name in args.schemes}
     cdf = WORKLOADS[args.workload]
     validate = "strict" if args.validate_strict else args.validate
     faults = None
-    if args.fault:
-        try:
-            faults = FaultPlan.parse(args.fault, seed=args.fault_seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if args.fault:
+            faults = FaultPlan.parse(args.fault, seed=args.fault_seed)
         load_shape = (parse_load_shape(args.load_shape)
                       if args.load_shape else None)
         tenants = (parse_tenant_mix(args.tenant_mix)
                    if args.tenant_mix else None)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # Flows are always streamed: memory stays flat at any --flows, and a
-    # stream composes with checkpoints, faults and --jobs (each worker
-    # builds its own stream from the picklable spec).
-    streaming = dict(stream=True, load_shape=load_shape,
-                     tenants=tenants, arrivals=args.arrivals)
-    # PFC + load-balancer features; all-defaults leaves the fabric
-    # builder untouched so existing invocations stay bit-identical
-    features = dict(lb=args.lb, lb_gap=args.lb_gap,
-                    pfc_config=SIM_PFC if args.pfc else None)
+        return _error(exc)
 
     def make_scenario():
-        # HybridConfig refuses a bad --hybrid-* value; built here, the
-        # refusal comes out of the reference build below
-        features["hybrid"] = (
-            HybridConfig(size_threshold=args.hybrid_size_threshold,
-                         max_epoch=args.hybrid_epoch)
-            if args.hybrid else None)
-        if args.soak is not None:
-            return soak_scenario(
-                "cli-soak", cdf, horizon=args.soak, seed=args.seed,
-                faults=faults, event_budget=args.event_budget,
-                **streaming, **features)
-        if args.pattern == "incast":
-            return incast_scenario(
-                "cli", cdf, n_senders=args.incast_senders, load=args.load,
-                n_flows=args.flows, size_cap=args.size_cap, seed=args.seed,
-                faults=faults, event_budget=args.event_budget,
-                **streaming, **features)
-        return all_to_all_scenario(
-            "cli", cdf, load=args.load, n_flows=args.flows,
-            size_cap=args.size_cap, seed=args.seed,
-            faults=faults, event_budget=args.event_budget,
-            **streaming, **features)
+        # Flows are always streamed: memory stays flat at any --flows,
+        # and a stream composes with checkpoints, faults and --jobs
+        # (each worker builds its own stream from the picklable spec).
+        # All-default features leave the fabric builder untouched, so
+        # existing invocations stay bit-identical.
+        common = dict(
+            seed=args.seed, faults=faults, event_budget=args.event_budget,
+            stream=True, load_shape=load_shape, tenants=tenants,
+            arrivals=args.arrivals, lb=args.lb, lb_gap=args.lb_gap,
+            pfc_config=SIM_PFC if args.pfc else None,
+            hybrid=(None if args.hybrid is None
+                    else HybridConfig(**args.hybrid)))
+        if args.command == "soak":
+            return soak_scenario("cli-soak", cdf, horizon=args.horizon,
+                                 **common)
+        common.update(load=args.load, n_flows=args.flows,
+                      size_cap=args.size_cap)
+        if args.incast is not None:
+            return incast_scenario("cli", cdf, n_senders=args.incast,
+                                   **common)
+        return all_to_all_scenario("cli", cdf, **common)
 
-    # Reference build in this process, before any run or fork: a bad
+    # Before any run or fork: the rules of run() and run_grid(), in their
+    # owners' words, then a reference build in this process — a bad
     # scenario parameter (ValueError) or a fault spec naming no port
     # (KeyError, raised when the plan is applied to a fabric) is refused
     # here in one line, whichever path the runs then take.  The fabric
     # is thrown away; apply() leaves the plan itself untouched, and a
     # streamed flow source stays lazy.
     try:
+        check_checkpointing(args.checkpoint_every, args.checkpoint)
+        check_supervision(args.task_timeout, args.retries)
         reference = make_scenario()
         topo = reference.build_topology()
         if faults is not None:
             faults.apply(topo.network, topo.sim)
         reference.build_flows(topo)
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 2
+        return _error(exc.args[0] if exc.args else exc)
 
     # each cell writes its own trace / checkpoint file where it runs
     tasks = scheme_grid(schemes, make_scenario, [{}], observe=args.trace,
@@ -349,8 +328,7 @@ def _cmd_run(args) -> int:
         if "InvariantViolation" in exc.cause:
             print(f"invariant violation: {exc}", file=sys.stderr)
             return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     for task, summary in zip(tasks, summaries):
         if task.trace_out and not isinstance(summary, FailedTask):
             print(f"trace: {task.scheme_key}: "
@@ -372,8 +350,7 @@ def _cmd_figure(args) -> int:
     if args.workload:
         # a driver takes a workload iff its signature says so
         if "workload" not in inspect.signature(fn).parameters:
-            print(f"error: {args.name} has no --workload", file=sys.stderr)
-            return 2
+            return _error(f"{args.name} has no --workload")
         kwargs["workload"] = args.workload
     result = fn(**kwargs)
     print(format_table(result["rows"]))
@@ -400,114 +377,128 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-schemes").set_defaults(fn=_cmd_list_schemes)
     sub.add_parser("list-workloads").set_defaults(fn=_cmd_list_workloads)
 
-    run_p = sub.add_parser("run", help="run schemes on a scenario")
-    run_p.add_argument("--schemes", nargs="+", default=None,
-                       choices=sorted(SCHEMES),
-                       help=f"default: {' '.join(DEFAULT_SCHEMES)}")
-    run_p.add_argument("--workload", default="web-search",
-                       choices=sorted(WORKLOADS))
-    run_p.add_argument("--load", type=float, default=0.5)
-    run_p.add_argument("--flows", type=int, default=150)
-    run_p.add_argument("--size-cap", type=int, default=2_000_000)
-    run_p.add_argument("--seed", type=int, default=7)
-    run_p.add_argument("--pattern", choices=["all-to-all", "incast"],
-                       default="all-to-all")
-    run_p.add_argument("--incast-senders", type=int, default=16)
-    run_p.add_argument("--load-shape", metavar="SPEC", default=None,
-                       help="modulate the arrival rate over time: "
-                            "constant, diurnal[:PERIOD[:DEPTH]] or "
-                            "onoff[:ON[:OFF[:OFF_LEVEL]]]")
-    run_p.add_argument("--tenant-mix", metavar="SPEC", default=None,
-                       help="mix several workload classes, e.g. "
-                            "'web-search:3,memcached-w1:1' "
-                            "(NAME:SHARE pairs against list-workloads names)")
-    run_p.add_argument("--arrivals", choices=["open", "closed"],
-                       default="open",
-                       help="open-loop Poisson arrivals (default) or a "
-                            "closed-loop fixed user pool with think times")
-    run_p.add_argument(
+    # flags of every command that finishes runs
+    finish = argparse.ArgumentParser(add_help=False)
+    finish.add_argument("--health", action="store_true",
+                        help="include run-health columns in the output table")
+    finish.add_argument("--checkpoint", metavar="PATH", default=None,
+                        help="write periodic resumable snapshots to PATH "
+                             "(with --checkpoint-every; with several "
+                             "schemes the scheme name is inserted into "
+                             "PATH; resume defaults it to the snapshot it "
+                             "finishes)")
+    finish.add_argument("--checkpoint-every", type=float,
+                        metavar="SIM_SECONDS", default=None,
+                        help="simulated seconds between checkpoint writes "
+                             "(0: at every drain slice)")
+
+    # flags of the commands that build a scenario: run and soak
+    grid = argparse.ArgumentParser(add_help=False, parents=[finish])
+    grid.add_argument("--schemes", nargs="+", default=list(DEFAULT_SCHEMES),
+                      choices=sorted(SCHEMES),
+                      help=f"default: {' '.join(DEFAULT_SCHEMES)}")
+    grid.add_argument("--workload", default="web-search",
+                      choices=sorted(WORKLOADS))
+    grid.add_argument("--seed", type=int, default=7)
+    grid.add_argument("--load-shape", metavar="SPEC", default=None,
+                      help="modulate the arrival rate over time: "
+                           "constant, diurnal[:PERIOD[:DEPTH]] or "
+                           "onoff[:ON[:OFF[:OFF_LEVEL]]]")
+    grid.add_argument("--tenant-mix", metavar="SPEC", default=None,
+                      help="mix several workload classes, e.g. "
+                           "'web-search:3,memcached-w1:1' "
+                           "(NAME:SHARE pairs against list-workloads names)")
+    grid.add_argument("--arrivals", choices=["open", "closed"],
+                      default="open",
+                      help="open-loop Poisson arrivals (default) or a "
+                           "closed-loop fixed user pool with think times")
+    grid.add_argument(
         "--fault", action="append", metavar="SPEC",
         help="fault spec (repeatable): "
              + ", ".join(cls.spec for cls in FAULT_KINDS.values())
              + "; PORT is a name or glob like 'leaf0->spine*'")
-    run_p.add_argument("--fault-seed", type=int, default=0)
-    run_p.add_argument("--lb", choices=list(LB_MODES), default="ecmp",
-                       help="switch load balancer: per-flow ECMP (default, "
-                            "bit-identical to earlier releases), flowlet "
-                            "switching, or CONGA-style least-congested-path")
-    run_p.add_argument("--lb-gap", type=float, metavar="SECONDS",
-                       default=None,
-                       help="flowlet idle gap / CONGA re-pin gap in seconds "
-                            f"(default {DEFAULT_FLOWLET_GAP:g})")
-    run_p.add_argument("--pfc", action="store_true",
-                       help="enable lossless Ethernet: per-priority PFC "
-                            "XOFF/XON on every switch with headroom so the "
-                            "lossless class never drops (RoCEv2-style; "
-                            "pair with dcqcn/hpcc)")
-    run_p.add_argument("--hybrid", action="store_true",
-                       help="enable the flow-level fast path: large "
-                            "uncontended flows advance analytically at "
-                            "max-min fair rates instead of packet by packet "
-                            "(see docs/hybrid.md for the accuracy envelope)")
-    run_p.add_argument("--hybrid-size-threshold", type=int,
-                       metavar="BYTES", default=1_000_000,
-                       help="flows at least this big are candidates for "
-                            "flow-level abstraction (default 1MB)")
-    run_p.add_argument("--hybrid-epoch", type=float, metavar="SECONDS",
-                       default=0.005,
-                       help="max interval between hybrid congestion epochs "
-                            "while packet traffic coexists (default 5ms)")
-    run_p.add_argument("--event-budget", type=int, default=None,
-                       help="abort a run after this many simulator events")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes to fan the schemes across "
-                            "(-1 = one per core); results are merged in "
-                            "deterministic order, identical to --jobs 1")
-    run_p.add_argument("--health", action="store_true",
-                       help="include run-health columns in the output table")
-    run_p.add_argument("--trace", action="store_true",
-                       help="run with repro.obs telemetry and print a "
-                            "per-scheme trace summary")
-    run_p.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="export the event trace as JSONL (implies "
-                            "--trace; with several schemes the scheme "
-                            "name is inserted into PATH)")
-    run_p.add_argument("--validate", action="store_true",
-                       help="run the repro.validate invariant auditor; "
-                            "violations are reported per scheme and make "
-                            "the command exit 1")
-    run_p.add_argument("--validate-strict", action="store_true",
-                       help="like --validate but abort at the first broken "
-                            "invariant (exit 3)")
-    run_p.add_argument("--soak", type=float, metavar="HORIZON", default=None,
-                       help="run the long-horizon soak scenario for this "
-                            "many simulated seconds (faults fire "
-                            "periodically throughout; see docs/robustness.md)")
-    run_p.add_argument("--checkpoint", metavar="PATH", default=None,
-                       help="write periodic resumable snapshots to PATH "
-                            "(requires --checkpoint-every; with several "
-                            "schemes the scheme name is inserted into "
-                            "PATH)")
-    run_p.add_argument("--checkpoint-every", type=float,
-                       metavar="SIM_SECONDS", default=None,
-                       help="simulated seconds between checkpoint writes")
-    run_p.add_argument("--resume", metavar="PATH", default=None,
-                       help="resume a checkpointed run from PATH and finish "
-                            "it (bit-identical to a run that never stopped); "
-                            "combine with --checkpoint-every to keep "
-                            "checkpointing")
-    run_p.add_argument("--task-timeout", type=float, metavar="SECONDS",
-                       default=None,
-                       help="supervise the grid: kill and retry any cell "
-                            "whose attempt exceeds this wall-clock budget "
-                            "(cells then run in forked workers even at "
-                            "--jobs 1)")
-    run_p.add_argument("--retries", type=int, default=None,
-                       help="supervise the grid: per-cell retry budget "
-                            "after the first attempt (default 2 when "
-                            "supervision is active); cells that exhaust it "
-                            "are quarantined, not fatal")
+    grid.add_argument("--fault-seed", type=int, default=0)
+    grid.add_argument("--lb", choices=list(LB_MODES), default="ecmp",
+                      help="switch load balancer: per-flow ECMP (default, "
+                           "bit-identical to earlier releases), flowlet "
+                           "switching, or CONGA-style least-congested-path")
+    grid.add_argument("--lb-gap", type=float, metavar="SECONDS",
+                      default=None,
+                      help="flowlet idle gap / CONGA re-pin gap in seconds "
+                           f"(default {DEFAULT_FLOWLET_GAP:g})")
+    grid.add_argument("--pfc", action="store_true",
+                      help="enable lossless Ethernet: per-priority PFC "
+                           "XOFF/XON on every switch with headroom so the "
+                           "lossless class never drops (RoCEv2-style; "
+                           "pair with dcqcn/hpcc)")
+    grid.add_argument("--hybrid", nargs="?", type=hybrid_spec, const={},
+                      default=None, metavar="BYTES[:SECONDS]",
+                      help="enable the flow-level fast path: flows of at "
+                           "least BYTES (default 1MB) advance analytically "
+                           "at max-min fair rates while uncontended, with "
+                           "at most SECONDS (default 5ms) between "
+                           "congestion epochs while packet traffic "
+                           "coexists (see docs/hybrid.md for the accuracy "
+                           "envelope)")
+    grid.add_argument("--event-budget", type=int, default=None,
+                      help="abort a run after this many simulator events")
+    grid.add_argument("--jobs", type=int, default=1,
+                      help="worker processes to fan the schemes across "
+                           "(-1 = one per core); results are merged in "
+                           "deterministic order, identical to --jobs 1")
+    grid.add_argument("--trace", action="store_true",
+                      help="run with repro.obs telemetry and print a "
+                           "per-scheme trace summary")
+    grid.add_argument("--trace-out", metavar="PATH", default=None,
+                      help="export the event trace as JSONL (implies "
+                           "--trace; with several schemes the scheme "
+                           "name is inserted into PATH)")
+    grid.add_argument("--validate", action="store_true",
+                      help="run the repro.validate invariant auditor; "
+                           "violations are reported per scheme and make "
+                           "the command exit 1")
+    grid.add_argument("--validate-strict", action="store_true",
+                      help="like --validate but abort at the first broken "
+                           "invariant (exit 3)")
+    grid.add_argument("--task-timeout", type=float, metavar="SECONDS",
+                      default=None,
+                      help="supervise the grid: kill and retry any cell "
+                           "whose attempt exceeds this wall-clock budget "
+                           "(cells then run in forked workers even at "
+                           "--jobs 1)")
+    grid.add_argument("--retries", type=int, default=None,
+                      help="supervise the grid: per-cell retry budget "
+                           "after the first attempt (default 2 when "
+                           "supervision is active); cells that exhaust it "
+                           "are quarantined, not fatal")
+
+    # a flag a command does not honour is an argparse error, abbreviated
+    # or not
+    run_p = sub.add_parser("run", parents=[grid], allow_abbrev=False,
+                           help="run schemes on a scenario")
+    run_p.add_argument("--load", type=float, default=0.5)
+    run_p.add_argument("--flows", type=int, default=150)
+    run_p.add_argument("--size-cap", type=int, default=2_000_000)
+    run_p.add_argument("--incast", type=int, metavar="N", default=None,
+                       help="N senders into one receiver instead of "
+                            "all-to-all traffic")
     run_p.set_defaults(fn=_cmd_run)
+
+    soak_p = sub.add_parser(
+        "soak", parents=[grid], allow_abbrev=False,
+        help="run the long-horizon soak scenario: faults fire "
+             "periodically throughout, and the horizon sets the flow "
+             "count (see docs/robustness.md)")
+    soak_p.add_argument("horizon", type=float, metavar="HORIZON",
+                        help="simulated seconds")
+    soak_p.set_defaults(fn=_cmd_run)
+
+    resume_p = sub.add_parser(
+        "resume", parents=[finish], allow_abbrev=False,
+        help="finish a checkpointed run (bit-identical to a run that "
+             "never stopped); the snapshot fixes everything else")
+    resume_p.add_argument("path", metavar="PATH")
+    resume_p.set_defaults(fn=_cmd_resume)
 
     fig_p = sub.add_parser("figure", help="regenerate a paper figure")
     fig_p.add_argument("name", choices=sorted(FIGURES))

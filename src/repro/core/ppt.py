@@ -95,6 +95,7 @@ class PptReceiver(WindowReceiver):
         sacked = self.sacked
         if seq < self.cum or seq in sacked:
             self.dup_pkts_received += 1
+            self.lp_dup_pkts_received += 1
         elif seq > self.cum:
             sacked.add(seq)
         else:

@@ -247,6 +247,18 @@ def _warn_no_fork() -> None:
         RuntimeWarning, stacklevel=3)
 
 
+def check_supervision(timeout: Optional[float],
+                      retries: Optional[int]) -> None:
+    """:func:`run_grid`'s supervision rule: a ``timeout`` is finite and
+    ``> 0`` (a NaN deadline is never enforced, an infinite one
+    overflows the wait) and ``retries`` is ``>= 0``; anything else
+    raises :class:`ValueError`."""
+    if timeout is not None and not 0 < timeout < math.inf:
+        raise ValueError(f"timeout must be finite and > 0, got {timeout!r}")
+    if retries is not None and retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries!r}")
+
+
 def run_grid(
     tasks: Sequence[GridTask],
     *,
@@ -272,10 +284,7 @@ def run_grid(
     deadline can be enforced, and re-running a seeded cell in the same
     interpreter could only replay the same exception).
     """
-    if timeout is not None and not 0 < timeout < math.inf:
-        raise ValueError(f"timeout must be finite and > 0, got {timeout!r}")
-    if retries is not None and retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries!r}")
+    check_supervision(timeout, retries)
     tasks = list(tasks)
     supervised = timeout is not None or retries is not None
     n_workers = workers.worker_count(jobs, len(tasks))

@@ -289,6 +289,19 @@ class _FlowStarts:
         return (flow.start_time, self._fn, (flow,) + self._extra)
 
 
+def check_checkpointing(checkpoint_every: Optional[float],
+                        checkpoint_path) -> None:
+    """:func:`run`'s checkpoint rule: the interval and the path come
+    together, and the interval is finite and ``>= 0`` (a NaN one would
+    never snapshot); anything else raises :class:`ValueError`."""
+    if (checkpoint_every is None) != (checkpoint_path is None):
+        raise ValueError("checkpoint_every and checkpoint_path go together, "
+                         f"got {checkpoint_every!r} and {checkpoint_path!r}")
+    if checkpoint_every is not None and not 0 <= checkpoint_every < math.inf:
+        raise ValueError(f"checkpoint_every must be finite and >= 0, "
+                         f"got {checkpoint_every!r}")
+
+
 def run(
     scheme: Optional[Scheme] = None,
     scenario: Optional[Scenario] = None,
@@ -320,8 +333,7 @@ def run(
     :mod:`repro.resilience` snapshot of the whole run every that many
     *simulated* seconds (atomic replace — the file always holds the
     newest complete snapshot; ``0`` snapshots at every drain slice).
-    The two come together, and the interval must be finite and
-    ``>= 0``: anything else raises :class:`ValueError`.  Snapshotting
+    :func:`check_checkpointing` refuses any other pairing.  Snapshotting
     only reads state, so a checkpointed run stays bit-identical to an
     uncheckpointed one.
 
@@ -333,12 +345,7 @@ def run(
     ``observe``/``validate`` travel inside the snapshot and must not be
     re-passed.
     """
-    if (checkpoint_every is None) != (checkpoint_path is None):
-        raise ValueError("checkpoint_every and checkpoint_path go together, "
-                         f"got {checkpoint_every!r} and {checkpoint_path!r}")
-    if checkpoint_every is not None and not 0 <= checkpoint_every < math.inf:
-        raise ValueError(f"checkpoint_every must be finite and >= 0, "
-                         f"got {checkpoint_every!r}")
+    check_checkpointing(checkpoint_every, checkpoint_path)
     if resume is not None:
         if observe not in (None, False) or validate not in (None, False):
             raise ValueError(
@@ -443,7 +450,7 @@ def _assemble(
         scheme_name=scheme.name,
         scenario_name=scenario.name,
         topo=topo, ctx=ctx, flows=flows, faults=faults,
-        telemetry=telemetry, auditor=auditor, hybrid=hybrid_ctl,
+        telemetry=telemetry, auditor=auditor,
         max_time=scenario.max_time,
         event_budget=scenario.event_budget,
         max_rto=getattr(scenario.config, "max_rto", 0.25),

@@ -10,9 +10,10 @@ low-priority loop, where RC3 loses about half its packets).  Endpoints
 are duck-typed: a sender exposes ``pkts_transmitted`` (and
 ``pkts_retransmitted``, optionally ``rtos_fired``, ``acks_received``
 and a second loop ``lcp``), a receiver ``data_pkts_received``
-(optionally ``lp_pkts_received`` and ``dup_pkts_received``, the data
-packets it already had; the message-core receivers count none, so
-their flows read 0).
+(optionally ``lp_pkts_received``, ``dup_pkts_received``, the data
+packets it already had, and ``lp_dup_pkts_received``, those of them that
+came on the low-priority loop; the message-core receivers count none,
+so their flows read 0).
 
 Columns are stdlib ``array``\\ s — compact, picklable across a
 ``run_grid`` pipe, and untracked by the GC, which the harvest runs
@@ -88,6 +89,7 @@ class FlowTable:
     acks: array
     lp_loops: array
     dup_pkts_received: array
+    lp_dup_pkts_received: array
 
     def __len__(self) -> int:
         return len(self.flow_id)
@@ -104,9 +106,9 @@ class FlowTable:
             fct = flow.fct
             fcts.append(UNFINISHED if fct is None else fct)
         zeros = bytes(flow_ids.itemsize * len(flow_ids))
-        # the nine counter columns start at zero
+        # the ten counter columns start at zero
         table = cls(flow_ids, sizes, fcts,
-                    *(array("q", zeros) for _ in range(9)))
+                    *(array("q", zeros) for _ in range(10)))
         columns = [getattr(table, name) for name in SENDER_COLUMNS]
 
         def add_sender(i: int, counts: tuple) -> None:
@@ -136,6 +138,8 @@ class FlowTable:
                         endpoint, "lp_pkts_received", 0)
                     table.dup_pkts_received[i] += getattr(
                         endpoint, "dup_pkts_received", 0)
+                    table.lp_dup_pkts_received[i] += getattr(
+                        endpoint, "lp_dup_pkts_received", 0)
         return table
 
     def efficiency(self, lp: bool = False) -> float:

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 20
+CHECKPOINT_VERSION = 21
 
 
 class CheckpointError(RuntimeError):
@@ -79,10 +79,6 @@ class RunState:
     faults: Any = None
     telemetry: Any = None
     auditor: Any = None
-    # the HybridController when the run uses the flow-level fast path
-    # (None otherwise); shares references into the sim graph, so the
-    # abstract set and its armed epoch event pickle consistently
-    hybrid: Any = None
 
     # the run's flow target: len(flows) for a materialized workload,
     # the FlowStream's declared total for a streamed one (``flows``

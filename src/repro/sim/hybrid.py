@@ -176,8 +176,8 @@ class HybridController:
     set or hands it to the wrapped scheme unchanged (tracking its port
     path so sharing checks are exact).  Plain data + bound methods
     throughout: the controller pickles inside checkpoints (it rides
-    ``RunState.hybrid`` and the engine heap), and a mid-epoch resume is
-    bit-identical.
+    ``ctx.extra["hybrid"]`` and the engine heap), and a mid-epoch resume
+    is bit-identical.
     """
 
     def __init__(self, scheme, config: HybridConfig) -> None:

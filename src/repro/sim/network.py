@@ -45,9 +45,6 @@ class QueueConfig:
     # DT alpha 8 for the high-priority half, 1 for the lossy low-priority
     # half (see PriorityMux docstring); None = pure shared tail drop.
     dt_alpha: object = (8.0, 8.0, 8.0, 8.0, 1.0, 1.0, 1.0, 1.0)
-    # PFC lossless-class thresholds; the controller side is wired by
-    # Network.enable_pfc (which also fills this in when absent).
-    pfc: Optional[PfcConfig] = None
 
     def build(self, rate_bps: float) -> PriorityMux:
         thresholds = self.ecn_thresholds
@@ -62,15 +59,12 @@ class QueueConfig:
             )
             k_low = ecn_threshold_bytes(lam_low, rate_bps, self.base_rtt)
             thresholds = [k_high] * 4 + [k_low] * 4
-        mux = PriorityMux(
+        return PriorityMux(
             self.buffer_bytes,
             thresholds,
             lp_buffer_cap=self.lp_buffer_cap,
             dt_alpha=self.dt_alpha,
         )
-        if self.pfc is not None:
-            mux.pfc = self.pfc.make_state()
-        return mux
 
 
 class ControlPipe:
@@ -312,17 +306,16 @@ class Network:
         for switch in self.switches:
             switch.lb = make()
 
-    def enable_pfc(self, config: Optional[PfcConfig] = None) -> None:
-        """Turn on PFC at every switch (idempotent per switch).
+    def enable_pfc(self, config: PfcConfig) -> None:
+        """Make every switch egress lossless: the only way a port gets
+        PFC (idempotent).
 
-        Egress muxes that were not already built lossless (via
-        ``QueueConfig.pfc``) get thresholds from ``config`` — or
-        :meth:`PfcConfig.for_buffer` defaults — and every egress state
-        is wired to a per-switch :class:`PfcController` that pauses all
-        the switch's upstream transmitters.  Host NIC muxes are never
-        made lossless themselves: a host is a traffic *source*, it gets
-        paused from downstream but has nobody upstream to pause (its
-        multi-MB NIC buffer absorbs the backlog).
+        Each switch egress mux gets ``config``'s thresholds, wired to a
+        per-switch :class:`PfcController` that pauses all the switch's
+        upstream transmitters.  Host NIC muxes are never made lossless
+        themselves: a host is a traffic *source*, it gets paused from
+        downstream but has nobody upstream to pause (its multi-MB NIC
+        buffer absorbs the backlog).
         """
         if self.pfc_controllers:
             return  # already enabled
@@ -330,12 +323,8 @@ class Network:
             ingress = [p for p in self.ports if p.peer is switch]
             controller = PfcController(self.sim, switch, ingress)
             for port in switch.ports():
-                mux = port.mux
-                if mux.pfc is None:
-                    cfg = config or PfcConfig.for_buffer(mux.buffer_bytes)
-                    mux.pfc = cfg.make_state()
-                if mux.pfc.controller is None:
-                    mux.pfc.controller = controller
+                port.mux.pfc = config.make_state()
+                port.mux.pfc.controller = controller
             self.pfc_controllers.append(controller)
 
     # -- ideal control path ----------------------------------------------

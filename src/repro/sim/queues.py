@@ -58,16 +58,6 @@ class PfcConfig:
         if self.headroom_bytes < 0:
             raise ValueError("headroom_bytes must be >= 0")
 
-    @classmethod
-    def for_buffer(cls, buffer_bytes: int) -> "PfcConfig":
-        """Conventional thresholds scaled to the shared-buffer size:
-        XOFF at a third of the pool, XON at a sixth, headroom equal to
-        the pool (worst case every upstream port keeps blasting for a
-        full pause-propagation window)."""
-        return cls(xoff_bytes=buffer_bytes // 3,
-                   xon_bytes=buffer_bytes // 6,
-                   headroom_bytes=buffer_bytes)
-
     def make_state(self) -> "PfcState":
         return PfcState(self)
 

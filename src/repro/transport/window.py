@@ -53,7 +53,8 @@ class WindowReceiver:
 
     __slots__ = ("flow", "ctx", "n_packets", "sacked", "cum",
                  "_done", "data_pkts_received", "dup_pkts_received",
-                 "lp_pkts_received", "_send_control")
+                 "lp_dup_pkts_received", "lp_pkts_received",
+                 "_send_control")
 
     def __init__(self, flow: Flow, ctx: TransportContext) -> None:
         self.flow = flow
@@ -64,6 +65,7 @@ class WindowReceiver:
         self._done = False
         self.data_pkts_received = 0
         self.dup_pkts_received = 0
+        self.lp_dup_pkts_received = 0  # of those, low-priority-loop ones
         self.lp_pkts_received = 0  # low-priority-loop arrivals (RC3 etc.)
         # the reverse pair (dst -> src) never changes: its control
         # sender is resolved on the first ACK (see _control_sender())
@@ -88,6 +90,8 @@ class WindowReceiver:
             self.cum = cum
         elif seq < cum or seq in self.sacked:
             self.dup_pkts_received += 1
+            if pkt.lcp:
+                self.lp_dup_pkts_received += 1
         else:
             self.sacked.add(seq)
         self.acknowledge(pkt)

@@ -41,19 +41,24 @@ from ..workloads.distributions import WEB_SEARCH
 
 DEFAULT_FLOWS = 24
 DEFAULT_EVENT_BUDGET = 3_000_000
+# The auditor's per-slice laws run every max_time / 200 of simulated
+# time: at the default 10 s a slice is 50 ms, and every cell finishes
+# inside its first one, so the RTO and ledger-order laws would only
+# ever see retired senders.  A 1 ms slice catches senders in flight.
+MAX_TIME = 0.2
 
 
 def _star_scenario(*, n_flows: int) -> object:
     return all_to_all_scenario(
         "validate-star", WEB_SEARCH, n_flows=n_flows,
-        fabric=star_fabric(6), seed=101,
+        fabric=star_fabric(6), seed=101, max_time=MAX_TIME,
         event_budget=DEFAULT_EVENT_BUDGET)
 
 
 def _dumbbell_scenario(*, n_flows: int) -> object:
     return dumbbell_scenario(
         "validate-dumbbell", WEB_SEARCH, n_flows=n_flows, seed=102,
-        event_budget=DEFAULT_EVENT_BUDGET)
+        max_time=MAX_TIME, event_budget=DEFAULT_EVENT_BUDGET)
 
 
 def _leaf_spine(seed: int, **features):
@@ -64,7 +69,8 @@ def _leaf_spine(seed: int, **features):
         return all_to_all_scenario(
             "validate-leaf-spine", WEB_SEARCH, n_flows=n_flows,
             fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4),
-            seed=seed, event_budget=DEFAULT_EVENT_BUDGET, **features)
+            seed=seed, max_time=MAX_TIME,
+            event_budget=DEFAULT_EVENT_BUDGET, **features)
 
     return scenario
 

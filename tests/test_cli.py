@@ -7,13 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import (
-    FIGURES,
-    RUN_EXCLUSIONS,
-    SCHEME_FACTORIES,
-    build_parser,
-    main,
-)
+from repro.cli import FIGURES, SCHEME_FACTORIES, build_parser, main
+from repro.experiments.parallel import run_grid
+from repro.experiments.runner import run
 
 
 def test_list_schemes(capsys):
@@ -47,7 +43,7 @@ def test_run_small(capsys):
 
 def test_run_incast_pattern(capsys):
     assert main(["run", "--schemes", "dctcp", "--flows", "8",
-                 "--pattern", "incast", "--incast-senders", "4",
+                 "--incast", "4",
                  "--size-cap", "100000"]) == 0
     assert "8/8" in capsys.readouterr().out
 
@@ -81,41 +77,69 @@ def test_parser_rejects_unknown_figure():
         parser.parse_args(["figure", "fig99"])
 
 
-RESUME_ROW = (
-    "--resume finishes the snapshot's own run in-process: --schemes, "
-    "--fault, --jobs, --task-timeout, --retries, --trace, --trace-out, "
-    "--validate and --validate-strict cannot be combined with it")
-
-# one argv per row of cli.RUN_EXCLUSIONS, keyed by the row's message —
-# a row added without a case here fails the coverage test below
-EXCLUDED_ARGV = {
-    "--checkpoint-every must be finite and > 0":
-        ["--checkpoint", "c.ckpt", "--checkpoint-every", "-1"],
-    "--task-timeout must be finite and > 0":
-        ["--task-timeout", "-5"],
-    "--retries must be >= 0":
-        ["--retries", "-1"],
-    RESUME_ROW:
-        ["--resume", "c.ckpt"],  # with the --schemes every case is given
-    "--checkpoint needs --checkpoint-every SIM_SECONDS":
-        ["--checkpoint", "c.ckpt"],
-    "--checkpoint-every needs --checkpoint PATH":
-        ["--checkpoint-every", "0.001"],
+# Each command line once printed the table of a different run and
+# exited 0: the flags it quotes were dropped without a word.  Where an
+# old flag is gone, the line is spelt with the commands and flags that
+# replaced it; each flag is now one the command does not take.
+IGNORED_ONCE = {
+    "soak-with-sizing": ["soak", "0.3", "--flows", "3", "--incast", "2",
+                         "--load", "0.9", "--size-cap", "1000"],
+    "resume-with-scenario": ["resume", "X", "--flows", "99", "--workload",
+                             "data-mining", "--pfc", "--lb", "conga",
+                             "--hybrid", "--seed", "9", "--event-budget",
+                             "10"],
+    "incast-senders-without-incast": ["run", "--incast-senders", "3"],
+    "hybrid-knobs-without-hybrid": ["run", "--hybrid-epoch", "1",
+                                    "--hybrid-size-threshold", "5"],
+    # abbreviations are off: --load is not taken for --load-shape
+    "soak-load-abbreviation": ["soak", "0.3", "--load", "0.9"],
 }
 
 
-def test_every_exclusion_row_has_a_case():
-    assert [message for _, message in RUN_EXCLUSIONS] == list(EXCLUDED_ARGV)
+@pytest.mark.parametrize("row", list(IGNORED_ONCE))
+def test_a_flag_the_command_does_not_take_is_refused(row, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(IGNORED_ONCE[row])
+    assert exit_.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert len(errors) == 1 and "unrecognized arguments" in errors[0]
 
 
-@pytest.mark.parametrize("message", list(EXCLUDED_ARGV))
-def test_run_exclusion_row(message, capsys):
-    """Each row is reachable, is the *first* row its argv trips, and
-    exits 2 with exactly its message."""
-    argv = ["run", "--schemes", "dctcp", "--flows", "8"] \
-        + EXCLUDED_ARGV[message]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+def _library_message(call):
+    with pytest.raises(ValueError) as refusal:
+        call()
+    return str(refusal.value)
+
+
+# each value or pair rule, given to the CLI and to the library function
+# that owns it: (the flags, the library call with the same values)
+OWNER_RULES = {
+    "checkpoint-every-negative": (
+        ["--checkpoint", "c.ckpt", "--checkpoint-every", "-1"],
+        lambda: run(checkpoint_every=-1.0, checkpoint_path="c.ckpt")),
+    "checkpoint-without-every": (
+        ["--checkpoint", "c.ckpt"],
+        lambda: run(checkpoint_path="c.ckpt")),
+    "every-without-checkpoint": (
+        ["--checkpoint-every", "0.001"],
+        lambda: run(checkpoint_every=0.001)),
+    "task-timeout-negative": (
+        ["--task-timeout", "-5"], lambda: run_grid([], timeout=-5.0)),
+    "retries-negative": (["--retries", "-1"],
+                         lambda: run_grid([], retries=-1)),
+}
+
+
+@pytest.mark.parametrize("row", list(OWNER_RULES))
+def test_the_cli_refuses_in_the_owner_rules_words(row, capsys):
+    """``run`` prints the message ``run()`` or ``run_grid()`` raises for
+    the same values, word for word, before anything runs."""
+    flags, call = OWNER_RULES[row]
+    assert main(["run", "--schemes", "dctcp", "--flows", "8"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {_library_message(call)}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags", [
@@ -124,31 +148,49 @@ def test_run_exclusion_row(message, capsys):
     ["--validate"], ["--validate-strict"], ["--schemes", "ppt"],
 ])
 def test_resume_refuses_what_the_snapshot_fixes(flags, capsys):
-    """Nothing is dropped silently: each flag a snapshot already fixes
-    or cannot honour is refused before the (here missing) file is even
-    opened."""
-    assert main(["run", "--resume", "missing.ckpt"] + flags) == 2
-    assert capsys.readouterr().err == f"error: {RESUME_ROW}\n"
+    """Nothing is dropped silently: ``resume`` takes no flag a snapshot
+    already fixes or cannot honour, so argparse refuses each before the
+    (here missing) file is even opened."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["resume", "missing.ckpt"] + flags)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_resume_checks_flag_values_first(capsys):
-    """The exit-0 command of the bug report: every flag used to be
-    dropped, and ``--checkpoint-every -1`` rewrote the resume file at
-    every drain slice."""
-    assert main(["run", "--resume", "soak.ckpt", "--checkpoint-every", "-1",
-                 "--retries", "-3", "--task-timeout", "-1", "--jobs", "4",
-                 "--schemes", "ppt", "dctcp", "--fault", "bogus"]) == 2
-    assert capsys.readouterr().err == \
-        "error: --checkpoint-every must be finite and > 0\n"
+    """A ``--checkpoint-every -1`` used to rewrite the resume file at
+    every drain slice; it is refused, in ``run()``'s words, before the
+    file is opened."""
+    assert main(["resume", "soak.ckpt", "--checkpoint-every", "-1"]) == 2
+    assert capsys.readouterr().err == "error: " + _library_message(
+        lambda: run(resume="soak.ckpt", checkpoint_every=-1.0,
+                    checkpoint_path="soak.ckpt")) + "\n"
 
 
 def test_resume_checkpoints_to_its_own_snapshot(capsys):
-    """``--checkpoint-every`` needs no ``--checkpoint`` with ``--resume``:
+    """``--checkpoint-every`` needs no ``--checkpoint`` with ``resume``:
     the resumed run rewrites the snapshot it finishes."""
-    assert main(["run", "--resume", "missing.ckpt",
+    assert main(["resume", "missing.ckpt",
                  "--checkpoint-every", "0.001"]) == 2
     assert capsys.readouterr().err.startswith(
         "error: cannot open checkpoint missing.ckpt")
+
+
+def test_command_flag_counts():
+    """``run`` takes 27 flags, ``soak`` the 23 that do not size the
+    traffic, ``resume`` the three a snapshot leaves open."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+
+    def flags(name):
+        return sorted(option for action in commands[name]._actions
+                      for option in action.option_strings
+                      if option != "-h" and option != "--help")
+
+    assert len(flags("run")) == 27
+    assert sorted(set(flags("run")) - set(flags("soak"))) == [
+        "--flows", "--incast", "--load", "--size-cap"]
+    assert flags("resume") == ["--checkpoint", "--checkpoint-every",
+                               "--health"]
 
 
 def test_figure_without_a_workload_parameter_refuses_the_flag(capsys):
@@ -270,55 +312,61 @@ def test_trace_out_files_do_not_depend_on_the_policy(
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# one bad input per row, each refused by the reference build: exit 2 and
+# one bad input per row, each refused before anything runs: exit 2 and
 # one error line.  A subprocess with a timeout, because one of them used
-# to livelock (--hybrid-epoch 0 re-armed its epoch at the same instant).
+# to livelock (a zero hybrid epoch re-armed its epoch at the same
+# instant).
+RUN = ["run", "--schemes", "dctcp", "--flows", "20"]
 REFUSED_INPUTS = {
-    "hybrid-epoch-zero": (["--hybrid", "--hybrid-epoch", "0"], "max_epoch"),
-    "hybrid-epoch-negative": (["--hybrid", "--hybrid-epoch", "-1"],
+    "hybrid-epoch-zero": (RUN + ["--hybrid", ":0"], "max_epoch"),
+    "hybrid-epoch-negative": (RUN + ["--hybrid", "1000000:-1"],
                               "max_epoch"),
     "hybrid-size-threshold-negative": (
-        ["--hybrid", "--hybrid-size-threshold", "-1"], "size_threshold"),
-    "size-cap-zero": (["--size-cap", "0"], "size_cap"),
-    "event-budget-zero": (["--event-budget", "0"], "event_budget"),
-    "event-budget-negative": (["--event-budget", "-5"], "event_budget"),
+        RUN + ["--hybrid", "-1"], "size_threshold"),
+    "size-cap-zero": (RUN + ["--size-cap", "0"], "size_cap"),
+    "event-budget-zero": (RUN + ["--event-budget", "0"], "event_budget"),
+    "event-budget-negative": (RUN + ["--event-budget", "-5"],
+                              "event_budget"),
     "fault-trailing-field": (
-        ["--fault", "down:leaf0->spine0:0.001:0.002:zzz"], "extra field"),
-    "fault-nan-start": (["--fault", "down:leaf0->spine0:nan:0.002"],
+        RUN + ["--fault", "down:leaf0->spine0:0.001:0.002:zzz"],
+        "extra field"),
+    "fault-nan-start": (RUN + ["--fault", "down:leaf0->spine0:nan:0.002"],
                         "start time nan"),
-    "tenant-share-nan": (["--tenant-mix", "web-search:nan"],
+    "tenant-share-nan": (RUN + ["--tenant-mix", "web-search:nan"],
                          "share must be positive"),
-    "tenant-share-inf": (["--tenant-mix", "web-search:inf"],
+    "tenant-share-inf": (RUN + ["--tenant-mix", "web-search:inf"],
                          "share must be positive"),
     # NaN and infinity pass a ``<= 0`` check: a NaN interval or deadline
     # was never enforced, an infinite soak horizon laid fault events
     # forever, and a negative sender count sliced the host list
     "checkpoint-every-nan": (
-        ["--checkpoint", "c.ckpt", "--checkpoint-every", "nan"],
-        "--checkpoint-every"),
+        RUN + ["--checkpoint", "c.ckpt", "--checkpoint-every", "nan"],
+        "checkpoint_every must be finite"),
     "checkpoint-every-inf": (
-        ["--checkpoint", "c.ckpt", "--checkpoint-every", "inf"],
-        "--checkpoint-every"),
-    "task-timeout-nan": (["--task-timeout", "nan"], "--task-timeout"),
-    "task-timeout-inf": (["--task-timeout", "inf"], "--task-timeout"),
-    "soak-inf": (["--soak", "inf"], "horizon"),
-    "soak-nan": (["--soak", "nan"], "horizon"),
-    "lb-gap-nan": (["--lb", "flowlet", "--lb-gap", "nan"], "flowlet gap"),
+        RUN + ["--checkpoint", "c.ckpt", "--checkpoint-every", "inf"],
+        "checkpoint_every must be finite"),
+    "task-timeout-nan": (RUN + ["--task-timeout", "nan"],
+                         "timeout must be finite"),
+    "task-timeout-inf": (RUN + ["--task-timeout", "inf"],
+                         "timeout must be finite"),
+    "soak-inf": (["soak", "inf", "--schemes", "dctcp"], "horizon"),
+    "soak-nan": (["soak", "nan", "--schemes", "dctcp"], "horizon"),
+    "lb-gap-nan": (RUN + ["--lb", "flowlet", "--lb-gap", "nan"],
+                   "flowlet gap"),
     # ECMP has no flowlets: the gap changed nothing and was ignored
-    "lb-gap-under-ecmp": (["--lb-gap", "2e-5"], "needs lb 'flowlet' or"),
-    "incast-senders-negative": (
-        ["--pattern", "incast", "--incast-senders", "-3"], "n_senders"),
+    "lb-gap-under-ecmp": (RUN + ["--lb-gap", "2e-5"],
+                          "needs lb 'flowlet' or"),
+    "incast-senders-negative": (RUN + ["--incast", "-3"], "n_senders"),
 }
 
 
 @pytest.mark.parametrize("row", list(REFUSED_INPUTS))
 def test_bad_input_is_refused_in_one_line(row, tmp_path):
-    flags, fragment = REFUSED_INPUTS[row]
+    argv, fragment = REFUSED_INPUTS[row]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "--schemes", "dctcp",
-             "--flows", "20"] + flags,
+            [sys.executable, "-m", "repro"] + argv,
             capture_output=True, text=True, timeout=30, env=env,
             cwd=tmp_path)
     except subprocess.TimeoutExpired:

@@ -192,6 +192,13 @@ TABLE_COLUMNS = ("flow_id", "size", "fct", "retransmits", "rtos",
                  "lp_pkts_received", "acks", "lp_loops")
 
 
+def _dup_split(table) -> tuple:
+    """The duplicate deliveries, split by the loop that carried them:
+    ``(high priority, low priority)``."""
+    lp = sum(table.lp_dup_pkts_received)
+    return sum(table.dup_pkts_received) - lp, lp
+
+
 def _table_sha256(table) -> str:
     digest = hashlib.sha256()
     for name in TABLE_COLUMNS:
@@ -203,7 +210,7 @@ def _table_sha256(table) -> str:
 @functools.lru_cache(maxsize=None)
 def _run_cell(cell: str) -> tuple:
     """The cell's golden row, its table's digest and its duplicate
-    deliveries, from one run."""
+    deliveries (:func:`_dup_split`), from one run."""
     scheme, scenario_factory = CELLS[cell]
     if cell == TWO_PASS_CELL:
         baseline, result = two_pass(scenario_factory())
@@ -227,8 +234,7 @@ def _run_cell(cell: str) -> tuple:
         # re-open behaviour
         out["lp_pkts_sent"] = sum(result.table.lp_pkts_sent)
         out["loops_opened"] = loops_opened
-    return out, _table_sha256(result.table), sum(
-        result.table.dup_pkts_received)
+    return out, _table_sha256(result.table), _dup_split(result.table)
 
 
 ALL_CELLS = sorted(CELLS)
@@ -256,15 +262,22 @@ def test_flow_table_matches_the_unretired_run(cell):
     assert _run_cell(cell)[1] == json.loads(GOLDEN_TABLES.read_text())[cell]
 
 
-# ROADMAP item 17, step 1 — evidence before any change to the window
-# family's loss rule: the data packets the receivers already had
+# ROADMAP items 17 and 18, step 1 — evidence before any change to the
+# window family's loss rule: the data packets the receivers already had
 # (``FlowTable.dup_pkts_received``), per cell, as that rule produces
-# them.  DCTCP has no loss cell; its row runs the loss cells' scenario.
-# The message-core receivers count no duplicates (Homa's row).  The
-# column is not in ``TABLE_COLUMNS``, so no table hash moved with it.
-DUP_PKTS_RECEIVED = {"dctcp-star-incast": 4, "ppt-star-incast": 497,
-                     "rc3-star-incast": 391, "dctcp-loss": 553,
-                     "ppt-loss": 782, "rc3-loss": 762, "homa-loss": 0}
+# them, split into those that came on the high-priority loop and those
+# on the low-priority one (``lp_dup_pkts_received``).  PPT's star
+# incast takes 220 HP duplicates for 166 retransmits, so at least 54
+# are first HCP sends of seqs LCP had already delivered.  DCTCP has no
+# loss cell; its row runs the loss cells' scenario.  The message-core
+# receivers count no duplicates (Homa's row).  Neither column is in
+# ``TABLE_COLUMNS``, so no table hash moved with them.
+DUP_PKTS_RECEIVED = {"dctcp-star-incast": (4, 0),
+                     "ppt-star-incast": (220, 277),
+                     "rc3-star-incast": (173, 218),
+                     "ppt-leaf-spine": (285, 504),
+                     "dctcp-loss": (553, 0), "ppt-loss": (563, 219),
+                     "rc3-loss": (570, 192), "homa-loss": (0, 0)}
 
 
 @pytest.mark.parametrize("cell", sorted(DUP_PKTS_RECEIVED))
@@ -272,8 +285,8 @@ def test_duplicate_deliveries_are_pinned(cell):
     if cell in CELLS:
         dups = _run_cell(cell)[2]
     else:
-        dups = sum(run(SCHEMES["dctcp"](), _loss_incast("dctcp"))
-                   .table.dup_pkts_received)
+        dups = _dup_split(run(SCHEMES["dctcp"](), _loss_incast("dctcp"))
+                          .table)
     assert dups == DUP_PKTS_RECEIVED[cell]
 
 

@@ -333,10 +333,11 @@ def test_hybrid_resume_mid_epoch_bit_identical(tmp_path, monkeypatch):
     assert kept, "bulk run spans several slices; a snapshot must land"
 
     state = load_checkpoint(first)
-    assert isinstance(state.hybrid, HybridController)
+    controller = state.ctx.extra["hybrid"]
+    assert isinstance(controller, HybridController)
     # mid-epoch: abstract flows in flight, the epoch event armed
-    assert state.hybrid.abstract
-    assert state.hybrid.epoch_event is not None
+    assert controller.abstract
+    assert controller.epoch_event is not None
     resumed = run(resume=state)
     assert fct_fingerprint(resumed) == fct_fingerprint(straight)
     assert resumed.wall_events == straight.wall_events

@@ -10,8 +10,9 @@ and ledgers are folded into one sha256.  A change to the admission path
 must reproduce it exactly; a deliberate behaviour change re-records it.
 
 The muxes are built the way the simulator builds them:
-``QueueConfig(...).build`` plus the attribute assignments NDP's and
-Aeolus's ``configure_network`` make.
+``QueueConfig(...).build`` plus the attribute assignments
+``Network.enable_pfc`` and NDP's and Aeolus's ``configure_network``
+make.
 """
 
 import hashlib
@@ -49,9 +50,10 @@ def _setups():
     lossy = QueueConfig(buffer_bytes=30_000,
                         ecn_thresholds=THRESHOLDS).build(RATE)
 
-    pfc = QueueConfig(buffer_bytes=12_000, ecn_thresholds=THRESHOLDS,
-                      pfc=PfcConfig(xoff_bytes=4_000, xon_bytes=2_000,
-                                    headroom_bytes=3_000)).build(RATE)
+    pfc = QueueConfig(buffer_bytes=12_000,
+                      ecn_thresholds=THRESHOLDS).build(RATE)
+    pfc.pfc = PfcConfig(xoff_bytes=4_000, xon_bytes=2_000,
+                        headroom_bytes=3_000).make_state()
     pfc.pfc.controller = _Edges()
 
     ndp = QueueConfig(buffer_bytes=20_000, ecn_thresholds=THRESHOLDS,

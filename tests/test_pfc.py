@@ -61,13 +61,6 @@ def test_pfc_config_validates():
             raise AssertionError(f"PfcConfig{bad} must raise")
 
 
-def test_pfc_config_for_buffer():
-    cfg = PfcConfig.for_buffer(120_000)
-    assert cfg.xon_bytes <= cfg.xoff_bytes <= 120_000
-    assert cfg.headroom_bytes > 0
-    assert LOSSLESS_MASK == 0b1
-
-
 # ---------------------------------------------------------------------------
 # mux-level XOFF/XON hysteresis
 # ---------------------------------------------------------------------------
@@ -83,7 +76,7 @@ def test_xoff_fires_above_threshold_and_xon_below():
     assert ctrl.events == []
     assert mux.enqueue(_pkt(4))  # 7500 > 6000: XOFF
     assert ctrl.events == [("xoff", 0)]
-    assert mux.pfc.xoff_state == 0b1
+    assert mux.pfc.xoff_state == LOSSLESS_MASK == 0b1
     assert not audit_mux(mux)
 
     # draining to 4500 (> xon 3000) must NOT resume yet — hysteresis

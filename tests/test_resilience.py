@@ -549,13 +549,13 @@ def test_cli_checkpoint_and_resume_roundtrip(tmp_path, capsys):
     path = str(tmp_path / "cli.ckpt")
     # a soak run spans hundreds of drain slices, so --checkpoint-every
     # has plenty of boundaries to land snapshots on
-    base = ["run", "--schemes", "dctcp", "--soak", "20", "--seed", "3"]
+    base = ["soak", "20", "--schemes", "dctcp", "--seed", "3"]
     assert main(base) == 0
     table = capsys.readouterr().out
     assert main(base + ["--checkpoint", path, "--checkpoint-every", "5.0"]) \
         == 0
     assert capsys.readouterr().out == table
-    assert main(["run", "--resume", path]) == 0
+    assert main(["resume", path]) == 0
     assert capsys.readouterr().out == table
 
 
@@ -566,8 +566,7 @@ def test_cli_checkpoints_each_scheme_to_its_own_file(
     """Two schemes write ``c.dctcp.ckpt`` and ``c.ppt.ckpt``, and each
     resumes to its own row of the straight-through table."""
     from repro.cli import main
-    base = ["run", "--schemes", "dctcp", "ppt", "--soak", "20",
-            "--seed", "3"]
+    base = ["soak", "20", "--schemes", "dctcp", "ppt", "--seed", "3"]
     assert main(base) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
     assert main(base + policy + ["--checkpoint", str(tmp_path / "c.ckpt"),
@@ -575,8 +574,7 @@ def test_cli_checkpoints_each_scheme_to_its_own_file(
     assert capsys.readouterr().out.splitlines()[2:] == rows
     assert sorted(os.listdir(tmp_path)) == ["c.dctcp.ckpt", "c.ppt.ckpt"]
     for name, row in zip(("dctcp", "ppt"), rows):
-        assert main(["run", "--resume", str(tmp_path / f"c.{name}.ckpt")]) \
-            == 0
+        assert main(["resume", str(tmp_path / f"c.{name}.ckpt")]) == 0
         resumed, = capsys.readouterr().out.splitlines()[2:]
         assert resumed.split() == row.split()
 
@@ -587,12 +585,12 @@ def test_cli_checkpoint_flag_validation(capsys):
     assert main(["run", "--schemes", "dctcp", "--flows", "8",
                  "--checkpoint", "/tmp/x.ckpt"]) == 2
     # a missing checkpoint is a clean error, not a traceback
-    assert main(["run", "--resume", "/tmp/definitely-missing.ckpt"]) == 2
+    assert main(["resume", "/tmp/definitely-missing.ckpt"]) == 2
 
 
 def test_cli_soak_flag(capsys):
     from repro.cli import main
-    assert main(["run", "--schemes", "dctcp", "--soak", "20",
+    assert main(["soak", "20", "--schemes", "dctcp",
                  "--validate", "--health"]) == 0
     out = capsys.readouterr().out
     assert "dctcp" in out

@@ -123,6 +123,25 @@ def test_short_gap_flowlet_cell_repins():
     assert tables["dctcp"] != unchanged
 
 
+def test_matrix_cell_audits_live_senders(monkeypatch):
+    """The per-slice sender laws see senders in flight: with a slice as
+    long as a whole cell, every sender was retired before the first
+    ``on_slice`` and neither law was ever evaluated."""
+    laws = {"rto-deadline": 0, "window-ledger-time-ordered": 0}
+    check = RunAuditor._check
+
+    def counting(self, ok, law, *args, **details):
+        if law in laws:
+            laws[law] += 1
+        check(self, ok, law, *args, **details)
+
+    monkeypatch.setattr(RunAuditor, "_check", counting)
+    star, _ = matrix.CELLS["star"]
+    result = run(Dctcp(), star(n_flows=16), validate="strict")
+    assert result.health.completed == 16
+    assert all(laws.values()), laws
+
+
 def test_oracle_filler_validates_clean_under_strict():
     """The hypothetical-DCTCP filler is not in SCHEMES, so the scheme
     matrix never audits it."""
