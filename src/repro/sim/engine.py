@@ -220,7 +220,9 @@ class Simulator:
         Same contract as :meth:`schedule_reserved` for ``time`` and
         ``seq``.  The packet path inlines these three lines at its five
         push sites (``Port._start_next``/``_tx_done``, ``Wire._deliver``,
-        ``ControlPipe.send``/``_fire``).
+        ``ControlPipe.send``/``_fire``), where calling this method
+        measured slower (docs/architecture.md, "measured and kept"); it
+        stays as the reference those sites are held to.
         """
         heap = self._heap
         heapq.heappush(heap, (time, seq, fn, arg))

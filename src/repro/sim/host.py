@@ -61,54 +61,32 @@ class Host:
         port = self.uplink
         if port is None:
             raise RuntimeError(f"{self.name} has no uplink attached")
-        if type(port) is not Port:
-            # test doubles substitute duck-typed ports for the uplink;
-            # only the real Port gets the inlined fast path below
-            return port.send(pkt)
-        # Port.send, inlined: one NIC admission per transmitted packet
-        chain = port.fault_chain
-        if chain is not None and not chain.admit(pkt):
-            port.fault_admit_drops += 1
-            port.fault_admit_drop_bytes += pkt.size
-            return False
-        now = port.sim.now
-        pkt.queue_delay -= now  # finalized on dequeue
-        if not port.mux.enqueue(pkt):
-            pkt.queue_delay += now  # undo; packet is gone anyway
-            return False
-        if not port.busy:
-            port._start_next()
-        return True
+        return port.send(pkt)
 
     def receive(self, pkt: Packet) -> None:
         """Dispatch a packet arriving off the queued fabric."""
-        self.ops_received += 1
         self.pkts_from_fabric += 1
         self.bytes_from_fabric += pkt.size
         if pkt.corrupted:
             # failed checksum: the NIC discards it before the transport
             # ever sees it — recovery is the sender's problem
+            self.ops_received += 1
             self.corrupt_discards += 1
             return
-        # no endpoint: the flow is already torn down and the late packet
-        # is silently discarded, exactly like a closed socket
-        endpoint = self.endpoints.get(pkt.flow_id)
-        if endpoint is not None:
-            endpoint.on_packet(pkt)
-        elif self.default_endpoint is not None:
-            self.default_endpoint.on_packet(pkt)
+        self.receive_control(pkt)
 
     def receive_control(self, pkt: Packet) -> None:
-        """Dispatch a packet delivered over the ideal control path.
+        """Dispatch a packet to its flow's endpoint: one datapath op.
 
-        Same dispatch as :meth:`receive` (one datapath op), but outside
-        the fabric ledger: control packets never crossed a port, so
-        counting them as fabric arrivals would break byte conservation.
-        Corruption cannot happen here — injectors sit on ports.
+        The ideal control path delivers here directly, outside the
+        fabric ledger (control packets never crossed a port, so counting
+        them as fabric arrivals would break byte conservation, and
+        corruption cannot happen: injectors sit on ports); :meth:`receive`
+        ends here once a fabric arrival is booked and passed its checksum.
         """
         self.ops_received += 1
-        # the same dispatch as receive(), written out: no shared helper
-        # frame on a path that runs once per delivered packet
+        # no endpoint: the flow is already torn down and the late packet
+        # is silently discarded, exactly like a closed socket
         endpoint = self.endpoints.get(pkt.flow_id)
         if endpoint is not None:
             endpoint.on_packet(pkt)

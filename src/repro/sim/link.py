@@ -21,6 +21,9 @@ Serialization completions and head arrivals are *direct* heap entries
 lines of :meth:`~repro.sim.engine.Simulator.schedule_direct`): no
 ``Event`` is allocated on the packet path, and the one revocation a
 wire needs, :meth:`Wire.flush`, goes through ``Simulator.kill``.
+Those pushes are the only inlined copies here: every admission goes
+through :meth:`Port.send` and every dequeue through
+:meth:`~repro.sim.queues.PriorityMux.dequeue`.
 """
 
 from __future__ import annotations
@@ -367,39 +370,10 @@ class Port:
         return True
 
     def _start_next(self) -> None:
-        # PriorityMux.dequeue + Simulator.schedule_direct, inlined:
-        # this is the single hottest function after the run loop (once
-        # per serialized packet), and at that rate the two call frames
-        # and re-checked branches are measurable.  The mux ledger
-        # updates below MUST mirror PriorityMux.dequeue exactly (the
-        # invariant auditor cross-checks them every run).
-        mux = self.mux
-        mask = mux.nonempty_mask
-        if self.paused_mask:
-            mask &= ~self.paused_mask  # PFC: skip paused priorities
-        if not mask:
+        pkt = self.mux.dequeue(self.paused_mask)
+        if pkt is None:
             self.busy = False
             return
-        priority = (mask & -mask).bit_length() - 1
-        queue = mux.queues[priority]
-        pkt = queue.popleft()
-        if not queue:
-            # same integer as ``mask & (mask - 1)`` when nothing is
-            # paused (priority is then nonempty_mask's lowest set bit)
-            mux.nonempty_mask &= ~(1 << priority)
-        size = pkt.size
-        mux.occupancy -= size
-        mux.queue_occupancy[priority] -= size
-        if priority < 4:
-            mux.hp_occupancy -= size
-        if pkt.lcp:
-            mux.lp_occupancy -= size
-        mux.pkt_count -= 1
-        stats = mux.stats
-        stats.dequeued += 1
-        stats.bytes_dequeued += size
-        if mux.pfc is not None:
-            mux.pfc_dequeue_check(priority)
         sim = self.sim
         now = sim.now
         pkt.queue_delay += now  # time spent waiting in the mux
@@ -410,7 +384,9 @@ class Port:
         # rounds (~25-40% of sizes differ in the last ulp), which would
         # break bit-identical reproduction; a single division keeps the
         # exact float the simulator has always produced.
-        time = now + size * 8.0 / self._rate_bps
+        time = now + pkt.size * 8.0 / self._rate_bps
+        # schedule_direct, inlined: this push runs once per serialized
+        # packet (docs/architecture.md, "Inlining discipline")
         sim._seq = seq = sim._seq + 1
         heap = sim._heap
         heappush(heap, (time, seq, self._tx_cb, pkt))

@@ -12,8 +12,9 @@ per-port buffer.  Two research features used by baselines are also here:
   push out scheduled traffic.
 
 A :class:`PriorityMux` owns eight FIFO queues sharing one buffer pool and
-dequeues in strict-priority order.  The attached :class:`~repro.sim.link.Link`
-drains it.
+dequeues in strict-priority order.  The owning
+:class:`~repro.sim.link.Port` drains it through :meth:`PriorityMux.dequeue`,
+skipping the priorities PFC has paused.
 """
 
 from __future__ import annotations
@@ -367,8 +368,7 @@ class PriorityMux:
     def pfc_dequeue_check(self, priority: int) -> None:
         """XON when a paused priority drained below the resume mark.
 
-        Called after every dequeue (including the inlined fast path in
-        ``Port._start_next``) on PFC-enabled muxes only.
+        Called after every dequeue on PFC-enabled muxes only.
         """
         pfc = self.pfc
         if pfc.xoff_state and priority == LOSSLESS_PRIORITY \
@@ -385,9 +385,11 @@ class PriorityMux:
 
     # -- dequeue ---------------------------------------------------------
 
-    def dequeue(self) -> Optional[Packet]:
-        """Pop the head of the highest-priority non-empty queue."""
-        mask = self.nonempty_mask
+    def dequeue(self, paused_mask: int = 0) -> Optional[Packet]:
+        """Pop the head of the highest-priority non-empty queue whose bit
+        is not set in ``paused_mask`` (the port's PFC-paused priorities:
+        they keep their packets and their ``nonempty_mask`` bit)."""
+        mask = self.nonempty_mask & ~paused_mask
         if not mask:
             return None
         # lowest set bit == highest priority with packets waiting
@@ -395,16 +397,18 @@ class PriorityMux:
         queue = self.queues[priority]
         pkt = queue.popleft()
         if not queue:
-            self.nonempty_mask = mask & (mask - 1)
-        self.occupancy -= pkt.size
-        self.queue_occupancy[priority] -= pkt.size
+            self.nonempty_mask &= ~(1 << priority)
+        size = pkt.size
+        self.occupancy -= size
+        self.queue_occupancy[priority] -= size
         if priority < 4:
-            self.hp_occupancy -= pkt.size
+            self.hp_occupancy -= size
         if pkt.lcp:
-            self.lp_occupancy -= pkt.size
+            self.lp_occupancy -= size
         self.pkt_count -= 1
-        self.stats.dequeued += 1
-        self.stats.bytes_dequeued += pkt.size
+        stats = self.stats
+        stats.dequeued += 1
+        stats.bytes_dequeued += size
         if self.pfc is not None:
             self.pfc_dequeue_check(priority)
         return pkt

@@ -74,19 +74,7 @@ class Switch:
             pkt.int_records.append(
                 (port.mux.occupancy, port.bytes_sent, port.sim.now, port.rate_bps)
             )
-        # Port.send, inlined: one forwarding decision per switch hop
-        chain = port.fault_chain
-        if chain is not None and not chain.admit(pkt):
-            port.fault_admit_drops += 1
-            port.fault_admit_drop_bytes += pkt.size
-            return
-        now = port.sim.now
-        pkt.queue_delay -= now  # finalized on dequeue
-        if not port.mux.enqueue(pkt):
-            pkt.queue_delay += now  # undo; packet is gone anyway
-            return
-        if not port.busy:
-            port._start_next()
+        port.send(pkt)
 
     def ports(self) -> List[Port]:
         """All distinct output ports of this switch."""

@@ -43,9 +43,6 @@ class DctcpSender(WindowSender):
         self._win_ce = 0
         self._win_end = INIT_CWND
         self._last_alpha_update = 0.0
-        # cwnd cap, cached as a float: config is fixed once the run is
-        # built, and cc_on_ack compares against it on every ACK
-        self._max_cwnd = float(self.cfg.max_cwnd_packets)
 
     def on_window_update(self) -> None:
         """A window just ended (``alpha`` updated, any cut applied).  PPT
@@ -70,14 +67,10 @@ class DctcpSender(WindowSender):
             cwnd += 1.0
         else:
             cwnd += 1.0 / max(cwnd, 1.0)
-        # _cap_cwnd, inlined (once per ACK)
-        if cwnd > self._max_cwnd:
-            cwnd = self._max_cwnd
         self.cwnd = cwnd
-        if cwnd > self.max_cwnd_seen:
-            self.max_cwnd_seen = cwnd
-        if self.startup_done and cwnd > self.wmax:
-            self.wmax = cwnd
+        self._cap_cwnd()
+        if self.startup_done and self.cwnd > self.wmax:
+            self.wmax = self.cwnd
 
         window_elapsed = self.cum >= self._win_end
         time_elapsed = self.sim.now - self._last_alpha_update > self.srtt

@@ -36,7 +36,7 @@ from functools import partial
 from typing import Dict, Optional, Set
 
 from ..sim.engine import Event, EventChain
-from ..sim.packet import ACK, ACK_BYTES, DATA, Packet
+from ..sim.packet import ACK, DATA, Packet, make_ack
 from .base import (NO_SEQS, Flow, TransportConfig, TransportContext,
                    delivered_view)
 
@@ -106,19 +106,7 @@ class WindowReceiver:
         """Send an ACK for ``pkt`` — one per data packet.  PPT's 2:1
         LP-ACKs do not come through here: ``PptReceiver`` diverts LP data
         in ``on_packet`` before it reaches this method."""
-        # make_ack, inlined — keep in sync with repro.sim.packet.make_ack
-        # (this runs once per delivered data packet)
-        ack = Packet(pkt.flow_id, pkt.dst, pkt.src, pkt.seq, ACK_BYTES,
-                     ACK, pkt.priority)
-        ack.ack_seq = self.cum
-        ack.ecn_ce = pkt.ecn_ce
-        ack.lcp = pkt.lcp
-        ack.sent_at = pkt.sent_at
-        # snapshot, never alias (HPCC forward-path INT; see make_ack)
-        ack.int_records = (None if pkt.int_records is None
-                           else list(pkt.int_records))
-        ack.queue_delay = pkt.queue_delay
-        ack.hops = pkt.hops
+        ack = make_ack(pkt, self.cum)
         (self._send_control or self._control_sender())(ack)
 
     def _control_sender(self):
@@ -242,7 +230,7 @@ class WindowSender:
         self._payload = payload
         self._size_pad = self.cfg.mss - payload
         # RTO parameters are construction-time constants of the config;
-        # _arm_rto runs once per ACK and per send, so it reads these
+        # rto_interval runs once per ACK and per send, so it reads these
         # caches instead of chasing cfg attributes
         self._min_rto = self.cfg.min_rto
         self._rto_cap = max(self.cfg.max_rto, self.cfg.min_rto)
@@ -494,11 +482,16 @@ class WindowSender:
         by queueing (or a stale sample) must not let the un-backed-off
         timeout exceed the cap that backoff itself respects.
         """
-        cap = max(self.cfg.max_rto, self.cfg.min_rto)
-        base = min(max(self.cfg.min_rto, 2.0 * self.srtt), cap)
-        if self.rto_backoff_exp == 0:
-            return base
-        return min(base * RTO_BACKOFF ** self.rto_backoff_exp, cap)
+        interval = 2.0 * self.srtt
+        if interval < self._min_rto:
+            interval = self._min_rto
+        cap = self._rto_cap
+        if interval > cap:
+            interval = cap
+        exp = self.rto_backoff_exp
+        if exp:
+            interval = min(interval * RTO_BACKOFF ** exp, cap)
+        return interval
 
     def _arm_rto(self) -> None:
         """Push the RTO deadline out to ``now + rto_interval()``.
@@ -511,18 +504,7 @@ class WindowSender:
         """
         if self.finished:
             return
-        # rto_interval(), inlined with branches for min/max — this runs
-        # once per ACK and once per transmission
-        cap = self._rto_cap
-        interval = 2.0 * self.srtt
-        if interval < self._min_rto:
-            interval = self._min_rto
-        if interval > cap:
-            interval = cap
-        exp = self.rto_backoff_exp
-        if exp:
-            interval = min(interval * RTO_BACKOFF ** exp, cap)
-        deadline = self.sim.now + interval
+        deadline = self.sim.now + self.rto_interval()
         self._rto_deadline = deadline
         event = self._rto_event
         if event is not None and not event.cancelled and event.time <= deadline:

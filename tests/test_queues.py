@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.sim.packet import DATA, HEADER, HEADER_BYTES, Packet
 from repro.sim.queues import PriorityMux
+from repro.validate.auditor import audit_mux
 
 
 def make_pkt(seq=0, size=1500, priority=0, *, lcp=False, unscheduled=False,
@@ -45,6 +46,32 @@ def test_dequeue_empty_returns_none():
     mux = PriorityMux(100_000)
     assert mux.dequeue() is None
     assert mux.empty
+
+
+def test_dequeue_skips_paused_priorities():
+    """``paused_mask`` is the port's PFC state: a paused priority keeps
+    its packets and its ``nonempty_mask`` bit, the highest unpaused one
+    is served, and the ledgers stay exact."""
+    mux = PriorityMux(100_000)
+    for seq, priority in enumerate((0, 0, 2, 5)):
+        assert mux.enqueue(make_pkt(seq, priority=priority))
+    paused = 1 << 0
+    pkt = mux.dequeue(paused)
+    assert (pkt.seq, pkt.priority) == (2, 2)
+    assert mux.nonempty_mask == (1 << 0) | (1 << 5)
+    assert mux.dequeue(paused | 1 << 5) is None
+    assert mux.nonempty_mask == (1 << 0) | (1 << 5)
+    assert not audit_mux(mux)
+    assert mux.dequeue(paused).seq == 3
+    assert mux.nonempty_mask == 1 << 0
+    assert len(mux) == 2 and mux.occupancy == 3000
+    assert not audit_mux(mux)
+    # no argument: nothing paused, strict priority as before
+    assert [mux.dequeue().seq for _ in range(2)] == [0, 1]
+    assert mux.dequeue() is None
+    assert mux.nonempty_mask == 0 and mux.empty
+    assert mux.stats.dequeued == mux.stats.enqueued == 4
+    assert not audit_mux(mux)
 
 
 def test_shared_buffer_tail_drop():

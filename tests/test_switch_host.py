@@ -1,10 +1,20 @@
 """Tests for switch forwarding and host dispatch behaviours."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import make_leaf_spine, make_star
+from repro.core.ppt import Ppt
+from repro.experiments.runner import run
+from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
+from repro.sim.host import Host
+from repro.sim.link import Port
 from repro.sim.packet import Packet
+from repro.sim.queues import PriorityMux
 from repro.sim.routing import SprayBalancer
+from repro.transport.window import WindowSender
+from repro.workloads.distributions import WEB_SEARCH
 
 
 def test_flow_sticks_to_one_ecmp_path():
@@ -98,3 +108,48 @@ def test_hops_counted_per_switch():
     net.hosts[0].send(Packet(1, 0, dst, 0, 1500))
     sim.run()
     assert seen[0].hops == 3
+
+
+def test_the_simulation_runs_the_canonical_datapath_steps(monkeypatch):
+    """Every admission is ``Port.send``, every dequeue
+    ``PriorityMux.dequeue``, every RTO arm ``WindowSender.rto_interval``
+    and every endpoint dispatch ``Host.receive_control``: a copy of one
+    of them inlined into a caller would bypass the counters below, so
+    patching a seam changes what the simulation does, not only its
+    speed."""
+    calls = Counter()
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(Port, "send")
+    counted(PriorityMux, "dequeue")
+    counted(WindowSender, "rto_interval")
+    counted(Host, "receive_control")
+    scenario = all_to_all_scenario(
+        "seams", WEB_SEARCH, load=0.5, n_flows=30, size_cap=200_000,
+        seed=11, fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4))
+    result = run(Ppt(), scenario)
+    assert result.completed == 30
+    net = result.topology.network
+    muxes = [port.mux for port in net.ports]
+    offered = sum(mux.stats.offered for mux in muxes)
+    assert calls["send"] == offered + sum(port.fault_admit_drops
+                                          for port in net.ports) > 0
+    assert calls["dequeue"] == sum(mux.stats.dequeued for mux in muxes) > 0
+    assert calls["rto_interval"] > 0
+    # one datapath op per arrival: fabric and control deliveries alike
+    # (the drain ran on past the last ACK, so every control packet landed)
+    hosts = net.hosts.values()
+    assert calls["receive_control"] == (
+        sum(host.pkts_from_fabric - host.corrupt_discards for host in hosts)
+        + net.control_pkts)
+    assert sum(host.ops_received for host in hosts) == (
+        calls["receive_control"] + sum(host.corrupt_discards
+                                       for host in hosts))
