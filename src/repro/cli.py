@@ -30,7 +30,7 @@ Examples
     python -m repro run --schemes ppt dctcp \
         --fault "flap:leaf0->spine0:0.005:0.002:0.004:3" --health
     python -m repro run --schemes ppt --flows 20000 \
-        --tenant-mix web-search:3,memcached-w1:1 --load-shape diurnal
+        --tenant-mix web-search:3,memcached-w1:1
     python -m repro soak 60 --schemes dctcp --hybrid 100000 \
         --checkpoint soak.ckpt --checkpoint-every 10
     python -m repro resume soak.ckpt
@@ -58,7 +58,7 @@ from .resilience.checkpoint import CheckpointError
 from .sim.routing import DEFAULT_FLOWLET_GAP, LB_MODES
 from .validate.report import InvariantViolation
 from .workloads.distributions import WORKLOADS
-from .workloads.streams import parse_load_shape, parse_tenant_mix
+from .workloads.streams import parse_tenant_mix
 
 SCHEME_FACTORIES = SCHEMES  # the name scripts and tests import from here
 DEFAULT_SCHEMES = ("ppt", "dctcp")
@@ -251,10 +251,7 @@ def _cmd_run(args) -> int:
     try:
         if args.fault:
             faults = FaultPlan.parse(args.fault, seed=args.fault_seed)
-        load_shape = (parse_load_shape(args.load_shape)
-                      if args.load_shape else None)
-        tenants = (parse_tenant_mix(args.tenant_mix)
-                   if args.tenant_mix else None)
+        tenants = parse_tenant_mix(args.tenant_mix)
     except ValueError as exc:
         return _error(exc)
 
@@ -266,8 +263,7 @@ def _cmd_run(args) -> int:
         # existing invocations stay bit-identical.
         common = dict(
             seed=args.seed, faults=faults, event_budget=args.event_budget,
-            stream=True, load_shape=load_shape, tenants=tenants,
-            arrivals=args.arrivals, lb=args.lb, lb_gap=args.lb_gap,
+            stream=True, tenants=tenants, lb=args.lb, lb_gap=args.lb_gap,
             pfc_config=SIM_PFC if args.pfc else None,
             hybrid=(None if args.hybrid is None
                     else HybridConfig(**args.hybrid)))
@@ -400,18 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--workload", default="web-search",
                       choices=sorted(WORKLOADS))
     grid.add_argument("--seed", type=int, default=7)
-    grid.add_argument("--load-shape", metavar="SPEC", default=None,
-                      help="modulate the arrival rate over time: "
-                           "constant, diurnal[:PERIOD[:DEPTH]] or "
-                           "onoff[:ON[:OFF[:OFF_LEVEL]]]")
     grid.add_argument("--tenant-mix", metavar="SPEC", default=None,
                       help="mix several workload classes, e.g. "
                            "'web-search:3,memcached-w1:1' "
                            "(NAME:SHARE pairs against list-workloads names)")
-    grid.add_argument("--arrivals", choices=["open", "closed"],
-                      default="open",
-                      help="open-loop Poisson arrivals (default) or a "
-                           "closed-loop fixed user pool with think times")
     grid.add_argument(
         "--fault", action="append", metavar="SPEC",
         help="fault spec (repeatable): "

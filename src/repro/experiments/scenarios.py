@@ -10,7 +10,7 @@ overrides, so the full-size configuration is one call away (see
 ``examples/full_scale.py``).  Beyond its own parameters each
 ``*_scenario`` builder accepts, as ``**shared``, the keywords
 :func:`_traffic_scenario` declares once: faults, event budget,
-streaming / tenant / arrival switches, load balancer, PFC and hybrid.
+streaming and tenant switches, load balancer, PFC and hybrid.
 
 The arrival *load* is always preserved — capping sizes feeds the capped
 mean back into the Poisson arrival rate (see
@@ -35,7 +35,7 @@ from ..transport.dctcp import Dctcp
 from ..units import gbps, kb, mb, us
 from ..workloads.distributions import EmpiricalCdf, WEB_SEARCH
 from ..workloads.patterns import PairSampler, all_to_all, incast
-from ..workloads.streams import FlowStream, LoadShape, TenantClass, flow_stream
+from ..workloads.streams import FlowStream, TenantClass, flow_stream
 
 #: The return type every ``build_flows`` closure may now produce.
 FlowSource = Union[List[Flow], FlowStream]
@@ -242,19 +242,17 @@ def _traffic_scenario(
     faults: Optional[FaultPlan] = None,
     event_budget: Optional[int] = None,
     stream: bool = False,
-    load_shape: Optional[LoadShape] = None,
     tenants: Optional[Sequence[TenantClass]] = None,
-    arrivals: str = "open",
     lb: str = "ecmp",
     lb_gap: Optional[float] = None,
     pfc_config: Optional[PfcConfig] = None,
     hybrid: Optional[HybridConfig] = None,
 ) -> Scenario:
-    """Poisson traffic on a fabric: the one place that owns the keywords
-    every public builder below accepts through ``**shared`` — ``faults``,
-    ``event_budget``, the flow-source switches (``stream``,
-    ``load_shape``, ``tenants``, ``arrivals``) and the fabric features
-    (``lb``, ``lb_gap``, ``pfc_config``, ``hybrid``).
+    """Poisson traffic at a constant load on a fabric (§6.1): the one
+    place that owns the keywords every public builder below accepts
+    through ``**shared`` — ``faults``, ``event_budget``, the flow-source
+    switches (``stream``, ``tenants``) and the fabric features (``lb``,
+    ``lb_gap``, ``pfc_config``, ``hybrid``).
 
     ``traffic(topo)`` is what a builder varies: the pair pattern, the
     number of senders the load is defined against, and the flow count.
@@ -271,8 +269,7 @@ def _traffic_scenario(
         source = flow_stream(pattern, cdf, load=load,
                              link_rate=topo.edge_rate, n_flows=n_flows,
                              n_senders=n_senders, seed=seed,
-                             size_cap=size_cap, shape=load_shape,
-                             tenants=tenants, arrivals=arrivals)
+                             size_cap=size_cap, tenants=tenants)
         return source if stream else source.materialize()
 
     return Scenario(name,
@@ -343,16 +340,21 @@ def incast_scenario(
     size_cap: Optional[int] = DEFAULT_SIZE_CAP,
     seed: int = 11,
     max_time: float = 20.0,
-    receiver: int = 0,
     **shared,
 ) -> Scenario:
-    """N-to-1 incast: the load is defined against the receiver downlink."""
+    """N-to-1 incast into host 0: the load is defined against its
+    downlink."""
     if n_senders < 1:
         raise ValueError(f"n_senders must be >= 1, got {n_senders!r}")
 
     def traffic(topo: Topology):
-        senders = [h for h in topo.host_ids() if h != receiver][:n_senders]
-        return incast(senders, receiver), 1, n_flows
+        senders = [h for h in topo.host_ids() if h != 0]
+        if n_senders > len(senders):
+            raise ValueError(
+                f"n_senders must be at most {len(senders)} (the "
+                f"{topo.n_hosts}-host fabric but its receiver), "
+                f"got {n_senders!r}")
+        return incast(senders[:n_senders], 0), 1, n_flows
 
     return _traffic_scenario(
         name, fabric or sim_fabric(), traffic, cdf,

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 22
+CHECKPOINT_VERSION = 23
 
 
 class CheckpointError(RuntimeError):

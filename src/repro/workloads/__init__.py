@@ -9,8 +9,7 @@ __all__ = _lazy_exports(__name__, {
                        "MEMCACHED_W1", "MEMCACHED_ETC", "YOUTUBE_HTTP",
                        "WORKLOADS", "sample_sizes"),
     ".patterns": ("all_to_all", "incast"),
-    ".streams": ("FlowStream", "PoissonFlowStream", "ClosedLoopStream",
-                 "MergedStream", "TenantClass", "tenant_mix_stream",
-                 "flow_stream", "LoadShape", "ConstantShape", "DiurnalShape",
-                 "OnOffShape", "parse_load_shape", "parse_tenant_mix"),
+    ".streams": ("FlowStream", "PoissonFlowStream", "MergedStream",
+                 "TenantClass", "tenant_mix_stream", "flow_stream",
+                 "parse_tenant_mix"),
 })

@@ -22,11 +22,10 @@ The protocol's three contracts:
   float (``tests/test_generator.py`` pins a digest of them).
 
 :class:`PoissonFlowStream` is the paper's open-loop Poisson process
-(§6.1).  On top of it this module layers the methodology of "Traffic
-Generation for Benchmarking Data Centre Networks" (PAPERS.md): mixed
-tenant classes (per-class size CDF and load share, merged by a k-way
-heap), load shapes (constant, diurnal sine, on/off bursts) and open-
-vs closed-loop arrival modes.
+at a constant load (§6.1).  :func:`tenant_mix_stream` merges several
+of them, one per tenant class (per-class size CDF and load share, as
+in "Traffic Generation for Benchmarking Data Centre Networks",
+PAPERS.md), by a k-way heap.
 """
 
 from __future__ import annotations
@@ -42,123 +41,9 @@ from .distributions import WORKLOADS, EmpiricalCdf
 from .patterns import PairSampler
 
 __all__ = [
-    "FlowStream", "PoissonFlowStream",
-    "ClosedLoopStream", "MergedStream", "TenantClass",
-    "tenant_mix_stream", "flow_stream",
-    "LoadShape", "ConstantShape", "DiurnalShape", "OnOffShape",
-    "parse_load_shape", "parse_tenant_mix",
+    "FlowStream", "PoissonFlowStream", "MergedStream", "TenantClass",
+    "tenant_mix_stream", "flow_stream", "parse_tenant_mix",
 ]
-
-
-# ---------------------------------------------------------------------------
-# load shapes
-# ---------------------------------------------------------------------------
-
-
-class LoadShape:
-    """Time-varying multiplier on the base arrival rate.
-
-    ``rate_at(t)`` returns the instantaneous rate factor at simulated
-    time ``t``; a shape should average to ~1.0 over its period so the
-    scenario's nominal ``load`` stays the *mean* offered load.  Shapes
-    modulate the next inter-arrival gap by the factor at the previous
-    arrival (piecewise-constant thinning — exact in the limit of gaps
-    short against the shape's period, and free of extra RNG draws, so a
-    constant shape stays bit-identical to the unshaped generator).
-    """
-
-    def rate_at(self, t: float) -> float:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
-class ConstantShape(LoadShape):
-    """Flat load — the §6.1 default."""
-
-    def rate_at(self, t: float) -> float:
-        return 1.0
-
-    def describe(self) -> str:
-        return "constant"
-
-
-class DiurnalShape(LoadShape):
-    """A day/night sine: ``1 + depth * sin(2*pi*t / period)``.
-
-    Mean 1.0 over a full period; ``depth`` in [0, 1) keeps the rate
-    strictly positive.
-    """
-
-    def __init__(self, period: float = 86_400.0, depth: float = 0.5):
-        if period <= 0.0:
-            raise ValueError(f"period must be positive, got {period!r}")
-        if not 0.0 <= depth < 1.0:
-            raise ValueError(f"depth must be in [0, 1), got {depth!r}")
-        self.period = float(period)
-        self.depth = float(depth)
-
-    def rate_at(self, t: float) -> float:
-        return 1.0 + self.depth * math.sin(2.0 * math.pi * t / self.period)
-
-    def describe(self) -> str:
-        return f"diurnal(period={self.period:g}, depth={self.depth:g})"
-
-
-class OnOffShape(LoadShape):
-    """Square-wave bursts: ``on`` seconds at a high rate, ``off``
-    seconds at ``off_level`` of it, normalized so the mean is 1.0."""
-
-    def __init__(self, on: float = 1.0, off: float = 1.0,
-                 off_level: float = 0.1):
-        if on <= 0.0 or off < 0.0:
-            raise ValueError(f"bad on/off durations: {on!r}/{off!r}")
-        if not 0.0 < off_level <= 1.0:
-            # a zero off-level would make the next gap infinite —
-            # the stream could never advance past an off window
-            raise ValueError(f"off_level must be in (0, 1], got {off_level!r}")
-        self.on = float(on)
-        self.off = float(off)
-        self.off_level = float(off_level)
-        period = self.on + self.off
-        # solve on*high + off*(high*off_level) = period for mean 1.0
-        self._high = period / (self.on + self.off * self.off_level)
-
-    def rate_at(self, t: float) -> float:
-        phase = t % (self.on + self.off)
-        return self._high if phase < self.on else self._high * self.off_level
-
-    def describe(self) -> str:
-        return (f"onoff(on={self.on:g}, off={self.off:g}, "
-                f"off_level={self.off_level:g})")
-
-
-def parse_load_shape(spec: Optional[str]) -> Optional[LoadShape]:
-    """Parse a CLI load-shape spec.
-
-    ``constant`` | ``diurnal[:PERIOD[:DEPTH]]`` |
-    ``onoff[:ON[:OFF[:OFF_LEVEL]]]``; ``None``/empty means no shape.
-    """
-    if not spec:
-        return None
-    parts = spec.split(":")
-    kind, args = parts[0], parts[1:]
-    shapes = {"constant": (ConstantShape, 0), "diurnal": (DiurnalShape, 2),
-              "onoff": (OnOffShape, 3)}
-    if kind not in shapes:
-        raise ValueError(f"unknown load shape {kind!r} "
-                         "(expected constant, diurnal or onoff)")
-    cls, max_args = shapes[kind]
-    try:
-        if len(args) > max_args:
-            raise ValueError(f"too many fields for {kind} (at most {max_args})")
-        values = [float(a) for a in args]
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("parameters must be finite")
-        return cls(*values)
-    except ValueError as exc:
-        raise ValueError(f"bad load-shape spec {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +73,8 @@ class FlowStream:
         return list(self)
 
 
-class _ArrivalStream(FlowStream):
-    """What both generators share: argument checks, the arrival rate
-    at the target load, and the refusal of a self-pair.  The generators
-    add ``seed`` (default 1) to these keywords.
+class PoissonFlowStream(FlowStream):
+    """Open-loop Poisson arrivals at the target load: the §6.1 generator.
 
     The paper generates flows "following the Poisson process and
     controls the inter-arrival time of flows to achieve the desired
@@ -209,6 +92,11 @@ class _ArrivalStream(FlowStream):
     (see :meth:`EmpiricalCdf.mean`), so the *offered load* stays
     correct under capping.  ``cdf`` may be any object with that
     ``mean(cap)`` and a ``sample(rng, cap)``.
+
+    Flow ``i`` starts one exponential gap after flow ``i - 1`` (flow 0
+    at time 0).  Each flow draws, from one seeded RNG and in this order,
+    its gap, its (src, dst) pair and its size, so a seed fixes the whole
+    sequence.
     """
 
     def __init__(
@@ -219,10 +107,10 @@ class _ArrivalStream(FlowStream):
         load: float,
         link_rate: float,
         n_flows: int,
+        seed: int = 1,
         n_senders: int = 1,
         size_cap: Optional[int] = None,
         first_flow_id: int = 0,
-        shape: Optional[LoadShape] = None,
     ):
         if not 0.0 < load <= 1.5:
             raise ValueError(f"load out of range: {load}")
@@ -235,41 +123,13 @@ class _ArrivalStream(FlowStream):
         self.size_cap = size_cap
         self.n_flows = n_flows
         self.first_flow_id = first_flow_id
-        self.shape = shape
-        self.link_rate = link_rate
-        # flows per second
-        self._rate = load * n_senders * link_rate / (8.0 * cdf.mean(size_cap))
-        self._emitted = 0
-
-    def _refuse_self_pair(self, src: int) -> None:
-        # every shipped pattern guarantees src != dst, but a
-        # user-supplied sampler may not — a src == dst flow would sit in
-        # the runner forever (the receiver is its own sender)
-        raise ValueError(
-            f"pattern produced src == dst == {src} for flow "
-            f"{self.first_flow_id + self._emitted}")
-
-
-class PoissonFlowStream(_ArrivalStream):
-    """Open-loop Poisson arrivals at the target load: the §6.1 generator.
-
-    Flow ``i`` starts one exponential gap after flow ``i - 1`` (flow 0
-    at time 0).  Each flow draws, from one seeded RNG and in this order,
-    its gap, its (src, dst) pair and its size, so a seed fixes the whole
-    sequence.  ``shape`` modulates
-    the instantaneous arrival rate (a factor of exactly ``1.0`` leaves
-    the gap untouched, so a :class:`ConstantShape` draws what no shape
-    draws).
-    """
-
-    def __init__(self, pattern: PairSampler, cdf: EmpiricalCdf, *,
-                 seed: int = 1, **arrival):
-        super().__init__(pattern, cdf, **arrival)
         self._rng = random.Random(seed)
-        # 1 / (1 / rate), not rate: the rounding the draws pinned in
-        # tests/test_generator.py were made with
-        self._lambd = 1.0 / (1.0 / self._rate)
+        # flows per second, as 1 / (1 / rate): the rounding the draws
+        # pinned in tests/test_generator.py were made with
+        rate = load * n_senders * link_rate / (8.0 * cdf.mean(size_cap))
+        self._lambd = 1.0 / (1.0 / rate)
         self._now = 0.0
+        self._emitted = 0
 
     def __next__(self) -> Flow:
         # the per-flow path of every generated workload: keep helper
@@ -279,12 +139,7 @@ class PoissonFlowStream(_ArrivalStream):
             raise StopIteration
         rng = self._rng
         if emitted:
-            lambd = self._lambd
-            if self.shape is not None:
-                factor = self.shape.rate_at(self._now)
-                if factor != 1.0:
-                    lambd *= factor
-            self._now += rng.expovariate(lambd)
+            self._now += rng.expovariate(self._lambd)
         src, dst = self.pattern(rng)
         if src == dst:
             self._refuse_self_pair(src)
@@ -294,56 +149,13 @@ class PoissonFlowStream(_ArrivalStream):
         self._emitted = emitted + 1
         return flow
 
-
-class ClosedLoopStream(_ArrivalStream):
-    """Closed-loop arrivals: a fixed pool of ``n_users`` request loops.
-
-    Each user issues a flow, waits out a think time, then issues the
-    next — so offered traffic self-limits instead of queueing without
-    bound the way an open-loop process does at overload.  Because a
-    pre-scheduled stream cannot observe real completions, the service
-    half of the cycle uses the flow's ideal transfer time at the edge
-    rate (``size * 8 / link_rate``) as a lower bound: a user never
-    launches its next flow before the previous one *could* have
-    finished at line rate.  Think times are exponential with mean
-    ``n_users / lambda`` so the aggregate mean arrival rate matches the
-    open-loop stream at the same nominal load.
-    """
-
-    def __init__(self, pattern: PairSampler, cdf: EmpiricalCdf, *,
-                 seed: int = 1, n_users: int = 8, **arrival):
-        if n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {n_users!r}")
-        super().__init__(pattern, cdf, **arrival)
-        self.mean_think = n_users / self._rate
-        self._rngs = [random.Random(_child_seed(seed, u))
-                      for u in range(n_users)]
-        # (next arrival time, user) — user index breaks exact-time ties
-        self._heap: List[Tuple[float, int]] = [
-            (self._rngs[u].expovariate(1.0 / self.mean_think), u)
-            for u in range(n_users)]
-        heapq.heapify(self._heap)
-
-    def __next__(self) -> Flow:
-        if self._emitted == self.n_flows:
-            raise StopIteration
-        now, user = heapq.heappop(self._heap)
-        rng = self._rngs[user]
-        src, dst = self.pattern(rng)
-        if src == dst:
-            self._refuse_self_pair(src)
-        size = self.cdf.sample(rng, self.size_cap)
-        flow = Flow(flow_id=self.first_flow_id + self._emitted,
-                    src=src, dst=dst, size=size, start_time=now)
-        think = rng.expovariate(1.0 / self.mean_think)
-        if self.shape is not None:
-            factor = self.shape.rate_at(now)
-            if factor != 1.0:
-                think /= factor
-        service = size * 8.0 / self.link_rate
-        heapq.heappush(self._heap, (now + max(think, service), user))
-        self._emitted += 1
-        return flow
+    def _refuse_self_pair(self, src: int) -> None:
+        # every shipped pattern guarantees src != dst, but a
+        # user-supplied sampler may not — a src == dst flow would sit in
+        # the runner forever (the receiver is its own sender)
+        raise ValueError(
+            f"pattern produced src == dst == {src} for flow "
+            f"{self.first_flow_id + self._emitted}")
 
 
 class MergedStream(FlowStream):
@@ -397,6 +209,11 @@ class TenantClass:
     share: float
     size_cap: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.share < math.inf:
+            raise ValueError(f"tenant {self.name!r}: share must be positive "
+                             f"and finite, got {self.share!r}")
+
 
 def _child_seed(seed: int, index: int) -> int:
     """Deterministic, well-separated per-substream seed (golden-ratio
@@ -429,7 +246,6 @@ def tenant_mix_stream(
     n_senders: int = 1,
     size_cap: Optional[int] = None,
     first_flow_id: int = 0,
-    shape: Optional[LoadShape] = None,
 ) -> MergedStream:
     """Mixed tenant classes merged into one ordered stream.
 
@@ -442,10 +258,6 @@ def tenant_mix_stream(
     classes = list(classes)
     if not classes:
         raise ValueError("tenant_mix_stream needs at least one class")
-    for cls in classes:
-        if cls.share <= 0.0:
-            raise ValueError(
-                f"tenant class {cls.name!r}: share must be positive")
     total_share = sum(cls.share for cls in classes)
     counts = _split_counts(n_flows, [cls.share for cls in classes])
     streams: List[FlowStream] = []
@@ -462,7 +274,6 @@ def tenant_mix_stream(
             n_senders=n_senders,
             size_cap=cls.size_cap if cls.size_cap is not None else size_cap,
             first_flow_id=next_id,
-            shape=shape,
         ))
         next_id += count
     return MergedStream(streams)
@@ -492,9 +303,6 @@ def parse_tenant_mix(spec: Optional[str]) -> Optional[List[TenantClass]]:
         except ValueError as exc:
             raise ValueError(
                 f"bad share {share_text!r} for tenant {name!r}") from exc
-        if not 0.0 < share < math.inf:
-            raise ValueError(f"tenant {name!r}: share must be positive "
-                             f"and finite, got {share_text!r}")
         classes.append(TenantClass(name=name, cdf=WORKLOADS[name],
                                    share=share))
     if not classes:
@@ -511,35 +319,12 @@ def flow_stream(
     pattern: PairSampler,
     cdf: EmpiricalCdf,
     *,
-    load: float,
-    link_rate: float,
-    n_flows: int,
-    seed: int = 1,
-    n_senders: int = 1,
-    size_cap: Optional[int] = None,
-    first_flow_id: int = 0,
-    shape: Optional[LoadShape] = None,
     tenants: Optional[Sequence[TenantClass]] = None,
-    arrivals: str = "open",
+    **arrival,
 ) -> FlowStream:
-    """Build the right stream for a scenario's knobs.
-
-    Plain open-loop single-class → :class:`PoissonFlowStream`;
-    ``tenants`` → :func:`tenant_mix_stream`; ``arrivals="closed"`` →
-    :class:`ClosedLoopStream` (single class only — per-tenant closed
-    loops would need per-class user pools, which nothing needs yet).
-    """
-    if arrivals not in ("open", "closed"):
-        raise ValueError(
-            f"arrivals must be 'open' or 'closed', got {arrivals!r}")
-    if arrivals == "closed" and tenants:
-        raise ValueError("closed-loop arrivals do not combine with "
-                         "tenant mixes (open-loop only)")
-    common = dict(load=load, link_rate=link_rate, n_flows=n_flows,
-                  seed=seed, n_senders=n_senders, size_cap=size_cap,
-                  first_flow_id=first_flow_id, shape=shape)
+    """A scenario's flows: :func:`tenant_mix_stream` over ``tenants``
+    when given, else one :class:`PoissonFlowStream` of ``cdf``; the
+    keywords are theirs."""
     if tenants:
-        return tenant_mix_stream(tenants, pattern, **common)
-    if arrivals == "closed":
-        return ClosedLoopStream(pattern, cdf, **common)
-    return PoissonFlowStream(pattern, cdf, **common)
+        return tenant_mix_stream(tenants, pattern, **arrival)
+    return PoissonFlowStream(pattern, cdf, **arrival)

@@ -118,9 +118,12 @@ def test_sim_qcfg_overrides():
     assert mux.dt_alphas is None
 
 
-@pytest.mark.parametrize("n_senders", [0, -3])
+@pytest.mark.parametrize("n_senders", [0, -3, 500])
 def test_incast_scenario_rejects_fewer_than_one_sender(n_senders):
     """A negative count used to slice ``[:-3]`` off the host list and
-    run the remaining senders silently."""
+    run the remaining senders silently; so did a count above the
+    fabric's 31 non-receiver hosts, which is refused when the flows are
+    built against the fabric."""
     with pytest.raises(ValueError, match="n_senders"):
-        incast_scenario("bad", WEB_SEARCH, n_senders=n_senders)
+        scenario = incast_scenario("bad", WEB_SEARCH, n_senders=n_senders)
+        scenario.build_flows(scenario.build_topology())

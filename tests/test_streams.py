@@ -11,6 +11,7 @@ digest in ``test_generator.py``):
   through it.
 """
 
+import math
 import pickle
 import tracemalloc
 
@@ -36,20 +37,15 @@ from repro.transport.homa import Homa
 from repro.units import gbps
 from repro.workloads import (
     WORKLOADS,
-    ClosedLoopStream,
-    ConstantShape,
-    DiurnalShape,
     MergedStream,
-    OnOffShape,
     PoissonFlowStream,
     TenantClass,
     flow_stream,
-    parse_load_shape,
     parse_tenant_mix,
     tenant_mix_stream,
 )
 from repro.workloads.distributions import MEMCACHED_W1, WEB_SEARCH
-from repro.workloads.patterns import all_to_all, incast
+from repro.workloads.patterns import all_to_all
 
 
 def flow_tuples(flows):
@@ -63,15 +59,6 @@ def fct_fingerprint(result):
 # ---------------------------------------------------------------------------
 # the Poisson stream
 # ---------------------------------------------------------------------------
-
-
-def test_constant_shape_preserves_bit_identity():
-    kwargs = dict(load=0.4, link_rate=gbps(10), n_flows=80, n_senders=4,
-                  seed=3, size_cap=500_000)
-    ref = PoissonFlowStream(all_to_all(range(4)), WEB_SEARCH, **kwargs)
-    got = PoissonFlowStream(all_to_all(range(4)), WEB_SEARCH,
-                            shape=ConstantShape(), **kwargs)
-    assert flow_tuples(got) == flow_tuples(ref)
 
 
 def test_materialize_respects_limit_and_unbounded_guard():
@@ -101,10 +88,7 @@ def test_stream_rejects_self_pair_pattern():
 @pytest.mark.parametrize("make", [
     lambda: PoissonFlowStream(all_to_all(range(8)), WEB_SEARCH, load=0.5,
                               link_rate=gbps(40), n_flows=60, n_senders=8,
-                              seed=9, shape=DiurnalShape(period=0.01)),
-    lambda: ClosedLoopStream(all_to_all(range(8)), WEB_SEARCH, load=0.5,
-                             link_rate=gbps(40), n_flows=60, n_senders=8,
-                             seed=9, n_users=4),
+                              seed=9),
     lambda: tenant_mix_stream(
         [TenantClass("web-search", WEB_SEARCH, 3.0),
          TenantClass("memcached-w1", MEMCACHED_W1, 1.0)],
@@ -187,16 +171,14 @@ def test_early_stop_table_has_one_row_per_pulled_flow():
     assert early().table == table
 
 
-def test_streamed_run_bit_identical_with_mix_and_shape():
+def test_streamed_run_bit_identical_with_tenant_mix():
     mix = [TenantClass("web-search", WEB_SEARCH, 3.0),
            TenantClass("memcached-w1", MEMCACHED_W1, 1.0)]
 
     def scenario(name, stream):
         return all_to_all_scenario(name, WEB_SEARCH, n_flows=40,
                                    max_time=2.0, size_cap=150_000,
-                                   tenants=mix,
-                                   load_shape=DiurnalShape(period=1.0),
-                                   stream=stream)
+                                   tenants=mix, stream=stream)
 
     a = run(Dctcp(), scenario("m", False))
     b = run(Dctcp(), scenario("s", True))
@@ -324,92 +306,6 @@ def test_merged_stream_rejects_backwards_source():
         list(merged)
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**31), n_users=st.integers(1, 12))
-def test_closed_loop_stream_is_ordered_and_deterministic(seed, n_users):
-    def make():
-        return ClosedLoopStream(all_to_all(range(6)), WEB_SEARCH, load=0.5,
-                                link_rate=gbps(10), n_flows=50, n_senders=6,
-                                seed=seed, size_cap=500_000, n_users=n_users)
-
-    flows = make().materialize()
-    assert len(flows) == 50
-    times = [f.start_time for f in flows]
-    assert times == sorted(times)
-    assert [f.flow_id for f in flows] == list(range(50))
-    assert flow_tuples(make().materialize()) == flow_tuples(flows)
-
-
-def test_closed_loop_never_outpaces_line_rate_per_user():
-    """A user's next flow never starts before its previous one could
-    have finished at line rate (the service-proxy floor)."""
-    rate = gbps(10)
-    stream = ClosedLoopStream(incast([0, 1, 2], 3), WEB_SEARCH, load=1.0,
-                              link_rate=rate, n_flows=200, seed=4,
-                              size_cap=1_000_000, n_users=3)
-    # reconstruct per-user launch order: flows come out globally ordered,
-    # so track each user's previous flow via the stream's own heap keys
-    by_time = stream.materialize()
-    # aggregate check: offered bytes never exceed what n_users line-rate
-    # loops could carry
-    horizon = by_time[-1].start_time - by_time[0].start_time
-    offered = sum(f.size for f in by_time[:-1]) * 8.0
-    assert offered <= 3 * rate * horizon * 1.01
-
-
-# ---------------------------------------------------------------------------
-# load shapes
-# ---------------------------------------------------------------------------
-
-
-def test_diurnal_and_onoff_average_to_one():
-    for shape in (DiurnalShape(period=2.0, depth=0.8),
-                  OnOffShape(on=0.3, off=0.7, off_level=0.2)):
-        period = getattr(shape, "period", None) or (shape.on + shape.off)
-        n = 10_000
-        mean = sum(shape.rate_at(i * period / n) for i in range(n)) / n
-        assert mean == pytest.approx(1.0, rel=1e-3), shape.describe()
-        assert min(shape.rate_at(i * period / n) for i in range(n)) > 0.0
-
-
-def test_onoff_shape_concentrates_arrivals_in_bursts():
-    shape = OnOffShape(on=0.001, off=0.009, off_level=0.01)
-    stream = PoissonFlowStream(all_to_all(range(4)), MEMCACHED_W1, load=0.5,
-                               link_rate=gbps(1), n_flows=2_000, n_senders=4,
-                               seed=2, shape=shape)
-    flows = stream.materialize()
-    period = shape.on + shape.off
-    in_burst = sum(1 for f in flows if (f.start_time % period) < shape.on)
-    # 10% of the time carries the overwhelming majority of arrivals
-    assert in_burst / len(flows) > 0.7
-
-
-def test_load_shape_validation():
-    with pytest.raises(ValueError):
-        DiurnalShape(period=0.0)
-    with pytest.raises(ValueError):
-        DiurnalShape(depth=1.0)
-    with pytest.raises(ValueError):
-        OnOffShape(off_level=0.0)
-    with pytest.raises(ValueError):
-        OnOffShape(on=0.0)
-
-
-def test_parse_load_shape_specs():
-    assert parse_load_shape(None) is None
-    assert parse_load_shape("") is None
-    assert isinstance(parse_load_shape("constant"), ConstantShape)
-    diurnal = parse_load_shape("diurnal:10:0.25")
-    assert (diurnal.period, diurnal.depth) == (10.0, 0.25)
-    onoff = parse_load_shape("onoff:2:8:0.05")
-    assert (onoff.on, onoff.off, onoff.off_level) == (2.0, 8.0, 0.05)
-    for bad in ("square", "constant:1", "diurnal:0", "onoff:1:1:0",
-                "diurnal:abc", "diurnal:0.01:0.5:zzz", "onoff:1:1:0.5:2",
-                "diurnal:nan", "diurnal:inf", "onoff:1:nan"):
-        with pytest.raises(ValueError, match="bad load-shape spec|unknown"):
-            parse_load_shape(bad)
-
-
 # ---------------------------------------------------------------------------
 # tenant mixes
 # ---------------------------------------------------------------------------
@@ -438,6 +334,15 @@ def test_parse_tenant_mix_specs():
             parse_tenant_mix(bad)
 
 
+@pytest.mark.parametrize("share", [math.nan, math.inf, 0.0, -1.0])
+def test_tenant_class_refuses_a_share_not_positive_and_finite(share):
+    """The library API used to take a NaN or infinite share and fail
+    later in ``tenant_mix_stream`` with "cannot convert float NaN to
+    integer"; the class owns the rule the CLI's parser applies."""
+    with pytest.raises(ValueError, match="share must be positive and finite"):
+        TenantClass("web-search", WEB_SEARCH, share)
+
+
 @pytest.mark.parametrize("size_cap", [0, -1])
 def test_flow_stream_refuses_a_non_positive_size_cap(size_cap):
     """A zero cap used to divide by the zero capped mean."""
@@ -451,18 +356,7 @@ def test_flow_stream_front_door_dispatch():
     assert isinstance(flow_stream(all_to_all(range(4)), WEB_SEARCH, **base),
                       PoissonFlowStream)
     assert isinstance(
-        flow_stream(all_to_all(range(4)), WEB_SEARCH, arrivals="closed",
-                    **base),
-        ClosedLoopStream)
-    assert isinstance(
         flow_stream(all_to_all(range(4)), WEB_SEARCH,
                     tenants=[TenantClass("web-search", WEB_SEARCH, 1.0)],
                     **base),
         MergedStream)
-    with pytest.raises(ValueError):
-        flow_stream(all_to_all(range(4)), WEB_SEARCH, arrivals="closed",
-                    tenants=[TenantClass("web-search", WEB_SEARCH, 1.0)],
-                    **base)
-    with pytest.raises(ValueError):
-        flow_stream(all_to_all(range(4)), WEB_SEARCH, arrivals="sideways",
-                    **base)
