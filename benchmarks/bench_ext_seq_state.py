@@ -16,11 +16,14 @@ short flows.
 The second row is the other axis, flows seen: a streamed PPT Memcached
 W1 run at 2,000 and at 8,000 flows, with the traced memory still held
 after the drain (``current``, the result alive) bounded per extra flow.
-A finished window sender is retired (``TransportContext.retire``), so
-what is left per flow is its ``Flow``, its receiver, its host's
-registry entry, its ``SenderLedger`` row and its ``FlowTable`` row:
-634 B per flow on CPython 3.11.  With every finished sender and its
-LCP loop kept registered to the end it was 1,819 B.
+A finished window sender is retired (``TransportContext.retire``) and
+writes its counters into its flow's ``FlowTable`` row, so what is left
+per flow is its ``Flow``, its receiver, its host's registry entry and
+that row: 597 B per flow on CPython 3.11.  The bound is that plus
+150 B (a quarter), room for another CPython's object sizes, not for
+another object per flow.  With a separate ledger row per retired
+sender beside the table it was 634-648 B, and with every finished
+sender and its LCP loop kept registered to the end 1,819 B.
 """
 
 import tracemalloc
@@ -37,7 +40,7 @@ FLOW_BYTES = 20_000_000
 PEAK_MB = 1.0
 SCHEME_NAMES = ("dctcp", "ppt", "homa")
 CHURN_FLOWS = (2_000, 8_000)
-HELD_BYTES_PER_FLOW = 1_000
+HELD_BYTES_PER_FLOW = 750     # 597 B measured, plus a quarter
 
 
 def _two_long_flows() -> Scenario:

@@ -21,7 +21,7 @@ Two deliberate exclusions keep snapshots both lean and loadable:
   ``max_rto``) plus the scheme/scenario names for
   compatibility checks at resume time;
 * bound-callback caches (``Port._tx_cb``, ``Wire._deliver_cb``,
-  ``ControlPipe._fire_cb``) are rebuilt on restore.
+  ``ControlPipe._deliver_cb``) are rebuilt on restore.
 
 File format
 -----------
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 23
+CHECKPOINT_VERSION = 24
 
 
 class CheckpointError(RuntimeError):

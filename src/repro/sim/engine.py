@@ -6,8 +6,9 @@ so that events scheduled for the same instant fire in insertion order,
 which makes every simulation bit-for-bit reproducible.
 
 The heap entry is the work itself.  The packet path (port serializer,
-wire head arrival, control pipe) pushes **direct entries** — the run
-loop calls ``fn(arg)`` and nothing else is allocated
+wire head arrival, each control packet on the ideal path) pushes
+**direct entries** — the run loop calls ``fn(arg)`` and nothing else is
+allocated
 (:meth:`Simulator.schedule_direct`).  ``fn is None`` marks the only
 other kind, a **cancellable handle**: ``arg`` is the :class:`Event`
 that :meth:`Simulator.schedule` returned, :meth:`Event.cancel` marks it
@@ -218,9 +219,9 @@ class Simulator:
         cancelled (:meth:`kill` revokes one by seq, in O(heap)).
 
         Same contract as :meth:`schedule_reserved` for ``time`` and
-        ``seq``.  The packet path inlines these three lines at its five
+        ``seq``.  The packet path inlines these three lines at its four
         push sites (``Port._start_next``/``_tx_done``, ``Wire._deliver``,
-        ``ControlPipe.send``/``_fire``), where calling this method
+        ``ControlPipe.send``), where calling this method
         measured slower (docs/architecture.md, "measured and kept"); it
         stays as the reference those sites are held to.
         """

@@ -416,8 +416,9 @@ class HybridController:
             af.wire_remaining * (flow.size / af.wire_total)))
         payload_left = min(max(payload_left, 1), flow.size)
         af.wire_remaining = 0.0
+        # the tail's counters go into the flow's own table row
         tail = type(flow)(flow_id=flow.flow_id, src=flow.src, dst=flow.dst,
-                          size=payload_left, start_time=now)
+                          size=payload_left, start_time=now, row=flow.row)
         self._tail_map[flow.flow_id] = flow
         self._start_packet(tail)
 

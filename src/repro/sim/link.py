@@ -361,9 +361,7 @@ class Port:
             self.fault_admit_drops += 1
             self.fault_admit_drop_bytes += pkt.size
             return False
-        pkt.queue_delay -= self.sim.now  # finalized on dequeue
         if not self.mux.enqueue(pkt):
-            pkt.queue_delay += self.sim.now  # undo; packet is gone anyway
             return False
         if not self.busy:
             self._start_next()
@@ -376,7 +374,6 @@ class Port:
             return
         sim = self.sim
         now = sim.now
-        pkt.queue_delay += now  # time spent waiting in the mux
         self.busy = True
         self._tx_start = now
         # Inlined units.serialization_delay.  Deliberately NOT

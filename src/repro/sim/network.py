@@ -68,20 +68,19 @@ class QueueConfig:
 
 
 class ControlPipe:
-    """Ideal-path FIFO between one (src, dst) host pair.
+    """The ideal path from one (src, dst) host pair.
 
     The control plane delivers after a *constant* per-pair base delay,
-    so deliveries are FIFO exactly like a wire — one resident direct
-    head entry with reserved seqs (present whenever ``pending`` is
-    non-empty) replaces one heap event per in-flight control packet
-    (see :class:`~repro.sim.link.Wire` for the determinism argument).
+    so each control packet is one direct heap entry,
+    ``(now + delay, seq, peer.receive_control, pkt)``: the run loop
+    hands it to the peer host and nothing else is allocated or held.
     The pipe owns what is constant for its pair — the delay, the sending
     host and the counters a control packet bumps — so sending one is
     ``pipe.send(pkt)`` (handed out by :meth:`Network.control_sender`).
     """
 
-    __slots__ = ("sim", "net", "host", "peer", "delay", "pending",
-                 "_deliver_cb", "_fire_cb", "_send_cb")
+    __slots__ = ("sim", "net", "host", "peer", "delay",
+                 "_deliver_cb", "_send_cb")
 
     def __init__(self, net: "Network", src: int, dst: int) -> None:
         self.sim = net.sim
@@ -89,14 +88,12 @@ class ControlPipe:
         self.host = net.hosts[src]    # the sender: one datapath op each
         self.peer = net.hosts[dst]
         self.delay = net.base_delay(src, dst)
-        self.pending: deque = deque()
         self._bind()
 
     def _bind(self) -> None:
-        """Bound methods made once: a fresh one per packet (deliver,
-        fire) or per endpoint (send) costs time and memory."""
+        """Bound methods made once: a fresh one per packet (deliver) or
+        per endpoint (send) costs time and memory."""
         self._deliver_cb = self.peer.receive_control
-        self._fire_cb = self._fire
         self._send_cb = self.send
 
     def __getstate__(self) -> dict:
@@ -115,30 +112,11 @@ class ControlPipe:
         self.host.ops_sent += 1
         # reserve_seq + schedule_direct, inlined — per-ACK hot path
         sim = self.sim
-        arrival = sim.now + self.delay
         sim._seq = seq = sim._seq + 1
-        pending = self.pending
-        if not pending:
-            heap = sim._heap
-            heappush(heap, (arrival, seq, self._fire_cb, None))
-            if len(heap) > sim.peak_pending:
-                sim.peak_pending = len(heap)
-        pending.append((arrival, seq, pkt))
-
-    def _fire(self, _arg) -> None:
-        pending = self.pending
-        pkt = pending.popleft()[2]
-        if pending:
-            head = pending[0]
-            sim = self.sim
-            heap = sim._heap
-            heappush(heap, (head[0], head[1], self._fire_cb, None))
-            if len(heap) > sim.peak_pending:
-                sim.peak_pending = len(heap)
-        self._deliver_cb(pkt)
-
-    def __len__(self) -> int:
-        return len(self.pending)
+        heap = sim._heap
+        heappush(heap, (sim.now + self.delay, seq, self._deliver_cb, pkt))
+        if len(heap) > sim.peak_pending:
+            sim.peak_pending = len(heap)
 
 
 class PfcController:
@@ -226,7 +204,8 @@ class Network:
         self.ports: List[Port] = []
         # adjacency: device -> [(peer_device, prop_delay, rate_bps)]
         self._adj: Dict[object, List[Tuple[object, float, float]]] = {}
-        self._base_delay_cache: Dict[Tuple[int, int], float] = {}
+        # source host -> {destination host: base delay}, one BFS a row
+        self._base_delays: Dict[int, Dict[int, float]] = {}
         # both directions summed, one probe per flow set-up
         self._base_rtt_cache: Dict[Tuple[int, int], float] = {}
         # Control-path accounting (bytes that bypassed the queued fabric).
@@ -334,30 +313,35 @@ class Network:
         header serialization per hop, no queueing."""
         if src_host == dst_host:
             return 0.0
-        key = (src_host, dst_host)
-        cached = self._base_delay_cache.get(key)
-        if cached is not None:
-            return cached
+        row = self._base_delays.get(src_host)
+        delay = None if row is None else row.get(dst_host)
+        if delay is None:
+            # first miss for this source (or a host added since): one
+            # BFS fills the source's whole row
+            delay = self._fill_base_delays(src_host).get(dst_host)
+            if delay is None:
+                raise KeyError(
+                    f"no path from host {src_host} to host {dst_host}")
+        return delay
+
+    def _fill_base_delays(self, src_host: int) -> Dict[int, float]:
+        """BFS from ``src_host`` for the minimum-hop path to every host,
+        accumulating delay; caches and returns the source's row."""
         src = self.hosts[src_host]
-        dst = self.hosts[dst_host]
-        # BFS for the minimum-hop path, accumulating delay.
-        frontier = deque([(src, 0.0, 0)])
-        result = None
-        best_hops: Dict[object, int] = {src: 0}
+        row: Dict[int, float] = {}
+        frontier = deque([(src, 0.0)])
+        seen = {src}
         while frontier:
-            node, delay, hops = frontier.popleft()
-            if node is dst:
-                result = delay
-                break
+            node, delay = frontier.popleft()
             for peer, prop, rate in self._adj[node]:
-                d = delay + prop + serialization_delay(HEADER_BYTES, rate)
-                if peer not in best_hops or hops + 1 < best_hops[peer]:
-                    best_hops[peer] = hops + 1
-                    frontier.append((peer, d, hops + 1))
-        if result is None:
-            raise KeyError(f"no path from host {src_host} to host {dst_host}")
-        self._base_delay_cache[key] = result
-        return result
+                if peer not in seen:
+                    seen.add(peer)
+                    d = delay + prop + serialization_delay(HEADER_BYTES, rate)
+                    if isinstance(peer, Host):
+                        row[peer.host_id] = d
+                    frontier.append((peer, d))
+        self._base_delays[src_host] = row
+        return row
 
     def resolve_path(self, flow_id: int, src_host: int,
                      dst_host: int) -> List[Port]:

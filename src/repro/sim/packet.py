@@ -88,7 +88,7 @@ class Packet:
         "flow_id", "src", "dst", "seq", "size", "kind", "priority",
         "ecn_capable", "ecn_ce", "lcp", "unscheduled", "retransmit",
         "corrupted", "ack_seq", "sack", "meta", "int_records", "sent_at",
-        "hops", "queue_delay",
+        "hops",
     )
 
     def __init__(
@@ -121,7 +121,6 @@ class Packet:
         self.int_records: Optional[List[tuple]] = None
         self.sent_at: float = 0.0
         self.hops: int = 0
-        self.queue_delay: float = 0.0
 
     def trim(self) -> None:
         """NDP packet trimming: cut the payload, keep the header."""
@@ -170,6 +169,5 @@ def make_ack(
     # pollute the other's records.
     ack.int_records = (None if data_pkt.int_records is None
                        else list(data_pkt.int_records))
-    ack.queue_delay = data_pkt.queue_delay
     ack.hops = data_pkt.hops
     return ack

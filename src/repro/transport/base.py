@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Deque, Dict, List, Optional, Set
 
-from ..metrics.flowtable import SenderLedger
+from ..metrics.flowtable import FlowTable
 from ..sim.engine import Event, Simulator
 from ..sim.network import Network
 from ..sim.packet import ACK, DATA, HEADER_BYTES, Packet
@@ -50,6 +50,9 @@ class Flow:
     # Filled by the sender model: bytes the application's *first* send()
     # syscall injected into the send buffer (buffer-aware identification).
     first_syscall_bytes: Optional[int] = None
+    # The flow's row in the run's FlowTable (``FlowTable.add``); None
+    # for a flow no run pulled (one a test drives by hand).
+    row: Optional[int] = field(default=None, compare=False, repr=False)
 
     @property
     def fct(self) -> Optional[float]:
@@ -114,8 +117,11 @@ class TransportContext:
         # The run's invariant auditor (repro.validate), or None for an
         # unvalidated run; same read-once contract as ``telemetry``.
         self.auditor = None
-        # counters of the senders retire() let go
-        self.retired = SenderLedger()
+        # the run's per-flow record; the runner adds a row per pulled
+        # flow, retire() writes a finished sender's counters into it
+        self.table = FlowTable.empty()
+        # how many senders retire() let go
+        self.retired = 0
 
     def host_manager(self, key: str, host_id: int, manager_cls, *args):
         """Per-host singleton of a receiver-driven scheme: the
@@ -136,21 +142,23 @@ class TransportContext:
     def retire(self, sender) -> None:
         """Let go of a window sender whose every seq is delivered —
         called right after its ``stop()``, which cancelled its timers;
-        from then on it ignores every packet.  Its counters go to
-        :attr:`retired` (what the run's ``FlowTable`` reads in its
-        place), the auditor checks its drain-end laws now, its host
-        forgets it (a late ACK is discarded as for a closed socket) and
-        its second loop forgets it, so reference counting frees both
-        while the drain holds the GC off.  A sender its host does not
-        hold under its flow id (one a test drives by hand) is left
-        alone.  The receiver stays: late duplicates are still counted
-        and ACKed."""
-        flow_id = sender.flow.flow_id
+        from then on it ignores every packet.  Its counters go into its
+        flow's row of :attr:`table` (a flow no run pulled has none, and
+        its sender's counters go with it), the auditor checks its
+        drain-end laws now, its host forgets it (a late ACK is discarded
+        as for a closed socket) and its second loop forgets it, so
+        reference counting frees both while the drain holds the GC off.
+        A sender its host does not hold under its flow id (one a test
+        drives by hand) is left alone.  The receiver stays: late
+        duplicates are still counted and ACKed."""
+        flow = sender.flow
         endpoints = sender.host.endpoints
-        if endpoints.get(flow_id) is not sender:
+        if endpoints.get(flow.flow_id) is not sender:
             return
-        del endpoints[flow_id]
-        self.retired.record(flow_id, sender)
+        del endpoints[flow.flow_id]
+        self.retired += 1
+        if flow.row is not None:
+            self.table.add_sender(flow.row, sender)
         if self.auditor is not None:
             self.auditor.audit_sender(sender)
         if sender.lcp is not None:

@@ -43,11 +43,13 @@ def make_ctx(topo: Topology, **config_overrides) -> TransportContext:
 def run_single_flow(scheme, size: int, *, topo: Topology = None,
                     src: int = 0, dst: int = 1, until: float = 1.0,
                     **config_overrides):
-    """Run one flow of ``size`` bytes to completion; returns (flow, ctx, topo)."""
+    """Run one flow of ``size`` bytes to completion; returns (flow, ctx,
+    topo).  The flow has its row in ``ctx.table``, as a run's would."""
     topo = topo or make_star()
     scheme.configure_network(topo.network)
     ctx = make_ctx(topo, **config_overrides)
     flow = Flow(0, src, dst, size, 0.0)
+    ctx.table.add(flow)
     scheme.start_flow(flow, ctx)
     topo.sim.run(until=until)
     return flow, ctx, topo

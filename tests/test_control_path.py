@@ -7,12 +7,16 @@ when a test patched it on the instance (the capture seam of the manager
 tests) — also when the patch went in *after* the endpoint was built.
 """
 
+from collections.abc import Collection, Iterator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_ctx, make_star
 from repro.core.ppt import PptReceiver
+from repro.sim.host import Host
+from repro.sim.network import ControlPipe
 from repro.sim.packet import ACK, CONTROL, GRANT, PULL, Packet
 from repro.transport.aeolus import Aeolus, AeolusSender
 from repro.transport.base import Flow
@@ -132,14 +136,45 @@ def test_a_patch_installed_after_the_endpoint_was_built_captures(build):
     assert not recorder.got and net.control_pkts == 0
 
 
+def in_flight(sim):
+    """``(arrival, src, dst, seq)`` of every control packet on the
+    ideal path: each is one direct heap entry handing the packet to
+    its peer host."""
+    return sorted((time, pkt.src, pkt.dst, pkt.seq)
+                  for time, fn, pkt in sim.live_entries()
+                  if getattr(fn, "__func__", None) is Host.receive_control)
+
+
 def test_send_control_and_the_cached_sender_are_the_same_pipe():
-    net = make_star(3).network
+    topo = make_star(3)
+    sim, net = topo.sim, topo.network
     send = net.control_sender(2, 0)
     assert send == net.control_pipe(2, 0).send
     net.send_control(Packet(1, 2, 0, 0, 64, kind=ACK))
     send(Packet(1, 2, 0, 1, 64, kind=ACK))
-    assert [pkt.seq for _t, _s, pkt in net.control_pipe(2, 0).pending] == [0, 1]
+    arrival = net.base_delay(2, 0)
+    assert in_flight(sim) == [(arrival, 2, 0, 0), (arrival, 2, 0, 1)]
     assert net.control_pkts == net.hosts[2].ops_sent == 2
+    recorder = Recorder(sim)
+    net.hosts[0].register(1, recorder)
+    sim.run()
+    assert [(time, pkt.seq) for time, pkt in recorder.got] == [
+        (arrival, 0), (arrival, 1)]                     # FIFO
+
+
+def test_a_control_pipe_holds_no_container():
+    """One pipe per host pair (20,592 on the 144-host fabric), so a pipe
+    holds only its pair's constants: the packets it sends are heap
+    entries, and nothing in a pipe grows with traffic or costs a
+    container per pair."""
+    net = make_star(3).network
+    pipe = net.control_pipe(2, 0)
+    for seq in range(3):
+        pipe.send(Packet(1, 2, 0, seq, 64, kind=ACK))
+    assert not hasattr(pipe, "__dict__") and not hasattr(pipe, "__len__")
+    held = {name: getattr(pipe, name) for name in ControlPipe.__slots__}
+    assert not [name for name, value in held.items()
+                if isinstance(value, (Collection, Iterator))], held
 
 
 # -- heap-key equivalence ---------------------------------------------------
@@ -154,8 +189,8 @@ scripts = st.lists(st.one_of(
 
 def drive(script, cached):
     """Play ``script`` on a fresh star; returns, after every step, the
-    ``(time, seq)`` keys of the heap and of every pipe's FIFO, plus the
-    delivery log."""
+    ``(time, seq)`` keys of the heap and the control packets in flight,
+    plus the delivery log."""
     topo = make_star(3)
     sim, net = topo.sim, topo.network
     log = []
@@ -177,10 +212,8 @@ def drive(script, cached):
             sim.schedule(arg, log.append, n)
         else:
             sim.run(until=sim.now + arg)
-        snapshots.append((
-            sorted(entry[:2] for entry in sim._heap),
-            {pair: [key[:2] for key in pipe.pending]
-             for pair, pipe in sorted(net._control_pipes.items())}))
+        snapshots.append((sorted(entry[:2] for entry in sim._heap),
+                          in_flight(sim)))
     sim.run()
     delivered = {host_id: [(t, pkt.seq) for t, pkt in host.default_endpoint.got]
                  for host_id, host in net.hosts.items()}

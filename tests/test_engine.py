@@ -337,7 +337,7 @@ def test_only_the_engine_knows_the_entry_layout():
                 entry = node.args[1]
                 assert isinstance(entry, ast.Tuple) and len(entry.elts) == 4, \
                     f"{path}:{node.lineno} pushes {ast.unparse(entry)}"
-    assert pushes == 5            # the five sites schedule_direct names
+    assert pushes == 4            # the four sites schedule_direct names
 
 
 def test_cancel_after_fire_is_noop_for_live_counter():

@@ -277,6 +277,9 @@ def test_demotion_on_shared_port():
     # the ORIGINAL flow object carries the tail's true finish time
     bulk = result.flows[0]
     assert bulk.completed and bulk.fct is not None and bulk.fct > 0.0
+    # the tail's retired sender wrote into the bulk flow's table row
+    assert result.table.pkts_sent[0] >= result.table.pkts_received[0] > 0
+    assert result.table.acks[0] > 0
     # demotion banked its progress into the conservation ledger, which
     # the auditor checked every slice
     assert result.validation is not None and result.validation.ok

@@ -127,8 +127,10 @@ FLAGS = {
     "--fault": ci(
         "Smoke-test fault injection via the CLI", "--fault",
         "Does each scheme report the flap window and the drops it made?"),
-    # the seed of the plan handed over as faults=
-    "--fault-seed": forwards("faults"),
+    "--fault-seed": ci(
+        "A seeded loss fault through the CLI (--fault-seed)",
+        "--fault-seed 2",
+        "Does the same seed give the same run, and another seed another?"),
     "--lb": ci(
         "Flowlet / CONGA load-balancer validated smoke", "--lb conga",
         "Does a CONGA-balanced run pass the auditor?"),

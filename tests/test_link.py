@@ -79,18 +79,6 @@ def test_drop_when_queue_full():
     assert len(sink.received) == 2
 
 
-def test_queue_delay_accounting():
-    sim = Simulator()
-    port, sink = make_port(sim)
-    first, second = pkt(0), pkt(1)
-    port.send(first)
-    port.send(second)
-    sim.run()
-    tx = serialization_delay(1500, gbps(10))
-    assert first.queue_delay == pytest.approx(0.0, abs=1e-12)
-    assert second.queue_delay == pytest.approx(tx)
-
-
 def test_backlog_bytes():
     sim = Simulator()
     port, _ = make_port(sim)

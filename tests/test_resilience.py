@@ -38,6 +38,7 @@ from repro.resilience import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.sim.host import Host
 from repro.transport.base import MessageSender
 from repro.transport.dctcp import Dctcp
 from repro.workloads.distributions import MEMCACHED_W1, WEB_SEARCH
@@ -277,11 +278,13 @@ def test_resume_with_rc3_filler_in_flight(tmp_path):
 
 @pytest.mark.parametrize("scheme", ["homa", "ndp"])
 def test_resume_with_control_packets_in_flight(tmp_path, scheme):
-    """A snapshot cut while grants / pulls sit in a ``ControlPipe``: the
-    pipe pickles what it owns for its pair, not its bound-callback
-    caches (the ``Wire`` / ``Port`` contract), restore rebuilds them, the
-    endpoints' cached senders still point at the restored pipes, and
-    the resumed run is the straight one (checked by the helper)."""
+    """A snapshot cut while grants / pulls are in flight on the ideal
+    path: each is a heap entry handing the packet to its peer host's
+    ``receive_control``, the pipes pickle what they own for their pair,
+    not their bound-callback caches (the ``Wire`` / ``Port`` contract),
+    restore rebuilds them, the endpoints' cached senders still point at
+    the restored pipes, and the resumed run is the straight one (checked
+    by the helper)."""
     copies = _resume_from_every_checkpoint(tmp_path, SCHEME_FACTORIES[scheme])
     caught = 0
     for copy in copies:
@@ -290,12 +293,16 @@ def test_resume_with_control_packets_in_flight(tmp_path, scheme):
         pipes = network._control_pipes
         for (src, dst), pipe in pipes.items():
             assert set(pipe.__getstate__()) == {
-                "sim", "net", "host", "peer", "delay", "pending"}
-            assert pipe._fire_cb == pipe._fire and pipe._send_cb == pipe.send
+                "sim", "net", "host", "peer", "delay"}
+            assert pipe._send_cb == pipe.send
             assert pipe._deliver_cb == network.hosts[dst].receive_control
             assert pipe.net is network and pipe.host is network.hosts[src]
             assert pipe.delay == network.base_delay(src, dst)
-            caught += bool(pipe.pending)
+        for _time, fn, pkt in state.sim.live_entries():
+            if getattr(fn, "__func__", None) is Host.receive_control:
+                assert fn.__self__ is network.hosts[pkt.dst]
+                assert (pkt.src, pkt.dst) in pipes
+                caught += 1
         for manager in state.ctx.extra[f"{scheme}_rx"].values():
             for message in manager.messages.values():
                 cached = message.send_control

@@ -1,8 +1,9 @@
 """A finished window sender is retired (``TransportContext.retire``): its
-counters go to the run's ``SenderLedger``, its host forgets it, and it
-is freed while the drain still holds the GC off — per-flow memory
-tracks the flows in flight, not the flows seen."""
+counters go into its flow's row of the run's ``FlowTable``, its host
+forgets it, and it is freed while the drain still holds the GC off —
+per-flow memory tracks the flows in flight, not the flows seen."""
 
+import dataclasses
 import gc
 
 import pytest
@@ -12,6 +13,7 @@ from repro.core.ppt import Ppt
 from repro.experiments.runner import run
 from repro.experiments.scenarios import (SCHEMES, all_to_all_scenario,
                                          sim_config)
+from repro.metrics.flowtable import UNFINISHED
 from repro.sim.packet import Packet
 from repro.transport.base import Flow
 from repro.transport.dctcp import Dctcp
@@ -41,7 +43,8 @@ def test_retired_senders_are_freed_during_the_drain():
     finally:
         gc.enable()
     assert result.completed == 2_000
-    assert len(result.ctx.retired) == 2_000
+    assert result.ctx.retired == 2_000
+    assert all(result.table.pkts_sent) and all(result.table.acks)
     assert (senders, loops) == (0, 0)
     # the receivers stay: a late duplicate is still counted and ACKed
     receivers = [end for host in result.topology.network.hosts.values()
@@ -67,24 +70,35 @@ def test_late_duplicate_is_counted_and_its_ack_discarded(attached):
 
 def test_retire_leaves_an_unregistered_sender_alone(attached):
     flow, ctx, topo = run_single_flow(Dctcp(), 20_000)
-    assert list(ctx.retired.flow_id) == [0]
-    stray = Dctcp().make_sender(Flow(7, 0, 1, 1_000, 0.0), ctx)
+    assert ctx.retired == 1
+    row = _row(ctx.table, 0)
+    stray_flow = Flow(7, 0, 1, 1_000, 0.0)
+    ctx.table.add(stray_flow)
+    stray = Dctcp().make_sender(stray_flow, ctx)
     stray.stop()
     ctx.retire(stray)
-    assert list(ctx.retired.flow_id) == [0]
+    assert ctx.retired == 1
+    assert _row(ctx.table, 0) == row
+    assert _row(ctx.table, 1) == (7, 1_000, UNFINISHED) + (0,) * 10
 
 
-def test_ledger_row_is_what_the_table_reads(attached):
+def test_retired_sender_writes_its_table_row(attached):
     flow, ctx, topo = run_single_flow(Ppt(), 300_000, until=1.0)
     sender = attached.senders[0]
     assert sender.lcp.sender is None          # the cycle is broken
-    assert [tuple(getattr(ctx.retired, name))
-            for name in ("flow_id", "pkts_sent", "retransmits", "rtos",
-                         "lp_pkts_sent", "acks", "lp_loops")] == [
-        (0,), (sender.pkts_transmitted,), (sender.pkts_retransmitted,),
-        (sender.rtos_fired,), (sender.lcp.lp_pkts_sent,),
-        (sender.acks_received,), (sender.lcp.loops_opened,)]
+    # retirement wrote the sender's six columns; the rest wait for the
+    # harvest
+    assert _row(ctx.table, 0) == (
+        0, 300_000, UNFINISHED, sender.pkts_retransmitted,
+        sender.rtos_fired, sender.pkts_transmitted,
+        sender.lcp.lp_pkts_sent, 0, 0, sender.acks_received,
+        sender.lcp.loops_opened, 0, 0)
     assert sender.lcp.lp_pkts_sent > 0 and sender.acks_received > 0
+
+
+def _row(table, i):
+    return tuple(getattr(table, f.name)[i]
+                 for f in dataclasses.fields(table))
 
 
 @pytest.mark.parametrize("cell", ["halfback-star-incast", "halfback-loss"])
@@ -96,5 +110,5 @@ def test_halfback_retires_on_a_redundancy_ack(cell):
     finished = [end for host in result.topology.network.hosts.values()
                 for end in host.endpoints.values()
                 if isinstance(end, WindowSender) and end.finished]
-    assert result.completed == len(result.ctx.retired) == 60
+    assert result.completed == result.ctx.retired == 60
     assert finished == []
