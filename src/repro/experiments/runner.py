@@ -125,7 +125,6 @@ class RunHealth:
     faults_active_at_stall: List[str] = field(default_factory=list)
     fault_windows: List[str] = field(default_factory=list)
     fault_drops: int = 0
-    corrupted_pkts: int = 0
     retransmits_total: int = 0
     rtos_total: int = 0
     event_budget_exceeded: bool = False
@@ -654,7 +653,6 @@ def _drain(state: RunState, checkpoint_every: Optional[float] = None,
 
     if faults is not None:
         health.fault_drops = faults.pkts_dropped
-        health.corrupted_pkts = faults.pkts_corrupted
     return health
 
 

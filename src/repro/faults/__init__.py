@@ -2,8 +2,8 @@
 
 PPT's claim is that a pragmatic transport stays efficient when the
 network misbehaves; this package lets every scenario in the suite be
-re-run under link blackouts/flaps, seeded packet loss or corruption,
-and port rate degradation — without subclassing any simulator
+re-run under link blackouts/flaps, seeded packet loss, port rate
+degradation and PFC storms — without subclassing any simulator
 primitive.  See ``docs/fault-injection.md`` for the full catalogue.
 
 Quick start::
@@ -18,9 +18,8 @@ Quick start::
 from .. import _lazy_exports
 
 __all__ = _lazy_exports(__name__, {
-    ".injectors": ("CorruptionInjector", "Injector", "LinkFaultInjector",
-                   "LossInjector", "PfcStormInjector", "PortDegrader"),
+    ".injectors": ("Injector", "LinkFaultInjector", "LossInjector",
+                   "PfcStormInjector", "PortDegrader"),
     ".plan": ("FAULT_KINDS", "ActiveFaults", "FaultPlan", "LinkDown",
-              "LinkFlap", "PacketCorruption", "PacketLoss", "PfcStorm",
-              "RateDegrade"),
+              "LinkFlap", "PacketLoss", "PfcStorm", "RateDegrade"),
 })

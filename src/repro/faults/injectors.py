@@ -7,8 +7,7 @@ two chain-of-responsibility hooks the port exposes (see
 * ``admit(pkt)``    — packet offered to the port; returning False drops
   it before it is enqueued (ingress loss, dead link).
 * ``transmit(pkt)`` — serialization just finished; returning False loses
-  the packet on the wire (dead link), returning True after mutating the
-  packet models on-the-wire corruption.
+  the packet on the wire (dead link).
 
 Injectors never subclass the simulator primitives and attach lazily, so
 a run without faults pays nothing: ``Port.fault_chain`` stays ``None``
@@ -23,11 +22,11 @@ plan over the same scenario reproduces the same packet-level behaviour.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from ..sim.engine import Simulator
 from ..sim.link import Port
-from ..sim.packet import DATA, Packet
+from ..sim.packet import Packet
 
 INFINITY = float("inf")
 
@@ -68,8 +67,6 @@ class LinkFaultInjector(Injector):
     def __init__(self, sim: Simulator, port: Port) -> None:
         super().__init__(sim, port)
         self.is_down = False
-        self.down_intervals: List[List[float]] = []  # [start, end|inf]
-        self.transitions = 0
         # Telemetry hook, fired as ``hook(port, is_down)`` on every
         # open/close transition; chain additional consumers with
         # :func:`repro.obs.hooks.chain` rather than assigning over it.
@@ -81,8 +78,6 @@ class LinkFaultInjector(Injector):
         if self.is_down:
             return
         self.is_down = True
-        self.transitions += 1
-        self.down_intervals.append([self.sim.now, INFINITY])
         self.pkts_dropped += self.port.mux.flush()
         # in-flight packets die with the link; flush_wire books them as
         # wire-fault losses so fabric conservation stays exact
@@ -94,8 +89,6 @@ class LinkFaultInjector(Injector):
         if not self.is_down:
             return
         self.is_down = False
-        self.transitions += 1
-        self.down_intervals[-1][1] = self.sim.now
         if self.transition_hook is not None:
             self.transition_hook(self.port, False)
 
@@ -145,39 +138,6 @@ class LossInjector(Injector):
         if self.start <= now < self.end and self.rng.random() < self.rate:
             self.pkts_dropped += 1
             return False
-        return True
-
-
-class CorruptionInjector(Injector):
-    """Seeded Bernoulli per-packet corruption on the wire.
-
-    Corrupted DATA packets still consume link capacity and propagation
-    delay but are discarded by the receiving host's checksum
-    (``Host.receive``), so the sender must recover via SACK/RTO.  Only
-    payload-bearing packets are corrupted; 64-byte headers/control
-    packets are far less exposed and keeping them clean avoids
-    confounding NDP's trimming signal.
-    """
-
-    def __init__(self, sim: Simulator, port: Port, rate: float,
-                 rng: random.Random, start: float = 0.0,
-                 end: float = INFINITY) -> None:
-        super().__init__(sim, port)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"corruption rate must be in [0, 1], got {rate}")
-        self.rate = rate
-        self.rng = rng
-        self.start = start
-        self.end = end
-        self.pkts_corrupted = 0
-
-    def transmit(self, pkt: Packet) -> bool:
-        now = self.sim.now
-        if (pkt.kind == DATA and not pkt.corrupted
-                and self.start <= now < self.end
-                and self.rng.random() < self.rate):
-            pkt.corrupted = True
-            self.pkts_corrupted += 1
         return True
 
 

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault schedules.
 
 A :class:`FaultPlan` is a declarative list of fault events — link
-blackouts, flaps, Bernoulli loss/corruption windows, rate degradations —
+blackouts, flaps, Bernoulli loss windows, rate degradations, PFC storms —
 plus a seed.  ``apply()`` resolves each event's port pattern against a
 freshly built network (exact name first, then an ``fnmatch`` glob over
 ``Port.name``, e.g. ``"leaf0->spine*"``), instantiates the matching
@@ -22,7 +22,6 @@ CLI plumbing — see :meth:`FaultPlan.parse`::
     down:leaf0->spine0:0.005:0.002        # blackout at 5ms for 2ms
     flap:leaf0->spine0:0.005:0.002:0.004:3
     loss:host0->sw0:0.02                  # 2% loss, whole run
-    corrupt:sw0->host1:0.01:0.001:0.01
     degrade:leaf*->spine0:0.1:0.002:0.01  # 10% of nominal rate
     pfcstorm:leaf0->host0:0.002:0.004     # pause P0 for 4ms (needs PFC)
 """
@@ -37,7 +36,6 @@ from ..sim.engine import Simulator
 from ..sim.network import Network
 from .injectors import (
     INFINITY,
-    CorruptionInjector,
     LinkFaultInjector,
     LossInjector,
     PfcStormInjector,
@@ -150,20 +148,23 @@ class LinkFlap:
 
 
 @dataclass(frozen=True)
-class _BernoulliWindow:
-    """A per-packet coin flip at ``rate`` on ``port`` inside a window."""
+class PacketLoss:
+    """Bernoulli drop of every packet offered to ``port`` in a window."""
 
     port: str
     rate: float
     start: float = 0.0
     end: float = INFINITY
 
+    kind: ClassVar[str] = "loss"
+    spec: ClassVar[str] = "loss:PORT:RATE[:START[:END]]"
+
     @classmethod
-    def from_args(cls, args: List[str]):
+    def from_args(cls, args: List[str]) -> "PacketLoss":
         return cls(args[0], float(args[1]), *_window(args, 2))
 
     def describe(self) -> str:
-        return (f"{self.kind} {self.rate:.3g} {self.port} "
+        return (f"loss {self.rate:.3g} {self.port} "
                 f"[{self.start:.6g}s, {self.end:.6g}s)")
 
     def validate(self) -> None:
@@ -173,26 +174,8 @@ class _BernoulliWindow:
         _check_window(self)
 
     def inject(self, sim: Simulator, port, rng: random.Random):
-        return self.injector_cls(sim, port, self.rate, rng,
-                                 self.start, self.end).attach()
-
-
-@dataclass(frozen=True)
-class PacketLoss(_BernoulliWindow):
-    """Bernoulli drop of every packet offered to ``port`` in a window."""
-
-    kind: ClassVar[str] = "loss"
-    spec: ClassVar[str] = "loss:PORT:RATE[:START[:END]]"
-    injector_cls: ClassVar[type] = LossInjector
-
-
-@dataclass(frozen=True)
-class PacketCorruption(_BernoulliWindow):
-    """Bernoulli corruption of DATA packets leaving ``port`` in a window."""
-
-    kind: ClassVar[str] = "corrupt"
-    spec: ClassVar[str] = "corrupt:PORT:RATE[:START[:END]]"
-    injector_cls: ClassVar[type] = CorruptionInjector
+        return LossInjector(sim, port, self.rate, rng,
+                            self.start, self.end).attach()
 
 
 @dataclass(frozen=True)
@@ -270,8 +253,8 @@ class PfcStorm:
 
 #: The one table of fault kinds: spec-string kind -> event class.
 FAULT_KINDS: Dict[str, type] = {
-    cls.kind: cls for cls in (LinkDown, LinkFlap, PacketLoss,
-                              PacketCorruption, RateDegrade, PfcStorm)}
+    cls.kind: cls for cls in (LinkDown, LinkFlap, PacketLoss, RateDegrade,
+                              PfcStorm)}
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +326,7 @@ class FaultPlan:
 
     def apply(self, network: Network, sim: Simulator) -> "ActiveFaults":
         """Attach injectors for every event; returns the live handle."""
-        active = ActiveFaults(self, sim)
+        active = ActiveFaults(sim)
         for index, event in enumerate(self.events):
             for port in network.find_ports(event.port):
                 rng = random.Random(f"{self.seed}:{index}:{port.name}")
@@ -368,8 +351,7 @@ class ActiveFaults:
     report uses it to name the dead links at stall time.
     """
 
-    def __init__(self, plan: FaultPlan, sim: Simulator) -> None:
-        self.plan = plan
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.injectors: List[object] = []
         self.link_injectors: List[LinkFaultInjector] = []
@@ -410,11 +392,6 @@ class ActiveFaults:
     @property
     def pkts_dropped(self) -> int:
         return sum(injector.pkts_dropped for injector in self.injectors)
-
-    @property
-    def pkts_corrupted(self) -> int:
-        return sum(getattr(injector, "pkts_corrupted", 0)
-                   for injector in self.injectors)
 
     def describe_windows(self) -> List[str]:
         return [desc for desc, _s, _e in self.windows]

@@ -1,6 +1,6 @@
 """repro.resilience — checkpoint/resume for long-horizon runs.
 
-:mod:`repro.resilience.checkpoint` writes versioned snapshots from the
+:mod:`repro.resilience.checkpoint` writes code-keyed snapshots from the
 runner's drain-slice loop; ``run(resume=...)`` restores one bit-identical
 to a straight-through run (``docs/robustness.md``).  Surviving a hung or
 killed *worker* is the grid's business: ``run_grid(..., timeout=,
@@ -10,7 +10,7 @@ retries=)`` in :mod:`repro.experiments.parallel`.
 from .. import _lazy_exports
 
 __all__ = _lazy_exports(__name__, {
-    ".checkpoint": ("CHECKPOINT_FORMAT", "CHECKPOINT_VERSION",
-                    "CheckpointError", "RunState", "inspect_checkpoint",
-                    "load_checkpoint", "save_checkpoint"),
+    ".checkpoint": ("CHECKPOINT_FORMAT", "CheckpointError", "RunState",
+                    "inspect_checkpoint", "load_checkpoint",
+                    "save_checkpoint"),
 })

@@ -1,4 +1,4 @@
-"""Versioned simulator checkpoints: snapshot a run mid-drain, resume later.
+"""Simulator checkpoints: snapshot a run mid-drain, resume later.
 
 A checkpoint is a pickle of the *entire* run graph — the
 :class:`~repro.sim.engine.Simulator` (heap, pipelined
@@ -27,16 +27,18 @@ File format
 -----------
 
 Two consecutive pickles: a small plain-``dict`` header (format tag,
-version, scheme/scenario names, sim time, events run) followed by the
+code table, scheme/scenario names, sim time, events run) followed by the
 :class:`RunState`.  :func:`inspect_checkpoint` reads only the header,
 so listing/validating checkpoint files never pays for — or trusts —
 the full graph.  Writes are atomic (temp file + ``os.replace``): a
 run SIGKILLed mid-write leaves the previous checkpoint intact.
 
-Versioning rules: ``CHECKPOINT_VERSION`` bumps whenever the snapshot
-graph changes shape (new engine fields, new transport state).  A
-loader refuses mismatched versions with :class:`CheckpointError` —
-resuming across versions would deserialize silently-wrong state.
+Code identity: the header's ``code`` table maps every ``*.py`` module
+of the ``repro`` package to a prefix of its source's sha256.  A loader
+refuses a table that differs from its own (and a header without one)
+with :class:`CheckpointError`: a resumed run is bit-identical only to a
+straight run of the *same* code, so any source edit — a changed
+snapshot shape or a changed behaviour — makes old snapshots stale.
 
 Trust model: checkpoints are pickles.  Load only files you (or your
 own runs) wrote.
@@ -44,14 +46,29 @@ own runs) wrote.
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from pathlib import Path
+from typing import Any, Optional, Tuple
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
-CHECKPOINT_VERSION = 24
+
+
+@functools.cache
+def _code_table() -> Tuple[Tuple[str, str], ...]:
+    """``(module path, sha256 prefix)`` for every module of the package.
+
+    Hashed on the first save or load, never at import: a run that takes
+    no checkpoint pays nothing, not even loading ``hashlib``."""
+    import hashlib
+    root = Path(__file__).resolve().parent.parent
+    return tuple(
+        (path.relative_to(root).as_posix(),
+         hashlib.sha256(path.read_bytes()).hexdigest()[:16])
+        for path in sorted(root.rglob("*.py")))
 
 
 class CheckpointError(RuntimeError):
@@ -106,7 +123,7 @@ class RunState:
         """The plain-data header written ahead of the state pickle."""
         return {
             "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
+            "code": dict(_code_table()),
             "scheme": self.scheme_name,
             "scenario": self.scenario_name,
             "sim_time": self.sim.now,
@@ -152,7 +169,7 @@ def inspect_checkpoint(path) -> dict:
 
 def load_checkpoint(path) -> RunState:
     """Load a full :class:`RunState`; raises :class:`CheckpointError` on
-    a missing file, a foreign format, or a version mismatch."""
+    a missing file, a foreign format, or a checkpoint of other code."""
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -178,9 +195,16 @@ def load_checkpoint(path) -> RunState:
 def _validate_header(header: object, path) -> None:
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    version = header.get("version")
-    if version != CHECKPOINT_VERSION:
+    theirs = header.get("code")
+    if not isinstance(theirs, dict):
         raise CheckpointError(
-            f"{path}: checkpoint version {version} is incompatible with "
-            f"this build (expected {CHECKPOINT_VERSION}); re-run from "
-            f"scratch instead of resuming")
+            f"{path}: checkpoint carries no code table (written by an "
+            f"older build); re-run from scratch instead of resuming")
+    ours = dict(_code_table())
+    changed = sorted(name for name in ours.keys() | theirs.keys()
+                     if ours.get(name) != theirs.get(name))
+    if changed:
+        named = ", ".join(changed[:3]) + (", ..." if len(changed) > 3 else "")
+        raise CheckpointError(
+            f"{path}: checkpoint was written by other code (changed: "
+            f"{named}); re-run from scratch instead of resuming")

@@ -74,10 +74,15 @@ class Event:
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once,
-        and a no-op on an event that has already fired."""
+        and a no-op on an event that has already fired.
+
+        Drops the callback and its arguments: the corpse stays in the
+        heap until popped or swept, and must not keep what the callback
+        is bound to (a retired sender, its buffers) alive meanwhile."""
         if self.cancelled:
             return
         self.cancelled = True
+        self.fn = self.args = None
         sim = self._sim
         sim._dead = dead = sim._dead + 1
         if dead > COMPACT_FLOOR and dead * 2 > len(sim._heap):

@@ -23,7 +23,7 @@ class Host:
     """A server attached to the fabric."""
 
     __slots__ = ("host_id", "name", "uplink", "endpoints", "ops_sent",
-                 "ops_received", "corrupt_discards", "default_endpoint",
+                 "ops_received", "default_endpoint",
                  "pkts_to_fabric", "bytes_to_fabric",
                  "pkts_from_fabric", "bytes_from_fabric")
 
@@ -34,7 +34,6 @@ class Host:
         self.endpoints: Dict[int, object] = {}
         self.ops_sent = 0
         self.ops_received = 0
-        self.corrupt_discards = 0
         # Conservation-ledger counters (repro.validate): packets/bytes
         # this host offered to its NIC port and packets/bytes that
         # arrived off the queued fabric.  Ideal-control-path deliveries
@@ -67,12 +66,6 @@ class Host:
         """Dispatch a packet arriving off the queued fabric."""
         self.pkts_from_fabric += 1
         self.bytes_from_fabric += pkt.size
-        if pkt.corrupted:
-            # failed checksum: the NIC discards it before the transport
-            # ever sees it — recovery is the sender's problem
-            self.ops_received += 1
-            self.corrupt_discards += 1
-            return
         self.receive_control(pkt)
 
     def receive_control(self, pkt: Packet) -> None:
@@ -80,9 +73,8 @@ class Host:
 
         The ideal control path delivers here directly, outside the
         fabric ledger (control packets never crossed a port, so counting
-        them as fabric arrivals would break byte conservation, and
-        corruption cannot happen: injectors sit on ports); :meth:`receive`
-        ends here once a fabric arrival is booked and passed its checksum.
+        them as fabric arrivals would break byte conservation);
+        :meth:`receive` ends here once a fabric arrival is booked.
         """
         self.ops_received += 1
         # no endpoint: the flow is already torn down and the late packet

@@ -195,7 +195,7 @@ class Port:
     sim:
         The simulation engine.
     rate_bps:
-        Link capacity in bits per second.
+        Link capacity in bits per second (the port degrader rescales it).
     prop_delay:
         One-way propagation delay in seconds.
     mux:
@@ -207,7 +207,7 @@ class Port:
     """
 
     __slots__ = (
-        "sim", "_rate_bps", "byte_time", "prop_delay", "mux", "peer", "name",
+        "sim", "rate_bps", "prop_delay", "mux", "peer", "name",
         "wire", "busy", "bytes_sent", "pkts_sent", "busy_time", "_tx_start",
         "_tx_cb", "fault_chain",
         "fault_admit_drops", "fault_admit_drop_bytes",
@@ -226,8 +226,7 @@ class Port:
         name: str = "",
     ) -> None:
         self.sim = sim
-        self._rate_bps = rate_bps
-        self.byte_time = 8.0 / rate_bps
+        self.rate_bps = rate_bps
         self.prop_delay = prop_delay
         self.mux = mux
         self.peer = peer
@@ -270,17 +269,6 @@ class Port:
         for name, value in state.items():
             setattr(self, name, value)
         self._tx_cb = self._tx_done
-
-    @property
-    def rate_bps(self) -> float:
-        """Link capacity; assignable (the port degrader rescales it) —
-        the setter keeps the cached per-byte serialization time fresh."""
-        return self._rate_bps
-
-    @rate_bps.setter
-    def rate_bps(self, value: float) -> None:
-        self._rate_bps = value
-        self.byte_time = 8.0 / value
 
     # -- fault injection --------------------------------------------------
 
@@ -376,12 +364,11 @@ class Port:
         now = sim.now
         self.busy = True
         self._tx_start = now
-        # Inlined units.serialization_delay.  Deliberately NOT
-        # ``pkt.size * self.byte_time``: the cached reciprocal double-
-        # rounds (~25-40% of sizes differ in the last ulp), which would
-        # break bit-identical reproduction; a single division keeps the
-        # exact float the simulator has always produced.
-        time = now + pkt.size * 8.0 / self._rate_bps
+        # Inlined units.serialization_delay.  Deliberately a division,
+        # not a product with a cached ``8.0 / rate_bps``: the reciprocal
+        # double-rounds (~25-40% of sizes differ in the last ulp), which
+        # would break bit-identical reproduction.
+        time = now + pkt.size * 8.0 / self.rate_bps
         # schedule_direct, inlined: this push runs once per serialized
         # packet (docs/architecture.md, "Inlining discipline")
         sim._seq = seq = sim._seq + 1
@@ -430,4 +417,4 @@ class Port:
             self.busy = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Port {self.name} rate={self._rate_bps/1e9:.0f}Gbps busy={self.busy}>"
+        return f"<Port {self.name} rate={self.rate_bps/1e9:.0f}Gbps busy={self.busy}>"

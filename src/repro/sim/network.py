@@ -74,17 +74,16 @@ class ControlPipe:
     so each control packet is one direct heap entry,
     ``(now + delay, seq, peer.receive_control, pkt)``: the run loop
     hands it to the peer host and nothing else is allocated or held.
-    The pipe owns what is constant for its pair — the delay, the sending
-    host and the counters a control packet bumps — so sending one is
-    ``pipe.send(pkt)`` (handed out by :meth:`Network.control_sender`).
+    The pipe owns what is constant for its pair — the delay and the
+    sending host, whose ``ops_sent`` each control packet bumps — so
+    sending one is ``pipe.send(pkt)`` (handed out by
+    :meth:`Network.control_sender`).
     """
 
-    __slots__ = ("sim", "net", "host", "peer", "delay",
-                 "_deliver_cb", "_send_cb")
+    __slots__ = ("sim", "host", "peer", "delay", "_deliver_cb", "_send_cb")
 
     def __init__(self, net: "Network", src: int, dst: int) -> None:
         self.sim = net.sim
-        self.net = net                # control_pkts is counted there
         self.host = net.hosts[src]    # the sender: one datapath op each
         self.peer = net.hosts[dst]
         self.delay = net.base_delay(src, dst)
@@ -108,7 +107,6 @@ class ControlPipe:
         self._bind()
 
     def send(self, pkt: Packet) -> None:
-        self.net.control_pkts += 1
         self.host.ops_sent += 1
         # reserve_seq + schedule_direct, inlined — per-ACK hot path
         sim = self.sim
@@ -148,7 +146,6 @@ class PfcController:
         self.delivered_masks = [0] * len(ingress_ports)
         self.pending_ops = 0
         self.pauses_sent = 0
-        self.resumes_sent = 0
 
     def on_xoff(self, priority: int) -> None:
         """An egress queue crossed XOFF: pause upstream (0 -> 1 edge)."""
@@ -174,8 +171,6 @@ class PfcController:
             self.pending_ops += 1
             if pause:
                 self.pauses_sent += 1
-            else:
-                self.resumes_sent += 1
 
     def _deliver(self, index: int, priority: int, pause: bool) -> None:
         self.pending_ops -= 1
@@ -208,8 +203,6 @@ class Network:
         self._base_delays: Dict[int, Dict[int, float]] = {}
         # both directions summed, one probe per flow set-up
         self._base_rtt_cache: Dict[Tuple[int, int], float] = {}
-        # Control-path accounting (bytes that bypassed the queued fabric).
-        self.control_pkts = 0
         self._control_pipes: Dict[Tuple[int, int], ControlPipe] = {}
         # PFC controllers, one per switch, populated by enable_pfc().
         self.pfc_controllers: List[PfcController] = []

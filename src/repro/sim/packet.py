@@ -64,12 +64,6 @@ class Packet:
     unscheduled:
         True for Homa/Aeolus pre-credit packets (eligible for Aeolus's
         selective drop).
-    retransmit:
-        True if this packet is a retransmission.
-    corrupted:
-        True once a fault injector has flipped bits in the packet; the
-        receiving host discards it (failed checksum) instead of
-        dispatching it to a transport endpoint.
     sack / ack_seq / meta:
         Transport-specific payload: SACK blocks, cumulative ack, or any
         other per-packet state a transport needs to carry.
@@ -79,16 +73,16 @@ class Packet:
     sent_at:
         Timestamp when the packet left the sender (for RTT / delay
         measurement).  Echoed into ACKs by receivers.
-    hops:
-        Number of switch hops traversed so far (for delay-based transports'
-        target-delay scaling).
+
+    Every slot is read off packets by some other module
+    (``tests/test_knob_readers.py`` holds that): a field only tests read
+    would be a store every packet pays for.
     """
 
     __slots__ = (
         "flow_id", "src", "dst", "seq", "size", "kind", "priority",
-        "ecn_capable", "ecn_ce", "lcp", "unscheduled", "retransmit",
-        "corrupted", "ack_seq", "sack", "meta", "int_records", "sent_at",
-        "hops",
+        "ecn_capable", "ecn_ce", "lcp", "unscheduled", "ack_seq", "sack",
+        "meta", "int_records", "sent_at",
     )
 
     def __init__(
@@ -113,14 +107,11 @@ class Packet:
         self.ecn_ce = False
         self.lcp = False
         self.unscheduled = False
-        self.retransmit = False
-        self.corrupted = False
         self.ack_seq: int = -1
         self.sack: Optional[Tuple[int, ...]] = None
         self.meta = None
         self.int_records: Optional[List[tuple]] = None
         self.sent_at: float = 0.0
-        self.hops: int = 0
 
     def trim(self) -> None:
         """NDP packet trimming: cut the payload, keep the header."""
@@ -169,5 +160,4 @@ def make_ack(
     # pollute the other's records.
     ack.int_records = (None if data_pkt.int_records is None
                        else list(data_pkt.int_records))
-    ack.hops = data_pkt.hops
     return ack

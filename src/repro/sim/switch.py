@@ -63,7 +63,6 @@ class Switch:
         else:
             port = candidates[ecmp_hash(
                 pkt.flow_id, self.switch_id, len(candidates))]
-        pkt.hops += 1
         self.pkts_forwarded += 1
         self.bytes_forwarded += pkt.size
         if pkt.int_records is not None and (pkt.kind == DATA

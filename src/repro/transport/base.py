@@ -492,7 +492,6 @@ class MessageSender:
         pkt = Packet(flow.flow_id, flow.src, flow.dst, seq, size, DATA,
                      priority, False)     # not ECN-capable
         pkt.unscheduled = unscheduled
-        pkt.retransmit = retransmit
         pkt.sent_at = self.sim.now
         self.pkts_transmitted += 1
         if retransmit:

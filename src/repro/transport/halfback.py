@@ -35,7 +35,6 @@ class HalfbackSender(WindowSender):
     def __init__(self, flow: Flow, ctx: TransportContext) -> None:
         super().__init__(flow, ctx)
         self.paced_out = flow.size <= PACE_OUT_LIMIT
-        self.redundant_sent = 0
         # the pace-out chain (and the seq it sends next) and the one
         # pending backwards round
         self._pace = self._back_event = None
@@ -91,7 +90,6 @@ class HalfbackSender(WindowSender):
             return
         self._back_ptr = ptr
         pkt = self.build_packet(ptr)
-        pkt.retransmit = True
         pkt.priority = REDUNDANCY_PRIORITY
         pkt.lcp = True              # redundancy is scavenger-class
         pkt.sent_at = self.sim.now

@@ -25,15 +25,15 @@ class SwiftSender(WindowSender):
     MAX_MDF = 0.5        # max multiplicative decrease factor
     BASE_SCALE = 1.25    # target = base_rtt * scale + per-hop term
     HOP_SCALE = 0.5e-6   # seconds of budget per switch hop
+    HOPS = 2             # switch hops the target budgets for, on any path
 
     def __init__(self, flow: Flow, ctx: TransportContext) -> None:
         super().__init__(flow, ctx)
         self._last_decrease = -1.0
-        self.hops = 2
         self.target_delay = self._target()
 
     def _target(self) -> float:
-        return self.base_rtt * self.BASE_SCALE + self.hops * self.HOP_SCALE
+        return self.base_rtt * self.BASE_SCALE + self.HOPS * self.HOP_SCALE
 
     def ecn_capable(self) -> bool:
         return False  # pure delay signal

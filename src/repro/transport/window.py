@@ -314,7 +314,6 @@ class WindowSender:
             self._sent_hw = seq + 1
         pkt = self.build_packet(seq)
         now = self.sim.now
-        pkt.retransmit = retransmit
         pkt.sent_at = now
         outstanding = self.outstanding
         self.pkts_transmitted += 1

@@ -33,6 +33,12 @@ def make_leaf_spine(**overrides) -> Topology:
     return leaf_spine(**params)
 
 
+def switch_hops(net: Network) -> int:
+    """Forwarding decisions the fabric's switches made so far: after one
+    packet crossed it, the number of switches on its path."""
+    return sum(switch.pkts_forwarded for switch in net.switches)
+
+
 def make_ctx(topo: Topology, **config_overrides) -> TransportContext:
     params = dict(min_rto=1e-3)
     params.update(config_overrides)

@@ -337,6 +337,9 @@ REFUSED_INPUTS = {
         "extra field"),
     "fault-nan-start": (RUN + ["--fault", "down:leaf0->spine0:nan:0.002"],
                         "start time nan"),
+    # the corruption fault is gone: its spec is any unknown kind
+    "fault-corrupt-kind": (RUN + ["--fault", "corrupt:leaf0->spine0:0.01"],
+                           "unknown fault kind 'corrupt'"),
     "tenant-share-nan": (RUN + ["--tenant-mix", "web-search:nan"],
                          "share must be positive"),
     "tenant-share-inf": (RUN + ["--tenant-mix", "web-search:inf"],

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
 import ast
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -77,6 +78,27 @@ def test_cancel_is_idempotent():
     event = sim.schedule(1e-3, lambda: None)
     event.cancel()
     event.cancel()
+    assert sim.run() == 0
+
+
+def test_a_cancelled_handle_does_not_pin_its_callbacks_owner():
+    """A corpse waits in the heap until popped or swept; the retired
+    sender its callback was bound to must be freed before that."""
+
+    class Owner:
+        def fire(self, arg):
+            pass
+
+    class Arg:
+        pass
+
+    sim = Simulator()
+    owner, arg = Owner(), Arg()
+    owner_ref, arg_ref = weakref.ref(owner), weakref.ref(arg)
+    sim.schedule(1e-3, owner.fire, arg).cancel()
+    del owner, arg
+    assert sim.pending == 1 and sim.live_pending == 0   # corpse resident
+    assert owner_ref() is None and arg_ref() is None
     assert sim.run() == 0
 
 

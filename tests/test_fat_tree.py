@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_ctx
+from conftest import make_ctx, switch_hops
 from repro.core.ppt import Ppt
 from repro.sim.packet import Packet
 from repro.sim.topology import fat_tree
@@ -40,7 +40,7 @@ def test_intra_edge_path_is_one_hop():
         "E", (), {"on_packet": staticmethod(seen.append)})()
     net.hosts[0].send(Packet(1, 0, 1, 0, 1500))  # same edge switch
     sim.run()
-    assert seen and seen[0].hops == 1
+    assert seen and switch_hops(net) == 1
 
 
 def test_intra_pod_path_is_three_hops():
@@ -52,7 +52,7 @@ def test_intra_pod_path_is_three_hops():
         "E", (), {"on_packet": staticmethod(seen.append)})()
     net.hosts[0].send(Packet(1, 0, 2, 0, 1500))
     sim.run()
-    assert seen and seen[0].hops == 3  # edge, agg, edge
+    assert seen and switch_hops(net) == 3  # edge, agg, edge
 
 
 def test_cross_pod_path_is_five_hops():
@@ -64,7 +64,7 @@ def test_cross_pod_path_is_five_hops():
         "E", (), {"on_packet": staticmethod(seen.append)})()
     net.hosts[0].send(Packet(1, 0, dst, 0, 1500))
     sim.run()
-    assert seen and seen[0].hops == 5  # edge, agg, core, agg, edge
+    assert seen and switch_hops(net) == 5  # edge, agg, core, agg, edge
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,13 +6,11 @@ import pytest
 
 from conftest import make_ctx, quick_qcfg
 from repro.faults import (
-    CorruptionInjector,
     FaultPlan,
     LinkDown,
     LinkFlap,
     LinkFaultInjector,
     LossInjector,
-    PacketCorruption,
     PacketLoss,
     PortDegrader,
     RateDegrade,
@@ -89,20 +87,29 @@ def test_link_down_drops_and_flushes():
     assert port.mux.empty  # down flushes everything queued
 
 
+def record_transitions(injector):
+    """``(time, is_down)`` per transition, through the hook telemetry
+    and the hybrid controller read."""
+    seen = []
+    injector.transition_hook = (
+        lambda _port, down: seen.append((injector.sim.now, down)))
+    return seen
+
+
 def test_link_blackout_then_recovery():
     topo = make_dumbbell()
     port = topo.network.port_named("sw0->sw1")
     injector = LinkFaultInjector(topo.sim, port).attach()
     injector.schedule_blackout(0.0002, 0.002)
+    seen = record_transitions(injector)
     flow, sender, _ = start_flow(topo, min_rto=1e-3)
     topo.sim.run(until=1.0)
     assert flow.completed
     assert sender.rtos_fired > 0            # recovery went through the RTO
     assert sender.pkts_transmitted > sender.n_packets
     assert not injector.is_down
-    start, end = injector.down_intervals[0]
-    assert start == pytest.approx(0.0002)
-    assert end == pytest.approx(0.0022)
+    assert seen == [(pytest.approx(0.0002), True),
+                    (pytest.approx(0.0022), False)]
 
 
 def test_flap_schedule_transitions():
@@ -110,9 +117,9 @@ def test_flap_schedule_transitions():
     port = topo.network.port_named("sw0->sw1")
     injector = LinkFaultInjector(topo.sim, port).attach()
     injector.schedule_flap(0.001, down_time=0.001, up_time=0.002, cycles=3)
+    seen = record_transitions(injector)
     topo.sim.run(until=0.1)
-    assert injector.transitions == 6
-    assert len(injector.down_intervals) == 3
+    assert [down for _time, down in seen] == [True, False] * 3
     assert not injector.is_down
 
 
@@ -152,20 +159,6 @@ def test_loss_injector_rejects_bad_rate():
         LossInjector(topo.sim, port, 1.5, random.Random(0))
 
 
-def test_corruption_discarded_at_receiver():
-    topo = make_dumbbell()
-    port = topo.network.port_named("sw0->sw1")
-    injector = CorruptionInjector(topo.sim, port, 0.05,
-                                  random.Random("c")).attach()
-    flow, sender, _ = start_flow(topo)
-    topo.sim.run(until=2.0)
-    assert flow.completed
-    assert injector.pkts_corrupted > 0
-    # the receiving host discarded them before the transport saw them
-    assert topo.network.hosts[1].corrupt_discards == injector.pkts_corrupted
-    assert sender.pkts_retransmitted > 0
-
-
 def test_port_degrader_slows_transfer():
     baseline = make_dumbbell()
     flow_base, _, _ = start_flow(baseline)
@@ -201,19 +194,17 @@ def test_plan_parse_round_trip():
         "down:sw0->sw1:0.001:0.002",
         "flap:sw0->sw1:0.001:0.002:0.003:4",
         "loss:sw*->sw*:0.05",
-        "corrupt:sw0->sw1:0.01:0.001:0.01",
         "degrade:sw1->sw0:0.1:0.002:0.01",
     ], seed=42)
     assert plan.seed == 42
-    down, flap, loss, corrupt, degrade = plan.events
+    down, flap, loss, degrade = plan.events
     assert down == LinkDown("sw0->sw1", 0.001, 0.002)
     assert down.end == pytest.approx(0.003)
     assert flap == LinkFlap("sw0->sw1", 0.001, 0.002, 0.003, 4)
     assert flap.end == pytest.approx(0.001 + 4 * 0.005)
     assert loss == PacketLoss("sw*->sw*", 0.05, 0.0, INFINITY)
-    assert corrupt == PacketCorruption("sw0->sw1", 0.01, 0.001, 0.01)
     assert degrade == RateDegrade("sw1->sw0", 0.1, 0.002, 0.01)
-    assert len(plan.describe()) == 5
+    assert len(plan.describe()) == 4
 
 
 def test_plan_parse_rejects_garbage():
@@ -229,7 +220,6 @@ def test_plan_parse_rejects_garbage():
     "down:sw0->sw1:0.001:0.002:zzz",
     "flap:sw0->sw1:0.001:0.002:0.003:4:1",
     "loss:sw0->sw1:0.05:0:0.01:9",
-    "corrupt:sw0->sw1:0.01:0.001:0.01:x",
     "degrade:sw1->sw0:0.1:0.002:0.01:0.02",
     "pfcstorm:sw0->sw1:0.002:0.004:0:0",
 ])

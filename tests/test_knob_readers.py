@@ -1,22 +1,26 @@
-"""The knob guard: every scenario knob and run flag has a reader.
+"""The knob guard: every scenario knob, run flag and fault kind has a
+reader, and every packet field is read.
 
 A knob that nothing outside ``tests/`` reads can break or drift
 unnoticed, and it widens every sweep that draws over the knobs.  So
 each optional ``Scenario`` field, each keyword-only parameter of
-``scenarios._traffic_scenario`` and each option of the ``run`` and
-``soak`` commands is listed here with its reader and the one question
-that reader asks of it.  A reader is a claim of ``claims.CLAIMS``
-(whose figure driver must contain the named text), a file under
-``benchmarks/`` or ``src/repro/validate/matrix.py`` (which must contain
-it), or a step of ``.github/workflows/ci.yml`` (whose body must contain
-it).  A flag may instead name the scenario keyword it forwards
+``scenarios._traffic_scenario``, each option of the ``run`` and
+``soak`` commands and each ``faults.plan.FAULT_KINDS`` kind is listed
+here with its reader and the one question that reader asks of it.  A
+reader is a claim of ``claims.CLAIMS`` (whose figure driver must contain
+the named text), a file under ``benchmarks/`` or
+``src/repro/validate/matrix.py`` (which must contain it), or a step of
+``.github/workflows/ci.yml`` (whose body must contain it).  A flag may instead name the scenario keyword it forwards
 (``cli._cmd_run`` must pass it) and inherits that keyword's reader.
 
 The guard fails on an unlisted knob, on an entry for a knob that no
-longer exists, and on a reader that does not contain its text.  No
-simulation runs.
+longer exists, and on a reader that does not contain its text.  A
+``Packet`` slot has no table: some module under ``src/repro`` other
+than ``sim/packet.py`` must read it off a packet, or it is write-only
+state every packet pays for.  No simulation runs.
 """
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -27,10 +31,13 @@ from typing import NamedTuple, Optional
 from repro import cli
 from repro.experiments.claims import CLAIMS
 from repro.experiments.runner import Scenario
-from repro.experiments.scenarios import _traffic_scenario
+from repro.experiments.scenarios import _traffic_scenario, soak_fault_plan
+from repro.faults.plan import FAULT_KINDS
+from repro.sim.packet import Packet
 
 ROOT = Path(__file__).resolve().parent.parent
 MATRIX = "src/repro/validate/matrix.py"
+SOAK_BENCH = "benchmarks/bench_ext_stream_soak.py"
 
 
 class Reader(NamedTuple):
@@ -174,6 +181,33 @@ FLAGS = {
 }
 
 
+# the fault kinds of --fault and FaultPlan.parse.  A kind the soak bench
+# reads is one that soak_fault_plan's rotation builds (checked below);
+# the bench runs that plan through soak_scenario.
+FAULTS = {
+    "flap": ci(
+        "Smoke-test fault injection via the CLI", '--fault "flap:',
+        "Does each scheme report the flap window and the drops it made?"),
+    "loss": ci(
+        "A seeded loss fault through the CLI (--fault-seed)",
+        '--fault "loss:',
+        "Does the same seed give the same run, and another seed another?"),
+    "pfcstorm": ci(
+        "PFC storm fault smoke", '--fault "pfcstorm:',
+        "Do the flows of a PFC incast finish once a pause storm ends?"),
+    "down": file(
+        SOAK_BENCH, "soak_scenario",
+        "Does a validated streamed soak complete every flow across the "
+        "rotation's blackout of sw0->host1 at 150 s?"),
+    "degrade": file(
+        SOAK_BENCH, "soak_scenario",
+        "Does a soak stay clean through the rotation's rate degrade of "
+        "sw0->host3, which first falls at 750 s (the bench's default "
+        "600 s horizon fires only the 150 s blackout and the 450 s loss "
+        "window)?"),
+}
+
+
 def scenario_knobs() -> set:
     optional = {f.name for f in dataclasses.fields(Scenario)
                 if f.default is not dataclasses.MISSING
@@ -257,9 +291,38 @@ def test_every_run_and_soak_flag_is_listed():
     assert listing_problems(FLAGS, run_flags(), "flag") == []
 
 
+def test_every_fault_kind_is_listed():
+    assert listing_problems(FAULTS, set(FAULT_KINDS), "fault kind") == []
+
+
 def test_every_reader_contains_its_text():
     assert reader_problems(SCENARIO) == []
     assert reader_problems(FLAGS) == []
+    assert reader_problems(FAULTS) == []
+
+
+def test_the_soak_rotation_builds_the_kinds_the_soak_bench_reads():
+    rotation = inspect.getsource(soak_fault_plan)
+    assert [kind for kind, reader in FAULTS.items()
+            if reader.where == SOAK_BENCH
+            and f"{FAULT_KINDS[kind].__name__}(" not in rotation] == []
+
+
+def test_every_packet_slot_is_read():
+    """Some module but ``sim/packet.py`` loads each ``Packet`` slot as
+    ``<expr>.<slot>`` with ``<expr>`` other than ``self``."""
+    package = ROOT / "src" / "repro"
+    loaded = set()
+    for path in package.rglob("*.py"):
+        if path == package / "sim" / "packet.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                loaded.add(node.attr)
+    assert [name for name in Packet.__slots__ if name not in loaded] == []
 
 
 def test_a_scenario_knob_is_read_directly():

@@ -30,7 +30,7 @@ FORBIDDEN_PREFIXES = ("repro.validate", "repro.faults")
 FORBIDDEN = {"repro.obs.telemetry", "repro.core.hypothetical",
              "repro.experiments.figures", "repro.experiments.parallel",
              "repro.experiments.tables", "repro.experiments.claims",
-             "multiprocessing"}
+             "multiprocessing", "hashlib"}
 TRANSPORTS_ON_PPT_PATH = {"repro.transport", "repro.transport.base",
                           "repro.transport.window", "repro.transport.dctcp"}
 

@@ -183,12 +183,3 @@ def test_legacy_wire_mode_schedules_per_packet():
     assert sim.live_pending == 3          # one arrival event per packet
     sim.run()
     assert [p.seq for p in sink.received] == [0, 1, 2]
-
-
-def test_rate_setter_refreshes_byte_time():
-    sim = Simulator()
-    port, _sink = make_port(sim, rate=gbps(10))
-    assert port.byte_time == 8.0 / gbps(10)
-    port.rate_bps = gbps(40)
-    assert port.rate_bps == gbps(40)
-    assert port.byte_time == 8.0 / gbps(40)

@@ -19,7 +19,6 @@ def test_packet_defaults():
     assert not pkt.ecn_ce
     assert not pkt.lcp
     assert not pkt.unscheduled
-    assert not pkt.retransmit
     assert pkt.sack is None
     assert pkt.int_records is None
 

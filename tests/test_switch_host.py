@@ -4,12 +4,13 @@ from collections import Counter
 
 import pytest
 
-from conftest import make_leaf_spine, make_star
+from conftest import make_leaf_spine, make_star, switch_hops
 from repro.core.ppt import Ppt
 from repro.experiments.runner import run
 from repro.experiments.scenarios import all_to_all_scenario, sim_fabric
 from repro.sim.host import Host
 from repro.sim.link import Port
+from repro.sim.network import ControlPipe
 from repro.sim.packet import Packet
 from repro.sim.queues import PriorityMux
 from repro.sim.routing import SprayBalancer
@@ -107,23 +108,26 @@ def test_hops_counted_per_switch():
         "E", (), {"on_packet": staticmethod(seen.append)})()
     net.hosts[0].send(Packet(1, 0, dst, 0, 1500))
     sim.run()
-    assert seen[0].hops == 3
+    assert seen
+    assert switch_hops(net) == 3  # leaf, spine, leaf
 
 
 def test_the_simulation_runs_the_canonical_datapath_steps(monkeypatch):
     """Every admission is ``Port.send``, every dequeue
-    ``PriorityMux.dequeue``, every RTO arm ``WindowSender.rto_interval``
-    and every endpoint dispatch ``Host.receive_control``: a copy of one
+    ``PriorityMux.dequeue``, every RTO arm ``WindowSender.rto_interval``,
+    every control send ``ControlPipe.send`` and every endpoint dispatch
+    ``Host.receive_control``: a copy of one
     of them inlined into a caller would bypass the counters below, so
     patching a seam changes what the simulation does, not only its
     speed."""
     calls = Counter()
 
-    def counted(cls, name):
+    def counted(cls, name, key=None):
         original = getattr(cls, name)
+        key = key or name
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, wrapper)
@@ -132,6 +136,7 @@ def test_the_simulation_runs_the_canonical_datapath_steps(monkeypatch):
     counted(PriorityMux, "dequeue")
     counted(WindowSender, "rto_interval")
     counted(Host, "receive_control")
+    counted(ControlPipe, "send", "control")
     scenario = all_to_all_scenario(
         "seams", WEB_SEARCH, load=0.5, n_flows=30, size_cap=200_000,
         seed=11, fabric=sim_fabric(n_leaf=2, n_spine=2, hosts_per_leaf=4))
@@ -148,8 +153,5 @@ def test_the_simulation_runs_the_canonical_datapath_steps(monkeypatch):
     # (the drain ran on past the last ACK, so every control packet landed)
     hosts = net.hosts.values()
     assert calls["receive_control"] == (
-        sum(host.pkts_from_fabric - host.corrupt_discards for host in hosts)
-        + net.control_pkts)
-    assert sum(host.ops_received for host in hosts) == (
-        calls["receive_control"] + sum(host.corrupt_discards
-                                       for host in hosts))
+        sum(host.pkts_from_fabric for host in hosts) + calls["control"])
+    assert sum(host.ops_received for host in hosts) == calls["receive_control"]

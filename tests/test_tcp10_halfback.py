@@ -108,7 +108,7 @@ def test_halfback_redundancy_is_scavenger_class():
     sender.host.uplink = fake
     sender._backwards_round()
     (pkt,) = fake.sent
-    assert pkt.retransmit
+    assert sender.pkts_retransmitted == 1
     assert pkt.lcp
     assert pkt.priority == 7
 

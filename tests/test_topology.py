@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import make_leaf_spine, make_star, quick_qcfg
+from conftest import make_leaf_spine, make_star, quick_qcfg, switch_hops
 from repro.sim.packet import Packet
 from repro.sim.routing import SprayBalancer
 from repro.sim.topology import dumbbell, leaf_spine, star
@@ -33,7 +33,7 @@ def test_dumbbell_routes_both_ways():
     pkt = Packet(99, 0, 1, 0, 1500)
     net.hosts[0].send(pkt)
     sim.run()
-    assert received and received[0].hops == 2
+    assert received and switch_hops(net) == 2
 
 
 def test_leaf_spine_host_count():
@@ -62,7 +62,7 @@ def test_leaf_spine_delivers_cross_leaf():
         "E", (), {"on_packet": staticmethod(received.append)})()
     net.hosts[0].send(Packet(5, 0, dst, 0, 1500))
     sim.run()
-    assert received and received[0].hops == 3  # leaf, spine, leaf
+    assert received and switch_hops(net) == 3  # leaf, spine, leaf
 
 
 def test_leaf_spine_intra_leaf_stays_local():
@@ -73,7 +73,7 @@ def test_leaf_spine_intra_leaf_stays_local():
         "E", (), {"on_packet": staticmethod(received.append)})()
     net.hosts[0].send(Packet(5, 0, 1, 0, 1500))
     sim.run()
-    assert received and received[0].hops == 1  # only the leaf
+    assert received and switch_hops(net) == 1  # only the leaf
 
 
 def test_cross_leaf_base_delay_larger_than_intra():
