@@ -16,14 +16,18 @@ short flows.
 The second row is the other axis, flows seen: a streamed PPT Memcached
 W1 run at 2,000 and at 8,000 flows, with the traced memory still held
 after the drain (``current``, the result alive) bounded per extra flow.
-A finished window sender is retired (``TransportContext.retire``) and
-writes its counters into its flow's ``FlowTable`` row, so what is left
-per flow is its ``Flow``, its receiver, its host's registry entry and
-that row: 597 B per flow on CPython 3.11.  The bound is that plus
-150 B (a quarter), room for another CPython's object sizes, not for
-another object per flow.  With a separate ledger row per retired
-sender beside the table it was 634-648 B, and with every finished
-sender and its LCP loop kept registered to the end 1,819 B.
+A finished window sender is retired (``TransportContext.retire``), and
+so is its receiver once every packet the sender put on the fabric has
+arrived (``TransportContext.retire_receiver``); each writes its counters
+into its flow's ``FlowTable`` row and leaves its host.  What stays per
+flow is its ``Flow`` with its start and finish times and that row, not
+a receiver: only the flows that lost a packet (about 2 % here) keep one
+to the end.  That is 371 B per flow on CPython 3.11.  The bound is that
+plus a quarter, room for another CPython's object sizes, not for
+another object per flow.  With every receiver kept registered to the
+end it was 597-600 B, with a separate ledger row per retired sender
+beside the table 634-648 B, and with every finished sender and its LCP
+loop kept registered as well 1,819 B.
 """
 
 import tracemalloc
@@ -40,7 +44,7 @@ FLOW_BYTES = 20_000_000
 PEAK_MB = 1.0
 SCHEME_NAMES = ("dctcp", "ppt", "homa")
 CHURN_FLOWS = (2_000, 8_000)
-HELD_BYTES_PER_FLOW = 750     # 597 B measured, plus a quarter
+HELD_BYTES_PER_FLOW = 465     # 371 B measured, plus a quarter
 
 
 def _two_long_flows() -> Scenario:

@@ -54,7 +54,6 @@ from .experiments.scenarios import (
     incast_scenario,
     soak_scenario,
 )
-from .resilience.checkpoint import CheckpointError
 from .sim.routing import DEFAULT_FLOWLET_GAP, LB_MODES
 from .validate.report import InvariantViolation
 from .workloads.distributions import WORKLOADS
@@ -196,6 +195,7 @@ def _cmd_resume(args) -> int:
     stopped; ``--checkpoint-every`` alone keeps rewriting the snapshot
     it finishes."""
     from .experiments.parallel import RunSummary
+    from .resilience.checkpoint import CheckpointError
     path = args.checkpoint
     if path is None and args.checkpoint_every is not None:
         path = args.path

@@ -64,7 +64,7 @@ class PptReceiver(WindowReceiver):
     when the flow completes (via either loop).
     """
 
-    # one receiver per flow, and every receiver outlives its flow
+    # one receiver per flow, and one that lost a packet stays to the end
     __slots__ = ("_lp_pending", "_lp_pending_ce", "_lp_last_pkt",
                  "_lp_flush_event", "lp_acks_sent")
 
@@ -83,10 +83,11 @@ class PptReceiver(WindowReceiver):
             self._on_lp_data(pkt)
             return
         super().on_packet(pkt)
-        if self._done:
+        if self._done and self._lp_pending:
             # flow completed through the HP path with an odd LP packet
             # still pending — acknowledge it now, not at the sender's RTO
             self._flush_lp_pending()
+            self.ctx.retire_receiver(self)
 
     def _on_lp_data(self, pkt: Packet) -> None:
         self.data_pkts_received += 1
@@ -112,7 +113,9 @@ class PptReceiver(WindowReceiver):
         elif self._lp_flush_event is None:
             self._lp_flush_event = self.ctx.sim.schedule(
                 LP_ACK_DELAY, self._lp_delayed_flush)
-        if not self._done and self.cum >= self.n_packets:
+        if self._done:
+            self.ctx.retire_receiver(self)
+        elif self.cum >= self.n_packets:
             self._done = True
             self._flush_lp_pending()
             self.sacked = NO_SEQS     # as WindowReceiver.on_packet
@@ -143,6 +146,8 @@ class PptReceiver(WindowReceiver):
         self._lp_flush_event = None
         if self._lp_pending:
             self._send_lp_ack(self._lp_last_pkt)
+        if self._done:
+            self.ctx.retire_receiver(self)
 
     def _flush_lp_pending(self) -> None:
         """Immediately acknowledge whatever is pending (flow done)."""

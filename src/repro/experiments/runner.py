@@ -31,26 +31,21 @@ import gc
 import math
 import time as _time
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Any, Callable, Iterator, List, Optional,
+                    Tuple, Union)
 
 from ..metrics.fct import FctStats
 from ..metrics.flowtable import FlowTable
 from ..obs.hooks import chain
-from ..resilience.checkpoint import (
-    CheckpointError,
-    RunState,
-    load_checkpoint,
-    save_checkpoint,
-)
 from ..sim.network import Network
 from ..sim.topology import Topology
 from ..transport.base import Flow, Scheme, TransportConfig, TransportContext
 from ..workloads.streams import FlowStream
 
-# Telemetry, the auditor, the hybrid fast path and the two-pass oracle
-# are imported where a run switches them on (a fault plan arrives built),
-# so a bare run never loads them.
+# Telemetry, the auditor, the hybrid fast path, the two-pass oracle and
+# the checkpoint module (with ``pickle``) are imported where a run
+# switches them on (a fault plan arrives built), so a bare run never
+# loads them.
 if TYPE_CHECKING:
     from ..faults.plan import ActiveFaults, FaultPlan
     from ..obs.telemetry import Telemetry
@@ -76,11 +71,13 @@ class Scenario:
     seed the streamed run is bit-identical to the materialized one (see
     ``docs/workloads.md``).  Transport state stays flat too: a finished
     window sender and its second loop are retired
-    (:meth:`~repro.transport.base.TransportContext.retire`), its
-    counters written into its flow's ``FlowTable`` row.  What stays per
-    flow seen is its record — the ``Flow`` (~210 B), its receiver
-    (~150 B for PPT's) and host registry entry (~75 B) and that row
-    (~135 B): about 600 B on a streamed PPT Memcached run
+    (:meth:`~repro.transport.base.TransportContext.retire`), and its
+    receiver once nothing of the flow is left on the fabric
+    (:meth:`~repro.transport.base.TransportContext.retire_receiver`),
+    each writing its counters into its flow's ``FlowTable`` row.  What
+    stays per flow seen is its record — the ``Flow`` with its times
+    (~210 B) and that row (~135 B), plus the receiver of a flow that
+    lost a packet: about 370 B on a streamed PPT Memcached run
     (``benchmarks/bench_ext_seq_state.py``).
     ``faults`` re-runs the identical
     workload under a deterministic fault schedule; ``event_budget``
@@ -192,14 +189,75 @@ class RunResult:
                 f"{self.completed}/{self.health.n_flows} flows, {self.stats}")
 
 
+@dataclass
+class RunState:
+    """One run between its assembly and its harvest — the picklable
+    snapshot a :mod:`repro.resilience` checkpoint holds, taken at a
+    drain-slice boundary.
+
+    Everything :func:`run` needs to finish the run lives here: the live
+    object graph (``topo`` owns the simulator and fabric;
+    ``ctx``/``flows``/``faults``/``telemetry``/``auditor`` share
+    references into it) plus the drain loop's scalar state.
+    """
+
+    # identity (checked against the caller's scheme/scenario at resume)
+    scheme_name: str = ""
+    scenario_name: str = ""
+
+    # the live run graph — one shared-reference pickle
+    topo: Any = None
+    ctx: Any = None
+    flows: list = field(default_factory=list)
+    faults: Any = None
+    telemetry: Any = None
+    auditor: Any = None
+
+    # the run's flow target: len(flows) for a materialized workload,
+    # the FlowStream's declared total for a streamed one (``flows``
+    # then only holds the prefix pulled so far — the un-consumed stream
+    # itself travels inside the sim graph via the lazy start chain)
+    total_flows: int = 0
+
+    # drain limits copied off the Scenario (builders are not picklable)
+    max_time: float = 10.0
+    event_budget: Optional[int] = None
+    max_rto: float = 0.25
+
+    # drain-loop position
+    t: float = 0.0
+    last_signature: Optional[tuple] = None
+    last_progress_t: float = 0.0
+    last_checkpoint_t: float = 0.0
+    checkpoints_taken: int = 0
+
+    @property
+    def sim(self):
+        return self.topo.sim
+
+    def header(self) -> dict:
+        """The plain-data header written ahead of the state pickle."""
+        from ..resilience.checkpoint import checkpoint_header
+        return checkpoint_header(self)
+
+
+def save_checkpoint(state: RunState, path) -> dict:
+    """:func:`repro.resilience.checkpoint.save_checkpoint`, imported by
+    the first snapshot a run takes; :func:`_drain` calls it through this
+    name."""
+    from ..resilience.checkpoint import save_checkpoint as save
+    return save(state, path)
+
+
 def _progress_signature(ctx: TransportContext, network: Network) -> tuple:
-    """Snapshot of forward progress: completions, every endpoint's
-    delivered-packet count (window senders and receivers both expose a
-    ``delivered`` view; a receiver-driven scheme's ``MessageEndpoint``
-    exposes its message's; endpoints without one, such as the
-    receiver-driven senders, count nothing), the number of registered
-    endpoints (so a newly started flow counts as progress) and of retired
-    senders (a retirement takes a sender's count out of the sum).  If
+    """Snapshot of forward progress: completions, every registered
+    endpoint's delivered-packet count (window senders and receivers both
+    expose a ``delivered`` view; a receiver-driven scheme's
+    ``MessageEndpoint`` exposes its message's; endpoints without one,
+    such as the receiver-driven senders, count nothing), the number of
+    registered endpoints (so a newly started flow counts as progress)
+    and of retired senders (a retirement takes a sender's count out of
+    the sum; a receiver's takes its count and its entry out).  If
     this is unchanged across the watchdog window, nothing useful is
     happening — retransmit storms and idling RTO timers keep the heap
     warm but do not move it."""
@@ -341,7 +399,7 @@ def run(
     uncheckpointed one.
 
     ``resume`` restores such a snapshot (a path or a loaded
-    :class:`~repro.resilience.RunState`) and finishes the run from
+    :class:`RunState`) and finishes the run from
     where it stopped; the result is bit-identical to a run that never
     stopped.  ``scheme``/``scenario`` may be omitted when resuming —
     when given, their names are checked against the checkpoint.
@@ -350,6 +408,7 @@ def run(
     """
     check_checkpointing(checkpoint_every, checkpoint_path)
     if resume is not None:
+        from ..resilience.checkpoint import CheckpointError, load_checkpoint
         if observe not in (None, False) or validate not in (None, False):
             raise ValueError(
                 "observe/validate are baked into the checkpoint; "

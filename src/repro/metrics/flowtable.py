@@ -2,12 +2,15 @@
 
 The run's table lives on its transport context (``ctx.table``).  The
 runner adds a row for every flow it pulls (:meth:`FlowTable.add`, which
-gives the flow its ``row``); a sender retired mid-run
-(:meth:`~repro.transport.base.TransportContext.retire`) writes its
-counters straight into that row (:meth:`FlowTable.add_sender`); and at
-drain end :meth:`FlowTable.harvest` walks the flows once, filling each
-row's FCT and the counters of the endpoints still registered under the
-flow's id at its source and destination hosts.  So the run's per-flow
+gives the flow its ``row``); an endpoint retired mid-run writes its
+counters straight into that row — a sender at
+:meth:`~repro.transport.base.TransportContext.retire`
+(:meth:`FlowTable.add_sender`), a receiver at
+:meth:`~repro.transport.base.TransportContext.retire_receiver`
+(:meth:`FlowTable.add_receiver`); and at drain end
+:meth:`FlowTable.harvest` walks the flows once, filling each row's FCT
+and the counters of the endpoints still registered under the flow's id
+at its source and destination hosts.  So the run's per-flow
 totals are column sums: ``RunHealth``'s and the telemetry rollup's
 retransmits and RTOs, and Fig. 29's transfer efficiency (appendix F:
 received over sent data packets, overall and for the low-priority loop,
@@ -101,7 +104,8 @@ class FlowTable:
         finished flow's row (``flow.row``) gets its FCT, and each adds
         the counters of the endpoints still registered under its id at
         its source and destination hosts (one host when they are the
-        same)."""
+        same): the ends that never retired — an unfinished flow's, a
+        receiver whose flow lost a packet, the message-core endpoints."""
         fcts = self.fct
         hosts = network.hosts
         for flow in flows:
@@ -118,18 +122,20 @@ class FlowTable:
                 if endpoint is not None:
                     self._read(row, endpoint)
 
+    def add_receiver(self, row: int, receiver) -> None:
+        """Add one receiver's four columns to ``row``."""
+        self.pkts_received[row] += receiver.data_pkts_received
+        self.lp_pkts_received[row] += getattr(receiver, "lp_pkts_received", 0)
+        self.dup_pkts_received[row] += getattr(
+            receiver, "dup_pkts_received", 0)
+        self.lp_dup_pkts_received[row] += getattr(
+            receiver, "lp_dup_pkts_received", 0)
+
     def _read(self, row: int, endpoint) -> None:
         if getattr(endpoint, "pkts_transmitted", None) is not None:
             self.add_sender(row, endpoint)
-        received = getattr(endpoint, "data_pkts_received", None)
-        if received is not None:
-            self.pkts_received[row] += received
-            self.lp_pkts_received[row] += getattr(
-                endpoint, "lp_pkts_received", 0)
-            self.dup_pkts_received[row] += getattr(
-                endpoint, "dup_pkts_received", 0)
-            self.lp_dup_pkts_received[row] += getattr(
-                endpoint, "lp_dup_pkts_received", 0)
+        if getattr(endpoint, "data_pkts_received", None) is not None:
+            self.add_receiver(row, endpoint)
 
     def efficiency(self, lp: bool = False) -> float:
         """Received over sent data packets (NaN when none were sent);

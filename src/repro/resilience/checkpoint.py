@@ -6,8 +6,9 @@ A checkpoint is a pickle of the *entire* run graph — the
 :class:`~repro.sim.engine.EventChain` timers), every transport
 endpoint's window/RTO state, the queue ledgers, the fault injectors'
 RNG streams, the telemetry trace and the invariant auditor — wrapped in
-a :class:`RunState` that also carries the drain loop's own position
-(current slice time, watchdog progress signature).  Because the whole
+a :class:`~repro.experiments.runner.RunState` that also carries the
+drain loop's own position (current slice time, watchdog progress
+signature).  Because the whole
 graph is one pickle, shared references survive intact, which is what
 makes a resumed run **bit-identical** to a straight-through one (gated
 by ``tests/test_resilience.py`` the same way
@@ -28,7 +29,7 @@ File format
 
 Two consecutive pickles: a small plain-``dict`` header (format tag,
 code table, scheme/scenario names, sim time, events run) followed by the
-:class:`RunState`.  :func:`inspect_checkpoint` reads only the header,
+``RunState``.  :func:`inspect_checkpoint` reads only the header,
 so listing/validating checkpoint files never pays for — or trusts —
 the full graph.  Writes are atomic (temp file + ``os.replace``): a
 run SIGKILLed mid-write leaves the previous checkpoint intact.
@@ -50,9 +51,10 @@ import functools
 import io
 import os
 import pickle
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Tuple
+from typing import Tuple
+
+from ..experiments.runner import RunState
 
 CHECKPOINT_FORMAT = "repro-checkpoint"
 
@@ -75,63 +77,19 @@ class CheckpointError(RuntimeError):
     """A checkpoint file is missing, malformed, or incompatible."""
 
 
-@dataclass
-class RunState:
-    """The picklable snapshot of one run, taken at a drain-slice boundary.
-
-    Everything :func:`repro.experiments.runner.run` needs to finish the
-    run lives here: the live object graph (``topo`` owns the simulator
-    and fabric; ``ctx``/``flows``/``faults``/``telemetry``/``auditor``
-    share references into it) plus the drain loop's scalar state.
-    """
-
-    # identity (checked against the caller's scheme/scenario at resume)
-    scheme_name: str = ""
-    scenario_name: str = ""
-
-    # the live run graph — one shared-reference pickle
-    topo: Any = None
-    ctx: Any = None
-    flows: list = field(default_factory=list)
-    faults: Any = None
-    telemetry: Any = None
-    auditor: Any = None
-
-    # the run's flow target: len(flows) for a materialized workload,
-    # the FlowStream's declared total for a streamed one (``flows``
-    # then only holds the prefix pulled so far — the un-consumed stream
-    # itself travels inside the sim graph via the lazy start chain)
-    total_flows: int = 0
-
-    # drain limits copied off the Scenario (builders are not picklable)
-    max_time: float = 10.0
-    event_budget: Optional[int] = None
-    max_rto: float = 0.25
-
-    # drain-loop position
-    t: float = 0.0
-    last_signature: Optional[tuple] = None
-    last_progress_t: float = 0.0
-    last_checkpoint_t: float = 0.0
-    checkpoints_taken: int = 0
-
-    @property
-    def sim(self):
-        return self.topo.sim
-
-    def header(self) -> dict:
-        """The plain-data header written ahead of the state pickle."""
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "code": dict(_code_table()),
-            "scheme": self.scheme_name,
-            "scenario": self.scenario_name,
-            "sim_time": self.sim.now,
-            "events_run": self.sim.events_run,
-            "completed": len(self.ctx.completed),
-            "n_flows": self.total_flows,
-            "checkpoints_taken": self.checkpoints_taken,
-        }
+def checkpoint_header(state: RunState) -> dict:
+    """The plain-data header written ahead of ``state``'s pickle."""
+    return {
+        "format": CHECKPOINT_FORMAT,
+        "code": dict(_code_table()),
+        "scheme": state.scheme_name,
+        "scenario": state.scenario_name,
+        "sim_time": state.sim.now,
+        "events_run": state.sim.events_run,
+        "completed": len(state.ctx.completed),
+        "n_flows": state.total_flows,
+        "checkpoints_taken": state.checkpoints_taken,
+    }
 
 
 def save_checkpoint(state: RunState, path) -> dict:
@@ -143,7 +101,7 @@ def save_checkpoint(state: RunState, path) -> dict:
     the new one, complete.
     """
     path = os.fspath(path)
-    header = state.header()
+    header = checkpoint_header(state)
     buf = io.BytesIO()
     pickle.dump(header, buf, protocol=pickle.HIGHEST_PROTOCOL)
     pickle.dump(state, buf, protocol=pickle.HIGHEST_PROTOCOL)
@@ -168,7 +126,7 @@ def inspect_checkpoint(path) -> dict:
 
 
 def load_checkpoint(path) -> RunState:
-    """Load a full :class:`RunState`; raises :class:`CheckpointError` on
+    """Load a full ``RunState``; raises :class:`CheckpointError` on
     a missing file, a foreign format, or a checkpoint of other code."""
     try:
         fh = open(path, "rb")

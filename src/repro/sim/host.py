@@ -44,8 +44,10 @@ class Host:
         self.bytes_to_fabric = 0
         self.pkts_from_fabric = 0
         self.bytes_from_fabric = 0
-        # Fallback receiver for packets of unregistered flows (unused in
-        # normal operation; lets tests inject raw packets).
+        # Fallback receiver for packets of unregistered flows: a
+        # validated run's auditor (which checks that none is data of a
+        # retired receiver), or a test's sink for raw packets; None
+        # otherwise, and the packet is discarded.
         self.default_endpoint = None
 
     def register(self, flow_id: int, endpoint) -> None:

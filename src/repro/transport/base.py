@@ -118,7 +118,8 @@ class TransportContext:
         # unvalidated run; same read-once contract as ``telemetry``.
         self.auditor = None
         # the run's per-flow record; the runner adds a row per pulled
-        # flow, retire() writes a finished sender's counters into it
+        # flow, retire() and retire_receiver() write a finished
+        # endpoint's counters into it
         self.table = FlowTable.empty()
         # how many senders retire() let go
         self.retired = 0
@@ -149,8 +150,9 @@ class TransportContext:
         as for a closed socket) and its second loop forgets it, so
         reference counting frees both while the drain holds the GC off.
         A sender its host does not hold under its flow id (one a test
-        drives by hand) is left alone.  The receiver stays: late
-        duplicates are still counted and ACKed."""
+        drives by hand) is left alone.  The receiver follows at once if
+        every packet the sender put on the fabric has arrived
+        (:meth:`retire_receiver`)."""
         flow = sender.flow
         endpoints = sender.host.endpoints
         if endpoints.get(flow.flow_id) is not sender:
@@ -163,6 +165,36 @@ class TransportContext:
             self.auditor.audit_sender(sender)
         if sender.lcp is not None:
             sender.lcp.sender = None
+        receiver = self.network.hosts[flow.dst].endpoints.get(flow.flow_id)
+        if receiver is not None:
+            self.retire_receiver(receiver)
+
+    def retire_receiver(self, receiver) -> None:
+        """Let go of a window receiver that nothing can reach again: its
+        flow is complete, its sender retired (writing its ``pkts_sent``
+        into the flow's row), it has received that many data packets —
+        so none is left in a queue or on a wire — and it holds no timer
+        (PPT's delayed LP-ACK flush).  Then its four counters go into
+        the row, its host forgets it and the auditor checks its
+        drain-end laws now.  Until then a late duplicate is counted and
+        ACKed as ever; a flow that lost a packet never meets the count,
+        and its receiver stays for the harvest.  Called at sender
+        retirement, after each arrival at a complete receiver and when
+        PPT's flush fires.  A receiver of a flow with no row, or one its
+        host does not hold, is left alone."""
+        flow = receiver.flow
+        row = flow.row
+        if (row is None or not receiver.done
+                or receiver._lp_flush_event is not None
+                or self.table.pkts_sent[row] != receiver.data_pkts_received):
+            return
+        endpoints = self.network.hosts[flow.dst].endpoints
+        if endpoints.get(flow.flow_id) is not receiver:
+            return
+        del endpoints[flow.flow_id]
+        self.table.add_receiver(row, receiver)
+        if self.auditor is not None:
+            self.auditor.on_receiver_retired(receiver)
 
     def base_rtt(self, flow: Flow) -> float:
         return self.network.base_rtt(flow.src, flow.dst)

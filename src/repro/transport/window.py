@@ -49,7 +49,9 @@ RTO_BACKOFF = 2.0
 
 
 class WindowReceiver:
-    """Counts unique payload packets; one ACK per data packet."""
+    """Counts unique payload packets; one ACK per data packet.  Once its
+    flow is complete and nothing of it is left on the fabric, the
+    context retires it (:meth:`TransportContext.retire_receiver`)."""
 
     __slots__ = ("flow", "ctx", "n_packets", "sacked", "cum",
                  "_done", "data_pkts_received", "dup_pkts_received",
@@ -70,6 +72,10 @@ class WindowReceiver:
         # the reverse pair (dst -> src) never changes: its control
         # sender is resolved on the first ACK (see _control_sender())
         self._send_control = None
+
+    # a pending timer keeps a receiver from retiring; only PptReceiver's
+    # delayed LP-ACK flush is one
+    _lp_flush_event = None
 
     delivered = delivered_view
 
@@ -95,7 +101,11 @@ class WindowReceiver:
         else:
             self.sacked.add(seq)
         self.acknowledge(pkt)
-        if not self._done and cum >= self.n_packets:
+        if self._done:
+            # a late arrival, counted and ACKed: it may be the last
+            # packet the flow had on the fabric
+            self.ctx.retire_receiver(self)
+        elif cum >= self.n_packets:
             self._done = True
             # late duplicates only compare against ``cum``: the drained
             # set goes, not just its entries

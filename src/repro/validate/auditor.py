@@ -7,7 +7,8 @@ and *only reads* simulator state.  It schedules no events, pops no heap
 entries (engine inspection goes through the non-destructive
 :meth:`~repro.sim.engine.Simulator.peek_time`) and mutates nothing in
 the fabric, which is what makes a validated run bit-identical to a bare
-one.
+one.  The one thing it installs is each host's fallback endpoint, which
+sees only the packets the host would have discarded.
 
 Laws checked (see ``docs/validation.md`` for the full catalogue and the
 paper grounding of each):
@@ -22,8 +23,9 @@ paper grounding of each):
   the wire;
 * **transport** — per-flow transmission accounting, cum/delivered
   bounds, every out-of-order scoreboard inside ``[cum, n_packets)``,
-  window discipline after every send burst, and a never-stale RTO
-  deadline while armed;
+  window discipline after every send burst, a never-stale RTO
+  deadline while armed, and no data packet reaching its host after the
+  flow's receiver retired;
 * **end-to-end** — every packet (and byte) injected by any sender is
   delivered, dropped, trimmed away or still in flight — nothing is
   created or destroyed by the fabric.
@@ -35,6 +37,7 @@ import math
 from typing import List, Optional, Tuple
 
 from ..sim.network import Network
+from ..sim.packet import DATA
 from ..sim.queues import LOSSLESS_MASK, LOSSLESS_PRIORITY, PriorityMux
 from ..sim.routing import FlowletBalancer
 from ..transport.base import MessageEndpoint
@@ -201,6 +204,8 @@ class RunAuditor:
         self.attached = False
         self._last_now = -math.inf
         self._finalized = False
+        # ids of the flows whose receiver retired (recv-retired-arrival)
+        self._retired_receivers: set = set()
 
     # -- wiring -----------------------------------------------------------
 
@@ -214,6 +219,11 @@ class RunAuditor:
         self.sim = sim
         self.network = network
         self._last_now = sim.now
+        # a packet of a flow its host no longer holds comes here instead
+        # of being discarded (a host with a test's sink keeps that sink)
+        for host in network.hosts.values():
+            if host.default_endpoint is None:
+                host.default_endpoint = self
         if ctx is not None:
             ctx.auditor = self
             # kept so per-slice laws can reach run-scoped extras (the
@@ -525,6 +535,15 @@ class RunAuditor:
                     delivered=len(delivered), in_flight=in_flight_new,
                     retransmit_waste=waste)
 
+    def on_receiver_retired(self, receiver: WindowReceiver) -> None:
+        """A receiver left its host
+        (:meth:`~repro.transport.base.TransportContext.retire_receiver`):
+        its drain-end laws run now, the last time anything can read it,
+        and from now on no data packet of its flow may reach the host
+        (:meth:`on_packet`)."""
+        self._retired_receivers.add(receiver.flow.flow_id)
+        self._audit_receiver(receiver)
+
     def _audit_receiver(self, receiver: WindowReceiver) -> None:
         subject = f"flow{receiver.flow.flow_id}"
         n = receiver.n_packets
@@ -539,6 +558,17 @@ class RunAuditor:
                     data_pkts_received=receiver.data_pkts_received,
                     delivered=len(receiver.delivered),
                     dup_pkts_received=receiver.dup_pkts_received)
+
+    def on_packet(self, pkt) -> None:
+        """Every host's fallback endpoint: a packet of a flow no endpoint
+        at that host holds.  A late ACK of a retired sender is fine; a
+        data packet of a flow whose receiver retired means the receiver
+        left while its flow still had a packet on the fabric
+        (``recv-retired-arrival``)."""
+        if pkt.kind == DATA and pkt.flow_id in self._retired_receivers:
+            self._check(False, "recv-retired-arrival", f"flow{pkt.flow_id}",
+                        "a data packet reached its host after the flow's "
+                        "receiver retired", seq=pkt.seq, host=pkt.dst)
 
     def _audit_scoreboard(self, owner, subject: str) -> None:
         """``sacked`` holds delivered seqs at or above ``cum`` only: a

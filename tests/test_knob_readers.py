@@ -199,12 +199,10 @@ FAULTS = {
         SOAK_BENCH, "soak_scenario",
         "Does a validated streamed soak complete every flow across the "
         "rotation's blackout of sw0->host1 at 150 s?"),
-    "degrade": file(
-        SOAK_BENCH, "soak_scenario",
-        "Does a soak stay clean through the rotation's rate degrade of "
-        "sw0->host3, which first falls at 750 s (the bench's default "
-        "600 s horizon fires only the 150 s blackout and the 450 s loss "
-        "window)?"),
+    "degrade": ci(
+        "Soak smoke under --validate with checkpoint/resume", "soak 800",
+        "Does a validated, checkpointed soak stay clean through the "
+        "rotation's rate degrade of sw0->host3 at 750 s?"),
 }
 
 

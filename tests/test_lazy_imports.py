@@ -30,7 +30,8 @@ FORBIDDEN_PREFIXES = ("repro.validate", "repro.faults")
 FORBIDDEN = {"repro.obs.telemetry", "repro.core.hypothetical",
              "repro.experiments.figures", "repro.experiments.parallel",
              "repro.experiments.tables", "repro.experiments.claims",
-             "multiprocessing", "hashlib"}
+             "multiprocessing", "hashlib", "pickle",
+             "repro.resilience.checkpoint"}
 TRANSPORTS_ON_PPT_PATH = {"repro.transport", "repro.transport.base",
                           "repro.transport.window", "repro.transport.dctcp"}
 
@@ -77,7 +78,8 @@ def test_cli_loads_no_driver_or_grid_before_a_command_needs_one():
     assert "repro.experiments.scenarios" in loaded
     assert sorted({"repro.experiments.figures", "repro.experiments.tables",
                    "repro.experiments.parallel", "repro.experiments.workers",
-                   "repro.sim.hybrid", "multiprocessing"}
+                   "repro.sim.hybrid", "multiprocessing", "pickle",
+                   "repro.resilience.checkpoint"}
                   & set(loaded)) == []
 
 

@@ -109,12 +109,12 @@ def test_lp_ack_ece_if_either_marked():
     assert captured[0].ecn_ce
 
 
-def test_completion_via_mixed_hcp_lcp_delivery():
+def test_completion_via_mixed_hcp_lcp_delivery(attached):
     """Completion counts unique packets regardless of which loop
     delivered them."""
     flow, ctx, topo = run_single_flow(Ppt(), 150_000, until=1.0)
     assert flow.completed
-    receiver = topo.network.hosts[1].endpoints[0]
+    receiver = attached.receivers[0]
     assert receiver.lp_pkts_received > 0          # LCP contributed
     assert receiver.data_pkts_received >= receiver.n_packets
 

@@ -33,8 +33,9 @@ from repro.experiments.scenarios import (
 )
 from repro.sim.packet import DATA, HEADER_BYTES, Packet
 from repro.sim.queues import PriorityMux
-from repro.transport.base import Flow
+from repro.transport.base import Flow, TransportContext
 from repro.transport.dctcp import Dctcp, DctcpSender
+from repro.transport.window import WindowReceiver
 from repro.transport.homa import Homa
 from repro.transport.rc3 import Rc3
 from repro.core.hypothetical import HypotheticalDctcp, MwRecordingDctcp
@@ -480,6 +481,80 @@ def test_undercounted_transmissions_caught_at_retirement():
     with pytest.raises(InvariantViolation) as exc_info:
         run(_ForgetfulDctcp(), small_scenario(n_flows=4), validate="strict")
     assert exc_info.value.law == "flow-tx-conservation"
+
+
+class _PhantomDupReceiver(WindowReceiver):
+    """Counts a duplicate that never arrived as its flow completes."""
+
+    __slots__ = ()
+
+    def on_packet(self, pkt: Packet) -> None:
+        done = self._done
+        super().on_packet(pkt)
+        if self._done and not done:
+            self.dup_pkts_received += 1
+
+
+class _PhantomDupDctcp(Dctcp):
+    receiver_cls = _PhantomDupReceiver
+
+
+def test_miscounted_receiver_caught_at_retirement():
+    """The drain-end receiver laws run when a receiver retires, the last
+    time anything can read it: each flow breaks ``recv-counting`` when
+    its last packet lands (with its sender's retirement here), not at
+    drain end."""
+    result = run(_PhantomDupDctcp(), small_scenario(n_flows=4),
+                 validate=True)
+    report = result.validation
+    assert list(report.counts) == ["recv-counting"]
+    assert report.counts["recv-counting"] == 4
+    times = sorted(v.sim_time for v in report.violations)
+    finishes = sorted(f.finish_time for f in result.flows)
+    assert all(f < t < f + 1e-4 for f, t in zip(finishes, times))
+    assert times[-1] < result.health.sim_time
+    assert not any(host.endpoints
+                   for host in result.topology.network.hosts.values())
+
+
+def _retire_on_completion(ctx, receiver) -> None:
+    """``TransportContext.retire_receiver`` without the in-flight count:
+    retires a complete receiver whatever is still on the fabric."""
+    flow = receiver.flow
+    endpoints = ctx.network.hosts[flow.dst].endpoints
+    if receiver.done and endpoints.get(flow.flow_id) is receiver:
+        del endpoints[flow.flow_id]
+        ctx.table.add_receiver(flow.row, receiver)
+        ctx.auditor.on_receiver_retired(receiver)
+
+
+@pytest.mark.parametrize("early", [False, True], ids=["quiescent", "early"])
+def test_data_after_receiver_retirement_is_a_violation(monkeypatch, early):
+    """An RTO shorter than the RTT leaves re-sent copies of a one-packet
+    flow on the fabric when its sender retires.  A receiver retired then
+    (not when the last copy lands) sees them reach its host:
+    ``recv-retired-arrival``, once per copy."""
+    if early:
+        monkeypatch.setattr(TransportContext, "retire_receiver",
+                            _retire_on_completion)
+    topo = make_star()
+    ctx = make_ctx(topo, min_rto=5e-6, max_rto=5e-6)
+    auditor = RunAuditor().attach(topo.sim, topo.network, ctx)
+    flow = Flow(0, 0, 1, 1_000, 0.0)
+    ctx.table.add(flow)
+    Dctcp().start_flow(flow, ctx)
+    topo.sim.run(until=1e-3)
+    assert flow.completed and not topo.network.hosts[1].endpoints
+    sent, received = ctx.table.pkts_sent[0], ctx.table.pkts_received[0]
+    assert sent > 1
+    if not early:
+        assert received == sent
+        assert auditor.report.ok
+        return
+    assert 0 < received < sent
+    assert list(auditor.report.counts) == ["recv-retired-arrival"]
+    assert auditor.report.counts["recv-retired-arrival"] == sent - received
+    assert auditor.report.violations[0].details["host"] == 1
 
 
 def test_cooked_dead_counter_detected():

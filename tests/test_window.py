@@ -36,12 +36,14 @@ def test_sender_stops_after_completion(attached):
     assert sender._rto_event is None
 
 
-def test_packet_count_and_sizes():
+def test_packet_count_and_sizes(attached):
     flow, ctx, topo = run_single_flow(PlainScheme(), 10_000)
-    receiver = topo.network.hosts[1].endpoints[0]
+    receiver = attached.receivers[0]
     n = flow.n_packets(ctx.config.mss)
     assert receiver.n_packets == n
     assert len(receiver.delivered) == n
+    # the retired receiver wrote its count into the flow's row
+    assert ctx.table.pkts_received[0] == receiver.data_pkts_received
 
 
 def test_last_packet_is_short():
@@ -97,9 +99,9 @@ def test_retransmission_after_loss(attached):
     assert retransmits > 0
 
 
-def test_duplicate_data_counted_once():
+def test_duplicate_data_counted_once(attached):
     flow, ctx, topo = run_single_flow(PlainScheme(), 20_000)
-    receiver = topo.network.hosts[1].endpoints[0]
+    receiver = attached.receivers[0]
     # replay an old packet after completion: no double-complete
     pkt = Packet(0, 0, 1, 0, 1500)
     receiver.on_packet(pkt)
